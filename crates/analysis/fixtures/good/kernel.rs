@@ -9,6 +9,9 @@ impl DataBlock for CoveredBlock {
     fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
         gather(&self.values, n, rng, out)
     }
+    fn scan_rows_projected(&self, columns: &[usize], visit: &mut dyn FnMut(&[f64])) {
+        assemble(&self.values, columns, visit)
+    }
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         Some(Arc::new(BlockSketch::from_values(&self.values)))
     }

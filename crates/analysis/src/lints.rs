@@ -72,8 +72,16 @@ const SEAL_ENTRY_POINTS: &[&str] = &["seal_block", "seal_derived"];
 /// Batch kernels whose overrides must be identity-tested. `sketch` is a
 /// metadata hook rather than a kernel, but it carries the same
 /// obligation: a hook-provided sketch must be bit-identical to a
-/// scan-computed one.
-const KERNEL_METHODS: &[&str] = &["sample_batch", "sample_rows_batch", "scan_chunks", "sketch"];
+/// scan-computed one. `scan_rows_projected` likewise: an override must
+/// deliver exactly the full-width scan's rows restricted to the
+/// projection.
+const KERNEL_METHODS: &[&str] = &[
+    "sample_batch",
+    "sample_rows_batch",
+    "scan_chunks",
+    "scan_rows_projected",
+    "sketch",
+];
 
 /// Shared mutable state for one lint run: findings plus which allow
 /// annotations actually suppressed something.

@@ -145,6 +145,18 @@ fn uncovered_kernel_override_is_flagged() {
 }
 
 #[test]
+fn uncovered_projected_scan_override_is_flagged() {
+    let run = run_on(
+        fixture("bad/kernel_projected.rs", "fx", false),
+        &["RowsBlock"],
+    );
+    assert_eq!(error_lines(&run), vec![(8, "kernel-coverage".to_string())]);
+    let message = &run.findings[0].message;
+    assert!(message.contains("UncoveredColumns"), "{message}");
+    assert!(message.contains("scan_rows_projected"), "{message}");
+}
+
+#[test]
 fn covered_and_forwarding_kernel_impls_are_clean() {
     let run = run_on(fixture("good/kernel.rs", "fx", false), &["CoveredBlock"]);
     assert_eq!(error_lines(&run), vec![]);

@@ -9,10 +9,10 @@
 
 use isla_stats::PowerSums;
 
-use crate::boundaries::{DataBoundaries, Region};
+use crate::boundaries::{DataBoundaries, Region, FOLD_LANE};
 
 /// Accumulated sampling-phase state for one block.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleAccumulator {
     boundaries: DataBoundaries,
     param_s: PowerSums,
@@ -33,6 +33,10 @@ impl SampleAccumulator {
 
     /// Classifies one sample, folding it into the matching region's power
     /// sums (Algorithm 1 lines 4–12). Returns the region for diagnostics.
+    ///
+    /// The single-value API, for callers that meet samples one at a time
+    /// (online rounds, diagnostics); batch consumers use
+    /// [`SampleAccumulator::offer_slice`].
     #[inline]
     pub fn offer(&mut self, value: f64) -> Region {
         self.total_offered += 1;
@@ -43,6 +47,32 @@ impl SampleAccumulator {
             _ => {} // "Drop a" — TS, N, TL samples are discarded.
         }
         region
+    }
+
+    /// Folds a whole slice of samples, each translated by `+shift` —
+    /// the engine's per-batch entry point, and the same state, bit for
+    /// bit, as `for v in values { self.offer(v + shift) }`.
+    ///
+    /// Each lane of 256 values is first partitioned into its S and L
+    /// members with branch-free compare-and-advance stores (the same
+    /// open/closed endpoints as [`DataBoundaries::classify`]; NaN lands
+    /// in neither), then each region's power sums run over its lane in
+    /// a tight loop. Why that is bit-neutral:
+    /// `paramS` and `paramL` are separate accumulators, so only the
+    /// order of values *within* a region can matter, and the partition
+    /// preserves it.
+    pub fn offer_slice(&mut self, values: &[f64], shift: f64) {
+        let (mut s, mut l) = ([0.0; FOLD_LANE], [0.0; FOLD_LANE]);
+        for lane in values.chunks(FOLD_LANE) {
+            let (ns, nl) = self.boundaries.partition(lane, shift, &mut s, &mut l);
+            for &v in &s[..ns] {
+                self.param_s.update(v);
+            }
+            for &v in &l[..nl] {
+                self.param_l.update(v);
+            }
+        }
+        self.total_offered += values.len() as u64;
     }
 
     /// Merges another accumulator (same boundaries) into this one.

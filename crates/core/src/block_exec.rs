@@ -174,19 +174,20 @@ pub fn execute_block(
 ) -> Result<BlockOutcome, IslaError> {
     let mut accumulator = SampleAccumulator::new(boundaries);
     if sample_size > 0 {
-        // Batched sampling kernel: whole chunks are drawn with a sorted
-        // gather on a reusable thread-local buffer, then folded in draw
-        // order — bit-identical values and RNG stream to the scalar
-        // per-sample loop this replaces, with statically dispatched
-        // accumulation.
+        // Batched sampling kernel: each chunk's indices are drawn up
+        // front and gathered on a reusable thread-local buffer (draw
+        // order for in-memory blocks, sorted for file readers — values
+        // land in draw order either way), then the chunk is folded as
+        // one slice: lanes partitioned into S and L without branching,
+        // power sums run per lane. Values, RNG stream and accumulator
+        // state are bit-identical to the per-sample
+        // draw-classify-update loop of Algorithm 1.
         with_sample_buf(|buf| {
             let mut left = sample_size;
             while left > 0 {
                 let take = left.min(SAMPLE_BATCH_ROWS);
                 block.sample_batch(take, rng, buf)?;
-                for &value in buf.values() {
-                    accumulator.offer(value + shift);
-                }
+                accumulator.offer_slice(buf.values(), shift);
                 left -= take;
             }
             Ok::<(), IslaError>(())

@@ -40,6 +40,11 @@ impl Region {
     }
 }
 
+/// Values per lane of the slice fold (`DataBoundaries::partition`):
+/// two lanes of this size are 4 KiB of stack, and a lane's S/L members
+/// are still in L1 when the power sums run over them.
+pub(crate) const FOLD_LANE: usize = 256;
+
 /// The concrete cut points for a given `sketch0` and `σ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataBoundaries {
@@ -95,6 +100,46 @@ impl DataBoundaries {
         } else {
             Region::TooLarge
         }
+    }
+
+    /// Splits one lane of at most `FOLD_LANE` values, each translated
+    /// by `+shift`, into its S and L members, in order: the S values
+    /// land at the front of `s`, the L values at the front of `l`, and
+    /// the two counts are returned. Everything else is dropped.
+    ///
+    /// This is [`DataBoundaries::classify`] for a slice, written as
+    /// compare-and-advance stores instead of a five-way branch: every
+    /// value is stored to both lanes' write positions and each position
+    /// advances only when the value is inside that region, so there is
+    /// no data-dependent branch for the predictor to miss (a region test
+    /// on sampled data is a coin flip). The tests are the paper's
+    /// endpoints exactly — S and L are open intervals — and a NaN fails
+    /// all four comparisons, so it lands in neither lane, as `classify`
+    /// sends it to a discarded region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is longer than `FOLD_LANE`.
+    #[inline]
+    pub(crate) fn partition(
+        &self,
+        values: &[f64],
+        shift: f64,
+        s: &mut [f64; FOLD_LANE],
+        l: &mut [f64; FOLD_LANE],
+    ) -> (usize, usize) {
+        assert!(values.len() <= FOLD_LANE, "lane too long");
+        let (mut ns, mut nl) = (0usize, 0usize);
+        for &raw in values {
+            let v = raw + shift;
+            // `ns`/`nl` count earlier members only, so both stay below
+            // `values.len()` at every store.
+            s[ns] = v;
+            ns += usize::from((v > self.ts_upper) & (v < self.s_upper));
+            l[nl] = v;
+            nl += usize::from((v > self.n_upper) & (v < self.l_upper));
+        }
+        (ns, nl)
     }
 
     /// The boundary center (`sketch0`).
@@ -166,6 +211,32 @@ mod tests {
         assert_eq!(b.classify(7.2), Region::Normal, "N is closed above");
         assert_eq!(b.classify(9.2), Region::TooLarge, "TL is closed below");
         assert_eq!(b.classify(9.2 - 1e-12), Region::Large, "L is open above");
+    }
+
+    #[test]
+    fn partition_keeps_classify_semantics_at_every_cut_point() {
+        let b = example_boundaries();
+        let cuts = [3.2, 5.2, 7.2, 9.2];
+        let mut values = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for c in cuts {
+            values.extend([c - 1e-12, c, c + 1e-12]);
+        }
+        values.extend([2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 15.0]);
+        for shift in [0.0, 1.5, -2.0] {
+            let (mut s, mut l) = ([0.0; FOLD_LANE], [0.0; FOLD_LANE]);
+            let (ns, nl) = b.partition(&values, shift, &mut s, &mut l);
+            let shifted = values.iter().map(|v| v + shift);
+            let want = |region| -> Vec<u64> {
+                shifted
+                    .clone()
+                    .filter(|&v| b.classify(v) == region)
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            let bits = |lane: &[f64]| lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s[..ns]), want(Region::Small), "shift {shift}");
+            assert_eq!(bits(&l[..nl]), want(Region::Large), "shift {shift}");
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! * **Calculation** ([`execute_row_block`]) — one uniform row draw per
 //!   sample, filter evaluated on the tuple, the aggregated value folded
 //!   into *that group's* accumulator, per-group iteration per block;
+//! * **Projection** — every phase that touches rows (pilot draws,
+//!   calculation draws, the exact scan) asks storage for only the
+//!   columns the spec reads, `{agg} ∪ filter columns ∪ {group_by}`, and
+//!   evaluates the spec re-indexed against that compact tuple: a
+//!   sampled row costs what the query reads, not what the table holds;
 //! * **Summarization** ([`super::GroupedPartial`]) — a per-group
 //!   mergeable map that combines in any completion order and weights
 //!   each block's per-group answer by its estimated matched row count.
@@ -32,8 +37,8 @@ use rand::RngCore;
 
 use isla_stats::{required_sample_size, NeumaierSum, WelfordMoments};
 use isla_storage::{
-    sample_rows_proportional, sample_rows_proportional_surviving, with_row_sample_buf, BlockSet,
-    DataBlock, RowFilter, SAMPLE_BATCH_ROWS,
+    sample_row_columns_proportional, sample_row_columns_proportional_surviving,
+    with_row_sample_buf, BlockSet, ColumnPredicate, DataBlock, RowFilter, SAMPLE_BATCH_ROWS,
 };
 
 use super::seed;
@@ -128,6 +133,55 @@ impl RowSpec {
         self.group_by.hash(&mut h);
         self.filter.fingerprint().hash(&mut h);
         h.finish()
+    }
+}
+
+/// The columns a spec reads and the spec re-indexed against them.
+///
+/// `columns` is `{agg_column} ∪ filter columns ∪ {group_by}`, ascending
+/// and de-duplicated — what the row kernels are asked to gather and the
+/// exact scan to assemble. `spec` is the same query with every column
+/// index replaced by its position in `columns`, so it evaluates against
+/// the compact tuple exactly as the original evaluates against the full
+/// row: the same comparisons on the same values in the same conjunct
+/// order (re-indexing is monotone, so [`RowFilter`]'s canonical order
+/// is preserved). A spec that reads every column projects to itself.
+#[derive(Debug, Clone)]
+struct Projection {
+    columns: Vec<usize>,
+    spec: RowSpec,
+}
+
+impl Projection {
+    fn of(spec: &RowSpec) -> Self {
+        let mut columns: Vec<usize> = spec
+            .filter
+            .predicates()
+            .iter()
+            .map(|p| p.column)
+            .chain([spec.agg_column])
+            .chain(spec.group_by)
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        // Every referenced column is in `columns`, so its position is
+        // the count of smaller entries.
+        let at = |col: usize| columns.partition_point(|&c| c < col);
+        let spec = RowSpec {
+            agg_column: at(spec.agg_column),
+            filter: RowFilter::new(
+                spec.filter
+                    .predicates()
+                    .iter()
+                    .map(|p| ColumnPredicate {
+                        column: at(p.column),
+                        ..*p
+                    })
+                    .collect(),
+            ),
+            group_by: spec.group_by.map(at),
+        };
+        Self { columns, spec }
     }
 }
 
@@ -258,6 +312,7 @@ pub fn row_pre_estimate_capped_with(
         ));
     }
     spec.validate(data)?;
+    let read = Projection::of(spec);
 
     let mut st = RowPilotFold::new();
 
@@ -267,7 +322,7 @@ pub fn row_pre_estimate_capped_with(
         .min(data_size)
         .min(max_pilot_rows)
         .max(2);
-    pilot_draw_rows(data, spec, pilot1, recovery, rng, &mut st)?;
+    pilot_draw_rows(data, &read, pilot1, recovery, rng, &mut st)?;
     if st.matched == 0 {
         return Err(IslaError::InsufficientData(format!(
             "predicate matched none of {} pilot rows; selectivity is effectively zero",
@@ -286,7 +341,7 @@ pub fn row_pre_estimate_capped_with(
         .min(max_pilot_rows)
         .saturating_sub(st.drawn);
     if pilot2 > 0 {
-        pilot_draw_rows(data, spec, pilot2, recovery, rng, &mut st)?;
+        pilot_draw_rows(data, &read, pilot2, recovery, rng, &mut st)?;
     }
 
     finish_row_pilot_state(st, data_size, config)
@@ -294,14 +349,18 @@ pub fn row_pre_estimate_capped_with(
 
 /// Draws `n` proportional pilot rows into the accumulated pilot state:
 /// the shared inner loop of the one-shot and epoch-fold row pilots.
+/// Only the spec's read set is gathered; the fold evaluates the
+/// re-indexed spec on the compact tuples.
 fn pilot_draw_rows(
     data: &BlockSet,
-    spec: &RowSpec,
+    read: &Projection,
     n: u64,
     recovery: &RecoveryPolicy,
     rng: &mut dyn RngCore,
     st: &mut RowPilotFold,
 ) -> Result<(), IslaError> {
+    let spec = &read.spec;
+    let columns = Some(read.columns.as_slice());
     let mut fold = |row: &[f64]| {
         st.drawn += 1;
         if spec.filter.matches(row) {
@@ -315,10 +374,11 @@ fn pilot_draw_rows(
         }
     };
     if recovery.is_best_effort() {
-        sample_rows_proportional_surviving(data, n, recovery.retry.max_attempts, rng, &mut fold);
+        let attempts = recovery.retry.max_attempts;
+        sample_row_columns_proportional_surviving(data, columns, n, attempts, rng, &mut fold);
         Ok(())
     } else {
-        sample_rows_proportional(data, n, rng, &mut fold).map_err(IslaError::from)
+        sample_row_columns_proportional(data, columns, n, rng, &mut fold).map_err(IslaError::from)
     }
 }
 
@@ -452,6 +512,7 @@ pub fn fold_row_pilot_segment(
     }
     let seg = data.subrange(blocks);
     spec.validate(&seg)?;
+    let read = Projection::of(spec);
     let mut rng = seed::seeded_rng(seed::stream_seed(seed::stream_seed(lineage, salt), segment));
     // Pilot 1 share: the configured pilot over this segment's rows.
     let pilot1 = config.sigma_pilot_size.min(seg_rows).max(2);
@@ -459,7 +520,7 @@ pub fn fold_row_pilot_segment(
     // is not resumable, so block failures must surface as errors.
     pilot_draw_rows(
         &seg,
-        spec,
+        &read,
         pilot1,
         &RecoveryPolicy::strict(),
         &mut rng,
@@ -476,7 +537,7 @@ pub fn fold_row_pilot_segment(
     if pilot2 > 0 {
         pilot_draw_rows(
             &seg,
-            spec,
+            &read,
             pilot2,
             &RecoveryPolicy::strict(),
             &mut rng,
@@ -533,6 +594,9 @@ pub struct GroupPlan {
 pub struct RowPlan {
     config: IslaConfig,
     spec: RowSpec,
+    // Derived once per plan: the spec's read set and the spec
+    // re-indexed against it.
+    read: Projection,
     groups: Vec<GroupPlan>,
     selectivity: f64,
     pilot_rows: u64,
@@ -604,6 +668,7 @@ impl RowPlan {
             .collect();
         Ok(Self {
             config: config.clone(),
+            read: Projection::of(&spec),
             spec,
             groups,
             selectivity: pre.selectivity,
@@ -735,45 +800,55 @@ pub fn execute_row_block(
 ) -> Result<RowBlockOutcome, IslaError> {
     let draws = plan.sample_size_for(block.len());
     let mut rng = super::seed::seeded_rng(seed);
-    let mut accs: Vec<Option<SampleAccumulator>> = plan
-        .groups()
+    let spec = &plan.read.spec;
+    let planned = plan.groups();
+    let mut folds: Vec<GroupFold> = planned
         .iter()
-        .map(|g| g.boundaries.map(SampleAccumulator::new))
+        .map(|g| GroupFold {
+            acc: g.boundaries.map(SampleAccumulator::new),
+            raw: NeumaierSum::new(),
+            matched: 0,
+        })
         .collect();
-    let mut matched = vec![0u64; plan.groups().len()];
-    // Boundary-less plan groups (constant, or matched by too few pilot
-    // rows for a σ̂) fold their calculation draws into a raw mean, so
-    // an under-piloted group is answered by its samples rather than
-    // pinned to a single pilot value.
-    let mut raw: Vec<NeumaierSum> = plan.groups().iter().map(|_| NeumaierSum::new()).collect();
     // Groups the pilots never saw: tracked by raw mean so they still
     // surface in the answer instead of silently vanishing.
     let mut extras: BTreeMap<u64, (NeumaierSum, u64)> = BTreeMap::new();
 
-    // Batched row sampling: tuples are drawn in chunks through the
-    // sorted-gather kernel on a reusable thread-local buffer, then
-    // folded in draw order — the identical rows, in the identical
-    // order, from the identical RNG stream as the scalar per-row loop,
-    // so pooled-vs-sequential bit-identity is untouched.
+    // Batched row sampling. Each chunk draws its indices up front and
+    // gathers only the columns the spec reads, in draw order, on a
+    // reusable thread-local buffer. The rows are then filtered and
+    // routed in draw order: a boundaried group's matched values are
+    // staged in that group's lane (also in the buffer), and each lane
+    // is folded as one slice per chunk. Same RNG stream, same values
+    // into the same accumulators in the same order as the per-row
+    // draw-match-offer loop, so pooled-vs-sequential bit-identity is
+    // untouched.
     with_row_sample_buf(|buf| {
+        buf.project(Some(&plan.read.columns));
         let mut left = draws;
         while left > 0 {
             let take = left.min(SAMPLE_BATCH_ROWS);
             block.sample_rows_batch(take, &mut rng, buf)?;
-            for row in buf.iter_rows() {
-                if !plan.spec().filter.matches(row) {
+            let (rows, lanes) = buf.rows_and_lanes(planned.len());
+            for row in rows {
+                if !spec.filter.matches(row) {
                     continue;
                 }
-                let key_bits = plan.spec().group_key(row);
-                let value = row[plan.spec().agg_column];
+                let key_bits = spec.group_key(row);
+                let value = row[spec.agg_column];
                 match plan.group_index(key_bits) {
                     Some(i) => {
-                        matched[i] += 1;
-                        match accs[i].as_mut() {
-                            Some(acc) => {
-                                acc.offer(value + plan.groups()[i].shift);
-                            }
-                            None => raw[i].add(value),
+                        let fold = &mut folds[i];
+                        fold.matched += 1;
+                        match fold.acc {
+                            Some(_) => lanes[i].push(value),
+                            // Boundary-less plan groups (constant, or
+                            // matched by too few pilot rows for a σ̂)
+                            // fold their calculation draws into a raw
+                            // mean, so an under-piloted group is
+                            // answered by its samples rather than
+                            // pinned to a single pilot value.
+                            None => fold.raw.add(value),
                         }
                     }
                     None => {
@@ -783,20 +858,25 @@ pub fn execute_row_block(
                     }
                 }
             }
+            for ((fold, lane), g) in folds.iter_mut().zip(lanes.iter()).zip(planned) {
+                if let Some(acc) = fold.acc.as_mut() {
+                    acc.offer_slice(lane, g.shift);
+                }
+            }
             left -= take;
         }
         Ok::<(), IslaError>(())
     })?;
 
-    let mut groups: BTreeMap<u64, RowGroupOutcome> = BTreeMap::new();
-    for (i, g) in plan.groups().iter().enumerate() {
-        let outcome = match (&accs[i], &g.boundaries) {
-            (Some(acc), Some(_)) => {
+    let mut groups: Vec<RowGroupOutcome> = Vec::with_capacity(planned.len() + extras.len());
+    for (g, fold) in planned.iter().zip(&folds) {
+        let outcome = match &fold.acc {
+            Some(acc) => {
                 let phase = iteration_phase(acc, g.sketch0_shifted, plan.config());
                 RowGroupOutcome {
                     key_bits: g.pre.key_bits,
                     key: g.pre.key,
-                    matched: matched[i],
+                    matched: fold.matched,
                     answer: phase.answer - g.shift,
                     u: acc.u(),
                     v: acc.v(),
@@ -810,12 +890,12 @@ pub fn execute_row_block(
             // pinned value) or an under-piloted one (the raw mean of
             // the calculation draws beats the single pilot value);
             // with no draws at all, the pilot sketch is all there is.
-            _ => RowGroupOutcome {
+            None => RowGroupOutcome {
                 key_bits: g.pre.key_bits,
                 key: g.pre.key,
-                matched: matched[i],
-                answer: if matched[i] > 0 {
-                    raw[i].value() / matched[i] as f64
+                matched: fold.matched,
+                answer: if fold.matched > 0 {
+                    fold.raw.value() / fold.matched as f64
                 } else {
                     g.pre.sketch0
                 },
@@ -823,35 +903,49 @@ pub fn execute_row_block(
                 v: 0,
                 iterations: 0,
                 clamped: false,
-                fallback: (matched[i] == 0).then_some(Fallback::NoSamples),
+                fallback: (fold.matched == 0).then_some(Fallback::NoSamples),
                 planned: true,
             },
         };
-        groups.insert(g.pre.key_bits, outcome);
+        groups.push(outcome);
     }
-    for (key_bits, (sum, n)) in extras {
-        groups.insert(
-            key_bits,
-            RowGroupOutcome {
-                key_bits,
-                key: f64::from_bits(key_bits),
-                matched: n,
-                answer: sum.value() / n as f64,
-                u: 0,
-                v: 0,
-                iterations: 0,
-                clamped: false,
-                fallback: Some(Fallback::NoSamples),
-                planned: false,
-            },
+    if !extras.is_empty() {
+        groups.extend(
+            extras
+                .into_iter()
+                .map(|(key_bits, (sum, n))| RowGroupOutcome {
+                    key_bits,
+                    key: f64::from_bits(key_bits),
+                    matched: n,
+                    answer: sum.value() / n as f64,
+                    u: 0,
+                    v: 0,
+                    iterations: 0,
+                    clamped: false,
+                    fallback: Some(Fallback::NoSamples),
+                    planned: false,
+                }),
         );
+        // Planned groups are already key-sorted; an unplanned key
+        // interleaves.
+        groups.sort_by_key(|g| g.key_bits);
     }
     Ok(RowBlockOutcome {
         block_id,
         rows: block.len(),
         draws,
-        groups: groups.into_values().collect(),
+        groups,
     })
+}
+
+/// One planned group's calculation-phase state within one block.
+struct GroupFold {
+    /// Algorithm-1 state; `None` for boundary-less groups.
+    acc: Option<SampleAccumulator>,
+    /// Raw sum of matched values, for boundary-less groups.
+    raw: NeumaierSum,
+    /// Raw draws that matched the predicate and this group.
+    matched: u64,
 }
 
 /// One group's finalized estimate.
@@ -1054,8 +1148,11 @@ pub struct GroupExact {
 /// Scan failures (e.g. virtual blocks past their cap).
 pub fn scan_exact_groups(data: &BlockSet, spec: &RowSpec) -> Result<Vec<GroupExact>, IslaError> {
     spec.validate(data)?;
+    // Scan only the columns the spec reads; evaluate it re-indexed.
+    let read = Projection::of(spec);
+    let spec = &read.spec;
     let mut sums: BTreeMap<u64, (f64, NeumaierSum, u64)> = BTreeMap::new();
-    data.scan_all_rows(&mut |row| {
+    data.scan_all_rows_projected(&read.columns, &mut |row| {
         if spec.filter.matches(row) {
             let key_bits = spec.group_key(row);
             let entry =
@@ -1450,6 +1547,78 @@ mod tests {
             filtered.fingerprint(),
             filtered_grouped_spec().fingerprint()
         );
+    }
+
+    #[test]
+    fn projection_reads_the_spec_columns_and_reindexes_the_spec() {
+        // Columns referenced in descending order, the agg column also
+        // filtered on, the group-by column also filtered on, and a
+        // duplicated conjunct.
+        let pred = |column, op, value| ColumnPredicate { column, op, value };
+        let spec = RowSpec {
+            agg_column: 5,
+            filter: RowFilter::new(vec![
+                pred(7, CmpOp::Gt, 1.0),
+                pred(5, CmpOp::Le, 9.0),
+                pred(2, CmpOp::Ne, 4.0),
+                pred(7, CmpOp::Gt, 1.0),
+            ]),
+            group_by: Some(2),
+        };
+        let read = Projection::of(&spec);
+        assert_eq!(read.columns, vec![2, 5, 7]);
+        assert_eq!(read.spec.agg_column, 1);
+        assert_eq!(read.spec.group_by, Some(0));
+        let reindexed: Vec<usize> = read
+            .spec
+            .filter
+            .predicates()
+            .iter()
+            .map(|p| p.column)
+            .collect();
+        assert_eq!(reindexed, vec![0, 1, 2, 2], "conjunct order is preserved");
+
+        // A spec that reads every column projects to itself.
+        let full = RowSpec {
+            agg_column: 1,
+            filter: RowFilter::new(vec![pred(0, CmpOp::Lt, 3.0)]),
+            group_by: Some(2),
+        };
+        let read = Projection::of(&full);
+        assert_eq!(read.columns, vec![0, 1, 2]);
+        assert_eq!(read.spec, full);
+    }
+
+    proptest::proptest! {
+        /// The re-indexed spec on the compact tuple decides exactly
+        /// what the original spec decides on the full row: same match,
+        /// same group key, same aggregated value.
+        #[test]
+        fn projected_spec_agrees_with_the_spec_on_every_row(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let width = rng.random_range(1usize..=6);
+            let ops = [CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Eq, CmpOp::Ne];
+            let preds = (0..rng.random_range(0usize..4))
+                .map(|_| ColumnPredicate {
+                    column: rng.random_range(0..width),
+                    op: ops[rng.random_range(0..ops.len())],
+                    value: rng.random_range(0u32..4) as f64,
+                })
+                .collect();
+            let spec = RowSpec {
+                agg_column: rng.random_range(0..width),
+                filter: RowFilter::new(preds),
+                group_by: rng.random_bool(0.5).then(|| rng.random_range(0..width)),
+            };
+            let read = Projection::of(&spec);
+            for _ in 0..64 {
+                let row: Vec<f64> = (0..width).map(|_| rng.random_range(0u32..4) as f64).collect();
+                let tuple: Vec<f64> = read.columns.iter().map(|&c| row[c]).collect();
+                proptest::prop_assert_eq!(read.spec.filter.matches(&tuple), spec.filter.matches(&row));
+                proptest::prop_assert_eq!(read.spec.group_key(&tuple), spec.group_key(&row));
+                proptest::prop_assert_eq!(tuple[read.spec.agg_column], row[spec.agg_column]);
+            }
+        }
     }
 
     #[test]

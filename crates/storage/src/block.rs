@@ -3,7 +3,7 @@
 use rand::RngCore;
 
 use crate::error::StorageError;
-use crate::kernel::{RowSampleBuf, SampleBuf, SCAN_CHUNK_ROWS};
+use crate::kernel::{compact, RowSampleBuf, SampleBuf, SCAN_CHUNK_ROWS};
 
 /// A block of numeric data, the unit of distribution in the paper's system
 /// model (Section II-C).
@@ -109,6 +109,31 @@ pub trait DataBlock: Send + Sync {
         self.scan(&mut |v| visit(std::slice::from_ref(&v)))
     }
 
+    /// Visits every row in storage order as the compact tuple of
+    /// `columns` (positional indices, delivered in the order given) —
+    /// what a scan that reads only some columns should call, so that a
+    /// columnar block assembles only those.
+    ///
+    /// The contract is bit-identity with [`DataBlock::scan_rows`]: the
+    /// same rows in the same order, each restricted to `columns`. The
+    /// default compacts the full-width scan; columnar blocks override
+    /// it to never read the other columns.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::scan`].
+    fn scan_rows_projected(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        let mut tuple = vec![0.0; columns.len()];
+        self.scan_rows(&mut |row| {
+            compact(columns, row, &mut tuple);
+            visit(&tuple);
+        })
+    }
+
     /// Draws `n` values uniformly at random (with replacement) into
     /// `out` — the batched form of [`DataBlock::sample_one`], the
     /// engine's hot sampling kernel.
@@ -119,7 +144,8 @@ pub trait DataBlock: Send + Sync {
     /// order — so a batched draw is **bit-identical** (values and RNG
     /// stream) to `n` scalar draws. The default delegates to
     /// [`DataBlock::sample_one`]; in-memory blocks override it with a
-    /// sorted gather (see [`crate::kernel`]).
+    /// draw-order gather, file-backed ones with a sorted gather (see
+    /// [`crate::kernel`]).
     ///
     /// # Errors
     ///
@@ -143,7 +169,12 @@ pub trait DataBlock: Send + Sync {
     ///
     /// Same contract as [`DataBlock::sample_batch`]: one index draw per
     /// row, rows delivered in draw order, bit-identical to the scalar
-    /// path.
+    /// path. When `out` carries a projection
+    /// ([`RowSampleBuf::project`]) the delivered tuples hold only those
+    /// columns; implementations get that for free by filling `out`
+    /// through its own methods — column-aware storage gathers just the
+    /// projected columns, everything else hands over whole rows and the
+    /// buffer compacts them. The index draws never depend on it.
     ///
     /// # Errors
     ///
@@ -254,6 +285,13 @@ impl<T: DataBlock + ?Sized> DataBlock for &T {
     fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
         (**self).scan_rows(visit)
     }
+    fn scan_rows_projected(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        (**self).scan_rows_projected(columns, visit)
+    }
     fn sample_batch(
         &self,
         n: u64,
@@ -311,6 +349,13 @@ impl DataBlock for std::sync::Arc<dyn DataBlock> {
     }
     fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
         (**self).scan_rows(visit)
+    }
+    fn scan_rows_projected(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        (**self).scan_rows_projected(columns, visit)
     }
     fn sample_batch(
         &self,

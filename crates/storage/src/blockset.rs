@@ -347,6 +347,24 @@ impl BlockSet {
         Ok(())
     }
 
+    /// As [`BlockSet::scan_all_rows`], visiting only `columns` of every
+    /// row as a compact tuple ([`DataBlock::scan_rows_projected`]): the
+    /// same rows in the same order, without reading the other columns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first block error.
+    pub fn scan_all_rows_projected(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        for block in &self.blocks {
+            block.scan_rows_projected(columns, visit)?;
+        }
+        Ok(())
+    }
+
     /// Scans every block in order as contiguous value chunks (the
     /// batched form of [`BlockSet::scan_all`]; values arrive in the
     /// identical order, only the callback granularity changes).

@@ -12,10 +12,20 @@
 //! draw produces the bit-identical value sequence, and consumes the
 //! bit-identical RNG stream, as the scalar path it replaces.
 //!
+//! Row batches carry a **projection**: a consumer that reads only some
+//! columns names them on the buffer ([`RowSampleBuf::project`]) and
+//! gets compact tuples of exactly those — columnar storage then gathers
+//! only the named columns, and anything that only knows whole rows has
+//! them compacted by the buffer. Full width is the identity projection
+//! of the same loop, and the index draws never see the column list, so
+//! projecting changes what a draw costs and nothing else.
+//!
 //! The buffers ([`SampleBuf`], [`RowSampleBuf`]) are designed to be
 //! reused: the engine keeps one per thread (see [`with_sample_buf`] /
 //! [`with_row_sample_buf`]) so steady-state sampling performs no
-//! allocation at all.
+//! allocation at all — gathers read a columnar block's columns in
+//! place, and a consumer's per-destination staging lanes
+//! ([`RowSampleBuf::rows_and_lanes`]) live in the buffer too.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -181,16 +191,45 @@ impl SampleBuf {
     }
 }
 
+/// Copies `columns` of a full-width source `row` into `out` — the one
+/// compaction step behind every projected delivery that starts from
+/// whole rows (scalar fallbacks, positional tuple readers, the default
+/// [`DataBlock::scan_rows_projected`]). Column-aware blocks skip it by
+/// never touching the unread columns in the first place; either way the
+/// consumer sees the same tuple, bit for bit.
+pub(crate) fn compact(columns: &[usize], row: &[f64], out: &mut [f64]) {
+    for (slot, &c) in out.iter_mut().zip(columns) {
+        *slot = row[c];
+    }
+}
+
 /// Reusable state for one batched *row tuple* draw: as [`SampleBuf`],
 /// with the gathered rows stored row-major (`width` values per row, in
 /// draw order).
+///
+/// **Projection.** A consumer that reads only some columns of each row
+/// names them once with [`RowSampleBuf::project`]; every batch then
+/// delivers the compact tuple of exactly those columns, in the order
+/// given. With none named the buffer delivers every column of
+/// the block — the *identity* projection of the same gather loop, not a
+/// second code path. The projection never touches the index draws, so a
+/// projected batch consumes the bit-identical RNG stream and delivers
+/// the bit-identical values (of the columns it keeps) as a full-width
+/// one.
 #[derive(Debug, Default)]
 pub struct RowSampleBuf {
     indices: Vec<u64>,
     order: Vec<u32>,
     rows: Vec<f64>,
-    width: usize,
+    // Source columns delivered per row: the caller's projection when
+    // one is set, otherwise `0..source_width` (rebuilt per batch, since
+    // the identity depends on the block being drawn from).
+    columns: Vec<usize>,
+    projected: bool,
+    // Tuple width of the block the last batch drew from.
+    source_width: usize,
     scratch: Vec<f64>,
+    lanes: Vec<Vec<f64>>,
 }
 
 impl RowSampleBuf {
@@ -200,9 +239,20 @@ impl RowSampleBuf {
         Self::default()
     }
 
-    /// The tuple width of the last batch.
+    /// Sets which columns of the source rows every following batch
+    /// delivers: `Some(columns)` restricts each tuple to those
+    /// positional indices, in the order given; `None` returns to every
+    /// column of the block.
+    pub fn project(&mut self, columns: Option<&[usize]>) {
+        self.columns.clear();
+        self.columns.extend_from_slice(columns.unwrap_or_default());
+        self.projected = columns.is_some();
+    }
+
+    /// The tuple width of the last batch: the projection's length, or
+    /// the block's width when no projection is set.
     pub fn width(&self) -> usize {
-        self.width
+        self.columns.len()
     }
 
     /// The gathered rows of the last batch, row-major in draw order.
@@ -219,27 +269,62 @@ impl RowSampleBuf {
     /// Iterates the gathered rows as `width`-sized tuples, in draw
     /// order.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.rows.chunks_exact(self.width.max(1))
+        self.rows.chunks_exact(self.width().max(1))
+    }
+
+    /// The gathered rows (as [`RowSampleBuf::iter_rows`]) together with
+    /// `lanes` empty value lanes that live in this buffer — for
+    /// consumers that stage a batch's values per destination before
+    /// folding each destination's slice. The lanes keep their capacity
+    /// across batches and calls, so steady-state staging allocates
+    /// nothing.
+    pub fn rows_and_lanes(
+        &mut self,
+        lanes: usize,
+    ) -> (impl Iterator<Item = &[f64]>, &mut [Vec<f64>]) {
+        if self.lanes.len() < lanes {
+            self.lanes.resize_with(lanes, Vec::new);
+        }
+        let staged = &mut self.lanes[..lanes];
+        staged.iter_mut().for_each(Vec::clear);
+        (self.rows.chunks_exact(self.columns.len().max(1)), staged)
+    }
+
+    /// Starts a batch over `source_width`-wide rows: resolves the
+    /// identity projection, or checks the caller's against the block.
+    fn begin(&mut self, source_width: usize) {
+        self.source_width = source_width;
+        if self.projected {
+            assert!(
+                self.columns.iter().all(|&c| c < source_width),
+                "projected column out of the block's width"
+            );
+        } else {
+            self.columns.clear();
+            self.columns.extend(0..source_width);
+        }
     }
 
     /// Draws `n` uniform row indices in `0..len`, one `random_range`
     /// call per draw — the identical RNG consumption of `n` scalar
-    /// [`DataBlock::sample_row`] calls.
+    /// [`DataBlock::sample_row`] calls. `width` is the block's full
+    /// tuple width, whatever projection is in effect.
     ///
     /// # Panics
     ///
-    /// As [`SampleBuf::draw_indices`].
+    /// As [`SampleBuf::draw_indices`]; also if a projected column is out
+    /// of `width`.
     pub fn draw_indices(&mut self, n: u64, len: u64, width: usize, rng: &mut dyn RngCore) {
         assert!(len > 0, "cannot draw indices from an empty block");
         assert!(u32::try_from(n).is_ok(), "batch too large for one draw");
-        self.width = width;
+        self.begin(width);
         self.indices.clear();
         self.indices.reserve(n as usize);
         for _ in 0..n {
             self.indices.push(rng.random_range(0..len));
         }
         self.rows.clear();
-        self.rows.resize(n as usize * width, 0.0);
+        self.rows.resize(n as usize * self.columns.len(), 0.0);
     }
 
     /// Sorted-order permutation (see [`SampleBuf`]).
@@ -253,17 +338,30 @@ impl RowSampleBuf {
     /// Gathers the drawn indices from in-memory columnar storage,
     /// column-at-a-time in draw order (memory-level parallelism, as
     /// [`SampleBuf::gather_from_slice`]), values scattered to their
-    /// draw rows.
+    /// draw rows. Only the projected columns are read: a column the
+    /// consumer does not look at costs no load at all.
+    ///
+    /// `columns` is the block's full column list, borrowed in place
+    /// (`&[Arc<Vec<f64>>]`, `&[&[f64]]`, …) — no per-batch collection.
     ///
     /// # Panics
     ///
     /// Panics if `columns.len()` disagrees with the drawn width.
-    pub fn gather_from_columns(&mut self, columns: &[&[f64]]) {
-        assert_eq!(columns.len(), self.width, "column count must match width");
-        let w = self.width;
-        for (c, col) in columns.iter().enumerate() {
+    pub fn gather_from_columns<C>(&mut self, columns: &[C])
+    where
+        C: std::ops::Deref,
+        C::Target: AsRef<[f64]>,
+    {
+        assert_eq!(
+            columns.len(),
+            self.source_width,
+            "column count must match width"
+        );
+        let w = self.columns.len();
+        for (k, &c) in self.columns.iter().enumerate() {
+            let col: &[f64] = (*columns[c]).as_ref();
             for (j, &idx) in self.indices.iter().enumerate() {
-                self.rows[j * w + c] = col[idx as usize];
+                self.rows[j * w + k] = col[idx as usize];
             }
         }
     }
@@ -271,7 +369,8 @@ impl RowSampleBuf {
     /// Gathers the drawn indices through a positional tuple reader in
     /// **ascending index order** (rows still land in draw order) — for
     /// zipped and file-backed blocks, where sorted positional reads
-    /// mean sequential I/O.
+    /// mean sequential I/O. The reader fills whole rows; the projected
+    /// columns are compacted out of each.
     ///
     /// # Errors
     ///
@@ -281,7 +380,7 @@ impl RowSampleBuf {
         mut read: impl FnMut(u64, &mut Vec<f64>) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         self.gather_order();
-        let w = self.width;
+        let w = self.columns.len();
         let mut row = std::mem::take(&mut self.scratch);
         let mut result = Ok(());
         for k in 0..self.order.len() {
@@ -290,7 +389,7 @@ impl RowSampleBuf {
                 result = Err(e);
                 break;
             }
-            self.rows[j * w..(j + 1) * w].copy_from_slice(&row);
+            compact(&self.columns, &row, &mut self.rows[j * w..(j + 1) * w]);
         }
         self.scratch = row;
         result
@@ -298,23 +397,31 @@ impl RowSampleBuf {
 
     /// Prepares the buffer for `n` rows pushed one at a time — the
     /// scalar fallback used by the default
-    /// [`DataBlock::sample_rows_batch`].
+    /// [`DataBlock::sample_rows_batch`]. `width` is the block's full
+    /// tuple width.
     pub fn begin_scalar(&mut self, n: usize, width: usize) {
-        self.width = width;
+        self.begin(width);
         self.indices.clear();
         self.order.clear();
         self.rows.clear();
-        self.rows.reserve(n * width);
+        self.rows.reserve(n * self.columns.len());
     }
 
-    /// Appends one scalar-drawn row (fallback path).
+    /// Appends one scalar-drawn full-width row (fallback path),
+    /// keeping its projected columns.
     ///
     /// # Panics
     ///
     /// Panics if the row width disagrees with the batch width.
     pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.width, "row width must match batch width");
-        self.rows.extend_from_slice(row);
+        assert_eq!(
+            row.len(),
+            self.source_width,
+            "row width must match batch width"
+        );
+        let at = self.rows.len();
+        self.rows.resize(at + self.columns.len(), 0.0);
+        compact(&self.columns, row, &mut self.rows[at..]);
     }
 
     /// Takes the internal scratch row (for scalar fallbacks that need a
@@ -351,9 +458,11 @@ pub fn with_sample_buf<R>(f: impl FnOnce(&mut SampleBuf) -> R) -> R {
 }
 
 /// Runs `f` with this thread's reusable [`RowSampleBuf`] (take-based,
-/// as [`with_sample_buf`]).
+/// as [`with_sample_buf`]). The buffer arrives with no projection set:
+/// a previous user's column list never leaks into the next draw.
 pub fn with_row_sample_buf<R>(f: impl FnOnce(&mut RowSampleBuf) -> R) -> R {
     let mut buf = ROW_SAMPLE_BUF.with_borrow_mut(std::mem::take);
+    buf.project(None);
     let out = f(&mut buf);
     ROW_SAMPLE_BUF.with_borrow_mut(|slot| {
         if buf.rows.capacity() > slot.rows.capacity() {
@@ -401,9 +510,10 @@ impl DataBlock for ScalarFallbackBlock {
     fn supports_scan(&self) -> bool {
         self.0.supports_scan()
     }
-    // `sample_batch`, `sample_rows_batch`, `scan_chunks` and `sketch`
-    // are NOT forwarded: the batched entry points fall back to the
-    // scalar defaults, and the wrapped set stays sketch-less so
+    // `sample_batch`, `sample_rows_batch`, `scan_chunks`,
+    // `scan_rows_projected` and `sketch` are NOT forwarded: the batched
+    // and projected entry points fall back to the scalar / full-width
+    // defaults, and the wrapped set stays sketch-less so
     // consumers exercise their metadata-free paths (the throughput
     // bench leans on this to measure the pre-sketch SLEV scan).
     fn describe(&self) -> String {

@@ -46,9 +46,11 @@
 //!
 //! The hot paths run through **batch kernels** ([`kernel`]):
 //! [`DataBlock::sample_batch`] / [`DataBlock::sample_rows_batch`] draw
-//! whole batches with a sorted, cache-friendly gather (bit-identical to
-//! the scalar path), [`DataBlock::scan_chunks`] hands scans out as
-//! contiguous slices, and [`SelectionVector`]s compile a [`RowFilter`]
+//! whole batches — a draw-order gather in memory, a sorted gather for
+//! positional readers, bit-identical to the scalar path either way, and
+//! restricted to the columns the consumer reads when it names them
+//! ([`RowSampleBuf::project`], [`DataBlock::scan_rows_projected`]);
+//! [`DataBlock::scan_chunks`] hands scans out as contiguous slices, and [`SelectionVector`]s compile a [`RowFilter`]
 //! into per-block matching-index lists so filtered draws are O(1)
 //! lookups instead of rejection loops.
 
@@ -91,6 +93,7 @@ pub use rows::{
 };
 pub use sampler::{
     proportional_allocation, sample_from_block, sample_proportional, sample_proportional_surviving,
+    sample_row_columns_proportional, sample_row_columns_proportional_surviving,
     sample_rows_from_block, sample_rows_proportional, sample_rows_proportional_surviving,
     Reservoir,
 };

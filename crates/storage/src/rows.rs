@@ -195,9 +195,25 @@ impl DataBlock for RowsBlock {
     }
 
     fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        let mut row = vec![0.0; self.columns.len()];
+        // Full width is the identity projection of the one assembly loop.
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        self.scan_rows_projected(&all, visit)
+    }
+
+    fn scan_rows_projected(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        // Assemble only the columns the scan reads: an unread column
+        // costs no load (and no cache footprint) per row.
+        let cols: Vec<&[f64]> = columns
+            .iter()
+            .map(|&c| self.columns[c].as_slice())
+            .collect();
+        let mut row = vec![0.0; cols.len()];
         for idx in 0..self.rows {
-            for (slot, col) in row.iter_mut().zip(&self.columns) {
+            for (slot, col) in row.iter_mut().zip(&cols) {
                 *slot = col[idx];
             }
             visit(&row);
@@ -229,8 +245,7 @@ impl DataBlock for RowsBlock {
             return Err(StorageError::Empty);
         }
         out.draw_indices(n, self.rows as u64, self.columns.len(), rng);
-        let cols: Vec<&[f64]> = self.columns.iter().map(|c| c.as_slice()).collect();
-        out.gather_from_columns(&cols);
+        out.gather_from_columns(&self.columns);
         Ok(())
     }
 

@@ -67,7 +67,21 @@ pub fn sample_rows_from_block(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) -> Result<(), StorageError> {
+    sample_row_columns_from_block(block, None, m, rng, visit)
+}
+
+/// [`sample_rows_from_block`] delivering only `columns` of each row as
+/// a compact tuple (`None`: every column — the identity projection of
+/// the same loop). The draws do not depend on `columns`.
+fn sample_row_columns_from_block(
+    block: &dyn DataBlock,
+    columns: Option<&[usize]>,
+    m: u64,
+    rng: &mut dyn RngCore,
+    visit: &mut dyn FnMut(&[f64]),
+) -> Result<(), StorageError> {
     with_row_sample_buf(|buf| {
+        buf.project(columns);
         let mut left = m;
         while left > 0 {
             let take = left.min(SAMPLE_BATCH_ROWS);
@@ -94,9 +108,28 @@ pub fn sample_rows_proportional(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) -> Result<(), StorageError> {
+    sample_row_columns_proportional(set, None, m, rng, visit)
+}
+
+/// [`sample_rows_proportional`] delivering only `columns` of each row
+/// as a compact tuple (`None`: every column): the same allocation, the
+/// same index draws from the same RNG stream, and — for the columns
+/// kept — the same values, so a consumer that reads only `columns`
+/// cannot tell the two apart except by what the draw cost.
+///
+/// # Errors
+///
+/// Propagates block errors.
+pub fn sample_row_columns_proportional(
+    set: &BlockSet,
+    columns: Option<&[usize]>,
+    m: u64,
+    rng: &mut dyn RngCore,
+    visit: &mut dyn FnMut(&[f64]),
+) -> Result<(), StorageError> {
     let allocation = proportional_allocation(set, m);
     for (block, &take) in set.iter().zip(&allocation) {
-        sample_rows_from_block(block.as_ref(), take, rng, visit)?;
+        sample_row_columns_from_block(block.as_ref(), columns, take, rng, visit)?;
     }
     Ok(())
 }
@@ -238,9 +271,25 @@ pub fn sample_rows_proportional_surviving(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) {
+    sample_row_columns_proportional_surviving(set, None, m, max_attempts, rng, visit);
+}
+
+/// [`sample_rows_proportional_surviving`] delivering only `columns` of
+/// each row as a compact tuple (`None`: every column). Same draws; the
+/// non-finite check covers the delivered columns — the ones the
+/// consumer reads.
+pub fn sample_row_columns_proportional_surviving(
+    set: &BlockSet,
+    columns: Option<&[usize]>,
+    m: u64,
+    max_attempts: u32,
+    rng: &mut dyn RngCore,
+    visit: &mut dyn FnMut(&[f64]),
+) {
     let allocation = proportional_allocation(set, m);
     for (block, &take) in set.iter().zip(&allocation) {
         with_row_sample_buf(|buf| {
+            buf.project(columns);
             let mut left = take;
             'block: while left > 0 {
                 let chunk = left.min(SAMPLE_BATCH_ROWS);

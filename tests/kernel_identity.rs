@@ -10,14 +10,22 @@
 
 use std::sync::Arc;
 
+use std::collections::BTreeMap;
+
 use isla::baselines::{Estimator, Slev};
-use isla::core::engine::{self, PooledScheduler, RateSpec, RowSpec, SequentialScheduler};
-use isla::core::IslaConfig;
+use isla::core::engine::{
+    self, PooledScheduler, RateSpec, RecoveryPolicy, RetryPolicy, RowPilotFold, RowPlan, RowSpec,
+    SequentialScheduler,
+};
+use isla::core::{iteration_phase, DataBoundaries, Fallback, IslaConfig, SampleAccumulator};
+use isla::stats::{NeumaierSum, WelfordMoments};
 use isla::storage::{
-    pool_filtered_column, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault, BlockSet,
-    CmpOp, ColumnPredicate, ColumnView, DataBlock, FaultPlan, FaultyBlock, FilteredColumnView,
-    MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf, RowsBlock, SampleBuf,
-    ScalarFallbackBlock, SelectionVector, SharedColumn, StorageError, TextBlock, ZipBlock,
+    pool_filtered_column, sample_rows_from_block, sample_rows_proportional,
+    sample_rows_proportional_surviving, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault,
+    BlockSet, CmpOp, ColumnPredicate, ColumnView, DataBlock, FaultPlan, FaultyBlock,
+    FilteredColumnView, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf, RowsBlock,
+    SampleBuf, ScalarFallbackBlock, SelectionVector, SharedColumn, StorageError, TextBlock,
+    ZipBlock,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -582,5 +590,656 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         wrapped.sample_batch(n, &mut rng, &mut buf).unwrap();
         prop_assert_eq!(batched, buf.values());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-sample path of Algorithm 1, rewritten twice without moving a
+// bit: row kernels that gather only the columns a spec reads, and a
+// fold that takes slices instead of values. Both are pinned here
+// against the full-width, one-value-at-a-time path they replaced —
+// reimplemented below from the frozen public pieces
+// (`sample_rows_from_block`, `SampleAccumulator::offer`, the original
+// spec on whole rows).
+// ---------------------------------------------------------------------
+
+/// Row-range slices of `cols`, one per block, sizes as even as possible.
+fn split_columns(cols: &[Vec<f64>], blocks: usize) -> Vec<Vec<Vec<f64>>> {
+    let n = cols[0].len();
+    (0..blocks)
+        .map(|b| {
+            let (lo, hi) = (b * n / blocks, (b + 1) * n / blocks);
+            cols.iter().map(|c| c[lo..hi].to_vec()).collect()
+        })
+        .collect()
+}
+
+/// The block kinds a projected draw must look the same through: the
+/// column-aware native block, and every wrapper that only knows whole
+/// rows. `fault` arms the two fault kinds the issue names (fresh
+/// attempt counters on every call).
+const KINDS: [&str; 5] = [
+    "RowsBlock",
+    "ZipBlock",
+    "ScalarFallbackBlock",
+    "FaultyBlock(transient)",
+    "FaultyBlock(corrupt)",
+];
+
+fn block_of_kind(kind: &str, cols: &[Vec<f64>]) -> Arc<dyn DataBlock> {
+    let rows = || Arc::new(RowsBlock::new(cols.to_vec())) as Arc<dyn DataBlock>;
+    match kind {
+        "RowsBlock" => rows(),
+        "ZipBlock" => Arc::new(ZipBlock::new(
+            cols.iter()
+                .map(|c| Arc::new(MemBlock::new(c.clone())) as Arc<dyn DataBlock>)
+                .collect(),
+        )),
+        "ScalarFallbackBlock" => Arc::new(ScalarFallbackBlock(rows())),
+        "FaultyBlock(transient)" => Arc::new(FaultyBlock::new(
+            rows(),
+            BlockFault::Transient { failures: 2 },
+            None,
+        )),
+        "FaultyBlock(corrupt)" => Arc::new(FaultyBlock::new(rows(), BlockFault::Corrupt, None)),
+        other => panic!("unknown block kind {other}"),
+    }
+}
+
+fn set_of_kind(kind: &str, cols: &[Vec<f64>], blocks: usize) -> BlockSet {
+    BlockSet::new(
+        split_columns(cols, blocks)
+            .iter()
+            .map(|chunk| block_of_kind(kind, chunk))
+            .collect(),
+    )
+}
+
+/// Test data for random specs: even columns continuous in `[0, 100)`,
+/// odd columns small integers (group keys, equality predicates).
+fn spec_columns(n: usize, width: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    (0..width)
+        .map(|c| {
+            (0..n)
+                .map(|_| {
+                    if c.is_multiple_of(2) {
+                        rng.random_range(0.0..100.0)
+                    } else {
+                        f64::from(rng.random_range(0u32..4))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A random spec over `width` columns that leans on the projection's
+/// edge cases: the aggregated column also filtered on, the group-by
+/// column also filtered on, a duplicated conjunct, and conjuncts listed
+/// in descending column order.
+fn random_spec(width: usize, rng: &mut StdRng) -> RowSpec {
+    let agg_column = rng.random_range(0..width);
+    let group_by = (width > 1 && rng.random_bool(0.6)).then(|| {
+        // Group on an integer column.
+        let odd = (width / 2).max(1);
+        2 * rng.random_range(0..odd) + 1
+    });
+    let predicate = |column: usize, rng: &mut StdRng| {
+        if column.is_multiple_of(2) {
+            ColumnPredicate {
+                column,
+                op: [CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le][rng.random_range(0..4usize)],
+                value: rng.random_range(20.0..80.0),
+            }
+        } else {
+            ColumnPredicate {
+                column,
+                op: [CmpOp::Ne, CmpOp::Ge, CmpOp::Le, CmpOp::Eq][rng.random_range(0..4usize)],
+                value: f64::from(rng.random_range(0u32..4)),
+            }
+        }
+    };
+    let mut predicates: Vec<ColumnPredicate> = (0..rng.random_range(0usize..3))
+        .map(|_| predicate(rng.random_range(0..width), rng))
+        .collect();
+    if rng.random_bool(0.4) {
+        predicates.push(predicate(agg_column, rng));
+    }
+    if let (Some(g), true) = (group_by, rng.random_bool(0.4)) {
+        predicates.push(predicate(g, rng));
+    }
+    if let (Some(&p), true) = (predicates.first(), rng.random_bool(0.3)) {
+        predicates.push(p);
+    }
+    predicates.sort_by_key(|p| std::cmp::Reverse(p.column));
+    RowSpec {
+        agg_column,
+        filter: RowFilter::new(predicates),
+        group_by,
+    }
+}
+
+/// One group outcome, every field, floats as bits.
+type GroupBits = (u64, u64, u64, u64, u64, u32, bool, Option<Fallback>, bool);
+
+fn outcome_bits(outcome: &engine::RowBlockOutcome) -> (u64, u64, Vec<GroupBits>) {
+    (
+        outcome.rows,
+        outcome.draws,
+        outcome
+            .groups
+            .iter()
+            .map(|g| {
+                assert_eq!(g.key.to_bits(), g.key_bits);
+                (
+                    g.key_bits,
+                    g.matched,
+                    g.answer.to_bits(),
+                    g.u,
+                    g.v,
+                    g.iterations,
+                    g.clamped,
+                    g.fallback,
+                    g.planned,
+                )
+            })
+            .collect(),
+    )
+}
+
+/// The calculation loop `execute_row_block` replaced: whole rows from
+/// the frozen full-width sampler, the *original* spec on each, one
+/// `offer` per matched value.
+fn reference_row_block(
+    plan: &RowPlan,
+    block: &dyn DataBlock,
+    seed: u64,
+) -> Result<(u64, u64, Vec<GroupBits>), StorageError> {
+    let spec = plan.spec();
+    let draws = plan.sample_size_for(block.len());
+    let mut rng = engine::seeded_rng(seed);
+    let mut accs: Vec<Option<SampleAccumulator>> = plan
+        .groups()
+        .iter()
+        .map(|g| g.boundaries.map(SampleAccumulator::new))
+        .collect();
+    let mut raw = vec![(NeumaierSum::new(), 0u64); plan.groups().len()];
+    let mut extras: BTreeMap<u64, (NeumaierSum, u64)> = BTreeMap::new();
+    sample_rows_from_block(block, draws, &mut rng, &mut |row| {
+        if !spec.filter.matches(row) {
+            return;
+        }
+        let key_bits = spec.group_key(row);
+        let value = row[spec.agg_column];
+        match plan
+            .groups()
+            .iter()
+            .position(|g| g.pre.key_bits == key_bits)
+        {
+            Some(i) => {
+                raw[i].1 += 1;
+                match accs[i].as_mut() {
+                    Some(acc) => {
+                        acc.offer(value + plan.groups()[i].shift);
+                    }
+                    None => raw[i].0.add(value),
+                }
+            }
+            None => {
+                let entry = extras.entry(key_bits).or_insert((NeumaierSum::new(), 0));
+                entry.0.add(value);
+                entry.1 += 1;
+            }
+        }
+    })?;
+    let mut groups: BTreeMap<u64, GroupBits> = BTreeMap::new();
+    for (i, g) in plan.groups().iter().enumerate() {
+        let (sum, matched) = raw[i];
+        let bits = match &accs[i] {
+            Some(acc) => {
+                let phase = iteration_phase(acc, g.sketch0_shifted, plan.config());
+                (
+                    g.pre.key_bits,
+                    matched,
+                    (phase.answer - g.shift).to_bits(),
+                    acc.u(),
+                    acc.v(),
+                    phase.iterations,
+                    phase.clamped,
+                    phase.fallback,
+                    true,
+                )
+            }
+            None => {
+                let answer = if matched > 0 {
+                    sum.value() / matched as f64
+                } else {
+                    g.pre.sketch0
+                };
+                let fallback = (matched == 0).then_some(Fallback::NoSamples);
+                (
+                    g.pre.key_bits,
+                    matched,
+                    answer.to_bits(),
+                    0,
+                    0,
+                    0,
+                    false,
+                    fallback,
+                    true,
+                )
+            }
+        };
+        groups.insert(g.pre.key_bits, bits);
+    }
+    for (key_bits, (sum, n)) in extras {
+        let answer = (sum.value() / n as f64).to_bits();
+        let fallback = Some(Fallback::NoSamples);
+        groups.insert(
+            key_bits,
+            (key_bits, n, answer, 0, 0, 0, false, fallback, false),
+        );
+    }
+    Ok((block.len(), draws, groups.into_values().collect()))
+}
+
+/// What one capped pilot pass must have folded: per-group Welford
+/// moments over whole rows and the original spec.
+struct ReferencePilot {
+    drawn: u64,
+    matched: u64,
+    moments: BTreeMap<u64, WelfordMoments>,
+}
+
+fn reference_pilot(
+    data: &BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    recovery: &RecoveryPolicy,
+    rng: &mut StdRng,
+) -> Result<ReferencePilot, StorageError> {
+    let mut st = ReferencePilot {
+        drawn: 0,
+        matched: 0,
+        moments: BTreeMap::new(),
+    };
+    let mut fold = |row: &[f64]| {
+        st.drawn += 1;
+        if spec.filter.matches(row) {
+            st.matched += 1;
+            st.moments
+                .entry(spec.group_key(row))
+                .or_default()
+                .update(row[spec.agg_column]);
+        }
+    };
+    if recovery.is_best_effort() {
+        sample_rows_proportional_surviving(data, n, recovery.retry.max_attempts, rng, &mut fold);
+    } else {
+        sample_rows_proportional(data, n, rng, &mut fold)?;
+    }
+    Ok(st)
+}
+
+/// `scan_exact_groups` over whole rows and the original spec.
+fn reference_exact(data: &BlockSet, spec: &RowSpec) -> Result<Vec<(u64, u64, u64)>, StorageError> {
+    let mut sums: BTreeMap<u64, (NeumaierSum, u64)> = BTreeMap::new();
+    data.scan_all_rows(&mut |row| {
+        if spec.filter.matches(row) {
+            let entry = sums
+                .entry(spec.group_key(row))
+                .or_insert((NeumaierSum::new(), 0));
+            entry.0.add(row[spec.agg_column]);
+            entry.1 += 1;
+        }
+    })?;
+    let mut out: Vec<(u64, u64, u64)> = sums
+        .into_iter()
+        .map(|(key, (sum, n))| (key, (sum.value() / n as f64).to_bits(), n))
+        .collect();
+    out.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
+    Ok(out)
+}
+
+#[test]
+fn projected_row_kernels_deliver_the_full_width_columns_on_every_block_kind() {
+    // Storage level: a projected batch is the full-width batch with the
+    // other columns dropped — same index draws, same RNG position — and
+    // a projected scan is the full-width scan likewise, whether the
+    // block gathers only the projection (RowsBlock) or compacts whole
+    // rows (every wrapper and the trait defaults).
+    let mut data_rng = StdRng::seed_from_u64(0xC01);
+    for width in [1usize, 2, 4] {
+        let cols = spec_columns(5_000, width, &mut data_rng);
+        let projections: Vec<Vec<usize>> = match width {
+            1 => vec![vec![0]],
+            2 => vec![vec![0], vec![1], vec![0, 1], vec![1, 0]],
+            _ => vec![
+                vec![2],
+                vec![0, 3],
+                vec![3, 1],
+                vec![1, 2, 3],
+                vec![0, 1, 2, 3],
+            ],
+        };
+        for kind in KINDS.iter().filter(|k| **k != "FaultyBlock(transient)") {
+            let block = block_of_kind(kind, &cols);
+            for projection in &projections {
+                for n in [1u64, 300, 9_000] {
+                    let mut full = RowSampleBuf::new();
+                    let mut rng = StdRng::seed_from_u64(n ^ 0xF00D);
+                    block.sample_rows_batch(n, &mut rng, &mut full).unwrap();
+                    let after_full = rng.next_u64();
+                    let expected: Vec<u64> = full
+                        .iter_rows()
+                        .flat_map(|row| projection.iter().map(|&c| row[c].to_bits()))
+                        .collect();
+
+                    let mut projected = RowSampleBuf::new();
+                    projected.project(Some(projection));
+                    let mut rng = StdRng::seed_from_u64(n ^ 0xF00D);
+                    block
+                        .sample_rows_batch(n, &mut rng, &mut projected)
+                        .unwrap();
+                    assert_eq!(projected.width(), projection.len());
+                    let got: Vec<u64> = projected.rows().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, expected, "{kind} w{width} {projection:?} n {n}");
+                    assert_eq!(rng.next_u64(), after_full, "{kind}: RNG streams diverged");
+
+                    // Naming no columns restores full width.
+                    projected.project(None);
+                    let mut rng = StdRng::seed_from_u64(n ^ 0xF00D);
+                    block
+                        .sample_rows_batch(n, &mut rng, &mut projected)
+                        .unwrap();
+                    assert_eq!(projected.width(), width);
+                }
+                let mut expected = Vec::new();
+                block
+                    .scan_rows(&mut |row| {
+                        expected.extend(projection.iter().map(|&c| row[c].to_bits()))
+                    })
+                    .unwrap();
+                let mut got = Vec::new();
+                block
+                    .scan_rows_projected(projection, &mut |row| {
+                        assert_eq!(row.len(), projection.len());
+                        got.extend(row.iter().map(|v| v.to_bits()));
+                    })
+                    .unwrap();
+                assert_eq!(
+                    got, expected,
+                    "{kind} w{width} {projection:?}: projected scan"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_batch_row_blocks_match_the_per_value_reference() {
+    // More draws than one kernel batch (8 192) per block, so the staged
+    // lanes are folded and reused across batches; filtered and grouped.
+    let mut rng = StdRng::seed_from_u64(0xB16);
+    let cols = spec_columns(40_000, 4, &mut rng);
+    let spec = RowSpec {
+        agg_column: 2,
+        filter: RowFilter::new(vec![ColumnPredicate {
+            column: 0,
+            op: CmpOp::Gt,
+            value: 35.0,
+        }]),
+        group_by: Some(3),
+    };
+    let cfg = IslaConfig::builder().precision(0.5).build().unwrap();
+    let clean = set_of_kind("RowsBlock", &cols, 2);
+    let plan = RowPlan::prepare(
+        &clean,
+        &cfg,
+        spec,
+        RateSpec::Absolute(1.0),
+        &mut StdRng::seed_from_u64(1),
+    )
+    .unwrap();
+    for kind in ["RowsBlock", "ZipBlock", "ScalarFallbackBlock"] {
+        let data = set_of_kind(kind, &cols, 2);
+        for (b, block) in data.iter().enumerate() {
+            let got = engine::execute_row_block(&plan, block.as_ref(), b, 77 + b as u64).unwrap();
+            assert!(got.draws > 16_384);
+            let want = reference_row_block(&plan, block.as_ref(), 77 + b as u64).unwrap();
+            assert_eq!(outcome_bits(&got), want, "{kind} block {b}");
+        }
+    }
+}
+
+proptest! {
+    /// (a) The slice fold is the per-value `offer` loop, compared on the
+    /// whole accumulator, over lengths that straddle the 256-value lane
+    /// and the 8 192-value batch, with every awkward value present:
+    /// each cut point exactly (before and after the shift), ±∞, NaN and
+    /// −0.0.
+    #[test]
+    fn slice_fold_is_the_offer_loop(
+        len in prop_oneof![
+            Just(0usize), Just(1), Just(255), Just(256), Just(257), Just(8_192), Just(8_193)
+        ],
+        center in -50.0f64..150.0,
+        sigma in 0.5f64..30.0,
+        shift in prop_oneof![Just(0.0f64), -40.0f64..40.0],
+        seed in 0u64..u64::MAX,
+    ) {
+        let (p1, p2) = (0.5, 2.0);
+        let boundaries = DataBoundaries::new(center, sigma, p1, p2);
+        let cuts = [
+            center - p2 * sigma,
+            center - p1 * sigma,
+            center + p1 * sigma,
+            center + p2 * sigma,
+        ];
+        prop_assert_eq!(cuts[0], boundaries.s_lower());
+        prop_assert_eq!(cuts[3], boundaries.l_upper());
+        let mut special = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for cut in cuts {
+            // The cut itself in the shifted domain, and the raw value
+            // that the shift carries onto (or next to) it.
+            special.extend([cut, cut - shift]);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values: Vec<f64> = (0..len)
+            .map(|_| {
+                if rng.random_bool(0.1) {
+                    special[rng.random_range(0..special.len())]
+                } else {
+                    center - shift + sigma * rng.random_range(-3.0..3.0)
+                }
+            })
+            .collect();
+
+        let mut sliced = SampleAccumulator::new(boundaries);
+        sliced.offer_slice(&values, shift);
+        let mut looped = SampleAccumulator::new(boundaries);
+        for &v in &values {
+            looped.offer(v + shift);
+        }
+        prop_assert_eq!(sliced, looped);
+        // Folding in two pieces is folding once.
+        let cut = rng.random_range(0..=len);
+        let mut pieces = SampleAccumulator::new(boundaries);
+        pieces.offer_slice(&values[..cut], shift);
+        pieces.offer_slice(&values[cut..], shift);
+        prop_assert_eq!(pieces, looped);
+    }
+
+    /// (b) For random specs, every projected consumer — the calculation
+    /// draws, the pilot fold (one-shot and epoch-segmented) and the
+    /// exact scan — gives the full-width answer bit for bit and leaves
+    /// the RNG where the full-width path leaves it, on the native block
+    /// and on every wrapper that only understands whole rows, with and
+    /// without armed faults, strict and best-effort.
+    #[test]
+    fn projected_consumers_match_full_width(
+        width in 1usize..=4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = spec_columns(3_000, width, &mut rng);
+        let spec = random_spec(width, &mut rng);
+        let cfg = IslaConfig::builder().precision(1.5).build().unwrap();
+        let blocks = 3;
+        let strict = RecoveryPolicy::strict();
+        let best_effort = RecoveryPolicy::best_effort(RetryPolicy::attempts(3));
+
+        // --- Exact scan.
+        for kind in KINDS {
+            let got = engine::scan_exact_groups(&set_of_kind(kind, &cols, blocks), &spec)
+                .map(|groups| {
+                    groups
+                        .iter()
+                        .map(|g| (g.key.to_bits(), g.mean.to_bits(), g.count))
+                        .collect::<Vec<_>>()
+                })
+                .map_err(|e| e.to_string());
+            let want = reference_exact(&set_of_kind(kind, &cols, blocks), &spec)
+                .map_err(|e| isla::core::IslaError::from(e).to_string());
+            prop_assert_eq!(got, want, "{}: exact scan of {:?}", kind, spec);
+        }
+
+        // --- Pilot fold, one capped pass (so the reference is one
+        // proportional draw), strict and best-effort.
+        let pilot_rows = 700u64;
+        for kind in KINDS {
+            for recovery in [&strict, &best_effort] {
+                let mut got_rng = StdRng::seed_from_u64(seed ^ 0xA);
+                let got = engine::row_pre_estimate_capped_with(
+                    &set_of_kind(kind, &cols, blocks),
+                    &cfg,
+                    &spec,
+                    pilot_rows,
+                    recovery,
+                    &mut got_rng,
+                );
+                let mut want_rng = StdRng::seed_from_u64(seed ^ 0xA);
+                let want = reference_pilot(
+                    &set_of_kind(kind, &cols, blocks),
+                    &spec,
+                    pilot_rows,
+                    recovery,
+                    &mut want_rng,
+                );
+                let label = format!("{kind} best_effort={} {spec:?}", recovery.is_best_effort());
+                match (got, want) {
+                    (Ok(pre), Ok(st)) => {
+                        prop_assert!(st.matched > 0, "{}", label);
+                        prop_assert_eq!(pre.pilot_rows, st.drawn, "{}", label);
+                        let selectivity = st.matched as f64 / st.drawn as f64;
+                        prop_assert_eq!(pre.selectivity.to_bits(), selectivity.to_bits());
+                        prop_assert_eq!(pre.groups.len(), st.moments.len(), "{}", label);
+                        for (g, (key, m)) in pre.groups.iter().zip(&st.moments) {
+                            prop_assert_eq!(g.key_bits, *key, "{}", label);
+                            prop_assert_eq!(g.pilot_matched, m.count(), "{}", label);
+                            prop_assert_eq!(g.sketch0.to_bits(), m.mean().unwrap().to_bits());
+                            let sigma = m.std_dev_sample().unwrap_or(0.0);
+                            prop_assert_eq!(g.sigma.to_bits(), sigma.to_bits(), "{}", label);
+                            let share = m.count() as f64 / st.drawn as f64;
+                            prop_assert_eq!(g.share.to_bits(), share.to_bits(), "{}", label);
+                        }
+                    }
+                    // No pilot row matched (or survived): a typed error.
+                    (Err(_), Ok(st)) => prop_assert_eq!(st.matched, 0, "{}", label),
+                    // A strict transient fault fails both the same way.
+                    (Err(_), Err(_)) => prop_assert!(!recovery.is_best_effort(), "{}", label),
+                    (Ok(_), Err(e)) => panic!("{label}: reference failed alone: {e}"),
+                }
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{}: RNG", label);
+            }
+        }
+
+        // --- The two-pass pilot and the epoch-segmented fold: whatever
+        // the native block folds, every whole-row wrapper folds too.
+        let native = set_of_kind("RowsBlock", &cols, blocks);
+        let mut native_rng = StdRng::seed_from_u64(seed ^ 0xB);
+        let native_pre = engine::row_pre_estimate_with(&native, &cfg, &spec, &strict, &mut native_rng);
+        let native_after = native_rng.next_u64();
+        let fold_of = |data: &BlockSet| {
+            let mut fold = RowPilotFold::new();
+            let mut rows_through = 0;
+            for b in 0..blocks {
+                rows_through += data.block(b).len();
+                engine::fold_row_pilot_segment(
+                    &mut fold, data, b..b + 1, rows_through, &cfg, &spec, seed, 9,
+                )
+                .map_err(|e| e.to_string())?;
+            }
+            Ok::<_, String>(fold)
+        };
+        let native_fold = fold_of(&native);
+        for kind in ["ZipBlock", "ScalarFallbackBlock"] {
+            let data = set_of_kind(kind, &cols, blocks);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xB);
+            let pre = engine::row_pre_estimate_with(&data, &cfg, &spec, &strict, &mut rng);
+            prop_assert_eq!(pre.as_ref().ok(), native_pre.as_ref().ok(), "{}: pre-estimate", kind);
+            prop_assert_eq!(pre.is_err(), native_pre.is_err(), "{}", kind);
+            prop_assert_eq!(rng.next_u64(), native_after, "{}: pilot RNG position", kind);
+            let fold = fold_of(&data);
+            prop_assert_eq!(&fold, &native_fold, "{}: epoch fold", kind);
+            if let Ok(fold) = &fold {
+                let finished = engine::finish_row_pilot_fold(fold, data.total_len(), &cfg);
+                let native_finished = engine::finish_row_pilot_fold(
+                    native_fold.as_ref().unwrap(), native.total_len(), &cfg,
+                );
+                prop_assert_eq!(finished.ok(), native_finished.ok(), "{}", kind);
+            }
+        }
+
+        // --- Calculation draws. The plan comes from the clean set; a
+        // predicate no pilot row matches has no plan to execute.
+        let Ok(pre) = native_pre else { return };
+        let plan = RowPlan::from_pre_estimate(&native, &cfg, spec.clone(), pre, RateSpec::Derived)
+            .unwrap();
+        for kind in KINDS {
+            let data = set_of_kind(kind, &cols, blocks);
+            let reference = set_of_kind(kind, &cols, blocks);
+            for b in 0..blocks {
+                // Transient blocks fail their first two accesses, then
+                // recover: the projected path and the reference must
+                // fail and recover in step.
+                for attempt in 0..3 {
+                    let got = engine::execute_row_block(&plan, data.block(b).as_ref(), b, seed ^ b as u64);
+                    let want = reference_row_block(&plan, reference.block(b).as_ref(), seed ^ b as u64);
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => {
+                            prop_assert_eq!(outcome_bits(&got), want, "{} block {} {:?}", kind, b, spec);
+                            break;
+                        }
+                        (Err(_), Err(_)) => prop_assert!(attempt < 2, "{}: never recovered", kind),
+                        (got, want) => panic!(
+                            "{kind} block {b}: projected {:?} vs reference {:?}",
+                            got.map(|o| outcome_bits(&o)), want
+                        ),
+                    }
+                }
+            }
+        }
+
+        // --- And a whole best-effort run over an armed fault plan is
+        // the same run whichever way the rows are delivered.
+        let faults = FaultPlan::new(seed).transient(0.4, 2).corrupt(0.3);
+        let run = |data: &BlockSet| {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC);
+            engine::run_row_plan_with(&plan, &faults.arm(data), &SequentialScheduler, &best_effort, &mut rng)
+                .map(|out| {
+                    let groups: Vec<(u64, u64, u64, u64)> = out
+                        .groups
+                        .iter()
+                        .map(|g| (g.key.to_bits(), g.estimate.to_bits(), g.rows_estimate.to_bits(), g.matched_draws))
+                        .collect();
+                    (out.estimate.to_bits(), out.total_samples, groups, rng.next_u64())
+                })
+                .map_err(|e| e.to_string())
+        };
+        let native_run = run(&native);
+        for kind in ["ZipBlock", "ScalarFallbackBlock"] {
+            prop_assert_eq!(&run(&set_of_kind(kind, &cols, blocks)), &native_run, "{}: armed run", kind);
+        }
     }
 }
