@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -69,6 +69,10 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Distinct `DataBlock` kernel-override sites checked.
     pub identity_idents: usize,
+    /// Code lines per crate ([`scanner::Scanned::code_lines`] summed
+    /// over the crate's library files) — the number a simplification
+    /// reports as its before and after.
+    pub code_lines: BTreeMap<String, usize>,
 }
 
 impl Analysis {
@@ -91,6 +95,15 @@ impl Analysis {
         Json::obj(vec![
             ("tool", Json::str("isla-analysis")),
             ("files_scanned", Json::num(self.files_scanned as f64)),
+            (
+                "code_lines",
+                Json::Obj(
+                    self.code_lines
+                        .iter()
+                        .map(|(name, &lines)| (name.clone(), Json::num(lines as f64)))
+                        .collect(),
+                ),
+            ),
             (
                 "findings",
                 Json::Arr(self.findings.iter().map(Finding::to_json).collect()),
@@ -130,6 +143,10 @@ impl std::error::Error for AnalysisError {}
 pub fn analyze(root: &Path) -> Result<Analysis, AnalysisError> {
     let files = collect_sources(root)?;
     let identity = identity_identifiers(root);
+    let mut code_lines = BTreeMap::new();
+    for file in &files {
+        *code_lines.entry(file.crate_name.clone()).or_insert(0) += file.scan.code_lines();
+    }
     let mut run = lints::run(&files, identity.as_ref());
     run.findings
         .sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
@@ -137,6 +154,7 @@ pub fn analyze(root: &Path) -> Result<Analysis, AnalysisError> {
         findings: run.findings,
         files_scanned: files.len(),
         identity_idents: identity.map_or(0, |s| s.len()),
+        code_lines,
     })
 }
 
@@ -259,6 +277,7 @@ mod tests {
             analysis.files_scanned
         );
         assert!(analysis.identity_idents > 0, "identity test file parsed");
+        assert!(analysis.code_lines["core"] > 1_000, "per-crate code lines");
     }
 
     #[test]
@@ -273,11 +292,14 @@ mod tests {
             }],
             files_scanned: 1,
             identity_idents: 0,
+            code_lines: BTreeMap::from([("x".to_string(), 120)]),
         };
         let rendered = analysis.to_json("skipped").render();
         let parsed = isla_bench::json::parse(&rendered).expect("valid JSON");
         let errors = isla_bench::json::get(&parsed, "summary.errors");
         assert_eq!(errors, Some(&isla_bench::json::Json::Num(1.0)));
+        let lines = isla_bench::json::get(&parsed, "code_lines.x");
+        assert_eq!(lines, Some(&isla_bench::json::Json::Num(120.0)));
         let clippy = isla_bench::json::get(&parsed, "clippy");
         assert_eq!(clippy, Some(&isla_bench::json::Json::str("skipped")));
     }

@@ -51,13 +51,18 @@ const EXECUTION_ENTRY_POINTS: &[&str] = &[
     "acquire",
     "execute",
     "execute_block",
+    "execute_blocks",
     "execute_planned_block",
     "execute_row_block",
     "run",
+    "run_calculation",
     "run_plan",
+    "run_plan_with",
     "run_rows",
     "run_row_plan",
+    "run_row_plan_with",
     "scan_blocks",
+    "scan_blocks_recovering",
 ];
 
 /// Seal-time entry points with the same obligation: sealing a block

@@ -122,6 +122,12 @@ fn main() -> ExitCode {
         "not-run"
     };
 
+    let total: usize = analysis.code_lines.values().sum();
+    for (name, lines) in &analysis.code_lines {
+        println!("isla-analysis: code lines {name:<12} {lines:>6}");
+    }
+    println!("isla-analysis: code lines {:<12} {total:>6}", "(all)");
+
     let errors = analysis.errors();
     println!(
         "isla-analysis: {} files scanned, {} errors, {} notes, clippy {}",

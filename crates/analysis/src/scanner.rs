@@ -98,7 +98,7 @@ pub struct Scanned {
     /// All comments (line and block), for justification lookups.
     pub comments: Vec<Comment>,
     /// Token index ranges `[start, end]` (inclusive) under a test/bench
-    /// `cfg` gate.
+    /// `cfg` gate, the gating attribute included.
     pub exempt: Vec<(usize, usize)>,
 }
 
@@ -106,6 +106,20 @@ impl Scanned {
     /// True if token `idx` sits inside a test/bench-gated item.
     pub fn is_exempt(&self, idx: usize) -> bool {
         self.exempt.iter().any(|&(s, e)| idx >= s && idx <= e)
+    }
+
+    /// Lines holding code: at least one token outside the test/bench
+    /// spans — so not blank, not comment-only, not test code.
+    pub fn code_lines(&self) -> usize {
+        let mut last = 0u32;
+        let mut count = 0usize;
+        for (idx, tok) in self.tokens.iter().enumerate() {
+            if tok.line != last && !self.is_exempt(idx) {
+                last = tok.line;
+                count += 1;
+            }
+        }
+        count
     }
 
     /// The allow annotation covering `line` for `lint`, if any.
@@ -453,9 +467,10 @@ fn consume_number(chars: &[char], mut i: usize) -> usize {
 /// `#[cfg(test)]`, `#[cfg(bench)]`, `#[test]`, `#[bench]`, and any
 /// `cfg` combination naming `test` (e.g. `#[cfg(all(test, …))]`).
 ///
-/// After a gating attribute, the following item's body — the first `{`
-/// reached outside parentheses, through its matching `}` — is exempt; a
-/// `;` first (e.g. `#[cfg(test)] mod tests;`) exempts nothing.
+/// A gating attribute exempts itself and the item it gates, through
+/// the item's body — the first `{` reached outside parentheses and its
+/// matching `}`; a `;` first (e.g. `#[cfg(test)] mod tests;`) exempts
+/// nothing.
 fn exempt_spans(tokens: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
@@ -482,9 +497,9 @@ fn exempt_spans(tokens: &[Tok]) -> Vec<(usize, usize)> {
                 && (idents.contains(&"test") || idents.contains(&"bench")))
                 || (idents.len() == 1 && (idents[0] == "test" || idents[0] == "bench"));
             if gates_test {
-                if let Some(span) = item_body_after(tokens, j + 1) {
-                    spans.push(span);
-                    i = span.1 + 1;
+                if let Some((_, close)) = item_body_after(tokens, j + 1) {
+                    spans.push((i, close));
+                    i = close + 1;
                     continue;
                 }
             }
@@ -583,6 +598,25 @@ mod tests {
         let s = scan("a\nb\n\nc");
         let lines: Vec<u32> = s.tokens.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_test_items() {
+        let s = scan(
+            "//! Module docs.\n\
+             \n\
+             /// Item docs.\n\
+             pub fn lib() -> u32 {\n\
+             \x20   // a comment-only line\n\
+             \x20   1 + 1 // trailing comments keep the line\n\
+             }\n\
+             \n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+             \x20   fn helper() {}\n\
+             }\n",
+        );
+        assert_eq!(s.code_lines(), 3, "signature, body, closing brace");
     }
 
     #[test]

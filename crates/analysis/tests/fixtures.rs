@@ -102,6 +102,33 @@ fn bad_lock_fixture_flags_each_live_guard_at_the_execution_call() {
 }
 
 #[test]
+fn bad_spine_fixture_flags_guards_across_the_entry_points_the_executor_calls() {
+    let run = run_on(fixture("bad/lock_spine.rs", "fx", false), &[]);
+    assert_eq!(
+        error_lines(&run),
+        [7, 12, 18, 23].map(|line| (line, "lock-discipline".to_string()))
+    );
+    for (finding, entry) in run.findings.iter().zip([
+        "run_plan_with",
+        "run_row_plan_with",
+        "scan_blocks_recovering",
+        "run_calculation",
+    ]) {
+        assert!(
+            finding.message.contains(&format!("`{entry}`")),
+            "{}",
+            finding.message
+        );
+    }
+}
+
+#[test]
+fn good_spine_fixture_is_clean() {
+    let run = run_on(fixture("good/lock_spine.rs", "fx", false), &[]);
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
 fn bad_seal_fixture_flags_each_guard_live_across_sealing() {
     let run = run_on(fixture("bad/seal.rs", "fx", false), &[]);
     let seal_lines: Vec<u32> = error_lines(&run)

@@ -8,12 +8,13 @@
 //! pilot phase entirely and go straight to planning.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rand::RngCore;
 
-use isla_storage::BlockSet;
+use isla_storage::{BlockSet, EpochMark};
 
 use crate::config::IslaConfig;
 use crate::error::IslaError;
@@ -49,11 +50,13 @@ pub struct CacheKey {
     query_shape: u64,
 }
 
-/// Maximum entries the row-estimate map holds. Query shapes embed
-/// predicate *literals*, so a workload with per-request literals
-/// (`WHERE ts > <now>`) would otherwise grow the map without bound;
-/// past the cap an arbitrary entry is evicted per insert.
-const MAX_ROW_ENTRIES: usize = 1_024;
+/// Maximum entries each pre-estimate map holds. Keys embed what a
+/// request can vary freely — the config fingerprint (`WITH PRECISION
+/// <literal>`) and, for row shapes, predicate *literals* (`WHERE ts >
+/// <now>`) — so a workload with per-request literals would otherwise
+/// grow a map without bound; past the cap an arbitrary entry is evicted
+/// per insert.
+const MAX_ENTRIES: usize = 1_024;
 
 impl CacheKey {
     /// Builds a key for `table.column` under `config`, bound to `data`'s
@@ -136,65 +139,191 @@ pub struct EpochCacheStats {
     pub cold_folds: u64,
 }
 
+/// The result of one cache lookup: the estimate, and whether the pilots
+/// were skipped to get it.
+#[derive(Debug, Clone)]
+pub struct Lookup<P> {
+    /// The pre-estimate (cached or freshly computed).
+    pub pre: P,
+    /// Whether the pilots were skipped (`true` on a cache hit).
+    pub hit: bool,
+}
+
+/// The result of one scalar cache lookup.
+pub type CacheLookup = Lookup<PreEstimate>;
+
+/// The result of one row-model cache lookup.
+pub type RowCacheLookup = Lookup<RowPreEstimate>;
+
 /// A cached epoch-fold: the pilot fold state and finished estimate as of
 /// `epoch`, plus the shape `(blocks, rows)` the set had then — checked
 /// against the set's [`isla_storage::EpochMark`] history on lookup so a
 /// re-registered (different-lineage-content) set can never resume a fold
 /// that doesn't describe its blocks.
 #[derive(Debug, Clone)]
-struct EpochEntry {
+struct EpochEntry<F, P> {
     epoch: u64,
     blocks: usize,
     rows: u64,
-    fold: PilotFold,
-    pre: PreEstimate,
+    fold: F,
+    pre: P,
 }
 
-/// Row-model analog of [`EpochEntry`].
-#[derive(Debug, Clone)]
-struct RowEpochEntry {
-    epoch: u64,
-    blocks: usize,
-    rows: u64,
-    fold: RowPilotFold,
-    pre: RowPreEstimate,
+/// The lookup counters, shared by both populations.
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    epoch_exact: AtomicU64,
+    epoch_delta: AtomicU64,
+    epoch_cold: AtomicU64,
 }
 
-/// The result of one cache lookup.
-#[derive(Debug, Clone)]
-pub struct CacheLookup {
-    /// The pre-estimate (cached or freshly computed).
-    pub pre: PreEstimate,
-    /// Whether the pilots were skipped (`true` on a cache hit).
-    pub hit: bool,
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The result of one row-model cache lookup.
-#[derive(Debug, Clone)]
-pub struct RowCacheLookup {
-    /// The row pre-estimate (cached or freshly computed).
-    pub pre: RowPreEstimate,
-    /// Whether the pilots were skipped (`true` on a cache hit).
-    pub hit: bool,
+/// Inserts under [`MAX_ENTRIES`]: a full map gives up an arbitrary
+/// entry first — any victim is merely a future miss.
+fn insert_bounded<V>(map: &mut HashMap<CacheKey, V>, key: CacheKey, value: V) {
+    if map.len() >= MAX_ENTRIES && !map.contains_key(&key) {
+        if let Some(victim) = map.keys().next().cloned() {
+            map.remove(&victim);
+        }
+    }
+    map.insert(key, value);
+}
+
+/// One population of pre-estimates `P` with resumable pilot folds `F`:
+/// an exact layer keyed by the full [`CacheKey`] and an epoch layer
+/// keyed by its lineage. Both lookups are written once here; the scalar
+/// and row populations differ only in what computes a miss.
+#[derive(Debug)]
+struct Layers<F, P> {
+    exact: Mutex<HashMap<CacheKey, P>>,
+    epoch: Mutex<HashMap<CacheKey, EpochEntry<F, P>>>,
+}
+
+impl<F, P> Default for Layers<F, P> {
+    fn default() -> Self {
+        Self {
+            exact: Mutex::default(),
+            epoch: Mutex::default(),
+        }
+    }
+}
+
+impl<F: Clone + Default, P: Clone> Layers<F, P> {
+    /// Exact-key lookup: the cached estimate, or `compute`'s — run with
+    /// no lock held — cached under `key`. A failed computation leaves
+    /// the layer untouched.
+    fn lookup_exact(
+        &self,
+        counters: &Counters,
+        key: CacheKey,
+        compute: impl FnOnce() -> Result<P, IslaError>,
+    ) -> Result<Lookup<P>, IslaError> {
+        if let Some(pre) = self.exact.lock().get(&key).cloned() {
+            bump(&counters.hits);
+            return Ok(Lookup { pre, hit: true });
+        }
+        let pre = compute()?;
+        bump(&counters.misses);
+        insert_bounded(&mut self.exact.lock(), key, pre.clone());
+        Ok(Lookup { pre, hit: false })
+    }
+
+    /// Epoch-aware lookup: the cached estimate when it covers `data`'s
+    /// current epoch; the cached fold resumed over only the segments
+    /// sealed since, when it is older but still describes this set's
+    /// history; a cold fold of every segment otherwise. `fold_segment`
+    /// folds one segment (its block range, its mark, the lineage digest
+    /// that seeds its pilots); `finish` turns the fold into the
+    /// estimate. Both run with no lock held.
+    fn lookup_epoch(
+        &self,
+        counters: &Counters,
+        key: &CacheKey,
+        data: &BlockSet,
+        segments: fn(&F) -> u64,
+        mut fold_segment: impl FnMut(&mut F, Range<usize>, &EpochMark, u64) -> Result<(), IslaError>,
+        finish: impl FnOnce(&F) -> Result<P, IslaError>,
+    ) -> Result<Lookup<P>, IslaError> {
+        let epoch = data.epoch();
+        let blocks = data.block_count();
+        let rows = data.total_len();
+        let lineage = key.lineage();
+        let cached = self.epoch.lock().get(&lineage).cloned();
+        let (mut fold, resume) = match cached {
+            Some(e) if e.epoch == epoch && e.blocks == blocks && e.rows == rows => {
+                bump(&counters.hits);
+                bump(&counters.epoch_exact);
+                return Ok(Lookup {
+                    pre: e.pre,
+                    hit: true,
+                });
+            }
+            Some(e)
+                if entry_resumes(e.epoch, e.blocks, e.rows, epoch, data)
+                    && segments(&e.fold) == e.epoch + 1 =>
+            {
+                bump(&counters.epoch_delta);
+                (e.fold, e.epoch + 1)
+            }
+            _ => {
+                bump(&counters.epoch_cold);
+                (F::default(), 0)
+            }
+        };
+        let digest = lineage.digest();
+        let mut start = 0usize;
+        for (si, mark) in data.epoch_marks().iter().enumerate() {
+            if si as u64 >= resume {
+                fold_segment(&mut fold, start..mark.blocks, mark, digest)?;
+            }
+            start = mark.blocks;
+        }
+        let pre = finish(&fold)?;
+        bump(&counters.misses);
+        let mut entries = self.epoch.lock();
+        // A racing lookup against a *newer* snapshot already folded
+        // further: keep the longer fold — ours is merely a prefix.
+        if entries.get(&lineage).is_none_or(|e| e.epoch <= epoch) {
+            let entry = EpochEntry {
+                epoch,
+                blocks,
+                rows,
+                fold,
+                pre: pre.clone(),
+            };
+            insert_bounded(&mut entries, lineage, entry);
+        }
+        drop(entries);
+        Ok(Lookup { pre, hit: false })
+    }
+
+    fn invalidate(&self, key: &CacheKey) {
+        self.exact.lock().remove(key);
+        self.epoch.lock().remove(&key.lineage());
+    }
+
+    fn retain(&self, keep: impl Fn(&CacheKey) -> bool) {
+        self.exact.lock().retain(|k, _| keep(k));
+        self.epoch.lock().retain(|k, _| keep(k));
+    }
 }
 
 /// A thread-safe cache of [`PreEstimate`]s (scalar queries) and
 /// [`RowPreEstimate`]s (filtered/grouped queries) keyed by [`CacheKey`].
 ///
 /// The two populations never alias: scalar keys carry query shape 0 and
-/// live in the scalar map; row keys carry the spec's fingerprint and
-/// live in the row map. Hit/miss counters are shared.
+/// live in the scalar layers; row keys carry the spec's fingerprint and
+/// live in the row layers. Hit/miss counters are shared.
 #[derive(Debug, Default)]
 pub struct PreEstimateCache {
-    entries: Mutex<HashMap<CacheKey, PreEstimate>>,
-    row_entries: Mutex<HashMap<CacheKey, RowPreEstimate>>,
-    epoch_entries: Mutex<HashMap<CacheKey, EpochEntry>>,
-    row_epoch_entries: Mutex<HashMap<CacheKey, RowEpochEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    epoch_exact: AtomicU64,
-    epoch_delta: AtomicU64,
-    epoch_cold: AtomicU64,
+    scalar: Layers<PilotFold, PreEstimate>,
+    rows: Layers<RowPilotFold, RowPreEstimate>,
+    counters: Counters,
 }
 
 impl PreEstimateCache {
@@ -239,14 +368,9 @@ impl PreEstimateCache {
         recovery: &RecoveryPolicy,
         rng: &mut dyn RngCore,
     ) -> Result<CacheLookup, IslaError> {
-        if let Some(pre) = self.entries.lock().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(CacheLookup { pre, hit: true });
-        }
-        let pre = pre_estimate_with(data, config, recovery, rng)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().insert(key, pre.clone());
-        Ok(CacheLookup { pre, hit: false })
+        self.scalar.lookup_exact(&self.counters, key, || {
+            pre_estimate_with(data, config, recovery, rng)
+        })
     }
 
     /// Returns the cached row pre-estimate for `key`, or runs the
@@ -286,23 +410,9 @@ impl PreEstimateCache {
         recovery: &RecoveryPolicy,
         rng: &mut dyn RngCore,
     ) -> Result<RowCacheLookup, IslaError> {
-        if let Some(pre) = self.row_entries.lock().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(RowCacheLookup { pre, hit: true });
-        }
-        let pre = row_pre_estimate_with(data, config, spec, recovery, rng)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.row_entries.lock();
-        if entries.len() >= MAX_ROW_ENTRIES {
-            // Arbitrary eviction bounds the map when query shapes carry
-            // per-request literals; any victim is merely a future miss.
-            if let Some(victim) = entries.keys().next().cloned() {
-                entries.remove(&victim);
-            }
-        }
-        entries.insert(key, pre.clone());
-        drop(entries);
-        Ok(RowCacheLookup { pre, hit: false })
+        self.rows.lookup_exact(&self.counters, key, || {
+            row_pre_estimate_with(data, config, spec, recovery, rng)
+        })
     }
 
     /// Epoch-aware lookup for appendable sets: returns the cached
@@ -327,62 +437,14 @@ impl PreEstimateCache {
         config: &IslaConfig,
         salt: u64,
     ) -> Result<CacheLookup, IslaError> {
-        let epoch = data.epoch();
-        let blocks = data.block_count();
-        let rows = data.total_len();
-        let lineage = key.lineage();
-        let cached = self.epoch_entries.lock().get(&lineage).cloned();
-        let (mut fold, resume) = match cached {
-            Some(e) if e.epoch == epoch && e.blocks == blocks && e.rows == rows => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.epoch_exact.fetch_add(1, Ordering::Relaxed);
-                return Ok(CacheLookup {
-                    pre: e.pre,
-                    hit: true,
-                });
-            }
-            Some(e)
-                if entry_resumes(e.epoch, e.blocks, e.rows, epoch, data)
-                    && e.fold.segments() == e.epoch + 1 =>
-            {
-                self.epoch_delta.fetch_add(1, Ordering::Relaxed);
-                (e.fold, e.epoch + 1)
-            }
-            _ => {
-                self.epoch_cold.fetch_add(1, Ordering::Relaxed);
-                (PilotFold::new(), 0)
-            }
-        };
-        let digest = lineage.digest();
-        let mut start = 0usize;
-        for (si, mark) in data.epoch_marks().iter().enumerate() {
-            if si as u64 >= resume {
-                fold_pilot_segment(&mut fold, data, start..mark.blocks, config, digest, salt)?;
-            }
-            start = mark.blocks;
-        }
-        let pre = finish_pilot_fold(&fold, data, config)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.epoch_entries.lock();
-        match entries.get(&lineage) {
-            // A racing lookup against a *newer* snapshot already folded
-            // further; keep the longer fold — ours is merely a prefix.
-            Some(existing) if existing.epoch > epoch => {}
-            _ => {
-                entries.insert(
-                    lineage,
-                    EpochEntry {
-                        epoch,
-                        blocks,
-                        rows,
-                        fold,
-                        pre: pre.clone(),
-                    },
-                );
-            }
-        }
-        drop(entries);
-        Ok(CacheLookup { pre, hit: false })
+        self.scalar.lookup_epoch(
+            &self.counters,
+            &key,
+            data,
+            PilotFold::segments,
+            |fold, blocks, _, digest| fold_pilot_segment(fold, data, blocks, config, digest, salt),
+            |fold| finish_pilot_fold(fold, data, config),
+        )
     }
 
     /// Row-model analog of [`PreEstimateCache::get_or_compute_epoch`]:
@@ -401,98 +463,38 @@ impl PreEstimateCache {
         spec: &RowSpec,
         salt: u64,
     ) -> Result<RowCacheLookup, IslaError> {
-        let epoch = data.epoch();
-        let blocks = data.block_count();
-        let rows = data.total_len();
-        let lineage = key.lineage();
-        let cached = self.row_epoch_entries.lock().get(&lineage).cloned();
-        let (mut fold, resume) = match cached {
-            Some(e) if e.epoch == epoch && e.blocks == blocks && e.rows == rows => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.epoch_exact.fetch_add(1, Ordering::Relaxed);
-                return Ok(RowCacheLookup {
-                    pre: e.pre,
-                    hit: true,
-                });
-            }
-            Some(e)
-                if entry_resumes(e.epoch, e.blocks, e.rows, epoch, data)
-                    && e.fold.segments() == e.epoch + 1 =>
-            {
-                self.epoch_delta.fetch_add(1, Ordering::Relaxed);
-                (e.fold, e.epoch + 1)
-            }
-            _ => {
-                self.epoch_cold.fetch_add(1, Ordering::Relaxed);
-                (RowPilotFold::new(), 0)
-            }
-        };
-        let digest = lineage.digest();
-        let mut start = 0usize;
-        for (si, mark) in data.epoch_marks().iter().enumerate() {
-            if si as u64 >= resume {
-                fold_row_pilot_segment(
-                    &mut fold,
-                    data,
-                    start..mark.blocks,
-                    mark.rows,
-                    config,
-                    spec,
-                    digest,
-                    salt,
-                )?;
-            }
-            start = mark.blocks;
-        }
-        let pre = finish_row_pilot_fold(&fold, rows, config)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.row_epoch_entries.lock();
-        match entries.get(&lineage) {
-            Some(existing) if existing.epoch > epoch => {}
-            _ => {
-                if entries.len() >= MAX_ROW_ENTRIES && !entries.contains_key(&lineage) {
-                    // Same bound as the exact row map: per-request
-                    // predicate literals must not grow this without end.
-                    if let Some(victim) = entries.keys().next().cloned() {
-                        entries.remove(&victim);
-                    }
-                }
-                entries.insert(
-                    lineage,
-                    RowEpochEntry {
-                        epoch,
-                        blocks,
-                        rows,
-                        fold,
-                        pre: pre.clone(),
-                    },
-                );
-            }
-        }
-        drop(entries);
-        Ok(RowCacheLookup { pre, hit: false })
+        self.rows.lookup_epoch(
+            &self.counters,
+            &key,
+            data,
+            RowPilotFold::segments,
+            |fold, blocks, mark, digest| {
+                fold_row_pilot_segment(fold, data, blocks, mark.rows, config, spec, digest, salt)
+            },
+            |fold| finish_row_pilot_fold(fold, data.total_len(), config),
+        )
     }
 
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.counters.hits.load(Ordering::Relaxed),
+            misses: self.counters.misses.load(Ordering::Relaxed),
         }
     }
 
-    /// Whether an entry exists for exactly this key (scalar or row map,
-    /// decided by the key's query shape). A pure probe: no counters
-    /// move, nothing is computed — the tool for pinning *which* key a
-    /// caller populated (e.g. that an executor cached under its final
-    /// config, sketch-σ flag included, not a pre-toggle one).
+    /// Whether an entry exists for exactly this key (scalar or row
+    /// population, decided by the key's query shape). A pure probe: no
+    /// counters move, nothing is computed — the tool for pinning *which*
+    /// key a caller populated (e.g. that an executor cached under its
+    /// final config, sketch-σ flag included, not a pre-toggle one).
     pub fn contains(&self, key: &CacheKey) -> bool {
-        self.entries.lock().contains_key(key) || self.row_entries.lock().contains_key(key)
+        self.scalar.exact.lock().contains_key(key) || self.rows.exact.lock().contains_key(key)
     }
 
-    /// Number of cached entries (scalar + row).
+    /// Number of exact-key entries (scalar + row).
     pub fn len(&self) -> usize {
-        self.entries.lock().len() + self.row_entries.lock().len()
+        self.scalar.exact.lock().len() + self.rows.exact.lock().len()
     }
 
     /// Whether the cache holds no entries.
@@ -503,9 +505,9 @@ impl PreEstimateCache {
     /// Current epoch-path counters.
     pub fn epoch_stats(&self) -> EpochCacheStats {
         EpochCacheStats {
-            exact_hits: self.epoch_exact.load(Ordering::Relaxed),
-            delta_folds: self.epoch_delta.load(Ordering::Relaxed),
-            cold_folds: self.epoch_cold.load(Ordering::Relaxed),
+            exact_hits: self.counters.epoch_exact.load(Ordering::Relaxed),
+            delta_folds: self.counters.epoch_delta.load(Ordering::Relaxed),
+            cold_folds: self.counters.epoch_cold.load(Ordering::Relaxed),
         }
     }
 
@@ -516,32 +518,24 @@ impl PreEstimateCache {
     /// [`PreEstimateCache::invalidate_table`], which drops *every*
     /// shape's entries for that table.
     pub fn invalidate(&self, key: &CacheKey) {
-        self.entries.lock().remove(key);
-        self.row_entries.lock().remove(key);
-        let lineage = key.lineage();
-        self.epoch_entries.lock().remove(&lineage);
-        self.row_epoch_entries.lock().remove(&lineage);
+        self.scalar.invalidate(key);
+        self.rows.invalidate(key);
     }
 
     /// Drops every entry — scalar and row, all query shapes, exact and
-    /// epoch maps — for a table, the invalidation to use after mutating
-    /// its data in place. Appends never need this: the epoch layer
-    /// validates its entries against the set's mark history itself.
+    /// epoch layers — for a table, the invalidation to use after
+    /// mutating its data in place. Appends never need this: the epoch
+    /// layer validates its entries against the set's mark history
+    /// itself.
     pub fn invalidate_table(&self, table: &str) {
-        self.entries.lock().retain(|k, _| k.table != table);
-        self.row_entries.lock().retain(|k, _| k.table != table);
-        self.epoch_entries.lock().retain(|k, _| k.table != table);
-        self.row_epoch_entries
-            .lock()
-            .retain(|k, _| k.table != table);
+        self.scalar.retain(|k| k.table != table);
+        self.rows.retain(|k| k.table != table);
     }
 
     /// Drops every entry. Counters are preserved.
     pub fn clear(&self) {
-        self.entries.lock().clear();
-        self.row_entries.lock().clear();
-        self.epoch_entries.lock().clear();
-        self.row_epoch_entries.lock().clear();
+        self.scalar.retain(|_| false);
+        self.rows.retain(|_| false);
     }
 }
 
@@ -946,6 +940,62 @@ mod tests {
             before + 1,
             "mismatched epoch history must not resume the cached fold"
         );
+    }
+
+    #[test]
+    fn per_request_precisions_cannot_grow_the_scalar_layers_past_the_cap() {
+        use crate::engine::seed::{seeded_rng, stream_seed};
+
+        // What an ad-hoc workload sends: a fresh precision literal — so
+        // a fresh config fingerprint, so a fresh key — on every request.
+        let ds = normal_dataset(100.0, 20.0, 4_000, 2, 67);
+        let mut grown = normal_dataset(100.0, 20.0, 4_000, 2, 67);
+        let extra = normal_dataset(100.0, 20.0, 1_000, 1, 68);
+        grown
+            .blocks
+            .append_block(extra.blocks.block(0).clone())
+            .unwrap();
+        let cache = PreEstimateCache::new();
+        let salt = 0x5A17;
+        let request = |i: usize| {
+            let cfg = config(0.5 + i as f64 * 1e-3);
+            let key = CacheKey::new("t", "c", &cfg, &ds.blocks);
+            (cfg, key)
+        };
+        // Pilots seeded from the key alone: a recomputation after an
+        // eviction must reproduce the evicted estimate bit for bit.
+        let lookup = |i: usize| {
+            let (cfg, key) = request(i);
+            let mut rng = seeded_rng(stream_seed(key.digest(), salt));
+            cache
+                .get_or_compute(key, &ds.blocks, &cfg, &mut rng)
+                .unwrap()
+        };
+        let first: Vec<PreEstimate> = (0..MAX_ENTRIES + 76)
+            .map(|i| {
+                let (cfg, _) = request(i);
+                let key = CacheKey::new("t", "c", &cfg, &grown.blocks);
+                cache
+                    .get_or_compute_epoch(key, &grown.blocks, &cfg, salt)
+                    .unwrap();
+                let found = lookup(i);
+                assert!(!found.hit);
+                found.pre
+            })
+            .collect();
+        assert_eq!(cache.len(), MAX_ENTRIES, "the exact layer stops at the cap");
+        assert_eq!(cache.scalar.epoch.lock().len(), MAX_ENTRIES);
+        assert_eq!(cache.stats().misses as usize, 2 * (MAX_ENTRIES + 76));
+
+        // An evicted key is simply a miss again.
+        let evicted = (0..first.len())
+            .find(|&i| !cache.contains(&request(i).1))
+            .expect("76 keys were evicted");
+        let again = lookup(evicted);
+        assert!(!again.hit, "an evicted entry recomputes");
+        assert_eq!(again.pre, first[evicted], "to the bit-identical estimate");
+        assert!(lookup(evicted).hit, "and is cached again");
+        assert_eq!(cache.len(), MAX_ENTRIES);
     }
 
     #[test]

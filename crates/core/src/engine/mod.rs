@@ -4,7 +4,11 @@
 //! Four call sites used to re-implement this pipeline — the sequential
 //! [`crate::IslaAggregator`], the distributed coordinator, the
 //! time-constrained path, and the query executor. They are now thin
-//! wrappers over this module's layers:
+//! wrappers over this module. Between "the pre-estimate is known" and
+//! "the partials are merged" there is one code path — admit → per-block
+//! seeds → block fan-out → merge → degrade — and the plan type plugged
+//! into it ([`QueryPlan`] or the row model's [`RowPlan`]) is the only
+//! fork:
 //!
 //! * **Plan** ([`QueryPlan`]) — validated config + pre-estimate + shift +
 //!   boundaries + resolved sampling rate. Build it with pilots
@@ -12,11 +16,14 @@
 //!   ([`QueryPlan::from_pre_estimate`] via [`PreEstimateCache`], the
 //!   repeated-query fast path);
 //! * **Schedule** ([`BlockScheduler`]) — where the per-block Calculation
-//!   phase runs: [`SequentialScheduler`], [`PooledScheduler`] (crossbeam
-//!   worker pool), or [`DeadlineScheduler`] (budget capping as an
-//!   admission policy around any inner scheduler). Per-block seeds are
-//!   derived once ([`derive_block_seeds`]), so every scheduler returns
-//!   the bit-identical answer for the same RNG stream;
+//!   phase runs and under what sample budget: [`SequentialScheduler`],
+//!   [`PooledScheduler`] (crossbeam worker pool), or
+//!   [`DeadlineScheduler`] (a budget around any inner scheduler; the
+//!   engine applies the one capping rule to whichever plan runs).
+//!   Per-block seeds are derived once ([`derive_block_seeds`]) and every
+//!   plan goes through the one fan-out ([`scan_blocks_recovering`]), so
+//!   every scheduler returns the bit-identical answer for the same RNG
+//!   stream;
 //! * **Merge** ([`PartialAggregate`]) — associative per-block state that
 //!   combines in any completion order and finalizes into the
 //!   size-weighted Summarization answer.
@@ -65,7 +72,7 @@ pub mod scheduler;
 pub mod seed;
 
 pub use cache::{
-    CacheKey, CacheLookup, CacheStats, EpochCacheStats, PreEstimateCache, RowCacheLookup,
+    CacheKey, CacheLookup, CacheStats, EpochCacheStats, Lookup, PreEstimateCache, RowCacheLookup,
 };
 pub use partial::{FinalAggregate, GroupedAggregate, GroupedPartial, PartialAggregate};
 pub use plan::{QueryPlan, RateSpec};
@@ -88,9 +95,9 @@ pub use seed::{derive_block_seeds, seeded_rng, stream_seed};
 
 use rand::RngCore;
 
-use isla_storage::BlockSet;
+use isla_storage::{BlockSet, DataBlock};
 
-use crate::block_exec::BlockOutcome;
+use crate::block_exec::{execute_block, BlockOutcome};
 use crate::config::IslaConfig;
 use crate::error::IslaError;
 use crate::pre_estimation::PreEstimate;
@@ -151,15 +158,16 @@ pub fn run(
 
 /// Executes an already-prepared plan on `scheduler`.
 ///
-/// The scheduler's admission policy runs first (deadline capping), then
-/// per-block seeds are derived from `rng` — one `next_u64` per block in
-/// block order — and the Calculation phase fans out. Degenerate plans
-/// (σ = 0) short-circuit to the pinned answer without touching blocks.
+/// The scheduler's sample budget is applied first (deadline capping),
+/// then per-block seeds are derived from `rng` — one `next_u64` per
+/// block in block order — and the Calculation phase fans out.
+/// Degenerate plans (σ = 0) short-circuit to the pinned answer without
+/// touching blocks or `rng`.
 ///
 /// # Errors
 ///
-/// The first block failure, or [`IslaError::InsufficientData`] when the
-/// blocks carry no rows.
+/// The failure of the lowest-numbered failing block, or
+/// [`IslaError::InsufficientData`] when the blocks carry no rows.
 pub fn run_plan(
     plan: QueryPlan,
     data: &BlockSet,
@@ -182,9 +190,9 @@ pub fn run_plan(
 ///
 /// # Errors
 ///
-/// Strict mode: the first block failure. Best-effort: only
-/// [`IslaError::InsufficientData`] when *every* block failed (no
-/// surviving coverage to estimate from).
+/// Strict mode: the failure of the lowest-numbered failing block.
+/// Best-effort: only [`IslaError::InsufficientData`] when *every* block
+/// failed (no surviving coverage to estimate from).
 pub fn run_plan_with(
     plan: QueryPlan,
     data: &BlockSet,
@@ -192,68 +200,224 @@ pub fn run_plan_with(
     recovery: &RecoveryPolicy,
     rng: &mut dyn RngCore,
 ) -> Result<EngineResult, IslaError> {
-    let (plan, time_limited) = scheduler.admit(plan, data);
+    let run = run_calculation(&plan, data, scheduler, recovery, rng)?;
     let data_size = plan.data_size();
-    if plan.is_degenerate() {
-        let pre = plan.pre().clone();
-        return Ok(EngineResult {
-            estimate: pre.sketch0,
-            sum_estimate: pre.sketch0 * data_size as f64,
-            data_size,
-            pre,
-            shift: 0.0,
-            blocks: Vec::new(),
-            total_samples: 0,
+    Ok(EngineResult {
+        estimate: run.answer.estimate,
+        sum_estimate: run.answer.estimate * data_size as f64,
+        data_size,
+        pre: plan.pre().clone(),
+        shift: plan.shift(),
+        blocks: run.answer.blocks,
+        total_samples: run.answer.total_samples,
+        worker_stats: run.worker_stats,
+        time_limited: run.time_limited,
+        degradation: run.degradation,
+    })
+}
+
+/// What a plan plugs into the Calculation-phase spine
+/// ([`run_calculation`]): how one block executes, how outcomes merge,
+/// and the few numbers admission and degradation need. The two
+/// implementors — [`QueryPlan`] and [`RowPlan`] — are the only fork in
+/// the pipeline between "the pre-estimate is known" and "the partials
+/// are merged".
+pub(crate) trait CalcPlan: Sync {
+    /// One block's outcome.
+    type Outcome: Send;
+    /// The merged, finalized answer.
+    type Answer;
+    /// What a block's outcome is called in the corrupt-data error.
+    const ANSWER_NOUN: &'static str;
+
+    /// The configuration in effect.
+    fn config(&self) -> &IslaConfig;
+    /// The plan's own calculation rate (admission never raises it).
+    fn rate(&self) -> f64;
+    /// Pilot draws the pre-estimate behind this plan spent.
+    fn pilot_samples(&self) -> u64;
+    /// The answer pinned without executing any block, if there is one.
+    fn pinned(&self) -> Option<Self::Answer> {
+        None
+    }
+    /// Executes one block: `draws` samples from an RNG seeded by `seed`.
+    fn execute_block(
+        &self,
+        block: &dyn DataBlock,
+        block_id: usize,
+        seed: u64,
+        draws: u64,
+    ) -> Result<Self::Outcome, IslaError>;
+    /// Whether every answer in the outcome is finite.
+    fn is_finite(outcome: &Self::Outcome) -> bool;
+    /// A surviving block's `(answer, rows)` for the degradation
+    /// assessment; `None` for the answer when the block carries no
+    /// evidence of its own (it then stands at the overall estimate).
+    fn survivor(outcome: &Self::Outcome) -> (Option<f64>, u64);
+    /// Merges the surviving outcomes (handed over in block order).
+    fn finalize(&self, outcomes: Vec<Self::Outcome>) -> Result<Self::Answer, IslaError>;
+    /// The overall estimate of a finalized answer.
+    fn estimate(answer: &Self::Answer) -> f64;
+}
+
+/// The spine's product: the plan's finalized answer plus what every
+/// run reports the same way.
+pub(crate) struct CalcRun<A> {
+    pub(crate) answer: A,
+    pub(crate) worker_stats: Vec<WorkerStats>,
+    pub(crate) time_limited: bool,
+    pub(crate) degradation: Option<Degradation>,
+}
+
+/// The one admission rule: a plan that wants more samples (pilots
+/// included) than `budget` has its calculation rate capped to what the
+/// budget leaves after the — already spent — pilots, `(budget −
+/// pilots) / M`, never above the plan's own rate. Returns the rate to
+/// run at and whether it was capped.
+pub(crate) fn admitted_rate<P: CalcPlan>(
+    plan: &P,
+    budget: Option<u64>,
+    data: &BlockSet,
+) -> (f64, bool) {
+    let rate = plan.rate();
+    let Some(budget) = budget else {
+        return (rate, false);
+    };
+    let pilots = plan.pilot_samples();
+    let planned: u64 = data.iter().map(|b| plan::sample_size(rate, b.len())).sum();
+    if planned + pilots <= budget {
+        return (rate, false);
+    }
+    let calc_budget = budget.saturating_sub(pilots);
+    let capped = (calc_budget as f64 / data.total_len() as f64)
+        .clamp(f64::MIN_POSITIVE, 1.0)
+        .min(rate);
+    (capped, true)
+}
+
+/// The Calculation phase, once, for either plan type: a pinned answer
+/// short-circuits before any RNG draw; otherwise admit (cap the rate to
+/// the scheduler's budget), derive every block's seed from `rng`, fan
+/// the blocks out, refuse a total loss, merge the survivors, and assess
+/// the degradation when blocks were dropped.
+pub(crate) fn run_calculation<P: CalcPlan>(
+    plan: &P,
+    data: &BlockSet,
+    scheduler: &dyn BlockScheduler,
+    recovery: &RecoveryPolicy,
+    rng: &mut dyn RngCore,
+) -> Result<CalcRun<P::Answer>, IslaError> {
+    if let Some(answer) = plan.pinned() {
+        return Ok(CalcRun {
+            answer,
             worker_stats: Vec::new(),
             time_limited: false,
             degradation: None,
         });
     }
+    let (rate, time_limited) = admitted_rate(plan, scheduler.sample_budget(), data);
     let seeds = derive_block_seeds(rng, data.block_count());
-    let exec = BlockExecution {
-        plan: &plan,
-        data,
-        seeds: &seeds,
-        recovery,
-    };
-    let out = scheduler.execute(&exec)?;
-    if out.failures.len() >= data.block_count() {
+    let run =
+        scheduler::execute_blocks(plan, rate, data, &seeds, recovery, scheduler.parallelism())?;
+    if run.failures.len() >= data.block_count() {
         return Err(IslaError::InsufficientData(
             "every block failed during best-effort execution; no surviving coverage".to_string(),
         ));
     }
-    let combined = out.partial.finalize()?;
-    let degradation = if out.failures.is_empty() {
-        None
+    let survivors: Vec<(Option<f64>, u64)> = if run.failures.is_empty() {
+        Vec::new()
     } else {
-        let survivors: Vec<(f64, u64)> =
-            combined.blocks.iter().map(|b| (b.answer, b.rows)).collect();
-        let lost_rows: u64 = out
+        run.outcomes.iter().map(P::survivor).collect()
+    };
+    let answer = plan.finalize(run.outcomes)?;
+    let degradation = (!run.failures.is_empty()).then(|| {
+        let overall = P::estimate(&answer);
+        let survivor_answers: Vec<(f64, u64)> = survivors
+            .iter()
+            .map(|&(own, rows)| (own.unwrap_or(overall), rows))
+            .collect();
+        let lost_rows: u64 = run
             .failures
             .iter()
             .map(|f| data.block(f.block_id).len())
             .sum();
         let cfg = plan.config();
-        Some(Degradation::assess(
-            out.failures,
-            &survivors,
+        Degradation::assess(
+            run.failures,
+            &survivor_answers,
             lost_rows,
             cfg.precision,
             cfg.confidence,
-        ))
-    };
-    Ok(EngineResult {
-        estimate: combined.estimate,
-        sum_estimate: combined.estimate * data_size as f64,
-        data_size,
-        pre: plan.pre().clone(),
-        shift: plan.shift(),
-        blocks: combined.blocks,
-        total_samples: combined.total_samples,
-        worker_stats: out.worker_stats,
+        )
+    });
+    Ok(CalcRun {
+        answer,
+        worker_stats: run.worker_stats,
         time_limited,
         degradation,
     })
+}
+
+impl CalcPlan for QueryPlan {
+    type Outcome = BlockOutcome;
+    type Answer = FinalAggregate;
+    const ANSWER_NOUN: &'static str = "answer";
+
+    fn config(&self) -> &IslaConfig {
+        self.config()
+    }
+
+    fn rate(&self) -> f64 {
+        self.rate()
+    }
+
+    fn pilot_samples(&self) -> u64 {
+        self.pre().sigma_pilot_used + self.pre().sketch_pilot_used
+    }
+
+    /// Degenerate data (σ = 0): the pilot pinned the constant answer.
+    fn pinned(&self) -> Option<FinalAggregate> {
+        self.is_degenerate().then(|| FinalAggregate {
+            estimate: self.pre().sketch0,
+            blocks: Vec::new(),
+            total_samples: 0,
+        })
+    }
+
+    fn execute_block(
+        &self,
+        block: &dyn DataBlock,
+        block_id: usize,
+        seed: u64,
+        draws: u64,
+    ) -> Result<BlockOutcome, IslaError> {
+        execute_block(
+            block,
+            block_id,
+            draws,
+            self.boundaries(),
+            self.sketch0_shifted(),
+            self.shift(),
+            self.config(),
+            &mut seeded_rng(seed),
+        )
+    }
+
+    fn is_finite(outcome: &BlockOutcome) -> bool {
+        outcome.answer.is_finite()
+    }
+
+    fn survivor(outcome: &BlockOutcome) -> (Option<f64>, u64) {
+        (Some(outcome.answer), outcome.rows)
+    }
+
+    fn finalize(&self, outcomes: Vec<BlockOutcome>) -> Result<FinalAggregate, IslaError> {
+        PartialAggregate::from(outcomes).finalize()
+    }
+
+    fn estimate(answer: &FinalAggregate) -> f64 {
+        answer.estimate
+    }
 }
 
 #[cfg(test)]

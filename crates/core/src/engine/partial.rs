@@ -39,6 +39,17 @@ pub struct FinalAggregate {
     pub total_samples: u64,
 }
 
+/// A partial holding `outcomes`, as absorbing them one by one in that
+/// order would build it.
+impl From<Vec<BlockOutcome>> for PartialAggregate {
+    fn from(outcomes: Vec<BlockOutcome>) -> Self {
+        Self {
+            total_samples: outcomes.iter().map(|o| o.samples_drawn).sum(),
+            outcomes,
+        }
+    }
+}
+
 impl PartialAggregate {
     /// An empty partial (the merge identity).
     pub fn new() -> Self {
@@ -134,6 +145,17 @@ pub struct GroupedAggregate {
     pub matched_rows: f64,
     /// Calculation-phase row draws across all blocks.
     pub total_samples: u64,
+}
+
+/// A grouped partial holding `outcomes`, as absorbing them one by one
+/// in that order would build it.
+impl From<Vec<RowBlockOutcome>> for GroupedPartial {
+    fn from(outcomes: Vec<RowBlockOutcome>) -> Self {
+        Self {
+            total_samples: outcomes.iter().map(|o| o.draws).sum(),
+            outcomes,
+        }
+    }
 }
 
 impl GroupedPartial {

@@ -60,6 +60,12 @@ impl RateSpec {
     }
 }
 
+/// The samples a block of `block_len` rows receives at `rate` — the one
+/// rounding rule behind every plan's per-block sample size.
+pub(crate) fn sample_size(rate: f64, block_len: u64) -> u64 {
+    (rate * block_len as f64).round() as u64
+}
+
 /// A fully resolved execution plan: validated config, pre-estimate,
 /// shift, boundaries, and the calculation-phase sampling rate.
 ///
@@ -203,7 +209,7 @@ impl QueryPlan {
 
     /// The sample size a block of `block_len` rows receives.
     pub fn sample_size_for(&self, block_len: u64) -> u64 {
-        (self.rate * block_len as f64).round() as u64
+        sample_size(self.rate, block_len)
     }
 
     /// Total calculation-phase samples the plan will draw over `data`

@@ -49,11 +49,11 @@ use crate::config::IslaConfig;
 use crate::error::IslaError;
 use crate::shift::compute_shift;
 
-use super::partial::GroupedPartial;
-use super::plan::RateSpec;
+use super::partial::{GroupedAggregate, GroupedPartial};
+use super::plan::{sample_size, RateSpec};
 use super::recovery::RecoveryPolicy;
-use super::scheduler::{scan_blocks_recovering, BlockScheduler};
-use super::seed::derive_block_seeds;
+use super::scheduler::BlockScheduler;
+use super::{run_calculation, CalcPlan};
 
 /// What a row-model query computes: the aggregated column, the compiled
 /// predicate, and the optional group-by column.
@@ -722,7 +722,7 @@ impl RowPlan {
 
     /// The raw-row sample size a block of `block_len` rows receives.
     pub fn sample_size_for(&self, block_len: u64) -> u64 {
-        (self.rate * block_len as f64).round() as u64
+        sample_size(self.rate, block_len)
     }
 
     /// Total calculation-phase row draws the plan will spend over `data`.
@@ -798,7 +798,18 @@ pub fn execute_row_block(
     block_id: usize,
     seed: u64,
 ) -> Result<RowBlockOutcome, IslaError> {
-    let draws = plan.sample_size_for(block.len());
+    plan.execute_block(block, block_id, seed, plan.sample_size_for(block.len()))
+}
+
+/// [`execute_row_block`] at an explicit draw count — what the spine
+/// calls, so an admission cap never has to rewrite the plan.
+fn execute_row_block_drawing(
+    plan: &RowPlan,
+    block: &dyn DataBlock,
+    block_id: usize,
+    seed: u64,
+    draws: u64,
+) -> Result<RowBlockOutcome, IslaError> {
     let mut rng = super::seed::seeded_rng(seed);
     let spec = &plan.read.spec;
     let planned = plan.groups();
@@ -1012,19 +1023,18 @@ pub fn run_rows(
 
 /// Executes an already-prepared row plan on `scheduler`.
 ///
-/// The scheduler's admission policy runs first
-/// ([`BlockScheduler::admit_rows`] — deadline capping), then per-block
-/// seeds are derived from `rng` exactly as in the scalar engine — one
+/// Exactly the scalar engine's Calculation phase with a row plan
+/// plugged in: the scheduler's sample budget is applied first (deadline
+/// capping), then per-block seeds are derived from `rng` — one
 /// `next_u64` per block in block order — and the per-block work fans
-/// out at the scheduler's parallelism (placement is by parallelism;
-/// custom [`BlockScheduler::execute`] overrides apply to scalar plans
-/// only). Grouped partials merge order-invariantly, so every scheduler
-/// returns the bit-identical per-group answers for the same RNG stream.
+/// out at the scheduler's parallelism. Grouped partials merge
+/// order-invariantly, so every scheduler returns the bit-identical
+/// per-group answers for the same RNG stream.
 ///
 /// # Errors
 ///
-/// The first block failure, or [`IslaError::InsufficientData`] when no
-/// group holds any weight.
+/// The failure of the lowest-numbered failing block, or
+/// [`IslaError::InsufficientData`] when no group holds any weight.
 pub fn run_row_plan(
     plan: &RowPlan,
     data: &BlockSet,
@@ -1042,9 +1052,9 @@ pub fn run_row_plan(
 ///
 /// # Errors
 ///
-/// Strict mode: the first block failure. Best-effort:
-/// [`IslaError::InsufficientData`] when every block failed or no group
-/// holds any weight over the survivors.
+/// Strict mode: the failure of the lowest-numbered failing block.
+/// Best-effort: [`IslaError::InsufficientData`] when every block failed
+/// or no group holds any weight over the survivors.
 pub fn run_row_plan_with(
     plan: &RowPlan,
     data: &BlockSet,
@@ -1052,78 +1062,71 @@ pub fn run_row_plan_with(
     recovery: &RecoveryPolicy,
     rng: &mut dyn RngCore,
 ) -> Result<GroupedEngineResult, IslaError> {
-    let (plan, time_limited) = scheduler.admit_rows(plan.clone(), data);
-    let seeds = derive_block_seeds(rng, data.block_count());
-    let (outcomes, failures) = scan_blocks_recovering(
-        scheduler.parallelism(),
-        data,
-        recovery,
-        |block_id, block| {
-            let outcome = execute_row_block(&plan, block, block_id, seeds[block_id])?;
-            if outcome.groups.iter().any(|g| !g.answer.is_finite()) {
-                return Err(IslaError::InsufficientData(format!(
-                    "block {block_id} produced a non-finite group answer (corrupt data)"
-                )));
-            }
-            Ok(outcome)
-        },
-    )?;
-    if failures.len() >= data.block_count() {
-        return Err(IslaError::InsufficientData(
-            "every block failed during best-effort execution; no surviving coverage".to_string(),
-        ));
+    let run = run_calculation(plan, data, scheduler, recovery, rng)?;
+    Ok(GroupedEngineResult {
+        groups: run.answer.groups,
+        estimate: run.answer.estimate,
+        matched_rows: run.answer.matched_rows,
+        selectivity: plan.selectivity(),
+        data_size: plan.data_size(),
+        total_samples: run.answer.total_samples,
+        pilot_samples: plan.pilot_rows(),
+        time_limited: run.time_limited,
+        degradation: run.degradation,
+    })
+}
+
+impl CalcPlan for RowPlan {
+    type Outcome = RowBlockOutcome;
+    type Answer = GroupedAggregate;
+    const ANSWER_NOUN: &'static str = "group answer";
+
+    fn config(&self) -> &IslaConfig {
+        self.config()
     }
-    // Per-block scalar answers for the degradation assessment: the
-    // block's matched-weighted mean across groups (blocks with no
-    // matched draws contribute the overall estimate, i.e. zero spread).
-    let mut survivors: Vec<(f64, u64, u64)> = Vec::new(); // (weighted sum, matched, rows)
-    let mut partial = GroupedPartial::new();
-    for outcome in outcomes.into_iter().flatten() {
+
+    fn rate(&self) -> f64 {
+        self.rate()
+    }
+
+    fn pilot_samples(&self) -> u64 {
+        self.pilot_rows()
+    }
+
+    fn execute_block(
+        &self,
+        block: &dyn DataBlock,
+        block_id: usize,
+        seed: u64,
+        draws: u64,
+    ) -> Result<RowBlockOutcome, IslaError> {
+        execute_row_block_drawing(self, block, block_id, seed, draws)
+    }
+
+    fn is_finite(outcome: &RowBlockOutcome) -> bool {
+        outcome.groups.iter().all(|g| g.answer.is_finite())
+    }
+
+    /// The block's matched-weighted mean across groups; a block with no
+    /// matched draw stands at the overall estimate (zero spread).
+    fn survivor(outcome: &RowBlockOutcome) -> (Option<f64>, u64) {
         let matched: u64 = outcome.groups.iter().map(|g| g.matched).sum();
         let weighted: f64 = outcome
             .groups
             .iter()
             .map(|g| g.answer * g.matched as f64)
             .sum();
-        survivors.push((weighted, matched, outcome.rows));
-        partial.absorb(outcome);
+        let own = (matched > 0).then(|| weighted / matched as f64);
+        (own, outcome.rows)
     }
-    let agg = partial.finalize(&plan)?;
-    let degradation = if failures.is_empty() {
-        None
-    } else {
-        let survivor_answers: Vec<(f64, u64)> = survivors
-            .iter()
-            .map(|&(weighted, matched, rows)| {
-                let answer = if matched > 0 {
-                    weighted / matched as f64
-                } else {
-                    agg.estimate
-                };
-                (answer, rows)
-            })
-            .collect();
-        let lost_rows: u64 = failures.iter().map(|f| data.block(f.block_id).len()).sum();
-        let cfg = plan.config();
-        Some(super::recovery::Degradation::assess(
-            failures,
-            &survivor_answers,
-            lost_rows,
-            cfg.precision,
-            cfg.confidence,
-        ))
-    };
-    Ok(GroupedEngineResult {
-        groups: agg.groups,
-        estimate: agg.estimate,
-        matched_rows: agg.matched_rows,
-        selectivity: plan.selectivity(),
-        data_size: plan.data_size(),
-        total_samples: agg.total_samples,
-        pilot_samples: plan.pilot_rows(),
-        time_limited,
-        degradation,
-    })
+
+    fn finalize(&self, outcomes: Vec<RowBlockOutcome>) -> Result<GroupedAggregate, IslaError> {
+        GroupedPartial::from(outcomes).finalize(self)
+    }
+
+    fn estimate(answer: &GroupedAggregate) -> f64 {
+        answer.estimate
+    }
 }
 
 /// One group's exact aggregate from a full scan.

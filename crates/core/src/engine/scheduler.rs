@@ -1,43 +1,44 @@
 //! Block schedulers: where and when the per-block Calculation phase runs.
 //!
-//! A [`BlockScheduler`] executes a [`QueryPlan`] over a block set and
-//! returns a mergeable [`PartialAggregate`]. Because per-block seeds are
-//! fixed before execution ([`crate::engine::derive_block_seeds`]) and
-//! partials re-canonicalize on finalize, **every scheduler produces the
-//! bit-identical answer** for the same plan and RNG stream:
+//! A [`BlockScheduler`] says *where* a plan's blocks run — how many at a
+//! time, and under what sample budget — never *what* runs: every plan,
+//! scalar or row-model, goes through the one block fan-out in this
+//! module. Because per-block seeds are fixed before execution
+//! ([`crate::engine::derive_block_seeds`]) and partials re-canonicalize
+//! on finalize, **every scheduler produces the bit-identical answer**
+//! for the same plan and RNG stream:
 //!
 //! * [`SequentialScheduler`] — blocks in order on the calling thread;
 //! * [`PooledScheduler`] — block tasks scattered over a crossbeam
-//!   worker pool, partials gathered as they complete;
-//! * [`DeadlineScheduler`] — a budget-capping policy wrapped around any
-//!   inner scheduler (the paper's §VII-F time constraint): when the plan
-//!   wants more samples than the budget affords, the rate is capped and
-//!   the run is marked time-limited.
+//!   worker pool, results gathered as they complete;
+//! * [`DeadlineScheduler`] — a sample budget stated around any inner
+//!   scheduler (the paper's §VII-F time constraint): when the plan
+//!   wants more samples than the budget affords, the engine caps the
+//!   rate and marks the run time-limited.
 //!
-//! [`scan_blocks`] is the scheduler-shaped primitive for *non-ISLA*
-//! per-block work: the baseline estimators run their block scans through
-//! it, so US/STS/MV/MVB/SLEV parallelize with the same worker pool.
+//! [`scan_blocks`] is the same fan-out for *non-ISLA* per-block work:
+//! the baseline estimators run their block scans through it, so
+//! US/STS/MV/MVB/SLEV parallelize with the same worker pool.
 //!
 //! Every per-block attempt runs under the [`super::recovery`] layer:
 //! transient storage errors retry with deterministic backoff, worker
 //! panics surface as typed [`IslaError::Internal`] errors instead of
 //! wedging the pool, and under a best-effort [`RecoveryPolicy`] failed
-//! blocks are dropped into [`EngineRun::failures`] rather than failing
-//! the run.
-
-use std::collections::HashSet;
+//! blocks are dropped into a failure list rather than failing the run.
+//! A strict run reports the failure with the lowest block id — the same
+//! error on every scheduler, whatever order the workers finished in.
 
 use crossbeam::channel;
 
 use isla_storage::{BlockSet, DataBlock};
 
-use crate::block_exec::{execute_block, BlockOutcome};
+use crate::block_exec::BlockOutcome;
 use crate::error::IslaError;
 
 use super::partial::PartialAggregate;
-use super::plan::QueryPlan;
+use super::plan::{sample_size, QueryPlan};
 use super::recovery::{run_block_recovering, BlockFailure, RecoveryPolicy};
-use super::rows::RowPlan;
+use super::CalcPlan;
 
 /// Per-worker execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,10 +76,10 @@ pub struct EngineRun {
     pub failures: Vec<BlockFailure>,
 }
 
-/// A strategy for executing a plan's per-block Calculation phase.
-///
-/// Implementations must derive each block's RNG exclusively from
-/// `exec.seeds[block_id]` so the answer is independent of scheduling.
+/// Where a plan's per-block Calculation phase runs: how many blocks at
+/// a time, and under what sample budget. What runs per block is the
+/// plan's business; each block's RNG derives exclusively from its
+/// pre-derived seed, so the answer is independent of scheduling.
 pub trait BlockScheduler {
     /// Short display name (`"sequential"`, `"pooled"`, …).
     fn name(&self) -> &'static str;
@@ -86,27 +87,52 @@ pub trait BlockScheduler {
     /// Number of blocks this scheduler works on concurrently.
     fn parallelism(&self) -> usize;
 
-    /// Admission control: a chance to rewrite the plan before seeds are
-    /// drawn (e.g. deadline capping). Returns the plan to execute and
-    /// whether it was capped relative to what the caller asked for.
-    fn admit(&self, plan: QueryPlan, _data: &BlockSet) -> (QueryPlan, bool) {
-        (plan, false)
+    /// The most samples (pilots included) a run on this scheduler may
+    /// spend; `None` when uncapped. The engine applies the capping rule
+    /// — the same one for scalar and row plans — before any seed is
+    /// drawn.
+    fn sample_budget(&self) -> Option<u64> {
+        None
     }
 
-    /// Admission control for row-model plans — the grouped/filtered
-    /// pipeline calls this before deriving seeds, so a budget-capping
-    /// scheduler ([`DeadlineScheduler`]) applies to `WHERE`/`GROUP BY`
-    /// execution exactly as to the scalar path.
-    fn admit_rows(&self, plan: RowPlan, _data: &BlockSet) -> (RowPlan, bool) {
-        (plan, false)
-    }
-
-    /// Executes every block of `exec.data` under `exec.plan`.
+    /// Executes every block of `exec.data` under `exec.plan`, at the
+    /// plan's own rate.
     ///
     /// # Errors
     ///
-    /// The first block failure encountered.
-    fn execute(&self, exec: &BlockExecution<'_>) -> Result<EngineRun, IslaError>;
+    /// Under a strict policy, the failure of the lowest-numbered failing
+    /// block.
+    fn execute(&self, exec: &BlockExecution<'_>) -> Result<EngineRun, IslaError> {
+        let run = execute_blocks(
+            exec.plan,
+            exec.plan.rate(),
+            exec.data,
+            exec.seeds,
+            exec.recovery,
+            self.parallelism(),
+        )?;
+        Ok(EngineRun {
+            partial: run.outcomes.into(),
+            worker_stats: run.worker_stats,
+            failures: run.failures,
+        })
+    }
+}
+
+/// A borrowed scheduler schedules exactly as its referent — what lets a
+/// [`DeadlineScheduler`] wrap a `&dyn BlockScheduler` chosen at run time.
+impl<S: BlockScheduler + ?Sized> BlockScheduler for &S {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn parallelism(&self) -> usize {
+        (**self).parallelism()
+    }
+
+    fn sample_budget(&self) -> Option<u64> {
+        (**self).sample_budget()
+    }
 }
 
 /// Executes one block of a plan with its pre-derived seed — the single
@@ -120,48 +146,60 @@ pub fn execute_planned_block(
     block_id: usize,
 ) -> Result<BlockOutcome, IslaError> {
     let block = exec.data.block(block_id);
-    let mut block_rng = super::seed::seeded_rng(exec.seeds[block_id]);
-    execute_block(
+    exec.plan.execute_block(
         block.as_ref(),
         block_id,
+        exec.seeds[block_id],
         exec.plan.sample_size_for(block.len()),
-        exec.plan.boundaries(),
-        exec.plan.sketch0_shifted(),
-        exec.plan.shift(),
-        exec.plan.config(),
-        &mut block_rng,
     )
 }
 
-/// One recovering attempt series for one block: retries transient
-/// failures under the execution's policy, converts worker panics into
-/// typed errors, and rejects non-finite block answers (corrupt data) as
-/// permanent failures so they can never poison the combined estimate.
-fn run_planned_block_recovering(
-    exec: &BlockExecution<'_>,
-    block_id: usize,
-) -> Result<BlockOutcome, (u32, IslaError)> {
-    run_block_recovering(&exec.recovery.retry, block_id, || {
-        let outcome = execute_planned_block(exec, block_id)?;
-        if !outcome.answer.is_finite() {
-            return Err(IslaError::InsufficientData(format!(
-                "block {block_id} produced a non-finite answer (corrupt data)"
-            )));
-        }
-        Ok(outcome)
-    })
+/// What the block fan-out hands back for one plan: the surviving
+/// blocks' outcomes in block order, who ran them, and who failed.
+pub(crate) struct BlockRun<O> {
+    pub(crate) outcomes: Vec<O>,
+    pub(crate) worker_stats: Vec<WorkerStats>,
+    /// Sorted by block id; empty under a strict policy.
+    pub(crate) failures: Vec<BlockFailure>,
 }
 
-/// Converts a strict-mode block failure into the run-level error: panics
-/// keep their [`IslaError::Internal`] typing; everything else reports as
-/// insufficient data, exactly as distributed execution always has.
-fn strict_failure(block_id: usize, error: IslaError) -> IslaError {
-    match error {
-        e @ IslaError::Internal(_) => e,
-        e => IslaError::InsufficientData(format!(
-            "block {block_id} failed during distributed execution: {e}"
-        )),
+/// The Calculation phase of any plan: every block sampled at `rate`
+/// from its own seed, `parallelism` blocks at a time, each attempt
+/// under the recovery layer. Non-finite outcomes (corrupt data) are
+/// rejected as permanent block failures so they can never poison the
+/// merged estimate.
+pub(crate) fn execute_blocks<P: CalcPlan>(
+    plan: &P,
+    rate: f64,
+    data: &BlockSet,
+    seeds: &[u64],
+    recovery: &RecoveryPolicy,
+    parallelism: usize,
+) -> Result<BlockRun<P::Outcome>, IslaError> {
+    let job = |worker: usize, block_id: usize, block: &dyn DataBlock| {
+        let draws = sample_size(rate, block.len());
+        let outcome = plan.execute_block(block, block_id, seeds[block_id], draws)?;
+        if !P::is_finite(&outcome) {
+            return Err(IslaError::InsufficientData(format!(
+                "block {block_id} produced a non-finite {} (corrupt data)",
+                P::ANSWER_NOUN
+            )));
+        }
+        Ok((worker, draws, outcome))
+    };
+    let (slots, failures) = scan_blocks_recovering(parallelism, data, recovery, job)?;
+    let mut worker_stats = vec![WorkerStats::default(); parallelism.max(1)];
+    let mut outcomes = Vec::with_capacity(slots.len());
+    for (worker, draws, outcome) in slots.into_iter().flatten() {
+        worker_stats[worker].blocks_processed += 1;
+        worker_stats[worker].samples_drawn += draws;
+        outcomes.push(outcome);
     }
+    Ok(BlockRun {
+        outcomes,
+        worker_stats,
+        failures,
+    })
 }
 
 /// Runs blocks in order on the calling thread (the classic
@@ -177,49 +215,10 @@ impl BlockScheduler for SequentialScheduler {
     fn parallelism(&self) -> usize {
         1
     }
-
-    fn execute(&self, exec: &BlockExecution<'_>) -> Result<EngineRun, IslaError> {
-        let mut partial = PartialAggregate::new();
-        let mut stats = WorkerStats::default();
-        let mut failures = Vec::new();
-        for block_id in 0..exec.data.block_count() {
-            match run_planned_block_recovering(exec, block_id) {
-                Ok(outcome) => {
-                    stats.blocks_processed += 1;
-                    stats.samples_drawn += outcome.samples_drawn;
-                    partial.absorb(outcome);
-                }
-                Err((_, error)) if !exec.recovery.is_best_effort() => return Err(error),
-                Err((attempts, error)) => failures.push(BlockFailure {
-                    block_id,
-                    attempts,
-                    error: error.to_string(),
-                }),
-            }
-        }
-        Ok(EngineRun {
-            partial,
-            worker_stats: vec![stats],
-            failures,
-        })
-    }
-}
-
-/// A worker's reply on the pooled scheduler's gather channel.
-enum PooledReply {
-    Done {
-        worker: usize,
-        outcome: Box<BlockOutcome>,
-    },
-    Failed {
-        block_id: usize,
-        attempts: u32,
-        error: IslaError,
-    },
 }
 
 /// Scatters block tasks across a crossbeam worker-thread pool and
-/// gathers partials as they complete.
+/// gathers results as they complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PooledScheduler {
     workers: usize,
@@ -262,111 +261,16 @@ impl BlockScheduler for PooledScheduler {
     fn parallelism(&self) -> usize {
         self.workers
     }
-
-    fn execute(&self, exec: &BlockExecution<'_>) -> Result<EngineRun, IslaError> {
-        let block_count = exec.data.block_count();
-        let (task_tx, task_rx) = channel::unbounded::<usize>();
-        let (reply_tx, reply_rx) = channel::unbounded::<PooledReply>();
-        for block_id in 0..block_count {
-            task_tx
-                .send(block_id)
-                .map_err(|_| IslaError::Internal("pooled task queue closed early".to_string()))?;
-        }
-        drop(task_tx); // workers drain the queue, then exit
-
-        let mut stats = vec![WorkerStats::default(); self.workers];
-        // Terminal failures in completion order — strict mode reports
-        // the first one, best-effort keeps them all (re-sorted below).
-        let mut failed: Vec<(usize, u32, IslaError)> = Vec::new();
-        let mut outcomes: Vec<Option<BlockOutcome>> = Vec::new();
-        outcomes.resize_with(block_count, || None);
-
-        crossbeam::thread::scope(|scope| {
-            for worker in 0..self.workers {
-                let task_rx = task_rx.clone();
-                let reply_tx = reply_tx.clone();
-                scope.spawn(move |_| {
-                    while let Ok(block_id) = task_rx.recv() {
-                        let reply = match run_planned_block_recovering(exec, block_id) {
-                            Ok(outcome) => PooledReply::Done {
-                                worker,
-                                outcome: Box::new(outcome),
-                            },
-                            Err((attempts, error)) => PooledReply::Failed {
-                                block_id,
-                                attempts,
-                                error,
-                            },
-                        };
-                        if reply_tx.send(reply).is_err() {
-                            break; // coordinator gone; nothing left to report to
-                        }
-                    }
-                });
-            }
-            drop(reply_tx);
-
-            // Gather on the coordinator thread.
-            for reply in reply_rx.iter() {
-                match reply {
-                    PooledReply::Done { worker, outcome } => {
-                        stats[worker].blocks_processed += 1;
-                        stats[worker].samples_drawn += outcome.samples_drawn;
-                        let block_id = outcome.block_id;
-                        outcomes[block_id] = Some(*outcome);
-                    }
-                    PooledReply::Failed {
-                        block_id,
-                        attempts,
-                        error,
-                    } => failed.push((block_id, attempts, error)),
-                }
-            }
-        })
-        .map_err(|_| IslaError::Internal("a pooled worker thread panicked".to_string()))?;
-
-        if !exec.recovery.is_best_effort() && !failed.is_empty() {
-            let (block_id, _, error) = failed.remove(0);
-            return Err(strict_failure(block_id, error));
-        }
-        failed.sort_by_key(|&(block_id, _, _)| block_id);
-        let failures: Vec<BlockFailure> = failed
-            .into_iter()
-            .map(|(block_id, attempts, error)| BlockFailure {
-                block_id,
-                attempts,
-                error: error.to_string(),
-            })
-            .collect();
-        let dropped: HashSet<usize> = failures.iter().map(|f| f.block_id).collect();
-        let mut partial = PartialAggregate::new();
-        for (block_id, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Some(outcome) => partial.absorb(outcome),
-                None if dropped.contains(&block_id) => {}
-                None => {
-                    return Err(IslaError::Internal(format!(
-                        "block {block_id} neither succeeded nor failed"
-                    )))
-                }
-            }
-        }
-        Ok(EngineRun {
-            partial,
-            worker_stats: stats,
-            failures,
-        })
-    }
 }
 
-/// Caps the plan to a sample budget before delegating to an inner
-/// scheduler — the §VII-F time-constraint logic as a scheduling policy.
+/// States a sample budget around an inner scheduler — the §VII-F
+/// time-constraint logic as a scheduling policy.
 ///
-/// When the plan (pilots included) wants more samples than `budget`, the
-/// calculation rate is capped so the pilot draws plus the calculation
-/// phase fit the budget (`(budget − pilots) / M`) and the run is
-/// reported as time-limited. The pilots themselves are sunk cost — they
-/// ran before admission — so the cached pre-estimate and boundaries are
+/// When a plan (pilots included) wants more samples than `budget`, the
+/// engine caps the calculation rate so the pilot draws plus the
+/// calculation phase fit the budget (`(budget − pilots) / M`) and
+/// reports the run as time-limited. The pilots themselves are sunk cost
+/// — they ran before admission — so the pre-estimate and boundaries are
 /// reused as-is and only the calculation phase shrinks.
 #[derive(Debug, Clone, Copy)]
 pub struct DeadlineScheduler<S> {
@@ -400,43 +304,9 @@ impl<S: BlockScheduler> BlockScheduler for DeadlineScheduler<S> {
         self.inner.parallelism()
     }
 
-    fn admit(&self, plan: QueryPlan, data: &BlockSet) -> (QueryPlan, bool) {
-        let (plan, limited) = self.inner.admit(plan, data);
-        if plan.is_degenerate() {
-            return (plan, limited);
-        }
-        let wanted = plan.planned_samples_with_pilots(data);
-        if wanted <= self.budget {
-            return (plan, limited);
-        }
-        // Budget left for the calculation phase after the (already spent)
-        // pilot draws. `wanted > budget` guarantees this caps the rate
-        // strictly below the plan's own — it can never raise it.
-        let pilots = wanted - plan.planned_calculation_samples(data);
-        let calc_budget = self.budget.saturating_sub(pilots);
-        let rate = (calc_budget as f64 / data.total_len() as f64)
-            .clamp(f64::MIN_POSITIVE, 1.0)
-            .min(plan.rate());
-        (plan.with_absolute_rate(rate), true)
-    }
-
-    fn admit_rows(&self, plan: RowPlan, data: &BlockSet) -> (RowPlan, bool) {
-        let (plan, limited) = self.inner.admit_rows(plan, data);
-        let wanted = plan.planned_samples_with_pilots(data);
-        if wanted <= self.budget {
-            return (plan, limited);
-        }
-        // As the scalar case: pilot rows are sunk cost, only the
-        // calculation rate shrinks to what the budget leaves over.
-        let calc_budget = self.budget.saturating_sub(plan.pilot_rows());
-        let rate = (calc_budget as f64 / data.total_len() as f64)
-            .clamp(f64::MIN_POSITIVE, 1.0)
-            .min(plan.rate());
-        (plan.with_absolute_rate(rate), true)
-    }
-
-    fn execute(&self, exec: &BlockExecution<'_>) -> Result<EngineRun, IslaError> {
-        self.inner.execute(exec)
+    fn sample_budget(&self) -> Option<u64> {
+        let inner = self.inner.sample_budget().unwrap_or(u64::MAX);
+        Some(self.budget.min(inner))
     }
 }
 
@@ -450,12 +320,13 @@ impl<S: BlockScheduler> BlockScheduler for DeadlineScheduler<S> {
 ///
 /// # Errors
 ///
-/// The first job failure encountered (remaining jobs still drain).
+/// The failure of the lowest-numbered failing block.
 pub fn scan_blocks<T, F>(parallelism: usize, data: &BlockSet, job: F) -> Result<Vec<T>, IslaError>
 where
     T: Send,
     F: Fn(usize, &dyn DataBlock) -> Result<T, IslaError> + Sync,
 {
+    let job = |_, block_id: usize, block: &dyn DataBlock| job(block_id, block);
     let (slots, failures) =
         scan_blocks_recovering(parallelism, data, &RecoveryPolicy::strict(), job)?;
     debug_assert!(
@@ -473,7 +344,10 @@ where
         .collect()
 }
 
-/// [`scan_blocks`] under an explicit [`RecoveryPolicy`]: each block's
+/// The one "run a job per block with retry, on this thread or on a
+/// pool" loop — [`scan_blocks`] under an explicit [`RecoveryPolicy`].
+/// `job` sees `(worker, block id, block)`; workers number from 0 and
+/// the calling thread is worker 0 when nothing is spawned. Each block's
 /// job retries transient failures per the policy, worker panics become
 /// typed errors, and under best-effort mode terminal failures leave a
 /// `None` slot plus a [`BlockFailure`] entry instead of failing the
@@ -481,8 +355,9 @@ where
 ///
 /// # Errors
 ///
-/// Under strict mode, the first terminal job failure (remaining jobs
-/// still drain); under best-effort, only internal invariant violations.
+/// Under strict mode, the failure of the lowest-numbered failing block
+/// — the block's own error, unwrapped, at any parallelism; under
+/// best-effort, only internal invariant violations.
 pub fn scan_blocks_recovering<T, F>(
     parallelism: usize,
     data: &BlockSet,
@@ -491,76 +366,72 @@ pub fn scan_blocks_recovering<T, F>(
 ) -> Result<(Vec<Option<T>>, Vec<BlockFailure>), IslaError>
 where
     T: Send,
-    F: Fn(usize, &dyn DataBlock) -> Result<T, IslaError> + Sync,
+    F: Fn(usize, usize, &dyn DataBlock) -> Result<T, IslaError> + Sync,
 {
     let block_count = data.block_count();
-    let job = &job;
-    let run_one = |block_id: usize| {
+    let strict = !recovery.is_best_effort();
+    let run_one = |worker: usize, block_id: usize| {
         run_block_recovering(&recovery.retry, block_id, || {
-            job(block_id, data.block(block_id).as_ref())
+            job(worker, block_id, data.block(block_id).as_ref())
         })
     };
-
-    if parallelism <= 1 || block_count <= 1 {
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(block_count);
-        let mut failures = Vec::new();
-        for block_id in 0..block_count {
-            match run_one(block_id) {
-                Ok(value) => slots.push(Some(value)),
-                Err((_, error)) if !recovery.is_best_effort() => return Err(error),
-                Err((attempts, error)) => {
-                    failures.push(BlockFailure {
-                        block_id,
-                        attempts,
-                        error: error.to_string(),
-                    });
-                    slots.push(None);
-                }
-            }
-        }
-        return Ok((slots, failures));
-    }
-
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (reply_tx, reply_rx) = channel::unbounded::<(usize, Result<T, (u32, IslaError)>)>();
-    for block_id in 0..block_count {
-        task_tx
-            .send(block_id)
-            .map_err(|_| IslaError::Internal("scan task queue closed early".to_string()))?;
-    }
-    drop(task_tx);
-
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(block_count, || None);
     let mut failed: Vec<(usize, u32, IslaError)> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..parallelism.min(block_count) {
-            let task_rx = task_rx.clone();
-            let reply_tx = reply_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok(block_id) = task_rx.recv() {
-                    let result = run_one(block_id);
-                    if reply_tx.send((block_id, result)).is_err() {
-                        break; // coordinator gone; nothing left to report to
+
+    if parallelism <= 1 || block_count <= 1 {
+        for (block_id, slot) in slots.iter_mut().enumerate() {
+            match run_one(0, block_id) {
+                Ok(value) => *slot = Some(value),
+                Err((attempts, error)) => {
+                    failed.push((block_id, attempts, error));
+                    if strict {
+                        break; // in block order, the first failure is the lowest
                     }
                 }
-            });
-        }
-        drop(reply_tx);
-        for (block_id, result) in reply_rx.iter() {
-            match result {
-                Ok(value) => slots[block_id] = Some(value),
-                Err((attempts, error)) => failed.push((block_id, attempts, error)),
             }
         }
-    })
-    .map_err(|_| IslaError::Internal("a scan worker thread panicked".to_string()))?;
-
-    if !recovery.is_best_effort() && !failed.is_empty() {
-        let (_, _, error) = failed.remove(0);
-        return Err(error);
+    } else {
+        let (task_tx, task_rx) = channel::unbounded::<usize>();
+        let (reply_tx, reply_rx) = channel::unbounded::<(usize, Result<T, (u32, IslaError)>)>();
+        for block_id in 0..block_count {
+            task_tx
+                .send(block_id)
+                .map_err(|_| IslaError::Internal("block task queue closed early".to_string()))?;
+        }
+        drop(task_tx); // workers drain the queue, then exit
+        let run_one = &run_one;
+        crossbeam::thread::scope(|scope| {
+            for worker in 0..parallelism.min(block_count) {
+                let task_rx = task_rx.clone();
+                let reply_tx = reply_tx.clone();
+                scope.spawn(move |_| {
+                    while let Ok(block_id) = task_rx.recv() {
+                        if reply_tx
+                            .send((block_id, run_one(worker, block_id)))
+                            .is_err()
+                        {
+                            break; // coordinator gone; nothing left to report to
+                        }
+                    }
+                });
+            }
+            drop(reply_tx);
+            for (block_id, result) in reply_rx.iter() {
+                match result {
+                    Ok(value) => slots[block_id] = Some(value),
+                    Err((attempts, error)) => failed.push((block_id, attempts, error)),
+                }
+            }
+        })
+        .map_err(|_| IslaError::Internal("a block worker thread panicked".to_string()))?;
     }
+
+    // Completion order carries no meaning: failures report by block id.
     failed.sort_by_key(|&(block_id, _, _)| block_id);
+    if strict && !failed.is_empty() {
+        return Err(failed.remove(0).2);
+    }
     let failures = failed
         .into_iter()
         .map(|(block_id, attempts, error)| BlockFailure {
@@ -624,8 +495,16 @@ mod tests {
         let (plan, _) = plan_and_seeds(&ds.blocks, &cfg, 8);
         let wanted = plan.planned_samples_with_pilots(&ds.blocks);
 
+        // Admission as the engine applies it: the scheduler states its
+        // budget, the one capping rule resolves the rate.
+        let admit = |scheduler: &dyn BlockScheduler| {
+            let (rate, limited) =
+                crate::engine::admitted_rate(&plan, scheduler.sample_budget(), &ds.blocks);
+            (plan.clone().with_absolute_rate(rate), limited)
+        };
+
         let generous = DeadlineScheduler::new(SequentialScheduler, wanted + 1);
-        let (admitted, limited) = generous.admit(plan.clone(), &ds.blocks);
+        let (admitted, limited) = admit(&generous);
         assert!(!limited);
         assert_eq!(admitted.rate(), plan.rate());
 
@@ -634,7 +513,7 @@ mod tests {
         let calc = plan.planned_calculation_samples(&ds.blocks);
         let pilots = wanted - calc;
         let barely = DeadlineScheduler::new(SequentialScheduler, wanted - 1);
-        let (trimmed, limited) = barely.admit(plan.clone(), &ds.blocks);
+        let (trimmed, limited) = admit(&barely);
         assert!(limited);
         assert!(
             trimmed.rate() < plan.rate(),
@@ -650,7 +529,7 @@ mod tests {
         // calculation phase: every block falls back to the sketch.
         assert!(pilots > 1_000, "sanity: pilots dominate the tiny budget");
         let tight = DeadlineScheduler::new(SequentialScheduler, 1_000);
-        let (capped, limited) = tight.admit(plan.clone(), &ds.blocks);
+        let (capped, limited) = admit(&tight);
         assert!(limited);
         assert_eq!(capped.planned_calculation_samples(&ds.blocks), 0);
         assert_eq!(capped.pre(), plan.pre(), "pilots are sunk cost");
@@ -681,6 +560,36 @@ mod tests {
                 }
             });
             assert!(matches!(r, Err(IslaError::InsufficientData(_))));
+        }
+    }
+
+    #[test]
+    fn strict_scans_report_the_lowest_failing_block_whatever_finishes_first() {
+        let ds = normal_dataset(100.0, 20.0, 10_000, 8, 98);
+        for parallelism in [1, 2, 4, 7] {
+            for _ in 0..20 {
+                // On a pool, block 2 holds its failure back until block 5
+                // has failed: completion order is 5, then 2.
+                let (failed_tx, failed_rx) = channel::unbounded::<()>();
+                let r = scan_blocks(parallelism, &ds.blocks, |i, block| {
+                    if i == 2 && parallelism > 1 {
+                        failed_rx.recv().expect("block 5 signals");
+                    }
+                    if i == 5 {
+                        failed_tx.send(()).expect("the receiver outlives the scan");
+                    }
+                    if i == 2 || i == 5 {
+                        return Err(IslaError::InsufficientData(format!("block {i} broke")));
+                    }
+                    Ok(block.len())
+                });
+                match r {
+                    Err(IslaError::InsufficientData(msg)) => {
+                        assert_eq!(msg, "block 2 broke", "parallelism {parallelism}");
+                    }
+                    other => panic!("expected block 2's own error, got {other:?}"),
+                }
+            }
         }
     }
 
@@ -796,7 +705,7 @@ mod tests {
         let recovery = RecoveryPolicy::best_effort(Default::default());
         for parallelism in [1, 3] {
             let (slots, failures) =
-                scan_blocks_recovering(parallelism, &ds.blocks, &recovery, |i, block| {
+                scan_blocks_recovering(parallelism, &ds.blocks, &recovery, |_, i, block| {
                     if i % 2 == 0 {
                         Err(IslaError::InsufficientData(format!("block {i} broke")))
                     } else {

@@ -26,9 +26,9 @@ use isla_baselines::{
     StratifiedSampling, UniformSampling,
 };
 use isla_core::engine::{
-    self, CacheKey, CacheLookup, CacheStats, DeadlineScheduler, Degradation, EngineResult,
-    FailureMode, GroupedEngineResult, PooledScheduler, PreEstimateCache, QueryPlan, RateSpec,
-    RecoveryPolicy, RetryPolicy, RowCacheLookup, RowPlan, RowSpec, SequentialScheduler,
+    self, BlockScheduler, CacheKey, CacheStats, DeadlineScheduler, Degradation, FailureMode,
+    Lookup, PooledScheduler, PreEstimateCache, QueryPlan, RateSpec, RecoveryPolicy, RetryPolicy,
+    RowPlan, RowSpec, SequentialScheduler,
 };
 use isla_core::{IslaConfig, IslaError};
 use isla_stats::{required_sample_size, WelfordMoments};
@@ -110,6 +110,29 @@ pub struct QueryResult {
     /// failure accounting, surviving coverage, and widened half-width.
     /// `None` means the answer carries full coverage.
     pub degradation: Option<Degradation>,
+}
+
+impl QueryResult {
+    /// An answer of `value` to `query` with nothing optional set: the
+    /// query's own aggregate, method and precision, no samples, no
+    /// groups, full coverage. Paths fill in what they have; `elapsed`
+    /// is read here, so build the result last.
+    fn of(query: &Query, rows: u64, confidence: f64, start: Instant, value: f64) -> Self {
+        Self {
+            value,
+            agg: query.agg,
+            method: query.method,
+            rows,
+            samples_used: None,
+            elapsed: start.elapsed(),
+            precision: query.precision,
+            confidence,
+            time_limited: false,
+            groups: None,
+            matched_rows: None,
+            degradation: None,
+        }
+    }
 }
 
 /// Which block scheduler a session runs the ISLA calculation phase on.
@@ -319,20 +342,11 @@ impl QuerySession {
         // COUNT(*) without a predicate is exact from metadata
         // regardless of method.
         if query.agg == AggFunc::Count {
-            return Ok(QueryResult {
-                value: table.rows() as f64,
-                agg: AggFunc::Count,
-                method: Method::Exact,
-                rows: table.rows(),
-                samples_used: None,
-                elapsed: start.elapsed(),
-                precision: None,
-                confidence,
-                time_limited: false,
-                groups: None,
-                matched_rows: None,
-                degradation: None,
-            });
+            let count = table.rows();
+            let mut result = QueryResult::of(query, count, confidence, start, count as f64);
+            result.method = Method::Exact;
+            result.precision = None;
+            return Ok(result);
         }
 
         let data = table
@@ -348,20 +362,9 @@ impl QuerySession {
         // `METHOD EXACT`.
         if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
             let (value, samples_used) = extreme_value(query, &data, confidence, rng)?;
-            return Ok(QueryResult {
-                value,
-                agg: query.agg,
-                method: query.method,
-                rows,
-                samples_used,
-                elapsed: start.elapsed(),
-                precision: query.precision,
-                confidence,
-                time_limited: false,
-                groups: None,
-                matched_rows: None,
-                degradation: None,
-            });
+            let mut result = QueryResult::of(query, rows, confidence, start, value);
+            result.samples_used = samples_used;
+            return Ok(result);
         }
 
         let (avg, samples_used, time_limited, degradation) = match query.method {
@@ -387,20 +390,11 @@ impl QuerySession {
             }
         };
 
-        Ok(QueryResult {
-            value,
-            agg: query.agg,
-            method: query.method,
-            rows,
-            samples_used,
-            elapsed: start.elapsed(),
-            precision: query.precision,
-            confidence,
-            time_limited,
-            groups: None,
-            matched_rows: None,
-            degradation,
-        })
+        let mut result = QueryResult::of(query, rows, confidence, start, value);
+        result.samples_used = samples_used;
+        result.time_limited = time_limited;
+        result.degradation = degradation;
+        Ok(result)
     }
 
     /// Row-model execution: `WHERE` and/or `GROUP BY`, pushed through
@@ -418,7 +412,6 @@ impl QuerySession {
         let data = table.data();
         let rows = table.rows();
         let grouped = query.group_by.is_some();
-        let filtered = !query.predicates.is_empty();
 
         if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
             if grouped {
@@ -428,74 +421,13 @@ impl QuerySession {
             }
             let filtered_set = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
             let (value, samples_used) = extreme_value(query, &filtered_set, confidence, rng)?;
-            return Ok(QueryResult {
-                value,
-                agg: query.agg,
-                method: query.method,
-                rows,
-                samples_used,
-                elapsed: start.elapsed(),
-                precision: query.precision,
-                confidence,
-                time_limited: false,
-                groups: None,
-                matched_rows: None,
-                degradation: None,
-            });
+            let mut result = QueryResult::of(query, rows, confidence, start, value);
+            result.samples_used = samples_used;
+            return Ok(result);
         }
 
-        // Exact ground truth: one full row scan answers every aggregate.
         if query.method == Method::Exact {
-            let exact = engine::scan_exact_groups(data, &spec).map_err(QueryError::from)?;
-            if exact.is_empty() {
-                return Err(QueryError::Invalid(
-                    "no row matches the WHERE predicate".to_string(),
-                ));
-            }
-            let matched: u64 = exact.iter().map(|g| g.count).sum();
-            let per_group: Vec<GroupRow> = exact
-                .iter()
-                .map(|g| GroupRow {
-                    key: g.key,
-                    value: match query.agg {
-                        AggFunc::Avg => g.mean,
-                        AggFunc::Sum => g.mean * g.count as f64,
-                        AggFunc::Count => g.count as f64,
-                        // MAX/MIN never reach the grouped-exact path;
-                        // an impossible arm yields NaN rather than a
-                        // process abort, and the outer dispatch below
-                        // rejects it.
-                        _ => f64::NAN,
-                    },
-                    rows: g.count as f64,
-                })
-                .collect();
-            let value = match query.agg {
-                AggFunc::Avg => {
-                    exact.iter().map(|g| g.mean * g.count as f64).sum::<f64>() / matched as f64
-                }
-                AggFunc::Sum => per_group.iter().map(|g| g.value).sum(),
-                AggFunc::Count => matched as f64,
-                _ => {
-                    return Err(QueryError::Internal(
-                        "MAX/MIN reached the grouped-exact path".to_string(),
-                    ))
-                }
-            };
-            return Ok(QueryResult {
-                value,
-                agg: query.agg,
-                method: Method::Exact,
-                rows,
-                samples_used: None,
-                elapsed: start.elapsed(),
-                precision: query.precision,
-                confidence,
-                time_limited: false,
-                groups: grouped.then_some(per_group),
-                matched_rows: filtered.then_some(matched as f64),
-                degradation: None,
-            });
+            return exact_rows(query, &spec, data, confidence, start);
         }
 
         // COUNT(*) under a predicate: estimated from pilot row draws —
@@ -547,20 +479,10 @@ impl QuerySession {
                 ))
             }
         };
-        Ok(QueryResult {
-            value,
-            agg: query.agg,
-            method: query.method,
-            rows,
-            samples_used: Some(samples_used),
-            elapsed: start.elapsed(),
-            precision: query.precision,
-            confidence,
-            time_limited: false,
-            groups: None,
-            matched_rows,
-            degradation: None,
-        })
+        let mut result = QueryResult::of(query, rows, confidence, start, value);
+        result.samples_used = Some(samples_used);
+        result.matched_rows = matched_rows;
+        Ok(result)
     }
 
     /// ISLA row-model execution through [`engine::run_row_plan`], with
@@ -582,7 +504,7 @@ impl QuerySession {
         // so the calibrated per-sample cost matches what the row
         // calculation phase will actually pay.
         let affordable = match query.within_ms {
-            Some(ms) => Some(affordable_budget_rows(ms, data, &spec, rng)?),
+            Some(ms) => Some(affordable_budget(ms, data, Some(&spec.filter), rng)?),
             None => None,
         };
 
@@ -591,9 +513,19 @@ impl QuerySession {
                 let config = isla_config(query, confidence)?;
                 let key = CacheKey::new(&query.table, &query.column, &config, data)
                     .with_row_shape(spec.fingerprint());
-                let lookup = self
-                    .pilot_lookup_rows(key, data, &config, &spec, rng)
-                    .map_err(QueryError::from)?;
+                let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
+                    Pilots::Epoch(salt) => self
+                        .pre_cache
+                        .get_or_compute_rows_epoch(key, data, &config, &spec, salt),
+                    Pilots::Stream(rng) => self.pre_cache.get_or_compute_rows_with(
+                        key,
+                        data,
+                        &config,
+                        &spec,
+                        &self.policy.recovery,
+                        rng,
+                    ),
+                })?;
                 let pilot_cost = if lookup.hit { 0 } else { lookup.pre.pilot_rows };
                 (config, lookup.pre, pilot_cost, RateSpec::Derived)
             }
@@ -631,20 +563,10 @@ impl QuerySession {
         let plan =
             RowPlan::from_pre_estimate(data, &config, spec, pre, rate).map_err(QueryError::from)?;
 
-        // Deadline capping through the engine's admission hook, as the
-        // scalar path: pilots recorded in the plan but not actually
-        // drawn this query (a cache hit) are credited back — the cache
-        // makes the query cheaper, not more likely to be capped.
-        let budget = self.effective_budget(affordable).map(|b| {
-            if pilot_cost == 0 {
-                b.saturating_add(plan.pilot_rows())
-            } else {
-                b
-            }
-        });
-        let out = self
-            .run_row_plan_scheduled(&plan, data, budget, rng)
-            .map_err(QueryError::from)?;
+        let budget = self.effective_budget(affordable, plan.pilot_rows() - pilot_cost);
+        let out = self.on_scheduler(budget, |scheduler| {
+            engine::run_row_plan_with(&plan, data, scheduler, &self.policy.recovery, rng)
+        })?;
         let per_group: Vec<GroupRow> = out
             .groups
             .iter()
@@ -666,20 +588,13 @@ impl QuerySession {
                 ))
             }
         };
-        Ok(QueryResult {
-            value,
-            agg: query.agg,
-            method: Method::Isla,
-            rows,
-            samples_used: Some(out.total_samples + pilot_cost),
-            elapsed: start.elapsed(),
-            precision: query.precision,
-            confidence,
-            time_limited: out.time_limited,
-            groups: query.group_by.is_some().then_some(per_group),
-            matched_rows: (!query.predicates.is_empty()).then_some(out.matched_rows),
-            degradation: out.degradation,
-        })
+        let mut result = QueryResult::of(query, rows, confidence, start, value);
+        result.samples_used = Some(out.total_samples + pilot_cost);
+        result.time_limited = out.time_limited;
+        result.groups = query.group_by.is_some().then_some(per_group);
+        result.matched_rows = (!query.predicates.is_empty()).then_some(out.matched_rows);
+        result.degradation = out.degradation;
+        Ok(result)
     }
 
     /// Scalar ISLA execution: precision-driven, budget-driven, or
@@ -726,7 +641,7 @@ impl QuerySession {
         // pilots (when they run on a cache miss) are charged against the
         // same window the budget was computed from.
         let affordable = match query.within_ms {
-            Some(ms) => Some(affordable_budget(ms, data, rng)?),
+            Some(ms) => Some(affordable_budget(ms, data, None, rng)?),
             None => None,
         };
 
@@ -735,9 +650,15 @@ impl QuerySession {
         // before it would alias sketch-σ and pilot-σ entries (pinned by
         // the `sketch_sigma_key_derives_from_the_final_config` test).
         let key = CacheKey::new(&query.table, &query.column, &config, data);
-        let lookup = self
-            .pilot_lookup(key, data, &config, rng)
-            .map_err(QueryError::from)?;
+        let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
+            Pilots::Epoch(salt) => self
+                .pre_cache
+                .get_or_compute_epoch(key, data, &config, salt),
+            Pilots::Stream(rng) => {
+                self.pre_cache
+                    .get_or_compute_with(key, data, &config, &self.policy.recovery, rng)
+            }
+        })?;
         // On a cache hit the pilots were not drawn this query — only
         // charge them when they actually ran.
         let pilot_samples = lookup.pre.sigma_pilot_used + lookup.pre.sketch_pilot_used;
@@ -745,20 +666,10 @@ impl QuerySession {
         let plan = QueryPlan::from_pre_estimate(data, &config, lookup.pre, RateSpec::Derived)
             .map_err(QueryError::from)?;
 
-        // Deadline admission compares the budget against the plan's
-        // samples *including* its recorded pilots; on a hit those
-        // pilots were never drawn, so credit them back — the cache
-        // makes the query cheaper, not more likely to be capped.
-        let budget = self.effective_budget(affordable).map(|b| {
-            if lookup.hit {
-                b.saturating_add(pilot_samples)
-            } else {
-                b
-            }
-        });
-        let out = self
-            .run_plan_scheduled(plan, data, budget, rng)
-            .map_err(QueryError::from)?;
+        let budget = self.effective_budget(affordable, pilot_samples - pilot_cost);
+        let out = self.on_scheduler(budget, |scheduler| {
+            engine::run_plan_with(plan, data, scheduler, &self.policy.recovery, rng)
+        })?;
         Ok((
             out.estimate,
             Some(out.total_samples + pilot_cost),
@@ -767,150 +678,81 @@ impl QuerySession {
         ))
     }
 
-    /// Scalar pre-estimate lookup honouring the pilot-seeding policy:
-    /// with a pilot seed, the pilots draw from a stream derived from
-    /// `(key, salt)` — never from the query's RNG — so a hit and a miss
-    /// leave the query stream in the identical state.
-    fn pilot_lookup(
+    /// Pre-estimate lookup honouring the pilot-seeding policy: decides
+    /// where this query's pilots draw from and hands that to `lookup`,
+    /// which names the cache layer for its plan type.
+    ///
+    /// Grown sets route through the epoch layer: the pilots fold per
+    /// sealed segment (seeded purely from the key's lineage), so a
+    /// query after ingest resumes the cached fold over only the new
+    /// blocks instead of re-piloting the whole set. Epoch-0 sets keep
+    /// the exact-key path: with a pilot seed, the pilots draw from a
+    /// stream derived from `(key, salt)` — never from the query's RNG —
+    /// so a hit and a miss leave the query stream in the identical
+    /// state.
+    fn pilot_lookup<P>(
         &self,
         key: CacheKey,
         data: &BlockSet,
-        config: &IslaConfig,
         rng: &mut dyn RngCore,
-    ) -> Result<CacheLookup, IslaError> {
-        // Grown sets route through the epoch layer: the pilots fold per
-        // sealed segment (seeded purely from the key's lineage), so a
-        // query after ingest resumes the cached fold over only the new
-        // blocks instead of re-piloting the whole set. Epoch-0 sets keep
-        // the exact-key path (and its RNG semantics) unchanged.
-        if data.epoch() > 0 {
+        lookup: impl FnOnce(CacheKey, Pilots<'_>) -> Result<Lookup<P>, IslaError>,
+    ) -> Result<Lookup<P>, QueryError> {
+        let found = if data.epoch() > 0 {
             let salt = self.policy.pilot_seed.unwrap_or(EPOCH_PILOT_SALT);
-            return self.pre_cache.get_or_compute_epoch(key, data, config, salt);
-        }
-        let recovery = self.policy.recovery;
-        match self.policy.pilot_seed {
-            Some(salt) => {
-                let mut pilot_rng = engine::seeded_rng(pilot_stream_seed(key.digest(), salt));
-                self.pre_cache
-                    .get_or_compute_with(key, data, config, &recovery, &mut pilot_rng)
-            }
-            None => self
-                .pre_cache
-                .get_or_compute_with(key, data, config, &recovery, rng),
-        }
-    }
-
-    /// Row-model counterpart of [`QuerySession::pilot_lookup`].
-    fn pilot_lookup_rows(
-        &self,
-        key: CacheKey,
-        data: &BlockSet,
-        config: &IslaConfig,
-        spec: &RowSpec,
-        rng: &mut dyn RngCore,
-    ) -> Result<RowCacheLookup, IslaError> {
-        if data.epoch() > 0 {
-            let salt = self.policy.pilot_seed.unwrap_or(EPOCH_PILOT_SALT);
-            return self
-                .pre_cache
-                .get_or_compute_rows_epoch(key, data, config, spec, salt);
-        }
-        let recovery = self.policy.recovery;
-        match self.policy.pilot_seed {
-            Some(salt) => {
-                let mut pilot_rng = engine::seeded_rng(pilot_stream_seed(key.digest(), salt));
-                self.pre_cache.get_or_compute_rows_with(
-                    key,
-                    data,
-                    config,
-                    spec,
-                    &recovery,
-                    &mut pilot_rng,
-                )
-            }
-            None => self
-                .pre_cache
-                .get_or_compute_rows_with(key, data, config, spec, &recovery, rng),
-        }
+            lookup(key, Pilots::Epoch(salt))
+        } else if let Some(salt) = self.policy.pilot_seed {
+            let mut pilot_rng = engine::seeded_rng(pilot_stream_seed(key.digest(), salt));
+            lookup(key, Pilots::Stream(&mut pilot_rng))
+        } else {
+            lookup(key, Pilots::Stream(rng))
+        };
+        found.map_err(QueryError::from)
     }
 
     /// The tightest applicable sample cap: the `WITHIN` deadline's
     /// affordable budget, the policy's admission budget, or both
-    /// (minimum).
-    fn effective_budget(&self, affordable: Option<u64>) -> Option<u64> {
-        match (affordable, self.policy.sample_budget) {
-            (None, None) => None,
-            (a, b) => Some(a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX))),
-        }
+    /// (minimum) — plus `undrawn_pilots`. Admission compares the cap
+    /// against the plan's samples *including* its recorded pilots; the
+    /// ones a cache hit skipped were never drawn this query, so they
+    /// are credited back: the cache makes the query cheaper, not more
+    /// likely to be capped.
+    fn effective_budget(&self, affordable: Option<u64>, undrawn_pilots: u64) -> Option<u64> {
+        let cap = match (affordable, self.policy.sample_budget) {
+            (None, None) => return None,
+            (a, b) => a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
+        };
+        Some(cap.saturating_add(undrawn_pilots))
     }
 
-    /// Runs a scalar plan on the policy's scheduler, budget-capped when
+    /// Runs `run` on the policy's scheduler, under a sample budget when
     /// a cap applies.
-    fn run_plan_scheduled(
+    fn on_scheduler<T>(
         &self,
-        plan: QueryPlan,
-        data: &BlockSet,
         budget: Option<u64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<EngineResult, IslaError> {
-        let recovery = self.policy.recovery;
-        match (self.policy.scheduler, budget) {
-            (SchedulerKind::Sequential, None) => {
-                engine::run_plan_with(plan, data, &SequentialScheduler, &recovery, rng)
+        run: impl FnOnce(&dyn BlockScheduler) -> Result<T, IslaError>,
+    ) -> Result<T, QueryError> {
+        let pool;
+        let placed: &dyn BlockScheduler = match self.policy.scheduler {
+            SchedulerKind::Sequential => &SequentialScheduler,
+            SchedulerKind::Pooled(workers) => {
+                pool = PooledScheduler::new(workers)?;
+                &pool
             }
-            (SchedulerKind::Sequential, Some(b)) => engine::run_plan_with(
-                plan,
-                data,
-                &DeadlineScheduler::new(SequentialScheduler, b),
-                &recovery,
-                rng,
-            ),
-            (SchedulerKind::Pooled(w), None) => {
-                engine::run_plan_with(plan, data, &PooledScheduler::new(w)?, &recovery, rng)
-            }
-            (SchedulerKind::Pooled(w), Some(b)) => engine::run_plan_with(
-                plan,
-                data,
-                &DeadlineScheduler::new(PooledScheduler::new(w)?, b),
-                &recovery,
-                rng,
-            ),
-        }
+        };
+        let out = match budget {
+            Some(budget) => run(&DeadlineScheduler::new(placed, budget)),
+            None => run(placed),
+        };
+        out.map_err(QueryError::from)
     }
+}
 
-    /// Runs a row plan on the policy's scheduler, budget-capped when a
-    /// cap applies.
-    fn run_row_plan_scheduled(
-        &self,
-        plan: &RowPlan,
-        data: &BlockSet,
-        budget: Option<u64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<GroupedEngineResult, IslaError> {
-        let recovery = self.policy.recovery;
-        match (self.policy.scheduler, budget) {
-            (SchedulerKind::Sequential, None) => {
-                engine::run_row_plan_with(plan, data, &SequentialScheduler, &recovery, rng)
-            }
-            (SchedulerKind::Sequential, Some(b)) => engine::run_row_plan_with(
-                plan,
-                data,
-                &DeadlineScheduler::new(SequentialScheduler, b),
-                &recovery,
-                rng,
-            ),
-            (SchedulerKind::Pooled(w), None) => {
-                engine::run_row_plan_with(plan, data, &PooledScheduler::new(w)?, &recovery, rng)
-            }
-            (SchedulerKind::Pooled(w), Some(b)) => engine::run_row_plan_with(
-                plan,
-                data,
-                &DeadlineScheduler::new(PooledScheduler::new(w)?, b),
-                &recovery,
-                rng,
-            ),
-        }
-    }
+/// Where a pre-estimate lookup's pilots draw from on a miss.
+enum Pilots<'a> {
+    /// The epoch fold's identity-seeded streams, under this salt.
+    Epoch(u64),
+    /// This RNG: the query's own, or one derived from `(key, salt)`.
+    Stream(&'a mut dyn RngCore),
 }
 
 /// Mixes a cache-key digest with the policy's salt into one pilot
@@ -989,6 +831,57 @@ fn hit_rate_pilot(
     Ok((drawn, counts))
 }
 
+/// Exact ground truth for a row-model query: one full row scan answers
+/// every aggregate. Also where an estimated `COUNT(*)` lands when its
+/// precision asks for more draws than a scan costs.
+fn exact_rows(
+    query: &Query,
+    spec: &RowSpec,
+    data: &BlockSet,
+    confidence: f64,
+    start: Instant,
+) -> Result<QueryResult, QueryError> {
+    let exact = engine::scan_exact_groups(data, spec).map_err(QueryError::from)?;
+    if exact.is_empty() {
+        return Err(QueryError::Invalid(
+            "no row matches the WHERE predicate".to_string(),
+        ));
+    }
+    let matched: u64 = exact.iter().map(|g| g.count).sum();
+    let per_group: Vec<GroupRow> = exact
+        .iter()
+        .map(|g| GroupRow {
+            key: g.key,
+            value: match query.agg {
+                AggFunc::Avg => g.mean,
+                AggFunc::Sum => g.mean * g.count as f64,
+                AggFunc::Count => g.count as f64,
+                // MAX/MIN never reach the grouped-exact path;
+                // an impossible arm yields NaN rather than a
+                // process abort, and the outer dispatch below
+                // rejects it.
+                _ => f64::NAN,
+            },
+            rows: g.count as f64,
+        })
+        .collect();
+    let value = match query.agg {
+        AggFunc::Avg => exact.iter().map(|g| g.mean * g.count as f64).sum::<f64>() / matched as f64,
+        AggFunc::Sum => per_group.iter().map(|g| g.value).sum(),
+        AggFunc::Count => matched as f64,
+        _ => {
+            return Err(QueryError::Internal(
+                "MAX/MIN reached the grouped-exact path".to_string(),
+            ))
+        }
+    };
+    let mut result = QueryResult::of(query, data.total_len(), confidence, start, value);
+    result.method = Method::Exact;
+    result.groups = query.group_by.is_some().then_some(per_group);
+    result.matched_rows = (!query.predicates.is_empty()).then_some(matched as f64);
+    Ok(result)
+}
+
 /// `COUNT(*) WHERE …` (optionally grouped): estimated from pilot row
 /// draws. An explicit `WITH PRECISION e` sizes the draw so the count's
 /// confidence interval half-width is ≤ e (two-stage: a first pilot
@@ -1006,7 +899,7 @@ fn count_estimate(
     let mut pilot = query.samples.unwrap_or(COUNT_PILOT_ROWS).min(rows).max(1);
     let mut time_limited = false;
     let affordable = match query.within_ms {
-        Some(ms) => Some(affordable_budget_rows(ms, data, spec, rng)?),
+        Some(ms) => Some(affordable_budget(ms, data, Some(&spec.filter), rng)?),
         None => None,
     };
     if let Some(affordable) = affordable {
@@ -1030,30 +923,7 @@ fn count_estimate(
         // precision asks for at least M reads, an exact scan answers
         // with zero error at the same (or lower) cost.
         if want >= rows && !time_limited && data.iter().all(|b| b.supports_scan()) {
-            let exact = engine::scan_exact_groups(data, spec).map_err(QueryError::from)?;
-            let matched: u64 = exact.iter().map(|g| g.count).sum();
-            let per_group: Vec<GroupRow> = exact
-                .iter()
-                .map(|g| GroupRow {
-                    key: g.key,
-                    value: g.count as f64,
-                    rows: g.count as f64,
-                })
-                .collect();
-            return Ok(QueryResult {
-                value: matched as f64,
-                agg: AggFunc::Count,
-                method: Method::Exact,
-                rows,
-                samples_used: None,
-                elapsed: start.elapsed(),
-                precision: query.precision,
-                confidence,
-                time_limited: false,
-                groups: query.group_by.is_some().then_some(per_group),
-                matched_rows: (!query.predicates.is_empty()).then_some(matched as f64),
-                degradation: None,
-            });
+            return exact_rows(query, spec, data, confidence, start);
         }
         want = want.min(rows);
         if let Some(affordable) = affordable {
@@ -1082,20 +952,12 @@ fn count_estimate(
         .collect();
     per_group.sort_by(|a, b| a.key.total_cmp(&b.key));
     let value = matched as f64 * scale;
-    Ok(QueryResult {
-        value,
-        agg: AggFunc::Count,
-        method: query.method,
-        rows,
-        samples_used: Some(drawn),
-        elapsed: start.elapsed(),
-        precision: query.precision,
-        confidence,
-        time_limited,
-        groups: query.group_by.is_some().then_some(per_group),
-        matched_rows: (!query.predicates.is_empty()).then_some(value),
-        degradation: None,
-    })
+    let mut result = QueryResult::of(query, rows, confidence, start, value);
+    result.samples_used = Some(drawn);
+    result.time_limited = time_limited;
+    result.groups = query.group_by.is_some().then_some(per_group);
+    result.matched_rows = (!query.predicates.is_empty()).then_some(value);
+    Ok(result)
 }
 
 /// MAX/MIN over a (possibly filtered) width-1 block set.
@@ -1183,46 +1045,30 @@ fn run_baseline(
 }
 
 /// Calibrates sampling throughput with a timed probe and sizes the
-/// affordable sample budget for a `WITHIN ms` deadline (paper §VII-F).
-fn affordable_budget(ms: u64, data: &BlockSet, rng: &mut dyn RngCore) -> Result<u64, QueryError> {
-    let deadline = Duration::from_millis(ms);
-    let calib_start = Instant::now();
-    let probe = TIME_CALIBRATION_SAMPLES.min(data.total_len().max(1));
-    let _ = sample_proportional(data, probe, rng).map_err(IslaError::from)?;
-    budget_from_probe(ms, deadline, calib_start, probe)
-}
-
-/// As [`affordable_budget`], for the row pipeline: the probe draws full
-/// row *tuples* and evaluates the predicate, so the calibrated
-/// per-sample cost reflects what the filtered/grouped calculation phase
-/// will actually pay per draw (a scalar probe undercounts on wide
-/// tables by the width factor).
-fn affordable_budget_rows(
+/// affordable sample budget for a `WITHIN ms` deadline (paper §VII-F),
+/// safety margin applied.
+///
+/// The probe pays what the calculation phase will pay per draw: plain
+/// values for a scalar plan (`filter` absent); for the row pipeline,
+/// full row *tuples* with the predicate evaluated on each (a scalar
+/// probe undercounts on wide tables by the width factor).
+fn affordable_budget(
     ms: u64,
     data: &BlockSet,
-    spec: &RowSpec,
+    filter: Option<&RowFilter>,
     rng: &mut dyn RngCore,
 ) -> Result<u64, QueryError> {
     let deadline = Duration::from_millis(ms);
     let calib_start = Instant::now();
     let probe = TIME_CALIBRATION_SAMPLES.min(data.total_len().max(1));
-    sample_rows_proportional(data, probe, rng, &mut |row| {
-        // Evaluated purely so the probe pays the same per-draw cost as
-        // the calculation phase; the hit itself is not used.
-        std::hint::black_box(spec.filter.matches(row));
-    })
-    .map_err(IslaError::from)?;
-    budget_from_probe(ms, deadline, calib_start, probe)
-}
-
-/// Turns a timed probe into an affordable sample count with the safety
-/// margin applied.
-fn budget_from_probe(
-    ms: u64,
-    deadline: Duration,
-    calib_start: Instant,
-    probe: u64,
-) -> Result<u64, QueryError> {
+    match filter {
+        None => drop(sample_proportional(data, probe, rng).map_err(IslaError::from)?),
+        // The hit itself is not used.
+        Some(filter) => sample_rows_proportional(data, probe, rng, &mut |row| {
+            std::hint::black_box(filter.matches(row));
+        })
+        .map_err(IslaError::from)?,
+    }
     let per_sample = calib_start.elapsed().as_secs_f64() / probe as f64;
     let remaining = deadline.saturating_sub(calib_start.elapsed()).as_secs_f64() * TIME_SAFETY;
     let affordable = if per_sample > 0.0 {

@@ -114,3 +114,70 @@ fn aggregator_wrappers_agree_with_the_engine() {
         .unwrap();
     assert_eq!(via_distributed.estimate, via_engine.estimate);
 }
+
+#[test]
+fn one_capping_rule_serves_scalar_and_row_plans_on_both_fan_outs() {
+    use isla::core::engine::{QueryPlan, RowPlan, RowSpec};
+    use rand::RngCore;
+
+    // The same data as a scalar plan and as the row plan that is its
+    // width-1, filter-free, ungrouped shape.
+    let blocks = 10u64;
+    let data = BlockSet::from_values(
+        isla::datagen::normal_values(100.0, 20.0, 400_000, 510),
+        blocks as usize,
+    );
+    let cfg = config(0.1); // wants far more than the budget below
+    let mut rng = StdRng::seed_from_u64(511);
+    let scalar = QueryPlan::prepare(&data, &cfg, RateSpec::Derived, &mut rng).unwrap();
+    let rows =
+        RowPlan::prepare(&data, &cfg, RowSpec::column(0), RateSpec::Derived, &mut rng).unwrap();
+    let budget = 60_000u64;
+    let on_budget = |spent: u64| spent.abs_diff(budget) <= blocks;
+
+    let fan_outs: [&dyn BlockScheduler; 2] =
+        [&SequentialScheduler, &PooledScheduler::new(3).unwrap()];
+    let mut uncapped = Vec::new();
+    for fan_out in fan_outs {
+        let tight = DeadlineScheduler::new(fan_out, budget);
+        let s = engine::run_plan(scalar.clone(), &data, &tight, &mut rng.clone()).unwrap();
+        let r = engine::run_row_plan(&rows, &data, &tight, &mut rng.clone()).unwrap();
+        assert!(s.time_limited && r.time_limited, "{}", fan_out.name());
+        assert!(
+            on_budget(s.total_samples_with_pilots()),
+            "scalar spent {} of {budget}",
+            s.total_samples_with_pilots()
+        );
+        assert!(
+            on_budget(r.total_samples + r.pilot_samples),
+            "rows spent {} of {budget}",
+            r.total_samples + r.pilot_samples
+        );
+
+        // A budget nobody reaches caps nothing and moves no answer bit.
+        let generous = DeadlineScheduler::new(fan_out, u64::MAX);
+        let s_free = engine::run_plan(scalar.clone(), &data, &fan_out, &mut rng.clone()).unwrap();
+        let s_wide = engine::run_plan(scalar.clone(), &data, &generous, &mut rng.clone()).unwrap();
+        let r_free = engine::run_row_plan(&rows, &data, &fan_out, &mut rng.clone()).unwrap();
+        let r_wide = engine::run_row_plan(&rows, &data, &generous, &mut rng.clone()).unwrap();
+        assert!(!s_wide.time_limited && !r_wide.time_limited);
+        assert_eq!(s_free.estimate.to_bits(), s_wide.estimate.to_bits());
+        assert_eq!(r_free.estimate.to_bits(), r_wide.estimate.to_bits());
+        assert_eq!(s_free.total_samples, s_wide.total_samples);
+        assert_eq!(r_free.total_samples, r_wide.total_samples);
+        uncapped.push((s_free.estimate.to_bits(), r_free.estimate.to_bits()));
+    }
+    assert_eq!(uncapped[0], uncapped[1], "the fan-out moves no answer bit");
+
+    // A degenerate (σ = 0) plan is never capped and draws no seeds.
+    let constant = BlockSet::from_values(vec![3.25; 40_000], 4);
+    let mut rng = StdRng::seed_from_u64(512);
+    let pinned = QueryPlan::prepare(&constant, &cfg, RateSpec::Derived, &mut rng).unwrap();
+    assert!(pinned.is_degenerate());
+    let mut untouched = rng.clone();
+    let starved = DeadlineScheduler::new(SequentialScheduler, 0);
+    let out = engine::run_plan(pinned, &constant, &starved, &mut rng).unwrap();
+    assert_eq!(out.estimate, 3.25);
+    assert!(!out.time_limited && out.total_samples == 0);
+    assert_eq!(rng.next_u64(), untouched.next_u64(), "no seed was drawn");
+}

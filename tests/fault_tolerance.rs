@@ -139,3 +139,55 @@ fn degraded_answers_stay_inside_the_widened_interval() {
         "widened-CI coverage too low: {inside}/{cases} inside"
     );
 }
+
+/// A strict run over two lost blocks reports one error — same variant,
+/// same text — whatever the scheduler, the worker count, the plan kind,
+/// or the order the workers happened to finish in.
+#[test]
+fn strict_failures_are_one_error_across_schedulers_and_plan_kinds() {
+    use isla::core::engine::{
+        self, BlockScheduler, PooledScheduler, QueryPlan, RateSpec, RowPlan, RowSpec,
+        SequentialScheduler,
+    };
+    use isla::core::IslaConfig;
+    use std::collections::BTreeSet;
+
+    let data = BlockSet::from_values(normal_values(100.0, 20.0, ROWS, 7), BLOCKS);
+    let faults = FaultPlan::new(15).lose(0.25);
+    let lost: Vec<usize> = (0..BLOCKS)
+        .filter(|&i| faults.fault_for(i) == BlockFault::Lost)
+        .collect();
+    assert_eq!(lost, [3, 8], "the plan loses two blocks");
+
+    let config = IslaConfig::builder().precision(0.5).build().unwrap();
+    let mut rng = StdRng::seed_from_u64(11);
+    let scalar = QueryPlan::prepare(&data, &config, RateSpec::Derived, &mut rng).unwrap();
+    let rows = RowPlan::prepare(
+        &data,
+        &config,
+        RowSpec::column(0),
+        RateSpec::Derived,
+        &mut rng,
+    )
+    .unwrap();
+
+    let pools: Vec<PooledScheduler> = [1, 2, 4, 7]
+        .into_iter()
+        .map(|workers| PooledScheduler::new(workers).unwrap())
+        .collect();
+    let mut schedulers: Vec<&dyn BlockScheduler> = vec![&SequentialScheduler];
+    schedulers.extend(pools.iter().map(|pool| pool as &dyn BlockScheduler));
+
+    let mut errors = BTreeSet::new();
+    for _ in 0..20 {
+        let faulty = faults.arm(&data);
+        for scheduler in &schedulers {
+            let scalar_error =
+                engine::run_plan(scalar.clone(), &faulty, *scheduler, &mut rng).unwrap_err();
+            let row_error = engine::run_row_plan(&rows, &faulty, *scheduler, &mut rng).unwrap_err();
+            errors.insert(format!("{scalar_error:?}"));
+            errors.insert(format!("{row_error:?}"));
+        }
+    }
+    assert_eq!(errors.len(), 1, "strict errors differ: {errors:#?}");
+}

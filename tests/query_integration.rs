@@ -209,3 +209,514 @@ fn query_errors_surface_cleanly() {
         "no precision/budget"
     );
 }
+
+/// The tables the golden corpus runs over. Every table is rebuilt from
+/// seeds, so the corpus is a pure function of the source tree.
+fn golden_catalog() -> Catalog {
+    use isla::storage::{FaultPlan, IngestBuffer};
+
+    let n = 120_000usize;
+    let sales_set = |seed: u64, rows: usize, blocks: usize| {
+        let amount = isla::datagen::normal_values(50.0, 10.0, rows, seed);
+        let noise = isla::datagen::normal_values(0.0, 5.0, rows, seed + 1);
+        let margin: Vec<f64> = amount
+            .iter()
+            .zip(&noise)
+            .map(|(a, e)| 0.5 * a + e)
+            .collect();
+        let store: Vec<f64> = (0..rows).map(|i| (i % 3) as f64).collect();
+        RowsBlock::split(vec![amount, margin, store], blocks)
+    };
+    let sales_schema = || {
+        Schema::new(vec![
+            ColumnDef::float("amount"),
+            ColumnDef::float("margin"),
+            ColumnDef::categorical("store"),
+        ])
+    };
+
+    let mut catalog = Catalog::new();
+    let readings = isla::datagen::normal_values(100.0, 20.0, n, 11);
+    catalog.register(
+        "sensors",
+        Table::new(vec![(
+            "reading",
+            BlockSet::from_values(readings.clone(), 8),
+        )]),
+    );
+    catalog.register(
+        "consts",
+        Table::new(vec![("c", BlockSet::from_values(vec![3.25; 20_000], 4))]),
+    );
+    catalog.register(
+        "sales",
+        Table::from_rows(sales_schema(), sales_set(12, n, 8)),
+    );
+
+    // An epoch > 0 table: two sealed appends on top of the initial load.
+    let mut grown = Table::new(vec![
+        (
+            "reading",
+            BlockSet::from_values(isla::datagen::normal_values(100.0, 20.0, 60_000, 14), 6),
+        ),
+        (
+            "load",
+            BlockSet::from_values(isla::datagen::normal_values(10.0, 3.0, 60_000, 15), 6),
+        ),
+    ]);
+    for round in 0..2u64 {
+        let reading = isla::datagen::normal_values(104.0, 22.0, 9_000, 16 + round);
+        let load = isla::datagen::normal_values(11.0, 3.0, 9_000, 18 + round);
+        let mut buffer = IngestBuffer::new(2, 4_500);
+        let rows: Vec<[f64; 2]> = reading.iter().zip(&load).map(|(r, l)| [*r, *l]).collect();
+        let sealed = buffer
+            .push_rows(rows.iter().map(|row| row.as_slice()))
+            .unwrap();
+        let batch = sealed
+            .into_iter()
+            .map(|rows| grown.seal_block(rows).unwrap())
+            .collect();
+        grown.append_sealed(batch);
+    }
+    assert_eq!(grown.data().epoch(), 2);
+    catalog.register("grown", grown);
+
+    // Armed fault plans: blocks 3 and 8 of ten are lost for good.
+    let faults = FaultPlan::new(15).lose(0.25);
+    catalog.register(
+        "flaky",
+        Table::new(vec![(
+            "reading",
+            faults.arm(&BlockSet::from_values(readings, 10)),
+        )]),
+    );
+    catalog.register(
+        "flaky_sales",
+        Table::from_rows(sales_schema(), faults.arm(&sales_set(13, n, 10))),
+    );
+    catalog
+}
+
+/// Every [`QueryResult`] field except `elapsed`, floats by bit pattern
+/// (the decimal rendering is there for the reader).
+fn golden_line(result: &Result<QueryResult, isla::query::QueryError>) -> String {
+    let f = |v: f64| format!("{v:?}/{:016x}", v.to_bits());
+    let of = |v: Option<f64>| v.map_or("-".to_string(), f);
+    let r = match result {
+        Ok(r) => r,
+        Err(e) => return format!("error: {e}"),
+    };
+    let groups = r.groups.as_ref().map_or("-".to_string(), |groups| {
+        groups
+            .iter()
+            .map(|g| format!("({} {} {})", f(g.key), f(g.value), f(g.rows)))
+            .collect::<Vec<_>>()
+            .join("")
+    });
+    let degradation = r.degradation.as_ref().map_or("-".to_string(), |d| {
+        format!(
+            "{:?} lost={} coverage={} base={} widened={}",
+            d.failures,
+            d.lost_rows,
+            f(d.coverage),
+            f(d.base_half_width),
+            f(d.widened_half_width)
+        )
+    });
+    format!(
+        "value={} agg={:?} method={:?} rows={} samples={:?} precision={} confidence={} \
+         time_limited={} groups={groups} matched={} degradation={degradation}",
+        f(r.value),
+        r.agg,
+        r.method,
+        r.rows,
+        r.samples_used,
+        of(r.precision),
+        f(r.confidence),
+        r.time_limited,
+        of(r.matched_rows),
+    )
+}
+
+/// `(session, statement, query seed)`. Sessions persist across the
+/// corpus, so a repeated statement takes the cache-hit side of the
+/// lookup its first occurrence populated.
+const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
+    // Scalar ISLA: precision-driven (miss, then hit), SAMPLES-driven.
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5",
+        1,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5",
+        2,
+    ),
+    (
+        "plain",
+        "SELECT SUM(reading) FROM sensors WITH PRECISION 0.4 CONFIDENCE 0.9",
+        3,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD ISLA SAMPLES 40000",
+        4,
+    ),
+    ("plain", "SELECT AVG(c) FROM consts WITH PRECISION 0.1", 5),
+    // Scalar EXACT, metadata COUNT(*), extremes.
+    ("plain", "SELECT AVG(reading) FROM sensors METHOD EXACT", 6),
+    ("plain", "SELECT SUM(reading) FROM sensors METHOD EXACT", 7),
+    ("plain", "SELECT COUNT(*) FROM sensors", 8),
+    (
+        "plain",
+        "SELECT MAX(reading) FROM sensors WITH PRECISION 0.5",
+        9,
+    ),
+    ("plain", "SELECT MIN(reading) FROM sensors", 10),
+    ("plain", "SELECT MAX(reading) FROM sensors METHOD EXACT", 11),
+    ("plain", "SELECT MIN(reading) FROM sensors METHOD EXACT", 12),
+    // Scalar baselines.
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD US SAMPLES 20000",
+        13,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD STS SAMPLES 20000",
+        14,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD MV SAMPLES 20000",
+        15,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD MVB SAMPLES 20000",
+        16,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD SLEV SAMPLES 20000",
+        17,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD US WITH PRECISION 0.5",
+        18,
+    ),
+    (
+        "plain",
+        "SELECT SUM(reading) FROM sensors METHOD STS SAMPLES 20000",
+        19,
+    ),
+    // Row ISLA: filtered / grouped, precision- and SAMPLES-driven.
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5",
+        20,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5",
+        21,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5",
+        22,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales GROUP BY store WITH PRECISION 0.5",
+        23,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM sales WHERE margin > 20 GROUP BY store WITH PRECISION 0.5",
+        24,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 METHOD ISLA SAMPLES 4000",
+        25,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM sales GROUP BY store METHOD ISLA SAMPLES 6000",
+        26,
+    ),
+    // Row EXACT.
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 METHOD EXACT",
+        27,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM sales GROUP BY store METHOD EXACT",
+        28,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 METHOD EXACT",
+        29,
+    ),
+    // Estimated COUNT(*) WHERE: plain, precision-sized, exact-scan
+    // escalation, grouped under US.
+    ("plain", "SELECT COUNT(*) FROM sales WHERE amount > 50", 30),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 WITH PRECISION 2000",
+        31,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 WITH PRECISION 10",
+        32,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 GROUP BY store METHOD US SAMPLES 8000",
+        33,
+    ),
+    // Filtered extremes and baselines.
+    (
+        "plain",
+        "SELECT MAX(amount) FROM sales WHERE amount < 40 METHOD EXACT",
+        34,
+    ),
+    (
+        "plain",
+        "SELECT MIN(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5",
+        35,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE amount > 50 METHOD US SAMPLES 20000",
+        36,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM sales WHERE amount > 50 METHOD STS SAMPLES 10000",
+        37,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 METHOD SLEV WITH PRECISION 1.0",
+        38,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 METHOD MVB SAMPLES 10000",
+        39,
+    ),
+    // Errors are part of the contract too.
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales GROUP BY store METHOD US SAMPLES 1000",
+        40,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE amount > 1000000 WITH PRECISION 0.5",
+        41,
+    ),
+    // A pooled session.
+    (
+        "pooled",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.3",
+        42,
+    ),
+    (
+        "pooled",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 GROUP BY store WITH PRECISION 0.5",
+        43,
+    ),
+    ("pooled", "SELECT AVG(c) FROM consts WITH PRECISION 0.1", 44),
+    // A budget-capped session: cap bites on a miss, on a hit (pilots
+    // credited back), on an explicit SAMPLES budget; a loose query
+    // stays uncapped.
+    (
+        "capped",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.1",
+        45,
+    ),
+    (
+        "capped",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.1",
+        46,
+    ),
+    (
+        "capped",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.1",
+        47,
+    ),
+    (
+        "capped",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.1",
+        48,
+    ),
+    (
+        "capped",
+        "SELECT AVG(reading) FROM sensors METHOD ISLA SAMPLES 80000",
+        49,
+    ),
+    (
+        "capped",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 2.0",
+        50,
+    ),
+    (
+        "capped_pooled",
+        "SELECT SUM(amount) FROM sales GROUP BY store WITH PRECISION 0.1",
+        51,
+    ),
+    (
+        "capped_pooled",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.1",
+        52,
+    ),
+    // Key-seeded pilots (the serving discipline).
+    (
+        "seeded",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5",
+        53,
+    ),
+    (
+        "seeded",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5",
+        53,
+    ),
+    (
+        "seeded",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5",
+        54,
+    ),
+    // An epoch > 0 table: cold fold, exact epoch hit, row fold.
+    (
+        "plain",
+        "SELECT AVG(reading) FROM grown WITH PRECISION 0.5",
+        55,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM grown WITH PRECISION 0.5",
+        56,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM grown WHERE load > 10 WITH PRECISION 0.5",
+        57,
+    ),
+    (
+        "seeded",
+        "SELECT SUM(reading) FROM grown WHERE load > 10 WITH PRECISION 0.5",
+        58,
+    ),
+    // Armed fault plans: strict fails, best-effort degrades.
+    (
+        "plain",
+        "SELECT AVG(reading) FROM flaky WITH PRECISION 0.5",
+        59,
+    ),
+    (
+        "best_effort",
+        "SELECT AVG(reading) FROM flaky WITH PRECISION 0.5",
+        60,
+    ),
+    (
+        "best_effort",
+        "SELECT AVG(reading) FROM flaky WITH PRECISION 0.5",
+        61,
+    ),
+    (
+        "best_effort",
+        "SELECT AVG(amount) FROM flaky_sales WHERE margin > 25 WITH PRECISION 0.5",
+        62,
+    ),
+    (
+        "best_effort",
+        "SELECT SUM(amount) FROM flaky_sales GROUP BY store METHOD ISLA SAMPLES 6000",
+        63,
+    ),
+    (
+        "best_effort",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5",
+        64,
+    ),
+];
+
+/// Recorded at the commit before the Calculation-phase spine landed
+/// (PR 12): one line per [`GOLDEN_CORPUS`] entry, in order.
+const GOLDEN_EXPECTED: &str = include_str!("golden/query_corpus.txt");
+
+#[test]
+fn golden_corpus_matches_the_recorded_results() {
+    use isla::core::engine::RetryPolicy;
+    use isla::query::ExecPolicy;
+
+    let catalog = golden_catalog();
+    let sessions = [
+        ("plain", QuerySession::new()),
+        (
+            "pooled",
+            QuerySession::with_policy(ExecPolicy::new().pooled(3)),
+        ),
+        (
+            "capped",
+            QuerySession::with_policy(ExecPolicy::new().sample_budget(6_000)),
+        ),
+        (
+            "capped_pooled",
+            QuerySession::with_policy(ExecPolicy::new().pooled(2).sample_budget(9_000)),
+        ),
+        (
+            "seeded",
+            QuerySession::with_policy(ExecPolicy::new().pilot_seed(0xC0FFEE)),
+        ),
+        (
+            "best_effort",
+            QuerySession::with_policy(
+                ExecPolicy::new()
+                    .pooled(2)
+                    .best_effort()
+                    .retry(RetryPolicy::attempts(2)),
+            ),
+        ),
+    ];
+    let actual: Vec<String> = GOLDEN_CORPUS
+        .iter()
+        .map(|&(session, sql, seed)| {
+            let session = &sessions
+                .iter()
+                .find(|(name, _)| *name == session)
+                .unwrap()
+                .1;
+            let query = isla::query::parse(sql).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            golden_line(&session.execute(&query, &catalog, &mut rng))
+        })
+        .collect();
+    let expected: Vec<&str> = GOLDEN_EXPECTED.lines().collect();
+    let mismatches: Vec<String> = GOLDEN_CORPUS
+        .iter()
+        .zip(&actual)
+        .enumerate()
+        .filter(|(i, (_, line))| expected.get(*i) != Some(&line.as_str()))
+        .map(|(i, ((session, sql, seed), line))| {
+            format!("#{i} [{session}] {sql} (seed {seed})\n  got: {line}")
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty() && expected.len() == GOLDEN_CORPUS.len(),
+        "{} of {} statements differ from the {} recorded lines:\n{}\n\nfull table:\n{}",
+        mismatches.len(),
+        GOLDEN_CORPUS.len(),
+        expected.len(),
+        mismatches.join("\n"),
+        actual.join("\n"),
+    );
+}
