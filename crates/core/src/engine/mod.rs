@@ -200,7 +200,7 @@ pub fn run_plan_with(
     recovery: &RecoveryPolicy,
     rng: &mut dyn RngCore,
 ) -> Result<EngineResult, IslaError> {
-    let run = run_calculation(&plan, data, scheduler, recovery, rng)?;
+    let run = run_calculation(&plan, plan.config(), data, scheduler, recovery, rng)?;
     let data_size = plan.data_size();
     Ok(EngineResult {
         estimate: run.answer.estimate,
@@ -227,11 +227,7 @@ pub(crate) trait CalcPlan: Sync {
     type Outcome: Send;
     /// The merged, finalized answer.
     type Answer;
-    /// What a block's outcome is called in the corrupt-data error.
-    const ANSWER_NOUN: &'static str;
 
-    /// The configuration in effect.
-    fn config(&self) -> &IslaConfig;
     /// The plan's own calculation rate (admission never raises it).
     fn rate(&self) -> f64;
     /// Pilot draws the pre-estimate behind this plan spent.
@@ -256,7 +252,9 @@ pub(crate) trait CalcPlan: Sync {
     fn survivor(outcome: &Self::Outcome) -> (Option<f64>, u64);
     /// Merges the surviving outcomes (handed over in block order).
     fn finalize(&self, outcomes: Vec<Self::Outcome>) -> Result<Self::Answer, IslaError>;
-    /// The overall estimate of a finalized answer.
+    /// The overall estimate of a finalized answer — known only once
+    /// `finalize` has consumed the outcomes, which is why `survivor`
+    /// cannot be handed it.
     fn estimate(answer: &Self::Answer) -> f64;
 }
 
@@ -299,9 +297,11 @@ pub(crate) fn admitted_rate<P: CalcPlan>(
 /// short-circuits before any RNG draw; otherwise admit (cap the rate to
 /// the scheduler's budget), derive every block's seed from `rng`, fan
 /// the blocks out, refuse a total loss, merge the survivors, and assess
-/// the degradation when blocks were dropped.
+/// the degradation (against `config`'s precision and confidence) when
+/// blocks were dropped.
 pub(crate) fn run_calculation<P: CalcPlan>(
     plan: &P,
+    config: &IslaConfig,
     data: &BlockSet,
     scheduler: &dyn BlockScheduler,
     recovery: &RecoveryPolicy,
@@ -341,13 +341,12 @@ pub(crate) fn run_calculation<P: CalcPlan>(
             .iter()
             .map(|f| data.block(f.block_id).len())
             .sum();
-        let cfg = plan.config();
         Degradation::assess(
             run.failures,
             &survivor_answers,
             lost_rows,
-            cfg.precision,
-            cfg.confidence,
+            config.precision,
+            config.confidence,
         )
     });
     Ok(CalcRun {
@@ -361,11 +360,6 @@ pub(crate) fn run_calculation<P: CalcPlan>(
 impl CalcPlan for QueryPlan {
     type Outcome = BlockOutcome;
     type Answer = FinalAggregate;
-    const ANSWER_NOUN: &'static str = "answer";
-
-    fn config(&self) -> &IslaConfig {
-        self.config()
-    }
 
     fn rate(&self) -> f64 {
         self.rate()

@@ -1062,7 +1062,7 @@ pub fn run_row_plan_with(
     recovery: &RecoveryPolicy,
     rng: &mut dyn RngCore,
 ) -> Result<GroupedEngineResult, IslaError> {
-    let run = run_calculation(plan, data, scheduler, recovery, rng)?;
+    let run = run_calculation(plan, plan.config(), data, scheduler, recovery, rng)?;
     Ok(GroupedEngineResult {
         groups: run.answer.groups,
         estimate: run.answer.estimate,
@@ -1079,11 +1079,6 @@ pub fn run_row_plan_with(
 impl CalcPlan for RowPlan {
     type Outcome = RowBlockOutcome;
     type Answer = GroupedAggregate;
-    const ANSWER_NOUN: &'static str = "group answer";
-
-    fn config(&self) -> &IslaConfig {
-        self.config()
-    }
 
     fn rate(&self) -> f64 {
         self.rate()

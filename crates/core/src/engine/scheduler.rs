@@ -96,7 +96,15 @@ pub trait BlockScheduler {
     }
 
     /// Executes every block of `exec.data` under `exec.plan`, at the
-    /// plan's own rate.
+    /// plan's own rate — a convenience for driving a scalar plan's
+    /// blocks by hand (tests, probes).
+    ///
+    /// The engine never dispatches through this method: `run_plan_with`
+    /// and `run_row_plan_with` place blocks by [`Self::parallelism`] and
+    /// cap by [`Self::sample_budget`] alone, for both plan kinds, so
+    /// overriding `execute` changes nothing about an engine run. A
+    /// scheduler that places blocks differently states it through those
+    /// two methods.
     ///
     /// # Errors
     ///
@@ -181,8 +189,7 @@ pub(crate) fn execute_blocks<P: CalcPlan>(
         let outcome = plan.execute_block(block, block_id, seeds[block_id], draws)?;
         if !P::is_finite(&outcome) {
             return Err(IslaError::InsufficientData(format!(
-                "block {block_id} produced a non-finite {} (corrupt data)",
-                P::ANSWER_NOUN
+                "block {block_id} produced a non-finite answer (corrupt data)"
             )));
         }
         Ok((worker, draws, outcome))

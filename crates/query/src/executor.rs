@@ -427,7 +427,13 @@ impl QuerySession {
         }
 
         if query.method == Method::Exact {
-            return exact_rows(query, &spec, data, confidence, start);
+            let exact = engine::scan_exact_groups(data, &spec).map_err(QueryError::from)?;
+            if exact.is_empty() {
+                return Err(QueryError::Invalid(
+                    "no row matches the WHERE predicate".to_string(),
+                ));
+            }
+            return exact_rows(query, &exact, rows, confidence, start);
         }
 
         // COUNT(*) under a predicate: estimated from pilot row draws —
@@ -831,22 +837,18 @@ fn hit_rate_pilot(
     Ok((drawn, counts))
 }
 
-/// Exact ground truth for a row-model query: one full row scan answers
-/// every aggregate. Also where an estimated `COUNT(*)` lands when its
-/// precision asks for more draws than a scan costs.
+/// Exact ground truth for a row-model query, shaped from one full row
+/// scan's per-group results. Also where an estimated `COUNT(*)` lands
+/// when its precision asks for more draws than a scan costs — there an
+/// empty scan is the answer 0, so rejecting one (an `AVG` of nothing)
+/// is `METHOD EXACT`'s own check, made before the call.
 fn exact_rows(
     query: &Query,
-    spec: &RowSpec,
-    data: &BlockSet,
+    exact: &[engine::GroupExact],
+    rows: u64,
     confidence: f64,
     start: Instant,
 ) -> Result<QueryResult, QueryError> {
-    let exact = engine::scan_exact_groups(data, spec).map_err(QueryError::from)?;
-    if exact.is_empty() {
-        return Err(QueryError::Invalid(
-            "no row matches the WHERE predicate".to_string(),
-        ));
-    }
     let matched: u64 = exact.iter().map(|g| g.count).sum();
     let per_group: Vec<GroupRow> = exact
         .iter()
@@ -875,7 +877,7 @@ fn exact_rows(
             ))
         }
     };
-    let mut result = QueryResult::of(query, data.total_len(), confidence, start, value);
+    let mut result = QueryResult::of(query, rows, confidence, start, value);
     result.method = Method::Exact;
     result.groups = query.group_by.is_some().then_some(per_group);
     result.matched_rows = (!query.predicates.is_empty()).then_some(matched as f64);
@@ -923,7 +925,8 @@ fn count_estimate(
         // precision asks for at least M reads, an exact scan answers
         // with zero error at the same (or lower) cost.
         if want >= rows && !time_limited && data.iter().all(|b| b.supports_scan()) {
-            return exact_rows(query, spec, data, confidence, start);
+            let exact = engine::scan_exact_groups(data, spec).map_err(QueryError::from)?;
+            return exact_rows(query, &exact, rows, confidence, start);
         }
         want = want.min(rows);
         if let Some(affordable) = affordable {

@@ -252,6 +252,12 @@ fn golden_catalog() -> Catalog {
         "sales",
         Table::from_rows(sales_schema(), sales_set(12, n, 8)),
     );
+    // Fewer rows than the COUNT(*) pilot draws, so any `WITH PRECISION`
+    // count over it — a zero-match one included — escalates to a scan.
+    catalog.register(
+        "small_sales",
+        Table::from_rows(sales_schema(), sales_set(20, 5_000, 4)),
+    );
 
     // An epoch > 0 table: two sealed appends on top of the initial load.
     let mut grown = Table::new(vec![
@@ -646,6 +652,33 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
         "best_effort",
         "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5",
         64,
+    ),
+    // The exact-scan escalation over a predicate nothing matches: the
+    // count is 0 (an answer), where `METHOD EXACT` rejects the query.
+    (
+        "plain",
+        "SELECT COUNT(*) FROM small_sales WHERE amount > 1000000 WITH PRECISION 1",
+        65,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM small_sales WHERE amount > 1000000 GROUP BY store WITH PRECISION 1",
+        66,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 1000000 METHOD US SAMPLES 120000 WITH PRECISION 1",
+        67,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM small_sales WHERE amount > 1000000 METHOD EXACT",
+        68,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM small_sales WHERE amount > 50 GROUP BY store WITH PRECISION 1",
+        69,
     ),
 ];
 
