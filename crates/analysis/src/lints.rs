@@ -63,6 +63,10 @@ const EXECUTION_ENTRY_POINTS: &[&str] = &[
     "run_row_plan_with",
     "scan_blocks",
     "scan_blocks_recovering",
+    "scan_exact_extreme",
+    "scan_exact_groups",
+    "scan_exact_groups_on",
+    "scan_exact_mean",
 ];
 
 /// Seal-time entry points with the same obligation: sealing a block

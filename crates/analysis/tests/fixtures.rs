@@ -129,6 +129,33 @@ fn good_spine_fixture_is_clean() {
 }
 
 #[test]
+fn bad_exact_fixture_flags_guards_across_every_exact_scan_entry_point() {
+    let run = run_on(fixture("bad/lock_exact.rs", "fx", false), &[]);
+    assert_eq!(
+        error_lines(&run),
+        [7, 12, 17, 23].map(|line| (line, "lock-discipline".to_string()))
+    );
+    for (finding, entry) in run.findings.iter().zip([
+        "scan_exact_mean",
+        "scan_exact_groups_on",
+        "scan_exact_groups",
+        "scan_exact_extreme",
+    ]) {
+        assert!(
+            finding.message.contains(&format!("`{entry}`")),
+            "{}",
+            finding.message
+        );
+    }
+}
+
+#[test]
+fn good_exact_fixture_is_clean() {
+    let run = run_on(fixture("good/lock_exact.rs", "fx", false), &[]);
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
 fn bad_seal_fixture_flags_each_guard_live_across_sealing() {
     let run = run_on(fixture("bad/seal.rs", "fx", false), &[]);
     let seal_lines: Vec<u32> = error_lines(&run)

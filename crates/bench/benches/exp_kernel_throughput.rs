@@ -6,7 +6,7 @@
 //! contiguous slices, selection-vector filtered draws) and once through
 //! the scalar path they replaced (forced via `ScalarFallbackBlock` /
 //! rejection-sampling views) — so each row reports an honest same-run
-//! speedup. Nine sweeps:
+//! speedup. Ten sweeps:
 //!
 //! 1. **sample_kernel** — uniform value draws across block sizes;
 //! 2. **scan_kernel** — full scans across block sizes;
@@ -35,7 +35,12 @@
 //!    fold, rebuilt from the frozen public pieces) vs after
 //!    (`execute_block` / `execute_row_block`), with the ROADMAP's
 //!    "≥ 2× sampled draws" gate evaluated per path and recorded as
-//!    measured — a path that misses it says so.
+//!    measured — a path that misses it says so;
+//! 10. **exact_scan** — the exact fold's three scans (chunk scan, row
+//!     scan projected to the columns a filtered AVG reads, extreme scan)
+//!     placed sequentially vs on `PooledScheduler(2)`: ns/row each way,
+//!     answers asserted bit-identical, the machine's parallelism —
+//!     counted and measured — recorded beside the speed-up it bounds.
 //!
 //! Results print as a table (CSV under `target/experiments/`) and are
 //! written machine-readable to `BENCH_kernels.json` at the workspace
@@ -52,8 +57,10 @@ use isla_baselines::{
 };
 use isla_bench::json::{get, parse, Json};
 use isla_bench::{bench_json_path, fmt, Report};
-use isla_core::engine::{self, RateSpec, RowPlan, RowSpec, SequentialScheduler};
-use isla_core::{execute_block, DataBoundaries, IslaConfig, SampleAccumulator};
+use isla_core::engine::{
+    self, BlockScheduler, PooledScheduler, RateSpec, RowPlan, RowSpec, SequentialScheduler,
+};
+use isla_core::{execute_block, DataBoundaries, ExtremeKind, IslaConfig, SampleAccumulator};
 use isla_datagen::normal_values;
 use isla_storage::{
     pool_filtered_column, sample_from_block, sample_rows_from_block, scalar_fallback_set,
@@ -564,15 +571,19 @@ fn sweep_zone_map(scale: &Scale, report: &mut Report) -> (Vec<Json>, usize) {
     (rows, pruned_blocks)
 }
 
-/// A 4-column block shaped like the benchmark's `sales` table: the
+/// Four columns shaped like the benchmark's `sales` table: the
 /// aggregated value, a timestamp to filter on, and two columns the
 /// sweeps' queries never read.
-fn sales_like_block(rows: usize) -> RowsBlock {
+fn sales_like_columns(rows: usize) -> Vec<Vec<f64>> {
     let amount = normal_values(100.0, 20.0, rows, SEED ^ 7);
     let ts: Vec<f64> = (0..rows).map(|i| i as f64).collect();
     let store: Vec<f64> = (0..rows).map(|i| (i % 8) as f64).collect();
     let margin = normal_values(20.0, 5.0, rows, SEED ^ 8);
-    RowsBlock::new(vec![amount, store, ts, margin])
+    vec![amount, store, ts, margin]
+}
+
+fn sales_like_block(rows: usize) -> RowsBlock {
+    RowsBlock::new(sales_like_columns(rows))
 }
 
 /// Sweep 7: row draws, all four columns vs the two a query reads.
@@ -790,6 +801,100 @@ fn sweep_sampled_path(scale: &Scale, report: &mut Report) -> Vec<Json> {
     rows
 }
 
+/// The cores `workers` threads actually get right now: a fixed spin
+/// timed alone, then beside `workers − 1` copies of itself — 2.0 is two
+/// free cores, 1.0 one core shared. `available_parallelism` counts
+/// vCPUs; on a throttled VM they can add up to fewer.
+fn measured_parallelism(workers: usize) -> f64 {
+    let spin = || {
+        let start = Instant::now();
+        let mut x = 0u64;
+        for i in 0..50_000_000u64 {
+            x = std::hint::black_box(x.wrapping_add(i));
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let alone = spin();
+    let together = std::thread::scope(|scope| {
+        let spinners: Vec<_> = (0..workers).map(|_| scope.spawn(spin)).collect();
+        spinners
+            .into_iter()
+            .map(|s| s.join().expect("a spin cannot panic"))
+            .fold(0.0, f64::max)
+    });
+    workers as f64 * alone / together
+}
+
+/// Sweep 10: the exact fold's three scans, every block on the calling
+/// thread vs two blocks at a time on a pool. The fold merges per-block
+/// partials in block order, so the two placements must agree bit for
+/// bit; what the pool buys is bounded by the cores the machine gives two
+/// threads (counted and measured, recorded with every row).
+fn sweep_exact_scan(scale: &Scale, report: &mut Report) -> Vec<Json> {
+    const BLOCKS: usize = 16;
+    const WORKERS: usize = 2;
+    let n = scale.estimator_rows * 4;
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let measured_cores = measured_parallelism(WORKERS);
+    let pool = PooledScheduler::new(WORKERS).expect("two workers is a valid pool");
+    let scalar = BlockSet::from_values(normal_values(100.0, 20.0, n, SEED ^ 11), BLOCKS);
+    let sales = RowsBlock::split(sales_like_columns(n), BLOCKS);
+    let spec = RowSpec {
+        agg_column: 0,
+        filter: RowFilter::new(vec![ColumnPredicate {
+            column: 2,
+            op: CmpOp::Gt,
+            value: n as f64 * 0.5,
+        }]),
+        group_by: None,
+    };
+    let mut rows = Vec::new();
+    let mut measure = |name: &str, scan: &dyn Fn(&dyn BlockScheduler) -> f64| {
+        let (sequential_s, sequential) = median_secs(scale.runs, || scan(&SequentialScheduler));
+        let (pooled_s, pooled) = median_secs(scale.runs, || scan(&pool));
+        assert_eq!(
+            sequential.to_bits(),
+            pooled.to_bits(),
+            "{name}: an exact answer may not depend on where its blocks ran"
+        );
+        let speedup = sequential_s / pooled_s;
+        report.row(vec![
+            format!("exact/{name} x{WORKERS}"),
+            n.to_string(),
+            "-".to_string(),
+            fmt(n as f64 / sequential_s / 1e6, 2),
+            fmt(n as f64 / pooled_s / 1e6, 2),
+            fmt(speedup, 2),
+        ]);
+        rows.push(Json::obj(vec![
+            ("scan", Json::str(name)),
+            ("rows", Json::num(n as f64)),
+            ("blocks", Json::num(BLOCKS as f64)),
+            ("workers", Json::num(WORKERS as f64)),
+            ("available_parallelism", Json::num(cores as f64)),
+            ("measured_parallelism", Json::num(measured_cores)),
+            (
+                "sequential_ns_per_row",
+                Json::num(sequential_s * 1e9 / n as f64),
+            ),
+            ("pooled_ns_per_row", Json::num(pooled_s * 1e9 / n as f64)),
+            ("speedup", Json::num(speedup)),
+        ]));
+    };
+    measure("chunk_scan", &|s| {
+        engine::scan_exact_mean(&scalar, s).expect("scan succeeds")
+    });
+    measure("projected_row_scan", &|s| {
+        engine::scan_exact_groups_on(&sales, &spec, s).expect("scan succeeds")[0].mean
+    });
+    measure("extreme_scan", &|s| {
+        engine::scan_exact_extreme(&scalar, ExtremeKind::Max, s)
+            .expect("scan succeeds")
+            .expect("the set holds rows")
+    });
+    rows
+}
+
 /// Validates the emitted artifact: parseable JSON carrying every
 /// section the downstream tooling reads.
 fn validate_artifact(text: &str) -> Result<(), String> {
@@ -806,6 +911,7 @@ fn validate_artifact(text: &str) -> Result<(), String> {
         "sections.row_projection",
         "sections.slice_fold",
         "sections.sampled_path",
+        "sections.exact_scan",
     ] {
         if get(&doc, path).is_none() {
             return Err(format!("missing required key {path:?}"));
@@ -821,6 +927,7 @@ fn validate_artifact(text: &str) -> Result<(), String> {
         "row_projection",
         "slice_fold",
         "sampled_path",
+        "exact_scan",
     ] {
         match get(&doc, &format!("sections.{section}")) {
             Some(Json::Arr(items)) if !items.is_empty() => {
@@ -864,6 +971,7 @@ fn main() {
     let row_projection_rows = sweep_row_projection(&scale, &mut report);
     let slice_fold_rows = sweep_slice_fold(&scale, &mut report);
     let sampled_path_rows = sweep_sampled_path(&scale, &mut report);
+    let exact_scan_rows = sweep_exact_scan(&scale, &mut report);
     report.finish();
     // The ROADMAP's "≥ 2× sampled draws" gate, stated per path as
     // measured (recorded, not asserted: a miss is a finding to print).
@@ -892,6 +1000,7 @@ fn main() {
                 ("row_projection", Json::Arr(row_projection_rows)),
                 ("slice_fold", Json::Arr(slice_fold_rows)),
                 ("sampled_path", Json::Arr(sampled_path_rows)),
+                ("exact_scan", Json::Arr(exact_scan_rows)),
             ]),
         ),
     ]);

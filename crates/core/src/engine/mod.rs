@@ -28,6 +28,10 @@
 //!   combines in any completion order and finalizes into the
 //!   size-weighted Summarization answer.
 //!
+//! The ground truth the estimates are compared against runs on the same
+//! schedulers: [`exact`] folds every `METHOD EXACT` scan as per-block
+//! partials merged in block order, one answer at any worker count.
+//!
 //! Sampling runs through the storage layer's **batch kernels**
 //! ([`isla_storage::kernel`]): the per-block Calculation phase draws
 //! whole batches on reusable thread-local buffers
@@ -64,6 +68,7 @@
 //! ```
 
 pub mod cache;
+pub mod exact;
 pub mod partial;
 pub mod plan;
 pub mod recovery;
@@ -74,6 +79,9 @@ pub mod seed;
 pub use cache::{
     CacheKey, CacheLookup, CacheStats, EpochCacheStats, Lookup, PreEstimateCache, RowCacheLookup,
 };
+pub use exact::{
+    scan_exact_extreme, scan_exact_groups, scan_exact_groups_on, scan_exact_mean, GroupExact,
+};
 pub use partial::{FinalAggregate, GroupedAggregate, GroupedPartial, PartialAggregate};
 pub use plan::{QueryPlan, RateSpec};
 pub use recovery::{
@@ -83,9 +91,8 @@ pub use recovery::{
 pub use rows::{
     execute_row_block, finish_row_pilot_fold, fold_row_pilot_segment, row_pre_estimate,
     row_pre_estimate_capped, row_pre_estimate_capped_with, row_pre_estimate_with, run_row_plan,
-    run_row_plan_with, run_rows, scan_exact_groups, GroupEstimate, GroupExact, GroupPlan, GroupPre,
-    GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan, RowPreEstimate,
-    RowSpec,
+    run_row_plan_with, run_rows, GroupEstimate, GroupPlan, GroupPre, GroupedEngineResult,
+    RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan, RowPreEstimate, RowSpec,
 };
 pub use scheduler::{
     execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution, BlockScheduler,

@@ -147,13 +147,13 @@ impl RowSpec {
 /// order (re-indexing is monotone, so [`RowFilter`]'s canonical order
 /// is preserved). A spec that reads every column projects to itself.
 #[derive(Debug, Clone)]
-struct Projection {
-    columns: Vec<usize>,
-    spec: RowSpec,
+pub(super) struct Projection {
+    pub(super) columns: Vec<usize>,
+    pub(super) spec: RowSpec,
 }
 
 impl Projection {
-    fn of(spec: &RowSpec) -> Self {
+    pub(super) fn of(spec: &RowSpec) -> Self {
         let mut columns: Vec<usize> = spec
             .filter
             .predicates()
@@ -1124,59 +1124,10 @@ impl CalcPlan for RowPlan {
     }
 }
 
-/// One group's exact aggregate from a full scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupExact {
-    /// The group key value.
-    pub key: f64,
-    /// Exact mean of the aggregated column over matching rows.
-    pub mean: f64,
-    /// Exact count of matching rows.
-    pub count: u64,
-}
-
-/// Computes exact per-group filtered aggregates by scanning every row —
-/// the `METHOD EXACT` ground truth for row-model queries.
-///
-/// Returns groups sorted by key value; ungrouped specs yield a single
-/// entry. An empty result means no row matched the predicate.
-///
-/// # Errors
-///
-/// Scan failures (e.g. virtual blocks past their cap).
-pub fn scan_exact_groups(data: &BlockSet, spec: &RowSpec) -> Result<Vec<GroupExact>, IslaError> {
-    spec.validate(data)?;
-    // Scan only the columns the spec reads; evaluate it re-indexed.
-    let read = Projection::of(spec);
-    let spec = &read.spec;
-    let mut sums: BTreeMap<u64, (f64, NeumaierSum, u64)> = BTreeMap::new();
-    data.scan_all_rows_projected(&read.columns, &mut |row| {
-        if spec.filter.matches(row) {
-            let key_bits = spec.group_key(row);
-            let entry =
-                sums.entry(key_bits)
-                    .or_insert((f64::from_bits(key_bits), NeumaierSum::new(), 0));
-            entry.1.add(row[spec.agg_column]);
-            entry.2 += 1;
-        }
-    })
-    .map_err(IslaError::from)?;
-    let mut out: Vec<GroupExact> = sums
-        .into_values()
-        .map(|(key, sum, count)| GroupExact {
-            key,
-            mean: sum.value() / count as f64,
-            count,
-        })
-        .collect();
-    out.sort_by(|a, b| a.key.total_cmp(&b.key));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{PooledScheduler, SequentialScheduler};
+    use crate::engine::{scan_exact_groups, GroupExact, PooledScheduler, SequentialScheduler};
     use isla_storage::{CmpOp, ColumnPredicate, RowsBlock};
     use rand::rngs::StdRng;
     use rand::Rng;

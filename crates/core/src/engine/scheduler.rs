@@ -18,7 +18,8 @@
 //!
 //! [`scan_blocks`] is the same fan-out for *non-ISLA* per-block work:
 //! the baseline estimators run their block scans through it, so
-//! US/STS/MV/MVB/SLEV parallelize with the same worker pool.
+//! US/STS/MV/MVB/SLEV parallelize with the same worker pool, and so do
+//! the `METHOD EXACT` scans ([`super::exact`]).
 //!
 //! Every per-block attempt runs under the [`super::recovery`] layer:
 //! transient storage errors retry with deterministic backoff, worker

@@ -43,7 +43,7 @@ pub enum ExtremeKind {
 
 impl ExtremeKind {
     /// Identity element for the running extreme.
-    fn identity(self) -> f64 {
+    pub(crate) fn identity(self) -> f64 {
         match self {
             ExtremeKind::Max => f64::NEG_INFINITY,
             ExtremeKind::Min => f64::INFINITY,
@@ -52,7 +52,7 @@ impl ExtremeKind {
 
     /// Folds one value into the running extreme.
     #[inline]
-    fn fold(self, acc: f64, v: f64) -> f64 {
+    pub(crate) fn fold(self, acc: f64, v: f64) -> f64 {
         match self {
             ExtremeKind::Max => acc.max(v),
             ExtremeKind::Min => acc.min(v),

@@ -135,12 +135,15 @@ impl QueryResult {
     }
 }
 
-/// Which block scheduler a session runs the ISLA calculation phase on.
+/// Which block scheduler a session places per-block work on: the ISLA
+/// calculation phase, the baselines' block reads, and the `METHOD
+/// EXACT` scans.
 ///
 /// Per-block seeds are derived identically either way
-/// ([`engine::derive_block_seeds`]), so the pooled answer is
-/// bit-identical to the sequential one — the choice is purely a
-/// resource-placement policy.
+/// ([`engine::derive_block_seeds`]) and exact partials merge in block
+/// order ([`engine::exact`]), so the pooled answer is bit-identical to
+/// the sequential one — the choice is purely a resource-placement
+/// policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Blocks execute in order on the calling thread (the default).
@@ -150,9 +153,11 @@ pub enum SchedulerKind {
     Pooled(usize),
 }
 
-/// How a [`QuerySession`] executes the ISLA paths: which scheduler runs
-/// the calculation phase, an optional per-query admission budget, and
-/// an optional deterministic pilot seed.
+/// How a [`QuerySession`] executes queries: which scheduler places the
+/// per-block work of every method (ISLA's calculation phase, baseline
+/// block reads, exact scans), and — for the ISLA paths — an optional
+/// per-query admission budget, an optional deterministic pilot seed and
+/// the recovery policy.
 ///
 /// The default policy reproduces the classic library behavior:
 /// sequential execution, no admission cap, pilots drawn from the
@@ -171,8 +176,9 @@ impl ExecPolicy {
         Self::default()
     }
 
-    /// Runs the calculation phase on a worker pool of `workers`
-    /// threads (values below 1 are treated as 1).
+    /// Runs per-block work — calculation phase, baseline reads, exact
+    /// scans — on a worker pool of `workers` threads (values below 1
+    /// are treated as 1).
     #[must_use]
     pub fn pooled(mut self, workers: usize) -> Self {
         self.scheduler = SchedulerKind::Pooled(workers.max(1));
@@ -361,7 +367,8 @@ impl QuerySession {
         // a leverage-guided sampled bound, or an exact scan under
         // `METHOD EXACT`.
         if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
-            let (value, samples_used) = extreme_value(query, &data, confidence, rng)?;
+            let (value, samples_used) =
+                self.on_scheduler(None, |s| extreme_value(query, &data, confidence, s, rng))?;
             let mut result = QueryResult::of(query, rows, confidence, start, value);
             result.samples_used = samples_used;
             return Ok(result);
@@ -369,13 +376,15 @@ impl QuerySession {
 
         let (avg, samples_used, time_limited, degradation) = match query.method {
             Method::Exact => {
-                let mean = data.exact_mean().map_err(IslaError::from)?;
+                let mean = self.on_scheduler(None, |s| engine::scan_exact_mean(&data, s))?;
                 (mean, None, false, None)
             }
             Method::Isla => self.run_isla(query, &data, confidence, rng)?,
-            baseline => {
+            _ => {
                 let budget = baseline_budget(query, &data, confidence, rng)?;
-                let value = run_baseline(baseline, query, &data, confidence, budget, rng)?;
+                let value = self.on_scheduler(None, |s| {
+                    run_baseline(query, &data, confidence, budget, s, rng)
+                })?;
                 (value, Some(budget), false, None)
             }
         };
@@ -420,14 +429,17 @@ impl QuerySession {
                 ));
             }
             let filtered_set = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
-            let (value, samples_used) = extreme_value(query, &filtered_set, confidence, rng)?;
+            let (value, samples_used) = self.on_scheduler(None, |s| {
+                extreme_value(query, &filtered_set, confidence, s, rng)
+            })?;
             let mut result = QueryResult::of(query, rows, confidence, start, value);
             result.samples_used = samples_used;
             return Ok(result);
         }
 
         if query.method == Method::Exact {
-            let exact = engine::scan_exact_groups(data, &spec).map_err(QueryError::from)?;
+            let exact =
+                self.on_scheduler(None, |s| engine::scan_exact_groups_on(data, &spec, s))?;
             if exact.is_empty() {
                 return Err(QueryError::Invalid(
                     "no row matches the WHERE predicate".to_string(),
@@ -448,7 +460,9 @@ impl QuerySession {
                     query.method
                 )));
             }
-            return count_estimate(query, &spec, data, confidence, start, rng);
+            return self.on_scheduler(None, |s| {
+                count_estimate(query, &spec, data, confidence, start, s, rng)
+            });
         }
 
         if query.method == Method::Isla {
@@ -469,7 +483,9 @@ impl QuerySession {
         // selectivity varies.
         let filtered_set = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
         let budget = baseline_budget(query, &filtered_set, confidence, rng)?;
-        let avg = run_baseline(query.method, query, &filtered_set, confidence, budget, rng)?;
+        let avg = self.on_scheduler(None, |s| {
+            run_baseline(query, &filtered_set, confidence, budget, s, rng)
+        })?;
         let (value, matched_rows, samples_used) = match query.agg {
             AggFunc::Avg => (avg, None, budget),
             AggFunc::Sum => {
@@ -629,7 +645,8 @@ impl QuerySession {
             };
             let config = IslaConfig::default();
             let estimator = IslaEstimator::new(config)?;
-            let value = estimator.estimate(data, budget, rng)?;
+            let value =
+                self.on_scheduler(None, |s| estimator.estimate_scheduled(data, budget, s, rng))?;
             return Ok((value, Some(budget), budget < requested, None));
         }
 
@@ -731,12 +748,16 @@ impl QuerySession {
     }
 
     /// Runs `run` on the policy's scheduler, under a sample budget when
-    /// a cap applies.
-    fn on_scheduler<T>(
+    /// a cap applies — the one placement rule for every method's
+    /// per-block work.
+    fn on_scheduler<T, E>(
         &self,
         budget: Option<u64>,
-        run: impl FnOnce(&dyn BlockScheduler) -> Result<T, IslaError>,
-    ) -> Result<T, QueryError> {
+        run: impl FnOnce(&dyn BlockScheduler) -> Result<T, E>,
+    ) -> Result<T, QueryError>
+    where
+        QueryError: From<E>,
+    {
         let pool;
         let placed: &dyn BlockScheduler = match self.policy.scheduler {
             SchedulerKind::Sequential => &SequentialScheduler,
@@ -895,6 +916,7 @@ fn count_estimate(
     data: &BlockSet,
     confidence: f64,
     start: Instant,
+    scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
 ) -> Result<QueryResult, QueryError> {
     let rows = data.total_len();
@@ -925,7 +947,7 @@ fn count_estimate(
         // precision asks for at least M reads, an exact scan answers
         // with zero error at the same (or lower) cost.
         if want >= rows && !time_limited && data.iter().all(|b| b.supports_scan()) {
-            let exact = engine::scan_exact_groups(data, spec).map_err(QueryError::from)?;
+            let exact = engine::scan_exact_groups_on(data, spec, scheduler)?;
             return exact_rows(query, &exact, rows, confidence, start);
         }
         want = want.min(rows);
@@ -968,6 +990,7 @@ fn extreme_value(
     query: &Query,
     data: &BlockSet,
     confidence: f64,
+    scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
 ) -> Result<(f64, Option<u64>), QueryError> {
     let kind = if query.agg == AggFunc::Max {
@@ -976,30 +999,8 @@ fn extreme_value(
         isla_core::ExtremeKind::Min
     };
     if query.method == Method::Exact {
-        let mut extreme = if kind == isla_core::ExtremeKind::Max {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        let mut any = false;
-        // Chunked scan kernel: fold whole slices (autovectorizable
-        // min/max reduction) instead of one dyn call per value.
-        data.scan_all_chunks(&mut |chunk| {
-            any |= !chunk.is_empty();
-            for &v in chunk {
-                extreme = if kind == isla_core::ExtremeKind::Max {
-                    extreme.max(v)
-                } else {
-                    extreme.min(v)
-                };
-            }
-        })
-        .map_err(IslaError::from)?;
-        if !any {
-            return Err(QueryError::Invalid(
-                "no row matches the WHERE predicate".to_string(),
-            ));
-        }
+        let extreme = engine::scan_exact_extreme(data, kind, scheduler)?
+            .ok_or_else(|| QueryError::Invalid("no row matches the WHERE predicate".to_string()))?;
         return Ok((extreme, None));
     }
     let config = match query.precision {
@@ -1013,19 +1014,20 @@ fn extreme_value(
     Ok((result.estimate, Some(result.total_samples)))
 }
 
-/// Runs one baseline estimator.
+/// Runs the baseline estimator `query.method` names, its block reads
+/// placed by `scheduler`.
 fn run_baseline(
-    baseline: Method,
     query: &Query,
     data: &BlockSet,
     confidence: f64,
     budget: u64,
+    scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
 ) -> Result<f64, QueryError> {
-    Ok(match baseline {
-        Method::Us => UniformSampling.estimate(data, budget, rng)?,
-        Method::Sts => StratifiedSampling::proportional().estimate(data, budget, rng)?,
-        Method::Mv => MeasureBiasedValues.estimate(data, budget, rng)?,
+    let estimator: Box<dyn Estimator> = match query.method {
+        Method::Us => Box::new(UniformSampling),
+        Method::Sts => Box::new(StratifiedSampling::proportional()),
+        Method::Mv => Box::new(MeasureBiasedValues),
         Method::Mvb => {
             // MVB only uses the boundary parameters (p1, p2) and
             // budget-driven pilots; precision is not required.
@@ -1036,15 +1038,16 @@ fn run_baseline(
                     .build()
                     .map_err(QueryError::from)?,
             };
-            MeasureBiasedBoundaries::new(config)?.estimate(data, budget, rng)?
+            Box::new(MeasureBiasedBoundaries::new(config)?)
         }
-        Method::Slev => Slev::default().estimate(data, budget, rng)?,
+        Method::Slev => Box::new(Slev::default()),
         Method::Isla | Method::Exact => {
             return Err(QueryError::Internal(
                 "ISLA/EXACT are dispatched before the baseline runner".to_string(),
             ))
         }
-    })
+    };
+    Ok(estimator.estimate_scheduled(data, budget, scheduler, rng)?)
 }
 
 /// Calibrates sampling throughput with a timed probe and sizes the

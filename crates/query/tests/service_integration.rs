@@ -171,6 +171,45 @@ fn concurrent_service_is_bit_identical_to_sequential() {
     );
 }
 
+/// Where a query's per-block work runs is not part of its answer: a
+/// service that gives each query one worker (every scan inline) and one
+/// that gives it four return the same `QueryResult` — every field but
+/// the wall clock — for exact scans of each kind and for the baselines
+/// that fan their block reads out.
+#[test]
+fn exact_and_baseline_results_do_not_depend_on_the_worker_count() {
+    const STATEMENTS: [&str; 10] = [
+        "SELECT AVG(distance) FROM trips METHOD EXACT",
+        "SELECT SUM(distance) FROM trips METHOD EXACT",
+        "SELECT MAX(distance) FROM trips METHOD EXACT",
+        "SELECT MIN(amount) FROM sales WHERE margin > 25 METHOD EXACT",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 METHOD EXACT",
+        "SELECT SUM(amount) FROM sales GROUP BY store METHOD EXACT",
+        "SELECT COUNT(*) FROM sales WHERE margin > 25 GROUP BY store METHOD EXACT",
+        // Asks for more draws than a scan costs: answered by the scan.
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 WITH PRECISION 10",
+        "SELECT AVG(distance) FROM trips METHOD US SAMPLES 40000",
+        "SELECT AVG(distance) FROM trips METHOD ISLA SAMPLES 40000",
+    ];
+    let service_with = |workers: usize| {
+        let service = QueryService::new(ServiceConfig {
+            workers,
+            ..config(1, 0)
+        });
+        register_tables(&service);
+        service
+    };
+    let (inline, pooled) = (service_with(1), service_with(4));
+    for (seed, sql) in STATEMENTS.iter().enumerate() {
+        let answer = |service: &QueryService| {
+            let mut result = service.query("tenant", sql, seed as u64).unwrap();
+            result.elapsed = std::time::Duration::ZERO;
+            format!("{result:?}")
+        };
+        assert_eq!(answer(&inline), answer(&pooled), "{sql}");
+    }
+}
+
 /// Satellite: a *cold* cache raced by 8 threads on the same shape stays
 /// consistent — one surviving entry, answers bit-identical — and the
 /// duplicate pilot work is bounded by the racing thread count (the

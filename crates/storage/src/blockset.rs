@@ -478,27 +478,75 @@ impl BlockSet {
     }
 
     /// Exact mean over all rows by full scan — the evaluation's ground
-    /// truth for materialized datasets.
+    /// truth for materialized datasets. The [`ExactSum`] fold, blocks
+    /// scanned one after another on the calling thread.
     ///
     /// # Errors
     ///
     /// [`StorageError::Empty`] if the set holds no rows; scan errors
     /// otherwise.
     pub fn exact_mean(&self) -> Result<f64, StorageError> {
-        let mut sum = isla_stats::NeumaierSum::new();
-        let mut n = 0u64;
-        // Chunked scan: same values in the same order as `scan_all`,
-        // amortizing the per-value dispatch over whole slices.
-        self.scan_all_chunks(&mut |chunk| {
-            for &v in chunk {
-                sum.add(v);
-            }
-            n += chunk.len() as u64;
-        })?;
-        if n == 0 {
-            return Err(StorageError::Empty);
+        let mut total = ExactSum::default();
+        for block in &self.blocks {
+            total.merge(&ExactSum::of_block(block.as_ref())?);
         }
-        Ok(sum.value() / n as f64)
+        total.mean().ok_or(StorageError::Empty)
+    }
+}
+
+/// The exact AVG/SUM state of some rows: a compensated sum and a count.
+///
+/// The unit of every exact scan is **one block's** `ExactSum`; a set's
+/// is its blocks' merged in block order. Whoever scans the blocks — this
+/// crate one after another ([`BlockSet::exact_mean`]), the engine on a
+/// worker pool — the merge sees the same partials in the same order, so
+/// the answer is one function of the data.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ExactSum {
+    sum: isla_stats::NeumaierSum,
+    count: u64,
+}
+
+impl ExactSum {
+    /// One block's state: its values folded in storage order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the block's scan failure.
+    pub fn of_block(block: &dyn DataBlock) -> Result<Self, StorageError> {
+        let mut partial = Self::default();
+        // Chunked scan: the scalar scan's values in the same order,
+        // one dispatch per slice instead of per value.
+        block.scan_chunks(&mut |chunk| {
+            for &v in chunk {
+                partial.sum.add(v);
+            }
+            partial.count += chunk.len() as u64;
+        })?;
+        Ok(partial)
+    }
+
+    /// Folds one more value in.
+    #[inline]
+    pub fn add(&mut self, value: f64) {
+        self.sum.add(value);
+        self.count += 1;
+    }
+
+    /// Absorbs the state of the rows that follow these.
+    pub fn merge(&mut self, later: &ExactSum) {
+        self.sum.merge(&later.sum);
+        self.count += later.count;
+    }
+
+    /// Rows folded in.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The mean of the rows folded in; `None` when there are none.
+    pub fn mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum.value() / self.count as f64)
     }
 }
 

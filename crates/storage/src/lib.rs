@@ -76,7 +76,7 @@ pub mod text_file;
 
 pub use binary_file::BinaryBlock;
 pub use block::DataBlock;
-pub use blockset::{BlockSet, EpochMark, SealedDerived};
+pub use blockset::{BlockSet, EpochMark, ExactSum, SealedDerived};
 pub use error::StorageError;
 pub use fault::{BlockFault, FaultPlan, FaultyBlock};
 pub use filter::{CmpOp, ColumnPredicate, RowFilter};

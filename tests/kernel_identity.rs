@@ -8,7 +8,7 @@
 //! that hides every batch-kernel override, so the trait defaults run the
 //! old one-value-at-a-time path over the very same data.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use std::collections::BTreeMap;
 
@@ -17,7 +17,10 @@ use isla::core::engine::{
     self, PooledScheduler, RateSpec, RecoveryPolicy, RetryPolicy, RowPilotFold, RowPlan, RowSpec,
     SequentialScheduler,
 };
-use isla::core::{iteration_phase, DataBoundaries, Fallback, IslaConfig, SampleAccumulator};
+use isla::core::{
+    iteration_phase, DataBoundaries, ExtremeKind, Fallback, IslaConfig, IslaError,
+    SampleAccumulator,
+};
 use isla::stats::{NeumaierSum, WelfordMoments};
 use isla::storage::{
     pool_filtered_column, sample_rows_from_block, sample_rows_proportional,
@@ -1240,6 +1243,280 @@ proptest! {
         let native_run = run(&native);
         for kind in ["ZipBlock", "ScalarFallbackBlock"] {
             prop_assert_eq!(&run(&set_of_kind(kind, &cols, blocks)), &native_run, "{}: armed run", kind);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Exact scans: one fold — per-block partials merged in block order —
+// whoever places the blocks. Pinned against `BlockSet::exact_mean`, the
+// sequential placement, and the single-accumulator MAX/MIN loop the
+// fold replaced.
+// ---------------------------------------------------------------------
+
+/// Worker counts an exact scan must not be able to tell apart (the sets
+/// below have 7 blocks, so 6 leaves one worker two blocks).
+const EXACT_PARALLELISM: [usize; 4] = [1, 2, 3, 6];
+const EXACT_BLOCKS: usize = 7;
+
+fn pooled(workers: usize) -> PooledScheduler {
+    PooledScheduler::new(workers).unwrap()
+}
+
+/// [`spec_columns`] with the even (aggregated) columns salted with the
+/// values a sum's order shows up on: both zeros, magnitudes that swallow
+/// their neighbours, and pairs that cancel exactly.
+fn awkward_columns(n: usize, width: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    const AWKWARD: [f64; 8] = [0.0, -0.0, 1e300, -1e300, 1e16, -1e16, 1e-300, 4.5e15];
+    let mut cols = spec_columns(n, width, rng);
+    for col in cols.iter_mut().step_by(2) {
+        for v in col.iter_mut() {
+            if rng.random_bool(0.15) {
+                *v = AWKWARD[rng.random_range(0..AWKWARD.len())];
+            }
+        }
+    }
+    cols
+}
+
+/// An exact grouped answer, floats as bits, errors as text.
+fn exact_bits(
+    answer: Result<Vec<engine::GroupExact>, IslaError>,
+) -> Result<Vec<(u64, u64, u64)>, String> {
+    answer
+        .map(|groups| {
+            groups
+                .iter()
+                .map(|g| (g.key.to_bits(), g.mean.to_bits(), g.count))
+                .collect()
+        })
+        .map_err(|e| e.to_string())
+}
+
+/// The whole-set MAX/MIN loop `METHOD EXACT` used to run: one running
+/// extreme carried across every chunk of every block.
+fn reference_extreme(data: &BlockSet, kind: ExtremeKind) -> Result<Option<f64>, StorageError> {
+    let mut extreme = match kind {
+        ExtremeKind::Max => f64::NEG_INFINITY,
+        ExtremeKind::Min => f64::INFINITY,
+    };
+    let mut any = false;
+    data.scan_all_chunks(&mut |chunk| {
+        any |= !chunk.is_empty();
+        for &v in chunk {
+            extreme = match kind {
+                ExtremeKind::Max => extreme.max(v),
+                ExtremeKind::Min => extreme.min(v),
+            };
+        }
+    })?;
+    Ok(any.then_some(extreme))
+}
+
+proptest! {
+    /// The exact fold is one function of the data: at every worker count
+    /// it returns the sequential placement's bits (and its error, on the
+    /// fault kinds), for plain, filtered, grouped, filtered + grouped and
+    /// zero-match specs, on every block kind; the scalar scan is
+    /// `BlockSet::exact_mean`; MAX/MIN are the single-accumulator loop.
+    #[test]
+    fn exact_fold_is_one_function_of_the_data_at_any_parallelism(
+        width in 1usize..=4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = awkward_columns(2_100, width, &mut rng);
+        let on_column_0 = |op, value| RowFilter::new(vec![ColumnPredicate { column: 0, op, value }]);
+        let group_by = (width > 1).then_some(1);
+        let mut specs = vec![
+            RowSpec::column(0),
+            RowSpec { agg_column: width - 1, filter: on_column_0(CmpOp::Gt, 40.0), group_by: None },
+            RowSpec { agg_column: 0, filter: RowFilter::all(), group_by },
+            RowSpec { agg_column: 0, filter: on_column_0(CmpOp::Le, 1e16), group_by },
+            RowSpec { agg_column: 0, filter: on_column_0(CmpOp::Gt, f64::INFINITY), group_by },
+        ];
+        specs.extend((0..2).map(|_| random_spec(width, &mut rng)));
+
+        for kind in KINDS {
+            for spec in &specs {
+                let set = || set_of_kind(kind, &cols, EXACT_BLOCKS);
+                let want = exact_bits(engine::scan_exact_groups(&set(), spec));
+                for workers in EXACT_PARALLELISM {
+                    let got = exact_bits(engine::scan_exact_groups_on(&set(), spec, &pooled(workers)));
+                    prop_assert_eq!(&got, &want, "{} on {} workers: {:?}", kind, workers, spec);
+                }
+            }
+
+            // Scalar scans, over the salted column and its negation (so
+            // that MIN of the one and MAX of the other land on a zero
+            // whose sign the merge order must not change).
+            let negated: Vec<f64> = cols[0].iter().map(|v| -v).collect();
+            for column in [cols[0].clone(), negated] {
+                let set = || set_of_kind(kind, std::slice::from_ref(&column), EXACT_BLOCKS);
+                let want = set().exact_mean().map(f64::to_bits).map_err(|e| IslaError::from(e).to_string());
+                // The ungrouped row scan folds the same values in the
+                // same order as the chunk scan.
+                let as_rows = exact_bits(engine::scan_exact_groups(&set(), &RowSpec::column(0)));
+                prop_assert_eq!(
+                    as_rows.map(|groups| groups[0].1), want.clone(), "{}: row scan vs exact_mean", kind
+                );
+                for workers in EXACT_PARALLELISM {
+                    let got = engine::scan_exact_mean(&set(), &pooled(workers))
+                        .map(f64::to_bits)
+                        .map_err(|e| e.to_string());
+                    prop_assert_eq!(&got, &want, "{} on {} workers: mean", kind, workers);
+                    for extreme in [ExtremeKind::Max, ExtremeKind::Min] {
+                        let want = reference_extreme(&set(), extreme)
+                            .map(|v| v.map(f64::to_bits))
+                            .map_err(|e| IslaError::from(e).to_string());
+                        let got = engine::scan_exact_extreme(&set(), extreme, &pooled(workers))
+                            .map(|v| v.map(f64::to_bits))
+                            .map_err(|e| e.to_string());
+                        prop_assert_eq!(got, want, "{} on {} workers: {:?}", kind, workers, extreme);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A width-1 block of fifty ones whose scan follows a script: what lets
+/// a test decide which block fails, how, and alongside which other block.
+struct ScriptedBlock(Script);
+
+enum Script {
+    Healthy,
+    /// Fails with this error — once every party of the gate, when there
+    /// is one, is mid-scan, so the failures are in flight together.
+    Fail(fn() -> StorageError, Option<Arc<Barrier>>),
+    Panic,
+}
+
+impl DataBlock for ScriptedBlock {
+    fn len(&self) -> u64 {
+        50
+    }
+
+    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
+        Ok(1.0)
+    }
+
+    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
+        Ok(1.0)
+    }
+
+    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+        match &self.0 {
+            Script::Healthy => {
+                (0..self.len()).for_each(|_| visit(1.0));
+                Ok(())
+            }
+            Script::Fail(error, gate) => {
+                if let Some(gate) = gate {
+                    gate.wait();
+                }
+                Err(error())
+            }
+            Script::Panic => panic!("scripted block panic"),
+        }
+    }
+}
+
+/// Eight scripted blocks, healthy except where `script` says otherwise.
+fn scripted_set(script: impl Fn(usize) -> Script) -> BlockSet {
+    BlockSet::new(
+        (0..8)
+            .map(|i| Arc::new(ScriptedBlock(script(i))) as Arc<dyn DataBlock>)
+            .collect(),
+    )
+}
+
+/// The three exact entry points over one freshly built set each.
+fn exact_scans(
+    set: impl Fn() -> BlockSet,
+    scheduler: &PooledScheduler,
+) -> [Result<(), IslaError>; 3] {
+    [
+        engine::scan_exact_mean(&set(), scheduler).map(drop),
+        engine::scan_exact_groups_on(&set(), &RowSpec::column(0), scheduler).map(drop),
+        engine::scan_exact_extreme(&set(), ExtremeKind::Max, scheduler).map(drop),
+    ]
+}
+
+#[test]
+fn exact_scans_fail_strictly_with_the_lowest_failing_block_at_every_parallelism() {
+    let unavailable = || StorageError::Unavailable {
+        attempt: 1,
+        detail: "scripted".to_string(),
+    };
+    let lost = || StorageError::BlockLost {
+        detail: "scripted".to_string(),
+    };
+    let values: Vec<f64> = (0..800).map(f64::from).collect();
+    let clean = BlockSet::from_values(values, 8);
+    for workers in EXACT_PARALLELISM {
+        for _ in 0..10 {
+            // Blocks 2 and 5 both fail, with errors that tell them apart.
+            let faulty = || {
+                BlockSet::new(
+                    (0..8)
+                        .map(|i| {
+                            let fault = match i {
+                                2 => BlockFault::Transient { failures: 1 },
+                                5 => BlockFault::Lost,
+                                _ => BlockFault::None,
+                            };
+                            Arc::new(FaultyBlock::new(Arc::clone(clean.block(i)), fault, None))
+                                as Arc<dyn DataBlock>
+                        })
+                        .collect(),
+                )
+            };
+            // The same pair, held at a gate until both are mid-scan: on
+            // a pool either may finish first.
+            let gated = || {
+                let gate = (workers > 1).then(|| Arc::new(Barrier::new(2)));
+                scripted_set(|i| match i {
+                    2 => Script::Fail(unavailable, gate.clone()),
+                    5 => Script::Fail(lost, gate.clone()),
+                    _ => Script::Healthy,
+                })
+            };
+            let results = exact_scans(faulty, &pooled(workers))
+                .into_iter()
+                .chain(exact_scans(gated, &pooled(workers)));
+            for result in results {
+                assert!(
+                    matches!(
+                        result,
+                        Err(IslaError::Storage(StorageError::Unavailable {
+                            attempt: 1,
+                            ..
+                        }))
+                    ),
+                    "{workers} workers: expected block 2's own error, got {result:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn exact_scans_surface_a_panicking_block_as_a_typed_error() {
+    for workers in EXACT_PARALLELISM {
+        let set = || {
+            scripted_set(|i| match i {
+                3 => Script::Panic,
+                _ => Script::Healthy,
+            })
+        };
+        for result in exact_scans(set, &pooled(workers)) {
+            match result {
+                Err(IslaError::Internal(msg)) => {
+                    assert!(msg.contains("block 3"), "{workers} workers: {msg}");
+                }
+                other => panic!("{workers} workers: expected a typed error, got {other:?}"),
+            }
         }
     }
 }
