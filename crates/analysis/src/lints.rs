@@ -83,11 +83,13 @@ const SEAL_ENTRY_POINTS: &[&str] = &["seal_block", "seal_derived"];
 /// obligation: a hook-provided sketch must be bit-identical to a
 /// scan-computed one. `scan_rows_projected` likewise: an override must
 /// deliver exactly the full-width scan's rows restricted to the
-/// projection.
+/// projection — and `scan_column_chunks` exactly that projected scan's
+/// values, in its order, as aligned column slices.
 const KERNEL_METHODS: &[&str] = &[
     "sample_batch",
     "sample_rows_batch",
     "scan_chunks",
+    "scan_column_chunks",
     "scan_rows_projected",
     "sketch",
 ];

@@ -211,6 +211,27 @@ fn uncovered_projected_scan_override_is_flagged() {
 }
 
 #[test]
+fn uncovered_column_chunk_override_is_flagged() {
+    let run = run_on(
+        fixture("bad/kernel_column_chunks.rs", "fx", false),
+        &["RowsBlock"],
+    );
+    assert_eq!(error_lines(&run), vec![(8, "kernel-coverage".to_string())]);
+    let message = &run.findings[0].message;
+    assert!(message.contains("UncoveredChunks"), "{message}");
+    assert!(message.contains("scan_column_chunks"), "{message}");
+}
+
+#[test]
+fn covered_and_forwarding_column_chunk_impls_are_clean() {
+    let run = run_on(
+        fixture("good/kernel_column_chunks.rs", "fx", false),
+        &["CoveredChunks"],
+    );
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
 fn covered_and_forwarding_kernel_impls_are_clean() {
     let run = run_on(fixture("good/kernel.rs", "fx", false), &["CoveredBlock"]);
     assert_eq!(error_lines(&run), vec![]);

@@ -6,7 +6,7 @@
 //! contiguous slices, selection-vector filtered draws) and once through
 //! the scalar path they replaced (forced via `ScalarFallbackBlock` /
 //! rejection-sampling views) — so each row reports an honest same-run
-//! speedup. Ten sweeps:
+//! speedup. Eleven sweeps:
 //!
 //! 1. **sample_kernel** — uniform value draws across block sizes;
 //! 2. **scan_kernel** — full scans across block sizes;
@@ -40,7 +40,14 @@
 //!     scan projected to the columns a filtered AVG reads, extreme scan)
 //!     placed sequentially vs on `PooledScheduler(2)`: ns/row each way,
 //!     answers asserted bit-identical, the machine's parallelism —
-//!     counted and measured — recorded beside the speed-up it bounds.
+//!     counted and measured — recorded beside the speed-up it bounds;
+//! 11. **predicate_scan** — a `WHERE` clause evaluated over column
+//!     chunks (`scan_column_chunks` + `RowFilter::select`) vs one
+//!     assembled row at a time (the old loops, rebuilt here from
+//!     `scan_rows`): selection build and exact filtered scan in ns/row at
+//!     selectivity 0.01 / 0.1 / 0.5 / 0.99, one and two conjuncts, on
+//!     `RowsBlock`, `ZipBlock` and the scalar-fallback (trait default)
+//!     path; vectors and answers asserted identical.
 //!
 //! Results print as a table (CSV under `target/experiments/`) and are
 //! written machine-readable to `BENCH_kernels.json` at the workspace
@@ -64,8 +71,9 @@ use isla_core::{execute_block, DataBoundaries, ExtremeKind, IslaConfig, SampleAc
 use isla_datagen::normal_values;
 use isla_storage::{
     pool_filtered_column, sample_from_block, sample_rows_from_block, scalar_fallback_set,
-    with_row_sample_buf, BlockSet, CmpOp, ColumnPredicate, DataBlock, FilteredColumnView, MemBlock,
-    RowFilter, RowsBlock, ScalarFallbackBlock, SetSelection, SAMPLE_BATCH_ROWS,
+    with_row_sample_buf, BlockSet, CmpOp, ColumnPredicate, DataBlock, ExactSum, FilteredColumnView,
+    MemBlock, RowFilter, RowsBlock, ScalarFallbackBlock, SelectionVector, SetSelection, ZipBlock,
+    SAMPLE_BATCH_ROWS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -895,6 +903,181 @@ fn sweep_exact_scan(scale: &Scale, report: &mut Report) -> Vec<Json> {
     rows
 }
 
+/// The selection build as it was before the column-chunk scan: every
+/// row assembled full width, one `matches` per row. Bench-only — the
+/// "old" side of the `predicate_scan` sweep.
+fn per_row_selection(block: &dyn DataBlock, filter: &RowFilter) -> Vec<u32> {
+    let mut indices = Vec::new();
+    let mut row_index = 0u32;
+    block
+        .scan_rows(&mut |row| {
+            if filter.matches(row) {
+                indices.push(row_index);
+            }
+            row_index += 1;
+        })
+        .expect("scan succeeds");
+    indices
+}
+
+/// The exact filtered scan as it was: the columns the spec reads
+/// assembled per row, one `matches` per row, a per-block `ExactSum`
+/// merged in block order. Bench-only, as [`per_row_selection`].
+fn per_row_exact_mean(data: &BlockSet, agg_column: usize, filter: &RowFilter) -> f64 {
+    let (columns, filter) = filter.projected([agg_column]);
+    let agg = columns.partition_point(|&c| c < agg_column);
+    let mut total = ExactSum::default();
+    for block in data.iter() {
+        let mut partial = ExactSum::default();
+        block
+            .scan_rows_projected(&columns, &mut |row| {
+                if filter.matches(row) {
+                    partial.add(row[agg]);
+                }
+            })
+            .expect("scan succeeds");
+        total.merge(&partial);
+    }
+    total.mean().expect("the predicate matches rows")
+}
+
+/// Sweep 11: a `WHERE` clause evaluated one assembled row at a time vs
+/// over column chunks (`scan_column_chunks` + `RowFilter::select`), for
+/// the two consumers that moved: the selection build and the exact
+/// filtered scan. Across selectivities, one and two conjuncts, and the
+/// three delivery paths — `RowsBlock` hands out its columns in place,
+/// `ZipBlock` and the scalar-fallback wrapper go through the trait
+/// default's transposing copy. Old and new must agree exactly.
+fn sweep_predicate_scan(scale: &Scale, report: &mut Report) -> Vec<Json> {
+    const BLOCKS: usize = 8;
+    let n = scale.filter_rows;
+    let value = normal_values(100.0, 20.0, n, SEED ^ 12);
+    // Uniform in [0, 1): `aux < s` selects an s-fraction of the rows,
+    // scattered (a sorted column would hand the per-row path a branch
+    // it always predicts).
+    let aux: Vec<f64> = {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 13);
+        use rand::Rng;
+        (0..n).map(|_| rng.random_range(0.0..1.0)).collect()
+    };
+    let unread_a: Vec<f64> = (0..n).map(|i| (i % 8) as f64).collect();
+    let unread_b = normal_values(20.0, 5.0, n, SEED ^ 14);
+    let columns = vec![value, unread_a, aux, unread_b];
+    let native = RowsBlock::split(columns, BLOCKS);
+    let zipped = BlockSet::new(
+        native
+            .iter()
+            .map(|block| {
+                let cols = (0..block.width())
+                    .map(|c| block.project(c).expect("rows blocks project"))
+                    .collect();
+                Arc::new(ZipBlock::new(cols)) as Arc<dyn DataBlock>
+            })
+            .collect(),
+    );
+    let fallback = scalar_fallback_set(&native);
+
+    let mut rows = Vec::new();
+    for (kind, data) in [
+        ("RowsBlock", &native),
+        ("ZipBlock", &zipped),
+        ("fallback", &fallback),
+    ] {
+        for conjuncts in [1usize, 2] {
+            for selectivity in [0.01, 0.1, 0.5, 0.99] {
+                let mut predicates = vec![ColumnPredicate {
+                    column: 2,
+                    op: CmpOp::Lt,
+                    value: selectivity,
+                }];
+                if conjuncts == 2 {
+                    // True of (all but) every row: the second conjunct
+                    // costs a pass over the survivors and removes none.
+                    predicates.push(ColumnPredicate {
+                        column: 0,
+                        op: CmpOp::Gt,
+                        value: 0.0,
+                    });
+                }
+                let filter = RowFilter::new(predicates);
+                let spec = RowSpec {
+                    agg_column: 0,
+                    filter: filter.clone(),
+                    group_by: None,
+                };
+
+                let mut matches = 0usize;
+                for block in data.iter() {
+                    let new = SelectionVector::build(block.as_ref(), &filter)
+                        .expect("selection builds")
+                        .expect("the block scans");
+                    assert_eq!(
+                        new.indices(),
+                        &per_row_selection(block.as_ref(), &filter)[..],
+                        "{kind}: a selection vector may not depend on how the rows arrived"
+                    );
+                    matches += new.indices().len();
+                }
+                let (build_old_s, _) = median_secs(scale.runs, || {
+                    data.iter()
+                        .map(|b| per_row_selection(b.as_ref(), &filter).len() as f64)
+                        .sum()
+                });
+                let (build_new_s, _) = median_secs(scale.runs, || {
+                    data.iter()
+                        .map(|b| {
+                            SelectionVector::build(b.as_ref(), &filter)
+                                .expect("selection builds")
+                                .map_or(0.0, |sel| sel.match_count() as f64)
+                        })
+                        .sum()
+                });
+                let (exact_old_s, exact_old) =
+                    median_secs(scale.runs, || per_row_exact_mean(data, 0, &filter));
+                let (exact_new_s, exact_new) = median_secs(scale.runs, || {
+                    engine::scan_exact_groups_on(data, &spec, &SequentialScheduler)
+                        .expect("scan succeeds")[0]
+                        .mean
+                });
+                assert_eq!(
+                    exact_old.to_bits(),
+                    exact_new.to_bits(),
+                    "{kind}: an exact answer may not depend on how the rows arrived"
+                );
+
+                let ns_per_row = |secs: f64| secs * 1e9 / n as f64;
+                for (what, old_s, new_s) in [
+                    ("build", build_old_s, build_new_s),
+                    ("exact", exact_old_s, exact_new_s),
+                ] {
+                    report.row(vec![
+                        format!("predicate/{kind} {what} x{conjuncts}"),
+                        n.to_string(),
+                        fmt(selectivity, 2),
+                        fmt(n as f64 / old_s / 1e6, 2),
+                        fmt(n as f64 / new_s / 1e6, 2),
+                        fmt(old_s / new_s, 2),
+                    ]);
+                }
+                rows.push(Json::obj(vec![
+                    ("block_kind", Json::str(kind)),
+                    ("conjuncts", Json::num(conjuncts as f64)),
+                    ("selectivity", Json::num(selectivity)),
+                    ("rows", Json::num(n as f64)),
+                    ("matches", Json::num(matches as f64)),
+                    ("build_old_ns_per_row", Json::num(ns_per_row(build_old_s))),
+                    ("build_new_ns_per_row", Json::num(ns_per_row(build_new_s))),
+                    ("exact_old_ns_per_row", Json::num(ns_per_row(exact_old_s))),
+                    ("exact_new_ns_per_row", Json::num(ns_per_row(exact_new_s))),
+                    ("exact_speedup", Json::num(exact_old_s / exact_new_s)),
+                    ("speedup", Json::num(build_old_s / build_new_s)),
+                ]));
+            }
+        }
+    }
+    rows
+}
+
 /// Validates the emitted artifact: parseable JSON carrying every
 /// section the downstream tooling reads.
 fn validate_artifact(text: &str) -> Result<(), String> {
@@ -912,6 +1095,7 @@ fn validate_artifact(text: &str) -> Result<(), String> {
         "sections.slice_fold",
         "sections.sampled_path",
         "sections.exact_scan",
+        "sections.predicate_scan",
     ] {
         if get(&doc, path).is_none() {
             return Err(format!("missing required key {path:?}"));
@@ -928,6 +1112,7 @@ fn validate_artifact(text: &str) -> Result<(), String> {
         "slice_fold",
         "sampled_path",
         "exact_scan",
+        "predicate_scan",
     ] {
         match get(&doc, &format!("sections.{section}")) {
             Some(Json::Arr(items)) if !items.is_empty() => {
@@ -972,6 +1157,7 @@ fn main() {
     let slice_fold_rows = sweep_slice_fold(&scale, &mut report);
     let sampled_path_rows = sweep_sampled_path(&scale, &mut report);
     let exact_scan_rows = sweep_exact_scan(&scale, &mut report);
+    let predicate_scan_rows = sweep_predicate_scan(&scale, &mut report);
     report.finish();
     // The ROADMAP's "≥ 2× sampled draws" gate, stated per path as
     // measured (recorded, not asserted: a miss is a finding to print).
@@ -1001,6 +1187,7 @@ fn main() {
                 ("slice_fold", Json::Arr(slice_fold_rows)),
                 ("sampled_path", Json::Arr(sampled_path_rows)),
                 ("exact_scan", Json::Arr(exact_scan_rows)),
+                ("predicate_scan", Json::Arr(predicate_scan_rows)),
             ]),
         ),
     ]);

@@ -92,12 +92,25 @@ pub fn scan_exact_groups_on(
         scheduler,
         |block| {
             let mut groups: BTreeMap<u64, ExactSum> = BTreeMap::new();
-            block.scan_rows_projected(&read.columns, &mut |row| {
-                if spec.filter.matches(row) {
-                    groups
-                        .entry(spec.group_key(row))
-                        .or_default()
-                        .add(row[spec.agg_column]);
+            // One chunk's matching rows (chunk-local indices), reused.
+            let mut matched = Vec::new();
+            block.scan_column_chunks(&read.columns, &mut |chunk| {
+                spec.filter.select(chunk, 0, &mut matched);
+                let values = chunk[spec.agg_column];
+                let keys = spec.group_by.map(|col| chunk[col]);
+                let key_of = |i: u32| keys.map_or(0f64, |keys| keys[i as usize]).to_bits();
+                // Each group folds its matched values in row order —
+                // all a compensated sum can see — with one map lookup
+                // per run of equal keys instead of one per row.
+                let mut rest = matched.as_slice();
+                while let Some(&first) = rest.first() {
+                    let key = key_of(first);
+                    let run = rest.iter().take_while(|&&i| key_of(i) == key).count();
+                    let sum = groups.entry(key).or_default();
+                    for &i in &rest[..run] {
+                        sum.add(values[i as usize]);
+                    }
+                    rest = &rest[run..];
                 }
             })?;
             Ok(groups)

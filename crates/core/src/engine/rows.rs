@@ -38,7 +38,7 @@ use rand::RngCore;
 use isla_stats::{required_sample_size, NeumaierSum, WelfordMoments};
 use isla_storage::{
     sample_row_columns_proportional, sample_row_columns_proportional_surviving,
-    with_row_sample_buf, BlockSet, ColumnPredicate, DataBlock, RowFilter, SAMPLE_BATCH_ROWS,
+    with_row_sample_buf, BlockSet, DataBlock, RowFilter, SAMPLE_BATCH_ROWS,
 };
 
 use super::seed;
@@ -154,31 +154,15 @@ pub(super) struct Projection {
 
 impl Projection {
     pub(super) fn of(spec: &RowSpec) -> Self {
-        let mut columns: Vec<usize> = spec
+        let (columns, filter) = spec
             .filter
-            .predicates()
-            .iter()
-            .map(|p| p.column)
-            .chain([spec.agg_column])
-            .chain(spec.group_by)
-            .collect();
-        columns.sort_unstable();
-        columns.dedup();
+            .projected([spec.agg_column].into_iter().chain(spec.group_by));
         // Every referenced column is in `columns`, so its position is
         // the count of smaller entries.
         let at = |col: usize| columns.partition_point(|&c| c < col);
         let spec = RowSpec {
             agg_column: at(spec.agg_column),
-            filter: RowFilter::new(
-                spec.filter
-                    .predicates()
-                    .iter()
-                    .map(|p| ColumnPredicate {
-                        column: at(p.column),
-                        ..*p
-                    })
-                    .collect(),
-            ),
+            filter,
             group_by: spec.group_by.map(at),
         };
         Self { columns, spec }

@@ -134,6 +134,59 @@ pub trait DataBlock: Send + Sync {
         })
     }
 
+    /// Visits every row in storage order as **aligned column slices** —
+    /// the columnar form of [`DataBlock::scan_rows_projected`]: each
+    /// call delivers one chunk of at most [`SCAN_CHUNK_ROWS`] rows as
+    /// one slice per entry of `columns` (in the order given), all of the
+    /// chunk's length, so a consumer evaluates a predicate or folds a
+    /// column at slice speed instead of one `dyn` call per row.
+    ///
+    /// The chunk-scan law: the same values in the same order as
+    /// [`DataBlock::scan_rows_projected`]`(columns, …)` — row `i` of the
+    /// scan is `(chunk[0][j], chunk[1][j], …)` of the chunk that covers
+    /// it — and an error before the first chunk wherever the row scan
+    /// errors before its first row; only the shape of delivery changes.
+    /// An empty block delivers no chunk. The default transposes
+    /// [`DataBlock::scan_rows`] (the projected row scan's default is one
+    /// more `dyn` hop per row over the same full-width rows); columnar
+    /// blocks override it to hand out sub-slices of their storage in
+    /// place.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::scan`].
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let reserve = SCAN_CHUNK_ROWS.min(usize::try_from(self.len()).unwrap_or(usize::MAX));
+        let mut lanes: Vec<Vec<f64>> = columns
+            .iter()
+            .map(|_| Vec::with_capacity(reserve))
+            .collect();
+        let mut filled = 0usize;
+        let mut flush = |lanes: &mut [Vec<f64>]| {
+            let chunk: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
+            visit(&chunk);
+            lanes.iter_mut().for_each(Vec::clear);
+        };
+        self.scan_rows(&mut |row| {
+            for (lane, &c) in lanes.iter_mut().zip(columns) {
+                lane.push(row[c]);
+            }
+            filled += 1;
+            if filled == SCAN_CHUNK_ROWS {
+                flush(&mut lanes);
+                filled = 0;
+            }
+        })?;
+        if filled > 0 {
+            flush(&mut lanes);
+        }
+        Ok(())
+    }
+
     /// Draws `n` values uniformly at random (with replacement) into
     /// `out` — the batched form of [`DataBlock::sample_one`], the
     /// engine's hot sampling kernel.
@@ -292,6 +345,13 @@ impl<T: DataBlock + ?Sized> DataBlock for &T {
     ) -> Result<(), StorageError> {
         (**self).scan_rows_projected(columns, visit)
     }
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        (**self).scan_column_chunks(columns, visit)
+    }
     fn sample_batch(
         &self,
         n: u64,
@@ -356,6 +416,13 @@ impl DataBlock for std::sync::Arc<dyn DataBlock> {
         visit: &mut dyn FnMut(&[f64]),
     ) -> Result<(), StorageError> {
         (**self).scan_rows_projected(columns, visit)
+    }
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        (**self).scan_column_chunks(columns, visit)
     }
     fn sample_batch(
         &self,

@@ -138,6 +138,80 @@ impl RowFilter {
         self.predicates.iter().all(|p| p.matches(row))
     }
 
+    /// The columns a scan must deliver to evaluate this filter and read
+    /// the `also` columns beside it (ascending, de-duplicated), and the
+    /// filter re-indexed against that list; column `c` of the original
+    /// row sits at `columns.partition_point(|&x| x < c)`. Re-indexing
+    /// is monotone, so the conjuncts keep their canonical order and
+    /// perform the same comparisons on the same values.
+    pub fn projected(&self, also: impl IntoIterator<Item = usize>) -> (Vec<usize>, RowFilter) {
+        let mut columns: Vec<usize> = self
+            .predicates
+            .iter()
+            .map(|p| p.column)
+            .chain(also)
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        let predicates = self
+            .predicates
+            .iter()
+            .map(|p| ColumnPredicate {
+                column: columns.partition_point(|&c| c < p.column),
+                ..*p
+            })
+            .collect();
+        (columns, RowFilter { predicates })
+    }
+
+    /// Evaluates the conjunction over one chunk of aligned column
+    /// slices (`cols[c][i]` is column `c` of the chunk's row `i`, as
+    /// [`crate::DataBlock::scan_column_chunks`] delivers them), writing
+    /// `base + i` for every matching row `i` into `out` (cleared
+    /// first), ascending — exactly the rows
+    /// [`RowFilter::matches`] accepts, [`CmpOp::eval`]'s NaN and ±0
+    /// semantics included.
+    ///
+    /// The first conjunct is one dense compare over its column with
+    /// branch-free index compaction (every index is stored, the write
+    /// position advances only on a match — no data-dependent branch for
+    /// the predictor to lose); each further conjunct refines the
+    /// candidate list in place, reading only the surviving rows. The
+    /// row count is `cols[0]`'s length, so at least one column must be
+    /// given; a trivial filter selects every row of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a conjunct's column is missing from `cols`, a column
+    /// is shorter than `cols[0]`, or `base` plus the chunk's length
+    /// overflows `u32`.
+    pub fn select(&self, cols: &[&[f64]], base: u32, out: &mut Vec<u32>) {
+        let rows = cols.first().map_or(0, |col| col.len());
+        let end = u64::from(base) + rows as u64;
+        assert!(
+            end <= u64::from(u32::MAX),
+            "chunk indices must fit the u32 index space"
+        );
+        out.clear();
+        if self.predicates.is_empty() {
+            out.extend(base..end as u32);
+            return;
+        }
+        for (k, p) in self.predicates.iter().enumerate() {
+            let (col, rhs, dense) = (&cols[p.column][..rows], p.value, k == 0);
+            // One arm per operator, so each pass is a loop over a single
+            // inlined comparison — `CmpOp::eval` itself, constant-folded.
+            match p.op {
+                CmpOp::Gt => conjunct_pass(col, base, dense, out, |v| CmpOp::Gt.eval(v, rhs)),
+                CmpOp::Lt => conjunct_pass(col, base, dense, out, |v| CmpOp::Lt.eval(v, rhs)),
+                CmpOp::Ge => conjunct_pass(col, base, dense, out, |v| CmpOp::Ge.eval(v, rhs)),
+                CmpOp::Le => conjunct_pass(col, base, dense, out, |v| CmpOp::Le.eval(v, rhs)),
+                CmpOp::Eq => conjunct_pass(col, base, dense, out, |v| CmpOp::Eq.eval(v, rhs)),
+                CmpOp::Ne => conjunct_pass(col, base, dense, out, |v| CmpOp::Ne.eval(v, rhs)),
+            }
+        }
+    }
+
     /// A stable digest of the compiled predicate, for cache keys: two
     /// filters fingerprint equal exactly when every conjunct is
     /// bit-identical.
@@ -153,6 +227,36 @@ impl RowFilter {
         }
         h.finish()
     }
+}
+
+/// One conjunct of [`RowFilter::select`] over a chunk column. `dense`
+/// (the first conjunct) tests every row; otherwise the candidates
+/// already in `out` are refined in place. Either way every candidate
+/// index is stored and the write position advances only when `keep`
+/// holds, so the loop carries no data-dependent branch.
+#[inline]
+fn conjunct_pass(
+    col: &[f64],
+    base: u32,
+    dense: bool,
+    out: &mut Vec<u32>,
+    keep: impl Fn(f64) -> bool,
+) {
+    let mut kept = 0;
+    if dense {
+        out.resize(col.len(), 0);
+        for (i, &v) in col.iter().enumerate() {
+            out[kept] = base + i as u32;
+            kept += usize::from(keep(v));
+        }
+    } else {
+        for k in 0..out.len() {
+            let idx = out[k];
+            out[kept] = idx;
+            kept += usize::from(keep(col[(idx - base) as usize]));
+        }
+    }
+    out.truncate(kept);
 }
 
 #[cfg(test)]

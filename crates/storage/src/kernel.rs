@@ -43,8 +43,10 @@ use crate::error::StorageError;
 pub const SAMPLE_BATCH_ROWS: u64 = 8_192;
 
 /// Chunk size handed to [`DataBlock::scan_chunks`] visitors by the
-/// default (buffering) implementation. In-memory blocks ignore this and
-/// hand out their natural contiguous slices.
+/// default (buffering) implementation — in-memory blocks ignore this
+/// and hand out their natural contiguous slices — and the upper bound on
+/// a [`DataBlock::scan_column_chunks`] chunk from any block, which is
+/// what keeps a consumer's per-chunk index list cache-resident.
 pub const SCAN_CHUNK_ROWS: usize = 16_384;
 
 // Where the *sorted* gather applies: measured on in-memory slices,
@@ -511,9 +513,10 @@ impl DataBlock for ScalarFallbackBlock {
         self.0.supports_scan()
     }
     // `sample_batch`, `sample_rows_batch`, `scan_chunks`,
-    // `scan_rows_projected` and `sketch` are NOT forwarded: the batched
-    // and projected entry points fall back to the scalar / full-width
-    // defaults, and the wrapped set stays sketch-less so
+    // `scan_rows_projected`, `scan_column_chunks` and `sketch` are NOT
+    // forwarded: the batched, projected and columnar entry points fall
+    // back to the scalar / full-width / transposing defaults, and the
+    // wrapped set stays sketch-less so
     // consumers exercise their metadata-free paths (the throughput
     // bench leans on this to measure the pre-sketch SLEV scan).
     fn describe(&self) -> String {

@@ -50,9 +50,12 @@
 //! positional readers, bit-identical to the scalar path either way, and
 //! restricted to the columns the consumer reads when it names them
 //! ([`RowSampleBuf::project`], [`DataBlock::scan_rows_projected`]);
-//! [`DataBlock::scan_chunks`] hands scans out as contiguous slices, and [`SelectionVector`]s compile a [`RowFilter`]
-//! into per-block matching-index lists so filtered draws are O(1)
-//! lookups instead of rejection loops.
+//! [`DataBlock::scan_chunks`] hands scans out as contiguous slices and
+//! [`DataBlock::scan_column_chunks`] as aligned column slices, over
+//! which [`RowFilter::select`] evaluates a predicate at column speed;
+//! and [`SelectionVector`]s compile a [`RowFilter`] into per-block
+//! matching-index lists so filtered draws are O(1) lookups instead of
+//! rejection loops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

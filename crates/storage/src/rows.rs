@@ -221,6 +221,27 @@ impl DataBlock for RowsBlock {
         Ok(())
     }
 
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        // The columns are already contiguous: every chunk is a window
+        // onto the storage, no value is copied.
+        let cols: Vec<&[f64]> = columns
+            .iter()
+            .map(|&c| self.columns[c].as_slice())
+            .collect();
+        let mut chunk: Vec<&[f64]> = Vec::with_capacity(cols.len());
+        for start in (0..self.rows).step_by(SCAN_CHUNK_ROWS) {
+            let end = (start + SCAN_CHUNK_ROWS).min(self.rows);
+            chunk.clear();
+            chunk.extend(cols.iter().map(|col| &col[start..end]));
+            visit(&chunk);
+        }
+        Ok(())
+    }
+
     fn sample_batch(
         &self,
         n: u64,
@@ -559,8 +580,14 @@ impl DataBlock for ColumnView {
     }
 
     fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        let col = self.col;
-        self.inner.scan_rows(&mut |row| visit(row[col]))
+        self.scan_chunks(&mut |chunk| chunk.iter().for_each(|&v| visit(v)))
+    }
+
+    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
+        // The one column, as the inner block's column chunks: no row is
+        // assembled to keep a single value of it.
+        self.inner
+            .scan_column_chunks(&[self.col], &mut |chunk| visit(chunk[0]))
     }
 
     fn sample_batch(
@@ -742,25 +769,13 @@ impl DataBlock for FilteredColumnView {
     }
 
     fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        let col = self.col;
-        if let Some(sel) = &self.selection {
-            // Visit exactly the compiled matches, in storage order,
-            // without re-evaluating the predicate per row.
-            return with_row_buf(|row| {
-                for k in 0..sel.match_count() {
-                    self.inner.row_tuple(sel.row_index(k), row)?;
-                    debug_assert!(self.filter.matches(row));
-                    visit(row[col]);
-                }
-                Ok(())
-            });
-        }
-        let filter = Arc::clone(&self.filter);
-        self.inner.scan_rows(&mut |row| {
-            if filter.matches(row) {
-                visit(row[col]);
-            }
-        })
+        scan_matching(
+            self.inner.as_ref(),
+            self.col,
+            &self.filter,
+            self.selection.as_deref(),
+            visit,
+        )
     }
 
     fn sample_batch(
@@ -826,6 +841,48 @@ impl DataBlock for FilteredColumnView {
             }
         )
     }
+}
+
+/// Visits column `col` of the rows of `block` that match `filter`, in
+/// storage order — the scan behind both filtered views. The column
+/// arrives as chunks ([`DataBlock::scan_column_chunks`]): with a
+/// compiled `selection` its indices are walked across the one-column
+/// chunks (no predicate is re-evaluated, a matchless block is not read
+/// at all); without one, each chunk of the columns the filter reads is
+/// put through [`RowFilter::select`].
+fn scan_matching(
+    block: &dyn DataBlock,
+    col: usize,
+    filter: &RowFilter,
+    selection: Option<&SelectionVector>,
+    visit: &mut dyn FnMut(f64),
+) -> Result<(), StorageError> {
+    let Some(selection) = selection else {
+        let (columns, filter) = filter.projected([col]);
+        let at = columns.partition_point(|&c| c < col);
+        let mut matched = Vec::new();
+        return block.scan_column_chunks(&columns, &mut |chunk| {
+            filter.select(chunk, 0, &mut matched);
+            for &i in &matched {
+                visit(chunk[at][i as usize]);
+            }
+        });
+    };
+    if selection.is_empty() {
+        return Ok(());
+    }
+    let mut pending = selection.indices();
+    let mut base = 0u64;
+    block.scan_column_chunks(&[col], &mut |chunk| {
+        let values = chunk[0];
+        let end = base + values.len() as u64;
+        let here = pending.partition_point(|&i| u64::from(i) < end);
+        for &i in &pending[..here] {
+            visit(values[(u64::from(i) - base) as usize]);
+        }
+        pending = &pending[here..];
+        base = end;
+    })
 }
 
 /// Projects one column of every block in `set` as width-1 scalar
@@ -1056,33 +1113,24 @@ impl DataBlock for PooledFilteredColumn {
     }
 
     fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        let col = self.col;
-        if let Some(sel) = &self.selection {
-            // Walk only the compiled matches, block by block, skipping
-            // matchless blocks outright via their zone stat.
-            return with_row_buf(|row| {
-                for (b, block) in self.blocks.iter().enumerate() {
-                    let Some(block_sel) = sel.block(b) else {
-                        return Err(StorageError::Internal(format!(
-                            "complete selection skipped block {b}"
-                        )));
-                    };
-                    for &local in block_sel.indices() {
-                        block.row_tuple(u64::from(local), row)?;
-                        debug_assert!(self.filter.matches(row));
-                        visit(row[col]);
-                    }
-                }
-                Ok(())
-            });
-        }
-        let filter = Arc::clone(&self.filter);
-        for block in &self.blocks {
-            block.scan_rows(&mut |row| {
-                if filter.matches(row) {
-                    visit(row[col]);
-                }
-            })?;
+        for (b, block) in self.blocks.iter().enumerate() {
+            // A pooled view only keeps a complete selection.
+            let block_sel = self
+                .selection
+                .as_ref()
+                .map(|sel| {
+                    sel.block(b).ok_or_else(|| {
+                        StorageError::Internal(format!("complete selection skipped block {b}"))
+                    })
+                })
+                .transpose()?;
+            scan_matching(
+                block.as_ref(),
+                self.col,
+                &self.filter,
+                block_sel.map(Arc::as_ref),
+                visit,
+            )?;
         }
         Ok(())
     }

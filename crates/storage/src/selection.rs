@@ -11,10 +11,12 @@
 //! vectors over a [`crate::BlockSet`] with cumulative match counts, so
 //! a pooled filtered population draws globally in O(log b).
 //!
-//! Building a vector costs one full scan of the block — unless the
-//! block's moment sketch ([`crate::BlockSketch`]) proves the predicate
-//! matchless from its min/max **zone map**, in which case the empty
-//! vector compiles with zero scan. The result is cached **on the block
+//! Building a vector costs one scan of the columns the filter reads
+//! ([`DataBlock::scan_column_chunks`], the predicate evaluated per chunk
+//! by [`RowFilter::select`]) — unless the block's moment sketch
+//! ([`crate::BlockSketch`]) proves the predicate matchless from its
+//! min/max **zone map**, in which case the empty vector compiles with
+//! zero scan. The result is cached **on the block
 //! set** ([`SelectionCache`], keyed by the filter's fingerprint), so
 //! repeated queries over the same predicate never rescan. Memory cost
 //! is 4 bytes per *matching* row: indices are `u32`, and a scannable
@@ -41,7 +43,11 @@ pub struct SelectionVector {
 
 impl SelectionVector {
     /// Compiles the selection vector of `block` under `filter` with one
-    /// full row scan. Returns `None` when the block cannot scan at all.
+    /// scan of the columns the filter reads
+    /// ([`DataBlock::scan_column_chunks`] + [`RowFilter::select`]).
+    /// Returns `None` when the block cannot scan at all. The vector is
+    /// sized to its matches: what a [`SelectionCache`] retains is 4
+    /// bytes per matching row and no spare capacity.
     ///
     /// # Errors
     ///
@@ -59,17 +65,28 @@ impl SelectionVector {
         if declared > u64::from(u32::MAX) {
             return Err(StorageError::BlockTooLarge { rows: declared });
         }
+        // A trivial filter reads nothing: its rows are counted by the
+        // first column.
+        let (columns, filter) = filter.projected(filter.is_trivial().then_some(0));
         let mut indices = Vec::new();
+        // One chunk's matches, reused: selecting straight into `indices`
+        // would grow it by a whole chunk of candidates per step.
+        let mut matched = Vec::new();
         let mut rows_seen: u64 = 0;
-        block.scan_rows(&mut |row| {
-            if rows_seen < u64::from(u32::MAX) && filter.matches(row) {
-                indices.push(rows_seen as u32);
+        block.scan_column_chunks(&columns, &mut |chunk| {
+            let rows = chunk.first().map_or(0, |col| col.len()) as u64;
+            // Past the index space nothing compiles: the scan only
+            // finishes counting for the error below.
+            if rows_seen + rows <= u64::from(u32::MAX) {
+                filter.select(chunk, rows_seen as u32, &mut matched);
+                indices.extend_from_slice(&matched);
             }
-            rows_seen += 1;
+            rows_seen += rows;
         })?;
         if rows_seen > u64::from(u32::MAX) {
             return Err(StorageError::BlockTooLarge { rows: rows_seen });
         }
+        indices.shrink_to_fit();
         Ok(Some(Self { indices }))
     }
 
@@ -586,6 +603,26 @@ mod tests {
         assert_eq!(sel.match_count(), brute.len() as u64);
         assert!(!sel.is_empty());
         assert_eq!(sel.row_index(0), u64::from(brute[0]));
+    }
+
+    #[test]
+    fn built_vectors_are_sized_to_their_matches() {
+        // Several chunks of appends, at selectivities that leave a
+        // doubling `Vec` with the most slack: a cached vector must hold
+        // its matches and nothing more.
+        let rows = 3 * crate::kernel::SCAN_CHUNK_ROWS + 17;
+        let block = RowsBlock::new(vec![(0..rows).map(|i| (i % 100) as f64).collect()]);
+        for threshold in [-1.0, 32.5, 49.5, 98.5, 100.0] {
+            let sel = SelectionVector::build(&block, &filter_gt(0, threshold))
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                sel.indices.capacity(),
+                sel.indices.len(),
+                "threshold {threshold}: {} matches",
+                sel.match_count()
+            );
+        }
     }
 
     #[test]

@@ -179,20 +179,6 @@ impl BlockSketch {
         })
     }
 
-    /// Folds one row tuple in.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tuple width differs from the sketch width.
-    #[inline]
-    pub fn update_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.columns.len(), "row width mismatch");
-        self.rows += 1;
-        for (m, &v) in self.columns.iter_mut().zip(row) {
-            m.update(v);
-        }
-    }
-
     /// Merges another block's sketch in (order-invariant: counts and
     /// extrema exactly, sums up to f64 rounding) — the streaming-ingest
     /// combine step.
@@ -222,9 +208,10 @@ impl BlockSketch {
 /// without a [`DataBlock::sketch`] hook (file-backed or third-party).
 ///
 /// Width-1 blocks fold through the chunked scan kernel; wider blocks
-/// fold row tuples. Both visit each column's values in storage order,
-/// so the result is bit-identical to an eager constructor-time sketch
-/// of the same data.
+/// fold column chunks ([`DataBlock::scan_column_chunks`]), one column
+/// at a time. Both visit each column's values in storage order, so the
+/// result is bit-identical to an eager constructor-time sketch of the
+/// same data.
 ///
 /// Returns `Ok(None)` when the block does not support scans at all.
 ///
@@ -251,7 +238,15 @@ pub fn scan_sketch(block: &dyn DataBlock) -> Result<Option<BlockSketch>, Storage
         }))
     } else {
         let mut sketch = BlockSketch::empty(block.width());
-        block.scan_rows(&mut |row| sketch.update_row(row))?;
+        let all: Vec<usize> = (0..block.width()).collect();
+        block.scan_column_chunks(&all, &mut |chunk| {
+            sketch.rows += chunk.first().map_or(0, |col| col.len()) as u64;
+            for (moments, col) in sketch.columns.iter_mut().zip(chunk) {
+                for &v in *col {
+                    moments.update(v);
+                }
+            }
+        })?;
         Ok(Some(sketch))
     }
 }

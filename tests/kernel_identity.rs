@@ -25,10 +25,10 @@ use isla::stats::{NeumaierSum, WelfordMoments};
 use isla::storage::{
     pool_filtered_column, sample_rows_from_block, sample_rows_proportional,
     sample_rows_proportional_surviving, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault,
-    BlockSet, CmpOp, ColumnPredicate, ColumnView, DataBlock, FaultPlan, FaultyBlock,
+    BlockSet, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum, FaultPlan, FaultyBlock,
     FilteredColumnView, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf, RowsBlock,
-    SampleBuf, ScalarFallbackBlock, SelectionVector, SharedColumn, StorageError, TextBlock,
-    ZipBlock,
+    SampleBuf, ScalarFallbackBlock, SelectionVector, SetSelection, SharedColumn, StorageError,
+    TextBlock, ZipBlock, SCAN_CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -1516,6 +1516,481 @@ fn exact_scans_surface_a_panicking_block_as_a_typed_error() {
                     assert!(msg.contains("block 3"), "{workers} workers: {msg}");
                 }
                 other => panic!("{workers} workers: expected a typed error, got {other:?}"),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Predicates at column speed: `scan_column_chunks` delivers the projected
+// row scan's values as aligned column slices, and `RowFilter::select`
+// evaluates a conjunction over such a chunk. The two consumers that used
+// to evaluate a `WHERE` clause one row at a time — selection builds and
+// the exact grouped scan — are pinned against the per-row loops they
+// replaced, rebuilt below from `scan_rows` / `scan_rows_projected` +
+// `RowFilter::matches`.
+// ---------------------------------------------------------------------
+
+/// Values a comparison is most likely to get wrong: NaN on either side,
+/// both zeros, both infinities.
+const SALT: [f64; 5] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+
+/// A small-integer value (so `=` and `!=` both hit), salted.
+fn salted_value(rng: &mut StdRng) -> f64 {
+    if rng.random_bool(0.2) {
+        SALT[rng.random_range(0..SALT.len())]
+    } else {
+        f64::from(rng.random_range(-2i32..3))
+    }
+}
+
+const ALL_OPS: [CmpOp; 6] = [
+    CmpOp::Gt,
+    CmpOp::Lt,
+    CmpOp::Ge,
+    CmpOp::Le,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
+proptest! {
+    /// (1) `select` is `matches` applied row by row, for every operator,
+    /// 0–3 conjuncts (duplicates and two on one column included), NaN,
+    /// ±0.0 and ±∞ among the values and the literals, chunk lengths
+    /// around the scan chunk size, and a non-zero base.
+    #[test]
+    fn select_is_the_per_row_filter(
+        len in prop_oneof![
+            Just(0usize),
+            Just(1),
+            Just(SCAN_CHUNK_ROWS - 1),
+            Just(SCAN_CHUNK_ROWS),
+            Just(SCAN_CHUNK_ROWS + 1)
+        ],
+        conjuncts in 0usize..=3,
+        base in prop_oneof![Just(0u32), 1u32..1_000_000, Just(u32::MAX - SCAN_CHUNK_ROWS as u32 - 1)],
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = 3;
+        let cols: Vec<Vec<f64>> = (0..width)
+            .map(|_| (0..len).map(|_| salted_value(&mut rng)).collect())
+            .collect();
+        let mut predicates: Vec<ColumnPredicate> = Vec::new();
+        for _ in 0..conjuncts {
+            let next = match predicates.last() {
+                // A duplicated conjunct.
+                Some(&last) if rng.random_bool(0.2) => last,
+                // A second conjunct on the same column.
+                Some(&last) if rng.random_bool(0.3) => ColumnPredicate {
+                    column: last.column,
+                    op: ALL_OPS[rng.random_range(0..ALL_OPS.len())],
+                    value: salted_value(&mut rng),
+                },
+                _ => ColumnPredicate {
+                    column: rng.random_range(0..width),
+                    op: ALL_OPS[rng.random_range(0..ALL_OPS.len())],
+                    value: salted_value(&mut rng),
+                },
+            };
+            predicates.push(next);
+        }
+        let filter = RowFilter::new(predicates);
+
+        let chunk: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        // Whatever the list held before is gone.
+        let mut got = vec![7u32; 5];
+        filter.select(&chunk, base, &mut got);
+        let want: Vec<u32> = (0..len)
+            .filter(|&i| {
+                let row: Vec<f64> = cols.iter().map(|c| c[i]).collect();
+                filter.matches(&row)
+            })
+            .map(|i| base + i as u32)
+            .collect();
+        prop_assert_eq!(got, want, "{:?} over {} rows from {}", filter, len, base);
+    }
+}
+
+/// One block's projected row scan, transposed: a value list per
+/// projected column, floats as bits.
+fn transposed_row_scan(
+    block: &dyn DataBlock,
+    projection: &[usize],
+) -> Result<Vec<Vec<u64>>, StorageError> {
+    let mut lanes = vec![Vec::new(); projection.len()];
+    block.scan_rows_projected(projection, &mut |row| {
+        for (lane, v) in lanes.iter_mut().zip(row) {
+            lane.push(v.to_bits());
+        }
+    })?;
+    Ok(lanes)
+}
+
+/// One block's column-chunk scan, concatenated per column; every chunk
+/// checked for shape on the way (one slice per projected column, all of
+/// one length between 1 and `SCAN_CHUNK_ROWS`). Also returns the number
+/// of chunks delivered.
+fn concatenated_chunk_scan(
+    block: &dyn DataBlock,
+    projection: &[usize],
+) -> (Result<Vec<Vec<u64>>, StorageError>, usize) {
+    let mut lanes = vec![Vec::new(); projection.len()];
+    let mut chunks = 0;
+    let result = block.scan_column_chunks(projection, &mut |chunk| {
+        chunks += 1;
+        assert_eq!(chunk.len(), projection.len());
+        let rows = chunk[0].len();
+        assert!(
+            (1..=SCAN_CHUNK_ROWS).contains(&rows),
+            "chunk of {rows} rows"
+        );
+        for (lane, col) in lanes.iter_mut().zip(chunk) {
+            assert_eq!(col.len(), rows, "chunk columns must be aligned");
+            lane.extend(col.iter().map(|v| v.to_bits()));
+        }
+    });
+    (result.map(|()| lanes), chunks)
+}
+
+#[test]
+fn column_chunks_are_the_projected_row_scan_transposed_on_every_block_kind() {
+    // (2) Blocks of 2.5 chunks each, so full chunks, a chunk boundary
+    // and a short tail all occur; projections in descending order and
+    // with repeated columns.
+    let mut rng = StdRng::seed_from_u64(0xC4A2);
+    let blocks = 2;
+    let rows = blocks * (2 * SCAN_CHUNK_ROWS + SCAN_CHUNK_ROWS / 2);
+    for width in [1usize, 2, 4] {
+        let cols = spec_columns(rows, width, &mut rng);
+        let mut projections: Vec<Vec<usize>> = vec![
+            (0..width).rev().collect(),
+            vec![width - 1, width - 1],
+            vec![0],
+        ];
+        projections.extend((0..3).map(|_| {
+            (0..rng.random_range(1..=width + 1))
+                .map(|_| rng.random_range(0..width))
+                .collect()
+        }));
+        for kind in KINDS {
+            for projection in &projections {
+                let data = set_of_kind(kind, &cols, blocks);
+                let reference = set_of_kind(kind, &cols, blocks);
+                for (block, reference) in data.iter().zip(reference.iter()) {
+                    // A transient block fails its first two accesses —
+                    // before any chunk is delivered — then recovers; the
+                    // row scan fails and recovers in step.
+                    for attempt in 0..3 {
+                        let (got, chunks) = concatenated_chunk_scan(block.as_ref(), projection);
+                        let want = transposed_row_scan(reference.as_ref(), projection);
+                        match (got, want) {
+                            (Ok(got), Ok(want)) => {
+                                assert_eq!(got, want, "{kind} w{width} {projection:?}");
+                                assert_eq!(chunks, 3, "{kind}: 2.5 chunks of rows");
+                                break;
+                            }
+                            (Err(got), Err(want)) => {
+                                assert_eq!(got.to_string(), want.to_string(), "{kind}");
+                                assert_eq!(chunks, 0, "{kind}: a chunk preceded the fault");
+                                assert!(attempt < 2, "{kind}: never recovered");
+                            }
+                            (got, want) => panic!("{kind}: chunks {got:?} vs rows {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // A lost block fails before its first chunk too.
+    let cols = spec_columns(100, 2, &mut rng);
+    let lost = FaultyBlock::new(block_of_kind("RowsBlock", &cols), BlockFault::Lost, None);
+    let (result, chunks) = concatenated_chunk_scan(&lost, &[1, 0]);
+    assert!(matches!(result, Err(StorageError::BlockLost { .. })));
+    assert_eq!(chunks, 0);
+
+    // The columnar block hands out windows onto its own storage; the
+    // scalar-fallback wrapper hides that override, so the same scan
+    // through it is the trait default's transposing copy.
+    let native = RowsBlock::new(cols.clone());
+    native
+        .scan_column_chunks(&[1], &mut |chunk| {
+            assert!(std::ptr::eq(chunk[0].as_ptr(), native.column(1).as_ptr()));
+        })
+        .unwrap();
+    let fallback = ScalarFallbackBlock(Arc::new(native.clone()));
+    fallback
+        .scan_column_chunks(&[1], &mut |chunk| {
+            assert!(!std::ptr::eq(chunk[0].as_ptr(), native.column(1).as_ptr()));
+            assert_eq!(chunk[0], native.column(1));
+        })
+        .unwrap();
+
+    // An empty block delivers no chunk, natively or by default.
+    let empty = RowsBlock::new(vec![Vec::new(), Vec::new()]);
+    for block in [
+        Arc::new(empty.clone()) as Arc<dyn DataBlock>,
+        Arc::new(ScalarFallbackBlock(Arc::new(empty))),
+    ] {
+        let (result, chunks) = concatenated_chunk_scan(block.as_ref(), &[0, 1]);
+        assert_eq!(result.unwrap(), vec![Vec::<u64>::new(); 2]);
+        assert_eq!(chunks, 0);
+    }
+}
+
+/// `SelectionVector::build` as it was: every row assembled full width,
+/// one `matches` per row, one `u32` row counter guarded at the index
+/// space's end.
+fn reference_selection(
+    block: &dyn DataBlock,
+    filter: &RowFilter,
+) -> Result<Vec<u32>, StorageError> {
+    let mut indices = Vec::new();
+    let mut rows_seen: u64 = 0;
+    block.scan_rows(&mut |row| {
+        if rows_seen < u64::from(u32::MAX) && filter.matches(row) {
+            indices.push(rows_seen as u32);
+        }
+        rows_seen += 1;
+    })?;
+    if rows_seen > u64::from(u32::MAX) {
+        return Err(StorageError::BlockTooLarge { rows: rows_seen });
+    }
+    Ok(indices)
+}
+
+/// A block that claims ten rows and scans to one more than the `u32`
+/// index space holds, as full chunks of zeros.
+struct UnderReportingBlock;
+
+impl DataBlock for UnderReportingBlock {
+    fn len(&self) -> u64 {
+        10
+    }
+
+    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
+        Ok(0.0)
+    }
+
+    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
+        Ok(0.0)
+    }
+
+    fn scan(&self, _: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+        unreachable!("the selection build scans column chunks")
+    }
+
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let zeros = vec![0.0; SCAN_CHUNK_ROWS];
+        let chunk = vec![zeros.as_slice(); columns.len()];
+        let total = u64::from(u32::MAX) + 1;
+        for _ in 0..total / SCAN_CHUNK_ROWS as u64 {
+            visit(&chunk);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn selection_builds_match_the_per_row_build_on_every_block_kind() {
+    // (3) Multi-chunk blocks, random conjunctions (the trivial filter
+    // among them), every block kind — a transient block failing and
+    // recovering in step with the reference, a corrupt one comparing
+    // NaN against every operator.
+    let mut rng = StdRng::seed_from_u64(0x5E1);
+    let blocks = 2;
+    let rows = blocks * (SCAN_CHUNK_ROWS + SCAN_CHUNK_ROWS / 3);
+    for width in [1usize, 2, 4] {
+        let cols = spec_columns(rows, width, &mut rng);
+        let mut filters: Vec<RowFilter> = (0..4)
+            .map(|_| random_spec(width, &mut rng).filter)
+            .collect();
+        filters.push(RowFilter::all());
+        for kind in KINDS {
+            for filter in &filters {
+                let data = set_of_kind(kind, &cols, blocks);
+                let reference = set_of_kind(kind, &cols, blocks);
+                for (block, reference) in data.iter().zip(reference.iter()) {
+                    for attempt in 0..3 {
+                        let got = SelectionVector::build(block.as_ref(), filter);
+                        let want = reference_selection(reference.as_ref(), filter);
+                        match (got, want) {
+                            (Ok(got), Ok(want)) => {
+                                let got = got.expect("every kind here scans");
+                                assert_eq!(got.indices(), &want[..], "{kind} {filter:?}");
+                                assert_eq!(got.match_count(), want.len() as u64);
+                                break;
+                            }
+                            (Err(got), Err(want)) => {
+                                assert_eq!(got.to_string(), want.to_string(), "{kind}");
+                                assert!(attempt < 2, "{kind}: never recovered");
+                            }
+                            (got, want) => panic!("{kind}: built {got:?} vs reference {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Pruned ≡ scanned: on range-partitioned data the sketches prove
+    // most blocks matchless, and the set selection is the same set
+    // selection, block by block, with or without them.
+    let sorted: Vec<f64> = (0..rows).map(|i| i as f64).collect();
+    let noise = spec_columns(rows, 1, &mut rng).remove(0);
+    let set = RowsBlock::split(vec![sorted, noise], 6);
+    let set_blocks: Vec<Arc<dyn DataBlock>> = set.iter().map(Arc::clone).collect();
+    let sketches = set.sketches().unwrap();
+    for filter in [
+        RowFilter::new(vec![ColumnPredicate {
+            column: 0,
+            op: CmpOp::Gt,
+            value: rows as f64 * 0.8,
+        }]),
+        RowFilter::new(vec![
+            ColumnPredicate {
+                column: 0,
+                op: CmpOp::Le,
+                value: rows as f64 * 0.3,
+            },
+            ColumnPredicate {
+                column: 1,
+                op: CmpOp::Gt,
+                value: 50.0,
+            },
+        ]),
+    ] {
+        let pruned = SetSelection::build(&set_blocks, &filter, Some(&sketches)).unwrap();
+        let scanned = SetSelection::build(&set_blocks, &filter, None).unwrap();
+        assert!(pruned.pruned_blocks() >= 3, "{filter:?}");
+        assert_eq!(scanned.pruned_blocks(), 0);
+        assert_eq!(pruned.total_matches(), scanned.total_matches());
+        for (b, block) in set_blocks.iter().enumerate() {
+            let want = reference_selection(block.as_ref(), &filter).unwrap();
+            assert_eq!(pruned.block(b).unwrap().indices(), &want[..], "block {b}");
+            assert_eq!(scanned.block(b).unwrap().indices(), &want[..], "block {b}");
+        }
+    }
+}
+
+/// A block that under-reports its length is still caught mid-scan: a
+/// structured error, not indices wrapped past the `u32` space.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^32 rows through an unoptimized select take over a minute; runs under --release"
+)]
+fn selection_builds_still_catch_a_block_that_under_reports_its_length() {
+    let nothing = RowFilter::new(vec![ColumnPredicate {
+        column: 0,
+        op: CmpOp::Gt,
+        value: 1.0,
+    }]);
+    assert!(matches!(
+        SelectionVector::build(&UnderReportingBlock, &nothing),
+        Err(StorageError::BlockTooLarge { rows }) if rows == u64::from(u32::MAX) + 1
+    ));
+}
+
+/// `scan_exact_groups_on` as it was: each block's projected rows, one
+/// `matches` and one map lookup per row, an `ExactSum` per group key;
+/// block partials merged in block order.
+fn reference_exact_fold(data: &BlockSet, spec: &RowSpec) -> Result<Vec<(u64, u64, u64)>, String> {
+    let (columns, filter) = spec
+        .filter
+        .projected([spec.agg_column].into_iter().chain(spec.group_by));
+    let at = |col: usize| columns.partition_point(|&c| c < col);
+    let (agg, group) = (at(spec.agg_column), spec.group_by.map(at));
+    let mut total: BTreeMap<u64, ExactSum> = BTreeMap::new();
+    for block in data.iter() {
+        let mut groups: BTreeMap<u64, ExactSum> = BTreeMap::new();
+        block
+            .scan_rows_projected(&columns, &mut |row| {
+                if filter.matches(row) {
+                    let key = group.map_or(0f64, |g| row[g]).to_bits();
+                    groups.entry(key).or_default().add(row[agg]);
+                }
+            })
+            .map_err(|e| IslaError::from(e).to_string())?;
+        for (key, sum) in groups {
+            total.entry(key).or_default().merge(&sum);
+        }
+    }
+    let mut out: Vec<(u64, u64, u64)> = total
+        .into_iter()
+        .filter_map(|(key, sum)| Some((key, sum.mean()?.to_bits(), sum.count())))
+        .collect();
+    out.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
+    Ok(out)
+}
+
+#[test]
+fn exact_group_scans_match_the_per_row_fold_on_every_block_kind() {
+    // (4) The PR-14 salted columns (±1e300, ±1e16, 1e-300, both zeros),
+    // in blocks longer than a scan chunk; the group column in long runs
+    // that cross chunk boundaries, short runs, and with a −0.0 key that
+    // must stay its own group.
+    let mut rng = StdRng::seed_from_u64(0xE7AC);
+    let rows = EXACT_BLOCKS * (SCAN_CHUNK_ROWS + 11);
+    for width in [1usize, 3] {
+        let mut cols = awkward_columns(rows, width, &mut rng);
+        if width > 1 {
+            let run = [7, 1_000, SCAN_CHUNK_ROWS - 3][rng.random_range(0..3usize)];
+            for (i, key) in cols[1].iter_mut().enumerate() {
+                *key = match (i / run) % 5 {
+                    4 => -0.0,
+                    k => k as f64,
+                };
+            }
+        }
+        let on_column_0 = |op, value| {
+            RowFilter::new(vec![ColumnPredicate {
+                column: 0,
+                op,
+                value,
+            }])
+        };
+        let group_by = (width > 1).then_some(1);
+        let mut specs = vec![
+            // Plain, filtered, grouped, filtered + grouped, zero-match.
+            RowSpec::column(0),
+            RowSpec {
+                agg_column: width - 1,
+                filter: on_column_0(CmpOp::Gt, 40.0),
+                group_by: None,
+            },
+            RowSpec {
+                agg_column: 0,
+                filter: RowFilter::all(),
+                group_by,
+            },
+            RowSpec {
+                agg_column: 0,
+                filter: on_column_0(CmpOp::Le, 1e16),
+                group_by,
+            },
+            RowSpec {
+                agg_column: 0,
+                filter: on_column_0(CmpOp::Gt, f64::INFINITY),
+                group_by,
+            },
+        ];
+        specs.extend((0..2).map(|_| random_spec(width, &mut rng)));
+
+        for kind in KINDS {
+            for spec in &specs {
+                let set = || set_of_kind(kind, &cols, EXACT_BLOCKS);
+                let want = reference_exact_fold(&set(), spec);
+                for workers in EXACT_PARALLELISM {
+                    let got =
+                        exact_bits(engine::scan_exact_groups_on(&set(), spec, &pooled(workers)));
+                    assert_eq!(got, want, "{kind} on {workers} workers: {spec:?}");
+                }
             }
         }
     }
