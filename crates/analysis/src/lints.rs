@@ -84,7 +84,10 @@ const SEAL_ENTRY_POINTS: &[&str] = &["seal_block", "seal_derived"];
 /// scan-computed one. `scan_rows_projected` likewise: an override must
 /// deliver exactly the full-width scan's rows restricted to the
 /// projection — and `scan_column_chunks` exactly that projected scan's
-/// values, in its order, as aligned column slices.
+/// values, in its order, as aligned column slices. `zone` is metadata
+/// again, with the sharpest obligation: its verdict replaces reads, so
+/// an override must be pinned to decide only what reading every row
+/// would find.
 const KERNEL_METHODS: &[&str] = &[
     "sample_batch",
     "sample_rows_batch",
@@ -92,6 +95,7 @@ const KERNEL_METHODS: &[&str] = &[
     "scan_column_chunks",
     "scan_rows_projected",
     "sketch",
+    "zone",
 ];
 
 /// Shared mutable state for one lint run: findings plus which allow

@@ -232,6 +232,24 @@ fn covered_and_forwarding_column_chunk_impls_are_clean() {
 }
 
 #[test]
+fn uncovered_zone_override_is_flagged() {
+    let run = run_on(fixture("bad/kernel_zone.rs", "fx", false), &["RowsBlock"]);
+    assert_eq!(error_lines(&run), vec![(8, "kernel-coverage".to_string())]);
+    let message = &run.findings[0].message;
+    assert!(message.contains("UncoveredZone"), "{message}");
+    assert!(message.contains("zone"), "{message}");
+}
+
+#[test]
+fn covered_and_forwarding_zone_impls_are_clean() {
+    let run = run_on(
+        fixture("good/kernel_zone.rs", "fx", false),
+        &["CoveredZone"],
+    );
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
 fn covered_and_forwarding_kernel_impls_are_clean() {
     let run = run_on(fixture("good/kernel.rs", "fx", false), &["CoveredBlock"]);
     assert_eq!(error_lines(&run), vec![]);

@@ -6,7 +6,7 @@
 //! contiguous slices, selection-vector filtered draws) and once through
 //! the scalar path they replaced (forced via `ScalarFallbackBlock` /
 //! rejection-sampling views) — so each row reports an honest same-run
-//! speedup. Eleven sweeps:
+//! speedup. Twelve sweeps:
 //!
 //! 1. **sample_kernel** — uniform value draws across block sizes;
 //! 2. **scan_kernel** — full scans across block sizes;
@@ -47,7 +47,14 @@
 //!     `scan_rows`): selection build and exact filtered scan in ns/row at
 //!     selectivity 0.01 / 0.1 / 0.5 / 0.99, one and two conjuncts, on
 //!     `RowsBlock`, `ZipBlock` and the scalar-fallback (trait default)
-//!     path; vectors and answers asserted identical.
+//!     path; vectors and answers asserted identical;
+//! 12. **zoned_rows** — a filtered row plan over a 16-block table
+//!     range-partitioned on the filter column, the cut between two
+//!     blocks (half provably matchless, half provably all-match), run on
+//!     the native set and on the same blocks with the sketch hidden
+//!     (every block undecided, same kernels): rows read / rows offered
+//!     and ns per offered draw, median and quartiles over alternating
+//!     repeats, answers asserted bit-identical, commit id recorded.
 //!
 //! Results print as a table (CSV under `target/experiments/`) and are
 //! written machine-readable to `BENCH_kernels.json` at the workspace
@@ -72,8 +79,8 @@ use isla_datagen::normal_values;
 use isla_storage::{
     pool_filtered_column, sample_from_block, sample_rows_from_block, scalar_fallback_set,
     with_row_sample_buf, BlockSet, CmpOp, ColumnPredicate, DataBlock, ExactSum, FilteredColumnView,
-    MemBlock, RowFilter, RowsBlock, ScalarFallbackBlock, SelectionVector, SetSelection, ZipBlock,
-    SAMPLE_BATCH_ROWS,
+    MemBlock, RowFilter, RowSampleBuf, RowsBlock, ScalarFallbackBlock, SelectionVector,
+    SetSelection, StorageError, ZipBlock, ZoneMatch, SAMPLE_BATCH_ROWS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -903,6 +910,169 @@ fn sweep_exact_scan(scale: &Scale, report: &mut Report) -> Vec<Json> {
     rows
 }
 
+/// A block with its sketch hidden and its row-draw kernel kept: every
+/// zone verdict is `Mixed`, every draw costs what the native block's
+/// costs. Bench-only — the "no zone map" side of the `zoned_rows` sweep
+/// (`ScalarFallbackBlock` would also hide the batch kernel and measure
+/// that instead).
+struct SketchlessBlock(Arc<dyn DataBlock>);
+
+impl DataBlock for SketchlessBlock {
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+    fn width(&self) -> usize {
+        self.0.width()
+    }
+    fn sample_one(&self, rng: &mut dyn rand::RngCore) -> Result<f64, StorageError> {
+        self.0.sample_one(rng)
+    }
+    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
+        self.0.row_at(idx)
+    }
+    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+        self.0.scan(visit)
+    }
+    fn sample_row(
+        &self,
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<f64>,
+    ) -> Result<(), StorageError> {
+        self.0.sample_row(rng, out)
+    }
+    fn sample_rows_batch(
+        &self,
+        n: u64,
+        rng: &mut dyn rand::RngCore,
+        out: &mut RowSampleBuf,
+    ) -> Result<(), StorageError> {
+        self.0.sample_rows_batch(n, rng, out)
+    }
+}
+
+/// The commit the working tree sits on (`-dirty` when it has local
+/// edits), for artifacts that say which code they measured.
+fn commit_id() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |id| id.trim().to_string())
+}
+
+/// Sweep 12: what a zone map saves a filtered row plan. One plan, two
+/// sets over the same blocks — native, and sketch-less (every block
+/// undecided) — run alternately; the answers must not differ by a bit,
+/// only the rows read and the time per draw the plan offered.
+fn sweep_zoned_rows(scale: &Scale, report: &mut Report) -> Vec<Json> {
+    const BLOCKS: usize = 16;
+    let n = scale.estimator_rows * 4;
+    let repeats = 2 * scale.runs + 1;
+    let native = RowsBlock::split(sales_like_columns(n), BLOCKS);
+    let sketchless = BlockSet::new(
+        native
+            .iter()
+            .map(|b| Arc::new(SketchlessBlock(Arc::clone(b))) as Arc<dyn DataBlock>)
+            .collect(),
+    );
+    // `ts` is column 2, ascending: the cut falls between blocks 7 and 8.
+    let spec = RowSpec {
+        agg_column: 0,
+        filter: RowFilter::new(vec![ColumnPredicate {
+            column: 2,
+            op: CmpOp::Gt,
+            value: n as f64 * 0.5 - 0.5,
+        }]),
+        group_by: None,
+    };
+    let zones = |want: ZoneMatch| {
+        native
+            .iter()
+            .filter(|b| b.zone(&spec.filter) == want)
+            .count()
+    };
+    let (matchless, all_match) = (zones(ZoneMatch::Matchless), zones(ZoneMatch::AllMatch));
+    assert_eq!((matchless, all_match), (BLOCKS / 2, BLOCKS / 2));
+    assert!(sketchless
+        .iter()
+        .all(|b| b.zone(&spec.filter) == ZoneMatch::Mixed));
+
+    let cfg = IslaConfig::builder().precision(0.1).build().unwrap();
+    let rate = (scale.sample_draws as f64 / n as f64).min(1.0);
+    let plan = RowPlan::prepare(
+        &native,
+        &cfg,
+        spec,
+        RateSpec::Absolute(rate),
+        &mut StdRng::seed_from_u64(SEED + 70),
+    )
+    .expect("row plan prepares");
+    let offered = plan.planned_calculation_samples(&native);
+
+    // Alternate the two sets, a fresh calculation seed per repeat (a
+    // repeated seed would gather from lines the last pass left cached).
+    let mut times = [Vec::new(), Vec::new()];
+    let mut reads = [0u64; 2];
+    for repeat in 0..repeats {
+        let mut answers = [0u64; 2];
+        for side in [repeat % 2, 1 - repeat % 2] {
+            let data = [&sketchless, &native][side];
+            let mut rng = StdRng::seed_from_u64(SEED + 80 + repeat as u64);
+            let start = Instant::now();
+            let out = engine::run_row_plan(&plan, data, &SequentialScheduler, &mut rng)
+                .expect("row plan runs");
+            times[side].push(start.elapsed().as_secs_f64());
+            answers[side] = out.estimate.to_bits() ^ out.matched_rows.to_bits().rotate_left(1);
+            reads[side] = out.total_samples;
+        }
+        assert_eq!(answers[0], answers[1], "a zone verdict moved an answer");
+    }
+    assert_eq!(
+        reads[0], offered,
+        "undecided blocks read every offered draw"
+    );
+    // (q1, median, q3) of ns per offered draw.
+    let quartiles = |times: &mut Vec<f64>| {
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let at = |q: usize| times[(times.len() - 1) * q / 4] * 1e9 / offered as f64;
+        (at(1), at(2), at(3))
+    };
+    let [sketchless_times, native_times] = &mut times;
+    let (sketchless_ns, native_ns) = (quartiles(sketchless_times), quartiles(native_times));
+    let speedup = sketchless_ns.1 / native_ns.1;
+    report.row(vec![
+        "zoned rows ns/offered".to_string(),
+        n.to_string(),
+        fmt(0.5, 2),
+        fmt(sketchless_ns.1, 2),
+        fmt(native_ns.1, 2),
+        fmt(speedup, 2),
+    ]);
+    vec![Json::obj(vec![
+        ("commit", Json::str(commit_id())),
+        ("rows", Json::num(n as f64)),
+        ("blocks", Json::num(BLOCKS as f64)),
+        ("matchless_blocks", Json::num(matchless as f64)),
+        ("all_match_blocks", Json::num(all_match as f64)),
+        ("repeats", Json::num(repeats as f64)),
+        ("rows_offered", Json::num(offered as f64)),
+        ("sketchless_rows_read", Json::num(reads[0] as f64)),
+        ("native_rows_read", Json::num(reads[1] as f64)),
+        ("sketchless_ns_per_offered_q1", Json::num(sketchless_ns.0)),
+        (
+            "sketchless_ns_per_offered_median",
+            Json::num(sketchless_ns.1),
+        ),
+        ("sketchless_ns_per_offered_q3", Json::num(sketchless_ns.2)),
+        ("native_ns_per_offered_q1", Json::num(native_ns.0)),
+        ("native_ns_per_offered_median", Json::num(native_ns.1)),
+        ("native_ns_per_offered_q3", Json::num(native_ns.2)),
+        ("speedup", Json::num(speedup)),
+    ])]
+}
+
 /// The selection build as it was before the column-chunk scan: every
 /// row assembled full width, one `matches` per row. Bench-only — the
 /// "old" side of the `predicate_scan` sweep.
@@ -1096,6 +1266,7 @@ fn validate_artifact(text: &str) -> Result<(), String> {
         "sections.sampled_path",
         "sections.exact_scan",
         "sections.predicate_scan",
+        "sections.zoned_rows",
     ] {
         if get(&doc, path).is_none() {
             return Err(format!("missing required key {path:?}"));
@@ -1113,6 +1284,7 @@ fn validate_artifact(text: &str) -> Result<(), String> {
         "sampled_path",
         "exact_scan",
         "predicate_scan",
+        "zoned_rows",
     ] {
         match get(&doc, &format!("sections.{section}")) {
             Some(Json::Arr(items)) if !items.is_empty() => {
@@ -1158,6 +1330,7 @@ fn main() {
     let sampled_path_rows = sweep_sampled_path(&scale, &mut report);
     let exact_scan_rows = sweep_exact_scan(&scale, &mut report);
     let predicate_scan_rows = sweep_predicate_scan(&scale, &mut report);
+    let zoned_rows = sweep_zoned_rows(&scale, &mut report);
     report.finish();
     // The ROADMAP's "≥ 2× sampled draws" gate, stated per path as
     // measured (recorded, not asserted: a miss is a finding to print).
@@ -1188,6 +1361,7 @@ fn main() {
                 ("sampled_path", Json::Arr(sampled_path_rows)),
                 ("exact_scan", Json::Arr(exact_scan_rows)),
                 ("predicate_scan", Json::Arr(predicate_scan_rows)),
+                ("zoned_rows", Json::Arr(zoned_rows)),
             ]),
         ),
     ]);

@@ -279,6 +279,13 @@ pub(crate) struct CalcRun<A> {
 /// budget leaves after the — already spent — pilots, `(budget −
 /// pilots) / M`, never above the plan's own rate. Returns the rate to
 /// run at and whether it was capped.
+///
+/// `planned` counts the draws the rate *offers* every block. A row plan
+/// reads fewer where a zone map decides the filter (see
+/// [`RowBlockOutcome::offered`]), so the rule is conservative there: it
+/// may cap a plan whose reads alone would have fit. Tightening it would
+/// move the answer bits of `WITHIN` / `SAMPLES` queries and is a
+/// separate change.
 pub(crate) fn admitted_rate<P: CalcPlan>(
     plan: &P,
     budget: Option<u64>,

@@ -143,7 +143,8 @@ pub struct GroupedAggregate {
     pub estimate: f64,
     /// Estimated rows matching the predicate across all groups.
     pub matched_rows: f64,
-    /// Calculation-phase row draws across all blocks.
+    /// Rows the calculation phase read across all blocks
+    /// (`Σ` [`RowBlockOutcome::draws`]).
     pub total_samples: u64,
 }
 
@@ -196,12 +197,15 @@ impl GroupedPartial {
 
     /// Canonicalizes (blocks by id, groups by key) and combines each
     /// group's per-block answers, weighted by the block's estimated
-    /// matched row count `|Bⱼ| · matchedⱼ/drawsⱼ` — the row-model
+    /// matched row count `|Bⱼ| · matchedⱼ/offeredⱼ` — the row-model
     /// generalization of size-weighted Summarization. Each group's
     /// population size (`rows_estimate`, the `SUM`/`COUNT` scale) pools
     /// the pilot and calculation draws, the lowest-variance estimate
-    /// both phases can support. Plan groups that caught no calculation
-    /// draw anywhere keep their pilot estimate (`sketch0`).
+    /// both phases can support. Both denominators count the draws
+    /// *offered* ([`RowBlockOutcome::offered`]): a draw a zone map
+    /// decided without reading the row is still a draw that missed.
+    /// Plan groups that caught no calculation draw anywhere keep their
+    /// pilot estimate (`sketch0`).
     ///
     /// # Errors
     ///
@@ -214,17 +218,17 @@ impl GroupedPartial {
                 .all(|w| w[0].block_id < w[1].block_id),
             "duplicate block id in grouped partial"
         );
-        let total_draws: u64 = self.outcomes.iter().map(|o| o.draws).sum();
-        let pooled_draws = plan.pilot_rows() + total_draws;
+        let total_offered: u64 = self.outcomes.iter().map(|o| o.offered).sum();
+        let pooled_draws = plan.pilot_rows() + total_offered;
         // key bits → (key, Σw, Σw·answer, Σmatched, planned)
         let mut acc: BTreeMap<u64, (f64, f64, f64, u64, bool)> = BTreeMap::new();
         for outcome in &self.outcomes {
-            if outcome.draws == 0 {
+            if outcome.offered == 0 {
                 continue;
             }
-            let draws = outcome.draws as f64;
+            let offered = outcome.offered as f64;
             for g in &outcome.groups {
-                let w = outcome.rows as f64 * g.matched as f64 / draws;
+                let w = outcome.rows as f64 * g.matched as f64 / offered;
                 let entry = acc
                     .entry(g.key_bits)
                     .or_insert((g.key, 0.0, 0.0, 0, g.planned));

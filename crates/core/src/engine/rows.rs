@@ -23,6 +23,15 @@
 //!   columns the spec reads, `{agg} ∪ filter columns ∪ {group_by}`, and
 //!   evaluates the spec re-indexed against that compact tuple: a
 //!   sampled row costs what the query reads, not what the table holds;
+//! * **Zones** — every filtered draw first asks the block what its
+//!   min/max zone map already decides ([`DataBlock::zone`]): a block
+//!   that provably matches nothing is not read at all, and one that
+//!   provably matches everywhere is read without the filter's columns
+//!   and without the per-row test. A skipped draw is a draw whose
+//!   outcome the metadata decided, so it still counts wherever a rate
+//!   or a share is computed ([`RowBlockOutcome::offered`], `pilot_rows`)
+//!   and answers do not move a bit; only [`RowBlockOutcome::draws`] —
+//!   rows actually read — falls;
 //! * **Summarization** ([`super::GroupedPartial`]) — a per-group
 //!   mergeable map that combines in any completion order and weights
 //!   each block's per-group answer by its estimated matched row count.
@@ -37,8 +46,9 @@ use rand::RngCore;
 
 use isla_stats::{required_sample_size, NeumaierSum, WelfordMoments};
 use isla_storage::{
-    sample_row_columns_proportional, sample_row_columns_proportional_surviving,
-    with_row_sample_buf, BlockSet, DataBlock, RowFilter, SAMPLE_BATCH_ROWS,
+    proportional_allocation, sample_row_columns_from_block,
+    sample_row_columns_from_block_surviving, skip_row_draws, with_row_sample_buf, BlockSet,
+    DataBlock, RowFilter, ZoneMatch, SAMPLE_BATCH_ROWS,
 };
 
 use super::seed;
@@ -169,6 +179,46 @@ impl Projection {
     }
 }
 
+/// How a spec's sampled draws read a block, by what the block's zone
+/// map decides about the filter ([`DataBlock::zone`]). One draw loop
+/// serves every verdict; only the projection handed to it differs.
+#[derive(Debug, Clone)]
+struct ZonedRead {
+    /// The spec's filter in the blocks' own column indices — what the
+    /// zone map is asked about.
+    filter: RowFilter,
+    /// Undecided blocks: the spec's full read set, the predicate tested
+    /// on every drawn row.
+    tested: Projection,
+    /// Blocks where every row provably matches: the spec with its
+    /// filter dropped — only the aggregate (+ group) columns are
+    /// gathered and no row is tested.
+    proven: Projection,
+}
+
+impl ZonedRead {
+    fn of(spec: &RowSpec) -> Self {
+        Self {
+            filter: spec.filter.clone(),
+            tested: Projection::of(spec),
+            proven: Projection::of(&RowSpec {
+                filter: RowFilter::all(),
+                ..spec.clone()
+            }),
+        }
+    }
+
+    /// The projection to draw `block` through, or `None` when no row of
+    /// it can match and there is nothing to read.
+    fn of_block(&self, block: &dyn DataBlock) -> Option<&Projection> {
+        match block.zone(&self.filter) {
+            ZoneMatch::Matchless => None,
+            ZoneMatch::AllMatch => Some(&self.proven),
+            ZoneMatch::Mixed => Some(&self.tested),
+        }
+    }
+}
+
 /// Pre-estimation output for one group of a row-model query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupPre {
@@ -201,7 +251,10 @@ pub struct RowPreEstimate {
     /// Derived calculation rate: `max_g m_g / (share_g · M)`, clamped to
     /// `(0, 1]` (0 when every group is constant).
     pub rate: f64,
-    /// Raw pilot rows drawn (both pilot passes).
+    /// Raw pilot rows drawn (both pilot passes) — every index draw the
+    /// pilots spent, including the draws on blocks whose zone map
+    /// already decided the predicate and that were therefore not read:
+    /// the denominator of `selectivity` and of every group share.
     pub pilot_rows: u64,
 }
 
@@ -296,7 +349,7 @@ pub fn row_pre_estimate_capped_with(
         ));
     }
     spec.validate(data)?;
-    let read = Projection::of(spec);
+    let read = ZonedRead::of(spec);
 
     let mut st = RowPilotFold::new();
 
@@ -333,37 +386,50 @@ pub fn row_pre_estimate_capped_with(
 
 /// Draws `n` proportional pilot rows into the accumulated pilot state:
 /// the shared inner loop of the one-shot and epoch-fold row pilots.
-/// Only the spec's read set is gathered; the fold evaluates the
-/// re-indexed spec on the compact tuples.
+/// Per block, only the read set its zone verdict calls for is gathered
+/// and the fold evaluates the re-indexed spec on the compact tuples. A
+/// block that provably matches nothing is not read: its share of the
+/// allocation still counts as drawn (every one a miss) and still
+/// consumes its index draws, so the state and `rng` end up exactly where
+/// reading and rejecting every row would leave them.
 fn pilot_draw_rows(
     data: &BlockSet,
-    read: &Projection,
+    read: &ZonedRead,
     n: u64,
     recovery: &RecoveryPolicy,
     rng: &mut dyn RngCore,
     st: &mut RowPilotFold,
 ) -> Result<(), IslaError> {
-    let spec = &read.spec;
-    let columns = Some(read.columns.as_slice());
-    let mut fold = |row: &[f64]| {
-        st.drawn += 1;
-        if spec.filter.matches(row) {
-            st.matched += 1;
-            let key = spec.group_key(row);
-            let entry = st
-                .moments
-                .entry(key)
-                .or_insert_with(|| (f64::from_bits(key), WelfordMoments::new()));
-            entry.1.update(row[spec.agg_column]);
+    let allocation = proportional_allocation(data, n);
+    for (block, &take) in data.iter().zip(&allocation) {
+        let block = block.as_ref();
+        let Some(read) = read.of_block(block) else {
+            skip_row_draws(block.len(), take, rng);
+            st.drawn += take;
+            continue;
+        };
+        let spec = &read.spec;
+        let columns = Some(read.columns.as_slice());
+        let mut fold = |row: &[f64]| {
+            st.drawn += 1;
+            if spec.filter.matches(row) {
+                st.matched += 1;
+                let key = spec.group_key(row);
+                let entry = st
+                    .moments
+                    .entry(key)
+                    .or_insert_with(|| (f64::from_bits(key), WelfordMoments::new()));
+                entry.1.update(row[spec.agg_column]);
+            }
+        };
+        if recovery.is_best_effort() {
+            let attempts = recovery.retry.max_attempts;
+            sample_row_columns_from_block_surviving(block, columns, take, attempts, rng, &mut fold);
+        } else {
+            sample_row_columns_from_block(block, columns, take, rng, &mut fold)?;
         }
-    };
-    if recovery.is_best_effort() {
-        let attempts = recovery.retry.max_attempts;
-        sample_row_columns_proportional_surviving(data, columns, n, attempts, rng, &mut fold);
-        Ok(())
-    } else {
-        sample_row_columns_proportional(data, columns, n, rng, &mut fold).map_err(IslaError::from)
     }
+    Ok(())
 }
 
 /// How many *raw* pilot rows the accumulated state wants in total: the
@@ -496,7 +562,7 @@ pub fn fold_row_pilot_segment(
     }
     let seg = data.subrange(blocks);
     spec.validate(&seg)?;
-    let read = Projection::of(spec);
+    let read = ZonedRead::of(spec);
     let mut rng = seed::seeded_rng(seed::stream_seed(seed::stream_seed(lineage, salt), segment));
     // Pilot 1 share: the configured pilot over this segment's rows.
     let pilot1 = config.sigma_pilot_size.min(seg_rows).max(2);
@@ -578,9 +644,9 @@ pub struct GroupPlan {
 pub struct RowPlan {
     config: IslaConfig,
     spec: RowSpec,
-    // Derived once per plan: the spec's read set and the spec
-    // re-indexed against it.
-    read: Projection,
+    // Derived once per plan: the spec's read sets and the spec
+    // re-indexed against each.
+    read: ZonedRead,
     groups: Vec<GroupPlan>,
     selectivity: f64,
     pilot_rows: u64,
@@ -652,7 +718,7 @@ impl RowPlan {
             .collect();
         Ok(Self {
             config: config.clone(),
-            read: Projection::of(&spec),
+            read: ZonedRead::of(&spec),
             spec,
             groups,
             selectivity: pre.selectivity,
@@ -709,7 +775,11 @@ impl RowPlan {
         sample_size(self.rate, block_len)
     }
 
-    /// Total calculation-phase row draws the plan will spend over `data`.
+    /// Total calculation-phase row draws the plan offers the blocks of
+    /// `data` — an upper bound on the rows it reads. Blocks whose zone
+    /// map decides the filter are counted in full, like admission does
+    /// (see `admitted_rate`): the bound is what budgets are checked
+    /// against, and it does not depend on where the matching rows sit.
     pub fn planned_calculation_samples(&self, data: &BlockSet) -> u64 {
         data.iter().map(|b| self.sample_size_for(b.len())).sum()
     }
@@ -764,8 +834,15 @@ pub struct RowBlockOutcome {
     pub block_id: usize,
     /// Rows in the block.
     pub rows: u64,
-    /// Raw row draws spent on the block.
+    /// Rows read from the block: the draws actually gathered — what the
+    /// calculation phase cost. Zero when the block's zone map proved
+    /// that none of the offered draws could match.
     pub draws: u64,
+    /// Raw row draws the plan offered the block. Each was either read
+    /// or decided by the zone map (a certain miss), so this — not
+    /// `draws` — is the denominator that turns `matched` into the
+    /// block's matched-row weight `|Bⱼ| · matched / offered`.
+    pub offered: u64,
     /// Per-group outcomes, sorted by key bits.
     pub groups: Vec<RowGroupOutcome>,
 }
@@ -792,10 +869,18 @@ fn execute_row_block_drawing(
     block: &dyn DataBlock,
     block_id: usize,
     seed: u64,
-    draws: u64,
+    offered: u64,
 ) -> Result<RowBlockOutcome, IslaError> {
     let mut rng = super::seed::seeded_rng(seed);
-    let spec = &plan.read.spec;
+    // What the zone map decides is not sampled: a block that cannot
+    // match is read zero times (every offered draw is a known miss, and
+    // the groups below finalize exactly as over all-rejected draws); one
+    // that matches everywhere is drawn through the filter-less read set.
+    let (read, draws) = match plan.read.of_block(block) {
+        Some(read) => (read, offered),
+        None => (&plan.read.tested, 0),
+    };
+    let spec = &read.spec;
     let planned = plan.groups();
     let mut folds: Vec<GroupFold> = planned
         .iter()
@@ -819,7 +904,7 @@ fn execute_row_block_drawing(
     // draw-match-offer loop, so pooled-vs-sequential bit-identity is
     // untouched.
     with_row_sample_buf(|buf| {
-        buf.project(Some(&plan.read.columns));
+        buf.project(Some(&read.columns));
         let mut left = draws;
         while left > 0 {
             let take = left.min(SAMPLE_BATCH_ROWS);
@@ -929,6 +1014,7 @@ fn execute_row_block_drawing(
         block_id,
         rows: block.len(),
         draws,
+        offered,
         groups,
     })
 }
@@ -973,7 +1059,8 @@ pub struct GroupedEngineResult {
     pub selectivity: f64,
     /// Total rows `M` across blocks.
     pub data_size: u64,
-    /// Calculation-phase row draws (excludes pilots).
+    /// Rows the calculation phase read (excludes pilots): the draws
+    /// offered to the blocks minus those a zone map decided unread.
     pub total_samples: u64,
     /// Pilot rows spent by pre-estimation.
     pub pilot_samples: u64,

@@ -90,7 +90,11 @@ pub struct QueryResult {
     pub method: Method,
     /// Row count of the queried table.
     pub rows: u64,
-    /// Samples spent (None for exact/COUNT paths).
+    /// Samples spent (None for exact/COUNT paths): the pilot draws of a
+    /// pre-estimate cache miss plus the rows the calculation phase
+    /// read. A filtered ISLA query does not read the blocks whose zone
+    /// map proves no row can match, so this can be lower than the draws
+    /// its rate planned.
     pub samples_used: Option<u64>,
     /// Wall-clock execution time.
     pub elapsed: Duration,

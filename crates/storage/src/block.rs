@@ -3,7 +3,9 @@
 use rand::RngCore;
 
 use crate::error::StorageError;
+use crate::filter::RowFilter;
 use crate::kernel::{compact, RowSampleBuf, SampleBuf, SCAN_CHUNK_ROWS};
+use crate::selection::{zone_match, ZoneMatch};
 
 /// A block of numeric data, the unit of distribution in the paper's system
 /// model (Section II-C).
@@ -297,6 +299,27 @@ pub trait DataBlock: Send + Sync {
         None
     }
 
+    /// What this block's metadata decides about `filter` for a consumer
+    /// that would otherwise draw rows and test them: the [`zone_match`]
+    /// verdict of the O(1) [`DataBlock::sketch`] hook, and
+    /// [`ZoneMatch::Mixed`] — read the rows — without one.
+    ///
+    /// A decided verdict stands in for reads, so it must hold for every
+    /// value a read could deliver. A block holding a non-finite value in
+    /// any column therefore answers `Mixed` (a best-effort consumer drops
+    /// such rows, which no bound predicts), and a block whose reads can
+    /// fail or differ from what its sketch describes (see
+    /// [`crate::FaultyBlock`]) must override this to answer `Mixed`. A
+    /// caller that skips the reads of a decided block still owes the RNG
+    /// the one index draw per row that [`DataBlock::sample_row`] consumes
+    /// (see [`crate::skip_row_draws`]).
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        match self.sketch() {
+            Some(sketch) if sketch.all_finite() => zone_match(&sketch, filter),
+            _ => ZoneMatch::Mixed,
+        }
+    }
+
     /// A zero-copy scalar block over column `col`, when this block can
     /// provide one more cheaply than a generic row-tuple view (e.g. a
     /// columnar block handing out its column storage, or a zip handing
@@ -377,6 +400,9 @@ impl<T: DataBlock + ?Sized> DataBlock for &T {
     fn sketch(&self) -> Option<std::sync::Arc<crate::sketch::BlockSketch>> {
         (**self).sketch()
     }
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        (**self).zone(filter)
+    }
     fn project(&self, col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
         (**self).project(col)
     }
@@ -448,6 +474,9 @@ impl DataBlock for std::sync::Arc<dyn DataBlock> {
     }
     fn sketch(&self) -> Option<std::sync::Arc<crate::sketch::BlockSketch>> {
         (**self).sketch()
+    }
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        (**self).zone(filter)
     }
     fn project(&self, col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
         (**self).project(col)

@@ -19,7 +19,11 @@
 //! reads, and scans. Metadata — lengths, widths, and the O(1)
 //! [`DataBlock::sketch`] hook — passes through unchanged, mirroring a
 //! real system where the catalog survives a data node: pre-estimation
-//! stays plannable while the calculation phase sees the failure.
+//! stays plannable while the calculation phase sees the failure. The
+//! one exception is [`DataBlock::zone`]: a verdict there *replaces*
+//! reads, so a block with an armed fault answers
+//! [`ZoneMatch::Mixed`] and no consumer skips past the fault gate on
+//! the strength of the surviving sketch.
 //!
 //! With no fault assigned the decorator is a single enum check per
 //! call before forwarding to the inner block's kernels (overhead gated
@@ -36,7 +40,9 @@ use rand::RngCore;
 use crate::block::DataBlock;
 use crate::blockset::BlockSet;
 use crate::error::StorageError;
+use crate::filter::RowFilter;
 use crate::kernel::{RowSampleBuf, SampleBuf};
+use crate::selection::ZoneMatch;
 
 /// Splitmix64 finalizer — the storage-side twin of the engine's
 /// `stream_seed`, kept dependency-free so fault derivation needs no RNG
@@ -363,6 +369,18 @@ impl DataBlock for FaultyBlock {
         self.inner.sketch()
     }
 
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        // A zone verdict stands in for reads, and an armed fault makes
+        // the reads differ from what the (forwarded) sketch describes:
+        // they fail, or deliver NaN. Undecided, so every draw still goes
+        // through the gate — errors, retries and corrupt rows surface
+        // exactly as they do without a sketch.
+        match self.fault {
+            BlockFault::None => self.inner.zone(filter),
+            _ => ZoneMatch::Mixed,
+        }
+    }
+
     fn project(&self, _col: usize) -> Option<Arc<dyn DataBlock>> {
         // Projections would bypass the fault gate; fall back to the
         // generic column view, which routes reads through this block.
@@ -531,5 +549,37 @@ mod tests {
             lost.project(0).is_none(),
             "projection routes through the gate"
         );
+    }
+
+    #[test]
+    fn armed_faults_decide_no_zone() {
+        use crate::filter::{CmpOp, ColumnPredicate};
+        // Rows 0..10: `> 100` is provably matchless, `>= 0` provably
+        // matches every row — on the bare block and through a disarmed
+        // wrapper. An armed fault makes the reads differ from what the
+        // sketch says, so the wrapper must leave every draw to the gate.
+        let pred = |op, value| {
+            RowFilter::new(vec![ColumnPredicate {
+                column: 0,
+                op,
+                value,
+            }])
+        };
+        let (matchless, all) = (pred(CmpOp::Gt, 100.0), pred(CmpOp::Ge, 0.0));
+        assert_eq!(mem(10).zone(&matchless), ZoneMatch::Matchless);
+        assert_eq!(mem(10).zone(&all), ZoneMatch::AllMatch);
+        let disarmed = FaultyBlock::new(mem(10), BlockFault::None, None);
+        assert_eq!(disarmed.zone(&matchless), ZoneMatch::Matchless);
+        assert_eq!(disarmed.zone(&all), ZoneMatch::AllMatch);
+        for fault in [
+            BlockFault::Lost,
+            BlockFault::Corrupt,
+            BlockFault::Transient { failures: 1 },
+        ] {
+            let armed: Arc<dyn DataBlock> = Arc::new(FaultyBlock::new(mem(10), fault, None));
+            assert!(armed.sketch().is_some(), "{fault:?}: the sketch survives");
+            assert_eq!(armed.zone(&matchless), ZoneMatch::Mixed, "{fault:?}");
+            assert_eq!(armed.zone(&all), ZoneMatch::Mixed, "{fault:?}");
+        }
     }
 }

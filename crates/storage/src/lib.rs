@@ -96,13 +96,13 @@ pub use rows::{
 };
 pub use sampler::{
     proportional_allocation, sample_from_block, sample_proportional, sample_proportional_surviving,
-    sample_row_columns_proportional, sample_row_columns_proportional_surviving,
-    sample_rows_from_block, sample_rows_proportional, sample_rows_proportional_surviving,
-    Reservoir,
+    sample_row_columns_from_block, sample_row_columns_from_block_surviving, sample_rows_from_block,
+    sample_rows_proportional, sample_rows_proportional_surviving, skip_row_draws, Reservoir,
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use selection::{
-    SelectionCache, SelectionCacheStats, SelectionTail, SelectionVector, SetSelection,
+    zone_match, SelectionCache, SelectionCacheStats, SelectionTail, SelectionVector, SetSelection,
+    ZoneMatch,
 };
 pub use sketch::{
     scan_sketch, BlockSketch, ColumnMoments, SetSketches, SketchCache, SketchCacheStats,

@@ -72,8 +72,15 @@ pub fn sample_rows_from_block(
 
 /// [`sample_rows_from_block`] delivering only `columns` of each row as
 /// a compact tuple (`None`: every column — the identity projection of
-/// the same loop). The draws do not depend on `columns`.
-fn sample_row_columns_from_block(
+/// the same loop). The draws do not depend on `columns`: the same index
+/// draws from the same RNG stream, and — for the columns kept — the same
+/// values, so a consumer that reads only `columns` cannot tell the two
+/// apart except by what the draw cost.
+///
+/// # Errors
+///
+/// Propagates the first block error.
+pub fn sample_row_columns_from_block(
     block: &dyn DataBlock,
     columns: Option<&[usize]>,
     m: u64,
@@ -95,9 +102,26 @@ fn sample_row_columns_from_block(
     })
 }
 
+/// Consumes the RNG stream of `m` row draws from a block of `block_len`
+/// rows without reading a row: one uniform index draw per row, as
+/// [`DataBlock::sample_row`] is bound to. For a consumer that knows from
+/// metadata ([`DataBlock::zone`]) what the rows would have told it, and
+/// must leave `rng` exactly where the real draws would.
+///
+/// # Panics
+///
+/// Panics if `block_len == 0` while `m > 0` (no block is offered draws
+/// from zero rows).
+pub fn skip_row_draws(block_len: u64, m: u64, rng: &mut dyn RngCore) {
+    for _ in 0..m {
+        rng.random_range(0..block_len);
+    }
+}
+
 /// Draws `m` uniform row tuples across a block set, with per-block sizes
-/// proportional to block sizes — the row-model analogue of
-/// [`sample_proportional`], used by the predicate-aware pilot phase.
+/// proportional to block sizes ([`proportional_allocation`]) — the
+/// row-model analogue of [`sample_proportional`], used by the
+/// predicate-aware pilot phase.
 ///
 /// # Errors
 ///
@@ -108,28 +132,9 @@ pub fn sample_rows_proportional(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) -> Result<(), StorageError> {
-    sample_row_columns_proportional(set, None, m, rng, visit)
-}
-
-/// [`sample_rows_proportional`] delivering only `columns` of each row
-/// as a compact tuple (`None`: every column): the same allocation, the
-/// same index draws from the same RNG stream, and — for the columns
-/// kept — the same values, so a consumer that reads only `columns`
-/// cannot tell the two apart except by what the draw cost.
-///
-/// # Errors
-///
-/// Propagates block errors.
-pub fn sample_row_columns_proportional(
-    set: &BlockSet,
-    columns: Option<&[usize]>,
-    m: u64,
-    rng: &mut dyn RngCore,
-    visit: &mut dyn FnMut(&[f64]),
-) -> Result<(), StorageError> {
     let allocation = proportional_allocation(set, m);
     for (block, &take) in set.iter().zip(&allocation) {
-        sample_row_columns_from_block(block.as_ref(), columns, take, rng, visit)?;
+        sample_row_columns_from_block(block.as_ref(), None, take, rng, visit)?;
     }
     Ok(())
 }
@@ -271,48 +276,55 @@ pub fn sample_rows_proportional_surviving(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) {
-    sample_row_columns_proportional_surviving(set, None, m, max_attempts, rng, visit);
+    let allocation = proportional_allocation(set, m);
+    for (block, &take) in set.iter().zip(&allocation) {
+        sample_row_columns_from_block_surviving(
+            block.as_ref(),
+            None,
+            take,
+            max_attempts,
+            rng,
+            visit,
+        );
+    }
 }
 
-/// [`sample_rows_proportional_surviving`] delivering only `columns` of
-/// each row as a compact tuple (`None`: every column). Same draws; the
-/// non-finite check covers the delivered columns — the ones the
-/// consumer reads.
-pub fn sample_row_columns_proportional_surviving(
-    set: &BlockSet,
+/// One block's share of [`sample_rows_proportional_surviving`],
+/// delivering only `columns` of each row as a compact tuple (`None`:
+/// every column). Same draws whatever the projection; the non-finite
+/// check covers the delivered columns — the ones the consumer reads.
+pub fn sample_row_columns_from_block_surviving(
+    block: &dyn DataBlock,
     columns: Option<&[usize]>,
     m: u64,
     max_attempts: u32,
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) {
-    let allocation = proportional_allocation(set, m);
-    for (block, &take) in set.iter().zip(&allocation) {
-        with_row_sample_buf(|buf| {
-            buf.project(columns);
-            let mut left = take;
-            'block: while left > 0 {
-                let chunk = left.min(SAMPLE_BATCH_ROWS);
-                let mut attempt = 0u32;
-                loop {
-                    attempt += 1;
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        block.sample_rows_batch(chunk, &mut *rng, buf)
-                    })) {
-                        Ok(Ok(())) => break,
-                        Ok(Err(e)) if e.is_transient() && attempt < max_attempts.max(1) => continue,
-                        Ok(Err(_)) | Err(_) => break 'block,
-                    }
+    with_row_sample_buf(|buf| {
+        buf.project(columns);
+        let mut left = m;
+        'block: while left > 0 {
+            let chunk = left.min(SAMPLE_BATCH_ROWS);
+            let mut attempt = 0u32;
+            loop {
+                attempt += 1;
+                match catch_unwind(AssertUnwindSafe(|| {
+                    block.sample_rows_batch(chunk, &mut *rng, buf)
+                })) {
+                    Ok(Ok(())) => break,
+                    Ok(Err(e)) if e.is_transient() && attempt < max_attempts.max(1) => continue,
+                    Ok(Err(_)) | Err(_) => break 'block,
                 }
-                for row in buf.iter_rows() {
-                    if row.iter().all(|v| v.is_finite()) {
-                        visit(row);
-                    }
-                }
-                left -= chunk;
             }
-        });
-    }
+            for row in buf.iter_rows() {
+                if row.iter().all(|v| v.is_finite()) {
+                    visit(row);
+                }
+            }
+            left -= chunk;
+        }
+    });
 }
 
 /// Reservoir sampler: maintains a uniform without-replacement sample of
@@ -452,6 +464,35 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 200);
+    }
+
+    #[test]
+    fn skipped_row_draws_leave_the_rng_where_real_draws_do() {
+        use crate::rows::{RowsBlock, ZipBlock};
+        let col: Vec<f64> = (0..777).map(f64::from).collect();
+        let blocks: Vec<Arc<dyn DataBlock>> = vec![
+            Arc::new(MemBlock::new(col.clone())),
+            Arc::new(RowsBlock::new(vec![col.clone(), col.clone()])),
+            Arc::new(ZipBlock::new(vec![
+                Arc::new(MemBlock::new(col.clone())),
+                Arc::new(MemBlock::new(col)),
+            ])),
+        ];
+        for block in &blocks {
+            // Within one kernel batch, and across several.
+            for m in [0, 1, 500, 2 * SAMPLE_BATCH_ROWS + 3] {
+                let mut drawn = StdRng::seed_from_u64(m ^ 0x5EED);
+                sample_rows_from_block(block.as_ref(), m, &mut drawn, &mut |_| {}).unwrap();
+                let mut skipped = StdRng::seed_from_u64(m ^ 0x5EED);
+                skip_row_draws(block.len(), m, &mut skipped);
+                assert_eq!(
+                    drawn.next_u64(),
+                    skipped.next_u64(),
+                    "{}: {m} draws",
+                    block.describe()
+                );
+            }
+        }
     }
 
     #[test]

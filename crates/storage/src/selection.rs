@@ -289,39 +289,74 @@ impl SetSelection {
     }
 }
 
-/// Zone-map test: does `sketch` prove that **no** row of its block can
-/// satisfy `filter`?
+/// What a block's min/max **zone map** decides about a [`RowFilter`]
+/// without reading a row ([`zone_match`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ZoneMatch {
+    /// No row of the block can satisfy the filter.
+    Matchless,
+    /// Every row of the block satisfies the filter.
+    AllMatch,
+    /// The metadata cannot tell: rows must be read and tested.
+    Mixed,
+}
+
+/// The three-way zone-map test of `filter` against a block's `sketch`.
 ///
-/// A conjunction is matchless as soon as any one conjunct provably is.
-/// The test is conservative: a predicate over a column the sketch does
-/// not cover, or over a column that saw non-finite values (whose
-/// min/max track finite values only, and where a `≠` can be satisfied
-/// by a NaN row), never proves anything, and the block scans as usual.
-pub(crate) fn proves_matchless(sketch: &BlockSketch, filter: &RowFilter) -> bool {
+/// A conjunction is [`ZoneMatch::Matchless`] as soon as any one conjunct
+/// provably matches no row (and on an empty block), and
+/// [`ZoneMatch::AllMatch`] only when every conjunct provably matches
+/// every row (so the trivial filter is `AllMatch` on any non-empty
+/// block). The test is conservative: a predicate over a column the
+/// sketch does not cover, or over a column that saw non-finite values
+/// (whose min/max track finite values only, and where a `≠` can be
+/// satisfied by a NaN row), decides nothing — nor does an ordering
+/// against a NaN literal, which no bound compares with.
+pub fn zone_match(sketch: &BlockSketch, filter: &RowFilter) -> ZoneMatch {
     if sketch.rows == 0 {
-        return true;
+        return ZoneMatch::Matchless;
     }
-    filter.predicates().iter().any(|pred| {
-        let Some(m) = sketch.column(pred.column) else {
-            return false;
+    let mut all = true;
+    for pred in filter.predicates() {
+        // (no row matches, every row matches) for this conjunct.
+        let (none, every) = match sketch.column(pred.column) {
+            Some(m) if m.non_finite == 0 => {
+                let v = pred.value;
+                let outside = v < m.min || v > m.max;
+                let constant = m.min == v && m.max == v;
+                match pred.op {
+                    CmpOp::Gt => (m.max <= v, m.min > v),
+                    CmpOp::Ge => (m.max < v, m.min >= v),
+                    CmpOp::Lt => (m.min >= v, m.max < v),
+                    CmpOp::Le => (m.min > v, m.max <= v),
+                    // NaN compares false everywhere: an `=` against it
+                    // can never match, and the range test is only
+                    // meaningful for a real value. Only a constant
+                    // column (min == max == v) settles `=` for every
+                    // row, or rules out `≠`.
+                    CmpOp::Eq => (v.is_nan() || outside, constant),
+                    CmpOp::Ne => (constant, outside),
+                }
+            }
+            _ => (false, false),
         };
-        if m.non_finite > 0 {
-            return false;
+        if none {
+            return ZoneMatch::Matchless;
         }
-        let v = pred.value;
-        match pred.op {
-            CmpOp::Gt => m.max <= v,
-            CmpOp::Ge => m.max < v,
-            CmpOp::Lt => m.min >= v,
-            CmpOp::Le => m.min > v,
-            // NaN compares false everywhere: an `=` against it can never
-            // match, and the range test below is only meaningful for a
-            // real value.
-            CmpOp::Eq => v.is_nan() || v < m.min || v > m.max,
-            // Only a constant column (min == max == v) rules out `≠`.
-            CmpOp::Ne => m.min == v && m.max == v,
-        }
-    })
+        all &= every;
+    }
+    if all {
+        ZoneMatch::AllMatch
+    } else {
+        ZoneMatch::Mixed
+    }
+}
+
+/// Does `sketch` prove that **no** row of its block can satisfy
+/// `filter`? The [`ZoneMatch::Matchless`] verdict of [`zone_match`] —
+/// what lets a selection build compile the empty vector without a scan.
+pub(crate) fn proves_matchless(sketch: &BlockSketch, filter: &RowFilter) -> bool {
+    zone_match(sketch, filter) == ZoneMatch::Matchless
 }
 
 /// Maximum compiled filters a [`SelectionCache`] retains; the
@@ -840,5 +875,108 @@ mod tests {
             },
         ]);
         assert!(proves_matchless(&sketch, &conj));
+    }
+
+    #[test]
+    fn zone_test_decides_all_three_ways_for_every_operator() {
+        use ZoneMatch::{AllMatch, Matchless, Mixed};
+        let pred = |column, op, value| ColumnPredicate { column, op, value };
+        let one = |op, value| RowFilter::new(vec![pred(0, op, value)]);
+        let (lo, hi) = (250_000.0, 500_000.0);
+        // A range-partitioned `ts` block covering [lo, hi], and the six
+        // operators with the literal on each bound and on either side.
+        let block = BlockSketch::from_values(&[lo, 300_000.0, 425_000.5, hi]);
+        let (below, inside, above) = (lo - 1.0, 300_000.0, hi + 1.0);
+        #[rustfmt::skip]
+        let table = [
+            (CmpOp::Gt, below, AllMatch), (CmpOp::Gt, lo, Mixed),     (CmpOp::Gt, inside, Mixed),
+            (CmpOp::Gt, hi, Matchless),   (CmpOp::Gt, above, Matchless),
+            (CmpOp::Ge, below, AllMatch), (CmpOp::Ge, lo, AllMatch),  (CmpOp::Ge, inside, Mixed),
+            (CmpOp::Ge, hi, Mixed),       (CmpOp::Ge, above, Matchless),
+            (CmpOp::Lt, below, Matchless), (CmpOp::Lt, lo, Matchless), (CmpOp::Lt, inside, Mixed),
+            (CmpOp::Lt, hi, Mixed),       (CmpOp::Lt, above, AllMatch),
+            (CmpOp::Le, below, Matchless), (CmpOp::Le, lo, Mixed),    (CmpOp::Le, inside, Mixed),
+            (CmpOp::Le, hi, AllMatch),    (CmpOp::Le, above, AllMatch),
+            (CmpOp::Eq, below, Matchless), (CmpOp::Eq, lo, Mixed),    (CmpOp::Eq, inside, Mixed),
+            (CmpOp::Eq, hi, Mixed),       (CmpOp::Eq, above, Matchless),
+            (CmpOp::Ne, below, AllMatch), (CmpOp::Ne, lo, Mixed),     (CmpOp::Ne, inside, Mixed),
+            (CmpOp::Ne, hi, Mixed),       (CmpOp::Ne, above, AllMatch),
+        ];
+        for (op, value, want) in table {
+            let filter = one(op, value);
+            assert_eq!(zone_match(&block, &filter), want, "ts {op:?} {value}");
+            assert_eq!(proves_matchless(&block, &filter), want == Matchless);
+        }
+
+        // A constant column settles `=` and `≠` both ways.
+        let constant = BlockSketch::from_values(&[7.0, 7.0, 7.0]);
+        assert_eq!(zone_match(&constant, &one(CmpOp::Eq, 7.0)), AllMatch);
+        assert_eq!(zone_match(&constant, &one(CmpOp::Ne, 7.0)), Matchless);
+        assert_eq!(zone_match(&constant, &one(CmpOp::Eq, 8.0)), Matchless);
+        assert_eq!(zone_match(&constant, &one(CmpOp::Ne, 8.0)), AllMatch);
+        // Signed zeros compare equal, as `CmpOp::eval` has them.
+        let zeros = BlockSketch::from_values(&[-0.0, 0.0]);
+        assert_eq!(zone_match(&zeros, &one(CmpOp::Eq, 0.0)), AllMatch);
+        assert_eq!(zone_match(&zeros, &one(CmpOp::Gt, -0.0)), Matchless);
+
+        // A NaN literal: `=` can never match; nothing else is decided.
+        assert_eq!(zone_match(&block, &one(CmpOp::Eq, f64::NAN)), Matchless);
+        for op in [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le, CmpOp::Ne] {
+            assert_eq!(zone_match(&block, &one(op, f64::NAN)), Mixed, "{op:?} NaN");
+        }
+        // Infinite literals bound every finite value.
+        assert_eq!(zone_match(&block, &one(CmpOp::Lt, f64::INFINITY)), AllMatch);
+        assert_eq!(
+            zone_match(&block, &one(CmpOp::Le, f64::NEG_INFINITY)),
+            Matchless
+        );
+
+        // A column that saw a non-finite value decides nothing, however
+        // far the literal lies from its finite range.
+        let with_nan = BlockSketch::from_values(&[1.0, f64::NAN, 2.0]);
+        let with_inf = BlockSketch::from_values(&[1.0, f64::INFINITY]);
+        for sketch in [&with_nan, &with_inf] {
+            for (op, value) in [(CmpOp::Gt, 100.0), (CmpOp::Lt, 100.0), (CmpOp::Ne, 100.0)] {
+                assert_eq!(zone_match(sketch, &one(op, value)), Mixed, "{op:?} {value}");
+            }
+        }
+        // Nor does a column the sketch does not cover.
+        let uncovered = RowFilter::new(vec![pred(3, CmpOp::Gt, 0.0)]);
+        assert_eq!(zone_match(&block, &uncovered), Mixed);
+
+        // An empty block matches nothing — even the trivial filter, which
+        // every row of a non-empty block matches.
+        let empty = BlockSketch::empty(1);
+        assert_eq!(zone_match(&empty, &one(CmpOp::Ne, 0.0)), Matchless);
+        assert_eq!(zone_match(&empty, &RowFilter::all()), Matchless);
+        assert_eq!(zone_match(&block, &RowFilter::all()), AllMatch);
+
+        // Conjunctions over two columns: `ts` in [lo, hi], `store` in
+        // {1, 2, 3}. One matchless conjunct decides the block whatever
+        // the others say (undecided, uncovered, or all-match); all-match
+        // needs every conjunct.
+        let two = BlockSketch::from_columns(&[vec![lo, 300_000.0, hi], vec![1.0, 2.0, 3.0]]);
+        let conj = |preds: Vec<ColumnPredicate>| zone_match(&two, &RowFilter::new(preds));
+        let ts_all = pred(0, CmpOp::Ge, lo);
+        let ts_none = pred(0, CmpOp::Gt, hi);
+        let store_mixed = pred(1, CmpOp::Eq, 1.0);
+        let store_all = pred(1, CmpOp::Le, 3.0);
+        let off_sketch = pred(5, CmpOp::Gt, 0.0);
+        assert_eq!(conj(vec![ts_all, store_all]), AllMatch);
+        assert_eq!(conj(vec![ts_all, store_mixed]), Mixed);
+        assert_eq!(conj(vec![ts_all, off_sketch]), Mixed);
+        assert_eq!(conj(vec![ts_none, store_mixed]), Matchless);
+        assert_eq!(conj(vec![store_mixed, ts_none]), Matchless);
+        assert_eq!(conj(vec![ts_none, off_sketch]), Matchless);
+        assert_eq!(conj(vec![ts_none, store_all]), Matchless);
+        // A two-sided range that straddles the block, and one inside it.
+        assert_eq!(
+            conj(vec![pred(0, CmpOp::Gt, below), pred(0, CmpOp::Le, hi)]),
+            AllMatch
+        );
+        assert_eq!(
+            conj(vec![pred(0, CmpOp::Gt, lo), pred(0, CmpOp::Le, hi)]),
+            Mixed
+        );
     }
 }

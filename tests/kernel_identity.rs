@@ -1995,3 +1995,378 @@ fn exact_group_scans_match_the_per_row_fold_on_every_block_kind() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Zone verdicts: a row draw first asks the block what its min/max zone
+// map decides about the filter, skips the reads of a block that cannot
+// match and drops the filter's columns where every row matches. Pinned
+// two ways: the verdict itself against brute force, and every consumer
+// (one-shot, capped and epoch-segmented pilots, the Calculation phase)
+// against the same blocks with the sketch hidden — `scalar_fallback_set`
+// answers `Mixed` everywhere, which is the path before zones existed.
+// ---------------------------------------------------------------------
+
+proptest! {
+    /// A decided verdict is a theorem about the rows: `Matchless` ⇒ no
+    /// row matches, `AllMatch` ⇒ every row matches — on small-integer
+    /// data so literals land on the bounds, with NaN literals, columns
+    /// holding non-finite values and conjuncts beyond the sketch's
+    /// width. `proves_matchless` (through the selection build's pruned
+    /// flags) is the `Matchless` verdict, and a block answers for its
+    /// own sketch unless an armed fault stands between it and the rows.
+    #[test]
+    fn zone_verdicts_hold_for_every_row(seed in 0u64..u64::MAX) {
+        use isla::storage::{zone_match, BlockSketch, ZoneMatch};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = rng.random_range(1usize..=3);
+        let rows = rng.random_range(0usize..40);
+        let span = rng.random_range(1u32..6);
+        let dirty = rng.random_bool(0.3);
+        let cols: Vec<Vec<f64>> = (0..width)
+            .map(|_| {
+                (0..rows)
+                    .map(|_| match rng.random_range(0u32..40) {
+                        0 if dirty => f64::NAN,
+                        1 if dirty => f64::INFINITY,
+                        _ => f64::from(rng.random_range(0..span)),
+                    })
+                    .collect()
+            })
+            .collect();
+        let sketch = BlockSketch::from_columns(&cols);
+        let ops = [CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Eq, CmpOp::Ne];
+        for _ in 0..24 {
+            let predicates: Vec<ColumnPredicate> = (0..rng.random_range(0usize..4))
+                .map(|_| ColumnPredicate {
+                    // One column past the sketch, now and then.
+                    column: rng.random_range(0..=width),
+                    op: ops[rng.random_range(0..ops.len())],
+                    value: match rng.random_range(0u32..12) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        _ => f64::from(rng.random_range(0..span + 2)) - 1.0,
+                    },
+                })
+                .collect();
+            let filter = RowFilter::new(predicates);
+            let covered = filter.max_column().is_none_or(|c| c < width);
+            let verdict = zone_match(&sketch, &filter);
+            if covered {
+                let matching = (0..rows)
+                    .filter(|&i| {
+                        let row: Vec<f64> = cols.iter().map(|c| c[i]).collect();
+                        filter.matches(&row)
+                    })
+                    .count();
+                match verdict {
+                    ZoneMatch::Matchless => prop_assert_eq!(matching, 0, "{:?} on {:?}", filter, cols),
+                    ZoneMatch::AllMatch => prop_assert_eq!(matching, rows, "{:?} on {:?}", filter, cols),
+                    ZoneMatch::Mixed => {}
+                }
+            } else {
+                // An uncovered conjunct never helps decide; the covered
+                // ones may still prove the block matchless.
+                prop_assert_ne!(verdict, ZoneMatch::AllMatch, "{:?}", filter);
+            }
+            if !covered || dirty || rows == 0 {
+                continue;
+            }
+            // Finite, non-empty, covered: the block kinds that carry a
+            // sketch answer with its verdict, the selection build prunes
+            // exactly the matchless ones, and wrappers that hide the
+            // sketch or guard the reads decide nothing.
+            for kind in ["RowsBlock", "ZipBlock"] {
+                prop_assert_eq!(block_of_kind(kind, &cols).zone(&filter), verdict, "{}", kind);
+            }
+            for kind in ["ScalarFallbackBlock", "FaultyBlock(transient)", "FaultyBlock(corrupt)"] {
+                prop_assert_eq!(block_of_kind(kind, &cols).zone(&filter), ZoneMatch::Mixed, "{}", kind);
+            }
+            let set = set_of_kind("RowsBlock", &cols, 1);
+            let blocks: Vec<_> = set.iter().map(Arc::clone).collect();
+            let selection = SetSelection::build(&blocks, &filter, Some(&set.sketches().unwrap())).unwrap();
+            prop_assert_eq!(selection.pruned_blocks() == 1, verdict == ZoneMatch::Matchless);
+        }
+    }
+}
+
+/// A sales-like table range-partitioned on `ts` (column 0, ascending
+/// row ids, so block `b` of `blocks` covers one contiguous `ts` range):
+/// `amount` (1) drifts with `ts` so a wrong block weight shows in the
+/// answer, `store` (2) is a small-integer group key and `margin` (3) an
+/// unclustered continuous column.
+fn clustered_columns(n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ts: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let amount = ts
+        .iter()
+        .map(|t| 50.0 + 40.0 * t / n as f64 + rng.random_range(-15.0..15.0))
+        .collect();
+    let store = (0..n)
+        .map(|_| f64::from(rng.random_range(0u32..3)))
+        .collect();
+    let margin = (0..n).map(|_| rng.random_range(0.0..100.0)).collect();
+    vec![ts, amount, store, margin]
+}
+
+fn zoned_spec(filter: Vec<(usize, CmpOp, f64)>, group_by: Option<usize>) -> RowSpec {
+    RowSpec {
+        agg_column: 1,
+        filter: RowFilter::new(
+            filter
+                .into_iter()
+                .map(|(column, op, value)| ColumnPredicate { column, op, value })
+                .collect(),
+        ),
+        group_by,
+    }
+}
+
+/// A grouped answer, every number as bits, without the read count.
+type AnswerBits = (u64, u64, Vec<(u64, u64, u64, u64, bool)>);
+
+fn answer_bits(out: &engine::GroupedEngineResult) -> AnswerBits {
+    (
+        out.estimate.to_bits(),
+        out.matched_rows.to_bits(),
+        out.groups
+            .iter()
+            .map(|g| {
+                (
+                    g.key.to_bits(),
+                    g.estimate.to_bits(),
+                    g.rows_estimate.to_bits(),
+                    g.matched_draws,
+                    g.planned,
+                )
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn zoned_row_draws_match_the_sketchless_reference_and_read_less() {
+    const ROWS: usize = 48_000;
+    const BLOCKS: usize = 8;
+    let per_block = (ROWS / BLOCKS) as f64;
+    let cols = clustered_columns(ROWS, 0x20E);
+    let native = RowsBlock::split(cols, BLOCKS);
+    let reference = scalar_fallback_set(&native);
+    let cfg = IslaConfig::builder().precision(0.4).build().unwrap();
+    let strict = RecoveryPolicy::strict();
+    let best_effort = RecoveryPolicy::best_effort(RetryPolicy::attempts(2));
+
+    // (spec, blocks the zone map proves matchless).
+    let half = 4.0 * per_block - 0.5;
+    let cases: Vec<(&str, RowSpec, usize)> = vec![
+        // Half the blocks cannot match, the other half match everywhere.
+        ("ts > half", zoned_spec(vec![(0, CmpOp::Gt, half)], None), 4),
+        // The cut falls inside block 2: one undecided block.
+        (
+            "ts >= inside",
+            zoned_spec(vec![(0, CmpOp::Ge, 2.5 * per_block)], None),
+            2,
+        ),
+        // Two-sided range, grouped: blocks 0, 6, 7 out; 1 and 5 cut.
+        (
+            "range GROUP BY store",
+            zoned_spec(
+                vec![
+                    (0, CmpOp::Ge, 1.25 * per_block),
+                    (0, CmpOp::Lt, 5.75 * per_block),
+                ],
+                Some(2),
+            ),
+            3,
+        ),
+        // A deciding conjunct beside an undecided one.
+        (
+            "ts <= half AND margin > 30",
+            zoned_spec(vec![(0, CmpOp::Le, half), (3, CmpOp::Gt, 30.0)], None),
+            4,
+        ),
+        // Unclustered filters: every block stays undecided.
+        (
+            "margin > 60",
+            zoned_spec(vec![(3, CmpOp::Gt, 60.0)], None),
+            0,
+        ),
+        (
+            "store = 1",
+            zoned_spec(vec![(2, CmpOp::Eq, 1.0)], Some(2)),
+            0,
+        ),
+    ];
+
+    for (label, spec, matchless) in &cases {
+        use isla::storage::ZoneMatch;
+        let decided = native
+            .iter()
+            .filter(|b| b.zone(&spec.filter) == ZoneMatch::Matchless)
+            .count();
+        assert_eq!(decided, *matchless, "{label}: matchless blocks");
+        assert!(reference
+            .iter()
+            .all(|b| b.zone(&spec.filter) == ZoneMatch::Mixed));
+
+        // --- Pilots: one-shot (strict and best-effort) and capped. Same
+        // pre-estimate — `pilot_rows` included — and the caller's RNG
+        // left in the same state.
+        let pilot = |data: &BlockSet, cap: u64, recovery: &RecoveryPolicy| {
+            let mut rng = StdRng::seed_from_u64(0xA11);
+            let pre =
+                engine::row_pre_estimate_capped_with(data, &cfg, spec, cap, recovery, &mut rng)
+                    .unwrap();
+            (pre, rng.next_u64())
+        };
+        for (cap, recovery) in [
+            (u64::MAX, &strict),
+            (u64::MAX, &best_effort),
+            (900, &strict),
+        ] {
+            assert_eq!(
+                pilot(&native, cap, recovery),
+                pilot(&reference, cap, recovery),
+                "{label}: pilot capped at {cap}, best_effort={}",
+                recovery.is_best_effort()
+            );
+        }
+        let (pre, _) = pilot(&native, u64::MAX, &strict);
+
+        // --- Calculation phase, sequential and pooled.
+        let run = |data: &BlockSet, scheduler: &dyn engine::BlockScheduler| {
+            let plan = RowPlan::from_pre_estimate(
+                data,
+                &cfg,
+                spec.clone(),
+                pre.clone(),
+                RateSpec::Derived,
+            )
+            .unwrap();
+            let mut rng = StdRng::seed_from_u64(0xCA1C);
+            let out = engine::run_row_plan(&plan, data, scheduler, &mut rng).unwrap();
+            let offered = plan.planned_calculation_samples(data);
+            (
+                answer_bits(&out),
+                rng.next_u64(),
+                out.total_samples,
+                offered,
+            )
+        };
+        let (want, want_rng, reference_reads, offered) = run(&reference, &SequentialScheduler);
+        assert_eq!(
+            reference_reads, offered,
+            "{label}: undecided blocks read every draw"
+        );
+        let pool = pooled(3);
+        for (data, zoned, scheduler) in [
+            (
+                &native,
+                true,
+                &SequentialScheduler as &dyn engine::BlockScheduler,
+            ),
+            (&native, true, &pool),
+            (&reference, false, &pool),
+        ] {
+            let (got, got_rng, reads, _) = run(data, scheduler);
+            assert_eq!(got, want, "{label}: answer on {}", scheduler.name());
+            assert_eq!(got_rng, want_rng, "{label}: caller RNG");
+            if zoned && *matchless > 0 {
+                assert!(
+                    reads < reference_reads,
+                    "{label}: {reads} !< {reference_reads}"
+                );
+            } else {
+                assert_eq!(reads, reference_reads, "{label}: reads");
+            }
+        }
+
+        // Per block: a matchless block is offered its draws and reads
+        // none of them; every other block reads all it is offered.
+        let plan = RowPlan::from_pre_estimate(&native, &cfg, spec.clone(), pre, RateSpec::Derived)
+            .unwrap();
+        for (b, block) in native.iter().enumerate() {
+            let out = engine::execute_row_block(&plan, block.as_ref(), b, 7 + b as u64).unwrap();
+            assert_eq!(
+                out.offered,
+                plan.sample_size_for(block.len()),
+                "{label} block {b}"
+            );
+            let skipped = block.zone(&spec.filter) == ZoneMatch::Matchless;
+            assert_eq!(
+                out.draws,
+                if skipped { 0 } else { out.offered },
+                "{label} block {b}"
+            );
+            // And the groups are the sketch-less block's groups.
+            let want =
+                engine::execute_row_block(&plan, reference.block(b).as_ref(), b, 7 + b as u64)
+                    .unwrap();
+            assert_eq!(
+                outcome_bits(&out).2,
+                outcome_bits(&want).2,
+                "{label} block {b}"
+            );
+            assert_eq!((want.draws, want.offered), (out.offered, out.offered));
+        }
+    }
+}
+
+#[test]
+fn zoned_epoch_pilots_match_the_sketchless_reference_after_an_append() {
+    use isla::core::engine::{CacheKey, PreEstimateCache};
+    const BLOCKS: usize = 6;
+    let cols = clustered_columns(36_000, 0xE90C);
+    let per_block = 36_000.0 / BLOCKS as f64;
+    let cfg = IslaConfig::builder().precision(0.5).build().unwrap();
+    // Two more `ts` ranges arrive as appended epochs.
+    let tail = |lo: usize| -> Vec<Vec<f64>> {
+        let mut cols = clustered_columns(6_000, 0xE90C + lo as u64);
+        cols[0].iter_mut().for_each(|t| *t += lo as f64);
+        cols
+    };
+    let appended = [tail(36_000), tail(42_000)];
+    let build = |wrap: fn(Arc<dyn DataBlock>) -> Arc<dyn DataBlock>| {
+        let base = RowsBlock::split(cols.clone(), BLOCKS);
+        let mut set = BlockSet::new(base.iter().map(|b| wrap(Arc::clone(b))).collect());
+        let mut epochs = vec![set.clone()];
+        for cols in &appended {
+            set.append_block(wrap(Arc::new(RowsBlock::new(cols.clone()))))
+                .unwrap();
+            epochs.push(set.clone());
+        }
+        epochs
+    };
+    let native = build(|b| b);
+    let reference = build(|b| Arc::new(ScalarFallbackBlock(b)));
+
+    for spec in [
+        // Only the appended ranges (and the last base block) can match.
+        zoned_spec(vec![(0, CmpOp::Gt, 5.0 * per_block - 0.5)], None),
+        // The base matches everywhere, the appends nowhere — grouped.
+        zoned_spec(vec![(0, CmpOp::Lt, 36_000.0)], Some(2)),
+        zoned_spec(vec![(3, CmpOp::Gt, 40.0)], None),
+    ] {
+        // One cache per set, walked through the epochs in order: a cold
+        // fold at epoch 0, then a delta resume after each append; and a
+        // second pair folding the final shape cold.
+        let walk = |epochs: &[BlockSet]| {
+            let cache = PreEstimateCache::new();
+            epochs
+                .iter()
+                .map(|data| {
+                    let key =
+                        CacheKey::new("t", "amount", &cfg, data).with_row_shape(spec.fingerprint());
+                    cache
+                        .get_or_compute_rows_epoch(key, data, &cfg, &spec, 0x5A17)
+                        .unwrap()
+                        .pre
+                })
+                .collect::<Vec<_>>()
+        };
+        let resumed = walk(&native);
+        assert_eq!(resumed, walk(&reference), "{spec:?}: resumed folds");
+        let cold = walk(&native[2..]);
+        assert_eq!(cold, walk(&reference[2..]), "{spec:?}: cold fold");
+        assert_eq!(cold[0], resumed[2], "{spec:?}: resumed ≡ cold");
+    }
+}

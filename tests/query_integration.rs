@@ -300,6 +300,29 @@ fn golden_catalog() -> Catalog {
         "flaky_sales",
         Table::from_rows(sales_schema(), faults.arm(&sales_set(13, n, 10))),
     );
+
+    // A table range-partitioned on `ts` (the row id): each of its eight
+    // blocks covers 15 000 consecutive values, so a block's min/max zone
+    // map decides a `ts` range filter for most blocks. `amount` drifts
+    // with `ts`, which makes a wrong block weight visible in the answer.
+    let ts: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let amount: Vec<f64> = isla::datagen::normal_values(0.0, 10.0, n, 21)
+        .iter()
+        .zip(&ts)
+        .map(|(e, t)| 40.0 + 20.0 * t / n as f64 + e)
+        .collect();
+    let store: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
+    catalog.register(
+        "timeline",
+        Table::from_rows(
+            Schema::new(vec![
+                ColumnDef::float("ts"),
+                ColumnDef::float("amount"),
+                ColumnDef::categorical("store"),
+            ]),
+            RowsBlock::split(vec![ts, amount, store], 8),
+        ),
+    );
     catalog
 }
 
@@ -680,10 +703,36 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
         "SELECT COUNT(*) FROM small_sales WHERE amount > 50 GROUP BY store WITH PRECISION 1",
         69,
     ),
+    // Range filters on the column `timeline` is partitioned by: blocks
+    // the zone map proves matchless are not read (`samples` counts rows
+    // read), all-match blocks skip the predicate; a cut inside a block
+    // leaves that one undecided.
+    (
+        "plain",
+        "SELECT AVG(amount) FROM timeline WHERE ts > 60000 WITH PRECISION 0.5",
+        70,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM timeline WHERE ts > 60000 WITH PRECISION 0.5",
+        71,
+    ),
+    (
+        "pooled",
+        "SELECT AVG(amount) FROM timeline WHERE ts <= 45000 GROUP BY store WITH PRECISION 0.5",
+        72,
+    ),
+    (
+        "seeded",
+        "SELECT SUM(amount) FROM timeline WHERE ts >= 30000 AND ts < 97500 WITH PRECISION 0.5",
+        73,
+    ),
 ];
 
 /// Recorded at the commit before the Calculation-phase spine landed
-/// (PR 12): one line per [`GOLDEN_CORPUS`] entry, in order.
+/// (PR 12): one line per [`GOLDEN_CORPUS`] entry, in order. The
+/// `timeline` lines were recorded when zone verdicts landed (PR 21);
+/// at its parent they differ in `samples=` alone.
 const GOLDEN_EXPECTED: &str = include_str!("golden/query_corpus.txt");
 
 #[test]
