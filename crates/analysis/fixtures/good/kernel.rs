@@ -1,5 +1,6 @@
-//! Known-good fixture: covered override, non-overriding impl, and
-//! forwarding impls that are exempt by construction.
+//! Known-good fixture: covered override and non-overriding impl (the
+//! forwarding impls, exempt by construction, are in
+//! `kernel_forwarding.rs`).
 
 pub struct CoveredBlock {
     values: Vec<f64>,
@@ -22,23 +23,5 @@ pub struct ScalarOnlyBlock;
 impl DataBlock for ScalarOnlyBlock {
     fn sample_one(&self, rng: &mut dyn RngCore) -> f64 {
         0.0
-    }
-}
-
-impl<T: DataBlock + ?Sized> DataBlock for &T {
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        (**self).sample_batch(n, rng, out)
-    }
-    fn sketch(&self) -> Option<Arc<BlockSketch>> {
-        (**self).sketch()
-    }
-}
-
-impl DataBlock for std::sync::Arc<dyn DataBlock> {
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        (**self).sample_batch(n, rng, out)
-    }
-    fn sketch(&self) -> Option<Arc<BlockSketch>> {
-        (**self).sketch()
     }
 }

@@ -1,6 +1,6 @@
 //! Known-good fixture: a column-chunk scan override on a type the
-//! identity tests name, and forwarding impls that are exempt by
-//! construction.
+//! identity tests name (the forwarding impls, exempt by construction,
+//! are in `kernel_forwarding.rs`).
 
 pub struct CoveredChunks {
     columns: Vec<Vec<f64>>,
@@ -9,17 +9,5 @@ pub struct CoveredChunks {
 impl DataBlock for CoveredChunks {
     fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
         windows(&self.columns, columns, visit)
-    }
-}
-
-impl<T: DataBlock + ?Sized> DataBlock for &T {
-    fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
-        (**self).scan_column_chunks(columns, visit)
-    }
-}
-
-impl DataBlock for std::sync::Arc<dyn DataBlock> {
-    fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
-        (**self).scan_column_chunks(columns, visit)
     }
 }

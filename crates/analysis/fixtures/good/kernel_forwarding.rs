@@ -1,0 +1,52 @@
+//! Known-good fixture: forwarding impls, exempt by construction — they
+//! delegate every kernel to the pointee, they do not reimplement one. The
+//! blanket pointer form the storage crate uses, then the per-pointer
+//! forms it replaced.
+
+impl<P: Deref + Send + Sync> DataBlock for P
+where
+    P::Target: DataBlock,
+{
+    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
+        (**self).sample_batch(n, rng, out)
+    }
+    fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
+        (**self).scan_column_chunks(columns, visit)
+    }
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
+        (**self).sketch()
+    }
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        (**self).zone(filter)
+    }
+}
+
+impl<T: DataBlock + ?Sized> DataBlock for &T {
+    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
+        (**self).sample_batch(n, rng, out)
+    }
+    fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
+        (**self).scan_column_chunks(columns, visit)
+    }
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
+        (**self).sketch()
+    }
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        (**self).zone(filter)
+    }
+}
+
+impl DataBlock for std::sync::Arc<dyn DataBlock> {
+    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
+        (**self).sample_batch(n, rng, out)
+    }
+    fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
+        (**self).scan_column_chunks(columns, visit)
+    }
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
+        (**self).sketch()
+    }
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        (**self).zone(filter)
+    }
+}

@@ -517,7 +517,9 @@ struct KernelImpl {
 
 /// Extracts `impl … DataBlock for <Type>` blocks and their overridden
 /// kernel methods. Forwarding impls over references, `Arc`, or generic
-/// parameters are skipped — they delegate, they do not reimplement.
+/// parameters — the blanket `impl<P: Deref> DataBlock for P where
+/// P::Target: DataBlock` included — are skipped: they delegate, they do
+/// not reimplement.
 fn data_block_impls(scan: &Scanned) -> Vec<KernelImpl> {
     let toks = &scan.tokens;
     let mut out = Vec::new();
@@ -577,12 +579,13 @@ fn data_block_impls(scan: &Scanned) -> Vec<KernelImpl> {
             i += 1;
             continue;
         }
-        // Target type: the last path identifier before `<` or `{`.
+        // Target type: the last path identifier before `<`, `{` or a
+        // `where` clause (whose bounds name traits, not the target).
         let mut type_name: Option<String> = None;
         while let Some(t) = toks.get(j) {
             if t.is_punct('&') {
                 is_reference_target = true;
-            } else if t.is_punct('<') || t.is_punct('{') {
+            } else if t.is_punct('<') || t.is_punct('{') || t.ident() == Some("where") {
                 break;
             } else if let Some(name) = t.ident() {
                 type_name = Some(name.to_string());

@@ -27,8 +27,21 @@ fn fixture(name: &str, crate_name: &str, is_crate_root: bool) -> SourceFile {
 }
 
 fn run_on(file: SourceFile, identity: &[&str]) -> LintRun {
+    run_on_all(&[file], identity)
+}
+
+fn run_on_all(files: &[SourceFile], identity: &[&str]) -> LintRun {
     let idents: BTreeSet<String> = identity.iter().map(|s| s.to_string()).collect();
-    lints::run(&[file], Some(&idents))
+    lints::run(files, Some(&idents))
+}
+
+/// As [`run_on`], with the forwarding-impl fixture alongside `name`.
+fn run_with_forwarding(name: &str, identity: &[&str]) -> LintRun {
+    let files = [
+        fixture(name, "fx", false),
+        fixture("good/kernel_forwarding.rs", "fx", false),
+    ];
+    run_on_all(&files, identity)
 }
 
 /// `(line, lint)` pairs of the error-level findings.
@@ -224,10 +237,7 @@ fn uncovered_column_chunk_override_is_flagged() {
 
 #[test]
 fn covered_and_forwarding_column_chunk_impls_are_clean() {
-    let run = run_on(
-        fixture("good/kernel_column_chunks.rs", "fx", false),
-        &["CoveredChunks"],
-    );
+    let run = run_with_forwarding("good/kernel_column_chunks.rs", &["CoveredChunks"]);
     assert_eq!(error_lines(&run), vec![]);
 }
 
@@ -242,16 +252,22 @@ fn uncovered_zone_override_is_flagged() {
 
 #[test]
 fn covered_and_forwarding_zone_impls_are_clean() {
-    let run = run_on(
-        fixture("good/kernel_zone.rs", "fx", false),
-        &["CoveredZone"],
-    );
+    let run = run_with_forwarding("good/kernel_zone.rs", &["CoveredZone"]);
     assert_eq!(error_lines(&run), vec![]);
 }
 
 #[test]
 fn covered_and_forwarding_kernel_impls_are_clean() {
-    let run = run_on(fixture("good/kernel.rs", "fx", false), &["CoveredBlock"]);
+    let run = run_with_forwarding("good/kernel.rs", &["CoveredBlock"]);
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
+fn forwarding_impls_are_exempt_whatever_the_identity_tests_name() {
+    // The blanket form's `where P::Target: DataBlock` used to be read as
+    // the target type, and passed only where the identity tests happen
+    // to mention `DataBlock`.
+    let run = run_on(fixture("good/kernel_forwarding.rs", "fx", false), &[]);
     assert_eq!(error_lines(&run), vec![]);
 }
 

@@ -358,10 +358,6 @@ impl DataBlock for MutBlock {
         }
         Ok(())
     }
-
-    fn describe(&self) -> String {
-        format!("mut({} rows)", self.len())
-    }
 }
 
 /// Regression (pre-PR bug): `invalidate_table` dropped only the
@@ -538,10 +534,6 @@ impl DataBlock for PanicBlock {
 
     fn sketch(&self) -> Option<Arc<isla_storage::BlockSketch>> {
         self.inner.sketch()
-    }
-
-    fn describe(&self) -> String {
-        "panic-block".to_string()
     }
 }
 

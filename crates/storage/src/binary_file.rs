@@ -227,10 +227,6 @@ impl DataBlock for BinaryBlock {
         out.draw_indices(n, self.rows, rng);
         out.gather_with_sorted(|idx| self.read_row(idx))
     }
-
-    fn describe(&self) -> String {
-        format!("binary({}, {} rows)", self.path.display(), self.rows)
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The [`DataBlock`] trait: what every block kind must provide.
 
+use std::ops::Deref;
+
 use rand::RngCore;
 
 use crate::error::StorageError;
@@ -328,17 +330,20 @@ pub trait DataBlock: Send + Sync {
     fn project(&self, _col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
         None
     }
-
-    /// A short human-readable description (block kind and size) for
-    /// diagnostics.
-    fn describe(&self) -> String {
-        format!("block({} rows)", self.len())
-    }
 }
 
-impl<T: DataBlock + ?Sized> DataBlock for &T {
+/// Every pointer to a block is a block: `&T`, `Box<T>`, `Arc<T>` and
+/// their `dyn DataBlock` forms forward each method to the pointee, so an
+/// override is never lost behind a pointer to a trait default.
+impl<P: Deref + Send + Sync> DataBlock for P
+where
+    P::Target: DataBlock,
+{
     fn len(&self) -> u64 {
         (**self).len()
+    }
+    fn is_empty(&self) -> bool {
+        (**self).is_empty()
     }
     fn width(&self) -> usize {
         (**self).width()
@@ -405,83 +410,5 @@ impl<T: DataBlock + ?Sized> DataBlock for &T {
     }
     fn project(&self, col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
         (**self).project(col)
-    }
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
-}
-
-impl DataBlock for std::sync::Arc<dyn DataBlock> {
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
-    fn width(&self) -> usize {
-        (**self).width()
-    }
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        (**self).sample_one(rng)
-    }
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        (**self).row_at(idx)
-    }
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        (**self).scan(visit)
-    }
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        (**self).sample_row(rng, out)
-    }
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        (**self).row_tuple(idx, out)
-    }
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        (**self).scan_rows(visit)
-    }
-    fn scan_rows_projected(
-        &self,
-        columns: &[usize],
-        visit: &mut dyn FnMut(&[f64]),
-    ) -> Result<(), StorageError> {
-        (**self).scan_rows_projected(columns, visit)
-    }
-    fn scan_column_chunks(
-        &self,
-        columns: &[usize],
-        visit: &mut dyn FnMut(&[&[f64]]),
-    ) -> Result<(), StorageError> {
-        (**self).scan_column_chunks(columns, visit)
-    }
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        (**self).sample_batch(n, rng, out)
-    }
-    fn sample_rows_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut RowSampleBuf,
-    ) -> Result<(), StorageError> {
-        (**self).sample_rows_batch(n, rng, out)
-    }
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        (**self).scan_chunks(visit)
-    }
-    fn supports_scan(&self) -> bool {
-        (**self).supports_scan()
-    }
-    fn sketch(&self) -> Option<std::sync::Arc<crate::sketch::BlockSketch>> {
-        (**self).sketch()
-    }
-    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
-        (**self).zone(filter)
-    }
-    fn project(&self, col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
-        (**self).project(col)
-    }
-    fn describe(&self) -> String {
-        (**self).describe()
     }
 }

@@ -386,10 +386,6 @@ impl DataBlock for FaultyBlock {
         // generic column view, which routes reads through this block.
         None
     }
-
-    fn describe(&self) -> String {
-        format!("faulty({:?}, {})", self.fault, self.inner.describe())
-    }
 }
 
 #[cfg(test)]
@@ -440,7 +436,6 @@ mod tests {
         assert_eq!(faulty.len(), 100);
         assert_eq!(faulty.row_at(3).unwrap(), 3.0);
         assert_eq!(faulty.attempts(), 0);
-        assert!(faulty.describe().contains("faulty"));
     }
 
     #[test]
@@ -513,14 +508,16 @@ mod tests {
         assert_eq!(armed.total_len(), data.total_len());
         for i in 0..armed.block_count() {
             assert_eq!(armed.block(i).len(), data.block(i).len());
-            assert!(armed.block(i).describe().contains("faulty"));
+            // Wrapped with the plan's fault: exactly the lost blocks fail.
+            let lost = plan.fault_for(i) == BlockFault::Lost;
+            assert_eq!(armed.block(i).row_at(0).is_err(), lost, "block {i}");
         }
         // Arming twice yields fresh attempt counters but identical faults.
         let rearmed = plan.arm(&data);
         for i in 0..armed.block_count() {
             assert_eq!(
-                armed.block(i).describe(),
-                rearmed.block(i).describe(),
+                armed.block(i).row_at(0).is_err(),
+                rearmed.block(i).row_at(0).is_err(),
                 "block {i}"
             );
         }

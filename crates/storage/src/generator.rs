@@ -132,10 +132,6 @@ impl DataBlock for GeneratorBlock {
     fn supports_scan(&self) -> bool {
         self.len <= self.scan_cap
     }
-
-    fn describe(&self) -> String {
-        format!("generator({} virtual rows)", self.len)
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +187,6 @@ mod tests {
     #[test]
     fn exposes_ground_truth() {
         assert_eq!(block(10).true_mean(), 100.0);
-        assert!(block(10).describe().contains("virtual"));
     }
 
     #[test]

@@ -519,9 +519,6 @@ impl DataBlock for ScalarFallbackBlock {
     // wrapped set stays sketch-less so
     // consumers exercise their metadata-free paths (the throughput
     // bench leans on this to measure the pre-sketch SLEV scan).
-    fn describe(&self) -> String {
-        format!("scalar-fallback over {}", self.0.describe())
-    }
 }
 
 /// Wraps every block of `set` in a [`ScalarFallbackBlock`], preserving
@@ -600,7 +597,6 @@ mod tests {
         let inner: Arc<dyn DataBlock> = Arc::new(MemBlock::new(vec![1.0, 2.0, 3.0]));
         let wrapped = ScalarFallbackBlock(Arc::clone(&inner));
         assert_eq!(wrapped.len(), 3);
-        assert!(wrapped.describe().contains("scalar-fallback"));
         assert!(
             wrapped.sketch().is_none(),
             "fallback wrappers hide the sketch hook"

@@ -5,7 +5,9 @@
 //! answers are combined by size-weighted averaging. This crate provides the
 //! block abstraction and every concrete block kind the evaluation needs:
 //!
-//! * [`MemBlock`] — values in memory;
+//! * [`MemBlock`] — one column of values in memory (reference-counted:
+//!   also what a [`RowsBlock`] hands out as a zero-copy projection of
+//!   one of its columns);
 //! * [`TextBlock`] — one value per line in a text file, the exact storage
 //!   format of the paper's experiments ("data … are pre-processed and
 //!   saved in b .txt documents to simulate b blocks");
@@ -28,9 +30,13 @@
 //!   multi-column block;
 //! * [`RowFilter`] — a compiled `WHERE` conjunction evaluated against
 //!   each row where the rows are produced (predicate pushdown);
-//! * [`ColumnView`] / [`FilteredColumnView`] — width-1 projections that
-//!   let scalar consumers run over one column of a table, optionally
-//!   under a pushed-down filter.
+//! * [`ColumnView`] — the width-1 projection that lets scalar consumers
+//!   run over one column of a table whose blocks cannot hand the column
+//!   out themselves ([`project_column`] picks per block);
+//! * [`PooledFilteredColumn`] ([`pool_filtered_column`]) — one column of
+//!   a whole table under a pushed-down filter, as a single scalar block:
+//!   the one filtered view, drawing through the set's compiled selection
+//!   and by rejection only over blocks that cannot scan.
 //!
 //! [`BlockSet`] groups blocks into a dataset, and [`sampler`] provides
 //! uniform with-replacement sampling (values and row tuples),
@@ -42,7 +48,12 @@
 //! permanent loss, stalls, or value corruption per block, and
 //! [`FaultyBlock`] injects the assigned fault at every data-plane
 //! access while metadata passes through — the substrate for the
-//! engine's retry and graceful-degradation layers.
+//! engine's retry and graceful-degradation layers. [`ScalarFallbackBlock`]
+//! hides a block's batch-kernel overrides behind the trait defaults: the
+//! reference the kernel-identity tests compare every override against.
+//!
+//! Any pointer to a block (`&T`, `Box<T>`, `Arc<T>`, sized or `dyn`) is
+//! itself a [`DataBlock`] through one forwarding impl.
 //!
 //! The hot paths run through **batch kernels** ([`kernel`]):
 //! [`DataBlock::sample_batch`] / [`DataBlock::sample_rows_batch`] draw
@@ -91,8 +102,7 @@ pub use kernel::{
 };
 pub use memory::MemBlock;
 pub use rows::{
-    pool_filtered_column, project_column, project_filtered_column, ColumnView, FilteredColumnView,
-    PooledFilteredColumn, RowsBlock, SharedColumn, ZipBlock,
+    pool_filtered_column, project_column, ColumnView, PooledFilteredColumn, RowsBlock, ZipBlock,
 };
 pub use sampler::{
     proportional_allocation, sample_from_block, sample_proportional, sample_proportional_surviving,

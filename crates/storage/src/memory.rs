@@ -13,10 +13,12 @@ use crate::sketch::BlockSketch;
 /// A block whose rows live in memory.
 ///
 /// The workhorse for tests, examples, and the small and medium evaluation
-/// workloads.
+/// workloads — and what [`crate::RowsBlock`] hands out as the zero-copy
+/// projection of one of its columns (the values are reference-counted,
+/// so the projection shares the table's storage).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemBlock {
-    values: Vec<f64>,
+    values: Arc<Vec<f64>>,
     // Eager moment sketch, computed by the same pass that validates
     // finiteness — so the `sketch()` hook is an O(1) Arc clone.
     sketch: Arc<BlockSketch>,
@@ -36,8 +38,20 @@ impl MemBlock {
         let sketch = BlockSketch::from_values(&values);
         assert!(sketch.all_finite(), "block values must be finite");
         Self {
-            values,
+            values: Arc::new(values),
             sketch: Arc::new(sketch),
+        }
+    }
+
+    /// Wraps an already-validated reference-counted column and its
+    /// already-folded sketch, checking neither — how
+    /// [`crate::RowsBlock`] projects a column without copying or
+    /// re-folding it. `sketch` must be the [`BlockSketch::from_values`]
+    /// of `column`.
+    pub(crate) fn shared(column: Arc<Vec<f64>>, sketch: Arc<BlockSketch>) -> Self {
+        Self {
+            values: column,
+            sketch,
         }
     }
 
@@ -46,9 +60,10 @@ impl MemBlock {
         &self.values
     }
 
-    /// Consumes the block, returning the values.
+    /// Consumes the block, returning the values (copied only when the
+    /// storage is still shared with a [`crate::RowsBlock`]).
     pub fn into_values(self) -> Vec<f64> {
-        self.values
+        Arc::unwrap_or_clone(self.values)
     }
 }
 
@@ -81,7 +96,7 @@ impl DataBlock for MemBlock {
     }
 
     fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        for &v in &self.values {
+        for &v in self.values.iter() {
             visit(v);
         }
         Ok(())
@@ -111,10 +126,6 @@ impl DataBlock for MemBlock {
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         Some(Arc::clone(&self.sketch))
     }
-
-    fn describe(&self) -> String {
-        format!("mem({} rows)", self.values.len())
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +153,6 @@ mod tests {
         block.scan(&mut |v| got.push(v)).unwrap();
         assert_eq!(got, vec![5.0, 4.0, 3.0]);
         assert!(block.supports_scan());
-        assert_eq!(block.describe(), "mem(3 rows)");
     }
 
     #[test]
@@ -160,6 +170,30 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan_values() {
         let _ = MemBlock::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn every_public_in_memory_constructor_rejects_non_finite_values() {
+        // `MemBlock::shared` checks nothing, and is crate-private: its
+        // one caller, `RowsBlock::project`, passes a column that
+        // `RowsBlock::new` validated. Every public way in panics.
+        use crate::{BlockSet, RowsBlock};
+        fn assert_rejects(name: &str, build: impl FnOnce() + std::panic::UnwindSafe) {
+            let panic = std::panic::catch_unwind(build).expect_err(name);
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("finite"), "{name}: {message:?}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let col = || vec![1.0, bad, 3.0];
+            let table = || vec![vec![0.0; 3], col()];
+            assert_rejects("MemBlock::new", || drop(MemBlock::new(col())));
+            assert_rejects("MemBlock::from", || drop(MemBlock::from(col())));
+            assert_rejects("RowsBlock::new", || drop(RowsBlock::new(table())));
+            assert_rejects("RowsBlock::split", || drop(RowsBlock::split(table(), 2)));
+            assert_rejects("BlockSet::from_values", || {
+                drop(BlockSet::from_values(col(), 2))
+            });
+        }
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Multi-column row blocks and column/filter views.
 //!
-//! Three block kinds make [`crate::DataBlock`]'s row model concrete:
+//! Four block kinds make [`crate::DataBlock`]'s row model concrete:
 //!
 //! * [`RowsBlock`] — a columnar in-memory table block: `width` columns of
-//!   equal length, one uniform index draw per sampled row;
+//!   equal length, one uniform index draw per sampled row; one column of
+//!   it projects to a [`crate::MemBlock`] sharing its storage;
 //! * [`ZipBlock`] — zips equally-sized scalar blocks into one logical
 //!   multi-column block (how legacy per-column tables join the row
 //!   model without rewriting their storage);
-//! * [`ColumnView`] / [`FilteredColumnView`] — width-1 projections of a
-//!   multi-column block, the adapters that let every scalar consumer
-//!   (baseline estimators, MAX/MIN, the classic ISLA path) run over one
-//!   column of a schema-aware table, optionally under a pushed-down
-//!   [`RowFilter`]. Filtered draws go through a compiled
-//!   [`SelectionVector`] (O(1) index lookups, matchless blocks skipped
-//!   via their zone stat) wherever one can be built, falling back to
-//!   rejection sampling only for unscannable blocks.
+//! * [`ColumnView`] — the width-1 projection of one column of any
+//!   multi-column block that cannot hand its column out itself, the
+//!   adapter that lets every scalar consumer (baseline estimators, the
+//!   classic ISLA path) run over one column of a schema-aware table;
+//! * [`PooledFilteredColumn`] — one column of a whole block set under a
+//!   pushed-down [`RowFilter`], as a single block: what filtered
+//!   baselines, `MAX`/`MIN` and `SUM` draw from. Filtered draws go
+//!   through a compiled [`SetSelection`] (O(1) index lookups, matchless
+//!   blocks occupying no width) wherever one can be built, falling back
+//!   to rejection sampling only for unscannable blocks.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -29,6 +32,7 @@ use crate::blockset::BlockSet;
 use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::kernel::{RowSampleBuf, SampleBuf, SCAN_CHUNK_ROWS};
+use crate::memory::MemBlock;
 use crate::selection::{SelectionVector, SetSelection};
 use crate::sketch::BlockSketch;
 
@@ -55,7 +59,7 @@ fn with_row_buf<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
 }
 
 /// SplitMix64 finalizer: decorrelates the per-index probe streams of
-/// [`FilteredColumnView::row_at`].
+/// [`PooledFilteredColumn`]'s positional reads.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -65,7 +69,8 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// A columnar in-memory multi-column block: the workhorse of
 /// schema-aware tables. Columns are reference-counted so a projection
-/// ([`DataBlock::project`]) shares the storage instead of copying it.
+/// ([`DataBlock::project`], a [`MemBlock`]) shares the storage instead
+/// of copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowsBlock {
     columns: Vec<Arc<Vec<f64>>>,
@@ -287,97 +292,7 @@ impl DataBlock for RowsBlock {
         // re-folding the column (the projected entry was folded in the
         // same storage order, so it is bit-identical to a re-fold).
         let sketch = self.sketch.project(col)?;
-        Some(
-            Arc::new(SharedColumn::with_sketch(Arc::clone(c), Arc::new(sketch)))
-                as Arc<dyn DataBlock>,
-        )
-    }
-
-    fn describe(&self) -> String {
-        format!("rows({} rows × {} cols)", self.rows, self.columns.len())
-    }
-}
-
-/// A scalar block borrowing one reference-counted column of a
-/// [`RowsBlock`] — what [`DataBlock::project`] hands to scalar
-/// consumers, so the classic pipeline reads the column directly instead
-/// of materializing row tuples.
-#[derive(Debug, Clone)]
-pub struct SharedColumn {
-    col: Arc<Vec<f64>>,
-    sketch: Arc<BlockSketch>,
-}
-
-impl SharedColumn {
-    /// Wraps a reference-counted column as a scalar block, sketching it
-    /// eagerly (one fold over memory-resident values).
-    pub fn new(col: Arc<Vec<f64>>) -> Self {
-        let sketch = Arc::new(BlockSketch::from_values(&col));
-        Self { col, sketch }
-    }
-
-    /// As [`SharedColumn::new`] with the sketch already computed — the
-    /// projection paths slice it off the parent block's sketch instead
-    /// of re-folding the column.
-    pub(crate) fn with_sketch(col: Arc<Vec<f64>>, sketch: Arc<BlockSketch>) -> Self {
-        Self { col, sketch }
-    }
-}
-
-impl DataBlock for SharedColumn {
-    fn len(&self) -> u64 {
-        self.col.len() as u64
-    }
-
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if self.col.is_empty() {
-            return Err(StorageError::Empty);
-        }
-        let idx = rng.random_range(0..self.col.len() as u64);
-        Ok(self.col[idx as usize])
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.col
-            .get(idx as usize)
-            .copied()
-            .ok_or(StorageError::Empty)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        for &v in self.col.iter() {
-            visit(v);
-        }
-        Ok(())
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.col.is_empty() {
-            return Err(StorageError::Empty);
-        }
-        out.draw_indices(n, self.col.len() as u64, rng);
-        out.gather_from_slice(&self.col);
-        Ok(())
-    }
-
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        for chunk in self.col.chunks(SCAN_CHUNK_ROWS) {
-            visit(chunk);
-        }
-        Ok(())
-    }
-
-    fn sketch(&self) -> Option<Arc<BlockSketch>> {
-        Some(Arc::clone(&self.sketch))
-    }
-
-    fn describe(&self) -> String {
-        format!("shared column({} rows)", self.col.len())
+        Some(Arc::new(MemBlock::shared(Arc::clone(c), Arc::new(sketch))) as Arc<dyn DataBlock>)
     }
 }
 
@@ -524,10 +439,6 @@ impl DataBlock for ZipBlock {
         // A zip's columns ARE scalar blocks: hand the original back.
         self.cols.get(col).map(Arc::clone)
     }
-
-    fn describe(&self) -> String {
-        format!("zip({} rows × {} cols)", self.rows, self.cols.len())
-    }
 }
 
 /// A width-1 projection of one column of a multi-column block.
@@ -616,240 +527,15 @@ impl DataBlock for ColumnView {
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         self.sketch.clone()
     }
-
-    fn describe(&self) -> String {
-        format!("col {} of {}", self.col, self.inner.describe())
-    }
-}
-
-/// A width-1 projection of one column *under a pushed-down predicate*.
-///
-/// With a compiled [`SelectionVector`] (the default when the helpers
-/// build the view over scannable blocks), a draw is one uniform index
-/// into the matching rows — O(1), and a matchless block fails
-/// immediately via its zone stat instead of burning a rejection budget.
-/// Without one (unscannable blocks), draws fall back to rejection
-/// sampling: rows are redrawn until the filter matches, up to
-/// [`RowFilter::MAX_REJECTION_ATTEMPTS`]. Either way a sample is
-/// uniform over the *matching* rows; scans visit only matching rows.
-/// [`DataBlock::len`] reports the unfiltered row count — consumers that
-/// weight by block size treat it as an upper bound (acceptable for the
-/// baseline estimators this view serves; the ISLA row path estimates
-/// per-block matched counts from its own draws instead).
-pub struct FilteredColumnView {
-    inner: Arc<dyn DataBlock>,
-    col: usize,
-    filter: Arc<RowFilter>,
-    selection: Option<Arc<SelectionVector>>,
-}
-
-impl std::fmt::Debug for FilteredColumnView {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilteredColumnView")
-            .field("col", &self.col)
-            .field("rows", &self.inner.len())
-            .field("predicates", &self.filter.predicates().len())
-            .finish()
-    }
-}
-
-impl FilteredColumnView {
-    /// Projects column `col` of `inner`, restricted to rows matching
-    /// `filter`, drawing by rejection sampling (no compiled selection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` or a filter column is out of the inner block's
-    /// width.
-    pub fn new(inner: Arc<dyn DataBlock>, col: usize, filter: Arc<RowFilter>) -> Self {
-        assert!(col < inner.width(), "column {col} out of range");
-        if let Some(max) = filter.max_column() {
-            assert!(max < inner.width(), "filter column {max} out of range");
-        }
-        Self {
-            inner,
-            col,
-            filter,
-            selection: None,
-        }
-    }
-
-    /// As [`FilteredColumnView::new`], drawing through a compiled
-    /// selection vector (O(1) draws, zone-stat skip). `selection` must
-    /// have been built for `inner` under `filter`.
-    pub fn with_selection(
-        inner: Arc<dyn DataBlock>,
-        col: usize,
-        filter: Arc<RowFilter>,
-        selection: Arc<SelectionVector>,
-    ) -> Self {
-        let mut view = Self::new(inner, col, filter);
-        view.selection = Some(selection);
-        view
-    }
-
-    /// The number of matching rows, when a selection is compiled.
-    pub fn match_count(&self) -> Option<u64> {
-        self.selection.as_ref().map(|s| s.match_count())
-    }
-}
-
-impl DataBlock for FilteredColumnView {
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if let Some(sel) = &self.selection {
-            // O(1): one uniform index into the matching rows. The zone
-            // stat catches a matchless block before any draw is spent.
-            if sel.is_empty() {
-                return Err(StorageError::SelectivityTooLow { attempts: 0 });
-            }
-            let k = rng.random_range(0..sel.match_count());
-            return with_row_buf(|row| {
-                self.inner.row_tuple(sel.row_index(k), row)?;
-                Ok(row[self.col])
-            });
-        }
-        with_row_buf(|row| {
-            for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
-                self.inner.sample_row(rng, row)?;
-                if self.filter.matches(row) {
-                    return Ok(row[self.col]);
-                }
-            }
-            Err(StorageError::SelectivityTooLow {
-                attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
-            })
-        })
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        // Positional access resolves to a *matching* row: `idx` itself
-        // when it matches, otherwise a pseudo-random matching row drawn
-        // from an `idx`-seeded stream (deterministic: repeated reads of
-        // the same index agree). Under a uniform `idx`, redirects land
-        // uniformly on the matching rows, so each matching row carries
-        // identical total probability regardless of how matches cluster
-        // physically — estimators that read uniform positions (e.g. the
-        // US baseline) stay uniform over the filtered population even
-        // on sorted data.
-        let len = self.inner.len();
-        if idx >= len {
-            return Err(StorageError::Empty);
-        }
-        with_row_buf(|row| {
-            self.inner.row_tuple(idx, row)?;
-            if self.filter.matches(row) {
-                return Ok(row[self.col]);
-            }
-            // isla-lint: allow(determinism, reason = "content derivation, not an engine stream: the redirect target is a pure function of idx, so every scheduler reads the same row")
-            let mut probe_rng = StdRng::seed_from_u64(splitmix64(idx));
-            if let Some(sel) = &self.selection {
-                // One probe draw lands directly on a matching row.
-                if sel.is_empty() {
-                    return Err(StorageError::SelectivityTooLow { attempts: 0 });
-                }
-                let k = probe_rng.random_range(0..sel.match_count());
-                self.inner.row_tuple(sel.row_index(k), row)?;
-                return Ok(row[self.col]);
-            }
-            for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
-                let probe = probe_rng.random_range(0..len);
-                self.inner.row_tuple(probe, row)?;
-                if self.filter.matches(row) {
-                    return Ok(row[self.col]);
-                }
-            }
-            Err(StorageError::SelectivityTooLow {
-                attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
-            })
-        })
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        scan_matching(
-            self.inner.as_ref(),
-            self.col,
-            &self.filter,
-            self.selection.as_deref(),
-            visit,
-        )
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        match &self.selection {
-            Some(sel) => {
-                // Same stream as n scalar selection draws: one uniform
-                // index over the matches per value. Reads stay in draw
-                // order — the matches of a selection-backed view are
-                // (near-)always memory-resident, where out-of-order
-                // execution beats a sorted gather (see crate::kernel).
-                if sel.is_empty() {
-                    return Err(StorageError::SelectivityTooLow { attempts: 0 });
-                }
-                out.draw_indices(n, sel.match_count(), rng);
-                with_row_buf(|row| {
-                    out.gather_with(|k| {
-                        self.inner.row_tuple(sel.row_index(k), row)?;
-                        Ok(row[self.col])
-                    })
-                })
-            }
-            None => {
-                // Rejection fallback with the row buffer hoisted across
-                // the whole batch.
-                out.begin_scalar(n as usize);
-                with_row_buf(|row| {
-                    'batch: for _ in 0..n {
-                        for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
-                            self.inner.sample_row(rng, row)?;
-                            if self.filter.matches(row) {
-                                out.push_value(row[self.col]);
-                                continue 'batch;
-                            }
-                        }
-                        return Err(StorageError::SelectivityTooLow {
-                            attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
-                        });
-                    }
-                    Ok(())
-                })
-            }
-        }
-    }
-
-    fn supports_scan(&self) -> bool {
-        self.inner.supports_scan()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "col {} of {} where {} predicate(s){}",
-            self.col,
-            self.inner.describe(),
-            self.filter.predicates().len(),
-            match &self.selection {
-                Some(sel) => format!(" [{} matches compiled]", sel.match_count()),
-                None => String::new(),
-            }
-        )
-    }
 }
 
 /// Visits column `col` of the rows of `block` that match `filter`, in
-/// storage order — the scan behind both filtered views. The column
-/// arrives as chunks ([`DataBlock::scan_column_chunks`]): with a
-/// compiled `selection` its indices are walked across the one-column
-/// chunks (no predicate is re-evaluated, a matchless block is not read
-/// at all); without one, each chunk of the columns the filter reads is
-/// put through [`RowFilter::select`].
+/// storage order — one block's share of [`PooledFilteredColumn`]'s scan.
+/// The column arrives as chunks ([`DataBlock::scan_column_chunks`]):
+/// with a compiled `selection` its indices are walked across the
+/// one-column chunks (no predicate is re-evaluated, a matchless block is
+/// not read at all); without one, each chunk of the columns the filter
+/// reads is put through [`RowFilter::select`].
 fn scan_matching(
     block: &dyn DataBlock,
     col: usize,
@@ -901,39 +587,6 @@ pub fn project_column(set: &BlockSet, col: usize) -> BlockSet {
             })
             .collect(),
         set.epoch_marks().to_vec(),
-    )
-}
-
-/// Projects one column of every block in `set`, restricted to rows
-/// matching `filter`, preserving the block structure (one
-/// [`FilteredColumnView`] per block).
-///
-/// Each scannable block gets a compiled selection vector (built once
-/// and cached on the set — see [`BlockSet::selection_for`]), so draws
-/// are O(1) index lookups; unscannable blocks keep the rejection
-/// fallback. A block with *no* matching row fails its draws
-/// immediately; consumers whose data may be range-partitioned on the
-/// filtered column should prefer [`pool_filtered_column`], which draws
-/// across the whole set.
-pub fn project_filtered_column(set: &BlockSet, col: usize, filter: RowFilter) -> BlockSet {
-    let selection = compile_selection(set, &filter);
-    let filter = Arc::new(filter);
-    BlockSet::new(
-        set.iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let view = match selection.as_ref().and_then(|s| s.block(i)) {
-                    Some(sel) => FilteredColumnView::with_selection(
-                        Arc::clone(b),
-                        col,
-                        Arc::clone(&filter),
-                        Arc::clone(sel),
-                    ),
-                    None => FilteredColumnView::new(Arc::clone(b), col, Arc::clone(&filter)),
-                };
-                Arc::new(view) as Arc<dyn DataBlock>
-            })
-            .collect(),
     )
 }
 
@@ -1081,9 +734,15 @@ impl DataBlock for PooledFilteredColumn {
     }
 
     fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        // As FilteredColumnView::row_at: a matching index reads through;
-        // a non-matching one redirects via an idx-seeded stream, landing
-        // uniformly on the matching rows of the whole set.
+        // Positional access resolves to a *matching* row: `idx` itself
+        // when it matches, otherwise a pseudo-random matching row drawn
+        // from an `idx`-seeded stream (deterministic: repeated reads of
+        // the same index agree). Under a uniform `idx`, redirects land
+        // uniformly on the matching rows of the whole set, so each
+        // matching row carries identical total probability regardless
+        // of how matches cluster physically — estimators that read
+        // uniform positions (e.g. the US baseline) stay uniform over the
+        // filtered population even on sorted data.
         if idx >= self.total {
             return Err(StorageError::Empty);
         }
@@ -1180,35 +839,26 @@ impl DataBlock for PooledFilteredColumn {
     fn supports_scan(&self) -> bool {
         self.blocks.iter().all(|b| b.supports_scan())
     }
-
-    fn describe(&self) -> String {
-        format!(
-            "pooled col {} of {} blocks ({} rows) where {} predicate(s){}",
-            self.col,
-            self.blocks.len(),
-            self.total,
-            self.filter.predicates().len(),
-            match &self.selection {
-                Some(sel) => format!(" [{} matches compiled]", sel.total_matches()),
-                None => String::new(),
-            }
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::{CmpOp, ColumnPredicate};
-    use crate::memory::MemBlock;
+    use crate::generator::GeneratorBlock;
+    use isla_stats::distributions::Normal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn two_col_block() -> RowsBlock {
-        RowsBlock::new(vec![
+    fn two_cols() -> Vec<Vec<f64>> {
+        vec![
             vec![1.0, 2.0, 3.0, 4.0],     // x
             vec![10.0, 20.0, 30.0, 40.0], // y
-        ])
+        ]
+    }
+
+    fn two_col_block() -> RowsBlock {
+        RowsBlock::new(two_cols())
     }
 
     #[test]
@@ -1222,7 +872,6 @@ mod tests {
         assert!(matches!(b.row_tuple(4, &mut row), Err(StorageError::Empty)));
         assert_eq!(b.row_at(1).unwrap(), 2.0, "scalar access is column 0");
         assert_eq!(b.column(1), &[10.0, 20.0, 30.0, 40.0]);
-        assert!(b.describe().contains("2 cols"));
     }
 
     #[test]
@@ -1308,7 +957,6 @@ mod tests {
             assert_eq!(row[1], row[0] * 10.0);
         }
         assert!(z.supports_scan());
-        assert!(z.describe().contains("zip"));
     }
 
     #[test]
@@ -1333,38 +981,66 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let v = view.sample_one(&mut rng).unwrap();
         assert!([10.0, 20.0, 30.0, 40.0].contains(&v));
-        assert!(view.describe().contains("col 1"));
+    }
+
+    /// The pooled filtered view of column `col` of one block holding
+    /// `columns`: a [`RowsBlock`], whose selection compiles, or — the
+    /// same columns zipped with a virtual one that cannot scan, so no
+    /// selection compiles — a block the view draws from by rejection.
+    fn filtered_view(
+        columns: Vec<Vec<f64>>,
+        col: usize,
+        filter: RowFilter,
+        compiled: bool,
+    ) -> PooledFilteredColumn {
+        let inner: Arc<dyn DataBlock> = if compiled {
+            Arc::new(RowsBlock::new(columns))
+        } else {
+            let rows = columns[0].len() as u64;
+            let unscannable =
+                GeneratorBlock::new(Arc::new(Normal::new(0.0, 1.0)), rows, 7).with_scan_cap(0);
+            let mut cols: Vec<Arc<dyn DataBlock>> = columns
+                .into_iter()
+                .map(|c| Arc::new(MemBlock::new(c)) as Arc<dyn DataBlock>)
+                .collect();
+            cols.push(Arc::new(unscannable));
+            Arc::new(ZipBlock::new(cols))
+        };
+        let view = PooledFilteredColumn::build(&BlockSet::new(vec![inner]), col, filter);
+        assert_eq!(view.match_count().is_some(), compiled);
+        view
     }
 
     #[test]
     fn filtered_view_samples_only_matching_rows() {
-        let inner: Arc<dyn DataBlock> = Arc::new(two_col_block());
-        let filter = Arc::new(RowFilter::new(vec![ColumnPredicate {
-            column: 0,
-            op: CmpOp::Gt,
-            value: 2.0,
-        }]));
-        let view = FilteredColumnView::new(Arc::clone(&inner), 1, Arc::clone(&filter));
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..100 {
-            let v = view.sample_one(&mut rng).unwrap();
-            assert!(v == 30.0 || v == 40.0, "sampled filtered-out row: {v}");
+        for compiled in [true, false] {
+            let filter = RowFilter::new(vec![ColumnPredicate {
+                column: 0,
+                op: CmpOp::Gt,
+                value: 2.0,
+            }]);
+            let view = filtered_view(two_cols(), 1, filter, compiled);
+            let mut rng = StdRng::seed_from_u64(5);
+            for _ in 0..100 {
+                let v = view.sample_one(&mut rng).unwrap();
+                assert!(v == 30.0 || v == 40.0, "sampled filtered-out row: {v}");
+            }
+            let mut vals = Vec::new();
+            view.scan(&mut |v| vals.push(v)).unwrap();
+            assert_eq!(vals, vec![30.0, 40.0]);
+            assert_eq!(view.len(), 4, "len stays the unfiltered count");
+            assert_eq!(view.supports_scan(), compiled);
+            // Positional access: matching indices read through; non-matching
+            // indices redirect deterministically to some matching row.
+            assert_eq!(view.row_at(2).unwrap(), 30.0, "direct hit");
+            let redirected = view.row_at(0).unwrap();
+            assert!(
+                redirected == 30.0 || redirected == 40.0,
+                "redirect lands on a match: {redirected}"
+            );
+            assert_eq!(view.row_at(0).unwrap(), redirected, "redirect is stable");
+            assert!(matches!(view.row_at(4), Err(StorageError::Empty)));
         }
-        let mut vals = Vec::new();
-        view.scan(&mut |v| vals.push(v)).unwrap();
-        assert_eq!(vals, vec![30.0, 40.0]);
-        assert_eq!(view.len(), 4, "len stays the unfiltered count");
-        assert!(view.supports_scan());
-        // Positional access: matching indices read through; non-matching
-        // indices redirect deterministically to some matching row.
-        assert_eq!(view.row_at(2).unwrap(), 30.0, "direct hit");
-        let redirected = view.row_at(0).unwrap();
-        assert!(
-            redirected == 30.0 || redirected == 40.0,
-            "redirect lands on a match: {redirected}"
-        );
-        assert_eq!(view.row_at(0).unwrap(), redirected, "redirect is stable");
-        assert!(matches!(view.row_at(4), Err(StorageError::Empty)));
     }
 
     #[test]
@@ -1374,49 +1050,51 @@ mod tests {
         // still weight every matching row equally, not by the length of
         // the non-matching run preceding it.
         let n = 1_000u64;
-        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let inner: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![x]));
-        // Matches are the last 100 rows: 900..999.
-        let filter = Arc::new(RowFilter::new(vec![ColumnPredicate {
-            column: 0,
-            op: CmpOp::Ge,
-            value: 900.0,
-        }]));
-        let view = FilteredColumnView::new(inner, 0, filter);
-        let mut sum = 0.0;
-        for idx in 0..n {
-            sum += view.row_at(idx).unwrap();
+        for compiled in [true, false] {
+            let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            // Matches are the last 100 rows: 900..999.
+            let filter = RowFilter::new(vec![ColumnPredicate {
+                column: 0,
+                op: CmpOp::Ge,
+                value: 900.0,
+            }]);
+            let view = filtered_view(vec![x], 0, filter, compiled);
+            let mut sum = 0.0;
+            for idx in 0..n {
+                sum += view.row_at(idx).unwrap();
+            }
+            let mean = sum / n as f64;
+            // Uniform weighting gives E = 949.5; the old forward-probe gave
+            // ~90% of the weight to row 900 alone (mean ≈ 905).
+            assert!(
+                (mean - 949.5).abs() < 3.0,
+                "positional mean {mean} biased away from 949.5"
+            );
         }
-        let mean = sum / n as f64;
-        // Uniform weighting gives E = 949.5; the old forward-probe gave
-        // ~90% of the weight to row 900 alone (mean ≈ 905).
-        assert!(
-            (mean - 949.5).abs() < 3.0,
-            "positional mean {mean} biased away from 949.5"
-        );
     }
 
     #[test]
     fn filtered_view_fails_on_impossible_predicates() {
-        let inner: Arc<dyn DataBlock> = Arc::new(two_col_block());
-        let filter = Arc::new(RowFilter::new(vec![ColumnPredicate {
-            column: 0,
-            op: CmpOp::Gt,
-            value: 100.0,
-        }]));
-        let view = FilteredColumnView::new(inner, 0, filter);
-        let mut rng = StdRng::seed_from_u64(6);
-        assert!(matches!(
-            view.sample_one(&mut rng),
-            Err(StorageError::SelectivityTooLow { .. })
-        ));
+        for compiled in [true, false] {
+            let filter = RowFilter::new(vec![ColumnPredicate {
+                column: 0,
+                op: CmpOp::Gt,
+                value: 100.0,
+            }]);
+            let view = filtered_view(two_cols(), 0, filter, compiled);
+            let mut rng = StdRng::seed_from_u64(6);
+            assert!(matches!(
+                view.sample_one(&mut rng),
+                Err(StorageError::SelectivityTooLow { .. })
+            ));
+        }
     }
 
     #[test]
     fn pooled_filter_survives_matchless_blocks_and_ignores_block_skew() {
         // Range-partitioned data: all matching rows live in the last of
-        // four blocks. Per-block views would exhaust on the first three;
-        // the pooled view rejects across the set and keeps drawing.
+        // four blocks. A per-block draw would exhaust on the first three;
+        // the pooled view draws across the set.
         let n = 4_000;
         let x: Vec<f64> = (0..n).map(f64::from).collect();
         let y = x.clone();
@@ -1426,7 +1104,7 @@ mod tests {
             op: CmpOp::Ge,
             value: 3_000.0,
         }]);
-        let pooled = pool_filtered_column(&set, 0, filter.clone());
+        let pooled = pool_filtered_column(&set, 0, filter);
         assert_eq!(pooled.block_count(), 1);
         assert_eq!(pooled.total_len(), 4_000);
 
@@ -1460,15 +1138,6 @@ mod tests {
         assert_eq!(scanned.len(), 1_000);
         assert_eq!(scanned[0], 3_000.0);
         assert_eq!(*scanned.last().unwrap(), 3_999.0);
-
-        // The per-block variant fails exactly where the pooled one
-        // works: a matchless block exhausts its local rejection budget.
-        let per_block = project_filtered_column(&set, 0, filter);
-        let mut rng = StdRng::seed_from_u64(9);
-        assert!(matches!(
-            per_block.block(0).sample_one(&mut rng),
-            Err(StorageError::SelectivityTooLow { .. })
-        ));
     }
 
     #[test]
@@ -1487,10 +1156,6 @@ mod tests {
             parent.column(1).unwrap().sum_sq.to_bits()
         );
 
-        // SharedColumn::new folds eagerly to the same result.
-        let fresh = SharedColumn::new(Arc::new(vec![10.0, 20.0, 30.0, 40.0]));
-        assert_eq!(*DataBlock::sketch(&fresh).unwrap(), *projected);
-
         // ZipBlock composes its columns' hooks side by side.
         let z = ZipBlock::new(vec![
             Arc::new(MemBlock::new(vec![1.0, 2.0, 3.0])) as Arc<dyn DataBlock>,
@@ -1508,13 +1173,43 @@ mod tests {
 
         // Filtered views stay sketch-less: the inner sketch describes
         // the unfiltered population, not the matching rows.
-        let filter = Arc::new(RowFilter::new(vec![ColumnPredicate {
+        let filter = RowFilter::new(vec![ColumnPredicate {
             column: 0,
             op: CmpOp::Gt,
             value: 2.0,
-        }]));
-        let fv = FilteredColumnView::new(Arc::new(two_col_block()), 1, filter);
+        }]);
+        let fv = filtered_view(two_cols(), 1, filter, true);
         assert!(DataBlock::sketch(&fv).is_none());
+    }
+
+    #[test]
+    fn projected_columns_share_the_parents_storage_and_slice_its_sketch() {
+        let bits = |s: &BlockSketch| {
+            let moments = |m: &crate::sketch::ColumnMoments| {
+                (
+                    [m.sum, m.sum_sq, m.min, m.max].map(f64::to_bits),
+                    m.non_finite,
+                )
+            };
+            (s.rows, s.columns.iter().map(moments).collect::<Vec<_>>())
+        };
+        let b = two_col_block();
+        let parent = DataBlock::sketch(&b).unwrap();
+        for c in 0..b.width() {
+            let projected = b.project(c).unwrap();
+            // No copy: the projection scans the parent's own column.
+            let mut windows = Vec::new();
+            projected
+                .scan_chunks(&mut |chunk| windows.push((chunk.as_ptr(), chunk.len())))
+                .unwrap();
+            assert_eq!(windows, vec![(b.column(c).as_ptr(), b.column(c).len())]);
+            // No re-fold: column `c` of the parent's sketch, bit for bit —
+            // which is also what folding the column afresh gives.
+            let sketch = projected.sketch().unwrap();
+            assert_eq!(bits(&sketch), bits(&parent.project(c).unwrap()));
+            assert_eq!(bits(&sketch), bits(&BlockSketch::from_values(b.column(c))));
+        }
+        assert!(b.project(2).is_none(), "no such column");
     }
 
     #[test]
@@ -1532,7 +1227,7 @@ mod tests {
         let mean = ys.exact_mean().unwrap();
         assert!((mean - 1.5).abs() < 1e-12);
 
-        let filtered = project_filtered_column(
+        let filtered = pool_filtered_column(
             &set,
             0,
             RowFilter::new(vec![ColumnPredicate {

@@ -488,8 +488,8 @@ mod tests {
                 assert_eq!(
                     drawn.next_u64(),
                     skipped.next_u64(),
-                    "{}: {m} draws",
-                    block.describe()
+                    "width {}: {m} draws",
+                    block.width()
                 );
             }
         }
@@ -542,9 +542,6 @@ mod tests {
             }
             fn scan(&self, _visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
                 panic!("injected storage panic")
-            }
-            fn describe(&self) -> String {
-                "panic-block".to_string()
             }
         }
         let set = BlockSet::new(vec![

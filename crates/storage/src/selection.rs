@@ -774,9 +774,6 @@ mod tests {
             fn scan(&self, _visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
                 Ok(())
             }
-            fn describe(&self) -> String {
-                "huge claim".into()
-            }
         }
         let err = SelectionVector::build(&HugeClaimBlock, &filter_gt(0, 0.0)).unwrap_err();
         assert!(matches!(

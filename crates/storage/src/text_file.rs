@@ -253,10 +253,6 @@ impl DataBlock for TextBlock {
         out.draw_indices(n, rows, rng);
         out.gather_with_sorted(|idx| self.read_row(idx as usize))
     }
-
-    fn describe(&self) -> String {
-        format!("text({}, {} rows)", self.path.display(), self.len())
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! that hides every batch-kernel override, so the trait defaults run the
 //! old one-value-at-a-time path over the very same data.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 use std::collections::BTreeMap;
 
@@ -21,14 +21,15 @@ use isla::core::{
     iteration_phase, DataBoundaries, ExtremeKind, Fallback, IslaConfig, IslaError,
     SampleAccumulator,
 };
+use isla::stats::distributions::Normal;
 use isla::stats::{NeumaierSum, WelfordMoments};
 use isla::storage::{
     pool_filtered_column, sample_rows_from_block, sample_rows_proportional,
     sample_rows_proportional_surviving, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault,
-    BlockSet, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum, FaultPlan, FaultyBlock,
-    FilteredColumnView, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf, RowsBlock,
-    SampleBuf, ScalarFallbackBlock, SelectionVector, SetSelection, SharedColumn, StorageError,
-    TextBlock, ZipBlock, SCAN_CHUNK_ROWS,
+    BlockSet, BlockSketch, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum, FaultPlan,
+    FaultyBlock, GeneratorBlock, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf,
+    RowsBlock, SampleBuf, ScalarFallbackBlock, SelectionVector, SetSelection, StorageError,
+    TextBlock, ZipBlock, ZoneMatch, SCAN_CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -322,11 +323,6 @@ fn sketched_slev_is_bit_identical_on_every_block_impl() {
 
     assert_sketched_slev_identity(&native_set(6_000, 2, 4, 43), "RowsBlock");
 
-    assert_sketched_slev_identity(
-        &BlockSet::single(SharedColumn::new(Arc::new(values.clone()))),
-        "SharedColumn",
-    );
-
     let cols = columns(6_000, 3, 47);
     let zipped: Vec<Arc<dyn DataBlock>> = cols
         .iter()
@@ -343,13 +339,6 @@ fn sketched_slev_is_bit_identical_on_every_block_impl() {
         op: CmpOp::Gt,
         value: 60.0,
     }]);
-    let table = native_set(6_000, 2, 1, 59);
-    let inner = Arc::clone(table.iter().next().unwrap());
-    assert_sketched_slev_identity(
-        &BlockSet::single(FilteredColumnView::new(inner, 0, Arc::new(filter.clone()))),
-        "FilteredColumnView",
-    );
-
     let table = native_set(6_000, 2, 4, 61);
     assert_sketched_slev_identity(
         &BlockSet::single(PooledFilteredColumn::build(&table, 0, filter)),
@@ -385,10 +374,12 @@ fn binary_block_kernels_match_scalar() {
 }
 
 #[test]
-fn shared_column_kernels_match_scalar() {
-    let values = columns(8_000, 1, 9)[0].clone();
-    let block = SharedColumn::new(Arc::new(values));
-    assert_kernel_identity(Arc::new(block), "SharedColumn");
+fn projected_column_kernels_match_scalar() {
+    // One column of a RowsBlock, as `DataBlock::project` hands it out: a
+    // MemBlock over the table's own storage carrying the sliced sketch.
+    let native = native_set(8_000, 3, 1, 9);
+    let column = native.block(0).project(1).expect("RowsBlock projects");
+    assert_kernel_identity(column, "MemBlock (projected)");
 }
 
 #[test]
@@ -422,19 +413,6 @@ fn column_view_kernels_match_scalar() {
 }
 
 #[test]
-fn filtered_column_view_kernels_match_scalar() {
-    let native = native_set(6_000, 2, 1, 29);
-    let inner = Arc::clone(native.iter().next().unwrap());
-    let filter = RowFilter::new(vec![ColumnPredicate {
-        column: 1,
-        op: CmpOp::Gt,
-        value: 60.0,
-    }]);
-    let block = FilteredColumnView::new(inner, 0, Arc::new(filter));
-    assert_kernel_identity(Arc::new(block), "FilteredColumnView");
-}
-
-#[test]
 fn faulty_block_disarmed_kernels_match_scalar() {
     // A FaultyBlock with no fault assigned must be a pure pass-through:
     // its forwarded batch kernels bit-identical to the scalar defaults,
@@ -462,6 +440,35 @@ fn pooled_filtered_column_kernels_match_scalar() {
     let block = PooledFilteredColumn::build(&native, 0, filter);
     assert!(block.match_count().is_some(), "in-memory rows compile");
     assert_kernel_identity(Arc::new(block), "PooledFilteredColumn");
+}
+
+#[test]
+fn pooled_filtered_column_rejection_kernels_match_scalar() {
+    // The same view where no selection compiles — every block zipped
+    // with a virtual column that cannot scan — draws by rejection: the
+    // batched redraw loop must consume the scalar one's stream.
+    let blocks = split_columns(&columns(6_000, 2, 29), 4)
+        .into_iter()
+        .map(|cols| {
+            let rows = cols[0].len() as u64;
+            let unscannable =
+                GeneratorBlock::new(Arc::new(Normal::new(0.0, 1.0)), rows, 31).with_scan_cap(0);
+            let mut zipped: Vec<Arc<dyn DataBlock>> = cols
+                .into_iter()
+                .map(|c| Arc::new(MemBlock::new(c)) as Arc<dyn DataBlock>)
+                .collect();
+            zipped.push(Arc::new(unscannable));
+            Arc::new(ZipBlock::new(zipped)) as Arc<dyn DataBlock>
+        })
+        .collect();
+    let filter = RowFilter::new(vec![ColumnPredicate {
+        column: 1,
+        op: CmpOp::Gt,
+        value: 60.0,
+    }]);
+    let block = PooledFilteredColumn::build(&BlockSet::new(blocks), 0, filter);
+    assert!(block.match_count().is_none(), "nothing compiles");
+    assert_kernel_identity(Arc::new(block), "PooledFilteredColumn (rejection)");
 }
 
 /// Brute-force filter application: the reference for selection vectors.
@@ -1422,6 +1429,177 @@ impl DataBlock for ScriptedBlock {
     }
 }
 
+/// A block that overrides **every** `DataBlock` method to do nothing but
+/// write its own name down: what ran is then the override itself, never
+/// a trait default reaching it through another method.
+#[derive(Default)]
+struct RecordingBlock(Mutex<Vec<&'static str>>);
+
+impl RecordingBlock {
+    fn ran(&self, method: &'static str) {
+        self.0.lock().unwrap().push(method);
+    }
+}
+
+impl DataBlock for RecordingBlock {
+    fn len(&self) -> u64 {
+        self.ran("len");
+        1
+    }
+    fn is_empty(&self) -> bool {
+        self.ran("is_empty");
+        false
+    }
+    fn width(&self) -> usize {
+        self.ran("width");
+        1
+    }
+    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
+        self.ran("sample_one");
+        Ok(1.0)
+    }
+    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
+        self.ran("row_at");
+        Ok(1.0)
+    }
+    fn scan(&self, _: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+        self.ran("scan");
+        Ok(())
+    }
+    fn sample_row(&self, _: &mut dyn RngCore, _: &mut Vec<f64>) -> Result<(), StorageError> {
+        self.ran("sample_row");
+        Ok(())
+    }
+    fn row_tuple(&self, _: u64, _: &mut Vec<f64>) -> Result<(), StorageError> {
+        self.ran("row_tuple");
+        Ok(())
+    }
+    fn scan_rows(&self, _: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
+        self.ran("scan_rows");
+        Ok(())
+    }
+    fn scan_rows_projected(
+        &self,
+        _: &[usize],
+        _: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        self.ran("scan_rows_projected");
+        Ok(())
+    }
+    fn scan_column_chunks(
+        &self,
+        _: &[usize],
+        _: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        self.ran("scan_column_chunks");
+        Ok(())
+    }
+    fn sample_batch(
+        &self,
+        _: u64,
+        _: &mut dyn RngCore,
+        _: &mut SampleBuf,
+    ) -> Result<(), StorageError> {
+        self.ran("sample_batch");
+        Ok(())
+    }
+    fn sample_rows_batch(
+        &self,
+        _: u64,
+        _: &mut dyn RngCore,
+        _: &mut RowSampleBuf,
+    ) -> Result<(), StorageError> {
+        self.ran("sample_rows_batch");
+        Ok(())
+    }
+    fn scan_chunks(&self, _: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
+        self.ran("scan_chunks");
+        Ok(())
+    }
+    fn supports_scan(&self) -> bool {
+        self.ran("supports_scan");
+        true
+    }
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
+        self.ran("sketch");
+        None
+    }
+    fn zone(&self, _: &RowFilter) -> ZoneMatch {
+        self.ran("zone");
+        ZoneMatch::Mixed
+    }
+    fn project(&self, _: usize) -> Option<Arc<dyn DataBlock>> {
+        self.ran("project");
+        None
+    }
+}
+
+/// Calls every `DataBlock` method of `block` once, as `B`'s own impl
+/// (static dispatch: no auto-deref to the pointee), in declaration order.
+fn drive_every_method<B: DataBlock>(block: &B) {
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut row = Vec::new();
+    let filter = RowFilter::new(vec![]);
+    B::len(block);
+    B::is_empty(block);
+    B::width(block);
+    B::sample_one(block, &mut rng).unwrap();
+    B::row_at(block, 0).unwrap();
+    B::scan(block, &mut |_| {}).unwrap();
+    B::sample_row(block, &mut rng, &mut row).unwrap();
+    B::row_tuple(block, 0, &mut row).unwrap();
+    B::scan_rows(block, &mut |_| {}).unwrap();
+    B::scan_rows_projected(block, &[0], &mut |_| {}).unwrap();
+    B::scan_column_chunks(block, &[0], &mut |_| {}).unwrap();
+    B::sample_batch(block, 1, &mut rng, &mut SampleBuf::new()).unwrap();
+    B::sample_rows_batch(block, 1, &mut rng, &mut RowSampleBuf::new()).unwrap();
+    B::scan_chunks(block, &mut |_| {}).unwrap();
+    B::supports_scan(block);
+    B::sketch(block);
+    B::zone(block, &filter);
+    B::project(block, 0);
+}
+
+#[test]
+fn every_method_reaches_the_pointee_through_every_pointer_kind() {
+    // A forgotten forward silently falls back to the trait default —
+    // same answers, scalar speed — which no answer-level test notices.
+    // The trait's own method list, read off its source so that a new
+    // method fails here until it is forwarded and driven.
+    let source = include_str!("../crates/storage/src/block.rs");
+    let (_, rest) = source.split_once("pub trait DataBlock").unwrap();
+    let (trait_body, _) = rest.split_once("\nimpl<").unwrap();
+    let declared: Vec<&str> = trait_body
+        .lines()
+        .filter_map(|line| line.strip_prefix("    fn "))
+        .map(|line| line.split_once('(').unwrap().0)
+        .collect();
+    assert_eq!(declared.len(), 18, "{declared:?}");
+
+    let ran = |drive: &dyn Fn(Arc<RecordingBlock>)| {
+        let block = Arc::new(RecordingBlock::default());
+        drive(Arc::clone(&block));
+        let ran = block.0.lock().unwrap().clone();
+        ran
+    };
+    let unsize = |block: Arc<RecordingBlock>| block as Arc<dyn DataBlock>;
+    let by_ref = ran(&|block| drive_every_method::<&RecordingBlock>(&&*block));
+    let by_dyn_ref = ran(&|block| drive_every_method::<&dyn DataBlock>(&(&*block as _)));
+    let by_arc = ran(&|block| drive_every_method::<Arc<RecordingBlock>>(&block));
+    let by_dyn_arc = ran(&|block| drive_every_method::<Arc<dyn DataBlock>>(&unsize(block)));
+    let by_dyn_box =
+        ran(&|block| drive_every_method::<Box<dyn DataBlock>>(&(Box::new(unsize(block)) as _)));
+    for (pointer, ran) in [
+        ("&T", by_ref),
+        ("&dyn DataBlock", by_dyn_ref),
+        ("Arc<T>", by_arc),
+        ("Arc<dyn DataBlock>", by_dyn_arc),
+        ("Box<dyn DataBlock>", by_dyn_box),
+    ] {
+        assert_eq!(ran, declared, "through {pointer}");
+    }
+}
+
 /// Eight scripted blocks, healthy except where `script` says otherwise.
 fn scripted_set(script: impl Fn(usize) -> Script) -> BlockSet {
     BlockSet::new(
@@ -2016,7 +2194,7 @@ proptest! {
     /// own sketch unless an armed fault stands between it and the rows.
     #[test]
     fn zone_verdicts_hold_for_every_row(seed in 0u64..u64::MAX) {
-        use isla::storage::{zone_match, BlockSketch, ZoneMatch};
+        use isla::storage::zone_match;
         let mut rng = StdRng::seed_from_u64(seed);
         let width = rng.random_range(1usize..=3);
         let rows = rng.random_range(0usize..40);
