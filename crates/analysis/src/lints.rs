@@ -64,6 +64,7 @@ const EXECUTION_ENTRY_POINTS: &[&str] = &[
     "scan_blocks",
     "scan_blocks_recovering",
     "scan_exact_extreme",
+    "scan_exact_filtered_extreme",
     "scan_exact_groups",
     "scan_exact_groups_on",
     "scan_exact_mean",

@@ -169,6 +169,28 @@ fn good_exact_fixture_is_clean() {
 }
 
 #[test]
+fn bad_filtered_extreme_fixture_flags_each_guard_at_the_scan() {
+    let run = run_on(fixture("bad/lock_exact_filtered.rs", "fx", false), &[]);
+    assert_eq!(
+        error_lines(&run),
+        [7, 13].map(|line| (line, "lock-discipline".to_string()))
+    );
+    assert!(
+        run.findings
+            .iter()
+            .all(|f| f.message.contains("`scan_exact_filtered_extreme`")),
+        "{:?}",
+        run.findings
+    );
+}
+
+#[test]
+fn good_filtered_extreme_fixture_is_clean() {
+    let run = run_on(fixture("good/lock_exact_filtered.rs", "fx", false), &[]);
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
 fn bad_seal_fixture_flags_each_guard_live_across_sealing() {
     let run = run_on(fixture("bad/seal.rs", "fx", false), &[]);
     let seal_lines: Vec<u32> = error_lines(&run)

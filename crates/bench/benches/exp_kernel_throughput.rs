@@ -55,14 +55,24 @@
 //!     the native set and on the same blocks with the sketch hidden
 //!     (every block undecided, same kernels): rows read / rows offered
 //!     and ns per offered draw, median and quartiles over alternating
-//!     repeats, answers asserted bit-identical, commit id recorded.
+//!     repeats, answers asserted bit-identical, commit id recorded. On
+//!     the same table, under the zoned `ts` cut and an undecided
+//!     `margin` filter, the three filtered paths that stopped reading
+//!     whole rows, each against its old loop rebuilt here: the hit-rate
+//!     pilot (`count_pilot`, ns per draw), the exact filtered extreme
+//!     (`exact_extreme`: the pooled column's selection compiled for a
+//!     literal seen once and scanned as one block vs the zoned
+//!     block fold; ns per table row) and the pooled filtered draw
+//!     (`pooled_draw`: the whole row read per draw vs one value; ns per
+//!     draw) — answers and RNG positions asserted identical.
 //!
 //! Results print as a table (CSV under `target/experiments/`) and are
 //! written machine-readable to `BENCH_kernels.json` at the workspace
 //! root. `--smoke` runs a seconds-scale configuration and validates the
-//! emitted JSON schema (the CI hook), skipping the speedup assertions
-//! that only make sense at full scale.
+//! emitted JSON schema and the committed artifact's (the CI hook),
+//! skipping the speedup assertions that only make sense at full scale.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,13 +88,14 @@ use isla_core::engine::{
 use isla_core::{execute_block, DataBoundaries, ExtremeKind, IslaConfig, SampleAccumulator};
 use isla_datagen::normal_values;
 use isla_storage::{
-    pool_filtered_column, sample_from_block, sample_rows_from_block, scalar_fallback_set,
-    with_row_sample_buf, BlockSet, CmpOp, ColumnPredicate, DataBlock, ExactSum, MemBlock,
-    RowFilter, RowSampleBuf, RowsBlock, ScalarFallbackBlock, SelectionVector, SetSelection,
-    StorageError, ZipBlock, ZoneMatch, SAMPLE_BATCH_ROWS,
+    pool_filtered_column, sample_from_block, sample_rows_from_block, sample_rows_proportional,
+    scalar_fallback_set, with_row_sample_buf, BlockSet, CmpOp, ColumnPredicate, DataBlock,
+    ExactSum, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf, RowsBlock, SampleBuf,
+    ScalarFallbackBlock, SelectionVector, SetSelection, StorageError, ZipBlock, ZoneMatch,
+    SAMPLE_BATCH_ROWS,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 const SEED: u64 = 4_000;
 
@@ -1091,7 +1102,7 @@ fn sweep_zoned_rows(scale: &Scale, report: &mut Report) -> Vec<Json> {
         fmt(native_ns.1, 2),
         fmt(speedup, 2),
     ]);
-    vec![Json::obj(vec![
+    let mut rows = vec![Json::obj(vec![
         ("commit", Json::str(commit_id())),
         ("rows", Json::num(n as f64)),
         ("blocks", Json::num(BLOCKS as f64)),
@@ -1111,7 +1122,247 @@ fn sweep_zoned_rows(scale: &Scale, report: &mut Report) -> Vec<Json> {
         ("native_ns_per_offered_median", Json::num(native_ns.1)),
         ("native_ns_per_offered_q3", Json::num(native_ns.2)),
         ("speedup", Json::num(speedup)),
-    ])]
+    ])];
+    rows.extend(sweep_filtered_paths(scale, report, &native, repeats));
+    rows
+}
+
+/// The filtered paths the `zoned_rows` section times old vs new, and
+/// what their ns are per.
+const FILTERED_PATHS: [(&str, &str); 3] = [
+    ("count_pilot", "draw"),
+    ("exact_extreme", "table row"),
+    ("pooled_draw", "draw"),
+];
+
+/// The hit-rate pilot as it was: whole rows from the proportional
+/// sampler, the filter tested on each, one map entry bumped per hit.
+/// Bench-only — the old side of the `count_pilot` rows.
+fn whole_row_hit_rate(
+    data: &BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    rng: &mut dyn RngCore,
+) -> (u64, BTreeMap<u64, u64>) {
+    let mut drawn = 0;
+    let mut counts = BTreeMap::new();
+    sample_rows_proportional(data, n, rng, &mut |row| {
+        drawn += 1;
+        if spec.filter.matches(row) {
+            *counts.entry(spec.group_key(row)).or_insert(0) += 1;
+        }
+    })
+    .expect("row sampling succeeds");
+    (drawn, counts)
+}
+
+/// The pooled filtered draw as it was: indices over the compiled
+/// selection drawn a batch at a time, each match read as a whole row to
+/// keep one column. Bench-only — the old side of the `pooled_draw` rows.
+fn whole_row_pooled_draws(
+    data: &BlockSet,
+    col: usize,
+    filter: &RowFilter,
+    n: u64,
+    rng: &mut dyn RngCore,
+) -> f64 {
+    let sel = data.selection_for(filter).expect("the selection compiles");
+    let mut row = Vec::new();
+    let mut sum = 0.0;
+    let mut picks = Vec::new();
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(SAMPLE_BATCH_ROWS);
+        picks.clear();
+        picks.extend((0..take).map(|_| rng.random_range(0..sel.total_matches())));
+        for &k in &picks {
+            let (b, local) = sel.locate(k);
+            data.block(b).row_tuple(local, &mut row).expect("rows read");
+            sum += row[col];
+        }
+        left -= take;
+    }
+    sum
+}
+
+/// Runs `old` and `new` alternately (`repeats` each, seed = repeat,
+/// `before` untimed ahead of every run), asserting each pair of answers
+/// equal; the (q1, median, q3) ns per `units` of each side.
+fn old_vs_new<T: PartialEq + std::fmt::Debug>(
+    repeats: usize,
+    units: u64,
+    before: &dyn Fn(),
+    old: &dyn Fn(u64) -> T,
+    new: &dyn Fn(u64) -> T,
+    what: &str,
+) -> [(f64, f64, f64); 2] {
+    let mut times = [Vec::new(), Vec::new()];
+    for repeat in 0..repeats {
+        let mut answers = [None, None];
+        for side in [repeat % 2, 1 - repeat % 2] {
+            before();
+            let run = [old, new][side];
+            let start = Instant::now();
+            let answer = run(SEED + 90 + repeat as u64);
+            times[side].push(start.elapsed().as_secs_f64());
+            answers[side] = Some(answer);
+        }
+        assert_eq!(answers[0], answers[1], "{what}: old and new answers differ");
+    }
+    times.map(|mut t| {
+        t.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let at = |q: usize| t[(t.len() - 1) * q / 4] * 1e9 / units as f64;
+        (at(1), at(2), at(3))
+    })
+}
+
+/// The `zoned_rows` section's old-vs-new rows: the hit-rate pilot, the
+/// exact filtered extreme and the pooled filtered draw over `native`,
+/// under the zoned `ts` cut and an undecided `margin` filter.
+fn sweep_filtered_paths(
+    scale: &Scale,
+    report: &mut Report,
+    native: &BlockSet,
+    repeats: usize,
+) -> Vec<Json> {
+    let n = native.total_len();
+    let draws = scale.sample_draws;
+    let filters = [
+        (
+            "ts > mid",
+            ColumnPredicate {
+                column: 2,
+                op: CmpOp::Gt,
+                value: n as f64 * 0.5 - 0.5,
+            },
+        ),
+        (
+            "margin > 25",
+            ColumnPredicate {
+                column: 3,
+                op: CmpOp::Gt,
+                value: 25.0,
+            },
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (label, predicate) in filters {
+        let spec = RowSpec {
+            agg_column: 0,
+            filter: RowFilter::new(vec![predicate]),
+            group_by: None,
+        };
+        let nothing = &|| {};
+        let seeded = |seed: u64| StdRng::seed_from_u64(seed);
+        let measured = [
+            old_vs_new(
+                repeats,
+                draws,
+                nothing,
+                &|seed| {
+                    let mut rng = seeded(seed);
+                    (
+                        whole_row_hit_rate(native, &spec, draws, &mut rng),
+                        rng.next_u64(),
+                    )
+                },
+                &|seed| {
+                    let mut rng = seeded(seed);
+                    let counts = engine::hit_rate_pilot(native, &spec, draws, &mut rng)
+                        .expect("the pilot runs");
+                    (counts, rng.next_u64())
+                },
+                "count pilot",
+            ),
+            // A literal seen once: its selection is compiled, cached and
+            // never hit again, so every old run starts from an empty cache.
+            old_vs_new(
+                repeats,
+                n,
+                &|| native.invalidate_derived(),
+                &|_| {
+                    let pooled = pool_filtered_column(native, spec.agg_column, spec.filter.clone());
+                    engine::scan_exact_extreme(&pooled, ExtremeKind::Max, &SequentialScheduler)
+                        .expect("scan succeeds")
+                        .map(f64::to_bits)
+                },
+                &|_| {
+                    engine::scan_exact_filtered_extreme(
+                        native,
+                        &spec,
+                        ExtremeKind::Max,
+                        &SequentialScheduler,
+                    )
+                    .expect("scan succeeds")
+                    .map(f64::to_bits)
+                },
+                "exact extreme",
+            ),
+            {
+                let view =
+                    PooledFilteredColumn::build(native, spec.agg_column, spec.filter.clone());
+                old_vs_new(
+                    repeats,
+                    draws,
+                    nothing,
+                    &|seed| {
+                        let mut rng = seeded(seed);
+                        let sum = whole_row_pooled_draws(
+                            native,
+                            spec.agg_column,
+                            &spec.filter,
+                            draws,
+                            &mut rng,
+                        );
+                        (sum.to_bits(), rng.next_u64())
+                    },
+                    &|seed| {
+                        let mut rng = seeded(seed);
+                        let mut sum = 0.0;
+                        let mut buf = SampleBuf::new();
+                        let mut left = draws;
+                        while left > 0 {
+                            let take = left.min(SAMPLE_BATCH_ROWS);
+                            view.sample_batch(take, &mut rng, &mut buf)
+                                .expect("draws succeed");
+                            buf.values().iter().for_each(|v| sum += v);
+                            left -= take;
+                        }
+                        (sum.to_bits(), rng.next_u64())
+                    },
+                    "pooled draw",
+                )
+            },
+        ];
+        for ((path, unit), [old, new]) in FILTERED_PATHS.iter().zip(measured) {
+            let speedup = old.1 / new.1;
+            report.row(vec![
+                format!("zoned {path} ({label}) ns/{unit}"),
+                n.to_string(),
+                "-".to_string(),
+                fmt(old.1, 2),
+                fmt(new.1, 2),
+                fmt(speedup, 2),
+            ]);
+            rows.push(Json::obj(vec![
+                ("path", Json::str(*path)),
+                ("filter", Json::str(label)),
+                ("commit", Json::str(commit_id())),
+                ("rows", Json::num(n as f64)),
+                ("blocks", Json::num(native.block_count() as f64)),
+                ("repeats", Json::num(repeats as f64)),
+                ("unit", Json::str(*unit)),
+                ("old_ns_per_unit_q1", Json::num(old.0)),
+                ("old_ns_per_unit_median", Json::num(old.1)),
+                ("old_ns_per_unit_q3", Json::num(old.2)),
+                ("new_ns_per_unit_q1", Json::num(new.0)),
+                ("new_ns_per_unit_median", Json::num(new.1)),
+                ("new_ns_per_unit_q3", Json::num(new.2)),
+                ("speedup", Json::num(speedup)),
+            ]));
+        }
+    }
+    rows
 }
 
 /// The selection build as it was before the column-chunk scan: every
@@ -1338,6 +1589,27 @@ fn validate_artifact(text: &str) -> Result<(), String> {
             _ => return Err(format!("section {section:?} is not a non-empty array")),
         }
     }
+    // Every filtered path has its old-vs-new rows, with the commit
+    // they measured.
+    let Some(Json::Arr(zoned)) = get(&doc, "sections.zoned_rows") else {
+        return Err("zoned_rows is not an array".to_string());
+    };
+    for (path, _) in FILTERED_PATHS {
+        let measured: Vec<&Json> = zoned
+            .iter()
+            .filter(|row| matches!(get(row, "path"), Some(Json::Str(p)) if p == path))
+            .collect();
+        if measured.is_empty() {
+            return Err(format!("zoned_rows has no {path:?} row"));
+        }
+        for row in measured {
+            for key in ["commit", "old_ns_per_unit_median", "new_ns_per_unit_median"] {
+                if get(row, key).is_none() {
+                    return Err(format!("zoned_rows {path:?} row lacks {key:?}"));
+                }
+            }
+        }
+    }
     Ok(())
 }
 
@@ -1424,6 +1696,11 @@ fn main() {
     validate_artifact(&on_disk).expect("on-disk JSON must satisfy the schema");
 
     if smoke {
+        // The committed full-scale artifact must carry every row the
+        // schema asks for too (the filtered paths' old-vs-new rows).
+        let committed = bench_json_path("kernels");
+        let text = std::fs::read_to_string(&committed).expect("read the committed artifact");
+        validate_artifact(&text).expect("committed BENCH_kernels.json must satisfy the schema");
         println!("smoke mode: schema validated, speedup assertions skipped");
     } else {
         assert!(

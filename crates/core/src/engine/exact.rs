@@ -10,6 +10,13 @@
 //! this fold at parallelism 1, and [`BlockSet::exact_mean`] is the same
 //! per-block [`ExactSum`] merge written without a scheduler.
 //!
+//! A filtered scan reads a block the way its zone map allows
+//! (`scan_block_matches`): not at all when no row can match, only the
+//! aggregate (+ group) columns and no test when every row matches, and
+//! otherwise the columns the spec reads, each chunk put through
+//! [`isla_storage::RowFilter::select`]. What a verdict skips is what a
+//! scan would have found, so the partials do not move a bit.
+//!
 //! Exact scans are strict in every failure mode: one attempt per block,
 //! the lowest failing block's own error whatever finished first, a
 //! panicking block surfaced as a typed error. There is nothing to
@@ -22,7 +29,7 @@ use isla_storage::{BlockSet, DataBlock, ExactSum, StorageError};
 use crate::error::IslaError;
 use crate::extremes::ExtremeKind;
 
-use super::rows::{Projection, RowSpec};
+use super::rows::{RowSpec, ZonedRead};
 use super::scheduler::{scan_blocks, BlockScheduler, SequentialScheduler};
 
 /// Scans every block to a partial, `scheduler.parallelism()` blocks at a
@@ -39,6 +46,38 @@ fn exact_fold<P: Send + Default>(
         merge(&mut total, partial);
     }
     Ok(total)
+}
+
+/// A consumer of [`scan_block_matches`]'s chunks: the re-indexed spec, the
+/// chunk's columns, its matching rows (`None`: every row).
+type MatchingChunk<'a> = dyn FnMut(&RowSpec, &[&[f64]], Option<&[u32]>) + 'a;
+
+/// Visits one block's rows that match `read`'s filter, chunk by chunk —
+/// the per-block scan under every exact filtered fold. `visit` gets the
+/// spec re-indexed against the chunk's columns, the chunk, and the
+/// chunk-local indices of the matching rows, ascending — `None` when
+/// every row of the chunk matches. A block the zone map proves matchless
+/// is not read; one it proves all-match is read through the filter-less
+/// projection and never tested.
+fn scan_block_matches(
+    block: &dyn DataBlock,
+    read: &ZonedRead,
+    visit: &mut MatchingChunk<'_>,
+) -> Result<(), StorageError> {
+    let Some(projection) = read.of_block(block) else {
+        return Ok(());
+    };
+    let spec = &projection.spec;
+    // One chunk's matching rows, reused.
+    let mut matched = Vec::new();
+    block.scan_column_chunks(&projection.columns, &mut |chunk| {
+        if spec.filter.is_trivial() {
+            visit(spec, chunk, None);
+        } else {
+            spec.filter.select(chunk, 0, &mut matched);
+            visit(spec, chunk, Some(&matched));
+        }
+    })
 }
 
 /// Exact mean of a scalar block set — [`BlockSet::exact_mean`], bit for
@@ -84,33 +123,20 @@ pub fn scan_exact_groups_on(
     scheduler: &dyn BlockScheduler,
 ) -> Result<Vec<GroupExact>, IslaError> {
     spec.validate(data)?;
-    // Scan only the columns the spec reads; evaluate it re-indexed.
-    let read = Projection::of(spec);
-    let spec = &read.spec;
+    let read = ZonedRead::of(spec);
     let sums = exact_fold(
         data,
         scheduler,
         |block| {
             let mut groups: BTreeMap<u64, ExactSum> = BTreeMap::new();
-            // One chunk's matching rows (chunk-local indices), reused.
-            let mut matched = Vec::new();
-            block.scan_column_chunks(&read.columns, &mut |chunk| {
-                spec.filter.select(chunk, 0, &mut matched);
+            scan_block_matches(block, &read, &mut |spec, chunk, matched| {
                 let values = chunk[spec.agg_column];
                 let keys = spec.group_by.map(|col| chunk[col]);
-                let key_of = |i: u32| keys.map_or(0f64, |keys| keys[i as usize]).to_bits();
-                // Each group folds its matched values in row order —
-                // all a compensated sum can see — with one map lookup
-                // per run of equal keys instead of one per row.
-                let mut rest = matched.as_slice();
-                while let Some(&first) = rest.first() {
-                    let key = key_of(first);
-                    let run = rest.iter().take_while(|&&i| key_of(i) == key).count();
-                    let sum = groups.entry(key).or_default();
-                    for &i in &rest[..run] {
-                        sum.add(values[i as usize]);
+                match matched {
+                    Some(rows) => {
+                        fold_runs(&mut groups, values, keys, rows.iter().map(|&i| i as usize))
                     }
-                    rest = &rest[run..];
+                    None => fold_runs(&mut groups, values, keys, 0..values.len()),
                 }
             })?;
             Ok(groups)
@@ -133,6 +159,29 @@ pub fn scan_exact_groups_on(
         .collect();
     out.sort_by(|a, b| a.key.total_cmp(&b.key));
     Ok(out)
+}
+
+/// Folds `values[i]` for the chunk rows `rows` (ascending) into their
+/// groups' sums — keyed by `keys[i]`, or the one all-rows key when
+/// ungrouped. Each group folds its values in row order, all a
+/// compensated sum can see, with one map lookup per run of equal keys
+/// instead of one per row.
+fn fold_runs(
+    groups: &mut BTreeMap<u64, ExactSum>,
+    values: &[f64],
+    keys: Option<&[f64]>,
+    rows: impl Iterator<Item = usize>,
+) {
+    let key_of = |i: usize| keys.map_or(0f64, |keys| keys[i]).to_bits();
+    let mut rows = rows.peekable();
+    while let Some(first) = rows.next() {
+        let key = key_of(first);
+        let sum = groups.entry(key).or_default();
+        sum.add(values[first]);
+        while let Some(i) = rows.next_if(|&i| key_of(i) == key) {
+            sum.add(values[i]);
+        }
+    }
 }
 
 /// [`scan_exact_groups_on`] placed on the calling thread.
@@ -169,11 +218,66 @@ pub fn scan_exact_extreme(
             })?;
             Ok(any.then_some(extreme))
         },
-        |total: &mut Option<f64>, block| {
-            *total = match (*total, block) {
-                (Some(so_far), Some(later)) => Some(kind.fold(so_far, later)),
-                (so_far, later) => so_far.or(later),
-            };
-        },
+        merge_extremes(kind),
     )
+}
+
+/// Exact MAX or MIN of `spec`'s aggregate column over the rows matching
+/// its filter (`spec.group_by` plays no part), with the block scans
+/// placed by `scheduler`; `None` when no row matches. Blocks are read as
+/// the zone map allows (see the module docs), so a block that cannot
+/// match costs nothing and one that matches everywhere is one plain fold
+/// over its column. Bit for bit the single running extreme over every
+/// matching row in storage order.
+///
+/// # Errors
+///
+/// A spec referencing a column some block lacks; otherwise the scan
+/// failure of the lowest-numbered failing block.
+pub fn scan_exact_filtered_extreme(
+    data: &BlockSet,
+    spec: &RowSpec,
+    kind: ExtremeKind,
+    scheduler: &dyn BlockScheduler,
+) -> Result<Option<f64>, IslaError> {
+    spec.validate(data)?;
+    let read = ZonedRead::of(spec);
+    exact_fold(
+        data,
+        scheduler,
+        |block| {
+            let mut extreme = kind.identity();
+            let mut any = false;
+            scan_block_matches(block, &read, &mut |spec, chunk, matched| {
+                let values = chunk[spec.agg_column];
+                match matched {
+                    Some(rows) => {
+                        any |= !rows.is_empty();
+                        for &i in rows {
+                            extreme = kind.fold(extreme, values[i as usize]);
+                        }
+                    }
+                    None => {
+                        any |= !values.is_empty();
+                        for &v in values {
+                            extreme = kind.fold(extreme, v);
+                        }
+                    }
+                }
+            })?;
+            Ok(any.then_some(extreme))
+        },
+        merge_extremes(kind),
+    )
+}
+
+/// The block-order merge of per-block extremes (`None`: the block had
+/// no row to fold).
+fn merge_extremes(kind: ExtremeKind) -> impl FnMut(&mut Option<f64>, Option<f64>) {
+    move |total, block| {
+        *total = match (*total, block) {
+            (Some(so_far), Some(later)) => Some(kind.fold(so_far, later)),
+            (so_far, later) => so_far.or(later),
+        };
+    }
 }

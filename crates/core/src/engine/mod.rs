@@ -80,7 +80,8 @@ pub use cache::{
     CacheKey, CacheLookup, CacheStats, EpochCacheStats, Lookup, PreEstimateCache, RowCacheLookup,
 };
 pub use exact::{
-    scan_exact_extreme, scan_exact_groups, scan_exact_groups_on, scan_exact_mean, GroupExact,
+    scan_exact_extreme, scan_exact_filtered_extreme, scan_exact_groups, scan_exact_groups_on,
+    scan_exact_mean, GroupExact,
 };
 pub use partial::{FinalAggregate, GroupedAggregate, GroupedPartial, PartialAggregate};
 pub use plan::{QueryPlan, RateSpec};
@@ -89,10 +90,11 @@ pub use recovery::{
     RetryPolicy,
 };
 pub use rows::{
-    execute_row_block, finish_row_pilot_fold, fold_row_pilot_segment, row_pre_estimate,
-    row_pre_estimate_capped, row_pre_estimate_capped_with, row_pre_estimate_with, run_row_plan,
-    run_row_plan_with, run_rows, GroupEstimate, GroupPlan, GroupPre, GroupedEngineResult,
-    RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan, RowPreEstimate, RowSpec,
+    execute_row_block, finish_row_pilot_fold, fold_row_pilot_segment, hit_rate_pilot,
+    probe_row_draws, row_pre_estimate, row_pre_estimate_capped, row_pre_estimate_capped_with,
+    row_pre_estimate_with, run_row_plan, run_row_plan_with, run_rows, GroupEstimate, GroupPlan,
+    GroupPre, GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan,
+    RowPreEstimate, RowSpec,
 };
 pub use scheduler::{
     execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution, BlockScheduler,

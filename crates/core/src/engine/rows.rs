@@ -179,25 +179,25 @@ impl Projection {
     }
 }
 
-/// How a spec's sampled draws read a block, by what the block's zone
-/// map decides about the filter ([`DataBlock::zone`]). One draw loop
+/// How a spec's draws and scans read a block, by what the block's zone
+/// map decides about the filter ([`DataBlock::zone`]). One read loop
 /// serves every verdict; only the projection handed to it differs.
 #[derive(Debug, Clone)]
-struct ZonedRead {
+pub(super) struct ZonedRead {
     /// The spec's filter in the blocks' own column indices — what the
     /// zone map is asked about.
-    filter: RowFilter,
+    pub(super) filter: RowFilter,
     /// Undecided blocks: the spec's full read set, the predicate tested
-    /// on every drawn row.
-    tested: Projection,
+    /// on every row.
+    pub(super) tested: Projection,
     /// Blocks where every row provably matches: the spec with its
-    /// filter dropped — only the aggregate (+ group) columns are
-    /// gathered and no row is tested.
-    proven: Projection,
+    /// filter dropped — only the aggregate (+ group) columns are read
+    /// and no row is tested.
+    pub(super) proven: Projection,
 }
 
 impl ZonedRead {
-    fn of(spec: &RowSpec) -> Self {
+    pub(super) fn of(spec: &RowSpec) -> Self {
         Self {
             filter: spec.filter.clone(),
             tested: Projection::of(spec),
@@ -208,9 +208,26 @@ impl ZonedRead {
         }
     }
 
-    /// The projection to draw `block` through, or `None` when no row of
+    /// The read a hit count makes of `spec`: its filter and group
+    /// columns, never the aggregate. A count aggregates no column, so a
+    /// column it reads anyway — the group column, else a filter column —
+    /// stands in for the aggregate, and every projection holds only
+    /// what the count reads (an ungrouped all-match block's stand-in is
+    /// never read: the verdict alone is its count).
+    fn counting(spec: &RowSpec) -> Self {
+        let agg_column = spec
+            .group_by
+            .or_else(|| spec.filter.max_column())
+            .unwrap_or(0);
+        Self::of(&RowSpec {
+            agg_column,
+            ..spec.clone()
+        })
+    }
+
+    /// The projection to read `block` through, or `None` when no row of
     /// it can match and there is nothing to read.
-    fn of_block(&self, block: &dyn DataBlock) -> Option<&Projection> {
+    pub(super) fn of_block(&self, block: &dyn DataBlock) -> Option<&Projection> {
         match block.zone(&self.filter) {
             ZoneMatch::Matchless => None,
             ZoneMatch::AllMatch => Some(&self.proven),
@@ -428,6 +445,107 @@ fn pilot_draw_rows(
         } else {
             sample_row_columns_from_block(block, columns, take, rng, &mut fold)?;
         }
+    }
+    Ok(())
+}
+
+/// Draws `n` proportional rows the way a plan for `spec` reads them —
+/// projected and zoned, as the pilots and the Calculation phase draw —
+/// and folds them as the pilots do: what a `WITHIN` deadline probe has
+/// to time. Leaves `rng` where `n` full-width row draws would.
+///
+/// # Errors
+///
+/// [`IslaError::InsufficientData`] when `n > 0` and the set holds no
+/// rows; [`IslaError::InvalidConfig`] when the spec does not fit a
+/// block; storage errors from sampling.
+pub fn probe_row_draws(
+    data: &BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    rng: &mut dyn RngCore,
+) -> Result<(), IslaError> {
+    require_rows(data, n)?;
+    spec.validate(data)?;
+    let mut fold = RowPilotFold::new();
+    pilot_draw_rows(
+        data,
+        &ZonedRead::of(spec),
+        n,
+        &RecoveryPolicy::strict(),
+        rng,
+        &mut fold,
+    )
+}
+
+/// The hit-rate pilot behind an estimated `COUNT(*) WHERE …` (both
+/// stages), its grouped form and the filtered-`SUM` baseline's scale
+/// (paper §III-B): `n` proportional row draws, and per group key the
+/// draws that matched `spec`'s filter. Returns the draws — always `n`,
+/// the denominator of every hit rate — and the per-key hit counts (keys
+/// without a hit are absent).
+///
+/// Draws read only the filter and group columns, and only where the
+/// zone map leaves the count open: a block that provably matches
+/// nothing is not read (every draw a miss), one that provably matches
+/// everywhere is read for its group column alone — ungrouped, not at
+/// all (every draw a hit). Each draw still takes its index from `rng`,
+/// so the counts and the stream are those of testing every full row.
+///
+/// # Errors
+///
+/// As [`probe_row_draws`].
+pub fn hit_rate_pilot(
+    data: &BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    rng: &mut dyn RngCore,
+) -> Result<(u64, BTreeMap<u64, u64>), IslaError> {
+    require_rows(data, n)?;
+    spec.validate(data)?;
+    let read = ZonedRead::counting(spec);
+    let mut counts = BTreeMap::new();
+    // Ungrouped hits, counted here rather than in a map entry per hit.
+    let mut hits = 0u64;
+    for (block, &take) in data.iter().zip(&proportional_allocation(data, n)) {
+        let block = block.as_ref();
+        let projection = match block.zone(&read.filter) {
+            ZoneMatch::Matchless => None,
+            ZoneMatch::AllMatch if spec.group_by.is_none() => {
+                hits += take;
+                None
+            }
+            ZoneMatch::AllMatch => Some(&read.proven),
+            ZoneMatch::Mixed => Some(&read.tested),
+        };
+        let Some(projection) = projection else {
+            skip_row_draws(block.len(), take, rng);
+            continue;
+        };
+        let spec = &projection.spec;
+        let columns = Some(projection.columns.as_slice());
+        sample_row_columns_from_block(block, columns, take, rng, &mut |row| {
+            if spec.filter.matches(row) {
+                match spec.group_by {
+                    None => hits += 1,
+                    Some(_) => *counts.entry(spec.group_key(row)).or_insert(0) += 1,
+                }
+            }
+        })?;
+    }
+    if hits > 0 {
+        counts.insert(0f64.to_bits(), hits);
+    }
+    Ok((n, counts))
+}
+
+/// The typed error for drawing `n > 0` rows from a set that has none
+/// (where [`proportional_allocation`] would panic).
+fn require_rows(data: &BlockSet, n: u64) -> Result<(), IslaError> {
+    if n > 0 && data.total_len() == 0 {
+        return Err(IslaError::InsufficientData(
+            "block set holds no rows".to_string(),
+        ));
     }
     Ok(())
 }

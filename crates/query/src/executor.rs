@@ -12,9 +12,13 @@
 //! ([`engine::run_row_plan`]): pilot rows estimate the predicate's
 //! selectivity and per-group σ̂/sketch, the calculation rate is sized so
 //! *every group* meets the precision target, and `SUM`/`COUNT` under a
-//! filter are estimated from the hit rate — never read from block
-//! metadata. Baselines run over width-1 filtered projections
-//! (rejection sampling), and `METHOD EXACT` scans row tuples.
+//! filter are estimated from the hit rate ([`engine::hit_rate_pilot`]) —
+//! never read from block metadata. Baselines and sampled `MAX`/`MIN`
+//! draw from one pooled filtered column ([`pool_filtered_column`]), and
+//! `METHOD EXACT` folds the matching rows block by block on the
+//! session's scheduler ([`engine::exact`]), reading only the columns
+//! the query names. Every filtered path reads a block only where its
+//! zone map leaves the predicate undecided.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,8 +37,7 @@ use isla_core::engine::{
 use isla_core::{IslaConfig, IslaError};
 use isla_stats::{required_sample_size, WelfordMoments};
 use isla_storage::{
-    pool_filtered_column, sample_proportional, sample_rows_proportional, BlockSet, ColumnPredicate,
-    RowFilter,
+    pool_filtered_column, sample_proportional, BlockSet, ColumnPredicate, RowFilter,
 };
 
 use crate::ast::{AggFunc, Method, Query};
@@ -371,8 +374,9 @@ impl QuerySession {
         // a leverage-guided sampled bound, or an exact scan under
         // `METHOD EXACT`.
         if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
-            let (value, samples_used) =
-                self.on_scheduler(None, |s| extreme_value(query, &data, confidence, s, rng))?;
+            let (value, samples_used) = self.on_scheduler(None, |s| {
+                extreme_value(query, &data, None, confidence, s, rng)
+            })?;
             let mut result = QueryResult::of(query, rows, confidence, start, value);
             result.samples_used = samples_used;
             return Ok(result);
@@ -432,9 +436,8 @@ impl QuerySession {
                     "GROUP BY is not supported for MAX/MIN".to_string(),
                 ));
             }
-            let filtered_set = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
             let (value, samples_used) = self.on_scheduler(None, |s| {
-                extreme_value(query, &filtered_set, confidence, s, rng)
+                extreme_value(query, data, Some(&spec), confidence, s, rng)
             })?;
             let mut result = QueryResult::of(query, rows, confidence, start, value);
             result.samples_used = samples_used;
@@ -495,7 +498,8 @@ impl QuerySession {
             AggFunc::Sum => {
                 // SUM needs the matched population size — estimated from
                 // a row pilot, as the ISLA path does in pre-estimation.
-                let (drawn, counts) = hit_rate_pilot(data, &spec, COUNT_PILOT_ROWS, rng)?;
+                let pilot = COUNT_PILOT_ROWS.min(rows).max(1);
+                let (drawn, counts) = engine::hit_rate_pilot(data, &spec, pilot, rng)?;
                 let matched = rows as f64 * counts.values().sum::<u64>() as f64 / drawn as f64;
                 (avg * matched, Some(matched), budget + drawn)
             }
@@ -526,11 +530,14 @@ impl QuerySession {
         let rows = table.rows();
 
         // The deadline clock starts before any sampling (paper §VII-F);
-        // the probe draws full row tuples and evaluates the predicate,
-        // so the calibrated per-sample cost matches what the row
-        // calculation phase will actually pay.
+        // the probe draws rows as the plan will — the columns it reads,
+        // the zone verdicts, the predicate — so the calibrated
+        // per-sample cost is what the pilots and the calculation phase
+        // will actually pay.
         let affordable = match query.within_ms {
-            Some(ms) => Some(affordable_budget(ms, data, Some(&spec.filter), rng)?),
+            Some(ms) => Some(affordable_budget(ms, data, rng, |n, rng| {
+                engine::probe_row_draws(data, &spec, n, rng)
+            })?),
             None => None,
         };
 
@@ -668,7 +675,11 @@ impl QuerySession {
         // pilots (when they run on a cache miss) are charged against the
         // same window the budget was computed from.
         let affordable = match query.within_ms {
-            Some(ms) => Some(affordable_budget(ms, data, None, rng)?),
+            Some(ms) => Some(affordable_budget(ms, data, rng, |n, rng| {
+                sample_proportional(data, n, rng)
+                    .map(drop)
+                    .map_err(IslaError::from)
+            })?),
             None => None,
         };
 
@@ -840,28 +851,6 @@ fn compile_row_spec(query: &Query, table: &Table) -> Result<Option<RowSpec>, Que
     }))
 }
 
-/// Draws up to `pilot` uniform rows (proportionally across blocks) and
-/// tallies predicate-matching draws per group key — the hit-rate
-/// primitive behind estimated `COUNT(*)` and the filtered-`SUM` scale.
-fn hit_rate_pilot(
-    data: &BlockSet,
-    spec: &RowSpec,
-    pilot: u64,
-    rng: &mut dyn RngCore,
-) -> Result<(u64, std::collections::BTreeMap<u64, u64>), QueryError> {
-    let pilot = pilot.min(data.total_len()).max(1);
-    let mut drawn = 0u64;
-    let mut counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    sample_rows_proportional(data, pilot, rng, &mut |row| {
-        drawn += 1;
-        if spec.filter.matches(row) {
-            *counts.entry(spec.group_key(row)).or_insert(0) += 1;
-        }
-    })
-    .map_err(IslaError::from)?;
-    Ok((drawn, counts))
-}
-
 /// Exact ground truth for a row-model query, shaped from one full row
 /// scan's per-group results. Also where an estimated `COUNT(*)` lands
 /// when its precision asks for more draws than a scan costs — there an
@@ -913,7 +902,8 @@ fn exact_rows(
 /// draws. An explicit `WITH PRECISION e` sizes the draw so the count's
 /// confidence interval half-width is ≤ e (two-stage: a first pilot
 /// estimates the hit rate, the second draws what `z²·M²·ŝ(1−ŝ)/e²`
-/// still needs); a `WITHIN` deadline caps the total.
+/// still needs); a `WITHIN` deadline caps the total. An empty table
+/// counts exactly 0, as a zero-match escalation to a scan would.
 fn count_estimate(
     query: &Query,
     spec: &RowSpec,
@@ -924,10 +914,17 @@ fn count_estimate(
     rng: &mut dyn RngCore,
 ) -> Result<QueryResult, QueryError> {
     let rows = data.total_len();
+    if rows == 0 {
+        return exact_rows(query, &[], rows, confidence, start);
+    }
     let mut pilot = query.samples.unwrap_or(COUNT_PILOT_ROWS).min(rows).max(1);
     let mut time_limited = false;
+    // The probe is the pilot's own read: the count's columns, the zone
+    // verdicts, the predicate.
     let affordable = match query.within_ms {
-        Some(ms) => Some(affordable_budget(ms, data, Some(&spec.filter), rng)?),
+        Some(ms) => Some(affordable_budget(ms, data, rng, |n, rng| {
+            engine::hit_rate_pilot(data, spec, n, rng).map(drop)
+        })?),
         None => None,
     };
     if let Some(affordable) = affordable {
@@ -936,7 +933,7 @@ fn count_estimate(
             time_limited = true;
         }
     }
-    let (mut drawn, mut counts) = hit_rate_pilot(data, spec, pilot, rng)?;
+    let (mut drawn, mut counts) = engine::hit_rate_pilot(data, spec, pilot, rng)?;
     if let Some(e) = query.precision {
         // Per raw draw, the count estimator adds M·Bernoulli(s):
         // σ = M·√(s(1−s)). Size the total draw from the stage-1 ŝ.
@@ -962,7 +959,7 @@ fn count_estimate(
             }
         }
         if want > drawn {
-            let (extra_drawn, extra) = hit_rate_pilot(data, spec, want - drawn, rng)?;
+            let (extra_drawn, extra) = engine::hit_rate_pilot(data, spec, want - drawn, rng)?;
             drawn += extra_drawn;
             for (key, n) in extra {
                 *counts.entry(key).or_insert(0) += n;
@@ -989,10 +986,14 @@ fn count_estimate(
     Ok(result)
 }
 
-/// MAX/MIN over a (possibly filtered) width-1 block set.
+/// MAX/MIN over a width-1 column set, or — under `spec` — over `spec`'s
+/// aggregate column of the table rows matching its filter. `METHOD
+/// EXACT` folds the matching rows block by block on `scheduler`; the
+/// sampled extreme draws from one pooled filtered column.
 fn extreme_value(
     query: &Query,
     data: &BlockSet,
+    spec: Option<&RowSpec>,
     confidence: f64,
     scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
@@ -1003,10 +1004,22 @@ fn extreme_value(
         isla_core::ExtremeKind::Min
     };
     if query.method == Method::Exact {
-        let extreme = engine::scan_exact_extreme(data, kind, scheduler)?
+        let extreme = match spec {
+            Some(spec) => engine::scan_exact_filtered_extreme(data, spec, kind, scheduler)?,
+            None => engine::scan_exact_extreme(data, kind, scheduler)?,
+        };
+        let extreme = extreme
             .ok_or_else(|| QueryError::Invalid("no row matches the WHERE predicate".to_string()))?;
         return Ok((extreme, None));
     }
+    let pooled;
+    let data = match spec {
+        Some(spec) => {
+            pooled = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
+            &pooled
+        }
+        None => data,
+    };
     let config = match query.precision {
         Some(_) => isla_config(query, confidence)?,
         None => IslaConfig::builder()
@@ -1058,28 +1071,32 @@ fn run_baseline(
 /// affordable sample budget for a `WITHIN ms` deadline (paper §VII-F),
 /// safety margin applied.
 ///
-/// The probe pays what the calculation phase will pay per draw: plain
-/// values for a scalar plan (`filter` absent); for the row pipeline,
-/// full row *tuples* with the predicate evaluated on each (a scalar
-/// probe undercounts on wide tables by the width factor).
+/// `probe(n, rng)` draws `n` rows the way the plan will — plain values
+/// for a scalar plan, the spec's projected, zoned read for a row plan or
+/// a count — so the calibrated cost per draw is the one the plan pays.
+///
+/// # Errors
+///
+/// [`IslaError::InsufficientData`] on an empty table (nothing to time a
+/// draw on); the probe's own errors; [`QueryError::Invalid`] when the
+/// deadline affords no draw at all.
 fn affordable_budget(
     ms: u64,
     data: &BlockSet,
-    filter: Option<&RowFilter>,
     rng: &mut dyn RngCore,
+    probe: impl FnOnce(u64, &mut dyn RngCore) -> Result<(), IslaError>,
 ) -> Result<u64, QueryError> {
+    if data.total_len() == 0 {
+        return Err(IslaError::InsufficientData(
+            "block set holds no rows to time a deadline's draws on".to_string(),
+        )
+        .into());
+    }
     let deadline = Duration::from_millis(ms);
     let calib_start = Instant::now();
-    let probe = TIME_CALIBRATION_SAMPLES.min(data.total_len().max(1));
-    match filter {
-        None => drop(sample_proportional(data, probe, rng).map_err(IslaError::from)?),
-        // The hit itself is not used.
-        Some(filter) => sample_rows_proportional(data, probe, rng, &mut |row| {
-            std::hint::black_box(filter.matches(row));
-        })
-        .map_err(IslaError::from)?,
-    }
-    let per_sample = calib_start.elapsed().as_secs_f64() / probe as f64;
+    let draws = TIME_CALIBRATION_SAMPLES.min(data.total_len());
+    probe(draws, rng)?;
+    let per_sample = calib_start.elapsed().as_secs_f64() / draws as f64;
     let remaining = deadline.saturating_sub(calib_start.elapsed()).as_secs_f64() * TIME_SAFETY;
     let affordable = if per_sample > 0.0 {
         (remaining / per_sample) as u64
@@ -1144,6 +1161,9 @@ fn baseline_budget(
             query.method
         ))
     })?;
+    if data.total_len() == 0 {
+        return Err(IslaError::InsufficientData("block set holds no rows".to_string()).into());
+    }
     let pilot_size = 1_000.min(data.total_len()).max(2);
     let pilot = sample_proportional(data, pilot_size, rng).map_err(IslaError::from)?;
     let moments: WelfordMoments = pilot.into_iter().collect();
@@ -1581,6 +1601,96 @@ mod tests {
         let r = run("SELECT COUNT(*) FROM sales WHERE amount > 50 METHOD US", 36).unwrap();
         assert_eq!(r.method, Method::Us);
         assert!((r.value - 100_000.0).abs() < 8_000.0, "count {}", r.value);
+    }
+
+    #[test]
+    fn empty_tables_count_zero_and_refuse_the_rest_instead_of_panicking() {
+        use isla_storage::{DataBlock, MemBlock};
+        let mut c = Catalog::new();
+        c.register(
+            "t",
+            Table::from_rows(
+                Schema::new(vec![
+                    ColumnDef::float("x"),
+                    ColumnDef::float("y"),
+                    ColumnDef::categorical("g"),
+                ]),
+                BlockSet::new(vec![
+                    Arc::new(RowsBlock::new(vec![Vec::new(); 3])) as Arc<dyn DataBlock>
+                ]),
+            ),
+        );
+        c.register(
+            "s",
+            Table::new(vec![(
+                "x",
+                BlockSet::new(vec![
+                    Arc::new(MemBlock::new(Vec::new())) as Arc<dyn DataBlock>
+                ]),
+            )]),
+        );
+        let run = |sql: &str| execute(&parse(sql).unwrap(), &c, &mut StdRng::seed_from_u64(1));
+
+        // An empty table's filtered count is exactly 0, as a zero-match
+        // escalation to a scan answers it.
+        for sql in [
+            "SELECT COUNT(*) FROM t WHERE x > 0",
+            "SELECT COUNT(*) FROM t WHERE x > 0 WITH PRECISION 5",
+        ] {
+            let r = run(sql).unwrap();
+            assert_eq!(r.value, 0.0, "{sql}");
+            assert_eq!(r.method, Method::Exact, "{sql}");
+            assert_eq!(r.matched_rows, Some(0.0), "{sql}");
+            assert!(r.samples_used.is_none(), "{sql}");
+        }
+        // A deadline has no draw to time: a typed refusal.
+        for sql in [
+            "SELECT AVG(y) FROM t WHERE x > 0 WITHIN 50 MS",
+            "SELECT AVG(x) FROM s WITH PRECISION 0.5 WITHIN 50 MS",
+        ] {
+            assert!(
+                matches!(
+                    run(sql),
+                    Err(QueryError::Engine(IslaError::InsufficientData(_)))
+                ),
+                "{sql}"
+            );
+        }
+        // Every other form errors with a type, none panics.
+        for sql in [
+            "SELECT AVG(y) FROM t WHERE x > 0 WITH PRECISION 0.5",
+            "SELECT SUM(y) FROM t WHERE x > 0 METHOD US SAMPLES 100",
+            "SELECT AVG(y) FROM t WHERE x > 0 METHOD US WITH PRECISION 0.5",
+            "SELECT MAX(y) FROM t WHERE x > 0",
+            "SELECT MAX(y) FROM t WHERE x > 0 METHOD EXACT",
+            "SELECT AVG(x) FROM s METHOD US WITH PRECISION 0.5",
+            "SELECT MIN(x) FROM s METHOD EXACT",
+        ] {
+            assert!(run(sql).is_err(), "{sql}");
+        }
+    }
+
+    #[test]
+    fn exact_filtered_extremes_compile_no_selection() {
+        let c = catalog();
+        let sales = c.table("sales").unwrap().data();
+        // Unique literals, as an ad-hoc stream sends them: one more than
+        // the selection cache holds.
+        for i in 0..=isla_storage::selection::SELECTION_CACHE_CAP {
+            let agg = if i % 2 == 0 { "MAX" } else { "MIN" };
+            let sql = format!(
+                "SELECT {agg}(amount) FROM sales WHERE margin > {} METHOD EXACT",
+                20.0 + i as f64 / 16.0
+            );
+            let r = execute(&parse(&sql).unwrap(), &c, &mut StdRng::seed_from_u64(1)).unwrap();
+            assert!(r.samples_used.is_none(), "{sql}");
+        }
+        assert_eq!(sales.selection_cache_len(), 0);
+        assert_eq!(sales.selection_stats().builds, 0);
+        // The sampled extreme still draws through a compiled selection.
+        let sampled = parse("SELECT MAX(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5");
+        execute(&sampled.unwrap(), &c, &mut StdRng::seed_from_u64(2)).unwrap();
+        assert_eq!(sales.selection_cache_len(), 1);
     }
 
     #[test]

@@ -389,10 +389,10 @@ fn invalidation_reaches_selections_and_sketches() {
     service.register_table("t", table);
 
     // Populate every cache layer: the ISLA row query leaves
-    // pre-estimates, the MAX query compiles a selection (through
+    // pre-estimates, the sampled MAX query compiles a selection (through
     // `pool_filtered_column`), and a sketch scan fills the sketch cache.
     let sql = "SELECT AVG(x) FROM t WHERE x < 50 WITH PRECISION 0.5";
-    let max_sql = "SELECT MAX(x) FROM t WHERE x < 50 METHOD EXACT";
+    let max_sql = "SELECT MAX(x) FROM t WHERE x < 50 WITH PRECISION 0.5";
     let before = service.query("tenant", sql, 7).unwrap();
     assert!(
         (before.value - 10.0).abs() < 0.5,

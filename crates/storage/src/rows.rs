@@ -579,15 +579,19 @@ pub fn project_column(set: &BlockSet, col: usize) -> BlockSet {
     // has the same block/row shape per epoch, so delta folds over the
     // projected set line up with the parent's seal boundaries.
     BlockSet::with_marks(
-        set.iter()
-            .map(|b| {
-                b.project(col).unwrap_or_else(|| {
-                    Arc::new(ColumnView::new(Arc::clone(b), col)) as Arc<dyn DataBlock>
-                })
-            })
-            .collect(),
+        set.iter().map(|b| project_block(b, col)).collect(),
         set.epoch_marks().to_vec(),
     )
+}
+
+/// Column `col` of `block` as a width-1 block: the block's own
+/// zero-copy projection where it has one, a [`ColumnView`] otherwise —
+/// so a wrapper that declines to project (an armed
+/// [`crate::FaultyBlock`]) keeps every read behind its gate.
+fn project_block(block: &Arc<dyn DataBlock>, col: usize) -> Arc<dyn DataBlock> {
+    block
+        .project(col)
+        .unwrap_or_else(|| Arc::new(ColumnView::new(Arc::clone(block), col)))
 }
 
 /// Compiles (or fetches from the set's cache) the selection of `set`
@@ -629,6 +633,10 @@ pub fn pool_filtered_column(set: &BlockSet, col: usize, filter: RowFilter) -> Bl
 /// filtered scalar population over every row of a block set.
 pub struct PooledFilteredColumn {
     blocks: Vec<Arc<dyn DataBlock>>,
+    /// Column `col` of each block ([`project_column`]'s rule): what a
+    /// draw through the compiled selection reads — one value, where the
+    /// rejection path must read the whole row to test it.
+    columns: Vec<Arc<dyn DataBlock>>,
     /// Cumulative row counts, for O(log b) global-index resolution.
     cumulative: Vec<u64>,
     total: u64,
@@ -665,6 +673,7 @@ impl PooledFilteredColumn {
         let selection = compile_selection(set, &filter).filter(|s| s.is_complete());
         Self {
             blocks: set.iter().map(Arc::clone).collect(),
+            columns: set.iter().map(|b| project_block(b, col)).collect(),
             cumulative,
             total,
             col,
@@ -682,17 +691,23 @@ impl PooledFilteredColumn {
         Ok(self.filter.matches(row).then(|| row[self.col]))
     }
 
-    /// Reads the `k`-th global *match* through the compiled selection.
-    fn read_match(
-        &self,
-        sel: &SetSelection,
-        k: u64,
-        row: &mut Vec<f64>,
-    ) -> Result<f64, StorageError> {
+    /// Reads the `k`-th global *match* through the compiled selection:
+    /// one value of the projected column — the selection already says
+    /// the row matches (re-checked on the whole row in debug builds).
+    fn read_match(&self, sel: &SetSelection, k: u64) -> Result<f64, StorageError> {
         let (b, local) = sel.locate(k);
-        self.blocks[b].row_tuple(local, row)?;
-        debug_assert!(self.filter.matches(row));
-        Ok(row[self.col])
+        let value = self.columns[b].row_at(local)?;
+        if cfg!(debug_assertions) {
+            with_row_buf(|row| {
+                if self.blocks[b].row_tuple(local, row).is_ok() {
+                    assert!(
+                        self.filter.matches(row),
+                        "selection row {local} of block {b}"
+                    );
+                }
+            });
+        }
+        Ok(value)
     }
 
     /// The number of matching rows across the set, when compiled.
@@ -718,7 +733,7 @@ impl DataBlock for PooledFilteredColumn {
                 return Err(StorageError::SelectivityTooLow { attempts: 0 });
             }
             let k = rng.random_range(0..sel.total_matches());
-            return with_row_buf(|row| self.read_match(sel, k, row));
+            return self.read_match(sel, k);
         }
         with_row_buf(|row| {
             for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
@@ -757,7 +772,7 @@ impl DataBlock for PooledFilteredColumn {
                     return Err(StorageError::SelectivityTooLow { attempts: 0 });
                 }
                 let k = probe_rng.random_range(0..sel.total_matches());
-                return self.read_match(sel, k, row);
+                return self.read_match(sel, k);
             }
             for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
                 let probe = probe_rng.random_range(0..self.total);
@@ -812,7 +827,7 @@ impl DataBlock for PooledFilteredColumn {
                     return Err(StorageError::SelectivityTooLow { attempts: 0 });
                 }
                 out.draw_indices(n, sel.total_matches(), rng);
-                with_row_buf(|row| out.gather_with(|k| self.read_match(sel, k, row)))
+                out.gather_with(|k| self.read_match(sel, k))
             }
             None => {
                 // Rejection fallback, row buffer hoisted over the batch.

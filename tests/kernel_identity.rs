@@ -2548,3 +2548,568 @@ fn zoned_epoch_pilots_match_the_sketchless_reference_after_an_append() {
         assert_eq!(cold[0], resumed[2], "{spec:?}: resumed ≡ cold");
     }
 }
+
+// ---------------------------------------------------------------------
+// Filtered `COUNT` and `MAX`/`MIN` read only the columns they name: the
+// hit-rate pilot, the exact filtered extreme and the pooled filtered
+// draw, each pinned against the whole-row algorithm it replaced —
+// rebuilt below from the frozen public pieces.
+// ---------------------------------------------------------------------
+
+/// The hit-rate pilot as it was: whole rows from the frozen sampler,
+/// the spec tested on each, one map entry bumped per hit.
+fn reference_hit_rate(
+    data: &BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    rng: &mut StdRng,
+) -> Result<(u64, BTreeMap<u64, u64>), IslaError> {
+    let mut drawn = 0;
+    let mut counts = BTreeMap::new();
+    sample_rows_proportional(data, n, rng, &mut |row| {
+        drawn += 1;
+        if spec.filter.matches(row) {
+            *counts.entry(spec.group_key(row)).or_insert(0) += 1;
+        }
+    })?;
+    Ok((drawn, counts))
+}
+
+/// A hit-rate pilot's draws and per-key counts (its error as text), and
+/// where it left the RNG.
+type HitBits = (Result<(u64, Vec<(u64, u64)>), String>, u64);
+
+fn hit_bits(
+    pilot: impl FnOnce(&mut StdRng) -> Result<(u64, BTreeMap<u64, u64>), IslaError>,
+    seed: u64,
+) -> HitBits {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let answer = pilot(&mut rng).map(|(drawn, counts)| {
+        assert!(
+            counts.values().all(|&n| n > 0),
+            "a zero-count group: {counts:?}"
+        );
+        (drawn, counts.into_iter().collect())
+    });
+    (answer.map_err(|e| e.to_string()), rng.next_u64())
+}
+
+/// `engine::hit_rate_pilot` over one `set()` is the reference over
+/// another (fresh fault counters each): same draws, same per-key counts
+/// or the same error, same RNG position.
+fn assert_hit_rate_identity(
+    set: impl Fn() -> BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    seed: u64,
+    label: &str,
+) {
+    let want = hit_bits(|rng| reference_hit_rate(&set(), spec, n, rng), seed);
+    let got = hit_bits(|rng| engine::hit_rate_pilot(&set(), spec, n, rng), seed);
+    assert_eq!(got, want, "{label}: {spec:?}");
+}
+
+#[test]
+fn hit_rate_pilots_match_the_whole_row_count_on_every_block_kind_and_zone() {
+    // Every block kind, random specs: grouped or not, filters on the
+    // aggregate and the group column, trivial filters.
+    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    for width in 1..=4 {
+        let cols = spec_columns(2_400, width, &mut rng);
+        let specs: Vec<RowSpec> = (0..6).map(|_| random_spec(width, &mut rng)).collect();
+        for kind in KINDS {
+            for (i, spec) in specs.iter().enumerate() {
+                assert_hit_rate_identity(
+                    || set_of_kind(kind, &cols, 5),
+                    spec,
+                    1_500,
+                    i as u64,
+                    kind,
+                );
+            }
+        }
+    }
+
+    // Range-partitioned blocks, so the zone map decides some of them.
+    const ROWS: usize = 24_000;
+    const BLOCKS: usize = 8;
+    let per_block = (ROWS / BLOCKS) as f64;
+    let half = 4.0 * per_block - 0.5;
+    let native = RowsBlock::split(clustered_columns(ROWS, 0xC0C0), BLOCKS);
+    let specs = [
+        // Matchless and all-match blocks, ungrouped: neither is read.
+        zoned_spec(vec![(0, CmpOp::Gt, half)], None),
+        // Grouped: the all-match blocks are read for `store` alone.
+        zoned_spec(vec![(0, CmpOp::Gt, half)], Some(2)),
+        // Two-sided range, grouped: every verdict at once.
+        zoned_spec(
+            vec![
+                (0, CmpOp::Ge, 1.25 * per_block),
+                (0, CmpOp::Lt, 5.75 * per_block),
+            ],
+            Some(2),
+        ),
+        // A deciding conjunct beside an undecided one.
+        zoned_spec(vec![(0, CmpOp::Le, half), (3, CmpOp::Gt, 30.0)], None),
+        // Undecided everywhere.
+        zoned_spec(vec![(3, CmpOp::Gt, 60.0)], Some(2)),
+        // No hit anywhere: no group may appear.
+        zoned_spec(vec![(0, CmpOp::Lt, -1.0)], Some(2)),
+    ];
+    let verdicts: Vec<ZoneMatch> = specs
+        .iter()
+        .flat_map(|spec| native.iter().map(|b| b.zone(&spec.filter)))
+        .collect();
+    for verdict in [ZoneMatch::Matchless, ZoneMatch::AllMatch, ZoneMatch::Mixed] {
+        assert!(verdicts.contains(&verdict), "no {verdict:?} block");
+    }
+    let empty = || Arc::new(RowsBlock::new(vec![Vec::new(); 4])) as Arc<dyn DataBlock>;
+    let with_empty_blocks = || {
+        let mut blocks: Vec<_> = native.iter().map(Arc::clone).collect();
+        blocks.insert(0, empty());
+        blocks.insert(5, empty());
+        BlockSet::new(blocks)
+    };
+    let mut failed = 0;
+    for (i, spec) in specs.iter().enumerate() {
+        let seed = 0x7E57 + i as u64;
+        assert_hit_rate_identity(|| native.clone(), spec, 6_000, seed, "zoned");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (drawn, counts) = engine::hit_rate_pilot(&native, spec, 6_000, &mut rng).unwrap();
+        assert_eq!(drawn, 6_000);
+        if i == specs.len() - 1 {
+            assert!(counts.is_empty(), "no hit, no group: {counts:?}");
+        }
+        assert_hit_rate_identity(with_empty_blocks, spec, 6_000, seed, "empty blocks");
+        for plan in [
+            FaultPlan::new(3),
+            FaultPlan::new(3).lose(0.3),
+            FaultPlan::new(4).transient(0.5, 1),
+            FaultPlan::new(5).corrupt(0.4),
+        ] {
+            assert_hit_rate_identity(
+                || plan.arm(&native),
+                spec,
+                6_000,
+                seed,
+                &format!("{plan:?}"),
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let answer = engine::hit_rate_pilot(&plan.arm(&native), spec, 6_000, &mut rng);
+            failed += usize::from(answer.is_err());
+        }
+    }
+    assert!(
+        failed >= 2 * specs.len(),
+        "the armed loss and transient plans must fail"
+    );
+}
+
+/// The exact filtered MAX/MIN as it was: the pooled filtered column —
+/// whole-set selection compiled and cached first — scanned as one block
+/// with one running extreme.
+fn reference_filtered_extreme(
+    data: &BlockSet,
+    spec: &RowSpec,
+    kind: ExtremeKind,
+) -> Result<Option<u64>, String> {
+    let pooled = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
+    engine::scan_exact_extreme(&pooled, kind, &SequentialScheduler)
+        .map(|v| v.map(f64::to_bits))
+        .map_err(|e| e.to_string())
+}
+
+/// `engine::scan_exact_filtered_extreme` at every parallelism is the
+/// reference, for MAX and MIN: value bits, `None`, or the error.
+fn assert_filtered_extreme_identity(set: impl Fn() -> BlockSet, spec: &RowSpec, label: &str) {
+    for kind in [ExtremeKind::Max, ExtremeKind::Min] {
+        let want = reference_filtered_extreme(&set(), spec, kind);
+        for workers in EXACT_PARALLELISM {
+            let got = engine::scan_exact_filtered_extreme(&set(), spec, kind, &pooled(workers))
+                .map(|v| v.map(f64::to_bits))
+                .map_err(|e| e.to_string());
+            assert_eq!(got, want, "{label} {kind:?} on {workers} workers: {spec:?}");
+        }
+    }
+}
+
+#[test]
+fn exact_filtered_extremes_are_the_pooled_scan_at_every_parallelism() {
+    let on = |column, op, value| RowFilter::new(vec![ColumnPredicate { column, op, value }]);
+    // A transient fault is the one block kind left out: the pooled
+    // path's selection compile spent the block's first failed attempt
+    // and then read it again, where every exact scan reports that
+    // attempt (`exact_scans_fail_strictly_…` above).
+    let kinds = [
+        "RowsBlock",
+        "ZipBlock",
+        "ScalarFallbackBlock",
+        "FaultyBlock(corrupt)",
+    ];
+    let mut rng = StdRng::seed_from_u64(0xE7);
+    for width in 1..=4 {
+        let mut cols = awkward_columns(2_100, width, &mut rng);
+        // A column whose maximum is a zero, both signs in every block,
+        // and its negation, whose minimum is: which zero wins is the
+        // fold order's to keep.
+        let zero_topped: Vec<f64> = (0..2_100)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => -f64::from(i),
+            })
+            .collect();
+        cols.push(zero_topped.iter().map(|v| -v).collect());
+        cols.push(zero_topped);
+        let width = cols.len();
+        let mut specs = vec![
+            RowSpec {
+                agg_column: width - 1,
+                filter: on(0, CmpOp::Gt, 40.0),
+                group_by: None,
+            },
+            RowSpec {
+                agg_column: width - 2,
+                filter: on(0, CmpOp::Le, 1e16),
+                group_by: None,
+            },
+            // Only the zeros match, on the column being folded.
+            RowSpec {
+                agg_column: width - 1,
+                filter: on(width - 1, CmpOp::Ge, -0.0),
+                group_by: None,
+            },
+            // Nothing matches.
+            RowSpec {
+                agg_column: 0,
+                filter: on(0, CmpOp::Gt, f64::INFINITY),
+                group_by: None,
+            },
+        ];
+        specs.extend((0..3).map(|_| random_spec(width, &mut rng)));
+        for kind in kinds {
+            for spec in &specs {
+                assert_filtered_extreme_identity(
+                    || set_of_kind(kind, &cols, EXACT_BLOCKS),
+                    spec,
+                    kind,
+                );
+            }
+        }
+        let nothing = set_of_kind("RowsBlock", &cols, EXACT_BLOCKS);
+        assert_eq!(
+            reference_filtered_extreme(&nothing, &specs[3], ExtremeKind::Max),
+            Ok(None)
+        );
+    }
+
+    // Range-partitioned: matchless blocks unread, all-match blocks one
+    // plain fold, cut blocks filtered.
+    let per_block = 3_000.0;
+    let native = RowsBlock::split(clustered_columns(21_000, 0xE8), EXACT_BLOCKS);
+    let mut pruned_losses = 0;
+    for filter in [
+        vec![(0, CmpOp::Gt, 3.0 * per_block - 0.5)],
+        vec![
+            (0, CmpOp::Ge, 1.5 * per_block),
+            (0, CmpOp::Lt, 5.25 * per_block),
+        ],
+        vec![(0, CmpOp::Le, 2.0 * per_block), (3, CmpOp::Gt, 50.0)],
+        vec![(0, CmpOp::Lt, 0.0)],
+    ] {
+        let spec = zoned_spec(filter, None);
+        assert_filtered_extreme_identity(|| native.clone(), &spec, "zoned");
+        for plan in [
+            FaultPlan::new(8),
+            FaultPlan::new(8).lose(0.3),
+            FaultPlan::new(9).corrupt(0.3),
+        ] {
+            let armed = || plan.arm(&native);
+            // One documented difference: an armed block answers no zone
+            // verdict, so the exact scan reads it — and fails — whatever
+            // its sketch says, as every exact scan does. The pooled
+            // path's selection compile pruned on the sketch the fault
+            // forwards: when every lost block was one it proved
+            // matchless, it read none of them and answered.
+            let lost: Vec<usize> = (0..native.block_count())
+                .filter(|&b| plan.fault_for(b) == BlockFault::Lost)
+                .collect();
+            let all_pruned = !lost.is_empty()
+                && lost
+                    .iter()
+                    .all(|&b| native.block(b).zone(&spec.filter) == ZoneMatch::Matchless);
+            if !all_pruned {
+                assert_filtered_extreme_identity(armed, &spec, &format!("{plan:?}"));
+                continue;
+            }
+            pruned_losses += 1;
+            assert!(reference_filtered_extreme(&armed(), &spec, ExtremeKind::Max).is_ok());
+            for workers in EXACT_PARALLELISM {
+                let got = engine::scan_exact_filtered_extreme(
+                    &armed(),
+                    &spec,
+                    ExtremeKind::Max,
+                    &pooled(workers),
+                );
+                assert!(
+                    matches!(got, Err(IslaError::Storage(StorageError::BlockLost { .. }))),
+                    "{plan:?} on {workers} workers: {got:?}"
+                );
+            }
+        }
+    }
+    assert!(pruned_losses > 0, "the documented difference is exercised");
+    let lost = || FaultPlan::new(8).lose(0.3).arm(&native);
+    let undecided = zoned_spec(vec![(3, CmpOp::Gt, 50.0)], None);
+    assert_filtered_extreme_identity(lost, &undecided, "lost blocks");
+    assert!(reference_filtered_extreme(&lost(), &undecided, ExtremeKind::Max).is_err());
+
+    // Two failing blocks with errors that tell them apart: the lowest
+    // one's own error, whichever path and worker count.
+    let unavailable = || StorageError::Unavailable {
+        attempt: 1,
+        detail: "scripted".to_string(),
+    };
+    let lost = || StorageError::BlockLost {
+        detail: "scripted".to_string(),
+    };
+    let scripted = || {
+        scripted_set(|i| match i {
+            2 => Script::Fail(unavailable, None),
+            5 => Script::Fail(lost, None),
+            _ => Script::Healthy,
+        })
+    };
+    let spec = RowSpec {
+        agg_column: 0,
+        filter: on(0, CmpOp::Gt, 0.5),
+        group_by: None,
+    };
+    assert_filtered_extreme_identity(scripted, &spec, "scripted");
+    assert_eq!(
+        reference_filtered_extreme(&scripted(), &spec, ExtremeKind::Max),
+        Err(IslaError::from(unavailable()).to_string())
+    );
+}
+
+/// Scans as its inner block does and fails every positional read — and,
+/// unless it `projects`, hands out no column of its own: a block a
+/// selection compiles over that a draw then cannot read.
+struct ScanOnlyBlock {
+    inner: Arc<dyn DataBlock>,
+    projects: bool,
+}
+
+fn refused() -> StorageError {
+    StorageError::BlockLost {
+        detail: "positional reads refused".to_string(),
+    }
+}
+
+impl DataBlock for ScanOnlyBlock {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
+        Err(refused())
+    }
+    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
+        Err(refused())
+    }
+    fn row_tuple(&self, _: u64, _: &mut Vec<f64>) -> Result<(), StorageError> {
+        Err(refused())
+    }
+    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+        self.inner.scan(visit)
+    }
+    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
+        self.inner.scan_rows(visit)
+    }
+    fn project(&self, col: usize) -> Option<Arc<dyn DataBlock>> {
+        self.projects.then(|| self.inner.project(col)).flatten()
+    }
+}
+
+/// The pooled filtered draw as it was (`sample_batch` on the compiled
+/// selection): `n` uniform indices over the set's matches drawn up
+/// front, then each resolved and read as a whole row, one column kept.
+fn reference_pooled_draws(
+    data: &BlockSet,
+    col: usize,
+    filter: &RowFilter,
+    n: u64,
+    rng: &mut StdRng,
+) -> Result<Vec<u64>, String> {
+    let sel = data.selection_for(filter).map_err(|e| e.to_string())?;
+    assert!(sel.is_complete());
+    if sel.total_matches() == 0 {
+        return Err(StorageError::SelectivityTooLow { attempts: 0 }.to_string());
+    }
+    let picks: Vec<u64> = (0..n)
+        .map(|_| rng.random_range(0..sel.total_matches()))
+        .collect();
+    let mut row = Vec::new();
+    picks
+        .into_iter()
+        .map(|k| {
+            let (b, local) = sel.locate(k);
+            data.block(b)
+                .row_tuple(local, &mut row)
+                .map_err(|e| e.to_string())?;
+            Ok(row[col].to_bits())
+        })
+        .collect()
+}
+
+/// Draws through [`PooledFilteredColumn`]: one batch of `n`, then `n`
+/// scalar draws — values (or the error) and the RNG position after each.
+type PooledBits = (Result<Vec<u64>, String>, u64, Vec<Result<u64, String>>, u64);
+
+fn pooled_draws(data: &BlockSet, col: usize, filter: &RowFilter, n: u64, seed: u64) -> PooledBits {
+    let view = PooledFilteredColumn::build(data, col, filter.clone());
+    assert!(view.match_count().is_some(), "the selection compiles");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut buf = SampleBuf::new();
+    let batch = view
+        .sample_batch(n, &mut rng, &mut buf)
+        .map(|()| buf.values().iter().map(|v| v.to_bits()).collect())
+        .map_err(|e| e.to_string());
+    let after_batch = rng.next_u64();
+    let scalar = (0..n)
+        .map(|_| {
+            view.sample_one(&mut rng)
+                .map(f64::to_bits)
+                .map_err(|e| e.to_string())
+        })
+        .collect();
+    (batch, after_batch, scalar, rng.next_u64())
+}
+
+fn reference_pooled_bits(
+    data: &BlockSet,
+    col: usize,
+    filter: &RowFilter,
+    n: u64,
+    seed: u64,
+) -> PooledBits {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let batch = reference_pooled_draws(data, col, filter, n, &mut rng);
+    let after_batch = rng.next_u64();
+    let scalar = (0..n)
+        .map(|_| reference_pooled_draws(data, col, filter, 1, &mut rng).map(|v| v[0]))
+        .collect();
+    (batch, after_batch, scalar, rng.next_u64())
+}
+
+#[test]
+fn pooled_filtered_draws_read_one_column_and_match_row_tuple_draws() {
+    let mut rng = StdRng::seed_from_u64(0xD8A);
+    let cols = spec_columns(3_000, 4, &mut rng);
+    let filters = [
+        RowFilter::new(vec![ColumnPredicate {
+            column: 0,
+            op: CmpOp::Gt,
+            value: 40.0,
+        }]),
+        // `!=` matches a corrupt (NaN) row too, so the corrupt blocks'
+        // reads are drawn and must come back NaN through the gate.
+        RowFilter::new(vec![
+            ColumnPredicate {
+                column: 1,
+                op: CmpOp::Ne,
+                value: 2.0,
+            },
+            ColumnPredicate {
+                column: 3,
+                op: CmpOp::Ne,
+                value: 1.0,
+            },
+        ]),
+    ];
+    let disarmed = |cols: &[Vec<f64>]| {
+        Arc::new(FaultyBlock::new(
+            block_of_kind("RowsBlock", cols),
+            BlockFault::None,
+            None,
+        )) as Arc<dyn DataBlock>
+    };
+    // A transient fault is left out: its selection compile fails, so the
+    // view draws by rejection and never reaches the selection read.
+    let sets: Vec<(&str, BlockSet)> = vec![
+        ("RowsBlock", set_of_kind("RowsBlock", &cols, 6)),
+        ("ZipBlock", set_of_kind("ZipBlock", &cols, 6)),
+        (
+            "ScalarFallbackBlock",
+            set_of_kind("ScalarFallbackBlock", &cols, 6),
+        ),
+        (
+            "FaultyBlock(corrupt)",
+            set_of_kind("FaultyBlock(corrupt)", &cols, 6),
+        ),
+        (
+            "FaultyBlock(disarmed)",
+            BlockSet::new(
+                split_columns(&cols, 6)
+                    .iter()
+                    .map(|c| disarmed(c))
+                    .collect(),
+            ),
+        ),
+        (
+            "FaultPlan(corrupt)",
+            FaultPlan::new(2)
+                .corrupt(0.5)
+                .arm(&set_of_kind("RowsBlock", &cols, 6)),
+        ),
+    ];
+    for (label, set) in &sets {
+        for filter in &filters {
+            for col in 0..4 {
+                let got = pooled_draws(set, col, filter, 700, 11 + col as u64);
+                let want = reference_pooled_bits(set, col, filter, 700, 11 + col as u64);
+                assert_eq!(got, want, "{label}: column {col} under {filter:?}");
+                if label.ends_with("(corrupt)")
+                    && filter.predicates()[0].op == CmpOp::Ne
+                    && col == 0
+                {
+                    let drawn = got.0.unwrap();
+                    assert!(drawn.iter().any(|&v| f64::from_bits(v).is_nan()), "{label}");
+                }
+            }
+        }
+    }
+
+    // Blocks a selection compiles over whose positional reads fail: with
+    // no column of their own the draw reads through a `ColumnView` and
+    // fails as the whole-row read did; handing out their column, the
+    // draw never asks them for a row at all (release builds — debug
+    // builds re-read the row only to re-check the filter).
+    let native = set_of_kind("RowsBlock", &cols, 6);
+    let scan_only = |projects: bool| {
+        BlockSet::new(
+            native
+                .iter()
+                .map(|b| {
+                    Arc::new(ScanOnlyBlock {
+                        inner: Arc::clone(b),
+                        projects,
+                    }) as Arc<dyn DataBlock>
+                })
+                .collect(),
+        )
+    };
+    for filter in &filters {
+        let closed = scan_only(false);
+        let got = pooled_draws(&closed, 3, filter, 300, 5);
+        assert_eq!(got, reference_pooled_bits(&closed, 3, filter, 300, 5));
+        assert_eq!(got.0, Err(refused().to_string()));
+        assert_eq!(
+            pooled_draws(&scan_only(true), 3, filter, 300, 5),
+            reference_pooled_bits(&native, 3, filter, 300, 5),
+            "one-column reads under {filter:?}"
+        );
+    }
+}
