@@ -1,4 +1,4 @@
-//! Known-bad fixture: a kernel override with no identity coverage.
+//! Known-bad fixture: kernel overrides with no identity coverage.
 
 pub struct UncoveredBlock {
     values: Vec<f64>,
@@ -8,11 +8,11 @@ impl DataBlock for UncoveredBlock {
     fn len(&self) -> u64 {
         self.values.len() as u64
     }
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        gather(&self.values, n, rng, out)
+    fn gather(&self, columns: &[usize], indices: &[u64], out: &mut [f64]) {
+        read(&self.values, columns, indices, out)
     }
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) {
-        visit(&self.values)
+    fn draw(&self, rng: &mut dyn RngCore, columns: &[usize], out: &mut [f64]) {
+        pick(&self.values, rng, columns, out)
     }
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         Some(Arc::new(BlockSketch::from_values(&self.values)))

@@ -7,21 +7,21 @@ pub struct CoveredBlock {
 }
 
 impl DataBlock for CoveredBlock {
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        gather(&self.values, n, rng, out)
+    fn gather(&self, columns: &[usize], indices: &[u64], out: &mut [f64]) {
+        read(&self.values, columns, indices, out)
     }
-    fn scan_rows_projected(&self, columns: &[usize], visit: &mut dyn FnMut(&[f64])) {
-        assemble(&self.values, columns, visit)
+    fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
+        windows(&self.values, columns, visit)
     }
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         Some(Arc::new(BlockSketch::from_values(&self.values)))
     }
 }
 
-pub struct ScalarOnlyBlock;
+pub struct MetadataOnlyBlock;
 
-impl DataBlock for ScalarOnlyBlock {
-    fn sample_one(&self, rng: &mut dyn RngCore) -> f64 {
-        0.0
+impl DataBlock for MetadataOnlyBlock {
+    fn len(&self) -> u64 {
+        0
     }
 }

@@ -7,8 +7,11 @@ impl<P: Deref + Send + Sync> DataBlock for P
 where
     P::Target: DataBlock,
 {
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        (**self).sample_batch(n, rng, out)
+    fn gather(&self, columns: &[usize], indices: &[u64], out: &mut [f64]) {
+        (**self).gather(columns, indices, out)
+    }
+    fn draw(&self, rng: &mut dyn RngCore, columns: &[usize], out: &mut [f64]) {
+        (**self).draw(rng, columns, out)
     }
     fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
         (**self).scan_column_chunks(columns, visit)
@@ -22,8 +25,11 @@ where
 }
 
 impl<T: DataBlock + ?Sized> DataBlock for &T {
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        (**self).sample_batch(n, rng, out)
+    fn gather(&self, columns: &[usize], indices: &[u64], out: &mut [f64]) {
+        (**self).gather(columns, indices, out)
+    }
+    fn draw(&self, rng: &mut dyn RngCore, columns: &[usize], out: &mut [f64]) {
+        (**self).draw(rng, columns, out)
     }
     fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
         (**self).scan_column_chunks(columns, visit)
@@ -37,8 +43,11 @@ impl<T: DataBlock + ?Sized> DataBlock for &T {
 }
 
 impl DataBlock for std::sync::Arc<dyn DataBlock> {
-    fn sample_batch(&self, n: u64, rng: &mut dyn RngCore, out: &mut SampleBuf) {
-        (**self).sample_batch(n, rng, out)
+    fn gather(&self, columns: &[usize], indices: &[u64], out: &mut [f64]) {
+        (**self).gather(columns, indices, out)
+    }
+    fn draw(&self, rng: &mut dyn RngCore, columns: &[usize], out: &mut [f64]) {
+        (**self).draw(rng, columns, out)
     }
     fn scan_column_chunks(&self, columns: &[usize], visit: &mut dyn FnMut(&[&[f64]])) {
         (**self).scan_column_chunks(columns, visit)

@@ -79,25 +79,16 @@ const EXECUTION_ENTRY_POINTS: &[&str] = &[
 /// fine to hold a guard across).
 const SEAL_ENTRY_POINTS: &[&str] = &["seal_block", "seal_derived"];
 
-/// Batch kernels whose overrides must be identity-tested. `sketch` is a
-/// metadata hook rather than a kernel, but it carries the same
-/// obligation: a hook-provided sketch must be bit-identical to a
-/// scan-computed one. `scan_rows_projected` likewise: an override must
-/// deliver exactly the full-width scan's rows restricted to the
-/// projection — and `scan_column_chunks` exactly that projected scan's
-/// values, in its order, as aligned column slices. `zone` is metadata
-/// again, with the sharpest obligation: its verdict replaces reads, so
-/// an override must be pinned to decide only what reading every row
-/// would find.
-const KERNEL_METHODS: &[&str] = &[
-    "sample_batch",
-    "sample_rows_batch",
-    "scan_chunks",
-    "scan_column_chunks",
-    "scan_rows_projected",
-    "sketch",
-    "zone",
-];
+/// `DataBlock` methods whose overrides must be identity-tested: the two
+/// reads every kind implements (`gather`, `scan_column_chunks`) and the
+/// draw a few kinds replace must deliver what the one-row-per-call
+/// reference delivers, bit for bit and stream for stream. `sketch` is a
+/// metadata hook rather than a read, but it carries the same obligation:
+/// a hook-provided sketch must be bit-identical to a scan-computed one.
+/// `zone` is metadata again, with the sharpest obligation: its verdict
+/// replaces reads, so an override must be pinned to decide only what
+/// reading every row would find.
+const KERNEL_METHODS: &[&str] = &["gather", "draw", "scan_column_chunks", "sketch", "zone"];
 
 /// Shared mutable state for one lint run: findings plus which allow
 /// annotations actually suppressed something.
@@ -462,9 +453,10 @@ fn guard_binding(toks: &[Tok], i: usize) -> Option<(&str, usize)> {
     }
 }
 
-/// Kernel coverage: every `impl DataBlock for T` overriding a batch
-/// kernel must name `T` in `tests/kernel_identity.rs`, so the override
-/// is pinned bit-identical to the scalar path.
+/// Kernel coverage: every `impl DataBlock for T` overriding a kernel
+/// method must name `T` in `tests/kernel_identity.rs`, so the override
+/// is pinned bit-identical to the one-row-per-call reference. Blocks
+/// local to test code are the tests themselves, and exempt.
 fn kernel_coverage(
     files: &[SourceFile],
     identity_idents: Option<&BTreeSet<String>>,
@@ -520,7 +512,7 @@ struct KernelImpl {
 /// kernel methods. Forwarding impls over references, `Arc`, or generic
 /// parameters — the blanket `impl<P: Deref> DataBlock for P where
 /// P::Target: DataBlock` included — are skipped: they delegate, they do
-/// not reimplement.
+/// not reimplement. So are impls inside test-gated code.
 fn data_block_impls(scan: &Scanned) -> Vec<KernelImpl> {
     let toks = &scan.tokens;
     let mut out = Vec::new();
@@ -621,7 +613,10 @@ fn data_block_impls(scan: &Scanned) -> Vec<KernelImpl> {
             }
             j += 1;
         }
-        let skip = is_reference_target || type_name == "Arc" || generic_params.contains(&type_name);
+        let skip = is_reference_target
+            || type_name == "Arc"
+            || generic_params.contains(&type_name)
+            || scan.is_exempt(i);
         if !skip {
             out.push(KernelImpl {
                 line: toks[i].line,

@@ -227,22 +227,16 @@ fn uncovered_kernel_override_is_flagged() {
     assert_eq!(errors, vec![(7, "kernel-coverage".to_string())]);
     let message = &run.findings[0].message;
     assert!(message.contains("UncoveredBlock"), "{message}");
-    assert!(
-        message.contains("sample_batch, scan_chunks, sketch"),
-        "{message}"
-    );
+    assert!(message.contains("gather, draw, sketch"), "{message}");
 }
 
 #[test]
-fn uncovered_projected_scan_override_is_flagged() {
-    let run = run_on(
-        fixture("bad/kernel_projected.rs", "fx", false),
-        &["RowsBlock"],
-    );
+fn uncovered_draw_override_is_flagged() {
+    let run = run_on(fixture("bad/kernel_draw.rs", "fx", false), &["RowsBlock"]);
     assert_eq!(error_lines(&run), vec![(8, "kernel-coverage".to_string())]);
     let message = &run.findings[0].message;
-    assert!(message.contains("UncoveredColumns"), "{message}");
-    assert!(message.contains("scan_rows_projected"), "{message}");
+    assert!(message.contains("UncoveredDraw"), "{message}");
+    assert!(message.contains("draw"), "{message}");
 }
 
 #[test]
@@ -281,6 +275,12 @@ fn covered_and_forwarding_zone_impls_are_clean() {
 #[test]
 fn covered_and_forwarding_kernel_impls_are_clean() {
     let run = run_with_forwarding("good/kernel.rs", &["CoveredBlock"]);
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
+fn test_local_kernel_impls_are_exempt() {
+    let run = run_on(fixture("good/kernel_test_local.rs", "fx", false), &[]);
     assert_eq!(error_lines(&run), vec![]);
 }
 

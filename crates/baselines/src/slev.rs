@@ -42,7 +42,9 @@ use rand::RngCore;
 
 use isla_core::engine::{scan_blocks, BlockScheduler};
 use isla_core::IslaError;
-use isla_storage::{with_sample_buf, BlockSet, BlockSketch, StorageError, SAMPLE_BATCH_ROWS};
+use isla_storage::{
+    with_sample_buf, BlockReads, BlockSet, BlockSketch, StorageError, SAMPLE_BATCH_ROWS,
+};
 
 use crate::traits::{check_inputs, Estimator};
 

@@ -116,14 +116,11 @@ impl Estimator for StratifiedSampling {
                 return Ok(None);
             }
             let mut block_rng = seeded_rng(seeds[i]);
-            let take = allocation[i];
             let mut w = WelfordMoments::new();
-            if take > 0 {
-                sample_from_block(block, take, &mut block_rng, &mut |v| w.update(v))?;
-            } else {
-                // A stratum with no sample still needs a mean; draw one.
-                w.update(block.sample_one(&mut block_rng)?);
-            }
+            // A stratum with no sample still needs a mean: draw one.
+            sample_from_block(block, allocation[i].max(1), &mut block_rng, &mut |v| {
+                w.update(v)
+            })?;
             let mean = w.mean().ok_or_else(|| {
                 IslaError::InsufficientData("stratum sample is empty".to_string())
             })?;

@@ -11,9 +11,10 @@ use isla_storage::BlockSet;
 use crate::traits::{check_inputs, Estimator};
 
 /// Plain uniform sampling over the whole dataset: each draw picks one
-/// global row index uniformly at random over all `M` rows and reads that
-/// row positionally — one RNG draw and one row access per sample, the
-/// cheapest estimator in the suite.
+/// global row index uniformly at random over all `M` rows, and each
+/// block then reads its drawn rows in one positional gather — one RNG
+/// draw per sample and one block access per block, the cheapest
+/// estimator in the suite.
 ///
 /// Note this is genuinely multinomial across blocks — unlike
 /// [`crate::StratifiedSampling`], which fixes per-stratum sample counts
@@ -54,11 +55,13 @@ impl Estimator for UniformSampling {
             rows_by_block[idx].push(row - base);
         }
         let partials = scan_blocks(scheduler.parallelism(), data, |i, block| {
-            let mut sum = NeumaierSum::new();
-            for &row in &rows_by_block[i] {
-                sum.add(block.row_at(row)?);
+            let rows = &rows_by_block[i];
+            let mut values = vec![0.0; rows.len()];
+            // A block drawn no row is not read at all.
+            if !rows.is_empty() {
+                block.gather(&[0], rows, &mut values)?;
             }
-            Ok(sum.value())
+            Ok(values.into_iter().collect::<NeumaierSum>().value())
         })?;
         let mut sum = NeumaierSum::new();
         for partial in partials {

@@ -4,8 +4,9 @@
 //! Every hot path is measured twice over the *same data* — once through
 //! the batched kernels (`sample_batch` batch gather, `scan_chunks`
 //! contiguous slices, selection-vector filtered draws) and once through
-//! the scalar path they replaced (forced via `ScalarFallbackBlock` /
-//! rejection-sampling views) — so each row reports an honest same-run
+//! the scalar path they replaced (forced via `ScalarFallbackBlock`, which
+//! reads one row per call, / rejection-sampling views) — so each row
+//! reports an honest same-run
 //! speedup. Twelve sweeps:
 //!
 //! 1. **sample_kernel** — uniform value draws across block sizes;
@@ -47,7 +48,7 @@
 //!     assembled row at a time (the old loops, rebuilt here from
 //!     `scan_rows`): selection build and exact filtered scan in ns/row at
 //!     selectivity 0.01 / 0.1 / 0.5 / 0.99, one and two conjuncts, on
-//!     `RowsBlock`, `ZipBlock` and the scalar-fallback (trait default)
+//!     `RowsBlock`, `ZipBlock` and the scalar-fallback (copied chunks)
 //!     path; vectors and answers asserted identical;
 //! 12. **zoned_rows** — a filtered row plan over a 16-block table
 //!     range-partitioned on the filter column, the cut between two
@@ -89,8 +90,8 @@ use isla_core::{execute_block, DataBoundaries, ExtremeKind, IslaConfig, SampleAc
 use isla_datagen::normal_values;
 use isla_storage::{
     pool_filtered_column, sample_from_block, sample_rows_from_block, sample_rows_proportional,
-    scalar_fallback_set, with_row_sample_buf, BlockSet, CmpOp, ColumnPredicate, DataBlock,
-    ExactSum, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf, RowsBlock, SampleBuf,
+    scalar_fallback_set, with_row_sample_buf, BlockReads, BlockSet, CmpOp, ColumnPredicate,
+    DataBlock, ExactSum, MemBlock, PooledFilteredColumn, RowFilter, RowsBlock, SampleBuf,
     ScalarFallbackBlock, SelectionVector, SetSelection, StorageError, ZipBlock, ZoneMatch,
     SAMPLE_BATCH_ROWS,
 };
@@ -938,34 +939,30 @@ impl DataBlock for UnscannableBlock {
     fn width(&self) -> usize {
         self.0.width()
     }
-    fn sample_one(&self, rng: &mut dyn rand::RngCore) -> Result<f64, StorageError> {
-        self.0.sample_one(rng)
-    }
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.0.row_at(idx)
-    }
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.0.scan(visit)
-    }
-    fn sample_row(
+    fn gather(
         &self,
-        rng: &mut dyn rand::RngCore,
-        out: &mut Vec<f64>,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
-        self.0.sample_row(rng, out)
+        self.0.gather(columns, indices, out)
     }
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        self.0.row_tuple(idx, out)
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        self.0.scan_column_chunks(columns, visit)
     }
     fn supports_scan(&self) -> bool {
         false
     }
 }
 
-/// A block with its sketch hidden and its row-draw kernel kept: every
-/// zone verdict is `Mixed`, every draw costs what the native block's
-/// costs. Bench-only — the "no zone map" side of the `zoned_rows` sweep
-/// (`ScalarFallbackBlock` would also hide the batch kernel and measure
+/// A block with its sketch hidden and its reads kept: every zone
+/// verdict is `Mixed`, every draw is an index draw plus the native
+/// gather. Bench-only — the "no zone map" side of the `zoned_rows` sweep
+/// (`ScalarFallbackBlock` would also read one row per call and measure
 /// that instead).
 struct SketchlessBlock(Arc<dyn DataBlock>);
 
@@ -976,29 +973,20 @@ impl DataBlock for SketchlessBlock {
     fn width(&self) -> usize {
         self.0.width()
     }
-    fn sample_one(&self, rng: &mut dyn rand::RngCore) -> Result<f64, StorageError> {
-        self.0.sample_one(rng)
-    }
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.0.row_at(idx)
-    }
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.0.scan(visit)
-    }
-    fn sample_row(
+    fn gather(
         &self,
-        rng: &mut dyn rand::RngCore,
-        out: &mut Vec<f64>,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
-        self.0.sample_row(rng, out)
+        self.0.gather(columns, indices, out)
     }
-    fn sample_rows_batch(
+    fn scan_column_chunks(
         &self,
-        n: u64,
-        rng: &mut dyn rand::RngCore,
-        out: &mut RowSampleBuf,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
     ) -> Result<(), StorageError> {
-        self.0.sample_rows_batch(n, rng, out)
+        self.0.scan_column_chunks(columns, visit)
     }
 }
 

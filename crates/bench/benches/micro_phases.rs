@@ -7,7 +7,7 @@ use isla_core::accumulate::SampleAccumulator;
 use isla_core::{iteration_phase, DataBoundaries, IslaConfig, LinearEstimator};
 use isla_datagen::normal_values;
 use isla_stats::normal_quantile;
-use isla_storage::{DataBlock, MemBlock};
+use isla_storage::{BlockReads, MemBlock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

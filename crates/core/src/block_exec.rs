@@ -8,7 +8,7 @@
 
 use rand::RngCore;
 
-use isla_storage::{with_sample_buf, DataBlock, SAMPLE_BATCH_ROWS};
+use isla_storage::{with_sample_buf, BlockReads, DataBlock, SAMPLE_BATCH_ROWS};
 
 use crate::accumulate::SampleAccumulator;
 use crate::boundaries::DataBoundaries;

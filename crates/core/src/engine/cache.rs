@@ -333,29 +333,13 @@ impl PreEstimateCache {
     }
 
     /// Returns the cached pre-estimate for `key`, or runs the pilots on
-    /// `data` and caches the result.
-    ///
-    /// # Errors
-    ///
-    /// Pre-estimation failures (the cache is left untouched).
-    pub fn get_or_compute(
-        &self,
-        key: CacheKey,
-        data: &BlockSet,
-        config: &IslaConfig,
-        rng: &mut dyn RngCore,
-    ) -> Result<CacheLookup, IslaError> {
-        self.get_or_compute_with(key, data, config, &RecoveryPolicy::strict(), rng)
-    }
-
-    /// [`PreEstimateCache::get_or_compute`] under an explicit
-    /// [`RecoveryPolicy`]: a miss runs the pilots through
-    /// [`pre_estimate_with`], so best-effort sessions survive failing
-    /// blocks during pre-estimation. A best-effort entry describes the
-    /// plan's surviving data and is served to later lookups of the same
-    /// key regardless of their mode — keys are config-fingerprinted, and
-    /// sessions hold one policy for their lifetime, so entries never mix
-    /// modes within a session.
+    /// `data` under `recovery` and caches the result. A miss runs the
+    /// pilots through [`pre_estimate_with`], so best-effort sessions
+    /// survive failing blocks during pre-estimation. A best-effort entry
+    /// describes the plan's surviving data and is served to later lookups
+    /// of the same key regardless of their mode — keys are
+    /// config-fingerprinted, and sessions hold one policy for their
+    /// lifetime, so entries never mix modes within a session.
     ///
     /// # Errors
     ///
@@ -374,29 +358,12 @@ impl PreEstimateCache {
     }
 
     /// Returns the cached row pre-estimate for `key`, or runs the
-    /// row-model pilots on `data` and caches the result.
+    /// row-model pilots on `data` under `recovery` (see
+    /// [`PreEstimateCache::get_or_compute_with`]) and caches the result.
     ///
     /// `key` should carry the spec's [`RowSpec::fingerprint`] (via
     /// [`CacheKey::with_row_shape`]) so distinct predicates/groupings
     /// key separately.
-    ///
-    /// # Errors
-    ///
-    /// Row pre-estimation failures (the cache is left untouched).
-    pub fn get_or_compute_rows(
-        &self,
-        key: CacheKey,
-        data: &BlockSet,
-        config: &IslaConfig,
-        spec: &RowSpec,
-        rng: &mut dyn RngCore,
-    ) -> Result<RowCacheLookup, IslaError> {
-        self.get_or_compute_rows_with(key, data, config, spec, &RecoveryPolicy::strict(), rng)
-    }
-
-    /// [`PreEstimateCache::get_or_compute_rows`] under an explicit
-    /// [`RecoveryPolicy`] (see
-    /// [`PreEstimateCache::get_or_compute_with`]).
     ///
     /// # Errors
     ///
@@ -577,20 +544,22 @@ mod tests {
         let cfg = config(0.5);
         let mut rng = StdRng::seed_from_u64(1);
         let first = cache
-            .get_or_compute(
+            .get_or_compute_with(
                 CacheKey::new("t", "c", &cfg, &ds.blocks),
                 &ds.blocks,
                 &cfg,
+                &RecoveryPolicy::strict(),
                 &mut rng,
             )
             .unwrap();
         assert!(!first.hit);
         let mut rng = StdRng::seed_from_u64(2);
         let second = cache
-            .get_or_compute(
+            .get_or_compute_with(
                 CacheKey::new("t", "c", &cfg, &ds.blocks),
                 &ds.blocks,
                 &cfg,
+                &RecoveryPolicy::strict(),
                 &mut rng,
             )
             .unwrap();
@@ -619,7 +588,7 @@ mod tests {
             CacheKey::new("t", "a", &tighter, &ds.blocks),
         ] {
             let lookup = cache
-                .get_or_compute(key, &ds.blocks, &cfg, &mut rng)
+                .get_or_compute_with(key, &ds.blocks, &cfg, &RecoveryPolicy::strict(), &mut rng)
                 .unwrap();
             assert!(!lookup.hit);
         }
@@ -637,18 +606,20 @@ mod tests {
         let cfg = config(0.5);
         let mut rng = StdRng::seed_from_u64(5);
         cache
-            .get_or_compute(
+            .get_or_compute_with(
                 CacheKey::new("t", "c", &cfg, &small.blocks),
                 &small.blocks,
                 &cfg,
+                &RecoveryPolicy::strict(),
                 &mut rng,
             )
             .unwrap();
         let after_growth = cache
-            .get_or_compute(
+            .get_or_compute_with(
                 CacheKey::new("t", "c", &cfg, &grown.blocks),
                 &grown.blocks,
                 &cfg,
+                &RecoveryPolicy::strict(),
                 &mut rng,
             )
             .unwrap();
@@ -676,7 +647,13 @@ mod tests {
         // The unfiltered (scalar) query populates the scalar map.
         let mut rng = StdRng::seed_from_u64(6);
         let plain = cache
-            .get_or_compute(CacheKey::new("t", "x", &cfg, &data), &data, &cfg, &mut rng)
+            .get_or_compute_with(
+                CacheKey::new("t", "x", &cfg, &data),
+                &data,
+                &cfg,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         assert!(!plain.hit);
 
@@ -693,7 +670,14 @@ mod tests {
         };
         let key = CacheKey::new("t", "x", &cfg, &data).with_row_shape(spec.fingerprint());
         let filtered = cache
-            .get_or_compute_rows(key.clone(), &data, &cfg, &spec, &mut rng)
+            .get_or_compute_rows_with(
+                key.clone(),
+                &data,
+                &cfg,
+                &spec,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         assert!(!filtered.hit, "filtered query must re-run the pilots");
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
@@ -704,7 +688,7 @@ mod tests {
         // Repeating the same filtered shape hits; a *different*
         // predicate misses again.
         let repeat = cache
-            .get_or_compute_rows(key, &data, &cfg, &spec, &mut rng)
+            .get_or_compute_rows_with(key, &data, &cfg, &spec, &RecoveryPolicy::strict(), &mut rng)
             .unwrap();
         assert!(repeat.hit);
         let other_spec = RowSpec {
@@ -718,7 +702,14 @@ mod tests {
         let other_key =
             CacheKey::new("t", "x", &cfg, &data).with_row_shape(other_spec.fingerprint());
         let other = cache
-            .get_or_compute_rows(other_key, &data, &cfg, &other_spec, &mut rng)
+            .get_or_compute_rows_with(
+                other_key,
+                &data,
+                &cfg,
+                &other_spec,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         assert!(!other.hit, "a different predicate is a different entry");
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
@@ -729,11 +720,12 @@ mod tests {
         cache.invalidate_table("t");
         assert!(cache.is_empty(), "all shapes dropped for the table");
         let after = cache
-            .get_or_compute_rows(
+            .get_or_compute_rows_with(
                 CacheKey::new("t", "x", &cfg, &data).with_row_shape(spec.fingerprint()),
                 &data,
                 &cfg,
                 &spec,
+                &RecoveryPolicy::strict(),
                 &mut rng,
             )
             .unwrap();
@@ -758,7 +750,13 @@ mod tests {
         assert_ne!(pilot_key.digest(), sketch_key.digest());
         let mut rng = StdRng::seed_from_u64(8);
         cache
-            .get_or_compute(sketch_key.clone(), &ds.blocks, &sketch_cfg, &mut rng)
+            .get_or_compute_with(
+                sketch_key.clone(),
+                &ds.blocks,
+                &sketch_cfg,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         assert!(cache.contains(&sketch_key));
         assert!(
@@ -766,7 +764,13 @@ mod tests {
             "sketch-σ entry must not answer pilot-σ probes"
         );
         let pilot = cache
-            .get_or_compute(pilot_key.clone(), &ds.blocks, &pilot_cfg, &mut rng)
+            .get_or_compute_with(
+                pilot_key.clone(),
+                &ds.blocks,
+                &pilot_cfg,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         assert!(!pilot.hit, "pilot-σ lookup misses, never aliases");
         assert_eq!(cache.len(), 2);
@@ -968,7 +972,7 @@ mod tests {
             let (cfg, key) = request(i);
             let mut rng = seeded_rng(stream_seed(key.digest(), salt));
             cache
-                .get_or_compute(key, &ds.blocks, &cfg, &mut rng)
+                .get_or_compute_with(key, &ds.blocks, &cfg, &RecoveryPolicy::strict(), &mut rng)
                 .unwrap()
         };
         let first: Vec<PreEstimate> = (0..MAX_ENTRIES + 76)
@@ -1006,12 +1010,24 @@ mod tests {
         let key = CacheKey::new("t", "c", &cfg, &ds.blocks);
         let mut rng = StdRng::seed_from_u64(4);
         cache
-            .get_or_compute(key.clone(), &ds.blocks, &cfg, &mut rng)
+            .get_or_compute_with(
+                key.clone(),
+                &ds.blocks,
+                &cfg,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         cache.invalidate(&key);
         assert!(cache.is_empty());
         let lookup = cache
-            .get_or_compute(key.clone(), &ds.blocks, &cfg, &mut rng)
+            .get_or_compute_with(
+                key.clone(),
+                &ds.blocks,
+                &cfg,
+                &RecoveryPolicy::strict(),
+                &mut rng,
+            )
             .unwrap();
         assert!(!lookup.hit, "invalidation forces a recompute");
         cache.clear();

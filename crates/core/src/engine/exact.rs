@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use isla_storage::{BlockSet, DataBlock, ExactSum, StorageError};
+use isla_storage::{BlockReads, BlockSet, DataBlock, ExactSum, StorageError};
 
 use crate::error::IslaError;
 use crate::extremes::ExtremeKind;

@@ -35,7 +35,7 @@
 //! Sampling runs through the storage layer's **batch kernels**
 //! ([`isla_storage::kernel`]): the per-block Calculation phase draws
 //! whole batches on reusable thread-local buffers
-//! (`DataBlock::sample_batch` / `sample_rows_batch`), bit-identical in
+//! (`BlockReads::sample_batch` / `sample_rows_batch`), bit-identical in
 //! values and RNG stream to the scalar loops they replaced — so the
 //! determinism guarantees above survive the batching unchanged (pinned
 //! by `tests/kernel_identity.rs`).
@@ -91,10 +91,10 @@ pub use recovery::{
 };
 pub use rows::{
     execute_row_block, finish_row_pilot_fold, fold_row_pilot_segment, hit_rate_pilot,
-    probe_row_draws, row_pre_estimate, row_pre_estimate_capped, row_pre_estimate_capped_with,
-    row_pre_estimate_with, run_row_plan, run_row_plan_with, run_rows, GroupEstimate, GroupPlan,
-    GroupPre, GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan,
-    RowPreEstimate, RowSpec,
+    probe_row_draws, row_pre_estimate, row_pre_estimate_capped_with, row_pre_estimate_with,
+    run_row_plan, run_row_plan_with, run_rows, GroupEstimate, GroupPlan, GroupPre,
+    GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan, RowPreEstimate,
+    RowSpec,
 };
 pub use scheduler::{
     execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution, BlockScheduler,

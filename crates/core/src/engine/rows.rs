@@ -47,8 +47,8 @@ use rand::RngCore;
 use isla_stats::{required_sample_size, NeumaierSum, WelfordMoments};
 use isla_storage::{
     proportional_allocation, sample_row_columns_from_block,
-    sample_row_columns_from_block_surviving, skip_row_draws, with_row_sample_buf, BlockSet,
-    DataBlock, RowFilter, ZoneMatch, SAMPLE_BATCH_ROWS,
+    sample_row_columns_from_block_surviving, skip_row_draws, with_row_sample_buf, BlockReads,
+    BlockSet, DataBlock, RowFilter, ZoneMatch, SAMPLE_BATCH_ROWS,
 };
 
 use super::seed;
@@ -298,7 +298,7 @@ pub fn row_pre_estimate(
     spec: &RowSpec,
     rng: &mut dyn RngCore,
 ) -> Result<RowPreEstimate, IslaError> {
-    row_pre_estimate_capped(data, config, spec, u64::MAX, rng)
+    row_pre_estimate_capped_with(data, config, spec, u64::MAX, &RecoveryPolicy::strict(), rng)
 }
 
 /// [`row_pre_estimate`] under an explicit [`RecoveryPolicy`] — the
@@ -321,32 +321,9 @@ pub fn row_pre_estimate_with(
     row_pre_estimate_capped_with(data, config, spec, u64::MAX, recovery, rng)
 }
 
-/// As [`row_pre_estimate`], with a hard cap on the total pilot rows —
+/// [`row_pre_estimate_with`] with a hard cap on the total pilot rows —
 /// the budget-driven path (`SAMPLES n` without a precision) uses this
 /// so the pilots can never silently dwarf the caller's explicit budget.
-///
-/// # Errors
-///
-/// As [`row_pre_estimate`].
-pub fn row_pre_estimate_capped(
-    data: &BlockSet,
-    config: &IslaConfig,
-    spec: &RowSpec,
-    max_pilot_rows: u64,
-    rng: &mut dyn RngCore,
-) -> Result<RowPreEstimate, IslaError> {
-    row_pre_estimate_capped_with(
-        data,
-        config,
-        spec,
-        max_pilot_rows,
-        &RecoveryPolicy::strict(),
-        rng,
-    )
-}
-
-/// [`row_pre_estimate_capped`] under an explicit [`RecoveryPolicy`]
-/// (see [`row_pre_estimate_with`]).
 ///
 /// # Errors
 ///

@@ -14,7 +14,7 @@
 use rand::RngCore;
 
 use isla_stats::{required_sample_size, WelfordMoments};
-use isla_storage::{sample_from_block, BlockSet};
+use isla_storage::{sample_from_block, BlockReads, BlockSet};
 
 use crate::block_exec::{execute_block, BlockOutcome};
 use crate::boundaries::DataBoundaries;

@@ -22,7 +22,9 @@
 use rand::RngCore;
 
 use isla_stats::{required_sample_size, sampling_rate, ConfidenceInterval, WelfordMoments};
-use isla_storage::{sample_proportional, sample_proportional_surviving, BlockSet, DataBlock};
+use isla_storage::{
+    sample_proportional, sample_proportional_surviving, BlockSet, BlockSketch, DataBlock,
+};
 
 use crate::config::IslaConfig;
 use crate::engine::recovery::RecoveryPolicy;
@@ -104,7 +106,11 @@ pub fn pre_estimate_with(
     // the whole set.
     let (sigma, sigma_pilot_used) = match config.known_sigma {
         Some(s) => (s, 0),
-        None => match sketch_derived_sigma(data, config) {
+        None => match config
+            .sketch_sigma
+            .then(|| sketch_sigma(data.ready_sketches().iter()))
+            .flatten()
+        {
             Some(s) => (s, 0),
             None => {
                 let pilot_size = config.sigma_pilot_size.min(data_size);
@@ -310,7 +316,11 @@ pub fn finish_pilot_fold(
     }
     let sigma = match config.known_sigma {
         Some(s) => s,
-        None => match hook_sketch_sigma(data, config) {
+        None => match config
+            .sketch_sigma
+            .then(|| sketch_sigma(data.iter().map(|block| block.sketch())))
+            .flatten()
+        {
             Some(s) => s,
             None => fold.sigma_pilot.std_dev_sample().ok_or_else(|| {
                 IslaError::InsufficientData("σ pilot fold holds fewer than 2 samples".to_string())
@@ -358,72 +368,31 @@ pub fn finish_pilot_fold(
     })
 }
 
-/// [`sketch_derived_sigma`] restricted to the blocks' **hook** sketches
-/// ([`isla_storage::DataBlock::sketch`]): a pure function of the block
-/// list, independent of how warm the scan-backed sketch cache happens
-/// to be. The epoch fold uses this so a cold run and a delta run agree
-/// on σ's source bit-for-bit.
-fn hook_sketch_sigma(data: &BlockSet, config: &IslaConfig) -> Option<f64> {
-    if !config.sketch_sigma {
-        return None;
-    }
+/// The exact σ from per-block moment sketches, one entry per block:
+/// every block must expose a width-1, all-finite sketch and the blocks
+/// must hold at least 2 rows. Uses the sample variance
+/// `(Σa² − (Σa)²/n)/(n−1)` so the value is on the same scale as the
+/// pilot's `std_dev_sample`. Returns `None` — fall back to the pilot —
+/// when any sketch is missing or inapplicable, or when cancellation
+/// drives the variance negative (the `min == max` constant-data case is
+/// detected exactly first).
+///
+/// The one-shot pre-estimate folds [`BlockSet::ready_sketches`]; the
+/// epoch fold folds the blocks' **hook** sketches
+/// ([`isla_storage::DataBlock::sketch`]), a pure function of the block
+/// list, so a cold run and a delta run agree on σ's source bit for bit
+/// however warm the scan-backed sketch cache happens to be.
+fn sketch_sigma<S: AsRef<BlockSketch>>(
+    sketches: impl IntoIterator<Item = Option<S>>,
+) -> Option<f64> {
     let mut n = 0u64;
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
-    for block in data.iter() {
-        let sketch = block.sketch()?;
-        if sketch.width() != 1 {
-            return None;
-        }
-        let m = sketch.column(0)?;
-        if m.non_finite > 0 {
-            return None;
-        }
-        n += sketch.rows;
-        sum += m.sum;
-        sum_sq += m.sum_sq;
-        min = min.min(m.min);
-        max = max.max(m.max);
-    }
-    if n < 2 {
-        return None;
-    }
-    if min == max {
-        return Some(0.0);
-    }
-    let nf = n as f64;
-    let var = (sum_sq - sum * sum / nf) / (nf - 1.0);
-    if var > 0.0 {
-        Some(var.sqrt())
-    } else {
-        None
-    }
-}
-
-/// The exact σ from complete per-block moment sketches, when
-/// [`IslaConfig::sketch_sigma`] is set and the metadata suffices: every
-/// block must expose a width-1, all-finite sketch and the set must hold
-/// at least 2 rows. Uses the sample variance `(Σa² − (Σa)²/n)/(n−1)` so
-/// the value is on the same scale as the pilot's `std_dev_sample`.
-/// Returns `None` — fall back to the pilot — when any sketch is missing
-/// or inapplicable, or when cancellation drives the variance negative
-/// (the `min == max` constant-data case is detected exactly first).
-fn sketch_derived_sigma(data: &BlockSet, config: &IslaConfig) -> Option<f64> {
-    if !config.sketch_sigma {
-        return None;
-    }
-    let sketches = data.ready_sketches();
-    if sketches.is_empty() || !sketches.is_complete() {
-        return None;
-    }
-    let mut n = 0u64;
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for sketch in sketches.iter().flatten() {
+    for sketch in sketches {
+        let sketch = sketch?;
+        let sketch = sketch.as_ref();
         if sketch.width() != 1 {
             return None;
         }

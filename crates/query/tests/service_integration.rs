@@ -14,7 +14,6 @@ use isla_query::{
 use isla_storage::{
     BlockFault, BlockSet, ColumnDef, DataBlock, FaultPlan, RowsBlock, Schema, StorageError,
 };
-use rand::{Rng, RngCore};
 
 /// The query mix every stress/identity test runs: scalar, filtered,
 /// and grouped shapes over two tables.
@@ -334,27 +333,27 @@ impl DataBlock for MutBlock {
         self.values.read().unwrap().len() as u64
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
         let values = self.values.read().unwrap();
-        if values.is_empty() {
-            return Err(StorageError::Empty);
+        for (row, &idx) in out.chunks_exact_mut(columns.len().max(1)).zip(indices) {
+            row.fill(*values.get(idx as usize).ok_or(StorageError::Empty)?);
         }
-        let idx = rng.random_range(0..values.len() as u64);
-        Ok(values[idx as usize])
+        Ok(())
     }
 
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.values
-            .read()
-            .unwrap()
-            .get(idx as usize)
-            .copied()
-            .ok_or(StorageError::Empty)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        for &v in self.values.read().unwrap().iter() {
-            visit(v);
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let values = self.values.read().unwrap();
+        for chunk in values.chunks(isla_storage::SCAN_CHUNK_ROWS) {
+            visit(&vec![chunk; columns.len()]);
         }
         Ok(())
     }
@@ -520,15 +519,15 @@ impl DataBlock for PanicBlock {
         self.inner.len()
     }
 
-    fn sample_one(&self, _rng: &mut dyn RngCore) -> Result<f64, StorageError> {
+    fn gather(&self, _: &[usize], _: &[u64], _: &mut [f64]) -> Result<(), StorageError> {
         panic!("injected storage panic")
     }
 
-    fn row_at(&self, _idx: u64) -> Result<f64, StorageError> {
-        panic!("injected storage panic")
-    }
-
-    fn scan(&self, _visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+    fn scan_column_chunks(
+        &self,
+        _: &[usize],
+        _: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
         panic!("injected storage panic")
     }
 

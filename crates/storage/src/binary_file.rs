@@ -19,11 +19,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rand::Rng;
-use rand::RngCore;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
+use crate::kernel::{gather_ascending, ChunkedLane, SCAN_CHUNK_ROWS};
 
 const MAGIC: &[u8; 4] = b"ISLB";
 const VERSION: u16 = 1;
@@ -177,26 +176,27 @@ impl DataBlock for BinaryBlock {
         self.rows
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        self.read_row(rng.random_range(0..self.rows))
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // Ascending file offsets turn a batch of random point reads into
+        // a near-sequential pass over the file.
+        gather_ascending(self.rows, columns, indices, out, |idx| self.read_row(idx))
     }
 
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        if idx >= self.rows {
-            return Err(StorageError::Empty);
-        }
-        self.read_row(idx)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        const CHUNK_ROWS: u64 = 8192;
-        let mut buf = vec![0u8; (CHUNK_ROWS * ROW_LEN) as usize];
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let mut lane = ChunkedLane::new(columns, visit);
+        let mut buf = vec![0u8; SCAN_CHUNK_ROWS * ROW_LEN as usize];
         let mut row = 0u64;
         while row < self.rows {
-            let n = (self.rows - row).min(CHUNK_ROWS);
+            let n = (self.rows - row).min(SCAN_CHUNK_ROWS as u64);
             let slice = &mut buf[..(n * ROW_LEN) as usize];
             read_exact_at(&self.file, slice, HEADER_LEN + row * ROW_LEN).map_err(|source| {
                 StorageError::Io {
@@ -206,32 +206,19 @@ impl DataBlock for BinaryBlock {
             })?;
             let mut cursor: &[u8] = slice;
             for _ in 0..n {
-                visit(cursor.get_f64_le());
+                lane.push(cursor.get_f64_le());
             }
             row += n;
         }
+        lane.flush();
         Ok(())
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut crate::kernel::SampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        // Sorted gather: ascending file offsets turn a batch of random
-        // point reads into a near-sequential pass over the file.
-        out.draw_indices(n, self.rows, rng);
-        out.gather_with_sorted(|idx| self.read_row(idx))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,35 +1,40 @@
-//! The [`DataBlock`] trait: what every block kind must provide.
+//! The [`DataBlock`] contract — what every block kind provides — and
+//! [`BlockReads`], every other read written once on top of it.
 
 use std::ops::Deref;
+use std::sync::Arc;
 
-use rand::RngCore;
+use rand::{Rng, RngCore};
 
 use crate::error::StorageError;
 use crate::filter::RowFilter;
-use crate::kernel::{compact, RowSampleBuf, SampleBuf, SCAN_CHUNK_ROWS};
+use crate::kernel::{RowSampleBuf, SampleBuf};
 use crate::selection::{zone_match, ZoneMatch};
+use crate::sketch::BlockSketch;
 
 /// A block of numeric data, the unit of distribution in the paper's system
 /// model (Section II-C).
 ///
-/// A block supports two access paths:
+/// The paper asks two things of a block, and the contract is exactly
+/// those two reads:
 ///
-/// * **uniform random sampling** ([`DataBlock::sample_one`] /
-///   [`DataBlock::sample_row`]), the only access ISLA's hot path needs —
-///   samples are drawn with replacement and immediately folded into
+/// * **positional reads** ([`DataBlock::gather`]): the rows at given
+///   indices, restricted to given columns. Uniform sampling with
+///   replacement — the only access ISLA's hot path needs — is an index
+///   draw plus a gather ([`DataBlock::draw`]), folded at once into
 ///   running moments;
-/// * **scanning** ([`DataBlock::scan`] / [`DataBlock::scan_rows`]), used
-///   to compute exact ground truths for the evaluation and by full-scan
-///   fallbacks. Virtual blocks may refuse to scan (see
-///   [`crate::GeneratorBlock`]).
+/// * **scans** ([`DataBlock::scan_column_chunks`]): every row in storage
+///   order as aligned column slices, for exact ground truths, sketches,
+///   selection builds and full-scan fallbacks. Virtual blocks may refuse
+///   to scan (see [`crate::GeneratorBlock`]).
+///
+/// Every other read — one value, one row, a batch, a row scan — is a
+/// [`BlockReads`] adapter over these, which no kind can override.
 ///
 /// Blocks are **row-model**: every row is a tuple of
-/// [`DataBlock::width`] values. Classic single-column blocks have width
-/// 1 and get the tuple access path for free from the scalar methods;
-/// multi-column blocks ([`crate::RowsBlock`], [`crate::ZipBlock`])
-/// override the tuple methods so the engine can evaluate a compiled
-/// predicate and a group key against each drawn row. The scalar methods
-/// on a multi-column block address its first column.
+/// [`DataBlock::width`] values, and every read names the columns it
+/// wants (positional indices, delivered in the order given, repeats
+/// allowed). Scalar blocks have width 1.
 ///
 /// Implementations must be `Send + Sync`: the distributed executor samples
 /// different blocks from different worker threads.
@@ -47,243 +52,80 @@ pub trait DataBlock: Send + Sync {
         1
     }
 
-    /// Draws one value uniformly at random (with replacement).
+    /// Reads rows `indices` × `columns` into `out`, row-major and in the
+    /// order given: `out[j * columns.len() + k]` is column `columns[k]`
+    /// of row `indices[j]`. The kind picks its access order — in-memory
+    /// slices read in index order, files ascending — but never the
+    /// delivery order. Virtual generator blocks synthesize a row
+    /// deterministically from `(seed, idx)`, so repeated reads agree.
     ///
     /// # Errors
     ///
-    /// [`StorageError::Empty`] on an empty block; I/O or parse errors for
-    /// file-backed blocks.
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError>;
-
-    /// Reads the row at `idx` (`0 ≤ idx < len`).
-    ///
-    /// For materialized blocks this is positional access; virtual
-    /// generator blocks synthesize a value deterministically from
-    /// `(seed, idx)`, so repeated reads of the same row agree.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Empty`] when `idx` is out of range; I/O or parse
+    /// [`StorageError::Empty`] when an index is `≥ len`; I/O or parse
     /// errors for file-backed blocks.
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError>;
-
-    /// Visits every row in storage order.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`StorageError::ScanUnsupported`] for virtual blocks past their scan
-    /// cap; I/O or parse errors for file-backed blocks.
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError>;
-
-    /// Draws one row tuple uniformly at random (with replacement),
-    /// writing its [`DataBlock::width`] values into `out` (cleared
-    /// first).
-    ///
-    /// Implementations must consume exactly one uniform index draw from
-    /// `rng` per row, so scalar and tuple sampling stay stream-compatible.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::sample_one`].
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        let v = self.sample_one(rng)?;
-        out.clear();
-        out.push(v);
-        Ok(())
-    }
-
-    /// Reads the row tuple at `idx` into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::row_at`].
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        let v = self.row_at(idx)?;
-        out.clear();
-        out.push(v);
-        Ok(())
-    }
-
-    /// Visits every row tuple in storage order.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::scan`].
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        self.scan(&mut |v| visit(std::slice::from_ref(&v)))
-    }
-
-    /// Visits every row in storage order as the compact tuple of
-    /// `columns` (positional indices, delivered in the order given) —
-    /// what a scan that reads only some columns should call, so that a
-    /// columnar block assembles only those.
-    ///
-    /// The contract is bit-identity with [`DataBlock::scan_rows`]: the
-    /// same rows in the same order, each restricted to `columns`. The
-    /// default compacts the full-width scan; columnar blocks override
-    /// it to never read the other columns.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::scan`].
-    fn scan_rows_projected(
+    /// When a column is out of the block's width, or `out` is shorter
+    /// than `indices.len() * columns.len()`.
+    fn gather(
         &self,
         columns: &[usize],
-        visit: &mut dyn FnMut(&[f64]),
-    ) -> Result<(), StorageError> {
-        let mut tuple = vec![0.0; columns.len()];
-        self.scan_rows(&mut |row| {
-            compact(columns, row, &mut tuple);
-            visit(&tuple);
-        })
-    }
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError>;
 
-    /// Visits every row in storage order as **aligned column slices** —
-    /// the columnar form of [`DataBlock::scan_rows_projected`]: each
-    /// call delivers one chunk of at most [`SCAN_CHUNK_ROWS`] rows as
-    /// one slice per entry of `columns` (in the order given), all of the
-    /// chunk's length, so a consumer evaluates a predicate or folds a
-    /// column at slice speed instead of one `dyn` call per row.
+    /// Draws `indices.len()` rows uniformly at random (with replacement)
+    /// into `out`, as [`DataBlock::gather`] lays them out.
     ///
-    /// The chunk-scan law: the same values in the same order as
-    /// [`DataBlock::scan_rows_projected`]`(columns, …)` — row `i` of the
-    /// scan is `(chunk[0][j], chunk[1][j], …)` of the chunk that covers
-    /// it — and an error before the first chunk wherever the row scan
-    /// errors before its first row; only the shape of delivery changes.
-    /// An empty block delivers no chunk. The default transposes
-    /// [`DataBlock::scan_rows`] (the projected row scan's default is one
-    /// more `dyn` hop per row over the same full-width rows); columnar
-    /// blocks override it to hand out sub-slices of their storage in
-    /// place.
+    /// The default is **the** draw law, which every sampling consumer
+    /// (and [`crate::skip_row_draws`]) relies on: [`StorageError::Empty`]
+    /// on an empty block, whatever the count; otherwise one
+    /// `random_range(0..len)` per slot of `indices`, in order, then one
+    /// gather of those indices. A kind overrides it only where a draw is
+    /// not "index draw + gather" (a distribution, a match space, a fault
+    /// gate that must fail before the first draw); such a draw may leave
+    /// `indices` unspecified.
     ///
     /// # Errors
     ///
-    /// As [`DataBlock::scan`].
+    /// As [`DataBlock::gather`].
+    fn draw(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        let len = self.len();
+        if len == 0 {
+            return Err(StorageError::Empty);
+        }
+        for slot in indices.iter_mut() {
+            *slot = rng.random_range(0..len);
+        }
+        self.gather(columns, indices, out)
+    }
+
+    /// Visits every row in storage order as **aligned column slices**:
+    /// each call delivers one chunk of at most
+    /// [`crate::SCAN_CHUNK_ROWS`] rows as one slice per entry of
+    /// `columns` (in the order given), all of the chunk's length, so a
+    /// consumer evaluates a predicate or folds a column at slice speed.
+    /// An empty block delivers no chunk, and a block that fails before
+    /// its first row fails before its first chunk.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::ScanUnsupported`] for virtual blocks past their
+    /// scan cap; I/O or parse errors for file-backed blocks.
     fn scan_column_chunks(
         &self,
         columns: &[usize],
         visit: &mut dyn FnMut(&[&[f64]]),
-    ) -> Result<(), StorageError> {
-        let reserve = SCAN_CHUNK_ROWS.min(usize::try_from(self.len()).unwrap_or(usize::MAX));
-        let mut lanes: Vec<Vec<f64>> = columns
-            .iter()
-            .map(|_| Vec::with_capacity(reserve))
-            .collect();
-        let mut filled = 0usize;
-        let mut flush = |lanes: &mut [Vec<f64>]| {
-            let chunk: Vec<&[f64]> = lanes.iter().map(Vec::as_slice).collect();
-            visit(&chunk);
-            lanes.iter_mut().for_each(Vec::clear);
-        };
-        self.scan_rows(&mut |row| {
-            for (lane, &c) in lanes.iter_mut().zip(columns) {
-                lane.push(row[c]);
-            }
-            filled += 1;
-            if filled == SCAN_CHUNK_ROWS {
-                flush(&mut lanes);
-                filled = 0;
-            }
-        })?;
-        if filled > 0 {
-            flush(&mut lanes);
-        }
-        Ok(())
-    }
+    ) -> Result<(), StorageError>;
 
-    /// Draws `n` values uniformly at random (with replacement) into
-    /// `out` — the batched form of [`DataBlock::sample_one`], the
-    /// engine's hot sampling kernel.
-    ///
-    /// The contract mirrors the scalar method exactly: implementations
-    /// must consume one uniform index draw from `rng` per value, in draw
-    /// order, and [`SampleBuf::values`] must hold the values in draw
-    /// order — so a batched draw is **bit-identical** (values and RNG
-    /// stream) to `n` scalar draws. The default delegates to
-    /// [`DataBlock::sample_one`]; in-memory blocks override it with a
-    /// draw-order gather, file-backed ones with a sorted gather (see
-    /// [`crate::kernel`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::sample_one`].
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        out.begin_scalar(n as usize);
-        for _ in 0..n {
-            out.push_value(self.sample_one(rng)?);
-        }
-        Ok(())
-    }
-
-    /// Draws `n` row tuples uniformly at random (with replacement) into
-    /// `out` — the batched form of [`DataBlock::sample_row`], used by
-    /// the row-model (`WHERE`/`GROUP BY`) pipeline.
-    ///
-    /// Same contract as [`DataBlock::sample_batch`]: one index draw per
-    /// row, rows delivered in draw order, bit-identical to the scalar
-    /// path. When `out` carries a projection
-    /// ([`RowSampleBuf::project`]) the delivered tuples hold only those
-    /// columns; implementations get that for free by filling `out`
-    /// through its own methods — column-aware storage gathers just the
-    /// projected columns, everything else hands over whole rows and the
-    /// buffer compacts them. The index draws never depend on it.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::sample_row`].
-    fn sample_rows_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut RowSampleBuf,
-    ) -> Result<(), StorageError> {
-        out.begin_scalar(n as usize, self.width());
-        let mut row = out.take_scratch();
-        let mut result = Ok(());
-        for _ in 0..n {
-            if let Err(e) = self.sample_row(rng, &mut row) {
-                result = Err(e);
-                break;
-            }
-            out.push_row(&row);
-        }
-        out.put_scratch(row);
-        result
-    }
-
-    /// Visits every row in storage order as contiguous value slices —
-    /// the batched form of [`DataBlock::scan`], sized so downstream
-    /// folds autovectorize. Values arrive in exactly the scalar scan's
-    /// order; only the callback granularity changes.
-    ///
-    /// The default buffers the scalar scan into
-    /// [`SCAN_CHUNK_ROWS`]-value chunks; in-memory blocks override it to
-    /// hand out their storage slices zero-copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::scan`].
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        let mut chunk: Vec<f64> = Vec::with_capacity(SCAN_CHUNK_ROWS);
-        self.scan(&mut |v| {
-            chunk.push(v);
-            if chunk.len() == SCAN_CHUNK_ROWS {
-                visit(&chunk);
-                chunk.clear();
-            }
-        })?;
-        if !chunk.is_empty() {
-            visit(&chunk);
-        }
-        Ok(())
-    }
-
-    /// Whether [`DataBlock::scan`] is expected to succeed.
+    /// Whether [`DataBlock::scan_column_chunks`] is expected to succeed.
     fn supports_scan(&self) -> bool {
         true
     }
@@ -297,7 +139,7 @@ pub trait DataBlock: Send + Sync {
     /// [`crate::sketch::scan_sketch`] of the same block — both fold the
     /// same values in storage order through the same update law — so
     /// consumers may treat the two provenances interchangeably.
-    fn sketch(&self) -> Option<std::sync::Arc<crate::sketch::BlockSketch>> {
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
         None
     }
 
@@ -313,7 +155,7 @@ pub trait DataBlock: Send + Sync {
     /// fail or differ from what its sketch describes (see
     /// [`crate::FaultyBlock`]) must override this to answer `Mixed`. A
     /// caller that skips the reads of a decided block still owes the RNG
-    /// the one index draw per row that [`DataBlock::sample_row`] consumes
+    /// the one index draw per row that [`DataBlock::draw`] consumes
     /// (see [`crate::skip_row_draws`]).
     fn zone(&self, filter: &RowFilter) -> ZoneMatch {
         match self.sketch() {
@@ -323,11 +165,11 @@ pub trait DataBlock: Send + Sync {
     }
 
     /// A zero-copy scalar block over column `col`, when this block can
-    /// provide one more cheaply than a generic row-tuple view (e.g. a
+    /// provide one more cheaply than a generic column view (e.g. a
     /// columnar block handing out its column storage, or a zip handing
-    /// back the original scalar block). `None` falls back to a wrapper
-    /// view.
-    fn project(&self, _col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
+    /// back the original scalar block). `None` falls back to a
+    /// [`crate::ColumnView`].
+    fn project(&self, _col: usize) -> Option<Arc<dyn DataBlock>> {
         None
     }
 }
@@ -348,30 +190,22 @@ where
     fn width(&self) -> usize {
         (**self).width()
     }
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        (**self).sample_one(rng)
-    }
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        (**self).row_at(idx)
-    }
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        (**self).scan(visit)
-    }
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        (**self).sample_row(rng, out)
-    }
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        (**self).row_tuple(idx, out)
-    }
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        (**self).scan_rows(visit)
-    }
-    fn scan_rows_projected(
+    fn gather(
         &self,
         columns: &[usize],
-        visit: &mut dyn FnMut(&[f64]),
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
-        (**self).scan_rows_projected(columns, visit)
+        (**self).gather(columns, indices, out)
+    }
+    fn draw(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        (**self).draw(rng, columns, indices, out)
     }
     fn scan_column_chunks(
         &self,
@@ -380,35 +214,159 @@ where
     ) -> Result<(), StorageError> {
         (**self).scan_column_chunks(columns, visit)
     }
+    fn supports_scan(&self) -> bool {
+        (**self).supports_scan()
+    }
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
+        (**self).sketch()
+    }
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        (**self).zone(filter)
+    }
+    fn project(&self, col: usize) -> Option<Arc<dyn DataBlock>> {
+        (**self).project(col)
+    }
+}
+
+/// The reads every consumer uses, each written once over
+/// [`DataBlock::draw`], [`DataBlock::gather`] and
+/// [`DataBlock::scan_column_chunks`]. The blanket impl is the only impl —
+/// `impl BlockReads for X` does not compile — so "a draw is an index draw
+/// plus a gather" and "a row scan is a chunk scan transposed" hold by
+/// type, for every kind. Scalar reads address column 0.
+pub trait BlockReads: DataBlock {
+    /// Draws one value uniformly at random (with replacement).
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::draw`].
+    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
+        let mut value = [0.0];
+        self.draw(rng, &[0], &mut [0], &mut value)?;
+        Ok(value[0])
+    }
+
+    /// Draws one row tuple uniformly at random into `out` (resized to
+    /// [`DataBlock::width`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::draw`].
+    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
+        let all: Vec<usize> = (0..self.width()).collect();
+        out.resize(all.len(), 0.0);
+        self.draw(rng, &all, &mut [0], out)
+    }
+
+    /// Draws `n` values into `out` — the batched [`BlockReads::sample_one`]:
+    /// the same values from the same RNG stream as `n` single draws.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::draw`].
     fn sample_batch(
         &self,
         n: u64,
         rng: &mut dyn RngCore,
         out: &mut SampleBuf,
     ) -> Result<(), StorageError> {
-        (**self).sample_batch(n, rng, out)
+        let (indices, values) = out.slots(n);
+        self.draw(rng, &[0], indices, values)
     }
+
+    /// Draws `n` row tuples into `out`, restricted to its projection
+    /// ([`RowSampleBuf::project`]; every column without one). The index
+    /// draws never depend on the projection.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::draw`].
+    ///
+    /// # Panics
+    ///
+    /// When a projected column is out of the block's width.
     fn sample_rows_batch(
         &self,
         n: u64,
         rng: &mut dyn RngCore,
         out: &mut RowSampleBuf,
     ) -> Result<(), StorageError> {
-        (**self).sample_rows_batch(n, rng, out)
+        let (columns, indices, rows) = out.slots(n, self.width());
+        self.draw(rng, columns, indices, rows)
     }
+
+    /// Reads the value at row `idx`.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::gather`].
+    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
+        let mut value = [0.0];
+        self.gather(&[0], &[idx], &mut value)?;
+        Ok(value[0])
+    }
+
+    /// Reads the row tuple at `idx` into `out` (resized to
+    /// [`DataBlock::width`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::gather`].
+    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
+        let all: Vec<usize> = (0..self.width()).collect();
+        out.resize(all.len(), 0.0);
+        self.gather(&all, &[idx], out)
+    }
+
+    /// Visits every value in storage order.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::scan_column_chunks`].
+    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+        self.scan_chunks(&mut |chunk| chunk.iter().for_each(|&v| visit(v)))
+    }
+
+    /// Visits every value in storage order as contiguous slices.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::scan_column_chunks`].
     fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        (**self).scan_chunks(visit)
+        self.scan_column_chunks(&[0], &mut |chunk| visit(chunk[0]))
     }
-    fn supports_scan(&self) -> bool {
-        (**self).supports_scan()
+
+    /// Visits every row tuple in storage order.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::scan_column_chunks`].
+    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
+        let all: Vec<usize> = (0..self.width()).collect();
+        self.scan_rows_projected(&all, visit)
     }
-    fn sketch(&self) -> Option<std::sync::Arc<crate::sketch::BlockSketch>> {
-        (**self).sketch()
-    }
-    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
-        (**self).zone(filter)
-    }
-    fn project(&self, col: usize) -> Option<std::sync::Arc<dyn DataBlock>> {
-        (**self).project(col)
+
+    /// Visits every row in storage order as the tuple of `columns`: the
+    /// column chunks, transposed.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBlock::scan_column_chunks`].
+    fn scan_rows_projected(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), StorageError> {
+        self.scan_column_chunks(columns, &mut |chunk| {
+            let mut row = vec![0.0; chunk.len()];
+            for i in 0..chunk.first().map_or(0, |col| col.len()) {
+                for (slot, col) in row.iter_mut().zip(chunk) {
+                    *slot = col[i];
+                }
+                visit(&row);
+            }
+        })
     }
 }
+
+impl<T: DataBlock + ?Sized> BlockReads for T {}

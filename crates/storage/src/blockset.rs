@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::block::DataBlock;
+use crate::block::{BlockReads, DataBlock};
 use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::memory::MemBlock;
@@ -343,24 +343,6 @@ impl BlockSet {
     pub fn scan_all_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
         for block in &self.blocks {
             block.scan_rows(visit)?;
-        }
-        Ok(())
-    }
-
-    /// As [`BlockSet::scan_all_rows`], visiting only `columns` of every
-    /// row as a compact tuple ([`DataBlock::scan_rows_projected`]): the
-    /// same rows in the same order, without reading the other columns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first block error.
-    pub fn scan_all_rows_projected(
-        &self,
-        columns: &[usize],
-        visit: &mut dyn FnMut(&[f64]),
-    ) -> Result<(), StorageError> {
-        for block in &self.blocks {
-            block.scan_rows_projected(columns, visit)?;
         }
         Ok(())
     }

@@ -15,8 +15,11 @@
 //! Rerunning the same armed plan with the same engine seed reproduces
 //! the same degraded answer bit for bit.
 //!
-//! **Scope.** Faults bite the data plane only: sampling, positional
-//! reads, and scans. Metadata — lengths, widths, and the O(1)
+//! **Scope.** Faults bite the data plane only — [`DataBlock::gather`],
+//! [`DataBlock::draw`] and [`DataBlock::scan_column_chunks`], one gate
+//! (and one transient counter bump) per call, before any RNG draw or
+//! delivered chunk — so every [`crate::BlockReads`] adapter is gated
+//! exactly once per access. Metadata — lengths, widths, and the O(1)
 //! [`DataBlock::sketch`] hook — passes through unchanged, mirroring a
 //! real system where the catalog survives a data node: pre-estimation
 //! stays plannable while the calculation phase sees the failure. The
@@ -26,10 +29,9 @@
 //! the strength of the surviving sketch.
 //!
 //! With no fault assigned the decorator is a single enum check per
-//! call before forwarding to the inner block's kernels (overhead gated
-//! ≤2% by `exp_faults`), and batched accesses forward to the inner
-//! batch kernels so disarmed wrapping stays bit-identical to the bare
-//! block (pinned by `tests/kernel_identity.rs`).
+//! call before forwarding to the inner block's own reads (overhead gated
+//! ≤2% by `exp_faults`), so disarmed wrapping stays bit-identical to the
+//! bare block (pinned by `tests/kernel_identity.rs`).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -41,7 +43,6 @@ use crate::block::DataBlock;
 use crate::blockset::BlockSet;
 use crate::error::StorageError;
 use crate::filter::RowFilter;
-use crate::kernel::{RowSampleBuf, SampleBuf};
 use crate::selection::ZoneMatch;
 
 /// Splitmix64 finalizer — the storage-side twin of the engine's
@@ -268,96 +269,52 @@ impl DataBlock for FaultyBlock {
         self.inner.width()
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        let corrupt = self.guard()?;
-        let v = self.inner.sample_one(rng)?;
-        Ok(if corrupt { f64::NAN } else { v })
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        let corrupt = self.guard()?;
-        let v = self.inner.row_at(idx)?;
-        Ok(if corrupt { f64::NAN } else { v })
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        let corrupt = self.guard()?;
-        if corrupt {
-            return self.inner.scan(&mut |_| visit(f64::NAN));
-        }
-        self.inner.scan(visit)
-    }
-
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        let corrupt = self.guard()?;
-        self.inner.sample_row(rng, out)?;
-        if corrupt {
-            out.iter_mut().for_each(|v| *v = f64::NAN);
-        }
-        Ok(())
-    }
-
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        let corrupt = self.guard()?;
-        self.inner.row_tuple(idx, out)?;
-        if corrupt {
-            out.iter_mut().for_each(|v| *v = f64::NAN);
-        }
-        Ok(())
-    }
-
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        let corrupt = self.guard()?;
-        if corrupt {
-            let mut nan_row: Vec<f64> = Vec::new();
-            return self.inner.scan_rows(&mut |row| {
-                nan_row.clear();
-                nan_row.resize(row.len(), f64::NAN);
-                visit(&nan_row);
-            });
-        }
-        self.inner.scan_rows(visit)
-    }
-
-    fn sample_batch(
+    fn gather(
         &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
         let corrupt = self.guard()?;
-        self.inner.sample_batch(n, rng, out)?;
+        self.inner.gather(columns, indices, out)?;
         if corrupt {
-            out.corrupt_values();
+            out.fill(f64::NAN);
         }
         Ok(())
     }
 
-    fn sample_rows_batch(
+    fn draw(
         &self,
-        n: u64,
         rng: &mut dyn RngCore,
-        out: &mut RowSampleBuf,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // The gate runs before the first index draw: a failed access
+        // consumes no RNG, so an in-place retry replays the same draws.
+        let corrupt = self.guard()?;
+        self.inner.draw(rng, columns, indices, out)?;
+        if corrupt {
+            out.fill(f64::NAN);
+        }
+        Ok(())
+    }
+
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
     ) -> Result<(), StorageError> {
         let corrupt = self.guard()?;
-        self.inner.sample_rows_batch(n, rng, out)?;
-        if corrupt {
-            out.corrupt_values();
+        if !corrupt {
+            return self.inner.scan_column_chunks(columns, visit);
         }
-        Ok(())
-    }
-
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        let corrupt = self.guard()?;
-        if corrupt {
-            let mut nan_chunk: Vec<f64> = Vec::new();
-            return self.inner.scan_chunks(&mut |chunk| {
-                nan_chunk.clear();
-                nan_chunk.resize(chunk.len(), f64::NAN);
-                visit(&nan_chunk);
-            });
-        }
-        self.inner.scan_chunks(visit)
+        let mut nan: Vec<f64> = Vec::new();
+        self.inner.scan_column_chunks(columns, &mut |chunk| {
+            nan.clear();
+            nan.resize(chunk.first().map_or(0, |col| col.len()), f64::NAN);
+            visit(&vec![nan.as_slice(); chunk.len()]);
+        })
     }
 
     fn supports_scan(&self) -> bool {
@@ -391,6 +348,7 @@ impl DataBlock for FaultyBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use crate::memory::MemBlock;
 
     fn mem(n: u64) -> Arc<dyn DataBlock> {

@@ -25,8 +25,9 @@ use isla_stats::distributions::Distribution;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
+use crate::kernel::{assert_width_one, ChunkedLane};
 
-/// Default maximum number of rows [`GeneratorBlock::scan`] will produce.
+/// Default maximum number of rows a [`GeneratorBlock`] scan will produce.
 pub const DEFAULT_SCAN_CAP: u64 = 1 << 27;
 
 /// SplitMix64 finalizer, used to derive per-row seeds.
@@ -58,7 +59,7 @@ impl std::fmt::Debug for GeneratorBlock {
 impl GeneratorBlock {
     /// Creates a virtual block of `len` rows drawn from `dist`.
     ///
-    /// `scan_seed` fixes the content observed by [`DataBlock::scan`] so a
+    /// `scan_seed` fixes the content observed by a scan so a
     /// generator block behaves like an (unmaterialized) concrete dataset.
     pub fn new(dist: Arc<dyn Distribution>, len: u64, scan_seed: u64) -> Self {
         Self {
@@ -92,26 +93,53 @@ impl DataBlock for GeneratorBlock {
         self.len
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        assert_width_one(columns);
+        let w = columns.len();
+        for (j, &idx) in indices.iter().enumerate() {
+            if idx >= self.len {
+                return Err(StorageError::Empty);
+            }
+            // Deterministic row content: mix (seed, idx) into a one-shot
+            // RNG so every read of the same virtual row agrees.
+            let mixed = splitmix64(self.scan_seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            // isla-lint: allow(determinism, reason = "content derivation, not an engine stream: a virtual row is a pure function of (block seed, idx)")
+            let mut rng = StdRng::seed_from_u64(mixed);
+            out[j * w..(j + 1) * w].fill(self.dist.sample(&mut rng));
+        }
+        Ok(())
+    }
+
+    fn draw(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // Sampling an i.i.d.-populated block is drawing from its
+        // distribution: one sample per row, no index.
+        assert_width_one(columns);
         if self.len == 0 {
             return Err(StorageError::Empty);
         }
-        Ok(self.dist.sample(rng))
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        if idx >= self.len {
-            return Err(StorageError::Empty);
+        let w = columns.len();
+        for j in 0..indices.len() {
+            out[j * w..(j + 1) * w].fill(self.dist.sample(rng));
         }
-        // Deterministic row content: mix (seed, idx) into a one-shot RNG
-        // so every read of the same virtual row agrees.
-        let mixed = splitmix64(self.scan_seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // isla-lint: allow(determinism, reason = "content derivation, not an engine stream: a virtual row is a pure function of (block seed, idx)")
-        let mut rng = StdRng::seed_from_u64(mixed);
-        Ok(self.dist.sample(&mut rng))
+        Ok(())
     }
 
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
         if self.len > self.scan_cap {
             return Err(StorageError::ScanUnsupported {
                 len: self.len,
@@ -121,11 +149,13 @@ impl DataBlock for GeneratorBlock {
                 ),
             });
         }
+        let mut lane = ChunkedLane::new(columns, visit);
         // isla-lint: allow(determinism, reason = "content derivation, not an engine stream: the scan replays the block's fixed virtual contents")
         let mut rng = StdRng::seed_from_u64(self.scan_seed);
         for _ in 0..self.len {
-            visit(self.dist.sample(&mut rng));
+            lane.push(self.dist.sample(&mut rng));
         }
+        lane.flush();
         Ok(())
     }
 
@@ -137,6 +167,7 @@ impl DataBlock for GeneratorBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use isla_stats::distributions::Normal;
     use rand::rngs::StdRng;
 

@@ -158,7 +158,7 @@ impl IngestBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::DataBlock;
+    use crate::block::{BlockReads, DataBlock};
 
     #[test]
     fn seals_at_the_threshold_and_keeps_the_remainder() {

@@ -1,71 +1,52 @@
-//! Batched sampling and scan kernels: the buffers and helpers behind
-//! [`DataBlock::sample_batch`], [`DataBlock::sample_rows_batch`] and
-//! [`DataBlock::scan_chunks`].
+//! Batched sampling and scan kernels: the reusable buffers behind
+//! [`crate::BlockReads::sample_batch`] / [`crate::BlockReads::sample_rows_batch`], and
+//! the one gather loop and one scan loop per storage shape that the
+//! block kinds implement [`DataBlock`] with.
 //!
-//! The engine's hot loops used to move one value at a time through
-//! `dyn`-dispatched calls; the batch kernels amortize that dispatch over
-//! thousands of rows per call. A batch draws all of its indices first,
-//! then gathers the values — directly (memory-level parallelism) for
-//! in-memory storage, or through a *sorted gather* for positional and
-//! file-backed readers, where ascending index order means sequential
-//! I/O. Values are always delivered in **draw order**, so a batched
-//! draw produces the bit-identical value sequence, and consumes the
-//! bit-identical RNG stream, as the scalar path it replaces.
+//! A batch draws all of its indices first, then gathers the values —
+//! directly (memory-level parallelism) for in-memory storage, in
+//! **ascending index order** for file-backed readers, where sorted
+//! access means sequential I/O. Values are always delivered in **draw
+//! order**, so a batched draw produces the bit-identical value sequence,
+//! and consumes the bit-identical RNG stream, as single draws.
 //!
 //! Row batches carry a **projection**: a consumer that reads only some
 //! columns names them on the buffer ([`RowSampleBuf::project`]) and
-//! gets compact tuples of exactly those — columnar storage then gathers
-//! only the named columns, and anything that only knows whole rows has
-//! them compacted by the buffer. Full width is the identity projection
-//! of the same loop, and the index draws never see the column list, so
-//! projecting changes what a draw costs and nothing else.
+//! gets compact tuples of exactly those — the gather then reads only
+//! the named columns. Full width is the identity projection of the same
+//! loop, and the index draws never see the column list, so projecting
+//! changes what a draw costs and nothing else.
 //!
 //! The buffers ([`SampleBuf`], [`RowSampleBuf`]) are designed to be
 //! reused: the engine keeps one per thread (see [`with_sample_buf`] /
 //! [`with_row_sample_buf`]) so steady-state sampling performs no
-//! allocation at all — gathers read a columnar block's columns in
-//! place, and a consumer's per-destination staging lanes
+//! allocation at all — and a consumer's per-destination staging lanes
 //! ([`RowSampleBuf::rows_and_lanes`]) live in the buffer too.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use rand::Rng;
 use rand::RngCore;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
 
-/// Preferred number of value draws per [`DataBlock::sample_batch`] call
+/// Preferred number of value draws per [`crate::BlockReads::sample_batch`] call
 /// on the engine's hot path. Large enough to amortize dispatch and make
 /// the sorted gather worthwhile, small enough that a batch's buffers
-/// (index + order + value ≈ 20 B/row) stay L2-resident.
+/// stay L2-resident.
 pub const SAMPLE_BATCH_ROWS: u64 = 8_192;
 
-/// Chunk size handed to [`DataBlock::scan_chunks`] visitors by the
-/// default (buffering) implementation — in-memory blocks ignore this
-/// and hand out their natural contiguous slices — and the upper bound on
-/// a [`DataBlock::scan_column_chunks`] chunk from any block, which is
-/// what keeps a consumer's per-chunk index list cache-resident.
+/// The upper bound on a [`DataBlock::scan_column_chunks`] chunk from any
+/// block, which is what keeps a consumer's per-chunk index list
+/// cache-resident.
 pub const SCAN_CHUNK_ROWS: usize = 16_384;
 
-// Where the *sorted* gather applies: measured on in-memory slices,
-// out-of-order execution overlaps the independent random loads of a
-// batch so well that a comparison sort never pays for itself, at any
-// block size — so slice gathers run in draw order and lean on
-// memory-level parallelism. Positional readers are different: a
-// file-backed block turns ascending index order into (near-)sequential
-// reads and page-cache locality, which is worth far more than the sort
-// costs. Hence two gather flavors below: direct (slices) and sorted
-// (positional/file readers).
-
-/// Reusable state for one batched value draw: the drawn indices (in RNG
-/// draw order), a sort permutation for cache-friendly gathering, and
-/// the gathered values (back in draw order).
+/// Reusable state for one batched value draw: the drawn indices and the
+/// gathered values, both in draw order.
 #[derive(Debug, Default)]
 pub struct SampleBuf {
     indices: Vec<u64>,
-    order: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -77,131 +58,22 @@ impl SampleBuf {
     }
 
     /// The gathered values of the last batch, in **draw order** — the
-    /// exact sequence the scalar path would have produced.
+    /// exact sequence single draws would have produced.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 
-    /// Overwrites every gathered value with NaN — the batched arm of
-    /// [`crate::fault::FaultyBlock`]'s corruption injection.
-    pub fn corrupt_values(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = f64::NAN);
-    }
-
-    /// Draws `n` uniform indices in `0..len` from `rng`, one
-    /// `random_range` call per draw — the identical RNG consumption of
-    /// `n` scalar [`DataBlock::sample_one`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0` (callers check emptiness first) or if `n`
-    /// exceeds `u32::MAX` (batches are chunked far below that).
-    pub fn draw_indices(&mut self, n: u64, len: u64, rng: &mut dyn RngCore) {
-        assert!(len > 0, "cannot draw indices from an empty block");
-        assert!(u32::try_from(n).is_ok(), "batch too large for one draw");
-        self.indices.clear();
-        self.indices.reserve(n as usize);
-        for _ in 0..n {
-            self.indices.push(rng.random_range(0..len));
-        }
-    }
-
-    /// The drawn indices of the last batch, in draw order.
+    /// The drawn indices of the last batch, in draw order (unspecified
+    /// for kinds whose draw is not an index draw).
     pub fn indices(&self) -> &[u64] {
         &self.indices
     }
 
-    /// Sorted-order permutation of the drawn indices: visiting
-    /// `indices()[order[k]]` for ascending `k` touches the block in
-    /// ascending position order.
-    fn gather_order(&mut self) -> &[u32] {
-        self.order.clear();
-        self.order.extend(0..self.indices.len() as u32);
-        let indices = &self.indices;
-        self.order.sort_unstable_by_key(|&j| indices[j as usize]);
-        &self.order
-    }
-
-    /// Gathers the drawn indices from a contiguous in-memory slice, in
-    /// draw order — independent loads pipeline through the core's
-    /// memory-level parallelism, which measures faster than any sorted
-    /// access pattern for RAM-resident data.
-    pub fn gather_from_slice(&mut self, data: &[f64]) {
-        let n = self.indices.len();
-        self.values.clear();
-        self.values.resize(n, 0.0);
-        for (slot, &idx) in self.values.iter_mut().zip(&self.indices) {
-            *slot = data[idx as usize];
-        }
-    }
-
-    /// Gathers the drawn indices through an arbitrary positional
-    /// reader, in draw order. For file-backed readers prefer
-    /// [`SampleBuf::gather_with_sorted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first reader error.
-    pub fn gather_with(
-        &mut self,
-        mut read: impl FnMut(u64) -> Result<f64, StorageError>,
-    ) -> Result<(), StorageError> {
-        let n = self.indices.len();
-        self.values.clear();
-        self.values.resize(n, 0.0);
-        for k in 0..n {
-            self.values[k] = read(self.indices[k])?;
-        }
-        Ok(())
-    }
-
-    /// Gathers the drawn indices through a positional reader in
-    /// **ascending index order** (values still land in draw order) —
-    /// the right shape for file-backed blocks, where sorted access
-    /// means sequential reads and page-cache locality.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first reader error.
-    pub fn gather_with_sorted(
-        &mut self,
-        mut read: impl FnMut(u64) -> Result<f64, StorageError>,
-    ) -> Result<(), StorageError> {
-        let n = self.indices.len();
-        self.values.clear();
-        self.values.resize(n, 0.0);
-        self.gather_order();
-        for k in 0..n {
-            let j = self.order[k] as usize;
-            self.values[j] = read(self.indices[j])?;
-        }
-        Ok(())
-    }
-
-    /// Prepares the buffer for `n` values pushed one at a time — the
-    /// scalar fallback used by the default [`DataBlock::sample_batch`].
-    pub fn begin_scalar(&mut self, n: usize) {
-        self.indices.clear();
-        self.order.clear();
-        self.values.clear();
-        self.values.reserve(n);
-    }
-
-    /// Appends one scalar-drawn value (fallback path).
-    pub fn push_value(&mut self, v: f64) {
-        self.values.push(v);
-    }
-}
-
-/// Copies `columns` of a full-width source `row` into `out` — the one
-/// compaction step behind every projected delivery that starts from
-/// whole rows (scalar fallbacks, positional tuple readers, the default
-/// [`DataBlock::scan_rows_projected`]). Column-aware blocks skip it by
-/// never touching the unread columns in the first place; either way the
-/// consumer sees the same tuple, bit for bit.
-pub(crate) fn compact(columns: &[usize], row: &[f64], out: &mut [f64]) {
-    for (slot, &c) in out.iter_mut().zip(columns) {
-        *slot = row[c];
+    /// The index and value slots of an `n`-draw batch.
+    pub(crate) fn slots(&mut self, n: u64) -> (&mut [u64], &mut [f64]) {
+        self.indices.resize(n as usize, 0);
+        self.values.resize(n as usize, 0.0);
+        (&mut self.indices, &mut self.values)
     }
 }
 
@@ -221,16 +93,12 @@ pub(crate) fn compact(columns: &[usize], row: &[f64], out: &mut [f64]) {
 #[derive(Debug, Default)]
 pub struct RowSampleBuf {
     indices: Vec<u64>,
-    order: Vec<u32>,
     rows: Vec<f64>,
     // Source columns delivered per row: the caller's projection when
-    // one is set, otherwise `0..source_width` (rebuilt per batch, since
-    // the identity depends on the block being drawn from).
+    // one is set, otherwise `0..width` (rebuilt per batch, since the
+    // identity depends on the block being drawn from).
     columns: Vec<usize>,
     projected: bool,
-    // Tuple width of the block the last batch drew from.
-    source_width: usize,
-    scratch: Vec<f64>,
     lanes: Vec<Vec<f64>>,
 }
 
@@ -262,12 +130,6 @@ impl RowSampleBuf {
         &self.rows
     }
 
-    /// Overwrites every gathered row value with NaN — the batched arm
-    /// of [`crate::fault::FaultyBlock`]'s corruption injection.
-    pub fn corrupt_values(&mut self) {
-        self.rows.iter_mut().for_each(|v| *v = f64::NAN);
-    }
-
     /// Iterates the gathered rows as `width`-sized tuples, in draw
     /// order.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
@@ -292,150 +154,22 @@ impl RowSampleBuf {
         (self.rows.chunks_exact(self.columns.len().max(1)), staged)
     }
 
-    /// Starts a batch over `source_width`-wide rows: resolves the
-    /// identity projection, or checks the caller's against the block.
-    fn begin(&mut self, source_width: usize) {
-        self.source_width = source_width;
+    /// The column list, index slots and row slots of an `n`-draw batch
+    /// from a `width`-wide block: the identity projection resolved, or
+    /// the caller's checked against the block.
+    pub(crate) fn slots(&mut self, n: u64, width: usize) -> (&[usize], &mut [u64], &mut [f64]) {
         if self.projected {
             assert!(
-                self.columns.iter().all(|&c| c < source_width),
+                self.columns.iter().all(|&c| c < width),
                 "projected column out of the block's width"
             );
         } else {
             self.columns.clear();
-            self.columns.extend(0..source_width);
+            self.columns.extend(0..width);
         }
-    }
-
-    /// Draws `n` uniform row indices in `0..len`, one `random_range`
-    /// call per draw — the identical RNG consumption of `n` scalar
-    /// [`DataBlock::sample_row`] calls. `width` is the block's full
-    /// tuple width, whatever projection is in effect.
-    ///
-    /// # Panics
-    ///
-    /// As [`SampleBuf::draw_indices`]; also if a projected column is out
-    /// of `width`.
-    pub fn draw_indices(&mut self, n: u64, len: u64, width: usize, rng: &mut dyn RngCore) {
-        assert!(len > 0, "cannot draw indices from an empty block");
-        assert!(u32::try_from(n).is_ok(), "batch too large for one draw");
-        self.begin(width);
-        self.indices.clear();
-        self.indices.reserve(n as usize);
-        for _ in 0..n {
-            self.indices.push(rng.random_range(0..len));
-        }
-        self.rows.clear();
+        self.indices.resize(n as usize, 0);
         self.rows.resize(n as usize * self.columns.len(), 0.0);
-    }
-
-    /// Sorted-order permutation (see [`SampleBuf`]).
-    fn gather_order(&mut self) {
-        self.order.clear();
-        self.order.extend(0..self.indices.len() as u32);
-        let indices = &self.indices;
-        self.order.sort_unstable_by_key(|&j| indices[j as usize]);
-    }
-
-    /// Gathers the drawn indices from in-memory columnar storage,
-    /// column-at-a-time in draw order (memory-level parallelism, as
-    /// [`SampleBuf::gather_from_slice`]), values scattered to their
-    /// draw rows. Only the projected columns are read: a column the
-    /// consumer does not look at costs no load at all.
-    ///
-    /// `columns` is the block's full column list, borrowed in place
-    /// (`&[Arc<Vec<f64>>]`, `&[&[f64]]`, …) — no per-batch collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `columns.len()` disagrees with the drawn width.
-    pub fn gather_from_columns<C>(&mut self, columns: &[C])
-    where
-        C: std::ops::Deref,
-        C::Target: AsRef<[f64]>,
-    {
-        assert_eq!(
-            columns.len(),
-            self.source_width,
-            "column count must match width"
-        );
-        let w = self.columns.len();
-        for (k, &c) in self.columns.iter().enumerate() {
-            let col: &[f64] = (*columns[c]).as_ref();
-            for (j, &idx) in self.indices.iter().enumerate() {
-                self.rows[j * w + k] = col[idx as usize];
-            }
-        }
-    }
-
-    /// Gathers the drawn indices through a positional tuple reader in
-    /// **ascending index order** (rows still land in draw order) — for
-    /// zipped and file-backed blocks, where sorted positional reads
-    /// mean sequential I/O. The reader fills whole rows; the projected
-    /// columns are compacted out of each.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first reader error.
-    pub fn gather_with_sorted(
-        &mut self,
-        mut read: impl FnMut(u64, &mut Vec<f64>) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        self.gather_order();
-        let w = self.columns.len();
-        let mut row = std::mem::take(&mut self.scratch);
-        let mut result = Ok(());
-        for k in 0..self.order.len() {
-            let j = self.order[k] as usize;
-            if let Err(e) = read(self.indices[j], &mut row) {
-                result = Err(e);
-                break;
-            }
-            compact(&self.columns, &row, &mut self.rows[j * w..(j + 1) * w]);
-        }
-        self.scratch = row;
-        result
-    }
-
-    /// Prepares the buffer for `n` rows pushed one at a time — the
-    /// scalar fallback used by the default
-    /// [`DataBlock::sample_rows_batch`]. `width` is the block's full
-    /// tuple width.
-    pub fn begin_scalar(&mut self, n: usize, width: usize) {
-        self.begin(width);
-        self.indices.clear();
-        self.order.clear();
-        self.rows.clear();
-        self.rows.reserve(n * self.columns.len());
-    }
-
-    /// Appends one scalar-drawn full-width row (fallback path),
-    /// keeping its projected columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width disagrees with the batch width.
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(
-            row.len(),
-            self.source_width,
-            "row width must match batch width"
-        );
-        let at = self.rows.len();
-        self.rows.resize(at + self.columns.len(), 0.0);
-        compact(&self.columns, row, &mut self.rows[at..]);
-    }
-
-    /// Takes the internal scratch row (for scalar fallbacks that need a
-    /// temporary tuple without allocating); return it with
-    /// [`RowSampleBuf::put_scratch`].
-    pub fn take_scratch(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Returns a scratch row taken with [`RowSampleBuf::take_scratch`].
-    pub fn put_scratch(&mut self, row: Vec<f64>) {
-        self.scratch = row;
+        (&self.columns, &mut self.indices, &mut self.rows)
     }
 }
 
@@ -474,14 +208,145 @@ pub fn with_row_sample_buf<R>(f: impl FnOnce(&mut RowSampleBuf) -> R) -> R {
     out
 }
 
-/// A forwarding wrapper that deliberately hides a block's batch-kernel
-/// overrides, so every batched entry point falls back to the scalar
-/// (`sample_one` / `sample_row` / `scan`) path.
+/// The in-memory gather: `columns` of `storage` (the block's columns),
+/// column-at-a-time in index order — independent loads pipeline through
+/// the core's memory-level parallelism, which measures faster than any
+/// sorted access pattern for RAM-resident data.
+#[inline]
+pub(crate) fn gather_slices(
+    storage: &[Arc<Vec<f64>>],
+    columns: &[usize],
+    indices: &[u64],
+    out: &mut [f64],
+) -> Result<(), StorageError> {
+    // An index out of range clears a flag instead of leaving the loop:
+    // an early exit (or a bounds pre-pass) measured 2× this loop.
+    let mut in_range = true;
+    let mut read = |col: &[f64], idx: u64| match col.get(idx as usize) {
+        Some(&v) => v,
+        None => {
+            in_range = false;
+            0.0
+        }
+    };
+    if let [c] = columns {
+        // One column — every scalar draw: the destination is contiguous.
+        let col = storage[*c].as_slice();
+        for (slot, &idx) in out.iter_mut().zip(indices) {
+            *slot = read(col, idx);
+        }
+    } else {
+        let w = columns.len();
+        for (k, &c) in columns.iter().enumerate() {
+            let col = storage[c].as_slice();
+            for (j, &idx) in indices.iter().enumerate() {
+                out[j * w + k] = read(col, idx);
+            }
+        }
+    }
+    if in_range {
+        Ok(())
+    } else {
+        Err(StorageError::Empty)
+    }
+}
+
+/// The in-memory scan: `columns` of `storage` as windows onto the
+/// storage itself — no value is copied.
+pub(crate) fn scan_slices(
+    storage: &[Arc<Vec<f64>>],
+    rows: usize,
+    columns: &[usize],
+    visit: &mut dyn FnMut(&[&[f64]]),
+) -> Result<(), StorageError> {
+    let cols: Vec<&[f64]> = columns.iter().map(|&c| storage[c].as_slice()).collect();
+    let mut chunk: Vec<&[f64]> = Vec::with_capacity(cols.len());
+    for start in (0..rows).step_by(SCAN_CHUNK_ROWS) {
+        let end = (start + SCAN_CHUNK_ROWS).min(rows);
+        chunk.clear();
+        chunk.extend(cols.iter().map(|col| &col[start..end]));
+        visit(&chunk);
+    }
+    Ok(())
+}
+
+/// Checks that every requested column of a width-1 block is column 0.
+pub(crate) fn assert_width_one(columns: &[usize]) {
+    assert!(
+        columns.iter().all(|&c| c == 0),
+        "column out of a width-1 block's width"
+    );
+}
+
+/// The positional-reader gather of a width-1 block of `len` rows: rows
+/// read through `read` in **ascending index order** (sequential I/O for
+/// file-backed blocks), values landing in their draw-order slots.
+pub(crate) fn gather_ascending(
+    len: u64,
+    columns: &[usize],
+    indices: &[u64],
+    out: &mut [f64],
+    mut read: impl FnMut(u64) -> Result<f64, StorageError>,
+) -> Result<(), StorageError> {
+    assert_width_one(columns);
+    let w = columns.len();
+    let mut order: Vec<usize> = (0..indices.len()).collect();
+    order.sort_unstable_by_key(|&j| indices[j]);
+    for j in order {
+        if indices[j] >= len {
+            return Err(StorageError::Empty);
+        }
+        out[j * w..(j + 1) * w].fill(read(indices[j])?);
+    }
+    Ok(())
+}
+
+/// A width-1 value stream buffered into [`SCAN_CHUNK_ROWS`]-row column
+/// chunks — the scan of every block whose values arrive one at a time
+/// (files, generators, filtered pools). Every requested column is the
+/// one lane.
+pub(crate) struct ChunkedLane<'a> {
+    columns: usize,
+    lane: Vec<f64>,
+    visit: &'a mut dyn FnMut(&[&[f64]]),
+}
+
+impl<'a> ChunkedLane<'a> {
+    /// A lane delivering `columns` (all column 0) to `visit`.
+    pub(crate) fn new(columns: &[usize], visit: &'a mut dyn FnMut(&[&[f64]])) -> Self {
+        assert_width_one(columns);
+        Self {
+            columns: columns.len(),
+            lane: Vec::with_capacity(SCAN_CHUNK_ROWS),
+            visit,
+        }
+    }
+
+    /// Appends one value, delivering the chunk when it is full.
+    pub(crate) fn push(&mut self, value: f64) {
+        self.lane.push(value);
+        if self.lane.len() == SCAN_CHUNK_ROWS {
+            self.flush();
+        }
+    }
+
+    /// Delivers what is buffered, if anything — the end of the scan.
+    pub(crate) fn flush(&mut self) {
+        if !self.lane.is_empty() {
+            (self.visit)(&vec![self.lane.as_slice(); self.columns]);
+            self.lane.clear();
+        }
+    }
+}
+
+/// A forwarding wrapper that reads one row per call: `draw` and `gather`
+/// forward to the wrapped block row by row, scans forward with the
+/// chunks copied out of the wrapped block's storage, and the sketch is
+/// hidden (so every zone verdict is `Mixed`).
 ///
-/// Two uses: asserting that the batch kernels are bit-identical to the
-/// scalar path they replace (the kernel-identity tests), and measuring
-/// the scalar path in `exp_kernel_throughput` after the engine itself
-/// went batched.
+/// Two uses: the reference the kernel-identity tests compare every
+/// batched kernel against, and measuring the per-row path in
+/// `exp_kernel_throughput`.
 pub struct ScalarFallbackBlock(pub Arc<dyn DataBlock>);
 
 impl DataBlock for ScalarFallbackBlock {
@@ -491,34 +356,58 @@ impl DataBlock for ScalarFallbackBlock {
     fn width(&self) -> usize {
         self.0.width()
     }
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        self.0.sample_one(rng)
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        let w = columns.len();
+        for (j, idx) in indices.iter().enumerate() {
+            self.0.gather(
+                columns,
+                std::slice::from_ref(idx),
+                &mut out[j * w..(j + 1) * w],
+            )?;
+        }
+        Ok(())
     }
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.0.row_at(idx)
+    fn draw(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        if indices.is_empty() {
+            // No row to forward one at a time: the wrapped block answers
+            // the empty draw itself.
+            return self.0.draw(rng, columns, indices, out);
+        }
+        let w = columns.len();
+        for (j, slot) in indices.chunks_mut(1).enumerate() {
+            self.0
+                .draw(rng, columns, slot, &mut out[j * w..(j + 1) * w])?;
+        }
+        Ok(())
     }
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.0.scan(visit)
-    }
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        self.0.sample_row(rng, out)
-    }
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        self.0.row_tuple(idx, out)
-    }
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        self.0.scan_rows(visit)
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
+        self.0.scan_column_chunks(columns, &mut |chunk| {
+            for (lane, col) in lanes.iter_mut().zip(chunk) {
+                lane.clear();
+                lane.extend_from_slice(col);
+            }
+            visit(&lanes.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        })
     }
     fn supports_scan(&self) -> bool {
         self.0.supports_scan()
     }
-    // `sample_batch`, `sample_rows_batch`, `scan_chunks`,
-    // `scan_rows_projected`, `scan_column_chunks` and `sketch` are NOT
-    // forwarded: the batched, projected and columnar entry points fall
-    // back to the scalar / full-width / transposing defaults, and the
-    // wrapped set stays sketch-less so
-    // consumers exercise their metadata-free paths (the throughput
-    // bench leans on this to measure the pre-sketch SLEV scan).
 }
 
 /// Wraps every block of `set` in a [`ScalarFallbackBlock`], preserving
@@ -534,17 +423,20 @@ pub fn scalar_fallback_set(set: &crate::blockset::BlockSet) -> crate::blockset::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use crate::memory::MemBlock;
+    use crate::rows::RowsBlock;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn draw_indices_consumes_the_scalar_stream() {
+        let block = MemBlock::new(vec![0.0; 1_000]);
         let mut a = StdRng::seed_from_u64(1);
         let mut b = StdRng::seed_from_u64(1);
         let mut buf = SampleBuf::new();
-        buf.draw_indices(100, 1_000_000, &mut a);
-        let scalar: Vec<u64> = (0..100).map(|_| b.random_range(0..1_000_000u64)).collect();
+        block.sample_batch(100, &mut a, &mut buf).unwrap();
+        let scalar: Vec<u64> = (0..100).map(|_| b.random_range(0..1_000u64)).collect();
         assert_eq!(buf.indices(), &scalar[..]);
         // Streams stay aligned after the batch.
         assert_eq!(a.next_u64(), b.next_u64());
@@ -553,36 +445,40 @@ mod tests {
     #[test]
     fn gather_preserves_draw_order() {
         let data: Vec<f64> = (0..1000).map(f64::from).collect();
+        let block = MemBlock::new(data.clone());
         let mut rng = StdRng::seed_from_u64(2);
         let mut buf = SampleBuf::new();
-        buf.draw_indices(64, data.len() as u64, &mut rng);
+        block.sample_batch(64, &mut rng, &mut buf).unwrap();
         let expected: Vec<f64> = buf.indices().iter().map(|&i| data[i as usize]).collect();
-        buf.gather_from_slice(&data);
         assert_eq!(buf.values(), &expected[..]);
     }
 
     #[test]
     fn gather_with_reader_matches_slice_gather() {
+        // The file reader's ascending gather delivers in draw order, as
+        // the in-memory gather does.
         let data: Vec<f64> = (0..500).map(|i| f64::from(i) * 0.5).collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut a = SampleBuf::new();
-        a.draw_indices(200, data.len() as u64, &mut rng);
-        let mut b = SampleBuf::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        b.draw_indices(200, data.len() as u64, &mut rng);
-        a.gather_from_slice(&data);
-        b.gather_with(|i| Ok(data[i as usize])).unwrap();
-        assert_eq!(a.values(), b.values());
+        let path = std::env::temp_dir().join(format!("isla-kernel-{}.blk", std::process::id()));
+        let file = crate::BinaryBlock::create(&path, &data).unwrap();
+        let indices: Vec<u64> = {
+            let mut rng = StdRng::seed_from_u64(3);
+            (0..200).map(|_| rng.random_range(0..500)).collect()
+        };
+        let (mut a, mut b) = (vec![0.0; 200], vec![0.0; 200]);
+        MemBlock::new(data).gather(&[0], &indices, &mut a).unwrap();
+        file.gather(&[0], &indices, &mut b).unwrap();
+        assert_eq!(a, b);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn row_buf_gathers_aligned_tuples() {
         let x: Vec<f64> = (0..300).map(f64::from).collect();
         let y: Vec<f64> = (0..300).map(|i| f64::from(i) * 2.0).collect();
+        let block = RowsBlock::new(vec![x, y]);
         let mut rng = StdRng::seed_from_u64(4);
         let mut buf = RowSampleBuf::new();
-        buf.draw_indices(50, 300, 2, &mut rng);
-        buf.gather_from_columns(&[&x, &y]);
+        block.sample_rows_batch(50, &mut rng, &mut buf).unwrap();
         assert_eq!(buf.width(), 2);
         let mut n = 0;
         for row in buf.iter_rows() {
@@ -614,15 +510,74 @@ mod tests {
 
     #[test]
     fn thread_local_buffers_survive_reentrancy() {
+        let mut rng = StdRng::seed_from_u64(6);
         let v = with_sample_buf(|outer| {
-            outer.begin_scalar(1);
-            outer.push_value(7.0);
+            MemBlock::new(vec![7.0])
+                .sample_batch(1, &mut rng, outer)
+                .unwrap();
             with_sample_buf(|inner| {
-                inner.begin_scalar(1);
-                inner.push_value(8.0);
+                MemBlock::new(vec![8.0])
+                    .sample_batch(1, &mut rng, inner)
+                    .unwrap();
                 inner.values()[0]
             }) + outer.values()[0]
         });
         assert_eq!(v, 15.0);
+    }
+
+    #[test]
+    fn an_empty_block_refuses_even_a_zero_row_draw_on_every_kind() {
+        use crate::fault::{BlockFault, FaultyBlock};
+        use crate::rows::{pool_filtered_column, ColumnView, ZipBlock};
+        use crate::{BlockSet, GeneratorBlock, RowFilter};
+        let empty_mem = || Arc::new(MemBlock::new(vec![])) as Arc<dyn DataBlock>;
+        let empty_rows = Arc::new(RowsBlock::new(vec![vec![], vec![]])) as Arc<dyn DataBlock>;
+        let dist = Arc::new(isla_stats::distributions::Normal::new(0.0, 1.0));
+        let pooled = pool_filtered_column(
+            &BlockSet::new(vec![Arc::clone(&empty_rows)]),
+            0,
+            RowFilter::all(),
+        );
+        let kinds: Vec<(&str, Arc<dyn DataBlock>)> = vec![
+            ("MemBlock", empty_mem()),
+            ("RowsBlock", Arc::clone(&empty_rows)),
+            (
+                "ZipBlock",
+                Arc::new(ZipBlock::new(vec![empty_mem(), empty_mem()])),
+            ),
+            (
+                "ColumnView",
+                Arc::new(ColumnView::new(Arc::clone(&empty_rows), 1)),
+            ),
+            ("GeneratorBlock", Arc::new(GeneratorBlock::new(dist, 0, 1))),
+            ("PooledFilteredColumn", Arc::clone(pooled.block(0))),
+            (
+                "FaultyBlock",
+                Arc::new(FaultyBlock::new(empty_mem(), BlockFault::None, None)),
+            ),
+            (
+                "ScalarFallbackBlock",
+                Arc::new(ScalarFallbackBlock(empty_mem())),
+            ),
+        ];
+        for (kind, block) in kinds {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut buf = SampleBuf::new();
+            assert!(
+                matches!(
+                    block.sample_batch(0, &mut rng, &mut buf),
+                    Err(StorageError::Empty)
+                ),
+                "{kind}"
+            );
+            let mut rows = RowSampleBuf::new();
+            assert!(
+                matches!(
+                    block.sample_rows_batch(0, &mut rng, &mut rows),
+                    Err(StorageError::Empty)
+                ),
+                "{kind}"
+            );
+        }
     }
 }

@@ -49,20 +49,30 @@
 //! [`FaultyBlock`] injects the assigned fault at every data-plane
 //! access while metadata passes through — the substrate for the
 //! engine's retry and graceful-degradation layers. [`ScalarFallbackBlock`]
-//! hides a block's batch-kernel overrides behind the trait defaults: the
-//! reference the kernel-identity tests compare every override against.
+//! reads one row per call and hides the sketch: the reference the
+//! kernel-identity tests compare every batched read against.
 //!
-//! Any pointer to a block (`&T`, `Box<T>`, `Arc<T>`, sized or `dyn`) is
-//! itself a [`DataBlock`] through one forwarding impl.
+//! **The contract.** [`DataBlock`] has ten methods. Three are required
+//! of every kind — [`DataBlock::len`], [`DataBlock::gather`] (rows ×
+//! columns by index) and [`DataBlock::scan_column_chunks`] (aligned
+//! column slices in storage order) — and seven are overridable
+//! metadata and hooks, among them [`DataBlock::draw`], whose default is
+//! the draw law (one uniform index per row, then a gather); only kinds
+//! whose draw is not that override it (a generator's distribution, a
+//! filtered pool's match space, a fault gate, a column view's inner
+//! draw, the one-row-per-call reference). Every other read —
+//! [`BlockReads::sample_one`], [`BlockReads::sample_batch`],
+//! [`BlockReads::sample_rows_batch`], [`BlockReads::row_at`],
+//! [`BlockReads::scan_chunks`], [`BlockReads::scan_rows_projected`], … —
+//! is written once in [`BlockReads`], whose blanket impl no kind can
+//! override. Any pointer to a block (`&T`, `Box<T>`, `Arc<T>`, sized or
+//! `dyn`) is itself a [`DataBlock`] through one forwarding impl.
 //!
-//! The hot paths run through **batch kernels** ([`kernel`]):
-//! [`DataBlock::sample_batch`] / [`DataBlock::sample_rows_batch`] draw
-//! whole batches — a draw-order gather in memory, a sorted gather for
-//! positional readers, bit-identical to the scalar path either way, and
-//! restricted to the columns the consumer reads when it names them
-//! ([`RowSampleBuf::project`], [`DataBlock::scan_rows_projected`]);
-//! [`DataBlock::scan_chunks`] hands scans out as contiguous slices and
-//! [`DataBlock::scan_column_chunks`] as aligned column slices, over
+//! The hot paths run through the **batch buffers** of [`kernel`]: a
+//! batch draws all its indices, then gathers — in draw order from
+//! memory, ascending from files, bit-identical to single draws either
+//! way, and restricted to the columns the consumer reads when it names
+//! them ([`RowSampleBuf::project`]). Scans hand out column chunks, over
 //! which [`RowFilter::select`] evaluates a predicate at column speed;
 //! and [`SelectionVector`]s compile a [`RowFilter`] into per-block
 //! matching-index lists so filtered draws are O(1) lookups instead of
@@ -89,7 +99,7 @@ pub mod sketch;
 pub mod text_file;
 
 pub use binary_file::BinaryBlock;
-pub use block::DataBlock;
+pub use block::{BlockReads, DataBlock};
 pub use blockset::{BlockSet, EpochMark, ExactSum, SealedDerived};
 pub use error::StorageError;
 pub use fault::{BlockFault, FaultPlan, FaultyBlock};

@@ -2,12 +2,9 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
-use rand::RngCore;
-
 use crate::block::DataBlock;
 use crate::error::StorageError;
-use crate::kernel::{SampleBuf, SCAN_CHUNK_ROWS};
+use crate::kernel::{gather_slices, scan_slices};
 use crate::sketch::BlockSketch;
 
 /// A block whose rows live in memory.
@@ -78,49 +75,26 @@ impl DataBlock for MemBlock {
         self.values.len() as u64
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if self.values.is_empty() {
-            return Err(StorageError::Empty);
-        }
-        // Draw the index as u64 so the RNG consumption matches the
-        // file-backed block kinds exactly (cross-kind determinism).
-        let idx = rng.random_range(0..self.values.len() as u64);
-        Ok(self.values[idx as usize])
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.values
-            .get(idx as usize)
-            .copied()
-            .ok_or(StorageError::Empty)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        for &v in self.values.iter() {
-            visit(v);
-        }
-        Ok(())
-    }
-
-    fn sample_batch(
+    fn gather(
         &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
-        if self.values.is_empty() {
-            return Err(StorageError::Empty);
-        }
-        out.draw_indices(n, self.values.len() as u64, rng);
-        out.gather_from_slice(&self.values);
-        Ok(())
+        gather_slices(std::slice::from_ref(&self.values), columns, indices, out)
     }
 
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        for chunk in self.values.chunks(SCAN_CHUNK_ROWS) {
-            visit(chunk);
-        }
-        Ok(())
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        scan_slices(
+            std::slice::from_ref(&self.values),
+            self.values.len(),
+            columns,
+            visit,
+        )
     }
 
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
@@ -131,6 +105,7 @@ impl DataBlock for MemBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

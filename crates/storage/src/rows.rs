@@ -19,7 +19,6 @@
 //!   blocks occupying no width) wherever one can be built, falling back
 //!   to rejection sampling only for unscannable blocks.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -27,36 +26,14 @@ use rand::Rng;
 use rand::RngCore;
 use rand::SeedableRng;
 
-use crate::block::DataBlock;
+use crate::block::{BlockReads, DataBlock};
 use crate::blockset::BlockSet;
 use crate::error::StorageError;
 use crate::filter::RowFilter;
-use crate::kernel::{RowSampleBuf, SampleBuf, SCAN_CHUNK_ROWS};
+use crate::kernel::{assert_width_one, gather_slices, scan_slices, ChunkedLane, SCAN_CHUNK_ROWS};
 use crate::memory::MemBlock;
 use crate::selection::{SelectionVector, SetSelection};
 use crate::sketch::BlockSketch;
-
-thread_local! {
-    /// Scratch row tuple reused by the view adapters' per-draw reads —
-    /// projections sit on the engine's hottest sampling path, and a
-    /// fresh allocation per drawn value would dominate the read itself.
-    static ROW_BUF: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with the thread's scratch row buffer. The buffer is *taken*
-/// out of the slot for the duration (no borrow held), so nested view
-/// reads — e.g. a view over a [`ZipBlock`] whose columns are themselves
-/// views — fall back to a fresh allocation instead of panicking.
-fn with_row_buf<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    let mut buf = ROW_BUF.with_borrow_mut(std::mem::take);
-    let out = f(&mut buf);
-    ROW_BUF.with_borrow_mut(|slot| {
-        if buf.capacity() > slot.capacity() {
-            *slot = buf;
-        }
-    });
-    out
-}
 
 /// SplitMix64 finalizer: decorrelates the per-index probe streams of
 /// [`PooledFilteredColumn`]'s positional reads.
@@ -158,72 +135,15 @@ impl DataBlock for RowsBlock {
         self.columns.len()
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        let idx = rng.random_range(0..self.rows as u64);
-        Ok(self.columns[0][idx as usize])
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.columns[0]
-            .get(idx as usize)
-            .copied()
-            .ok_or(StorageError::Empty)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        for &v in self.columns[0].iter() {
-            visit(v);
-        }
-        Ok(())
-    }
-
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        let idx = rng.random_range(0..self.rows as u64) as usize;
-        out.clear();
-        out.extend(self.columns.iter().map(|col| col[idx]));
-        Ok(())
-    }
-
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        if idx >= self.rows as u64 {
-            return Err(StorageError::Empty);
-        }
-        out.clear();
-        out.extend(self.columns.iter().map(|col| col[idx as usize]));
-        Ok(())
-    }
-
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        // Full width is the identity projection of the one assembly loop.
-        let all: Vec<usize> = (0..self.columns.len()).collect();
-        self.scan_rows_projected(&all, visit)
-    }
-
-    fn scan_rows_projected(
+    fn gather(
         &self,
         columns: &[usize],
-        visit: &mut dyn FnMut(&[f64]),
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
-        // Assemble only the columns the scan reads: an unread column
-        // costs no load (and no cache footprint) per row.
-        let cols: Vec<&[f64]> = columns
-            .iter()
-            .map(|&c| self.columns[c].as_slice())
-            .collect();
-        let mut row = vec![0.0; cols.len()];
-        for idx in 0..self.rows {
-            for (slot, col) in row.iter_mut().zip(&cols) {
-                *slot = col[idx];
-            }
-            visit(&row);
-        }
-        Ok(())
+        // Only the requested columns are read: an unread column costs no
+        // load at all.
+        gather_slices(&self.columns, columns, indices, out)
     }
 
     fn scan_column_chunks(
@@ -231,55 +151,7 @@ impl DataBlock for RowsBlock {
         columns: &[usize],
         visit: &mut dyn FnMut(&[&[f64]]),
     ) -> Result<(), StorageError> {
-        // The columns are already contiguous: every chunk is a window
-        // onto the storage, no value is copied.
-        let cols: Vec<&[f64]> = columns
-            .iter()
-            .map(|&c| self.columns[c].as_slice())
-            .collect();
-        let mut chunk: Vec<&[f64]> = Vec::with_capacity(cols.len());
-        for start in (0..self.rows).step_by(SCAN_CHUNK_ROWS) {
-            let end = (start + SCAN_CHUNK_ROWS).min(self.rows);
-            chunk.clear();
-            chunk.extend(cols.iter().map(|col| &col[start..end]));
-            visit(&chunk);
-        }
-        Ok(())
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        out.draw_indices(n, self.rows as u64, rng);
-        out.gather_from_slice(&self.columns[0]);
-        Ok(())
-    }
-
-    fn sample_rows_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut RowSampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        out.draw_indices(n, self.rows as u64, self.columns.len(), rng);
-        out.gather_from_columns(&self.columns);
-        Ok(())
-    }
-
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        for chunk in self.columns[0].chunks(SCAN_CHUNK_ROWS) {
-            visit(chunk);
-        }
-        Ok(())
+        scan_slices(&self.columns, self.rows, columns, visit)
     }
 
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
@@ -354,81 +226,51 @@ impl DataBlock for ZipBlock {
         self.cols.len()
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // Column by column, each through the zipped column's own gather
+        // (a file-backed column reads its rows ascending).
+        if let [c] = columns {
+            return self.cols[*c].gather(&[0], indices, out);
         }
-        let idx = rng.random_range(0..self.rows);
-        self.cols[0].row_at(idx)
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        self.cols[0].row_at(idx)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.cols[0].scan(visit)
-    }
-
-    fn sample_row(&self, rng: &mut dyn RngCore, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        let idx = rng.random_range(0..self.rows);
-        self.row_tuple(idx, out)
-    }
-
-    fn row_tuple(&self, idx: u64, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        out.clear();
-        for col in &self.cols {
-            out.push(col.row_at(idx)?);
+        let w = columns.len();
+        let mut lane = vec![0.0; indices.len()];
+        for (k, &c) in columns.iter().enumerate() {
+            self.cols[c].gather(&[0], indices, &mut lane)?;
+            for (slot, &v) in out[k..].iter_mut().step_by(w).zip(&lane) {
+                *slot = v;
+            }
         }
         Ok(())
     }
 
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        let mut row = vec![0.0; self.cols.len()];
-        for idx in 0..self.rows {
-            for (slot, col) in row.iter_mut().zip(&self.cols) {
-                *slot = col.row_at(idx)?;
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        // One chunk of rows at a time, gathered column by column: one
+        // read per column per chunk, never one per value.
+        let mut indices: Vec<u64> = Vec::new();
+        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
+        for start in (0..self.rows).step_by(SCAN_CHUNK_ROWS) {
+            indices.clear();
+            indices.extend(start..self.rows.min(start + SCAN_CHUNK_ROWS as u64));
+            for (lane, &c) in lanes.iter_mut().zip(columns) {
+                lane.resize(indices.len(), 0.0);
+                self.cols[c].gather(&[0], &indices, lane)?;
             }
-            visit(&row);
+            visit(&lanes.iter().map(Vec::as_slice).collect::<Vec<_>>());
         }
         Ok(())
     }
 
     fn supports_scan(&self) -> bool {
         self.cols.iter().all(|c| c.supports_scan())
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        out.draw_indices(n, self.rows, rng);
-        out.gather_with_sorted(|idx| self.cols[0].row_at(idx))
-    }
-
-    fn sample_rows_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut RowSampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        out.draw_indices(n, self.rows, self.cols.len(), rng);
-        out.gather_with_sorted(|idx, row| self.row_tuple(idx, row))
-    }
-
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        self.cols[0].scan_chunks(visit)
     }
 
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
@@ -469,6 +311,16 @@ impl ColumnView {
         let sketch = inner.sketch().and_then(|s| s.project(col)).map(Arc::new);
         Self { inner, col, sketch }
     }
+
+    /// Runs `read` with this view's `columns` (all column 0) as the inner
+    /// block's columns.
+    fn on_inner<R>(&self, columns: &[usize], read: impl FnOnce(&[usize]) -> R) -> R {
+        assert_width_one(columns);
+        match columns {
+            [_] => read(&[self.col]),
+            _ => read(&vec![self.col; columns.len()]),
+        }
+    }
 }
 
 impl DataBlock for ColumnView {
@@ -476,48 +328,32 @@ impl DataBlock for ColumnView {
         self.inner.len()
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        with_row_buf(|row| {
-            self.inner.sample_row(rng, row)?;
-            Ok(row[self.col])
-        })
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        with_row_buf(|row| {
-            self.inner.row_tuple(idx, row)?;
-            Ok(row[self.col])
-        })
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.scan_chunks(&mut |chunk| chunk.iter().for_each(|&v| visit(v)))
-    }
-
-    fn scan_chunks(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        // The one column, as the inner block's column chunks: no row is
-        // assembled to keep a single value of it.
-        self.inner
-            .scan_column_chunks(&[self.col], &mut |chunk| visit(chunk[0]))
-    }
-
-    fn sample_batch(
+    fn gather(
         &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
     ) -> Result<(), StorageError> {
-        // One index draw per row through the inner batch kernel — the
-        // identical stream as repeated scalar `sample_one` calls.
-        crate::kernel::with_row_sample_buf(|rows| {
-            self.inner.sample_rows_batch(n, rng, rows)?;
-            out.begin_scalar(n as usize);
-            let (w, col) = (rows.width(), self.col);
-            for row in rows.rows().chunks_exact(w) {
-                out.push_value(row[col]);
-            }
-            Ok(())
-        })
+        self.on_inner(columns, |cols| self.inner.gather(cols, indices, out))
+    }
+
+    fn draw(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // The inner block's own draw: its fault gate, its stream.
+        self.on_inner(columns, |cols| self.inner.draw(rng, cols, indices, out))
+    }
+
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        self.on_inner(columns, |cols| self.inner.scan_column_chunks(cols, visit))
     }
 
     fn supports_scan(&self) -> bool {
@@ -691,23 +527,62 @@ impl PooledFilteredColumn {
         Ok(self.filter.matches(row).then(|| row[self.col]))
     }
 
-    /// Reads the `k`-th global *match* through the compiled selection:
-    /// one value of the projected column — the selection already says
-    /// the row matches (re-checked on the whole row in debug builds).
-    fn read_match(&self, sel: &SetSelection, k: u64) -> Result<f64, StorageError> {
+    /// Reads the `k`-th global *match* through the compiled selection
+    /// into `out` (one row of `columns`): one value of the projected
+    /// column — the selection already says the row matches (re-checked
+    /// on the whole row in debug builds).
+    fn read_match(
+        &self,
+        sel: &SetSelection,
+        k: u64,
+        columns: &[usize],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
         let (b, local) = sel.locate(k);
-        let value = self.columns[b].row_at(local)?;
+        self.columns[b].gather(columns, &[local], out)?;
         if cfg!(debug_assertions) {
-            with_row_buf(|row| {
-                if self.blocks[b].row_tuple(local, row).is_ok() {
-                    assert!(
-                        self.filter.matches(row),
-                        "selection row {local} of block {b}"
-                    );
-                }
-            });
+            let mut row = Vec::new();
+            if self.blocks[b].row_tuple(local, &mut row).is_ok() {
+                assert!(
+                    self.filter.matches(&row),
+                    "selection row {local} of block {b}"
+                );
+            }
         }
-        Ok(value)
+        Ok(())
+    }
+
+    /// One uniform draw over the matching rows from `rng` into `out`: a
+    /// match index through the compiled selection — O(1), matchless
+    /// blocks occupy no width and are never probed — else whole-set
+    /// rejection.
+    fn draw_match(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        row: &mut Vec<f64>,
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        let Some(sel) = &self.selection else {
+            out.fill(self.reject(rng, row)?);
+            return Ok(());
+        };
+        if sel.total_matches() == 0 {
+            return Err(StorageError::SelectivityTooLow { attempts: 0 });
+        }
+        self.read_match(sel, rng.random_range(0..sel.total_matches()), columns, out)
+    }
+
+    /// Draws global rows from `rng` until one matches.
+    fn reject(&self, rng: &mut dyn RngCore, row: &mut Vec<f64>) -> Result<f64, StorageError> {
+        for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
+            if let Some(v) = self.read_global(rng.random_range(0..self.total), row)? {
+                return Ok(v);
+            }
+        }
+        Err(StorageError::SelectivityTooLow {
+            attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
+        })
     }
 
     /// The number of matching rows across the set, when compiled.
@@ -721,34 +596,12 @@ impl DataBlock for PooledFilteredColumn {
         self.total
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        if self.total == 0 {
-            return Err(StorageError::Empty);
-        }
-        if let Some(sel) = &self.selection {
-            // O(1): one uniform index over the set's matches, resolved
-            // by binary search over the per-block match counts —
-            // matchless blocks occupy no width and are never probed.
-            if sel.total_matches() == 0 {
-                return Err(StorageError::SelectivityTooLow { attempts: 0 });
-            }
-            let k = rng.random_range(0..sel.total_matches());
-            return self.read_match(sel, k);
-        }
-        with_row_buf(|row| {
-            for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
-                let idx = rng.random_range(0..self.total);
-                if let Some(v) = self.read_global(idx, row)? {
-                    return Ok(v);
-                }
-            }
-            Err(StorageError::SelectivityTooLow {
-                attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
-            })
-        })
-    }
-
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
         // Positional access resolves to a *matching* row: `idx` itself
         // when it matches, otherwise a pseudo-random matching row drawn
         // from an `idx`-seeded stream (deterministic: repeated reads of
@@ -758,35 +611,69 @@ impl DataBlock for PooledFilteredColumn {
         // of how matches cluster physically — estimators that read
         // uniform positions (e.g. the US baseline) stay uniform over the
         // filtered population even on sorted data.
-        if idx >= self.total {
+        assert_width_one(columns);
+        let w = columns.len();
+        let mut row = Vec::new();
+        for (j, &idx) in indices.iter().enumerate() {
+            if idx >= self.total {
+                return Err(StorageError::Empty);
+            }
+            let slot = &mut out[j * w..(j + 1) * w];
+            match self.read_global(idx, &mut row)? {
+                Some(v) => slot.fill(v),
+                None => {
+                    // isla-lint: allow(determinism, reason = "content derivation, not an engine stream: the redirect target is a pure function of idx, so every scheduler reads the same row")
+                    let mut probe_rng = StdRng::seed_from_u64(splitmix64(idx));
+                    self.draw_match(&mut probe_rng, columns, &mut row, slot)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn draw(
+        &self,
+        rng: &mut dyn RngCore,
+        columns: &[usize],
+        indices: &mut [u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // A draw over match space, not over rows: no "index draw +
+        // gather" of the block's own positions.
+        assert_width_one(columns);
+        if self.total == 0 {
             return Err(StorageError::Empty);
         }
-        with_row_buf(|row| {
-            if let Some(v) = self.read_global(idx, row)? {
-                return Ok(v);
-            }
-            // isla-lint: allow(determinism, reason = "content derivation, not an engine stream: the redirect target is a pure function of idx, so every scheduler reads the same row")
-            let mut probe_rng = StdRng::seed_from_u64(splitmix64(idx));
-            if let Some(sel) = &self.selection {
+        let w = columns.len();
+        let mut row = Vec::new();
+        match &self.selection {
+            Some(sel) => {
                 if sel.total_matches() == 0 {
                     return Err(StorageError::SelectivityTooLow { attempts: 0 });
                 }
-                let k = probe_rng.random_range(0..sel.total_matches());
-                return self.read_match(sel, k);
-            }
-            for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
-                let probe = probe_rng.random_range(0..self.total);
-                if let Some(v) = self.read_global(probe, row)? {
-                    return Ok(v);
+                // Every match index first, then the reads in draw order.
+                for slot in indices.iter_mut() {
+                    *slot = rng.random_range(0..sel.total_matches());
+                }
+                for (j, &k) in indices.iter().enumerate() {
+                    self.read_match(sel, k, columns, &mut out[j * w..(j + 1) * w])?;
                 }
             }
-            Err(StorageError::SelectivityTooLow {
-                attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
-            })
-        })
+            None => {
+                for j in 0..indices.len() {
+                    out[j * w..(j + 1) * w].fill(self.reject(rng, &mut row)?);
+                }
+            }
+        }
+        Ok(())
     }
 
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let mut lane = ChunkedLane::new(columns, visit);
         for (b, block) in self.blocks.iter().enumerate() {
             // A pooled view only keeps a complete selection.
             let block_sel = self
@@ -803,52 +690,11 @@ impl DataBlock for PooledFilteredColumn {
                 self.col,
                 &self.filter,
                 block_sel.map(Arc::as_ref),
-                visit,
+                &mut |v| lane.push(v),
             )?;
         }
+        lane.flush();
         Ok(())
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        if self.total == 0 {
-            return Err(StorageError::Empty);
-        }
-        match &self.selection {
-            Some(sel) => {
-                // Same stream as n scalar selection draws; reads stay
-                // in draw order (memory-resident matches — see
-                // crate::kernel on direct vs sorted gathers).
-                if sel.total_matches() == 0 {
-                    return Err(StorageError::SelectivityTooLow { attempts: 0 });
-                }
-                out.draw_indices(n, sel.total_matches(), rng);
-                out.gather_with(|k| self.read_match(sel, k))
-            }
-            None => {
-                // Rejection fallback, row buffer hoisted over the batch.
-                out.begin_scalar(n as usize);
-                with_row_buf(|row| {
-                    'batch: for _ in 0..n {
-                        for _ in 0..RowFilter::MAX_REJECTION_ATTEMPTS {
-                            let idx = rng.random_range(0..self.total);
-                            if let Some(v) = self.read_global(idx, row)? {
-                                out.push_value(v);
-                                continue 'batch;
-                            }
-                        }
-                        return Err(StorageError::SelectivityTooLow {
-                            attempts: RowFilter::MAX_REJECTION_ATTEMPTS,
-                        });
-                    }
-                    Ok(())
-                })
-            }
-        }
     }
 
     fn supports_scan(&self) -> bool {

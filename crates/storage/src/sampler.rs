@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::Rng;
 use rand::RngCore;
 
-use crate::block::DataBlock;
+use crate::block::{BlockReads, DataBlock};
 use crate::blockset::BlockSet;
 use crate::error::StorageError;
 use crate::kernel::{with_row_sample_buf, with_sample_buf, SAMPLE_BATCH_ROWS};
@@ -25,7 +25,7 @@ use crate::kernel::{with_row_sample_buf, with_sample_buf, SAMPLE_BATCH_ROWS};
 /// estimators (every sample is an independent draw from the block's
 /// empirical distribution).
 ///
-/// Internally batched through [`DataBlock::sample_batch`] in
+/// Internally batched through [`BlockReads::sample_batch`] in
 /// [`SAMPLE_BATCH_ROWS`]-sized chunks on a reusable thread-local buffer
 /// — values reach `visit` in the identical order, from the identical
 /// RNG stream, as the scalar loop this replaces.
@@ -56,7 +56,7 @@ pub fn sample_from_block(
 /// Draws `m` uniform row tuples (with replacement) from one block,
 /// passing each to `visit` — the row-model analogue of
 /// [`sample_from_block`], batched the same way through
-/// [`DataBlock::sample_rows_batch`].
+/// [`BlockReads::sample_rows_batch`].
 ///
 /// # Errors
 ///
@@ -104,7 +104,7 @@ pub fn sample_row_columns_from_block(
 
 /// Consumes the RNG stream of `m` row draws from a block of `block_len`
 /// rows without reading a row: one uniform index draw per row, as
-/// [`DataBlock::sample_row`] is bound to. For a consumer that knows from
+/// [`DataBlock::draw`] is bound to. For a consumer that knows from
 /// metadata ([`DataBlock::zone`]) what the rows would have told it, and
 /// must leave `rng` exactly where the real draws would.
 ///
@@ -534,13 +534,14 @@ mod tests {
             fn len(&self) -> u64 {
                 300
             }
-            fn sample_one(&self, _rng: &mut dyn RngCore) -> Result<f64, StorageError> {
+            fn gather(&self, _: &[usize], _: &[u64], _: &mut [f64]) -> Result<(), StorageError> {
                 panic!("injected storage panic")
             }
-            fn row_at(&self, _idx: u64) -> Result<f64, StorageError> {
-                panic!("injected storage panic")
-            }
-            fn scan(&self, _visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+            fn scan_column_chunks(
+                &self,
+                _: &[usize],
+                _: &mut dyn FnMut(&[&[f64]]),
+            ) -> Result<(), StorageError> {
                 panic!("injected storage panic")
             }
         }

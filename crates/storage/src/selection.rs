@@ -58,11 +58,22 @@ impl SelectionVector {
     /// under-reports its length (the old code's `u32` row counter would
     /// have wrapped there and silently aliased indices).
     pub fn build(block: &dyn DataBlock, filter: &RowFilter) -> Result<Option<Self>, StorageError> {
+        Self::build_capped(block, filter, u64::from(u32::MAX))
+    }
+
+    /// [`SelectionVector::build`] over at most `max_rows` rows, declared
+    /// or scanned — `u32::MAX` for every real build; a small cap lets a
+    /// test trip the mid-scan check within a few chunks.
+    pub(crate) fn build_capped(
+        block: &dyn DataBlock,
+        filter: &RowFilter,
+        max_rows: u64,
+    ) -> Result<Option<Self>, StorageError> {
         if !block.supports_scan() {
             return Ok(None);
         }
         let declared = block.len();
-        if declared > u64::from(u32::MAX) {
+        if declared > max_rows {
             return Err(StorageError::BlockTooLarge { rows: declared });
         }
         // A trivial filter reads nothing: its rows are counted by the
@@ -75,15 +86,15 @@ impl SelectionVector {
         let mut rows_seen: u64 = 0;
         block.scan_column_chunks(&columns, &mut |chunk| {
             let rows = chunk.first().map_or(0, |col| col.len()) as u64;
-            // Past the index space nothing compiles: the scan only
-            // finishes counting for the error below.
-            if rows_seen + rows <= u64::from(u32::MAX) {
+            // Past the cap nothing compiles: the scan only finishes
+            // counting for the error below.
+            if rows_seen + rows <= max_rows {
                 filter.select(chunk, rows_seen as u32, &mut matched);
                 indices.extend_from_slice(&matched);
             }
             rows_seen += rows;
         })?;
-        if rows_seen > u64::from(u32::MAX) {
+        if rows_seen > max_rows {
             return Err(StorageError::BlockTooLarge { rows: rows_seen });
         }
         indices.shrink_to_fit();
@@ -614,8 +625,35 @@ impl SelectionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use crate::filter::{CmpOp, ColumnPredicate};
+    use crate::kernel::SCAN_CHUNK_ROWS;
     use crate::rows::RowsBlock;
+
+    /// A block that claims `claimed` rows and scans `chunks` full chunks
+    /// of zeros: past the `u32` index space, or fewer rows than it scans.
+    struct HugeClaimBlock {
+        claimed: u64,
+        chunks: usize,
+    }
+
+    impl DataBlock for HugeClaimBlock {
+        fn len(&self) -> u64 {
+            self.claimed
+        }
+        fn gather(&self, _: &[usize], _: &[u64], _: &mut [f64]) -> Result<(), StorageError> {
+            unreachable!("a selection build only scans")
+        }
+        fn scan_column_chunks(
+            &self,
+            columns: &[usize],
+            visit: &mut dyn FnMut(&[&[f64]]),
+        ) -> Result<(), StorageError> {
+            let zeros = vec![0.0; SCAN_CHUNK_ROWS];
+            (0..self.chunks).for_each(|_| visit(&vec![zeros.as_slice(); columns.len()]));
+            Ok(())
+        }
+    }
 
     fn filter_gt(column: usize, value: f64) -> RowFilter {
         RowFilter::new(vec![ColumnPredicate {
@@ -760,31 +798,42 @@ mod tests {
         // A scannable block claiming more rows than the u32 index space:
         // compilation must refuse with a structured error, never wrap
         // its row counter.
-        struct HugeClaimBlock;
-        impl DataBlock for HugeClaimBlock {
-            fn len(&self) -> u64 {
-                u64::from(u32::MAX) + 1
-            }
-            fn sample_one(&self, _rng: &mut dyn rand::RngCore) -> Result<f64, StorageError> {
-                Ok(0.0)
-            }
-            fn row_at(&self, _idx: u64) -> Result<f64, StorageError> {
-                Ok(0.0)
-            }
-            fn scan(&self, _visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-                Ok(())
-            }
-        }
-        let err = SelectionVector::build(&HugeClaimBlock, &filter_gt(0, 0.0)).unwrap_err();
+        let huge = HugeClaimBlock {
+            claimed: u64::from(u32::MAX) + 1,
+            chunks: 0,
+        };
+        let err = SelectionVector::build(&huge, &filter_gt(0, 0.0)).unwrap_err();
         assert!(matches!(
             err,
             StorageError::BlockTooLarge { rows } if rows == u64::from(u32::MAX) + 1
         ));
         // The set build propagates the structured error too.
-        let blocks: Vec<Arc<dyn DataBlock>> = vec![Arc::new(HugeClaimBlock)];
+        let blocks: Vec<Arc<dyn DataBlock>> = vec![Arc::new(huge)];
         assert!(matches!(
             SetSelection::build(&blocks, &filter_gt(0, 0.0), None),
             Err(StorageError::BlockTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn builds_catch_a_block_that_under_reports_its_length_mid_scan() {
+        // Ten rows claimed, whole chunks scanned: under a cap of three
+        // chunks the fourth trips the mid-scan check (the declared
+        // length never would), reporting the rows actually seen.
+        let claiming_ten = |chunks| HugeClaimBlock {
+            claimed: 10,
+            chunks,
+        };
+        let cap = 3 * SCAN_CHUNK_ROWS as u64;
+        let nothing = filter_gt(0, 1.0);
+        let built = SelectionVector::build_capped(&claiming_ten(3), &nothing, cap);
+        assert!(
+            built.unwrap().unwrap().is_empty(),
+            "three chunks fit the cap"
+        );
+        assert!(matches!(
+            SelectionVector::build_capped(&claiming_ten(4), &nothing, cap),
+            Err(StorageError::BlockTooLarge { rows }) if rows == cap + SCAN_CHUNK_ROWS as u64
         ));
     }
 

@@ -207,11 +207,9 @@ impl BlockSketch {
 /// Computes a block's sketch by scanning it — the lazy path for blocks
 /// without a [`DataBlock::sketch`] hook (file-backed or third-party).
 ///
-/// Width-1 blocks fold through the chunked scan kernel; wider blocks
-/// fold column chunks ([`DataBlock::scan_column_chunks`]), one column
-/// at a time. Both visit each column's values in storage order, so the
-/// result is bit-identical to an eager constructor-time sketch of the
-/// same data.
+/// Folds every column's chunks ([`DataBlock::scan_column_chunks`]) in
+/// storage order, so the result is bit-identical to an eager
+/// constructor-time sketch of the same data.
 ///
 /// Returns `Ok(None)` when the block does not support scans at all.
 ///
@@ -223,32 +221,17 @@ pub fn scan_sketch(block: &dyn DataBlock) -> Result<Option<BlockSketch>, Storage
     if !block.supports_scan() {
         return Ok(None);
     }
-    if block.width() == 1 {
-        let mut moments = ColumnMoments::new();
-        let mut rows = 0u64;
-        block.scan_chunks(&mut |chunk| {
-            rows += chunk.len() as u64;
-            for &v in chunk {
+    let mut sketch = BlockSketch::empty(block.width());
+    let all: Vec<usize> = (0..block.width()).collect();
+    block.scan_column_chunks(&all, &mut |chunk| {
+        sketch.rows += chunk.first().map_or(0, |col| col.len()) as u64;
+        for (moments, col) in sketch.columns.iter_mut().zip(chunk) {
+            for &v in *col {
                 moments.update(v);
             }
-        })?;
-        Ok(Some(BlockSketch {
-            rows,
-            columns: vec![moments],
-        }))
-    } else {
-        let mut sketch = BlockSketch::empty(block.width());
-        let all: Vec<usize> = (0..block.width()).collect();
-        block.scan_column_chunks(&all, &mut |chunk| {
-            sketch.rows += chunk.first().map_or(0, |col| col.len()) as u64;
-            for (moments, col) in sketch.columns.iter_mut().zip(chunk) {
-                for &v in *col {
-                    moments.update(v);
-                }
-            }
-        })?;
-        Ok(Some(sketch))
-    }
+        }
+    })?;
+    Ok(Some(sketch))
 }
 
 /// Per-set sketch cache: block index → sketch, shared across

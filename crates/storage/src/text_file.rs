@@ -10,14 +10,12 @@
 //! threads never contend on a seek cursor.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-use rand::Rng;
-use rand::RngCore;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
+use crate::kernel::{gather_ascending, ChunkedLane};
 
 /// Maximum plausible length of one serialized value, used to size the
 /// sampling read buffer.
@@ -183,44 +181,37 @@ impl DataBlock for TextBlock {
         (self.offsets.len() - 1) as u64
     }
 
-    fn sample_one(&self, rng: &mut dyn RngCore) -> Result<f64, StorageError> {
-        let rows = (self.offsets.len() - 1) as u64;
-        if rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        // u64 index draw for cross-block-kind RNG-stream determinism.
-        self.read_row(rng.random_range(0..rows) as usize)
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        // Ascending line offsets keep a batch of point reads within the
+        // page cache's sequential sweet spot.
+        gather_ascending(self.len(), columns, indices, out, |idx| {
+            self.read_row(idx as usize)
+        })
     }
 
-    fn row_at(&self, idx: u64) -> Result<f64, StorageError> {
-        if idx >= (self.offsets.len() - 1) as u64 {
-            return Err(StorageError::Empty);
-        }
-        self.read_row(idx as usize)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        let mut file = self.file.try_clone().map_err(|source| StorageError::Io {
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let io = |source| StorageError::Io {
             path: Some(self.path.clone()),
             source,
-        })?;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::Start(0))
-            .map_err(|source| StorageError::Io {
-                path: Some(self.path.clone()),
-                source,
-            })?;
+        };
+        let mut file = self.file.try_clone().map_err(io)?;
+        file.seek(SeekFrom::Start(0)).map_err(io)?;
         let mut reader = BufReader::new(file);
+        let mut lane = ChunkedLane::new(columns, visit);
         let mut line = String::new();
         let mut row = 0u64;
         loop {
             line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|source| StorageError::Io {
-                    path: Some(self.path.clone()),
-                    source,
-                })?;
+            let n = reader.read_line(&mut line).map_err(io)?;
             if n == 0 || line.trim().is_empty() {
                 break;
             }
@@ -233,31 +224,17 @@ impl DataBlock for TextBlock {
                     line: row,
                     content: line.trim().chars().take(32).collect(),
                 })?;
-            visit(v);
+            lane.push(v);
         }
+        lane.flush();
         Ok(())
-    }
-
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut crate::kernel::SampleBuf,
-    ) -> Result<(), StorageError> {
-        let rows = (self.offsets.len() - 1) as u64;
-        if rows == 0 {
-            return Err(StorageError::Empty);
-        }
-        // Sorted gather: ascending line offsets keep a batch of point
-        // reads within the page cache's sequential sweet spot.
-        out.draw_indices(n, rows, rng);
-        out.gather_with_sorted(|idx| self.read_row(idx as usize))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockReads;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

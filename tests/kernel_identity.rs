@@ -26,10 +26,10 @@ use isla::stats::{NeumaierSum, WelfordMoments};
 use isla::storage::{
     pool_filtered_column, sample_rows_from_block, sample_rows_proportional,
     sample_rows_proportional_surviving, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault,
-    BlockSet, BlockSketch, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum, FaultPlan,
-    FaultyBlock, GeneratorBlock, MemBlock, PooledFilteredColumn, RowFilter, RowSampleBuf,
-    RowsBlock, SampleBuf, ScalarFallbackBlock, SelectionVector, SetSelection, StorageError,
-    TextBlock, ZipBlock, ZoneMatch, SCAN_CHUNK_ROWS,
+    BlockReads, BlockSet, BlockSketch, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum,
+    FaultPlan, FaultyBlock, GeneratorBlock, MemBlock, PooledFilteredColumn, RowFilter,
+    RowSampleBuf, RowsBlock, SampleBuf, ScalarFallbackBlock, SelectionVector, SetSelection,
+    StorageError, TextBlock, ZipBlock, ZoneMatch, SCAN_CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -1404,18 +1404,20 @@ impl DataBlock for ScriptedBlock {
         50
     }
 
-    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
-        Ok(1.0)
+    fn gather(&self, _: &[usize], _: &[u64], out: &mut [f64]) -> Result<(), StorageError> {
+        out.fill(1.0);
+        Ok(())
     }
 
-    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
-        Ok(1.0)
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
         match &self.0 {
             Script::Healthy => {
-                (0..self.len()).for_each(|_| visit(1.0));
+                let ones = vec![1.0; self.len() as usize];
+                visit(&vec![ones.as_slice(); columns.len()]);
                 Ok(())
             }
             Script::Fail(error, gate) => {
@@ -1454,36 +1456,18 @@ impl DataBlock for RecordingBlock {
         self.ran("width");
         1
     }
-    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
-        self.ran("sample_one");
-        Ok(1.0)
-    }
-    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
-        self.ran("row_at");
-        Ok(1.0)
-    }
-    fn scan(&self, _: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.ran("scan");
+    fn gather(&self, _: &[usize], _: &[u64], _: &mut [f64]) -> Result<(), StorageError> {
+        self.ran("gather");
         Ok(())
     }
-    fn sample_row(&self, _: &mut dyn RngCore, _: &mut Vec<f64>) -> Result<(), StorageError> {
-        self.ran("sample_row");
-        Ok(())
-    }
-    fn row_tuple(&self, _: u64, _: &mut Vec<f64>) -> Result<(), StorageError> {
-        self.ran("row_tuple");
-        Ok(())
-    }
-    fn scan_rows(&self, _: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        self.ran("scan_rows");
-        Ok(())
-    }
-    fn scan_rows_projected(
+    fn draw(
         &self,
+        _: &mut dyn RngCore,
         _: &[usize],
-        _: &mut dyn FnMut(&[f64]),
+        _: &mut [u64],
+        _: &mut [f64],
     ) -> Result<(), StorageError> {
-        self.ran("scan_rows_projected");
+        self.ran("draw");
         Ok(())
     }
     fn scan_column_chunks(
@@ -1492,28 +1476,6 @@ impl DataBlock for RecordingBlock {
         _: &mut dyn FnMut(&[&[f64]]),
     ) -> Result<(), StorageError> {
         self.ran("scan_column_chunks");
-        Ok(())
-    }
-    fn sample_batch(
-        &self,
-        _: u64,
-        _: &mut dyn RngCore,
-        _: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        self.ran("sample_batch");
-        Ok(())
-    }
-    fn sample_rows_batch(
-        &self,
-        _: u64,
-        _: &mut dyn RngCore,
-        _: &mut RowSampleBuf,
-    ) -> Result<(), StorageError> {
-        self.ran("sample_rows_batch");
-        Ok(())
-    }
-    fn scan_chunks(&self, _: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        self.ran("scan_chunks");
         Ok(())
     }
     fn supports_scan(&self) -> bool {
@@ -1538,22 +1500,14 @@ impl DataBlock for RecordingBlock {
 /// (static dispatch: no auto-deref to the pointee), in declaration order.
 fn drive_every_method<B: DataBlock>(block: &B) {
     let mut rng = StdRng::seed_from_u64(0);
-    let mut row = Vec::new();
+    let mut out = [0.0];
     let filter = RowFilter::new(vec![]);
     B::len(block);
     B::is_empty(block);
     B::width(block);
-    B::sample_one(block, &mut rng).unwrap();
-    B::row_at(block, 0).unwrap();
-    B::scan(block, &mut |_| {}).unwrap();
-    B::sample_row(block, &mut rng, &mut row).unwrap();
-    B::row_tuple(block, 0, &mut row).unwrap();
-    B::scan_rows(block, &mut |_| {}).unwrap();
-    B::scan_rows_projected(block, &[0], &mut |_| {}).unwrap();
+    B::gather(block, &[0], &[0], &mut out).unwrap();
+    B::draw(block, &mut rng, &[0], &mut [0], &mut out).unwrap();
     B::scan_column_chunks(block, &[0], &mut |_| {}).unwrap();
-    B::sample_batch(block, 1, &mut rng, &mut SampleBuf::new()).unwrap();
-    B::sample_rows_batch(block, 1, &mut rng, &mut RowSampleBuf::new()).unwrap();
-    B::scan_chunks(block, &mut |_| {}).unwrap();
     B::supports_scan(block);
     B::sketch(block);
     B::zone(block, &filter);
@@ -1574,7 +1528,7 @@ fn every_method_reaches_the_pointee_through_every_pointer_kind() {
         .filter_map(|line| line.strip_prefix("    fn "))
         .map(|line| line.split_once('(').unwrap().0)
         .collect();
-    assert_eq!(declared.len(), 18, "{declared:?}");
+    assert_eq!(declared.len(), 10, "{declared:?}");
 
     let ran = |drive: &dyn Fn(Arc<RecordingBlock>)| {
         let block = Arc::new(RecordingBlock::default());
@@ -1947,16 +1901,9 @@ impl DataBlock for UnderReportingBlock {
         10
     }
 
-    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
-        Ok(0.0)
-    }
-
-    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
-        Ok(0.0)
-    }
-
-    fn scan(&self, _: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        unreachable!("the selection build scans column chunks")
+    fn gather(&self, _: &[usize], _: &[u64], out: &mut [f64]) -> Result<(), StorageError> {
+        out.fill(0.0);
+        Ok(())
     }
 
     fn scan_column_chunks(
@@ -2913,20 +2860,15 @@ impl DataBlock for ScanOnlyBlock {
     fn width(&self) -> usize {
         self.inner.width()
     }
-    fn sample_one(&self, _: &mut dyn RngCore) -> Result<f64, StorageError> {
+    fn gather(&self, _: &[usize], _: &[u64], _: &mut [f64]) -> Result<(), StorageError> {
         Err(refused())
     }
-    fn row_at(&self, _: u64) -> Result<f64, StorageError> {
-        Err(refused())
-    }
-    fn row_tuple(&self, _: u64, _: &mut Vec<f64>) -> Result<(), StorageError> {
-        Err(refused())
-    }
-    fn scan(&self, visit: &mut dyn FnMut(f64)) -> Result<(), StorageError> {
-        self.inner.scan(visit)
-    }
-    fn scan_rows(&self, visit: &mut dyn FnMut(&[f64])) -> Result<(), StorageError> {
-        self.inner.scan_rows(visit)
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        self.inner.scan_column_chunks(columns, visit)
     }
     fn project(&self, col: usize) -> Option<Arc<dyn DataBlock>> {
         self.projects.then(|| self.inner.project(col)).flatten()
