@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::block::{BlockReads, DataBlock};
 use crate::error::StorageError;
 use crate::filter::RowFilter;
-use crate::memory::MemBlock;
+use crate::memory::{block_ranges, ColumnWindow, MemBlock};
 use crate::selection::{self, SelectionCache, SelectionTail, SelectionVector, SetSelection};
 use crate::sketch::{self, BlockSketch, SetSketches, SketchCache};
 
@@ -143,24 +143,24 @@ impl BlockSet {
     /// parts to process the computations").
     ///
     /// The first `len % block_count` blocks receive one extra row when the
-    /// division is not exact.
+    /// division is not exact. `values` stays one buffer, which every
+    /// block windows into: nothing is copied, and a block kept on its own
+    /// keeps the whole buffer.
     ///
     /// # Panics
     ///
-    /// Panics if `block_count == 0` or `values` is empty.
+    /// Panics if `block_count == 0`, `values` is empty, or any value is
+    /// not finite.
     pub fn from_values(values: Vec<f64>, block_count: usize) -> Self {
         assert!(block_count > 0, "block count must be positive");
         assert!(!values.is_empty(), "cannot build a block set from no data");
         let n = values.len();
-        let base = n / block_count;
-        let extra = n % block_count;
-        let mut blocks: Vec<Arc<dyn DataBlock>> = Vec::with_capacity(block_count);
-        let mut iter = values.into_iter();
-        for i in 0..block_count {
-            let take = base + usize::from(i < extra);
-            let chunk: Vec<f64> = iter.by_ref().take(take).collect();
-            blocks.push(Arc::new(MemBlock::new(chunk)));
-        }
+        let buffer = Arc::new(values);
+        let blocks = block_ranges(n, block_count)
+            .map(|rows| {
+                Arc::new(MemBlock::window(ColumnWindow::new(&buffer, rows))) as Arc<dyn DataBlock>
+            })
+            .collect();
         Self::assemble(blocks, n as u64)
     }
 

@@ -30,6 +30,7 @@ use rand::RngCore;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
+use crate::memory::ColumnWindow;
 
 /// Preferred number of value draws per [`crate::BlockReads::sample_batch`] call
 /// on the engine's hot path. Large enough to amortize dispatch and make
@@ -208,13 +209,14 @@ pub fn with_row_sample_buf<R>(f: impl FnOnce(&mut RowSampleBuf) -> R) -> R {
     out
 }
 
-/// The in-memory gather: `columns` of `storage` (the block's columns),
-/// column-at-a-time in index order — independent loads pipeline through
-/// the core's memory-level parallelism, which measures faster than any
-/// sorted access pattern for RAM-resident data.
+/// The in-memory gather: `columns` of `storage` (the block's column
+/// windows, each resolved to a slice once per call), column-at-a-time in
+/// index order — independent loads pipeline through the core's
+/// memory-level parallelism, which measures faster than any sorted
+/// access pattern for RAM-resident data.
 #[inline]
 pub(crate) fn gather_slices(
-    storage: &[Arc<Vec<f64>>],
+    storage: &[ColumnWindow],
     columns: &[usize],
     indices: &[u64],
     out: &mut [f64],
@@ -251,10 +253,10 @@ pub(crate) fn gather_slices(
     }
 }
 
-/// The in-memory scan: `columns` of `storage` as windows onto the
-/// storage itself — no value is copied.
+/// The in-memory scan: `columns` of `storage` as slices of the column
+/// buffers themselves — no value is copied.
 pub(crate) fn scan_slices(
-    storage: &[Arc<Vec<f64>>],
+    storage: &[ColumnWindow],
     rows: usize,
     columns: &[usize],
     visit: &mut dyn FnMut(&[&[f64]]),

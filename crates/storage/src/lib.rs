@@ -5,9 +5,10 @@
 //! answers are combined by size-weighted averaging. This crate provides the
 //! block abstraction and every concrete block kind the evaluation needs:
 //!
-//! * [`MemBlock`] — one column of values in memory (reference-counted:
-//!   also what a [`RowsBlock`] hands out as a zero-copy projection of
-//!   one of its columns);
+//! * [`MemBlock`] — one column of values in memory, a window onto a
+//!   shared buffer ([`BlockSet::from_values`] windows one buffer per
+//!   column into every block; a [`RowsBlock`] hands one of its column
+//!   windows out as a zero-copy projection);
 //! * [`TextBlock`] — one value per line in a text file, the exact storage
 //!   format of the paper's experiments ("data … are pre-processed and
 //!   saved in b .txt documents to simulate b blocks");

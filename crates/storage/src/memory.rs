@@ -1,5 +1,6 @@
-//! In-memory blocks.
+//! In-memory blocks, and the column windows they hold.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::block::DataBlock;
@@ -7,15 +8,85 @@ use crate::error::StorageError;
 use crate::kernel::{gather_slices, scan_slices};
 use crate::sketch::BlockSketch;
 
-/// A block whose rows live in memory.
+/// Rows `rows` of one shared column buffer: how every in-memory block
+/// holds a column. Splitting a loaded column into blocks, or projecting
+/// a column out of a [`crate::RowsBlock`], hands out windows onto the
+/// one buffer instead of copying it — and a window kept on its own
+/// keeps that whole buffer alive.
+///
+/// The buffer is an `Arc<Vec<f64>>`, not an `Arc<[f64]>`: wrapping a
+/// loaded `Vec` in the former moves it, converting it to the latter
+/// copies it.
+#[derive(Clone)]
+pub(crate) struct ColumnWindow {
+    buffer: Arc<Vec<f64>>,
+    rows: Range<usize>,
+}
+
+impl ColumnWindow {
+    /// A window onto all of `values`.
+    pub(crate) fn whole(values: Vec<f64>) -> Self {
+        let rows = 0..values.len();
+        Self {
+            buffer: Arc::new(values),
+            rows,
+        }
+    }
+
+    /// A window onto rows `rows` of `buffer`, which must lie within it:
+    /// every read slices the buffer by `rows`.
+    pub(crate) fn new(buffer: &Arc<Vec<f64>>, rows: Range<usize>) -> Self {
+        Self {
+            buffer: Arc::clone(buffer),
+            rows,
+        }
+    }
+
+    /// The window's values.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.buffer[self.rows.clone()]
+    }
+
+    /// Number of rows in the window.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// Windows compare by the values they show, not by buffer or range.
+impl PartialEq for ColumnWindow {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for ColumnWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+/// The row ranges of `n` rows split into `block_count` blocks, in
+/// order: the first `n % block_count` blocks get one extra row.
+pub(crate) fn block_ranges(n: usize, block_count: usize) -> impl Iterator<Item = Range<usize>> {
+    let (base, extra) = (n / block_count, n % block_count);
+    (0..block_count).scan(0, move |start, i| {
+        let rows = *start..*start + base + usize::from(i < extra);
+        *start = rows.end;
+        Some(rows)
+    })
+}
+
+/// A block whose rows live in memory: one window onto a shared column
+/// buffer.
 ///
 /// The workhorse for tests, examples, and the small and medium evaluation
 /// workloads — and what [`crate::RowsBlock`] hands out as the zero-copy
-/// projection of one of its columns (the values are reference-counted,
-/// so the projection shares the table's storage).
+/// projection of one of its columns (a window onto the same buffer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemBlock {
-    values: Arc<Vec<f64>>,
+    values: ColumnWindow,
     // Eager moment sketch, computed by the same pass that validates
     // finiteness — so the `sketch()` hook is an O(1) Arc clone.
     sketch: Arc<BlockSketch>,
@@ -30,22 +101,31 @@ impl MemBlock {
     /// real measurements, and a NaN would silently poison every downstream
     /// moment.
     pub fn new(values: Vec<f64>) -> Self {
+        Self::window(ColumnWindow::whole(values))
+    }
+
+    /// A block over `values`, validated and sketched — how
+    /// [`crate::BlockSet::from_values`] builds its blocks.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemBlock::new`].
+    pub(crate) fn window(values: ColumnWindow) -> Self {
         // One pass both validates and sketches: the fold counts
         // non-finite values, which is exactly the finiteness check.
-        let sketch = BlockSketch::from_values(&values);
+        let sketch = BlockSketch::from_values(values.as_slice());
         assert!(sketch.all_finite(), "block values must be finite");
         Self {
-            values: Arc::new(values),
+            values,
             sketch: Arc::new(sketch),
         }
     }
 
-    /// Wraps an already-validated reference-counted column and its
-    /// already-folded sketch, checking neither — how
-    /// [`crate::RowsBlock`] projects a column without copying or
-    /// re-folding it. `sketch` must be the [`BlockSketch::from_values`]
-    /// of `column`.
-    pub(crate) fn shared(column: Arc<Vec<f64>>, sketch: Arc<BlockSketch>) -> Self {
+    /// Wraps an already-validated column window and its already-folded
+    /// sketch, checking neither — how [`crate::RowsBlock`] projects a
+    /// column without copying or re-folding it. `sketch` must be the
+    /// [`BlockSketch::from_values`] of `column`.
+    pub(crate) fn shared(column: ColumnWindow, sketch: Arc<BlockSketch>) -> Self {
         Self {
             values: column,
             sketch,
@@ -54,13 +134,7 @@ impl MemBlock {
 
     /// Read-only view of the values.
     pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Consumes the block, returning the values (copied only when the
-    /// storage is still shared with a [`crate::RowsBlock`]).
-    pub fn into_values(self) -> Vec<f64> {
-        Arc::unwrap_or_clone(self.values)
+        self.values.as_slice()
     }
 }
 
@@ -106,6 +180,7 @@ impl DataBlock for MemBlock {
 mod tests {
     use super::*;
     use crate::block::BlockReads;
+    use crate::BlockSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -169,6 +244,155 @@ mod tests {
                 drop(BlockSet::from_values(col(), 2))
             });
         }
+    }
+
+    /// The rows the loaders cut before blocks became windows: one copied
+    /// chunk per block, the first `n % block_count` one row longer.
+    fn old_chunks(values: &[f64], block_count: usize) -> Vec<Vec<f64>> {
+        let (base, extra) = (values.len() / block_count, values.len() % block_count);
+        let mut iter = values.iter().copied();
+        (0..block_count)
+            .map(|i| iter.by_ref().take(base + usize::from(i < extra)).collect())
+            .collect()
+    }
+
+    fn column(n: usize, scale: f64) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.37).sin() * scale).collect()
+    }
+
+    /// Where each block's window onto column `col` starts: the address
+    /// of its first scanned value (`None` for an empty block).
+    fn window_starts(set: &BlockSet, col: usize) -> Vec<Option<usize>> {
+        set.iter()
+            .map(|block| {
+                let mut start = None;
+                block
+                    .scan_column_chunks(&[col], &mut |chunk| {
+                        start.get_or_insert(chunk[0].as_ptr() as usize);
+                    })
+                    .unwrap();
+                start
+            })
+            .collect()
+    }
+
+    #[test]
+    fn loaders_and_projections_window_the_input_buffers_without_copying() {
+        use crate::{project_column, RowsBlock};
+        let (n, blocks) = (1_003, 7);
+        // Block k starts at the buffer's address plus its first row's
+        // offset under the old chunking rule.
+        let expected = |buffer: usize| {
+            let mut row = 0;
+            old_chunks(&vec![0.0; n], blocks)
+                .iter()
+                .map(|chunk| {
+                    let start = buffer + row * std::mem::size_of::<f64>();
+                    row += chunk.len();
+                    Some(start)
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let values = column(n, 1.0);
+        let at = values.as_ptr() as usize;
+        let scalar = BlockSet::from_values(values, blocks);
+        assert_eq!(window_starts(&scalar, 0), expected(at), "from_values");
+
+        let (x, y) = (column(n, 1.0), column(n, 2.0));
+        let (x_at, y_at) = (x.as_ptr() as usize, y.as_ptr() as usize);
+        let rows = RowsBlock::split(vec![x, y], blocks);
+        assert_eq!(window_starts(&rows, 0), expected(x_at), "split, column 0");
+        assert_eq!(window_starts(&rows, 1), expected(y_at), "split, column 1");
+        let projected = project_column(&rows, 1);
+        assert_eq!(window_starts(&projected, 0), expected(y_at), "project");
+    }
+
+    #[test]
+    fn windowed_loaders_match_the_old_chunking_rule_bit_for_bit() {
+        use crate::filter::{CmpOp, ColumnPredicate, RowFilter};
+        use crate::selection::ZoneMatch;
+        use crate::RowsBlock;
+        let sketch_bits = |block: &dyn DataBlock| {
+            let sketch = block.sketch().expect("in-memory blocks sketch");
+            let columns: Vec<_> = sketch
+                .columns
+                .iter()
+                .map(|m| {
+                    (
+                        [m.sum, m.sum_sq, m.min, m.max].map(f64::to_bits),
+                        m.non_finite,
+                    )
+                })
+                .collect();
+            (sketch.rows, columns)
+        };
+        let row_bits = |block: &dyn DataBlock| {
+            let mut bits = Vec::new();
+            block
+                .scan_rows(&mut |row| bits.extend(row.iter().map(|v| v.to_bits())))
+                .unwrap();
+            bits
+        };
+        let filters: Vec<RowFilter> = [(CmpOp::Gt, 0.0), (CmpOp::Lt, 5.0), (CmpOp::Ge, -10.0)]
+            .into_iter()
+            .map(|(op, value)| {
+                RowFilter::new(vec![ColumnPredicate {
+                    column: 0,
+                    op,
+                    value,
+                }])
+            })
+            .collect();
+        let assert_same = |old: &dyn DataBlock, new: &dyn DataBlock, what: &str| {
+            assert_eq!(old.len(), new.len(), "{what}: length");
+            assert_eq!(old.width(), new.width(), "{what}: width");
+            assert_eq!(row_bits(old), row_bits(new), "{what}: values");
+            assert_eq!(sketch_bits(old), sketch_bits(new), "{what}: sketch");
+            for filter in &filters {
+                assert_eq!(old.zone(filter), new.zone(filter), "{what}: zone");
+            }
+            let draw = |block: &dyn DataBlock| {
+                let mut rng = StdRng::seed_from_u64(9);
+                block.sample_one(&mut rng).map(f64::to_bits)
+            };
+            match (draw(old), draw(new)) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}: draw"),
+                (Err(StorageError::Empty), Err(StorageError::Empty)) => {
+                    assert!(new.is_empty(), "{what}: only an empty block refuses");
+                    assert_eq!(new.zone(&filters[0]), ZoneMatch::Matchless);
+                }
+                (a, b) => panic!("{what}: draws differ: {a:?} vs {b:?}"),
+            }
+        };
+        // n % b ≠ 0, then fewer rows than blocks (empty tail windows).
+        for (n, blocks) in [(1_003, 16), (10, 3), (3, 7)] {
+            let (x, y) = (column(n, 10.0), column(n, 3.0));
+            let set = BlockSet::from_values(x.clone(), blocks);
+            let rows = RowsBlock::split(vec![x.clone(), y.clone()], blocks);
+            let (old_x, old_y) = (old_chunks(&x, blocks), old_chunks(&y, blocks));
+            for k in 0..blocks {
+                let what = format!("n = {n}, b = {blocks}, block {k}");
+                let old = MemBlock::new(old_x[k].clone());
+                assert_same(&old, set.block(k).as_ref(), &format!("{what}, scalar"));
+                let old = RowsBlock::new(vec![old_x[k].clone(), old_y[k].clone()]);
+                assert_same(&old, rows.block(k).as_ref(), &format!("{what}, rows"));
+                let projected = rows.block(k).project(1).unwrap();
+                let old = MemBlock::new(old_y[k].clone());
+                assert_same(&old, projected.as_ref(), &format!("{what}, project"));
+            }
+        }
+    }
+
+    #[test]
+    fn windows_compare_by_value_not_by_buffer_or_range() {
+        let buffer = Arc::new(vec![9.0, 1.0, 2.0, 3.0, 9.0]);
+        let window = MemBlock::window(ColumnWindow::new(&buffer, 1..4));
+        assert_eq!(window, MemBlock::new(vec![1.0, 2.0, 3.0]));
+        assert_eq!(window.values(), &[1.0, 2.0, 3.0]);
+        assert_ne!(window, MemBlock::window(ColumnWindow::new(&buffer, 0..3)));
+        let other = Arc::new(vec![1.0, 2.0, 3.0]);
+        assert_eq!(window, MemBlock::window(ColumnWindow::new(&other, 0..3)));
     }
 
     #[test]

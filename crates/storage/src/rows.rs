@@ -31,7 +31,7 @@ use crate::blockset::BlockSet;
 use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::kernel::{assert_width_one, gather_slices, scan_slices, ChunkedLane, SCAN_CHUNK_ROWS};
-use crate::memory::MemBlock;
+use crate::memory::{block_ranges, ColumnWindow, MemBlock};
 use crate::selection::{SelectionVector, SetSelection};
 use crate::sketch::BlockSketch;
 
@@ -45,16 +45,30 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// A columnar in-memory multi-column block: the workhorse of
-/// schema-aware tables. Columns are reference-counted so a projection
+/// schema-aware tables. Each column is a window onto a shared buffer,
+/// so a split ([`RowsBlock::split`]) or a projection
 /// ([`DataBlock::project`], a [`MemBlock`]) shares the storage instead
 /// of copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowsBlock {
-    columns: Vec<Arc<Vec<f64>>>,
+    columns: Vec<ColumnWindow>,
     rows: usize,
     // Eager moment sketch, computed by the same pass that validates
     // finiteness — the `sketch()` hook is an O(1) Arc clone.
     sketch: Arc<BlockSketch>,
+}
+
+/// Asserts the shape every rows block needs: at least one column, all
+/// equally long.
+fn assert_table_shape(columns: &[Vec<f64>]) {
+    assert!(
+        !columns.is_empty(),
+        "a rows block needs at least one column"
+    );
+    let rows = columns[0].len();
+    for (i, col) in columns.iter().enumerate() {
+        assert_eq!(col.len(), rows, "column {i} disagrees on the row count");
+    }
 }
 
 impl RowsBlock {
@@ -65,21 +79,21 @@ impl RowsBlock {
     /// Panics if no columns are given, the columns disagree on length,
     /// or any value is not finite (as [`crate::MemBlock`]).
     pub fn new(columns: Vec<Vec<f64>>) -> Self {
-        assert!(
-            !columns.is_empty(),
-            "a rows block needs at least one column"
-        );
-        let rows = columns[0].len();
-        for (i, col) in columns.iter().enumerate() {
-            assert_eq!(col.len(), rows, "column {i} disagrees on the row count");
-        }
+        assert_table_shape(&columns);
+        Self::windows(columns.into_iter().map(ColumnWindow::whole).collect())
+    }
+
+    /// A block over equally long column windows, validated and
+    /// sketched.
+    fn windows(columns: Vec<ColumnWindow>) -> Self {
+        let slices: Vec<&[f64]> = columns.iter().map(ColumnWindow::as_slice).collect();
         // One pass both validates and sketches: the fold counts
         // non-finite values, which is exactly the finiteness check.
-        let sketch = BlockSketch::from_columns(&columns);
+        let sketch = BlockSketch::from_columns(&slices);
         assert!(sketch.all_finite(), "block values must be finite");
         Self {
-            columns: columns.into_iter().map(Arc::new).collect(),
-            rows,
+            rows: columns[0].len(),
+            columns,
             sketch: Arc::new(sketch),
         }
     }
@@ -90,39 +104,36 @@ impl RowsBlock {
     ///
     /// Panics if `col` is out of range.
     pub fn column(&self, col: usize) -> &[f64] {
-        &self.columns[col]
+        self.columns[col].as_slice()
     }
 
     /// Splits columnar data row-wise into `block_count` [`RowsBlock`]s,
     /// the multi-column analogue of [`BlockSet::from_values`] (the first
-    /// `rows % block_count` blocks receive one extra row).
+    /// `rows % block_count` blocks receive one extra row). Each column
+    /// stays one buffer, which every block windows into: nothing is
+    /// copied, and a block kept on its own keeps the whole buffers.
     ///
     /// # Panics
     ///
     /// Panics if `block_count == 0`, the columns are empty or disagree on
-    /// length.
+    /// length, or any value is not finite.
     pub fn split(columns: Vec<Vec<f64>>, block_count: usize) -> BlockSet {
         assert!(block_count > 0, "block count must be positive");
-        assert!(
-            !columns.is_empty(),
-            "a rows block needs at least one column"
-        );
+        assert_table_shape(&columns);
         let n = columns[0].len();
         assert!(n > 0, "cannot build a block set from no data");
-        let base = n / block_count;
-        let extra = n % block_count;
-        let mut blocks: Vec<Arc<dyn DataBlock>> = Vec::with_capacity(block_count);
-        let mut start = 0usize;
-        for i in 0..block_count {
-            let take = base + usize::from(i < extra);
-            let chunk: Vec<Vec<f64>> = columns
-                .iter()
-                .map(|col| col[start..start + take].to_vec())
-                .collect();
-            start += take;
-            blocks.push(Arc::new(RowsBlock::new(chunk)));
-        }
-        BlockSet::new(blocks)
+        let buffers: Vec<Arc<Vec<f64>>> = columns.into_iter().map(Arc::new).collect();
+        BlockSet::new(
+            block_ranges(n, block_count)
+                .map(|rows| {
+                    let windows = buffers
+                        .iter()
+                        .map(|buffer| ColumnWindow::new(buffer, rows.clone()))
+                        .collect();
+                    Arc::new(RowsBlock::windows(windows)) as Arc<dyn DataBlock>
+                })
+                .collect(),
+        )
     }
 }
 
@@ -164,7 +175,7 @@ impl DataBlock for RowsBlock {
         // re-folding the column (the projected entry was folded in the
         // same storage order, so it is bit-identical to a re-fold).
         let sketch = self.sketch.project(col)?;
-        Some(Arc::new(MemBlock::shared(Arc::clone(c), Arc::new(sketch))) as Arc<dyn DataBlock>)
+        Some(Arc::new(MemBlock::shared(c.clone(), Arc::new(sketch))) as Arc<dyn DataBlock>)
     }
 }
 
@@ -796,6 +807,20 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(seen, (0..n).map(f64::from).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rows_blocks_compare_by_value_not_by_buffer_or_range() {
+        let x = Arc::new(vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        let y = Arc::new(vec![0.0, 10.0, 20.0, 30.0, 40.0]);
+        let window = |rows: std::ops::Range<usize>| {
+            RowsBlock::windows(vec![
+                ColumnWindow::new(&x, rows.clone()),
+                ColumnWindow::new(&y, rows),
+            ])
+        };
+        assert_eq!(window(1..5), two_col_block());
+        assert_ne!(window(0..4), two_col_block());
     }
 
     #[test]
