@@ -1466,7 +1466,7 @@ fn sweep_predicate_scan(scale: &Scale, report: &mut Report) -> Vec<Json> {
                         &per_row_selection(block.as_ref(), &filter)[..],
                         "{kind}: a selection vector may not depend on how the rows arrived"
                     );
-                    matches += new.indices().len();
+                    matches += new.match_count() as usize;
                 }
                 let (build_old_s, _) = median_secs(scale.runs, || {
                     data.iter()

@@ -14,7 +14,7 @@
 //! *every group* meets the precision target, and `SUM`/`COUNT` under a
 //! filter are estimated from the hit rate ([`engine::hit_rate_pilot`]) —
 //! never read from block metadata. Baselines and sampled `MAX`/`MIN`
-//! draw from one pooled filtered column ([`pool_filtered_column`]), and
+//! draw from one pooled filtered column ([`PooledFilteredColumn`]), and
 //! `METHOD EXACT` folds the matching rows block by block on the
 //! session's scheduler ([`engine::exact`]), reading only the columns
 //! the query names. Every filtered path reads a block only where its
@@ -37,7 +37,7 @@ use isla_core::engine::{
 use isla_core::{IslaConfig, IslaError};
 use isla_stats::{required_sample_size, WelfordMoments};
 use isla_storage::{
-    pool_filtered_column, sample_proportional, BlockSet, ColumnPredicate, RowFilter,
+    sample_proportional, BlockSet, ColumnPredicate, PooledFilteredColumn, RowFilter,
 };
 
 use crate::ast::{AggFunc, Method, Query};
@@ -448,9 +448,7 @@ impl QuerySession {
             let exact =
                 self.on_scheduler(None, |s| engine::scan_exact_groups_on(data, &spec, s))?;
             if exact.is_empty() {
-                return Err(QueryError::Invalid(
-                    "no row matches the WHERE predicate".to_string(),
-                ));
+                return Err(no_matching_row());
             }
             return exact_rows(query, &exact, rows, confidence, start);
         }
@@ -488,7 +486,7 @@ impl QuerySession {
         // range-partitioned data), and pooling removes the block-size
         // weights that would bias stratified combination when per-block
         // selectivity varies.
-        let filtered_set = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
+        let filtered_set = pooled_matches(data, &spec)?;
         let budget = baseline_budget(query, &filtered_set, confidence, rng)?;
         let avg = self.on_scheduler(None, |s| {
             run_baseline(query, &filtered_set, confidence, budget, s, rng)
@@ -998,6 +996,18 @@ fn extreme_value(
     scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
 ) -> Result<(f64, Option<u64>), QueryError> {
+    // The extreme path sizes its own draws and has no deadline: a
+    // budget or a time limit would be silently ignored.
+    if query.samples.is_some() {
+        return Err(QueryError::Invalid(
+            "SAMPLES is not supported for MAX/MIN".to_string(),
+        ));
+    }
+    if query.within_ms.is_some() {
+        return Err(QueryError::Invalid(
+            "WITHIN is not supported for MAX/MIN".to_string(),
+        ));
+    }
     let kind = if query.agg == AggFunc::Max {
         isla_core::ExtremeKind::Max
     } else {
@@ -1008,14 +1018,12 @@ fn extreme_value(
             Some(spec) => engine::scan_exact_filtered_extreme(data, spec, kind, scheduler)?,
             None => engine::scan_exact_extreme(data, kind, scheduler)?,
         };
-        let extreme = extreme
-            .ok_or_else(|| QueryError::Invalid("no row matches the WHERE predicate".to_string()))?;
-        return Ok((extreme, None));
+        return Ok((extreme.ok_or_else(no_matching_row)?, None));
     }
     let pooled;
     let data = match spec {
         Some(spec) => {
-            pooled = pool_filtered_column(data, spec.agg_column, spec.filter.clone());
+            pooled = pooled_matches(data, spec)?;
             &pooled
         }
         None => data,
@@ -1029,6 +1037,22 @@ fn extreme_value(
     };
     let result = isla_core::ExtremeAggregator::new(config)?.aggregate(data, kind, rng)?;
     Ok((result.estimate, Some(result.total_samples)))
+}
+
+/// The error every filtered path returns when no row matches.
+fn no_matching_row() -> QueryError {
+    QueryError::Invalid("no row matches the WHERE predicate".to_string())
+}
+
+/// Column `spec.agg_column` of `data`'s rows matching `spec.filter`, as
+/// one pooled block — or [`no_matching_row`] when the compiled
+/// selection proves there is none, before any draw.
+fn pooled_matches(data: &BlockSet, spec: &RowSpec) -> Result<BlockSet, QueryError> {
+    let pooled = PooledFilteredColumn::build(data, spec.agg_column, spec.filter.clone());
+    if pooled.match_count() == Some(0) {
+        return Err(no_matching_row());
+    }
+    Ok(BlockSet::single(pooled))
 }
 
 /// Runs the baseline estimator `query.method` names, its block reads
@@ -1707,5 +1731,84 @@ mod tests {
             run("SELECT MAX(amount) FROM sales GROUP BY store", 33),
             Err(QueryError::Invalid(_))
         ));
+    }
+
+    /// Runs each statement on one catalog and asserts the typed error
+    /// `METHOD EXACT` gives a predicate nothing matches.
+    fn assert_no_matching_row(statements: &[String]) {
+        let c = catalog();
+        for sql in statements {
+            match execute(&parse(sql).unwrap(), &c, &mut StdRng::seed_from_u64(41)) {
+                Err(QueryError::Invalid(msg)) => {
+                    assert_eq!(msg, "no row matches the WHERE predicate", "{sql}")
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+    }
+
+    /// Zero-match predicates: one the zone maps prune on every block,
+    /// one every block must scan to find nothing.
+    const NOTHING_MATCHES: [&str; 2] = ["amount > 1000000", "store = 0.5"];
+
+    #[test]
+    fn sampled_extremes_fail_typed_when_nothing_matches() {
+        let statements: Vec<String> = NOTHING_MATCHES
+            .iter()
+            .flat_map(|filter| {
+                [
+                    format!("SELECT MAX(amount) FROM sales WHERE {filter}"),
+                    format!("SELECT MIN(margin) FROM sales WHERE {filter} WITH PRECISION 0.5"),
+                    format!("SELECT MAX(amount) FROM sales WHERE {filter} METHOD EXACT"),
+                ]
+            })
+            .collect();
+        assert_no_matching_row(&statements);
+    }
+
+    #[test]
+    fn filtered_baselines_fail_typed_when_nothing_matches() {
+        let statements: Vec<String> = NOTHING_MATCHES
+            .iter()
+            .flat_map(|filter| {
+                ["US", "STS", "MV", "MVB", "SLEV", "EXACT"].map(|method| {
+                    format!(
+                        "SELECT AVG(amount) FROM sales WHERE {filter} METHOD {method} SAMPLES 200"
+                    )
+                })
+            })
+            .collect();
+        assert_no_matching_row(&statements);
+    }
+
+    #[test]
+    fn extremes_reject_a_sample_budget_and_a_time_limit() {
+        let c = catalog();
+        for (sql, clause) in [
+            (
+                "SELECT MAX(amount) FROM sales WHERE margin > 26 SAMPLES 1",
+                "SAMPLES",
+            ),
+            ("SELECT MIN(amount) FROM sales SAMPLES 100000", "SAMPLES"),
+            (
+                "SELECT MAX(amount) FROM sales METHOD EXACT SAMPLES 10",
+                "SAMPLES",
+            ),
+            (
+                "SELECT MAX(amount) FROM sales WHERE margin > 26 WITHIN 1 MS",
+                "WITHIN",
+            ),
+            (
+                "SELECT MIN(distance) FROM trips WITH PRECISION 0.5 WITHIN 50 MS",
+                "WITHIN",
+            ),
+        ] {
+            match execute(&parse(sql).unwrap(), &c, &mut StdRng::seed_from_u64(43)) {
+                Err(QueryError::Invalid(msg)) => {
+                    assert!(msg.starts_with(clause), "{sql}: {msg}")
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
     }
 }

@@ -134,7 +134,7 @@ impl fmt::Display for StorageError {
                 if *attempts == 0 {
                     write!(
                         f,
-                        "no row matches the predicate (selection vector is empty)"
+                        "no row matches the predicate (its compiled selection is empty)"
                     )
                 } else {
                     write!(

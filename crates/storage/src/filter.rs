@@ -95,7 +95,8 @@ impl RowFilter {
     /// predicate needs selectivity below ~10⁻³ for a draw to fail with
     /// probability ~e⁻¹⁰. The rejection path only runs when a
     /// [`crate::SelectionVector`] could not be compiled (unscannable
-    /// blocks); compiled selections draw in O(1) and never trip this.
+    /// blocks); compiled selections draw without rejection and never
+    /// trip this.
     pub const MAX_REJECTION_ATTEMPTS: u32 = 10_000;
 
     /// A filter that matches every row.
@@ -212,6 +213,50 @@ impl RowFilter {
         }
     }
 
+    /// Evaluates the conjunction over the rows `start..start + 64` of
+    /// one chunk of aligned column slices (clipped to `cols[0]`'s
+    /// length), returning a word whose bit `i` is set when row
+    /// `start + i` matches — the same rows [`RowFilter::select`] lists,
+    /// as one bitmap word instead of an index list.
+    ///
+    /// Each conjunct, in canonical order, is one dense pass of
+    /// [`CmpOp::eval`] over its column's rows of the word, setting bits
+    /// branch-free; the word is the AND of the passes, and conjuncts
+    /// after the word empties are not read. A trivial filter sets every
+    /// row's bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a conjunct's column is missing from `cols` or shorter
+    /// than `cols[0]`.
+    pub fn select_word(&self, cols: &[&[f64]], start: usize) -> u64 {
+        let end = cols
+            .first()
+            .map_or(0, |col| col.len())
+            .min(start.saturating_add(64));
+        let mut word = match end.saturating_sub(start) {
+            0 => return 0,
+            64 => u64::MAX,
+            rows => (1u64 << rows) - 1,
+        };
+        for p in &self.predicates {
+            if word == 0 {
+                break;
+            }
+            let (col, rhs) = (&cols[p.column][start..end], p.value);
+            // One arm per operator, as in `select`.
+            word &= match p.op {
+                CmpOp::Gt => word_pass(col, |v| CmpOp::Gt.eval(v, rhs)),
+                CmpOp::Lt => word_pass(col, |v| CmpOp::Lt.eval(v, rhs)),
+                CmpOp::Ge => word_pass(col, |v| CmpOp::Ge.eval(v, rhs)),
+                CmpOp::Le => word_pass(col, |v| CmpOp::Le.eval(v, rhs)),
+                CmpOp::Eq => word_pass(col, |v| CmpOp::Eq.eval(v, rhs)),
+                CmpOp::Ne => word_pass(col, |v| CmpOp::Ne.eval(v, rhs)),
+            };
+        }
+        word
+    }
+
     /// A stable digest of the compiled predicate, for cache keys: two
     /// filters fingerprint equal exactly when every conjunct is
     /// bit-identical.
@@ -257,6 +302,27 @@ fn conjunct_pass(
         }
     }
     out.truncate(kept);
+}
+
+/// One conjunct of [`RowFilter::select_word`]: bit `i` set when `keep`
+/// holds for `col[i]` (at most 64 values), without a branch per row.
+/// Eight rows at a time, each outcome is one byte (0 or 1) of a word
+/// that one multiplication gathers into eight bits.
+#[inline]
+fn word_pass(col: &[f64], keep: impl Fn(f64) -> bool) -> u64 {
+    let mut groups = col.chunks_exact(8);
+    let mut word = 0;
+    for (g, group) in groups.by_ref().enumerate() {
+        let bytes = u64::from_le_bytes(std::array::from_fn(|j| u8::from(keep(group[j]))));
+        // Byte j (bit 8j) moves to bit 56 + j; no two partial
+        // products overlap, so nothing carries into the top byte.
+        word |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    let tail = col.len() - groups.remainder().len();
+    for (j, &v) in groups.remainder().iter().enumerate() {
+        word |= u64::from(keep(v)) << (tail + j);
+    }
+    word
 }
 
 #[cfg(test)]

@@ -76,8 +76,8 @@
 //! them ([`RowSampleBuf::project`]). Scans hand out column chunks, over
 //! which [`RowFilter::select`] evaluates a predicate at column speed;
 //! and [`SelectionVector`]s compile a [`RowFilter`] into per-block
-//! matching-index lists so filtered draws are O(1) lookups instead of
-//! rejection loops.
+//! match bitmaps with a rank directory, so filtered draws are direct
+//! lookups instead of rejection loops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 //! * [`PooledFilteredColumn`] — one column of a whole block set under a
 //!   pushed-down [`RowFilter`], as a single block: what filtered
 //!   baselines, `MAX`/`MIN` and `SUM` draw from. Filtered draws go
-//!   through a compiled [`SetSelection`] (O(1) index lookups, matchless
+//!   through a compiled [`SetSelection`] (direct index lookups, matchless
 //!   blocks occupying no width) wherever one can be built, falling back
 //!   to rejection sampling only for unscannable blocks.
 
@@ -379,7 +379,7 @@ impl DataBlock for ColumnView {
 /// Visits column `col` of the rows of `block` that match `filter`, in
 /// storage order — one block's share of [`PooledFilteredColumn`]'s scan.
 /// The column arrives as chunks ([`DataBlock::scan_column_chunks`]):
-/// with a compiled `selection` its indices are walked across the
+/// with a compiled `selection` its set bits are walked across the
 /// one-column chunks (no predicate is re-evaluated, a matchless block is
 /// not read at all); without one, each chunk of the columns the filter
 /// reads is put through [`RowFilter::select`].
@@ -404,18 +404,46 @@ fn scan_matching(
     if selection.is_empty() {
         return Ok(());
     }
-    let mut pending = selection.indices();
+    let mut rows = selection.rows().peekable();
     let mut base = 0u64;
     block.scan_column_chunks(&[col], &mut |chunk| {
         let values = chunk[0];
         let end = base + values.len() as u64;
-        let here = pending.partition_point(|&i| u64::from(i) < end);
-        for &i in &pending[..here] {
-            visit(values[(u64::from(i) - base) as usize]);
+        while let Some(r) = rows.next_if(|&r| r < end) {
+            visit(values[(r - base) as usize]);
         }
-        pending = &pending[here..];
         base = end;
     })
+}
+
+/// `picks` — uniform draws from `0..total` — in ascending order, each
+/// with its position in `picks` (its draw-order slot). One counting
+/// pass into `picks.len()` buckets keyed by `k · len / total`, which
+/// is monotone in `k` and leaves about one pick per bucket, then a sort
+/// inside each bucket: expected O(n) where a comparison sort of the
+/// batch is O(n log n).
+fn ascending_picks(picks: &[u64], total: u64) -> (Vec<u64>, Vec<usize>) {
+    let n = picks.len();
+    let scale = n as f64 / total as f64;
+    let bucket = |k: u64| ((k as f64 * scale) as usize).min(n - 1);
+    let mut starts = vec![0usize; n + 1];
+    for &k in picks {
+        starts[bucket(k) + 1] += 1;
+    }
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    let mut order = vec![(0, 0); n];
+    let mut next = starts.clone();
+    for (slot, &k) in picks.iter().enumerate() {
+        let b = bucket(k);
+        order[next[b]] = (k, slot);
+        next[b] += 1;
+    }
+    for range in starts.windows(2) {
+        order[range[0]..range[1]].sort_unstable_by_key(|&(k, _)| k);
+    }
+    order.into_iter().unzip()
 }
 
 /// Projects one column of every block in `set` as width-1 scalar
@@ -442,18 +470,18 @@ fn project_block(block: &Arc<dyn DataBlock>, col: usize) -> Arc<dyn DataBlock> {
 }
 
 /// Compiles (or fetches from the set's cache) the selection of `set`
-/// under `filter`. `None` for trivial filters — a selection listing
-/// every row would cost 4 bytes/row for nothing — and when compilation
-/// fails (the first scan error surfaces later through the fallback
-/// path, which hits the same storage fault).
+/// under `filter`. `None` for trivial filters — a bitmap with every
+/// bit set would cost its ≈ 0.133 B a row for nothing — and when
+/// compilation fails (the first scan error surfaces later through the
+/// fallback path, which hits the same storage fault).
 ///
 /// Compilation is **eager** (one row scan per block at view
 /// construction): the deliberate trade of the precomputed-selection
 /// design — a first filtered query over a huge table pays a scan that
 /// per-draw rejection would not, and every later query over a
 /// fingerprint-equal filter (and every low-selectivity draw, where
-/// rejection degrades as 1/selectivity) gets O(1) draws from the
-/// set-level cache. Blocks that cannot scan keep the rejection path,
+/// rejection degrades as 1/selectivity) gets rejection-free draws from
+/// the set-level cache. Blocks that cannot scan keep the rejection path,
 /// so virtual/capped storage never pays this.
 fn compile_selection(set: &BlockSet, filter: &RowFilter) -> Option<Arc<SetSelection>> {
     if filter.is_trivial() {
@@ -515,7 +543,7 @@ impl PooledFilteredColumn {
             cumulative.push(total);
         }
         // A *complete* compiled selection (every block scannable) turns
-        // pooled draws into O(1) global match lookups; anything less
+        // pooled draws into direct global match lookups; anything less
         // keeps the whole-set rejection fallback.
         let selection = compile_selection(set, &filter).filter(|s| s.is_complete());
         Self {
@@ -563,10 +591,70 @@ impl PooledFilteredColumn {
         Ok(())
     }
 
+    /// Reads the global matches `picks` (in draw order) into their
+    /// draw-order rows of `out`, a batch at a time: the `(match, slot)`
+    /// pairs are put in ascending order once ([`ascending_picks`]) and
+    /// resolved in one forward walk ([`SetSelection::locate_ascending`]),
+    /// one ascending `gather` per block, each value landing in its slot
+    /// — the values [`Self::read_match`] reads one draw at a time. If a
+    /// gather fails, the batch is re-resolved one draw at a time in
+    /// draw order, so the error is the one the first failing draw
+    /// raises.
+    fn read_matches(
+        &self,
+        sel: &SetSelection,
+        picks: &[u64],
+        columns: &[usize],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        if self.gather_matches(sel, picks, columns, out).is_ok() {
+            return Ok(());
+        }
+        let w = columns.len();
+        for (j, &k) in picks.iter().enumerate() {
+            self.read_match(sel, k, columns, &mut out[j * w..(j + 1) * w])?;
+        }
+        Ok(())
+    }
+
+    /// The batched body of [`Self::read_matches`], stopping at the first
+    /// failing gather. The rows each block gathers are re-checked
+    /// against the filter in debug builds.
+    fn gather_matches(
+        &self,
+        sel: &SetSelection,
+        picks: &[u64],
+        columns: &[usize],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        let w = columns.len();
+        let (mut rows, slots) = ascending_picks(picks, sel.total_matches());
+        let mut values = Vec::new();
+        sel.locate_ascending(&mut rows, |b, range, rows| {
+            values.resize(rows.len() * w, 0.0);
+            self.columns[b].gather(columns, rows, &mut values)?;
+            for (j, &slot) in slots[range].iter().enumerate() {
+                out[slot * w..(slot + 1) * w].copy_from_slice(&values[j * w..(j + 1) * w]);
+            }
+            if cfg!(debug_assertions) {
+                let mut row = Vec::new();
+                for &local in rows {
+                    if self.blocks[b].row_tuple(local, &mut row).is_ok() {
+                        assert!(
+                            self.filter.matches(&row),
+                            "selection row {local} of block {b}"
+                        );
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+
     /// One uniform draw over the matching rows from `rng` into `out`: a
-    /// match index through the compiled selection — O(1), matchless
-    /// blocks occupy no width and are never probed — else whole-set
-    /// rejection.
+    /// match index through the compiled selection — no rejection loop,
+    /// matchless blocks occupy no width and are never probed — else
+    /// whole-set rejection.
     fn draw_match(
         &self,
         rng: &mut dyn RngCore,
@@ -662,13 +750,12 @@ impl DataBlock for PooledFilteredColumn {
                 if sel.total_matches() == 0 {
                     return Err(StorageError::SelectivityTooLow { attempts: 0 });
                 }
-                // Every match index first, then the reads in draw order.
+                // Every match index first, then the reads a batch at a
+                // time.
                 for slot in indices.iter_mut() {
                     *slot = rng.random_range(0..sel.total_matches());
                 }
-                for (j, &k) in indices.iter().enumerate() {
-                    self.read_match(sel, k, columns, &mut out[j * w..(j + 1) * w])?;
-                }
+                self.read_matches(sel, indices, columns, out)?;
             }
             None => {
                 for j in 0..indices.len() {
@@ -1126,5 +1213,172 @@ mod tests {
         filtered.scan_all(&mut |v| vals.push(v)).unwrap();
         assert_eq!(vals.len(), 25);
         assert!(vals.iter().all(|v| (v % 4.0) == 0.0));
+    }
+
+    /// Column 0: a key the filter tests; column 1: the global row index,
+    /// so a drawn value names its row.
+    fn keyed_rows(rows: usize) -> Vec<Vec<f64>> {
+        vec![
+            (0..rows).map(|i| ((i * 7_919) % 1_000) as f64).collect(),
+            (0..rows).map(|i| i as f64).collect(),
+        ]
+    }
+
+    fn key_gt(value: f64) -> RowFilter {
+        RowFilter::new(vec![ColumnPredicate {
+            column: 0,
+            op: CmpOp::Gt,
+            value,
+        }])
+    }
+
+    #[test]
+    fn batched_filtered_draws_equal_per_draw_reads_across_blocks() {
+        // 3 000 rows over three blocks, so every block's directory has
+        // two spans, and batches far larger than the ≈ 900 matches, so
+        // match indices repeat within a batch.
+        let cols = keyed_rows(3_000);
+        let filter = key_gt(700.0);
+        let matching: Vec<f64> = (0..3_000)
+            .filter(|&i| cols[0][i] > 700.0)
+            .map(|i| cols[1][i])
+            .collect();
+        let view = PooledFilteredColumn::build(&RowsBlock::split(cols, 3), 1, filter);
+        assert_eq!(view.match_count(), Some(matching.len() as u64));
+        for (seed, n) in [(1u64, 4_000usize), (2, 1), (3, 64), (4, 2_500)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut picks, mut batch) = (vec![0; n], vec![0.0; n]);
+            view.draw(&mut rng, &[0], &mut picks, &mut batch).unwrap();
+            let after_batch = rng.next_u64();
+            if n == 4_000 {
+                let mut distinct = picks.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert!(distinct.len() < n, "the batch repeats match indices");
+                assert!(
+                    distinct.last().unwrap() - distinct[0] > 800,
+                    "draws span the blocks"
+                );
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (j, &k) in picks.iter().enumerate() {
+                let one = view.sample_one(&mut rng).unwrap();
+                assert_eq!(one.to_bits(), batch[j].to_bits(), "seed {seed}, draw {j}");
+                assert_eq!(one, matching[k as usize], "draw {j} reads match {k}");
+            }
+            assert_eq!(rng.next_u64(), after_batch, "the same RNG position");
+        }
+    }
+
+    /// Block `id` of a set, whose gathers fail on `bad` rows, naming
+    /// the first such row in the order asked.
+    #[derive(Debug)]
+    struct FailingRows {
+        id: usize,
+        inner: RowsBlock,
+        bad: Vec<u64>,
+    }
+
+    impl DataBlock for FailingRows {
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn gather(
+            &self,
+            columns: &[usize],
+            indices: &[u64],
+            out: &mut [f64],
+        ) -> Result<(), StorageError> {
+            match indices.iter().find(|r| self.bad.contains(r)) {
+                Some(r) => Err(StorageError::Internal(format!("block {} row {r}", self.id))),
+                None => self.inner.gather(columns, indices, out),
+            }
+        }
+        fn scan_column_chunks(
+            &self,
+            columns: &[usize],
+            visit: &mut dyn FnMut(&[&[f64]]),
+        ) -> Result<(), StorageError> {
+            self.inner.scan_column_chunks(columns, visit)
+        }
+    }
+
+    /// The first error of `n` single draws from `seed`: what the
+    /// per-draw path raises.
+    fn per_draw_error(view: &PooledFilteredColumn, n: usize, seed: u64) -> StorageError {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .find_map(|_| view.sample_one(&mut rng).err())
+            .expect("some draw fails")
+    }
+
+    #[test]
+    fn a_failing_batch_raises_the_error_of_its_first_failing_draw() {
+        // Two lost blocks, armed after the selection compiled (an armed
+        // block fails the build itself): the batch fails, and the error
+        // is the first failing draw's.
+        let filter = key_gt(300.0);
+        let armed_view = || {
+            let set = RowsBlock::split(keyed_rows(3_000), 4);
+            let mut view = PooledFilteredColumn::build(&set, 1, filter.clone());
+            for b in [1, 3] {
+                let lost = Arc::new(crate::fault::FaultyBlock::new(
+                    Arc::clone(&view.blocks[b]),
+                    crate::fault::BlockFault::Lost,
+                    None,
+                )) as Arc<dyn DataBlock>;
+                view.columns[b] = project_block(&lost, 1);
+                view.blocks[b] = lost;
+            }
+            view
+        };
+        let view = armed_view();
+        let mut rng = StdRng::seed_from_u64(9);
+        let (mut picks, mut out) = (vec![0; 500], vec![0.0; 500]);
+        let batch = view.draw(&mut rng, &[0], &mut picks, &mut out).unwrap_err();
+        assert!(matches!(batch, StorageError::BlockLost { .. }), "{batch}");
+        let first = per_draw_error(&armed_view(), 500, 9);
+        assert_eq!(batch.to_string(), first.to_string());
+
+        // Rows that fail one by one: the ascending batch gather meets
+        // the lowest failing row drawn, the per-draw path the first
+        // failing row in draw order — re-resolution must report the
+        // latter.
+        let cols = keyed_rows(3_000);
+        let blocks: Vec<Arc<dyn DataBlock>> = RowsBlock::split(cols, 3)
+            .iter()
+            .enumerate()
+            .map(|(id, b)| {
+                let rows = (0..b.width()).map(|c| {
+                    let mut col = Vec::new();
+                    b.scan_column_chunks(&[c], &mut |chunk| col.extend_from_slice(chunk[0]))
+                        .unwrap();
+                    col
+                });
+                Arc::new(FailingRows {
+                    id,
+                    inner: RowsBlock::new(rows.collect()),
+                    bad: vec![5, 500, 900],
+                }) as Arc<dyn DataBlock>
+            })
+            .collect();
+        let view = PooledFilteredColumn::build(&BlockSet::new(blocks), 1, filter);
+        assert!(view.match_count().is_some(), "the selection compiles");
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut picks, mut out) = (vec![0; 3_000], vec![0.0; 3_000]);
+        let batch = view.draw(&mut rng, &[0], &mut picks, &mut out).unwrap_err();
+        let first = per_draw_error(&view, 3_000, 11);
+        assert_eq!(batch.to_string(), first.to_string());
+        // The case is discriminating: some block's lowest failing row
+        // is not its first failing row in draw order.
+        let sel = view.selection.as_ref().unwrap();
+        let located: Vec<(usize, u64)> = picks.iter().map(|&k| sel.locate(k)).collect();
+        let failing = |&&(_, r): &&(usize, u64)| [5, 500, 900].contains(&r);
+        let in_draw_order = located.iter().find(failing).unwrap();
+        let lowest = located.iter().filter(failing).min().unwrap();
+        assert_ne!(in_draw_order, lowest);
     }
 }

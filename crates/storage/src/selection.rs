@@ -3,25 +3,30 @@
 //! sampling (cf. Kang et al., accelerating approximate aggregation with
 //! expensive predicates).
 //!
-//! A [`SelectionVector`] lists one block's matching row indices in
-//! ascending order, plus the match count as a zone statistic. With one
-//! in hand, a filtered draw becomes a single uniform index into the
-//! matching rows — O(1), no rejection loop — and a block whose count is
-//! zero is skipped outright. [`SetSelection`] aggregates the per-block
-//! vectors over a [`crate::BlockSet`] with cumulative match counts, so
-//! a pooled filtered population draws globally in O(log b).
+//! A [`SelectionVector`] is a bitmap over one block's rows (bit *r*
+//! set when row *r* matches) plus a rank directory — the match count
+//! before every 512th row — and the match count as a zone statistic.
+//! With one in hand, a filtered draw becomes a single uniform index
+//! into the matching rows — no rejection loop; the directory resolves
+//! it with at most eight word popcounts and a select inside one word —
+//! and a block whose count is zero is skipped outright. [`SetSelection`]
+//! aggregates the per-block vectors over a [`crate::BlockSet`] with
+//! cumulative match counts, so a pooled filtered population draws
+//! globally in O(log b).
 //!
 //! Building a vector costs one scan of the columns the filter reads
-//! ([`DataBlock::scan_column_chunks`], the predicate evaluated per chunk
-//! by [`RowFilter::select`]) — unless the block's moment sketch
-//! ([`crate::BlockSketch`]) proves the predicate matchless from its
-//! min/max **zone map**, in which case the empty vector compiles with
-//! zero scan. The result is cached **on the block
+//! ([`DataBlock::scan_column_chunks`], the predicate evaluated 64 rows
+//! a word by [`RowFilter::select_word`]) — unless the block's moment
+//! sketch ([`crate::BlockSketch`]) proves the predicate matchless from
+//! its min/max **zone map**, in which case the empty vector compiles
+//! with zero scan. The result is cached **on the block
 //! set** ([`SelectionCache`], keyed by the filter's fingerprint), so
 //! repeated queries over the same predicate never rescan. Memory cost
-//! is 4 bytes per *matching* row: indices are `u32`, and a scannable
-//! block longer than `u32::MAX` rows is a structured
-//! [`StorageError::BlockTooLarge`] — never a silent index truncation.
+//! is ⌈n/64⌉·8 + ⌈n/512⌉·4 bytes for a block of `n` rows — ≈ 0.133 B a
+//! row at any selectivity, less than a `u32` list of the matches above
+//! ≈ 3.3 % — and a scannable block longer than `u32::MAX` rows is a
+//! structured [`StorageError::BlockTooLarge`], never a silent index
+//! truncation.
 //! Blocks that cannot scan at all — virtual generator blocks past
 //! their cap — simply skip compilation and keep the rejection-sampling
 //! fallback.
@@ -35,19 +40,32 @@ use crate::error::StorageError;
 use crate::filter::{CmpOp, RowFilter};
 use crate::sketch::{BlockSketch, SetSketches};
 
-/// One block's compiled selection: the matching row indices, ascending.
+/// Bitmap words per entry of a [`SelectionVector`]'s rank directory:
+/// one `u32` rank every 512 rows.
+const RANK_SPAN_WORDS: usize = 8;
+
+/// One block's compiled selection: a bitmap over the block's rows (bit
+/// `r % 64` of word `r / 64` set when row `r` matches) plus a rank
+/// directory — the matches before every 512th row, as `u32` — so the
+/// `k`-th match resolves without walking the bitmap.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionVector {
-    indices: Vec<u32>,
+    words: Vec<u64>,
+    /// `ranks[s]`: matching rows before row `512 s`.
+    ranks: Vec<u32>,
+    matches: u64,
 }
 
 impl SelectionVector {
     /// Compiles the selection vector of `block` under `filter` with one
     /// scan of the columns the filter reads
-    /// ([`DataBlock::scan_column_chunks`] + [`RowFilter::select`]).
-    /// Returns `None` when the block cannot scan at all. The vector is
-    /// sized to its matches: what a [`SelectionCache`] retains is 4
-    /// bytes per matching row and no spare capacity.
+    /// ([`DataBlock::scan_column_chunks`] + [`RowFilter::select_word`],
+    /// 64 rows a word). Returns `None` when the block cannot scan at
+    /// all. The bitmap and directory are sized to the block: what a
+    /// [`SelectionCache`] retains for `n` rows is
+    /// [`SelectionVector::heap_bytes`] = ⌈n/64⌉·8 + ⌈n/512⌉·4 bytes
+    /// (≈ 0.133 B a row) whatever the selectivity, and no spare
+    /// capacity.
     ///
     /// # Errors
     ///
@@ -79,26 +97,45 @@ impl SelectionVector {
         // A trivial filter reads nothing: its rows are counted by the
         // first column.
         let (columns, filter) = filter.projected(filter.is_trivial().then_some(0));
-        let mut indices = Vec::new();
-        // One chunk's matches, reused: selecting straight into `indices`
-        // would grow it by a whole chunk of candidates per step.
-        let mut matched = Vec::new();
+        let mut words = Vec::with_capacity(declared.div_ceil(64) as usize);
         let mut rows_seen: u64 = 0;
         block.scan_column_chunks(&columns, &mut |chunk| {
-            let rows = chunk.first().map_or(0, |col| col.len()) as u64;
+            let rows = chunk.first().map_or(0, |col| col.len());
             // Past the cap nothing compiles: the scan only finishes
             // counting for the error below.
-            if rows_seen + rows <= max_rows {
-                filter.select(chunk, rows_seen as u32, &mut matched);
-                indices.extend_from_slice(&matched);
+            if rows_seen + rows as u64 <= max_rows {
+                for start in (0..rows).step_by(64) {
+                    let word = filter.select_word(chunk, start);
+                    append_bits(&mut words, rows_seen + start as u64, word);
+                }
             }
-            rows_seen += rows;
+            rows_seen += rows as u64;
         })?;
         if rows_seen > max_rows {
             return Err(StorageError::BlockTooLarge { rows: rows_seen });
         }
-        indices.shrink_to_fit();
-        Ok(Some(Self { indices }))
+        // Trailing matchless words were never pushed.
+        words.resize(rows_seen.div_ceil(64) as usize, 0);
+        // Only a block that under-reported its length leaves slack here.
+        words.shrink_to_fit();
+        Ok(Some(Self::from_words(words)))
+    }
+
+    /// The selection over a finished bitmap: its rank directory and
+    /// match count.
+    fn from_words(words: Vec<u64>) -> Self {
+        let mut ranks = Vec::with_capacity(words.len().div_ceil(RANK_SPAN_WORDS));
+        let mut matches = 0u64;
+        for span in words.chunks(RANK_SPAN_WORDS) {
+            // At most `u32::MAX` rows, so every rank fits.
+            ranks.push(matches as u32);
+            matches += span.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        }
+        Self {
+            words,
+            ranks,
+            matches,
+        }
     }
 
     /// The empty selection — zero matching rows, what a zone-map prune
@@ -109,27 +146,164 @@ impl SelectionVector {
 
     /// Number of matching rows — the block's match-count zone stat.
     pub fn match_count(&self) -> u64 {
-        self.indices.len() as u64
+        self.matches
     }
 
     /// True when no row of the block matches (the block can be skipped
     /// outright).
     pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+        self.matches == 0
     }
 
-    /// The `k`-th matching row's index within the block.
+    /// The `k`-th matching row's index within the block: a binary
+    /// search of the rank directory, at most eight word popcounts, and
+    /// a select within the word.
     ///
     /// # Panics
     ///
     /// Panics if `k >= match_count()`.
     pub fn row_index(&self, k: u64) -> u64 {
-        u64::from(self.indices[k as usize])
+        assert!(k < self.matches, "match index out of range");
+        // `ranks[0]` is 0, so the span exists.
+        let span = self.ranks.partition_point(|&r| u64::from(r) <= k) - 1;
+        let (mut word, mut before) = (span * RANK_SPAN_WORDS, u64::from(self.ranks[span]));
+        self.select_from(&mut word, &mut before, k)
     }
 
-    /// The matching indices, ascending.
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
+    /// Replaces each of `ranks` — match ranks within the block,
+    /// ascending — by its row index, in one forward walk: a match in
+    /// the current span continues from the previous one's word; one
+    /// past it searches only the directory entries ahead.
+    pub(crate) fn rows_of_ascending(&self, ranks: &mut [u64]) {
+        // Matches before `word`.
+        let (mut word, mut before) = (0, 0);
+        for k in ranks {
+            let span = word / RANK_SPAN_WORDS;
+            let ahead = &self.ranks[span + 1..];
+            if ahead.first().is_some_and(|&r| u64::from(r) <= *k) {
+                let span = span + ahead.partition_point(|&r| u64::from(r) <= *k);
+                (word, before) = (span * RANK_SPAN_WORDS, u64::from(self.ranks[span]));
+            }
+            *k = self.select_from(&mut word, &mut before, *k);
+        }
+    }
+
+    /// The row of match `k`, found from `word`, before which the
+    /// bitmap holds `before ≤ k` matches (and within eight words of
+    /// which match `k` lies); both advance to the word holding it.
+    fn select_from(&self, word: &mut usize, before: &mut u64, k: u64) -> u64 {
+        loop {
+            let ones = u64::from(self.words[*word].count_ones());
+            if k - *before < ones {
+                break;
+            }
+            *before += ones;
+            *word += 1;
+        }
+        *word as u64 * 64 + u64::from(select_in_word(self.words[*word], (k - *before) as u32))
+    }
+
+    /// The matching rows, ascending.
+    pub(crate) fn rows(&self) -> SetBits<'_> {
+        SetBits {
+            words: self.words.iter().enumerate(),
+            word: 0,
+            base: 0,
+        }
+    }
+
+    /// The matching indices, ascending — decoded from the bitmap, so
+    /// O(rows / 64) and a fresh allocation per call.
+    pub fn indices(&self) -> Vec<u32> {
+        self.rows().map(|r| r as u32).collect()
+    }
+
+    /// Heap bytes this vector holds: the bitmap and the rank directory,
+    /// ⌈n/64⌉·8 + ⌈n/512⌉·4 for a block of `n` rows (zero for
+    /// [`SelectionVector::empty`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.ranks.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Writes the bits of `word` (one [`RowFilter::select_word`] result)
+/// at row `at` of the bitmap in `words`, which holds the rows before
+/// `at`. Matchless words are not written: the rows they cover stay
+/// implied zeros until a later match, or the final resize, pads them.
+fn append_bits(words: &mut Vec<u64>, at: u64, word: u64) {
+    if word == 0 {
+        return;
+    }
+    let (w, shift) = ((at / 64) as usize, at % 64);
+    let high = if shift == 0 { 0 } else { word >> (64 - shift) };
+    words.resize(words.len().max(w + 1 + usize::from(high != 0)), 0);
+    words[w] |= word << shift;
+    if high != 0 {
+        words[w + 1] |= high;
+    }
+}
+
+/// The position of the `rank`-th (0-based) set bit of `word`, which
+/// has more than `rank` set bits, without a branch: byte-wise prefix
+/// popcounts locate the byte holding the bit, [`SELECT_IN_BYTE`] the
+/// bit within it.
+fn select_in_word(word: u64, rank: u32) -> u32 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut s = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    // Byte i: the set bits of bytes 0..=i (at most 64, so no byte
+    // overflows and the subtraction below borrows across none).
+    let sums = ((s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F).wrapping_mul(ONES);
+    // High bit of byte i set when sums[i] <= rank: the bytes before
+    // the one holding the bit, counted into the top byte.
+    let passed = (((u64::from(rank) * ONES) | HIGHS) - sums) & HIGHS;
+    let shift = ((passed >> 7).wrapping_mul(ONES) >> 56) as u32 * 8;
+    let below = ((sums << 8) >> shift) & 0xFF;
+    let byte = ((word >> shift) & 0xFF) as usize;
+    shift + u32::from(SELECT_IN_BYTE[byte][rank as usize - below as usize])
+}
+
+/// `SELECT_IN_BYTE[b][r]`: the position of the `r`-th set bit of byte
+/// `b` (0 where `b` has no such bit).
+static SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut rank) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][rank] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The set bits of a bitmap, ascending, as row indices
+/// ([`SelectionVector::rows`]).
+pub(crate) struct SetBits<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    word: u64,
+    base: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.word == 0 {
+            let (i, &word) = self.words.next()?;
+            self.word = word;
+            self.base = i as u64 * 64;
+        }
+        let bit = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.base + u64::from(bit))
     }
 }
 
@@ -283,7 +457,8 @@ impl SetSelection {
 
     /// Resolves the `k`-th global match (`0 ≤ k < total_matches`) to
     /// `(block_index, row_index_within_block)` by binary search over the
-    /// cumulative counts.
+    /// cumulative counts, then the block's rank directory
+    /// ([`SelectionVector::row_index`]).
     ///
     /// # Panics
     ///
@@ -297,6 +472,54 @@ impl SetSelection {
             // isla-lint: allow(panic-freedom, reason = "locate() is infallible by contract: the asserted bound above guarantees k lands in a compiled block")
             .expect("cumulative only advances over compiled blocks");
         (b, sel.row_index(k - base))
+    }
+
+    /// Resolves `matches` — global match indices, ascending — in one
+    /// forward walk over the blocks and their bitmaps
+    /// ([`SelectionVector::rows_of_ascending`]): each index is replaced
+    /// by its row within its block, and `run(b, range)` is called once
+    /// per block holding any, in block order, with the range of
+    /// `matches` it holds. Stops at `run`'s first error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is `>= total_matches()`.
+    pub(crate) fn locate_ascending(
+        &self,
+        matches: &mut [u64],
+        mut run: impl FnMut(usize, std::ops::Range<usize>, &[u64]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        assert!(
+            matches.last().is_none_or(|&k| k < self.total_matches),
+            "match index out of range"
+        );
+        let mut start = 0;
+        for (b, entry) in self.blocks.iter().enumerate() {
+            // An uncompiled block holds no match index.
+            let Some(sel) = entry else { continue };
+            let end = start + matches[start..].partition_point(|&k| k < self.cumulative[b]);
+            if end == start {
+                continue;
+            }
+            let base = self.cumulative[b] - sel.match_count();
+            let block = &mut matches[start..end];
+            block.iter_mut().for_each(|k| *k -= base);
+            sel.rows_of_ascending(block);
+            run(b, start..end, block)?;
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// Heap bytes this selection holds: every block's
+    /// [`SelectionVector::heap_bytes`] plus the per-block tables
+    /// (vector handles, cumulative counts, prune flags).
+    pub fn heap_bytes(&self) -> usize {
+        let vectors: usize = self.blocks.iter().flatten().map(|v| v.heap_bytes()).sum();
+        vectors
+            + self.blocks.capacity() * std::mem::size_of::<Option<Arc<SelectionVector>>>()
+            + self.cumulative.capacity() * std::mem::size_of::<u64>()
+            + self.pruned.capacity() * std::mem::size_of::<bool>()
     }
 }
 
@@ -372,7 +595,9 @@ pub(crate) fn proves_matchless(sketch: &BlockSketch, filter: &RowFilter) -> bool
 
 /// Maximum compiled filters a [`SelectionCache`] retains; the
 /// oldest-inserted entry is evicted beyond this, bounding the cache at
-/// `cap × matches × 4 B` even under endless ad-hoc predicates.
+/// `cap ×` one [`SetSelection::heap_bytes`] — ≈ 0.133 B a row of the
+/// set, whatever the selectivity — even under endless ad-hoc
+/// predicates ([`SelectionCache::retained_bytes`]).
 pub const SELECTION_CACHE_CAP: usize = 64;
 
 /// A seal-time compiled selection tail for one filter: per appended
@@ -600,6 +825,21 @@ impl SelectionCache {
         self.len() == 0
     }
 
+    /// Heap bytes of the cached selections
+    /// ([`SetSelection::heap_bytes`] summed over the entries).
+    pub fn retained_bytes(&self) -> usize {
+        let state = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state
+            .entries
+            .values()
+            .flatten()
+            .map(|(_, sel)| sel.heap_bytes())
+            .sum()
+    }
+
     /// Current hit/build counters.
     pub fn stats(&self) -> SelectionCacheStats {
         SelectionCacheStats {
@@ -678,23 +918,153 @@ mod tests {
         assert_eq!(sel.row_index(0), u64::from(brute[0]));
     }
 
+    /// ⌈n/64⌉·8 + ⌈n/512⌉·4: the bitmap and the rank directory.
+    fn formula_bytes(rows: usize) -> usize {
+        rows.div_ceil(64) * 8 + rows.div_ceil(512) * 4
+    }
+
     #[test]
-    fn built_vectors_are_sized_to_their_matches() {
-        // Several chunks of appends, at selectivities that leave a
-        // doubling `Vec` with the most slack: a cached vector must hold
-        // its matches and nothing more.
+    fn built_vectors_hold_the_formula_bytes_at_any_selectivity() {
+        // Several chunks, a partial last word and a partial last rank
+        // span: a cached vector holds its bitmap and directory and no
+        // spare capacity, whatever the selectivity.
         let rows = 3 * crate::kernel::SCAN_CHUNK_ROWS + 17;
         let block = RowsBlock::new(vec![(0..rows).map(|i| (i % 100) as f64).collect()]);
-        for threshold in [-1.0, 32.5, 49.5, 98.5, 100.0] {
+        for (threshold, selectivity) in [(100.0, 0.0), (49.5, 0.5), (-1.0, 1.0)] {
             let sel = SelectionVector::build(&block, &filter_gt(0, threshold))
                 .unwrap()
                 .unwrap();
-            assert_eq!(
-                sel.indices.capacity(),
-                sel.indices.len(),
-                "threshold {threshold}: {} matches",
-                sel.match_count()
+            let matches = sel.match_count() as f64 / rows as f64;
+            assert!(
+                (matches - selectivity).abs() < 0.01,
+                "{threshold}: {matches}"
             );
+            assert_eq!(
+                sel.heap_bytes(),
+                formula_bytes(rows),
+                "selectivity {selectivity}"
+            );
+        }
+        assert_eq!(SelectionVector::empty().heap_bytes(), 0);
+        // A set's bytes are its vectors' plus its per-block tables.
+        let set = RowsBlock::split(vec![(0..rows).map(|i| i as f64).collect()], 3);
+        let blocks: Vec<_> = set.iter().map(Arc::clone).collect();
+        let sel = SetSelection::build(&blocks, &filter_gt(0, 10.0), None).unwrap();
+        let vectors: usize = (0..3).map(|b| sel.block(b).unwrap().heap_bytes()).sum();
+        assert!(sel.heap_bytes() > vectors);
+        assert!(sel.heap_bytes() < vectors + 128);
+    }
+
+    /// Raw columns (non-finite values allowed) scanned in chunks whose
+    /// lengths cycle through `sizes`, so word boundaries fall anywhere.
+    struct RawBlock {
+        cols: Vec<Vec<f64>>,
+        sizes: Vec<usize>,
+    }
+
+    impl DataBlock for RawBlock {
+        fn len(&self) -> u64 {
+            self.cols[0].len() as u64
+        }
+        fn gather(&self, _: &[usize], _: &[u64], _: &mut [f64]) -> Result<(), StorageError> {
+            unreachable!("a selection build only scans")
+        }
+        fn scan_column_chunks(
+            &self,
+            columns: &[usize],
+            visit: &mut dyn FnMut(&[&[f64]]),
+        ) -> Result<(), StorageError> {
+            let mut start = 0;
+            for &size in self.sizes.iter().cycle() {
+                let end = (start + size).min(self.cols[0].len());
+                if start == end {
+                    break;
+                }
+                let chunk: Vec<&[f64]> =
+                    columns.iter().map(|&c| &self.cols[c][start..end]).collect();
+                visit(&chunk);
+                start = end;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn word_builds_equal_select_lists() {
+        // Lengths around the word and directory boundaries, and two
+        // with whole directory spans the range filters skip; a
+        // continuous column salted with NaN, ±0 and ±∞, a categorical
+        // one; single, multi-conjunct, categorical and trivial filters.
+        let pred = |column, op, value| ColumnPredicate { column, op, value };
+        let filters = [
+            RowFilter::all(),
+            RowFilter::new(vec![pred(0, CmpOp::Gt, 0.0)]),
+            RowFilter::new(vec![pred(0, CmpOp::Ge, -0.0)]),
+            RowFilter::new(vec![pred(0, CmpOp::Eq, 0.0)]),
+            RowFilter::new(vec![pred(0, CmpOp::Ne, 0.0)]),
+            RowFilter::new(vec![pred(0, CmpOp::Lt, f64::NAN)]),
+            RowFilter::new(vec![pred(0, CmpOp::Ne, f64::NAN)]),
+            RowFilter::new(vec![pred(1, CmpOp::Eq, 2.0)]),
+            RowFilter::new(vec![pred(1, CmpOp::Ne, 3.0), pred(0, CmpOp::Le, 40.0)]),
+            RowFilter::new(vec![
+                pred(0, CmpOp::Gt, -50.0),
+                pred(1, CmpOp::Ge, 1.0),
+                pred(0, CmpOp::Lt, 60.0),
+            ]),
+        ];
+        for rows in [1usize, 63, 64, 65, 511, 512, 513, 1_100, 2_049] {
+            let continuous: Vec<f64> = (0..rows)
+                .map(|i| match i % 17 {
+                    _ if (600..1_700).contains(&i) => -500.0,
+                    3 => f64::NAN,
+                    5 => 0.0,
+                    6 => -0.0,
+                    9 => f64::INFINITY,
+                    11 => f64::NEG_INFINITY,
+                    _ => ((i * 7_919) % 200) as f64 - 100.0,
+                })
+                .collect();
+            let categorical: Vec<f64> = (0..rows).map(|i| ((i * 31) % 4) as f64).collect();
+            let cols = vec![continuous, categorical];
+            let slices: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            for filter in &filters {
+                let mut want = Vec::new();
+                filter.select(&slices, 0, &mut want);
+                for (w, start) in (0..rows).step_by(64).enumerate() {
+                    let word = filter.select_word(&slices, start);
+                    let listed = want.iter().filter(|&&i| (i as usize) / 64 == w);
+                    let from_list = listed.fold(0u64, |acc, &i| acc | 1 << (i % 64));
+                    assert_eq!(word, from_list, "{rows} rows, word {w}, {filter:?}");
+                }
+                for sizes in [vec![SCAN_CHUNK_ROWS], vec![1, 63, 65, 2, 127, 64, 200]] {
+                    let block = RawBlock {
+                        cols: cols.clone(),
+                        sizes,
+                    };
+                    let sel = SelectionVector::build(&block, filter).unwrap().unwrap();
+                    assert_eq!(sel.indices(), want, "{rows} rows, {filter:?}");
+                    assert_eq!(sel.match_count(), want.len() as u64);
+                    assert_eq!(sel.heap_bytes(), formula_bytes(rows));
+                    for (k, &row) in want.iter().enumerate() {
+                        assert_eq!(sel.row_index(k as u64), u64::from(row));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_word_select_finds_every_set_bit() {
+        for word in [1u64, u64::MAX, 0x8000_0000_0000_0001, 0xF0F0_0000_FF00_1234] {
+            let mut rest = word;
+            for rank in 0..word.count_ones() {
+                assert_eq!(
+                    select_in_word(word, rank),
+                    rest.trailing_zeros(),
+                    "{word:#x}"
+                );
+                rest &= rest - 1;
+            }
         }
     }
 
@@ -773,6 +1143,35 @@ mod tests {
         let a = cache.get_or_build(&blocks, &newest, None).unwrap();
         let b = cache.get_or_build(&blocks, &newest, None).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn cache_retains_at_most_cap_selections_worth_of_bytes() {
+        // Unique ad-hoc filters at every selectivity: whatever they
+        // match, the cache holds at most `SELECTION_CACHE_CAP` sets'
+        // bitmaps and directories.
+        let rows = 10_000;
+        let set = RowsBlock::split(vec![(0..rows).map(f64::from).collect()], 4);
+        let blocks: Vec<_> = set.iter().map(Arc::clone).collect();
+        let cache = SelectionCache::new();
+        assert_eq!(cache.retained_bytes(), 0);
+        let mut one = 0;
+        for i in 0..(SELECTION_CACHE_CAP + 10) {
+            let threshold = f64::from(rows) * i as f64 / (SELECTION_CACHE_CAP + 10) as f64;
+            let sel = cache
+                .get_or_build(&blocks, &filter_gt(0, threshold), None)
+                .unwrap();
+            one = one.max(sel.heap_bytes());
+        }
+        assert_eq!(cache.len(), SELECTION_CACHE_CAP);
+        let vectors: usize = (0..4)
+            .map(|b| formula_bytes(set.block(b).len() as usize))
+            .sum();
+        assert!(one >= vectors && one < vectors + 128, "{one} vs {vectors}");
+        assert!(cache.retained_bytes() <= SELECTION_CACHE_CAP * one);
+        assert!(cache.retained_bytes() >= SELECTION_CACHE_CAP * vectors);
+        cache.clear();
+        assert_eq!(cache.retained_bytes(), 0);
     }
 
     #[test]
