@@ -7,9 +7,24 @@
 //! is built from the power sums alone, which are invariant under
 //! permutation of the sampling sequence.
 
+use std::cell::RefCell;
+
 use isla_stats::PowerSums;
 
 use crate::boundaries::{DataBoundaries, Region, FOLD_LANE};
+
+/// One S lane and one L lane of [`DataBoundaries::partition`] output.
+type FoldLanes = ([f64; FOLD_LANE], [f64; FOLD_LANE]);
+
+thread_local! {
+    // `offer_slice`'s partition scratch, kept per thread as the storage
+    // kernels keep their sample buffers: a fold runs once per block,
+    // group and batch, and zero-filling 4 KB on every call cost as much
+    // as folding a small batch. Only the first `ns`/`nl` slots a
+    // partition writes are ever read, so stale contents are harmless.
+    static FOLD_LANES: RefCell<FoldLanes> =
+        const { RefCell::new(([0.0; FOLD_LANE], [0.0; FOLD_LANE])) };
+}
 
 /// Accumulated sampling-phase state for one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,16 +77,17 @@ impl SampleAccumulator {
     /// order of values *within* a region can matter, and the partition
     /// preserves it.
     pub fn offer_slice(&mut self, values: &[f64], shift: f64) {
-        let (mut s, mut l) = ([0.0; FOLD_LANE], [0.0; FOLD_LANE]);
-        for lane in values.chunks(FOLD_LANE) {
-            let (ns, nl) = self.boundaries.partition(lane, shift, &mut s, &mut l);
-            for &v in &s[..ns] {
-                self.param_s.update(v);
+        FOLD_LANES.with_borrow_mut(|(s, l)| {
+            for lane in values.chunks(FOLD_LANE) {
+                let (ns, nl) = self.boundaries.partition(lane, shift, s, l);
+                for &v in &s[..ns] {
+                    self.param_s.update(v);
+                }
+                for &v in &l[..nl] {
+                    self.param_l.update(v);
+                }
             }
-            for &v in &l[..nl] {
-                self.param_l.update(v);
-            }
-        }
+        });
         self.total_offered += values.len() as u64;
     }
 

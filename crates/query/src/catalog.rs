@@ -2,10 +2,10 @@
 //!
 //! A [`Table`] is one block-partitioned [`BlockSet`] of row tuples plus
 //! the [`Schema`] naming the tuple's columns. Scalar consumers (the
-//! classic ISLA path, baselines, MAX/MIN) get width-1 projections via
-//! [`Table::column`]; the row-model executor works on the table's
-//! blocks directly, resolving column names to positions once through
-//! the schema.
+//! classic ISLA path, baselines, MAX/MIN) read the table's width-1
+//! column sets via [`Table::column`]; the row-model executor works on
+//! the table's blocks directly, resolving column names to positions
+//! once through the schema.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,8 +19,8 @@ use crate::error::QueryError;
 
 /// One sealed block plus every piece of derived state the table's block
 /// sets need to merge it in: the row block itself with the data set's
-/// seal-time sketch/selection state, and — when the table keeps scalar
-/// column sets — a width-1 view and derived state per column.
+/// seal-time sketch/selection state, and a width-1 block and derived
+/// state per column set.
 ///
 /// Produced by [`Table::seal_block`] (scan-heavy, run it with no lock
 /// held) and consumed by [`Table::append_sealed`] (cheap merges, safe
@@ -49,15 +49,31 @@ impl SealedIngest {
     }
 }
 
-/// A table: a schema plus a block-partitioned set of row tuples.
+/// A table: a schema plus a block-partitioned set of row tuples, and
+/// one width-1 block set per column.
+///
+/// A `Table` is a handle: the schema, the row set, the column sets and
+/// the row count sit behind one `Arc`, so a clone costs one refcount
+/// and shares every block and derived cache with the original. The
+/// mutators ([`Table::append_sealed`], [`Table::add_column`]) copy on
+/// write: a clone taken before an append keeps the rows it saw.
 #[derive(Debug, Clone)]
 pub struct Table {
+    state: Arc<TableState>,
+}
+
+#[derive(Debug, Clone)]
+struct TableState {
     schema: Schema,
     data: BlockSet,
-    /// Original per-column block sets when the table was assembled from
-    /// scalar columns — kept so single-column projections stay zero-cost
-    /// on that construction path.
-    column_sets: Option<Vec<BlockSet>>,
+    /// One width-1 set per schema column: the scalar sets a zipped
+    /// table was assembled from, or, for a row table, each column
+    /// projected once at construction. Appends extend them alongside
+    /// `data`, so a column read is a handle, never a fresh projection.
+    columns: Vec<BlockSet>,
+    /// Assembled from scalar columns ([`Table::new`]) — the only kind
+    /// [`Table::add_column`] can re-zip.
+    zipped: bool,
     rows: u64,
 }
 
@@ -103,16 +119,13 @@ impl Table {
                     .collect(),
             )
         };
-        Self {
-            schema: Schema::of_floats(names),
-            data,
-            column_sets: Some(sets),
-            rows,
-        }
+        Self::assemble(Schema::of_floats(names), data, sets, true)
     }
 
     /// Builds a table directly from a schema and a block set of row
-    /// tuples (e.g. [`isla_storage::RowsBlock`]s).
+    /// tuples (e.g. [`isla_storage::RowsBlock`]s). Each column's width-1
+    /// set is projected here, once, by [`project_column`]'s per-block
+    /// rule (a rows block hands out a zero-copy window on its column).
     ///
     /// # Panics
     ///
@@ -125,48 +138,62 @@ impl Table {
                 "block width must match the schema"
             );
         }
+        let columns = (0..schema.width())
+            .map(|idx| project_column(&data, idx))
+            .collect();
+        Self::assemble(schema, data, columns, false)
+    }
+
+    fn assemble(schema: Schema, data: BlockSet, columns: Vec<BlockSet>, zipped: bool) -> Self {
         let rows = data.total_len();
         Self {
-            schema,
-            data,
-            column_sets: None,
-            rows,
+            state: Arc::new(TableState {
+                schema,
+                data,
+                columns,
+                zipped,
+                rows,
+            }),
         }
     }
 
     /// Number of rows.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.state.rows
     }
 
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.state.schema
     }
 
     /// The table's row blocks.
     pub fn data(&self) -> &BlockSet {
-        &self.data
+        &self.state.data
     }
 
     /// The positional index of a named column.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.schema.index_of(name)
+        self.state.schema.index_of(name)
     }
 
-    /// A width-1 block set over the named column (zero-cost when the
-    /// table was assembled from scalar columns, a projection view
-    /// otherwise).
+    /// The width-1 block set over the named column: a handle on the
+    /// table's own column set (the scalar set a zipped table was built
+    /// from, or the projection a row table made at construction),
+    /// sharing its blocks and derived caches.
     pub fn column(&self, name: &str) -> Option<BlockSet> {
-        let idx = self.schema.index_of(name)?;
-        match &self.column_sets {
-            Some(sets) => Some(sets[idx].clone()),
-            None => Some(project_column(&self.data, idx)),
-        }
+        self.column_set(name).cloned()
+    }
+
+    /// The named column's width-1 set, borrowed — what the executor
+    /// reads, so a query resolves its column without a clone.
+    pub(crate) fn column_set(&self, name: &str) -> Option<&BlockSet> {
+        let idx = self.state.schema.index_of(name)?;
+        self.state.columns.get(idx)
     }
 
     /// Drop every derived cache (selections, sketches) attached to this
-    /// table's block sets — the row set and every scalar column set.
+    /// table's block sets — the row set and every column set.
     ///
     /// Required after any in-place mutation of the underlying blocks:
     /// the caches are `Arc`-shared across every `BlockSet` clone handed
@@ -176,11 +203,9 @@ impl Table {
     /// session-level cache and are invalidated separately by
     /// [`crate::QuerySession::invalidate_table`], which calls this.
     pub fn invalidate_caches(&self) {
-        self.data.invalidate_derived();
-        if let Some(sets) = &self.column_sets {
-            for set in sets {
-                set.invalidate_derived();
-            }
+        self.state.data.invalidate_derived();
+        for set in &self.state.columns {
+            set.invalidate_derived();
         }
     }
 
@@ -195,33 +220,35 @@ impl Table {
     /// [`QueryError::Invalid`] on a width mismatch; storage errors from
     /// the seal-time scans.
     pub fn seal_block(&self, sealed: SealedRows) -> Result<SealedIngest, QueryError> {
-        if sealed.width() != self.schema.width() {
+        let state = &self.state;
+        let width = state.schema.width();
+        if sealed.width() != width {
             return Err(QueryError::Invalid(format!(
                 "sealed rows are {} wide but the table has {} columns",
                 sealed.width(),
-                self.schema.width()
+                width
             )));
         }
         let rows = sealed.rows() as u64;
         let block: Arc<dyn DataBlock> = Arc::new(sealed.into_block());
-        let derived = self.data.seal_derived(&block)?;
-        let columns = match &self.column_sets {
-            Some(sets) => sets
-                .iter()
-                .enumerate()
-                .map(|(i, set)| {
-                    // A width-1 table's data set IS its only column set;
-                    // reuse the block rather than viewing it.
-                    let view: Arc<dyn DataBlock> = if self.schema.width() == 1 {
-                        Arc::clone(&block)
-                    } else {
-                        Arc::new(ColumnView::new(Arc::clone(&block), i))
-                    };
-                    set.seal_derived(&view).map(|d| (view, d))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
+        let derived = state.data.seal_derived(&block)?;
+        let columns = state
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, set)| {
+                // A width-1 zipped table's data set IS its only column
+                // set; reuse the block rather than projecting it.
+                let view: Arc<dyn DataBlock> = if state.zipped && width == 1 {
+                    Arc::clone(&block)
+                } else {
+                    block
+                        .project(i)
+                        .unwrap_or_else(|| Arc::new(ColumnView::new(Arc::clone(&block), i)))
+                };
+                set.seal_derived(&view).map(|d| (view, d))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(SealedIngest {
             block,
             derived,
@@ -231,31 +258,32 @@ impl Table {
     }
 
     /// Appends sealed blocks as one epoch, merging their pre-computed
-    /// derived state into the data set and every scalar column set —
-    /// nothing cached is invalidated. O(blocks + cached entries): cheap
-    /// enough to run under the catalog write guard.
+    /// derived state into the data set and every column set — nothing
+    /// cached is invalidated. O(blocks + cached entries): cheap enough
+    /// to run under the catalog write guard. Copies the table's state
+    /// first when another handle shares it, so that handle keeps its
+    /// rows.
     pub fn append_sealed(&mut self, batch: Vec<SealedIngest>) {
         if batch.is_empty() {
             return;
         }
-        let col_count = self.column_sets.as_ref().map_or(0, Vec::len);
+        let state = Arc::make_mut(&mut self.state);
+        let col_count = state.columns.len();
         let mut data_batch = Vec::with_capacity(batch.len());
         let mut col_batches: Vec<Vec<(Arc<dyn DataBlock>, SealedDerived)>> = (0..col_count)
             .map(|_| Vec::with_capacity(batch.len()))
             .collect();
         for ingest in batch {
             debug_assert_eq!(ingest.columns.len(), col_count);
-            self.rows += ingest.rows;
+            state.rows += ingest.rows;
             data_batch.push((ingest.block, ingest.derived));
             for (per_column, entry) in col_batches.iter_mut().zip(ingest.columns) {
                 per_column.push(entry);
             }
         }
-        self.data.append_epoch(data_batch);
-        if let Some(sets) = &mut self.column_sets {
-            for (set, batch) in sets.iter_mut().zip(col_batches) {
-                set.append_epoch(batch);
-            }
+        state.data.append_epoch(data_batch);
+        for (set, batch) in state.columns.iter_mut().zip(col_batches) {
+            set.append_epoch(batch);
         }
     }
 
@@ -265,7 +293,8 @@ impl Table {
     /// inherits the table's epoch history so epoch-cached pilot folds
     /// over the old columns stay resumable. Nothing is invalidated —
     /// pre-estimates for untouched column sets remain exactly as
-    /// reusable as before the addition.
+    /// reusable as before the addition. Copy on write, as
+    /// [`Table::append_sealed`].
     ///
     /// # Errors
     ///
@@ -274,49 +303,54 @@ impl Table {
     /// the table's row count or block layout.
     pub fn add_column(&mut self, name: impl Into<String>, set: BlockSet) -> Result<(), QueryError> {
         let name = name.into();
-        if self.schema.index_of(&name).is_some() {
+        if self.state.schema.index_of(&name).is_some() {
             return Err(QueryError::Invalid(format!("column {name} already exists")));
         }
-        let Some(sets) = &mut self.column_sets else {
+        if !self.state.zipped {
             return Err(QueryError::Invalid(
                 "add_column needs a table assembled from scalar columns".to_string(),
             ));
-        };
-        if set.total_len() != self.rows || set.block_count() != self.data.block_count() {
+        }
+        let data = &self.state.data;
+        if set.total_len() != self.state.rows || set.block_count() != data.block_count() {
             return Err(QueryError::Invalid(format!(
                 "new column has {} rows in {} blocks; the table has {} rows in {} blocks",
                 set.total_len(),
                 set.block_count(),
-                self.rows,
-                self.data.block_count()
+                self.state.rows,
+                data.block_count()
             )));
         }
         for b in 0..set.block_count() {
-            if set.block(b).len() != self.data.block(b).len() {
+            if set.block(b).len() != data.block(b).len() {
                 return Err(QueryError::Invalid(format!(
                     "new column disagrees with the table's block layout at block {b}"
                 )));
             }
         }
-        let new_blocks: Vec<Arc<dyn DataBlock>> = (0..self.data.block_count())
+        let state = Arc::make_mut(&mut self.state);
+        let new_blocks: Vec<Arc<dyn DataBlock>> = (0..state.data.block_count())
             .map(|b| {
-                let mut cols: Vec<Arc<dyn DataBlock>> =
-                    sets.iter().map(|s| Arc::clone(s.block(b))).collect();
+                let mut cols: Vec<Arc<dyn DataBlock>> = state
+                    .columns
+                    .iter()
+                    .map(|s| Arc::clone(s.block(b)))
+                    .collect();
                 cols.push(Arc::clone(set.block(b)));
                 Arc::new(ZipBlock::new(cols)) as Arc<dyn DataBlock>
             })
             .collect();
-        self.data = BlockSet::with_marks(new_blocks, self.data.epoch_marks().to_vec());
-        sets.push(set);
-        let mut columns = self.schema.columns().to_vec();
+        state.data = BlockSet::with_marks(new_blocks, state.data.epoch_marks().to_vec());
+        state.columns.push(set);
+        let mut columns = state.schema.columns().to_vec();
         columns.push(ColumnDef::float(name));
-        self.schema = Schema::new(columns);
+        state.schema = Schema::new(columns);
         Ok(())
     }
 
     /// The column names, sorted (for stable display).
     pub fn column_names(&self) -> Vec<&str> {
-        let mut names = self.schema.column_names();
+        let mut names = self.state.schema.column_names();
         names.sort_unstable();
         names
     }
@@ -476,6 +510,31 @@ mod tests {
     #[should_panic(expected = "at least one column")]
     fn empty_table_panics() {
         let _ = Table::new(Vec::<(String, BlockSet)>::new());
+    }
+
+    #[test]
+    fn add_column_rejects_a_row_table() {
+        let schema = Schema::of_floats(vec!["x", "y"]);
+        let data = RowsBlock::split(vec![vec![1.0, 2.0, 3.0, 4.0], vec![5.0; 4]], 2);
+        let mut table = Table::from_rows(schema, data);
+        let err = table
+            .add_column("z", block_set(vec![0.0, 0.0, 0.0, 0.0]))
+            .unwrap_err();
+        assert!(matches!(err, QueryError::Invalid(_)), "got {err}");
+        assert_eq!(table.schema().width(), 2);
+        assert!(table.column("z").is_none());
+    }
+
+    #[test]
+    fn a_clone_keeps_its_columns_when_the_original_gains_one() {
+        let mut table = Table::new(vec![("a", block_set(vec![1.0, 2.0, 3.0, 4.0]))]);
+        let before = table.clone();
+        table
+            .add_column("b", block_set(vec![5.0, 6.0, 7.0, 8.0]))
+            .unwrap();
+        assert_eq!(table.column_names(), vec!["a", "b"]);
+        assert_eq!(before.column_names(), vec!["a"]);
+        assert_eq!(before.data().width(), 1);
     }
 
     #[test]

@@ -363,7 +363,7 @@ impl QuerySession {
         }
 
         let data = table
-            .column(&query.column)
+            .column_set(&query.column)
             .ok_or_else(|| QueryError::UnknownColumn {
                 table: query.table.clone(),
                 column: query.column.clone(),
@@ -375,7 +375,7 @@ impl QuerySession {
         // `METHOD EXACT`.
         if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
             let (value, samples_used) = self.on_scheduler(None, |s| {
-                extreme_value(query, &data, None, confidence, s, rng)
+                extreme_value(query, data, None, confidence, s, rng)
             })?;
             let mut result = QueryResult::of(query, rows, confidence, start, value);
             result.samples_used = samples_used;
@@ -384,14 +384,14 @@ impl QuerySession {
 
         let (avg, samples_used, time_limited, degradation) = match query.method {
             Method::Exact => {
-                let mean = self.on_scheduler(None, |s| engine::scan_exact_mean(&data, s))?;
+                let mean = self.on_scheduler(None, |s| engine::scan_exact_mean(data, s))?;
                 (mean, None, false, None)
             }
-            Method::Isla => self.run_isla(query, &data, confidence, rng)?,
+            Method::Isla => self.run_isla(query, data, confidence, rng)?,
             _ => {
-                let budget = baseline_budget(query, &data, confidence, rng)?;
+                let budget = baseline_budget(query, data, confidence, rng)?;
                 let value = self.on_scheduler(None, |s| {
-                    run_baseline(query, &data, confidence, budget, s, rng)
+                    run_baseline(query, data, confidence, budget, s, rng)
                 })?;
                 (value, Some(budget), false, None)
             }

@@ -431,8 +431,11 @@ impl QueryService {
             .register(name, table);
     }
 
-    /// A clone of the named table (cache handles shared with the
-    /// registry copy, blocks shared by `Arc`).
+    /// A handle on the named table: one refcount, taken under the
+    /// registry's read guard and held past it, so no guard is ever live
+    /// across query execution. The handle shares everything with the
+    /// registry's table, and keeps the rows it saw when an ingest later
+    /// appends to the registry's (copy on write).
     ///
     /// # Errors
     ///
@@ -537,7 +540,7 @@ impl QueryService {
                 return Err(e);
             }
         };
-        let width = self.table_snapshot(table)?.schema().width();
+        let width = self.table(table)?.schema().width();
         let sealed = {
             let mut buffers = self
                 .inner
@@ -649,11 +652,14 @@ impl QueryService {
         // The snapshot shares cache handles with the registry table, so
         // seal-time selection vectors cover exactly the filters cached
         // at this moment; filters cached concurrently heal on demand.
-        let snapshot = self.table_snapshot(table)?;
+        let snapshot = self.table(table)?;
         let batch: Vec<SealedIngest> = sealed
             .into_iter()
             .map(|rows| snapshot.seal_block(rows))
             .collect::<Result<_, _>>()?;
+        // Released before the write guard: a live handle would make the
+        // append copy the registry's table instead of extending it.
+        drop(snapshot);
         let appended = batch.len();
         let mut tables = self
             .inner
@@ -709,11 +715,10 @@ impl QueryService {
         let mut stats = TableCacheStats::default();
         stats.absorb(table.data().selection_stats(), table.data().sketch_stats());
         // Column sets carry their own caches, distinct from the row
-        // set's. (Projection views over row-first tables are built with
-        // fresh caches per call, so they contribute zeros here — no
-        // double counting either way.)
+        // set's — except a one-column zipped table's, whose row set is
+        // its column set and so counts twice.
         for column in table.column_names() {
-            if let Some(set) = table.column(column) {
+            if let Some(set) = table.column_set(column) {
                 stats.absorb(set.selection_stats(), set.sketch_stats());
             }
         }
@@ -763,23 +768,12 @@ impl QueryService {
         update(map.entry(tenant.to_string()).or_default());
     }
 
-    /// Resolves the table inside a scope that returns a clone, so no
-    /// registry guard is ever live across query execution.
-    fn table_snapshot(&self, name: &str) -> Result<Table, QueryError> {
-        let tables = self
-            .inner
-            .tables
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        tables.table(name).cloned()
-    }
-
     fn execute_admitted(
         &self,
         query: &Query,
         rng: &mut dyn RngCore,
     ) -> Result<QueryResult, QueryError> {
-        let table = self.table_snapshot(&query.table)?;
+        let table = self.table(&query.table)?;
         // Last-resort panic net: scheduler workers already convert
         // panics into typed errors, but submitting-thread phases (the
         // pilots, planning) can still unwind — and an escaped panic
@@ -844,7 +838,7 @@ impl ServiceClient {
 mod tests {
     use super::*;
     use isla_datagen::normal_values;
-    use isla_storage::BlockSet;
+    use isla_storage::{BlockSet, RowsBlock, Schema};
     use std::sync::mpsc;
 
     fn service_with_table(config: ServiceConfig) -> QueryService {
@@ -1182,6 +1176,86 @@ mod tests {
         assert!(service
             .add_column("trips", "oops", BlockSet::from_values(vec![0.0; 7], 7))
             .is_err());
+    }
+
+    /// A row-model `sales` table (amount, margin) in 4 blocks, sealing
+    /// ingested rows 500 to a block.
+    fn service_with_sales() -> QueryService {
+        let service = QueryService::new(ServiceConfig {
+            ingest_rows_per_block: 500,
+            pilot_seed: 5,
+            ..ServiceConfig::default()
+        });
+        let amount = normal_values(100.0, 20.0, 20_000, 91);
+        let margin = normal_values(30.0, 5.0, 20_000, 92);
+        service.register_table(
+            "sales",
+            Table::from_rows(
+                Schema::of_floats(vec!["amount", "margin"]),
+                RowsBlock::split(vec![amount, margin], 4),
+            ),
+        );
+        service
+    }
+
+    fn sales_rows(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        normal_values(80.0, 10.0, n, seed)
+            .into_iter()
+            .map(|v| vec![v, v / 4.0])
+            .collect()
+    }
+
+    #[test]
+    fn a_table_handle_keeps_its_rows_when_the_registry_table_grows() {
+        let service = service_with_sales();
+        let before = service.table("sales").unwrap();
+        let query = parse("SELECT AVG(amount) FROM sales WITH PRECISION 0.5").unwrap();
+        let answer = |table: &Table| {
+            QuerySession::new()
+                .execute_table(&query, table, &mut engine::seeded_rng(17))
+                .unwrap()
+        };
+        let first = answer(&before);
+        assert_eq!(
+            service
+                .ingest("feeder", "sales", &sales_rows(500, 93))
+                .unwrap(),
+            1
+        );
+        // The handle taken before the ingest still sees its own rows...
+        assert_eq!(before.rows(), 20_000);
+        assert_eq!(before.data().block_count(), 4);
+        assert_eq!(before.column("amount").unwrap().block_count(), 4);
+        let again = answer(&before);
+        assert_eq!(again.value.to_bits(), first.value.to_bits());
+        assert_eq!(again.samples_used, first.samples_used);
+        // ...while the registry's table has the appended block.
+        let after = service.table("sales").unwrap();
+        assert_eq!(after.rows(), 20_500);
+        assert_eq!(after.data().block_count(), 5);
+        assert_eq!(answer(&after).rows, 20_500);
+    }
+
+    #[test]
+    fn ingest_extends_a_row_tables_column_sets_in_step_with_its_rows() {
+        let service = service_with_sales();
+        let rows = sales_rows(1_000, 94);
+        assert_eq!(service.ingest("feeder", "sales", &rows).unwrap(), 2);
+        let table = service.table("sales").unwrap();
+        let amount = table.column("amount").unwrap();
+        assert_eq!(amount.block_count(), 6);
+        assert_eq!(amount.total_len(), 21_000);
+        assert_eq!(amount.epoch_marks(), table.data().epoch_marks());
+        // The new blocks hold the ingested amounts, in order.
+        let mut appended = Vec::new();
+        for block in amount.iter().skip(4) {
+            assert_eq!(block.width(), 1);
+            block
+                .scan_column_chunks(&[0], &mut |chunk| appended.extend_from_slice(chunk[0]))
+                .unwrap();
+        }
+        let want: Vec<f64> = rows.iter().map(|row| row[0]).collect();
+        assert_eq!(appended, want);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rand::{Rng, RngCore};
 use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::kernel::{RowSampleBuf, SampleBuf};
-use crate::selection::{zone_match, ZoneMatch};
+use crate::selection::{sketch_zone, ZoneMatch};
 use crate::sketch::BlockSketch;
 
 /// A block of numeric data, the unit of distribution in the paper's system
@@ -144,9 +144,11 @@ pub trait DataBlock: Send + Sync {
     }
 
     /// What this block's metadata decides about `filter` for a consumer
-    /// that would otherwise draw rows and test them: the [`zone_match`]
-    /// verdict of the O(1) [`DataBlock::sketch`] hook, and
-    /// [`ZoneMatch::Mixed`] — read the rows — without one.
+    /// that would otherwise draw rows and test them: the
+    /// [`zone_match`](crate::zone_match) verdict of the O(1)
+    /// [`DataBlock::sketch`] hook, and [`ZoneMatch::Mixed`] — read the
+    /// rows — without one. A kind that holds its sketch may answer from
+    /// it in place; the verdict must be the same.
     ///
     /// A decided verdict stands in for reads, so it must hold for every
     /// value a read could deliver. A block holding a non-finite value in
@@ -158,10 +160,7 @@ pub trait DataBlock: Send + Sync {
     /// the one index draw per row that [`DataBlock::draw`] consumes
     /// (see [`crate::skip_row_draws`]).
     fn zone(&self, filter: &RowFilter) -> ZoneMatch {
-        match self.sketch() {
-            Some(sketch) if sketch.all_finite() => zone_match(&sketch, filter),
-            _ => ZoneMatch::Mixed,
-        }
+        sketch_zone(self.sketch().as_deref(), filter)
     }
 
     /// A zero-copy scalar block over column `col`, when this block can

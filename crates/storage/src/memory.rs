@@ -5,7 +5,9 @@ use std::sync::Arc;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
+use crate::filter::RowFilter;
 use crate::kernel::{gather_slices, scan_slices};
+use crate::selection::{sketch_zone, ZoneMatch};
 use crate::sketch::BlockSketch;
 
 /// Rows `rows` of one shared column buffer: how every in-memory block
@@ -173,6 +175,10 @@ impl DataBlock for MemBlock {
 
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         Some(Arc::clone(&self.sketch))
+    }
+
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        sketch_zone(Some(&self.sketch), filter)
     }
 }
 

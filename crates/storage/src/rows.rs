@@ -32,7 +32,7 @@ use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::kernel::{assert_width_one, gather_slices, scan_slices, ChunkedLane, SCAN_CHUNK_ROWS};
 use crate::memory::{block_ranges, ColumnWindow, MemBlock};
-use crate::selection::{SelectionVector, SetSelection};
+use crate::selection::{sketch_zone, SelectionVector, SetSelection, ZoneMatch};
 use crate::sketch::BlockSketch;
 
 /// SplitMix64 finalizer: decorrelates the per-index probe streams of
@@ -169,6 +169,10 @@ impl DataBlock for RowsBlock {
         Some(Arc::clone(&self.sketch))
     }
 
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        sketch_zone(Some(&self.sketch), filter)
+    }
+
     fn project(&self, col: usize) -> Option<Arc<dyn DataBlock>> {
         let c = self.columns.get(col)?;
         // Slice the column's moments off the table sketch instead of
@@ -286,6 +290,10 @@ impl DataBlock for ZipBlock {
 
     fn sketch(&self) -> Option<Arc<BlockSketch>> {
         self.sketch.clone()
+    }
+
+    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
+        sketch_zone(self.sketch.as_deref(), filter)
     }
 
     fn project(&self, col: usize) -> Option<Arc<dyn DataBlock>> {

@@ -586,6 +586,21 @@ pub fn zone_match(sketch: &BlockSketch, filter: &RowFilter) -> ZoneMatch {
     }
 }
 
+/// [`DataBlock::zone`]'s verdict from a block's sketch: [`zone_match`]
+/// when there is a sketch and every value it folded is finite,
+/// [`ZoneMatch::Mixed`] otherwise. The trait's default passes its
+/// [`DataBlock::sketch`] hook; a kind that holds its sketch passes it
+/// by reference, with no `Arc` round trip per verdict.
+///
+/// [`DataBlock::zone`]: crate::DataBlock::zone
+/// [`DataBlock::sketch`]: crate::DataBlock::sketch
+pub(crate) fn sketch_zone(sketch: Option<&BlockSketch>, filter: &RowFilter) -> ZoneMatch {
+    match sketch {
+        Some(sketch) if sketch.all_finite() => zone_match(sketch, filter),
+        _ => ZoneMatch::Mixed,
+    }
+}
+
 /// Does `sketch` prove that **no** row of its block can satisfy
 /// `filter`? The [`ZoneMatch::Matchless`] verdict of [`zone_match`] —
 /// what lets a selection build compile the empty vector without a scan.

@@ -2214,6 +2214,119 @@ proptest! {
     }
 }
 
+/// A scalar block that sketches whatever it holds, NaN included (no
+/// in-memory kind accepts a non-finite value), or hides its sketch.
+struct LooseColumn {
+    values: Vec<f64>,
+    sketch: Option<Arc<BlockSketch>>,
+}
+
+impl LooseColumn {
+    fn new(values: Vec<f64>, sketched: bool) -> Self {
+        let sketch = sketched.then(|| Arc::new(BlockSketch::from_values(&values)));
+        Self { values, sketch }
+    }
+}
+
+impl DataBlock for LooseColumn {
+    fn len(&self) -> u64 {
+        self.values.len() as u64
+    }
+
+    fn gather(&self, _: &[usize], indices: &[u64], out: &mut [f64]) -> Result<(), StorageError> {
+        for (slot, &i) in out.iter_mut().zip(indices) {
+            *slot = self.values[i as usize];
+        }
+        Ok(())
+    }
+
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        if !self.values.is_empty() {
+            visit(&vec![self.values.as_slice(); columns.len()]);
+        }
+        Ok(())
+    }
+
+    fn sketch(&self) -> Option<Arc<BlockSketch>> {
+        self.sketch.clone()
+    }
+}
+
+/// `DataBlock::zone` as the trait's default computes it: the verdict of
+/// the block's `sketch()` hook when every value it folded is finite,
+/// `Mixed` otherwise.
+fn default_zone(block: &dyn DataBlock, filter: &RowFilter) -> ZoneMatch {
+    match block.sketch() {
+        Some(sketch) if sketch.all_finite() => isla::storage::zone_match(&sketch, filter),
+        _ => ZoneMatch::Mixed,
+    }
+}
+
+#[test]
+fn borrowed_zone_verdicts_equal_the_default_on_every_overriding_kind() {
+    // `MemBlock`, `RowsBlock` and `ZipBlock` answer `zone` from the
+    // sketch they hold, without an `Arc` round trip; the answer must be
+    // the default's, whatever the block and the filter.
+    let ts: Vec<f64> = (1..=10).map(f64::from).collect();
+    let price: Vec<f64> = (0..10).map(|i| 100.0 + f64::from(i) * 10.0).collect();
+    let mut dirty = price.clone();
+    dirty[3] = f64::NAN;
+    let mem = |v: &[f64]| Arc::new(MemBlock::new(v.to_vec())) as Arc<dyn DataBlock>;
+    let loose = |v: &[f64], sketched| Arc::new(LooseColumn::new(v.to_vec(), sketched));
+    let rows = |cols: Vec<Vec<f64>>| Arc::new(RowsBlock::new(cols)) as Arc<dyn DataBlock>;
+    let zip = |cols: Vec<Arc<dyn DataBlock>>| Arc::new(ZipBlock::new(cols)) as Arc<dyn DataBlock>;
+    let blocks: Vec<(&str, Arc<dyn DataBlock>)> = vec![
+        ("MemBlock", mem(&ts)),
+        ("MemBlock(empty)", mem(&[])),
+        ("RowsBlock", rows(vec![ts.clone(), price.clone()])),
+        ("RowsBlock(empty)", rows(vec![vec![], vec![]])),
+        ("ZipBlock", zip(vec![mem(&ts), mem(&price)])),
+        ("ZipBlock(empty)", zip(vec![mem(&[]), mem(&[])])),
+        (
+            "ZipBlock(non-finite)",
+            zip(vec![mem(&ts), loose(&dirty, true)]),
+        ),
+        (
+            "ZipBlock(sketchless)",
+            zip(vec![mem(&ts), loose(&price, false)]),
+        ),
+    ];
+    let pred = |column, op, value| ColumnPredicate { column, op, value };
+    let filters = [
+        ("trivial", RowFilter::all()),
+        ("matchless", RowFilter::new(vec![pred(0, CmpOp::Gt, 50.0)])),
+        ("all-match", RowFilter::new(vec![pred(0, CmpOp::Ge, 1.0)])),
+        ("mixed", RowFilter::new(vec![pred(0, CmpOp::Gt, 5.0)])),
+        (
+            "second column",
+            RowFilter::new(vec![pred(0, CmpOp::Ge, 1.0), pred(1, CmpOp::Lt, 300.0)]),
+        ),
+        ("= NaN", RowFilter::new(vec![pred(0, CmpOp::Eq, f64::NAN)])),
+        ("< NaN", RowFilter::new(vec![pred(0, CmpOp::Lt, f64::NAN)])),
+        ("≠ NaN", RowFilter::new(vec![pred(0, CmpOp::Ne, f64::NAN)])),
+        (
+            "past the width",
+            RowFilter::new(vec![pred(7, CmpOp::Gt, 0.0)]),
+        ),
+    ];
+    let mut seen = Vec::new();
+    for (kind, block) in &blocks {
+        for (name, filter) in &filters {
+            let want = default_zone(block.as_ref(), filter);
+            assert_eq!(block.zone(filter), want, "{kind} under {name}");
+            seen.push(want);
+        }
+    }
+    // Every verdict occurs, so the comparison is never vacuous.
+    for verdict in [ZoneMatch::Matchless, ZoneMatch::AllMatch, ZoneMatch::Mixed] {
+        assert!(seen.contains(&verdict), "no block answered {verdict:?}");
+    }
+}
+
 /// A sales-like table range-partitioned on `ts` (column 0, ascending
 /// row ids, so block `b` of `blocks` covers one contiguous `ts` range):
 /// `amount` (1) drifts with `ts` so a wrong block weight shows in the
