@@ -21,6 +21,8 @@ pub const KERNEL_COVERAGE: &str = "kernel-coverage";
 pub const UNSAFE_CODE: &str = "unsafe-code";
 /// Lint identifier: silently discarded fallible results.
 pub const DISCARDED_RESULT: &str = "discarded-result";
+/// Lint identifier: no per-row predicate test in an engine fold.
+pub const ROW_FOLD: &str = "row-fold";
 /// Lint identifier: the escape hatch itself (malformed/reasonless/unused).
 pub const ANNOTATION: &str = "annotation";
 
@@ -32,6 +34,7 @@ pub const ALL_LINTS: &[&str] = &[
     KERNEL_COVERAGE,
     UNSAFE_CODE,
     DISCARDED_RESULT,
+    ROW_FOLD,
 ];
 
 /// RNG construction/seeding identifiers that break pooled-vs-sequential
@@ -89,6 +92,10 @@ const SEAL_ENTRY_POINTS: &[&str] = &["seal_block", "seal_derived"];
 /// replaces reads, so an override must be pinned to decide only what
 /// reading every row would find.
 const KERNEL_METHODS: &[&str] = &["gather", "draw", "scan_column_chunks", "sketch", "zone"];
+
+/// Where the row folds live: every fold under it selects its rows a
+/// batch at a time, never with a per-row predicate test.
+const ENGINE_DIR: &str = "crates/core/src/engine/";
 
 /// Shared mutable state for one lint run: findings plus which allow
 /// annotations actually suppressed something.
@@ -154,6 +161,7 @@ pub fn run(files: &[SourceFile], identity_idents: Option<&BTreeSet<String>>) -> 
         }
         lock_discipline(idx, file, &mut run);
         discarded_result(idx, file, &mut run);
+        row_fold(idx, file, &mut run);
     }
     kernel_coverage(files, identity_idents, &mut run);
     unsafe_inventory(files, &mut run);
@@ -255,6 +263,41 @@ fn panic_freedom(idx: usize, file: &SourceFile, run: &mut LintRun) {
                 "`{call}` in library code — propagate a structured error variant \
                  instead (tests and benches are exempt by path)"
             ),
+        );
+    }
+}
+
+/// Row fold: engine code selects rows a batch at a time
+/// (`RowSampleBuf::select`, `RowFilter::select`), so a `.matches(…)`
+/// call or a `RowFilter::matches` path under the engine is a per-row
+/// predicate test — a data-dependent branch the CPU mispredicts at
+/// middling selectivity — creeping back into a fold.
+fn row_fold(idx: usize, file: &SourceFile, run: &mut LintRun) {
+    if !file.rel.starts_with(ENGINE_DIR) {
+        return;
+    }
+    let toks = &file.scan.tokens;
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.ident() != Some("matches") || file.scan.is_exempt(i) {
+            continue;
+        }
+        let before = |k: usize| i.checked_sub(k).map(|at| &toks[at]);
+        let method = before(1).is_some_and(|t| t.is_punct('.'))
+            && toks.get(i + 1).is_some_and(|t| t.is_punct('('));
+        let path = before(1).is_some_and(|t| t.is_punct(':'))
+            && before(2).is_some_and(|t| t.is_punct(':'))
+            && before(3).and_then(Tok::ident) == Some("RowFilter");
+        if !(method || path) || run.suppressed(idx, file, tok.line, ROW_FOLD) {
+            continue;
+        }
+        run.push(
+            ROW_FOLD,
+            file,
+            tok.line,
+            "per-row `RowFilter::matches` in an engine fold — select the batch \
+             (`RowSampleBuf::select` / `RowFilter::select`) and route it through \
+             `engine::fold` (DESIGN.md, \"Row fold\")"
+                .to_string(),
         );
     }
 }

@@ -303,6 +303,33 @@ fn missing_identity_file_is_itself_a_finding() {
         .any(|f| f.lint == "kernel-coverage" && f.message.contains("not found")));
 }
 
+/// A fixture read as an engine source file.
+fn engine_fixture(name: &str) -> SourceFile {
+    SourceFile {
+        rel: "crates/core/src/engine/fixture.rs".to_string(),
+        ..fixture(name, "core", false)
+    }
+}
+
+#[test]
+fn bad_row_fold_fixture_flags_each_per_row_test_in_the_engine() {
+    let run = run_on(engine_fixture("bad/row_fold.rs"), &[]);
+    assert_eq!(
+        error_lines(&run),
+        [5, 12].map(|line| (line, "row-fold".to_string()))
+    );
+    // Outside the engine, a per-row test is not a fold's business.
+    let run = run_on(fixture("bad/row_fold.rs", "fx", false), &[]);
+    assert_eq!(error_lines(&run), vec![]);
+}
+
+#[test]
+fn good_row_fold_fixture_is_clean() {
+    let run = run_on(engine_fixture("good/row_fold.rs"), &[]);
+    assert_eq!(error_lines(&run), vec![]);
+    assert!(run.findings.is_empty(), "{:?}", run.findings);
+}
+
 #[test]
 fn unjustified_unsafe_is_an_error_justified_is_a_note() {
     let run = run_on(fixture("bad/unsafe_code.rs", "fx", true), &[]);

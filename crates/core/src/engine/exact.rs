@@ -15,7 +15,9 @@
 //! aggregate (+ group) columns and no test when every row matches, and
 //! otherwise the columns the spec reads, each chunk put through
 //! [`isla_storage::RowFilter::select`]. What a verdict skips is what a
-//! scan would have found, so the partials do not move a bit.
+//! scan would have found, so the partials do not move a bit. A grouped
+//! scan then routes and folds each chunk's matches as every row fold
+//! does (`super::fold`): each group's values in row order.
 //!
 //! Exact scans are strict in every failure mode: one attempt per block,
 //! the lowest failing block's own error whatever finished first, a
@@ -29,6 +31,7 @@ use isla_storage::{BlockReads, BlockSet, DataBlock, ExactSum, StorageError};
 use crate::error::IslaError;
 use crate::extremes::ExtremeKind;
 
+use super::fold::Groups;
 use super::rows::{RowSpec, ZonedRead};
 use super::scheduler::{scan_blocks, BlockScheduler, SequentialScheduler};
 
@@ -128,18 +131,24 @@ pub fn scan_exact_groups_on(
         data,
         scheduler,
         |block| {
-            let mut groups: BTreeMap<u64, ExactSum> = BTreeMap::new();
+            let mut groups: Groups<ExactSum> = Groups::default();
             scan_block_matches(block, &read, &mut |spec, chunk, matched| {
                 let values = chunk[spec.agg_column];
                 let keys = spec.group_by.map(|col| chunk[col]);
+                let key_of = keys.map(|keys| move |i: usize| keys[i].to_bits());
+                let add = |sum: &mut ExactSum, v: f64| sum.add(v);
                 match matched {
                     Some(rows) => {
-                        fold_runs(&mut groups, values, keys, rows.iter().map(|&i| i as usize))
+                        let rows = rows.iter().map(|&i| i as usize);
+                        groups.fold(rows, key_of, |i| values[i], add);
                     }
-                    None => fold_runs(&mut groups, values, keys, 0..values.len()),
+                    None => groups.fold(0..values.len(), key_of, |i| values[i], add),
                 }
             })?;
-            Ok(groups)
+            Ok(groups
+                .iter()
+                .map(|(key, &sum)| (key, sum))
+                .collect::<BTreeMap<_, _>>())
         },
         |total, block| {
             for (key_bits, sum) in block {
@@ -159,29 +168,6 @@ pub fn scan_exact_groups_on(
         .collect();
     out.sort_by(|a, b| a.key.total_cmp(&b.key));
     Ok(out)
-}
-
-/// Folds `values[i]` for the chunk rows `rows` (ascending) into their
-/// groups' sums — keyed by `keys[i]`, or the one all-rows key when
-/// ungrouped. Each group folds its values in row order, all a
-/// compensated sum can see, with one map lookup per run of equal keys
-/// instead of one per row.
-fn fold_runs(
-    groups: &mut BTreeMap<u64, ExactSum>,
-    values: &[f64],
-    keys: Option<&[f64]>,
-    rows: impl Iterator<Item = usize>,
-) {
-    let key_of = |i: usize| keys.map_or(0f64, |keys| keys[i]).to_bits();
-    let mut rows = rows.peekable();
-    while let Some(first) = rows.next() {
-        let key = key_of(first);
-        let sum = groups.entry(key).or_default();
-        sum.add(values[first]);
-        while let Some(i) = rows.next_if(|&i| key_of(i) == key) {
-            sum.add(values[i]);
-        }
-    }
 }
 
 /// [`scan_exact_groups_on`] placed on the calling thread.

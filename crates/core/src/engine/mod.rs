@@ -69,6 +69,7 @@
 
 pub mod cache;
 pub mod exact;
+mod fold;
 pub mod partial;
 pub mod plan;
 pub mod recovery;

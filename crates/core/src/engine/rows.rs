@@ -16,8 +16,9 @@
 //!   `m_g / (share_g · M)` so that every group's expected matched sample
 //!   meets the precision target, not just the population average;
 //! * **Calculation** ([`execute_row_block`]) — one uniform row draw per
-//!   sample, filter evaluated on the tuple, the aggregated value folded
-//!   into *that group's* accumulator, per-group iteration per block;
+//!   sample, the filter selecting a batch of tuples at a time, each
+//!   match's aggregated value folded into *that group's* accumulator
+//!   (the row fold, `super::fold`), per-group iteration per block;
 //! * **Projection** — every phase that touches rows (pilot draws,
 //!   calculation draws, the exact scan) asks storage for only the
 //!   columns the spec reads, `{agg} ∪ filter columns ∪ {group_by}`, and
@@ -47,10 +48,11 @@ use rand::RngCore;
 use isla_stats::{required_sample_size, NeumaierSum, WelfordMoments};
 use isla_storage::{
     proportional_allocation, sample_row_columns_from_block,
-    sample_row_columns_from_block_surviving, skip_row_draws, with_row_sample_buf, BlockReads,
-    BlockSet, DataBlock, RowFilter, ZoneMatch, SAMPLE_BATCH_ROWS,
+    sample_row_columns_from_block_surviving, skip_row_draws, BlockSet, DataBlock, RowFilter,
+    RowSampleBuf, ZoneMatch,
 };
 
+use super::fold::{stage, tuple_fields, GroupKeys, Groups, UNGROUPED_KEY};
 use super::seed;
 use crate::accumulate::SampleAccumulator;
 use crate::block_exec::{iteration_phase, Fallback};
@@ -128,7 +130,7 @@ impl RowSpec {
     pub fn group_key(&self, row: &[f64]) -> u64 {
         match self.group_by {
             Some(col) => row[col].to_bits(),
-            None => 0f64.to_bits(),
+            None => UNGROUPED_KEY,
         }
     }
 
@@ -375,17 +377,19 @@ pub fn row_pre_estimate_capped_with(
         pilot_draw_rows(data, &read, pilot2, recovery, rng, &mut st)?;
     }
 
-    finish_row_pilot_state(st, data_size, config)
+    finish_row_pilot_state(&st, data_size, config)
 }
 
 /// Draws `n` proportional pilot rows into the accumulated pilot state:
 /// the shared inner loop of the one-shot and epoch-fold row pilots.
-/// Per block, only the read set its zone verdict calls for is gathered
-/// and the fold evaluates the re-indexed spec on the compact tuples. A
-/// block that provably matches nothing is not read: its share of the
-/// allocation still counts as drawn (every one a miss) and still
-/// consumes its index draws, so the state and `rng` end up exactly where
-/// reading and rejecting every row would leave them.
+/// Per block, only the read set its zone verdict calls for is gathered,
+/// and each batch goes through the row fold (`super::fold`): the
+/// re-indexed spec's filter selects the matching tuples and each group
+/// folds its matches in draw order. A block that provably matches
+/// nothing is not read: its share of the allocation still counts as
+/// drawn (every one a miss) and still consumes its index draws, so the
+/// state and `rng` end up exactly where reading and rejecting every row
+/// would leave them.
 fn pilot_draw_rows(
     data: &BlockSet,
     read: &ZonedRead,
@@ -402,19 +406,11 @@ fn pilot_draw_rows(
             st.drawn += take;
             continue;
         };
-        let spec = &read.spec;
         let columns = Some(read.columns.as_slice());
-        let mut fold = |row: &[f64]| {
-            st.drawn += 1;
-            if spec.filter.matches(row) {
-                st.matched += 1;
-                let key = spec.group_key(row);
-                let entry = st
-                    .moments
-                    .entry(key)
-                    .or_insert_with(|| (f64::from_bits(key), WelfordMoments::new()));
-                entry.1.update(row[spec.agg_column]);
-            }
+        let mut fold = |buf: &mut RowSampleBuf| {
+            let (drawn, matched) = st.moments.fold_batch(&read.spec, buf, |m, v| m.update(v));
+            st.drawn += drawn;
+            st.matched += matched;
         };
         if recovery.is_best_effort() {
             let attempts = recovery.retry.max_attempts;
@@ -481,9 +477,10 @@ pub fn hit_rate_pilot(
     require_rows(data, n)?;
     spec.validate(data)?;
     let read = ZonedRead::counting(spec);
-    let mut counts = BTreeMap::new();
-    // Ungrouped hits, counted here rather than in a map entry per hit.
+    // Ungrouped hits are the selections' lengths; grouped ones are
+    // counted per discovered key.
     let mut hits = 0u64;
+    let mut groups: Groups<u64> = Groups::default();
     for (block, &take) in data.iter().zip(&proportional_allocation(data, n)) {
         let block = block.as_ref();
         let projection = match block.zone(&read.filter) {
@@ -501,17 +498,17 @@ pub fn hit_rate_pilot(
         };
         let spec = &projection.spec;
         let columns = Some(projection.columns.as_slice());
-        sample_row_columns_from_block(block, columns, take, rng, &mut |row| {
-            if spec.filter.matches(row) {
-                match spec.group_by {
-                    None => hits += 1,
-                    Some(_) => *counts.entry(spec.group_key(row)).or_insert(0) += 1,
-                }
+        sample_row_columns_from_block(block, columns, take, rng, &mut |buf| {
+            if spec.group_by.is_none() {
+                hits += buf.select(&spec.filter, 0).1.len() as u64;
+            } else {
+                groups.fold_batch(spec, buf, |count, _| *count += 1);
             }
         })?;
     }
+    let mut counts: BTreeMap<u64, u64> = groups.iter().map(|(key, &count)| (key, count)).collect();
     if hits > 0 {
-        counts.insert(0f64.to_bits(), hits);
+        counts.insert(UNGROUPED_KEY, hits);
     }
     Ok((n, counts))
 }
@@ -539,7 +536,7 @@ fn pilot_extension_want(st: &RowPilotFold, config: &IslaConfig, spec: &RowSpec) 
     } else {
         SELECTIVITY_PILOT_ROWS
     };
-    for (_, m) in st.moments.values() {
+    for (_, m) in st.moments.iter() {
         let sigma = m.std_dev_sample().unwrap_or(0.0);
         if sigma > 0.0 {
             let m_rel = required_sample_size(sigma, relaxed_e, config.confidence);
@@ -556,7 +553,7 @@ fn pilot_extension_want(st: &RowPilotFold, config: &IslaConfig, spec: &RowSpec) 
 /// group estimates, selectivity, and the derived rate with the same
 /// arithmetic.
 fn finish_row_pilot_state(
-    st: RowPilotFold,
+    st: &RowPilotFold,
     data_size: u64,
     config: &IslaConfig,
 ) -> Result<RowPreEstimate, IslaError> {
@@ -564,7 +561,7 @@ fn finish_row_pilot_state(
     let selectivity = st.matched as f64 / drawn as f64;
     let mut groups = Vec::with_capacity(st.moments.len());
     let mut rate: f64 = 0.0;
-    for (key_bits, (key, m)) in st.moments {
+    for (key_bits, m) in st.moments.iter() {
         let sigma = m.std_dev_sample().unwrap_or(0.0);
         let share = m.count() as f64 / drawn as f64;
         let required = if sigma > 0.0 {
@@ -577,7 +574,7 @@ fn finish_row_pilot_state(
         }
         groups.push(GroupPre {
             key_bits,
-            key,
+            key: f64::from_bits(key_bits),
             sigma,
             sketch0: m.mean().ok_or_else(|| {
                 IslaError::Internal("pilot group tracked with no matched samples".to_string())
@@ -597,7 +594,7 @@ fn finish_row_pilot_state(
 
 /// Resumable state of the **epoch-segmented** row pilot fold — the
 /// row-model sibling of [`crate::pre_estimation::PilotFold`]. Per-group
-/// [`WelfordMoments`] (keyed by group bits), raw-draw and match
+/// [`WelfordMoments`] (keyed by group bits, ascending), raw-draw and match
 /// counters, and the number of epoch segments folded. Segment pilot
 /// streams derive from *(lineage digest, salt, segment index)*, so a
 /// cold fold over segments `0..=E` and a cached fold resumed at `k+1`
@@ -605,7 +602,7 @@ fn finish_row_pilot_state(
 /// epoch-delta cache relies on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RowPilotFold {
-    moments: BTreeMap<u64, (f64, WelfordMoments)>,
+    moments: Groups<WelfordMoments>,
     drawn: u64,
     matched: u64,
     segments: u64,
@@ -716,7 +713,7 @@ pub fn finish_row_pilot_fold(
             fold.drawn
         )));
     }
-    finish_row_pilot_state(fold.clone(), data_size, config)
+    finish_row_pilot_state(fold, data_size, config)
 }
 
 /// One group's resolved execution state inside a [`RowPlan`].
@@ -743,6 +740,8 @@ pub struct RowPlan {
     // re-indexed against each.
     read: ZonedRead,
     groups: Vec<GroupPlan>,
+    // The groups' keys, in the same order, for routing rows to them.
+    keys: GroupKeys,
     selectivity: f64,
     pilot_rows: u64,
     rate: f64,
@@ -811,11 +810,13 @@ impl RowPlan {
                 }
             })
             .collect();
+        let keys = GroupKeys::new(pre.groups.iter().map(|g| g.key_bits).collect());
         Ok(Self {
             config: config.clone(),
             read: ZonedRead::of(&spec),
             spec,
             groups,
+            keys,
             selectivity: pre.selectivity,
             pilot_rows: pre.pilot_rows,
             rate: rate.resolve(pre.rate),
@@ -884,12 +885,10 @@ impl RowPlan {
         self.planned_calculation_samples(data) + self.pilot_rows
     }
 
-    /// Index of the planned group with the given key bits (binary
-    /// search — the groups are sorted by key bits).
+    /// Index of the planned group with the given key bits (the groups
+    /// are sorted by key bits).
     pub(crate) fn group_index(&self, key_bits: u64) -> Option<usize> {
-        self.groups
-            .binary_search_by(|g| g.pre.key_bits.cmp(&key_bits))
-            .ok()
+        self.keys.index(key_bits)
     }
 }
 
@@ -989,58 +988,46 @@ fn execute_row_block_drawing(
     // surface in the answer instead of silently vanishing.
     let mut extras: BTreeMap<u64, (NeumaierSum, u64)> = BTreeMap::new();
 
-    // Batched row sampling. Each chunk draws its indices up front and
-    // gathers only the columns the spec reads, in draw order, on a
-    // reusable thread-local buffer. The rows are then filtered and
-    // routed in draw order: a boundaried group's matched values are
-    // staged in that group's lane (also in the buffer), and each lane
-    // is folded as one slice per chunk. Same RNG stream, same values
-    // into the same accumulators in the same order as the per-row
-    // draw-match-offer loop, so pooled-vs-sequential bit-identity is
-    // untouched.
-    with_row_sample_buf(|buf| {
-        buf.project(Some(&read.columns));
-        let mut left = draws;
-        while left > 0 {
-            let take = left.min(SAMPLE_BATCH_ROWS);
-            block.sample_rows_batch(take, &mut rng, buf)?;
-            let (rows, lanes) = buf.rows_and_lanes(planned.len());
-            for row in rows {
-                if !spec.filter.matches(row) {
-                    continue;
-                }
-                let key_bits = spec.group_key(row);
-                let value = row[spec.agg_column];
-                match plan.group_index(key_bits) {
-                    Some(i) => {
-                        let fold = &mut folds[i];
-                        fold.matched += 1;
-                        match fold.acc {
-                            Some(_) => lanes[i].push(value),
-                            // Boundary-less plan groups (constant, or
-                            // matched by too few pilot rows for a σ̂)
-                            // fold their calculation draws into a raw
-                            // mean, so an under-piloted group is
-                            // answered by its samples rather than
-                            // pinned to a single pilot value.
-                            None => fold.raw.add(value),
-                        }
-                    }
-                    None => {
-                        let entry = extras.entry(key_bits).or_insert((NeumaierSum::new(), 0));
-                        entry.0.add(value);
-                        entry.1 += 1;
-                    }
-                }
+    // Batched row sampling through the row fold. Each batch draws its
+    // indices up front and gathers only the columns the spec reads, in
+    // draw order, on a reusable thread-local buffer; the filter selects
+    // the matching tuples and each is staged in its group's lane (also
+    // in the buffer), and each lane is folded as one slice per batch.
+    // Same RNG stream, same values into the same accumulators in the
+    // same order as the per-row draw-match-offer loop, so
+    // pooled-vs-sequential bit-identity is untouched.
+    let width = read.columns.len();
+    let columns = Some(read.columns.as_slice());
+    sample_row_columns_from_block(block, columns, draws, &mut rng, &mut |buf| {
+        let (rows, selected, lanes) = buf.select(&spec.filter, planned.len() + 1);
+        let (key_of, value_of) = tuple_fields(spec, rows, width);
+        let selected_rows = || selected.iter().map(|&i| i as usize);
+        if !stage(
+            &plan.keys,
+            selected_rows(),
+            key_of.as_ref(),
+            &value_of,
+            lanes,
+        ) {
+            let key = |i| key_of.as_ref().map_or(UNGROUPED_KEY, |key_of| key_of(i));
+            for i in selected_rows().filter(|&i| plan.group_index(key(i)).is_none()) {
+                let entry = extras.entry(key(i)).or_insert((NeumaierSum::new(), 0));
+                entry.0.add(value_of(i));
+                entry.1 += 1;
             }
-            for ((fold, lane), g) in folds.iter_mut().zip(lanes.iter()).zip(planned) {
-                if let Some(acc) = fold.acc.as_mut() {
-                    acc.offer_slice(lane, g.shift);
-                }
-            }
-            left -= take;
         }
-        Ok::<(), IslaError>(())
+        for ((fold, lane), g) in folds.iter_mut().zip(lanes.iter()).zip(planned) {
+            fold.matched += lane.len() as u64;
+            match fold.acc.as_mut() {
+                Some(acc) => acc.offer_slice(lane, g.shift),
+                // Boundary-less plan groups (constant, or matched by too
+                // few pilot rows for a σ̂) fold their calculation draws
+                // into a raw mean, so an under-piloted group is answered
+                // by its samples rather than pinned to a single pilot
+                // value.
+                None => lane.iter().for_each(|&v| fold.raw.add(v)),
+            }
+        }
     })?;
 
     let mut groups: Vec<RowGroupOutcome> = Vec::with_capacity(planned.len() + extras.len());

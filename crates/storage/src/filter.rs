@@ -133,7 +133,14 @@ impl RowFilter {
         self.predicates.iter().map(|p| p.column).max()
     }
 
-    /// Evaluates the conjunction against a row tuple.
+    /// Evaluates the conjunction against one row tuple, one conjunct
+    /// after another with an early exit — the reference the batch forms
+    /// are pinned to, and the right call for a single row. A fold over
+    /// many rows selects them a batch at a time instead
+    /// ([`RowFilter::select`] over column chunks,
+    /// [`crate::RowSampleBuf::select`] over sampled row batches): the
+    /// early exit is a data-dependent branch, and at middling
+    /// selectivity the CPU mispredicts it on about every other row.
     #[inline]
     pub fn matches(&self, row: &[f64]) -> bool {
         self.predicates.iter().all(|p| p.matches(row))
@@ -171,7 +178,9 @@ impl RowFilter {
     /// `base + i` for every matching row `i` into `out` (cleared
     /// first), ascending — exactly the rows
     /// [`RowFilter::matches`] accepts, [`CmpOp::eval`]'s NaN and ±0
-    /// semantics included.
+    /// semantics included. This is the scan form of the batch selection
+    /// every fold runs; [`crate::RowSampleBuf::select`] is the same
+    /// passes over a sampled batch's row-major tuples.
     ///
     /// The first conjunct is one dense compare over its column with
     /// branch-free index compaction (every index is stored, the write
@@ -193,22 +202,57 @@ impl RowFilter {
             end <= u64::from(u32::MAX),
             "chunk indices must fit the u32 index space"
         );
+        self.select_by(rows, base, out, |column| {
+            let col = &cols[column][..rows];
+            move |i| col[i]
+        });
+    }
+
+    /// [`RowFilter::select`] over `rows.len() / width` row-major tuples
+    /// of `width` values each (a sampled batch): the indices of the
+    /// matching tuples, ascending, in `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a conjunct's column is not below `width`.
+    pub(crate) fn select_tuples(&self, rows: &[f64], width: usize, out: &mut Vec<u32>) {
+        let count = rows.len().checked_div(width).unwrap_or(0);
+        assert!(
+            count <= u32::MAX as usize,
+            "batch indices must fit the u32 index space"
+        );
+        self.select_by(count, 0, out, |column| {
+            assert!(column < width, "conjunct column out of the tuple width");
+            move |i| rows[i * width + column]
+        });
+    }
+
+    /// The conjunct passes behind both selection forms: `column(c)`
+    /// reads column `c` of row `i` (`0 <= i < rows`), whatever the
+    /// layout.
+    fn select_by<F: Fn(usize) -> f64>(
+        &self,
+        rows: usize,
+        base: u32,
+        out: &mut Vec<u32>,
+        column: impl Fn(usize) -> F,
+    ) {
         out.clear();
         if self.predicates.is_empty() {
-            out.extend(base..end as u32);
+            out.extend(base..base + rows as u32);
             return;
         }
         for (k, p) in self.predicates.iter().enumerate() {
-            let (col, rhs, dense) = (&cols[p.column][..rows], p.value, k == 0);
+            let (at, rhs, dense) = (column(p.column), p.value, k == 0);
             // One arm per operator, so each pass is a loop over a single
             // inlined comparison — `CmpOp::eval` itself, constant-folded.
             match p.op {
-                CmpOp::Gt => conjunct_pass(col, base, dense, out, |v| CmpOp::Gt.eval(v, rhs)),
-                CmpOp::Lt => conjunct_pass(col, base, dense, out, |v| CmpOp::Lt.eval(v, rhs)),
-                CmpOp::Ge => conjunct_pass(col, base, dense, out, |v| CmpOp::Ge.eval(v, rhs)),
-                CmpOp::Le => conjunct_pass(col, base, dense, out, |v| CmpOp::Le.eval(v, rhs)),
-                CmpOp::Eq => conjunct_pass(col, base, dense, out, |v| CmpOp::Eq.eval(v, rhs)),
-                CmpOp::Ne => conjunct_pass(col, base, dense, out, |v| CmpOp::Ne.eval(v, rhs)),
+                CmpOp::Gt => conjunct_pass(rows, base, dense, out, at, |v| CmpOp::Gt.eval(v, rhs)),
+                CmpOp::Lt => conjunct_pass(rows, base, dense, out, at, |v| CmpOp::Lt.eval(v, rhs)),
+                CmpOp::Ge => conjunct_pass(rows, base, dense, out, at, |v| CmpOp::Ge.eval(v, rhs)),
+                CmpOp::Le => conjunct_pass(rows, base, dense, out, at, |v| CmpOp::Le.eval(v, rhs)),
+                CmpOp::Eq => conjunct_pass(rows, base, dense, out, at, |v| CmpOp::Eq.eval(v, rhs)),
+                CmpOp::Ne => conjunct_pass(rows, base, dense, out, at, |v| CmpOp::Ne.eval(v, rhs)),
             }
         }
     }
@@ -274,31 +318,33 @@ impl RowFilter {
     }
 }
 
-/// One conjunct of [`RowFilter::select`] over a chunk column. `dense`
-/// (the first conjunct) tests every row; otherwise the candidates
-/// already in `out` are refined in place. Either way every candidate
-/// index is stored and the write position advances only when `keep`
-/// holds, so the loop carries no data-dependent branch.
+/// One conjunct of [`RowFilter::select`] over a column of `rows` rows
+/// (`at(i)` reads row `i`). `dense` (the first conjunct) tests every
+/// row; otherwise the candidates already in `out` are refined in place.
+/// Either way every candidate index is stored and the write position
+/// advances only when `keep` holds, so the loop carries no
+/// data-dependent branch.
 #[inline]
 fn conjunct_pass(
-    col: &[f64],
+    rows: usize,
     base: u32,
     dense: bool,
     out: &mut Vec<u32>,
+    at: impl Fn(usize) -> f64,
     keep: impl Fn(f64) -> bool,
 ) {
     let mut kept = 0;
     if dense {
-        out.resize(col.len(), 0);
-        for (i, &v) in col.iter().enumerate() {
+        out.resize(rows, 0);
+        for i in 0..rows {
             out[kept] = base + i as u32;
-            kept += usize::from(keep(v));
+            kept += usize::from(keep(at(i)));
         }
     } else {
         for k in 0..out.len() {
             let idx = out[k];
             out[kept] = idx;
-            kept += usize::from(keep(col[(idx - base) as usize]));
+            kept += usize::from(keep(at((idx - base) as usize)));
         }
     }
     out.truncate(kept);

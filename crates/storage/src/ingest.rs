@@ -47,6 +47,11 @@ impl SealedRows {
 /// `rows_per_block` rows. One buffer per table; the remainder below the
 /// threshold stays pending (not yet visible to queries) until the next
 /// seal or an explicit [`IngestBuffer::flush`].
+///
+/// The pending columns hold room for a whole block from the start and
+/// keep it across seals, and every sealed column is exactly as long as
+/// its allocation: a block's storage is its rows, not the doubling
+/// slack of a growing `Vec`, and a push never regrows a column.
 #[derive(Debug)]
 pub struct IngestBuffer {
     rows_per_block: usize,
@@ -65,7 +70,9 @@ impl IngestBuffer {
         assert!(rows_per_block > 0, "rows per block must be positive");
         Self {
             rows_per_block,
-            columns: vec![Vec::new(); width],
+            columns: (0..width)
+                .map(|_| Vec::with_capacity(rows_per_block))
+                .collect(),
         }
     }
 
@@ -128,18 +135,25 @@ impl IngestBuffer {
                 col.push(v);
             }
         }
-        let mut sealed = Vec::new();
-        while self.pending_rows() >= self.rows_per_block {
-            let take = self.rows_per_block;
-            let columns = self
-                .columns
-                .iter_mut()
-                .map(|col| {
-                    let rest = col.split_off(take);
-                    std::mem::replace(col, rest)
-                })
-                .collect();
-            sealed.push(SealedRows { columns });
+        let take = self.rows_per_block;
+        let blocks = self.pending_rows() / take;
+        let mut sealed: Vec<SealedRows> = (0..blocks)
+            .map(|_| SealedRows {
+                columns: Vec::with_capacity(width),
+            })
+            .collect();
+        for col in &mut self.columns {
+            if col.len() == take && col.capacity() == take {
+                // Exactly one block in its reserved column: hand the
+                // column over and reserve the next.
+                let next = Vec::with_capacity(take);
+                sealed[0].columns.push(std::mem::replace(col, next));
+            } else {
+                for (b, block) in sealed.iter_mut().enumerate() {
+                    block.columns.push(col[b * take..(b + 1) * take].to_vec());
+                }
+                col.drain(..blocks * take);
+            }
         }
         Ok(sealed)
     }
@@ -150,7 +164,17 @@ impl IngestBuffer {
         if self.pending_rows() == 0 {
             return None;
         }
-        let columns = self.columns.iter_mut().map(std::mem::take).collect();
+        // A copy sized to the short tail; the pending column keeps its
+        // block-sized room for the next rows.
+        let columns = self
+            .columns
+            .iter_mut()
+            .map(|col| {
+                let tail = col.to_vec();
+                col.clear();
+                tail
+            })
+            .collect();
         Some(SealedRows { columns })
     }
 }
@@ -205,6 +229,40 @@ mod tests {
         assert_eq!(buf.pending_rows(), 1);
         let sealed = buf.push_row(&[3.0, 4.0]).unwrap().expect("seals now");
         assert_eq!(sealed.rows(), 2);
+    }
+
+    #[test]
+    fn sealed_columns_are_exactly_their_length() {
+        let capacities = |s: &SealedRows| {
+            s.columns
+                .iter()
+                .map(|c| (c.len(), c.capacity()))
+                .collect::<Vec<_>>()
+        };
+        let mut buf = IngestBuffer::new(2, 5);
+        let rows: Vec<[f64; 2]> = (0..23).map(|i| [f64::from(i), -f64::from(i)]).collect();
+        // One block at a time (the column is handed over), several in
+        // one push (copied out), and a short flushed tail.
+        let mut sealed = buf.push_rows(rows[..5].iter().map(|r| &r[..])).unwrap();
+        sealed.extend(buf.push_rows(rows[5..18].iter().map(|r| &r[..])).unwrap());
+        sealed.extend(buf.push_rows(rows[18..20].iter().map(|r| &r[..])).unwrap());
+        assert_eq!(sealed.len(), 4);
+        for s in &sealed {
+            assert_eq!(capacities(s), vec![(5, 5); 2]);
+        }
+        buf.push_rows(rows[20..].iter().map(|r| &r[..])).unwrap();
+        let tail = buf.flush().unwrap();
+        assert_eq!(capacities(&tail), vec![(3, 3); 2]);
+        // Every row arrives once, in order.
+        let mut seen = Vec::new();
+        for s in sealed.into_iter().chain([tail]) {
+            s.into_block()
+                .scan_rows(&mut |row| seen.push(row[0]))
+                .unwrap();
+        }
+        assert_eq!(seen, (0..23).map(f64::from).collect::<Vec<_>>());
+        // The pending columns keep a block's room after every seal.
+        assert!(buf.columns.iter().all(|c| c.capacity() >= 5));
     }
 
     #[test]

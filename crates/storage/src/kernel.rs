@@ -20,8 +20,9 @@
 //! The buffers ([`SampleBuf`], [`RowSampleBuf`]) are designed to be
 //! reused: the engine keeps one per thread (see [`with_sample_buf`] /
 //! [`with_row_sample_buf`]) so steady-state sampling performs no
-//! allocation at all — and a consumer's per-destination staging lanes
-//! ([`RowSampleBuf::rows_and_lanes`]) live in the buffer too.
+//! allocation at all — and a consumer's selection of a batch and its
+//! per-destination staging lanes ([`RowSampleBuf::select`]) live in
+//! the buffer too.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -30,6 +31,7 @@ use rand::RngCore;
 
 use crate::block::DataBlock;
 use crate::error::StorageError;
+use crate::filter::RowFilter;
 use crate::memory::ColumnWindow;
 
 /// Preferred number of value draws per [`crate::BlockReads::sample_batch`] call
@@ -100,6 +102,7 @@ pub struct RowSampleBuf {
     // identity depends on the block being drawn from).
     columns: Vec<usize>,
     projected: bool,
+    selected: Vec<u32>,
     lanes: Vec<Vec<f64>>,
 }
 
@@ -137,22 +140,53 @@ impl RowSampleBuf {
         self.rows.chunks_exact(self.width().max(1))
     }
 
-    /// The gathered rows (as [`RowSampleBuf::iter_rows`]) together with
-    /// `lanes` empty value lanes that live in this buffer — for
-    /// consumers that stage a batch's values per destination before
-    /// folding each destination's slice. The lanes keep their capacity
-    /// across batches and calls, so steady-state staging allocates
-    /// nothing.
-    pub fn rows_and_lanes(
+    /// Selects the rows of the last batch that match `filter` — whose
+    /// column indices are positions in this buffer's tuples — and
+    /// returns the batch's rows (row-major, as [`RowSampleBuf::rows`]),
+    /// the indices of the matching tuples in draw order, and `lanes`
+    /// empty value lanes for a consumer that stages the matches per
+    /// destination before folding each destination's slice.
+    ///
+    /// The selection is [`RowFilter::select`]'s branch-free conjunct
+    /// passes over the row-major tuples: the same rows
+    /// [`RowFilter::matches`] accepts, found without a branch per row.
+    /// The index list and the lanes keep their capacity across batches
+    /// and calls, so steady-state selection allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a conjunct's column is not below [`RowSampleBuf::width`].
+    pub fn select(
         &mut self,
+        filter: &RowFilter,
         lanes: usize,
-    ) -> (impl Iterator<Item = &[f64]>, &mut [Vec<f64>]) {
+    ) -> (&[f64], &[u32], &mut [Vec<f64>]) {
+        filter.select_tuples(&self.rows, self.columns.len(), &mut self.selected);
         if self.lanes.len() < lanes {
             self.lanes.resize_with(lanes, Vec::new);
         }
         let staged = &mut self.lanes[..lanes];
         staged.iter_mut().for_each(Vec::clear);
-        (self.rows.chunks_exact(self.columns.len().max(1)), staged)
+        (&self.rows, &self.selected, staged)
+    }
+
+    /// Drops the rows of the last batch that hold a non-finite value,
+    /// keeping the others (and their indices) in draw order.
+    pub(crate) fn retain_finite_rows(&mut self) {
+        let width = self.columns.len();
+        if width == 0 {
+            return;
+        }
+        let mut kept = 0;
+        for i in 0..self.indices.len() {
+            let row = i * width..(i + 1) * width;
+            let finite = self.rows[row.clone()].iter().all(|v| v.is_finite());
+            self.rows.copy_within(row, kept * width);
+            self.indices[kept] = self.indices[i];
+            kept += usize::from(finite);
+        }
+        self.indices.truncate(kept);
+        self.rows.truncate(kept * width);
     }
 
     /// The column list, index slots and row slots of an `n`-draw batch

@@ -15,7 +15,7 @@ use rand::RngCore;
 use crate::block::{BlockReads, DataBlock};
 use crate::blockset::BlockSet;
 use crate::error::StorageError;
-use crate::kernel::{with_row_sample_buf, with_sample_buf, SAMPLE_BATCH_ROWS};
+use crate::kernel::{with_row_sample_buf, with_sample_buf, RowSampleBuf, SAMPLE_BATCH_ROWS};
 
 /// Draws `m` uniform samples (with replacement) from one block, passing
 /// each to `visit`.
@@ -67,15 +67,21 @@ pub fn sample_rows_from_block(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) -> Result<(), StorageError> {
-    sample_row_columns_from_block(block, None, m, rng, visit)
+    sample_row_columns_from_block(block, None, m, rng, &mut |buf| {
+        buf.iter_rows().for_each(&mut *visit);
+    })
 }
 
-/// [`sample_rows_from_block`] delivering only `columns` of each row as
-/// a compact tuple (`None`: every column — the identity projection of
-/// the same loop). The draws do not depend on `columns`: the same index
-/// draws from the same RNG stream, and — for the columns kept — the same
-/// values, so a consumer that reads only `columns` cannot tell the two
-/// apart except by what the draw cost.
+/// Draws `m` uniform row tuples (with replacement) from one block,
+/// handing each gathered batch of at most [`SAMPLE_BATCH_ROWS`] tuples
+/// to `visit` on this thread's reusable [`RowSampleBuf`], restricted to
+/// `columns` (`None`: every column — the identity projection of the
+/// same loop). The draws do not depend on `columns`: the same index
+/// draws from the same RNG stream, and — for the columns kept — the
+/// same values, so a consumer that reads only `columns` cannot tell the
+/// two apart except by what the draw cost. A batch consumer selects and
+/// folds the batch as a whole ([`RowSampleBuf::select`]);
+/// [`sample_rows_from_block`] is the row-at-a-time form.
 ///
 /// # Errors
 ///
@@ -85,7 +91,7 @@ pub fn sample_row_columns_from_block(
     columns: Option<&[usize]>,
     m: u64,
     rng: &mut dyn RngCore,
-    visit: &mut dyn FnMut(&[f64]),
+    visit: &mut dyn FnMut(&mut RowSampleBuf),
 ) -> Result<(), StorageError> {
     with_row_sample_buf(|buf| {
         buf.project(columns);
@@ -93,9 +99,7 @@ pub fn sample_row_columns_from_block(
         while left > 0 {
             let take = left.min(SAMPLE_BATCH_ROWS);
             block.sample_rows_batch(take, rng, buf)?;
-            for row in buf.iter_rows() {
-                visit(row);
-            }
+            visit(buf);
             left -= take;
         }
         Ok(())
@@ -134,7 +138,7 @@ pub fn sample_rows_proportional(
 ) -> Result<(), StorageError> {
     let allocation = proportional_allocation(set, m);
     for (block, &take) in set.iter().zip(&allocation) {
-        sample_row_columns_from_block(block.as_ref(), None, take, rng, visit)?;
+        sample_rows_from_block(block.as_ref(), take, rng, visit)?;
     }
     Ok(())
 }
@@ -284,22 +288,23 @@ pub fn sample_rows_proportional_surviving(
             take,
             max_attempts,
             rng,
-            visit,
+            &mut |buf| buf.iter_rows().for_each(&mut *visit),
         );
     }
 }
 
-/// One block's share of [`sample_rows_proportional_surviving`],
-/// delivering only `columns` of each row as a compact tuple (`None`:
-/// every column). Same draws whatever the projection; the non-finite
-/// check covers the delivered columns — the ones the consumer reads.
+/// One block's share of [`sample_rows_proportional_surviving`], handing
+/// each batch to `visit` as [`sample_row_columns_from_block`] does
+/// (restricted to `columns`; `None`: every column). Same draws whatever
+/// the projection; the batch arrives with its non-finite rows dropped,
+/// as checked on the delivered columns — the ones the consumer reads.
 pub fn sample_row_columns_from_block_surviving(
     block: &dyn DataBlock,
     columns: Option<&[usize]>,
     m: u64,
     max_attempts: u32,
     rng: &mut dyn RngCore,
-    visit: &mut dyn FnMut(&[f64]),
+    visit: &mut dyn FnMut(&mut RowSampleBuf),
 ) {
     with_row_sample_buf(|buf| {
         buf.project(columns);
@@ -317,11 +322,8 @@ pub fn sample_row_columns_from_block_surviving(
                     Ok(Err(_)) | Err(_) => break 'block,
                 }
             }
-            for row in buf.iter_rows() {
-                if row.iter().all(|v| v.is_finite()) {
-                    visit(row);
-                }
-            }
+            buf.retain_finite_rows();
+            visit(buf);
             left -= chunk;
         }
     });

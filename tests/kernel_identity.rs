@@ -873,6 +873,19 @@ fn reference_pilot(
         matched: 0,
         moments: BTreeMap::new(),
     };
+    reference_pilot_pass(&mut st, data, spec, n, recovery, rng)?;
+    Ok(st)
+}
+
+/// One more proportional pass of `n` rows folded into `st`.
+fn reference_pilot_pass(
+    st: &mut ReferencePilot,
+    data: &BlockSet,
+    spec: &RowSpec,
+    n: u64,
+    recovery: &RecoveryPolicy,
+    rng: &mut StdRng,
+) -> Result<(), StorageError> {
     let mut fold = |row: &[f64]| {
         st.drawn += 1;
         if spec.filter.matches(row) {
@@ -888,7 +901,7 @@ fn reference_pilot(
     } else {
         sample_rows_proportional(data, n, rng, &mut fold)?;
     }
-    Ok(st)
+    Ok(())
 }
 
 /// `scan_exact_groups` over whole rows and the original spec.
@@ -3166,5 +3179,377 @@ fn pooled_filtered_draws_read_one_column_and_match_row_tuple_draws() {
             reference_pooled_bits(&native, 3, filter, 300, 5),
             "one-column reads under {filter:?}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The row fold: every engine fold selects a gathered batch with the
+// branch-free conjunct passes and routes each match to its group's lane
+// by a branch-free lower bound over the sorted keys. Pinned against the
+// per-row `RowFilter::matches` + key-lookup loops it replaced, on rows
+// holding the values a comparison or a key lookup gets wrong: NaN
+// (several payloads), ±0.0 and ±∞.
+// ---------------------------------------------------------------------
+
+/// A block over arbitrary values, non-finite included (every shipped
+/// in-memory kind rejects them): one chunk per scan, no sketch, so no
+/// zone verdict ever skips a read.
+struct RawRows(Vec<Vec<f64>>);
+
+impl DataBlock for RawRows {
+    fn len(&self) -> u64 {
+        self.0[0].len() as u64
+    }
+
+    fn width(&self) -> usize {
+        self.0.len()
+    }
+
+    fn gather(
+        &self,
+        columns: &[usize],
+        indices: &[u64],
+        out: &mut [f64],
+    ) -> Result<(), StorageError> {
+        let w = columns.len();
+        for (j, &idx) in indices.iter().enumerate() {
+            for (k, &c) in columns.iter().enumerate() {
+                out[j * w + k] = self.0[c][idx as usize];
+            }
+        }
+        Ok(())
+    }
+
+    fn scan_column_chunks(
+        &self,
+        columns: &[usize],
+        visit: &mut dyn FnMut(&[&[f64]]),
+    ) -> Result<(), StorageError> {
+        let chunk: Vec<&[f64]> = columns.iter().map(|&c| self.0[c].as_slice()).collect();
+        visit(&chunk);
+        Ok(())
+    }
+}
+
+/// Group keys a lookup by value would merge or lose: both zeros, NaN
+/// under three payloads (one of them negative), both infinities.
+fn awkward_keys() -> [f64; 7] {
+    [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::from_bits(f64::NAN.to_bits() | 1),
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ]
+}
+
+/// `conjuncts` random predicates over `columns`, salted literals, the
+/// first one's operator `first_op`.
+fn salted_filter(
+    conjuncts: usize,
+    columns: &[usize],
+    first_op: CmpOp,
+    rng: &mut StdRng,
+) -> RowFilter {
+    RowFilter::new(
+        (0..conjuncts)
+            .map(|k| ColumnPredicate {
+                column: columns[rng.random_range(0..columns.len())],
+                op: if k == 0 {
+                    first_op
+                } else {
+                    ALL_OPS[rng.random_range(0..ALL_OPS.len())]
+                },
+                value: salted_value(rng),
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn batch_selection_is_the_per_row_filter_at_every_batch_size() {
+    let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+    let n = 5_000;
+    let salted: Vec<Vec<f64>> = (0..3)
+        .map(|_| (0..n).map(|_| salted_value(&mut rng)).collect())
+        .collect();
+    let finite: Vec<Vec<f64>> = (0..3)
+        .map(|_| {
+            (0..n)
+                .map(|_| f64::from(rng.random_range(-2i32..3)))
+                .collect()
+        })
+        .collect();
+    let sure = |op, value| ColumnPredicate {
+        column: 1,
+        op,
+        value,
+    };
+    // On the finite block: every row matches, then none does.
+    let all_match = RowFilter::new(vec![sure(CmpOp::Gt, f64::NEG_INFINITY)]);
+    let no_match = RowFilter::new(vec![
+        sure(CmpOp::Ge, -1.0),
+        sure(CmpOp::Lt, f64::INFINITY),
+        sure(CmpOp::Eq, f64::NAN),
+    ]);
+    let (salted, finite) = (RawRows(salted), RawRows(finite));
+    let mut buf = RowSampleBuf::new();
+    for batch in [1u64, 63, 64, 65, 4_096, 4_097] {
+        for conjuncts in 0..=3 {
+            for op in ALL_OPS {
+                for projection in [vec![0, 1, 2], vec![2, 0]] {
+                    let positions: Vec<usize> = (0..projection.len()).collect();
+                    let filter = salted_filter(conjuncts, &positions, op, &mut rng);
+                    let cases = [
+                        (&salted, filter),
+                        (&finite, all_match.clone()),
+                        (&finite, no_match.clone()),
+                    ];
+                    for (block, filter) in cases {
+                        buf.project(Some(&projection));
+                        let mut draws = StdRng::seed_from_u64(batch);
+                        block
+                            .sample_rows_batch(batch, &mut draws, &mut buf)
+                            .unwrap();
+                        let want: Vec<u32> = buf
+                            .iter_rows()
+                            .enumerate()
+                            .filter(|(_, row)| filter.matches(row))
+                            .map(|(i, _)| i as u32)
+                            .collect();
+                        // The same rows as column chunks.
+                        let tuples: Vec<Vec<f64>> = buf.iter_rows().map(<[f64]>::to_vec).collect();
+                        let chunk: Vec<Vec<f64>> = (0..projection.len())
+                            .map(|k| tuples.iter().map(|row| row[k]).collect())
+                            .collect();
+                        let chunk: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
+                        let mut scanned = Vec::new();
+                        filter.select(&chunk, 0, &mut scanned);
+
+                        let bits =
+                            |rows: &[f64]| rows.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        let rows_before = bits(buf.rows());
+                        let (rows, selected, lanes) = buf.select(&filter, 3);
+                        let label = format!("{filter:?}, batch {batch}, {projection:?}");
+                        assert_eq!(selected, want.as_slice(), "{label}");
+                        assert_eq!(scanned, want, "scan form: {label}");
+                        assert_eq!(bits(rows), rows_before, "{label}");
+                        assert_eq!(lanes.len(), 3);
+                        assert!(lanes.iter().all(Vec::is_empty));
+                        if filter == all_match {
+                            assert_eq!(want.len() as u64, batch);
+                        }
+                        if filter == no_match {
+                            assert!(want.is_empty());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A three-column block — aggregate (finite), filter (salted), group
+/// key — whose key column cycles through `keys`.
+fn keyed_rows(n: usize, keys: &[f64], rng: &mut StdRng) -> RawRows {
+    RawRows(vec![
+        (0..n).map(|_| rng.random_range(0.0..100.0)).collect(),
+        (0..n).map(|_| salted_value(rng)).collect(),
+        (0..n)
+            .map(|_| keys[rng.random_range(0..keys.len())])
+            .collect(),
+    ])
+}
+
+/// The keys a routing test draws from: 340 integers, every awkward key,
+/// and `1.5` — which no plan below knows.
+fn routed_keys() -> Vec<f64> {
+    let mut keys: Vec<f64> = (0..340).map(f64::from).collect();
+    keys.extend(awkward_keys());
+    keys.push(1.5);
+    keys
+}
+
+#[test]
+fn routed_calculation_folds_match_the_per_row_reference() {
+    // Planned: ≥ 300 integer keys, -0.0 (not +0.0), one NaN payload
+    // (not the others), +∞; every fifth group without boundaries.
+    // Unplanned: +0.0, the other NaNs, -∞, 1.5 and a few integers.
+    let mut rng = StdRng::seed_from_u64(0x2007E);
+    let keys = routed_keys();
+    let mut planned: Vec<u64> = (0..340)
+        .filter(|k| k % 37 != 5)
+        .map(|k| f64::from(k).to_bits())
+        .chain([
+            (-0.0f64).to_bits(),
+            f64::NAN.to_bits(),
+            f64::INFINITY.to_bits(),
+        ])
+        .collect();
+    planned.sort_unstable();
+    assert!(planned.len() >= 300);
+    let groups: Vec<engine::GroupPre> = planned
+        .iter()
+        .enumerate()
+        .map(|(i, &key_bits)| engine::GroupPre {
+            key_bits,
+            key: f64::from_bits(key_bits),
+            sigma: if i % 5 == 0 { 0.0 } else { 20.0 },
+            sketch0: 50.0,
+            share: 1.0 / planned.len() as f64,
+            pilot_matched: 10,
+            required_samples: 100,
+        })
+        .collect();
+    let pre = engine::RowPreEstimate {
+        groups,
+        selectivity: 0.5,
+        rate: 0.1,
+        pilot_rows: 1_000,
+    };
+    let cfg = IslaConfig::builder().precision(1.0).build().unwrap();
+    let block = keyed_rows(10_000, &keys, &mut rng);
+    let data = BlockSet::new(vec![
+        Arc::new(keyed_rows(10, &keys, &mut rng)) as Arc<dyn DataBlock>
+    ]);
+    for conjuncts in 0..=3 {
+        for op in ALL_OPS {
+            let spec = RowSpec {
+                agg_column: 0,
+                filter: salted_filter(conjuncts, &[1], op, &mut rng),
+                group_by: Some(2),
+            };
+            let plan = RowPlan::from_pre_estimate(
+                &data,
+                &cfg,
+                spec.clone(),
+                pre.clone(),
+                RateSpec::Derived,
+            )
+            .unwrap();
+            for draws in [1u64, 63, 64, 65, 4_096, 4_097] {
+                let plan = plan.clone().with_absolute_rate(draws as f64 / 10_000.0);
+                let seed = draws ^ (conjuncts as u64) << 20;
+                let got = engine::execute_row_block(&plan, &block, 0, seed).unwrap();
+                assert_eq!(got.offered, draws);
+                let want = reference_row_block(&plan, &block, seed).unwrap();
+                assert_eq!(outcome_bits(&got), want, "{spec:?}, {draws} draws");
+            }
+        }
+    }
+}
+
+#[test]
+fn routed_pilots_hit_rates_and_exact_scans_match_the_per_row_reference() {
+    // Discovered keys: every routed key, ≥ 300 groups, in a set of three
+    // blocks; the aggregate stays finite so every group has moments.
+    let mut rng = StdRng::seed_from_u64(0xD15C);
+    let keys = routed_keys();
+    let data = || {
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        BlockSet::new(
+            (0..3)
+                .map(|_| Arc::new(keyed_rows(6_000, &keys, &mut rng)) as Arc<dyn DataBlock>)
+                .collect(),
+        )
+    };
+    // One pilot pass of `pilot_rows`, the reference's single draw.
+    let pilot_rows = 9_000;
+    let cfg = IslaConfig::builder()
+        .precision(2.0)
+        .sigma_pilot_size(pilot_rows)
+        .build()
+        .unwrap();
+    let strict = RecoveryPolicy::strict();
+    let best_effort = RecoveryPolicy::best_effort(RetryPolicy::attempts(2));
+    for conjuncts in 0..=3 {
+        for op in ALL_OPS {
+            for group_by in [Some(2), None] {
+                let spec = RowSpec {
+                    agg_column: 0,
+                    filter: salted_filter(conjuncts, &[1, 2], op, &mut rng),
+                    group_by,
+                };
+                // Exact scan.
+                let got = engine::scan_exact_groups(&data(), &spec).map(|groups| {
+                    groups
+                        .iter()
+                        .map(|g| (g.key.to_bits(), g.mean.to_bits(), g.count))
+                        .collect::<Vec<_>>()
+                });
+                let want = reference_exact(&data(), &spec).unwrap();
+                assert_eq!(got.unwrap(), want, "exact {spec:?}");
+
+                // Hit rate.
+                for n in [1u64, 4_097, 17_000] {
+                    assert_hit_rate_identity(data, &spec, n, n ^ 0xAB, "routed hit rate");
+                }
+
+                // One capped pilot pass, strict and best-effort. A
+                // best-effort pilot drops the rows holding a non-finite
+                // value in a column it reads; the reference checks whole
+                // rows, so it runs where the spec reads every column.
+                let reads_all =
+                    group_by.is_some() && spec.filter.predicates().iter().any(|p| p.column == 1);
+                let policies = if reads_all {
+                    vec![&strict, &best_effort]
+                } else {
+                    vec![&strict]
+                };
+                for recovery in policies {
+                    let mut got_rng = StdRng::seed_from_u64(77);
+                    let got = engine::row_pre_estimate_capped_with(
+                        &data(),
+                        &cfg,
+                        &spec,
+                        pilot_rows,
+                        recovery,
+                        &mut got_rng,
+                    );
+                    let mut want_rng = StdRng::seed_from_u64(77);
+                    let mut want =
+                        reference_pilot(&data(), &spec, pilot_rows, recovery, &mut want_rng)
+                            .unwrap();
+                    // Rows a best-effort pass dropped are drawn again
+                    // once, up to the cap (the filter makes the pilot
+                    // want more than the cap) — unless nothing matched,
+                    // which ends the pilot.
+                    if want.drawn < pilot_rows && want.matched > 0 {
+                        let more = pilot_rows - want.drawn;
+                        reference_pilot_pass(
+                            &mut want,
+                            &data(),
+                            &spec,
+                            more,
+                            recovery,
+                            &mut want_rng,
+                        )
+                        .unwrap();
+                    }
+                    let label = format!("pilot {spec:?} best-effort {}", recovery.is_best_effort());
+                    assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{label}");
+                    let Ok(pre) = got else {
+                        assert_eq!(want.matched, 0, "{label}");
+                        continue;
+                    };
+                    assert_eq!(pre.pilot_rows, want.drawn, "{label}");
+                    let selectivity = want.matched as f64 / want.drawn as f64;
+                    assert_eq!(pre.selectivity.to_bits(), selectivity.to_bits(), "{label}");
+                    assert_eq!(pre.groups.len(), want.moments.len(), "{label}");
+                    if group_by.is_some() && conjuncts == 0 {
+                        assert!(pre.groups.len() >= 300, "{label}");
+                    }
+                    for (g, (&key, m)) in pre.groups.iter().zip(&want.moments) {
+                        assert_eq!(g.key_bits, key, "{label}");
+                        assert_eq!(g.pilot_matched, m.count(), "{label}");
+                        assert_eq!(g.sketch0.to_bits(), m.mean().unwrap().to_bits(), "{label}");
+                        let sigma = m.std_dev_sample().unwrap_or(0.0);
+                        assert_eq!(g.sigma.to_bits(), sigma.to_bits(), "{label}");
+                    }
+                }
+            }
+        }
     }
 }
