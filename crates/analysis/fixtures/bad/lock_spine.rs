@@ -1,6 +1,6 @@
 //! Known-bad fixture: guards held across the entry points the query
-//! executor actually calls — the `_with` forms, the block fan-out, and
-//! the generic Calculation-phase run.
+//! executor actually calls — the `_with` forms, the block fan-out, the
+//! generic Calculation-phase run, and the deadline calibration's probe.
 
 pub fn guard_across_run_plan_with(cache: &Mutex<Plans>, data: &BlockSet) {
     let plans = cache.lock();
@@ -21,4 +21,9 @@ pub fn guard_across_the_fan_out(stats: &Mutex<Stats>, data: &BlockSet) {
 pub fn guard_across_the_generic_run(cache: &Mutex<Plans>, data: &BlockSet) {
     let plans = cache.lock();
     run_calculation(&plans.rows, data, &SequentialScheduler, &strict(), rng);
+}
+
+pub fn guard_across_the_deadline_probe(cache: &Mutex<Plans>, data: &BlockSet) {
+    let plans = cache.lock();
+    affordable_draws(plans.deadline, data, rng, probe);
 }

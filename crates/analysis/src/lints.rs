@@ -52,6 +52,7 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// across it deadlocks the moment the releasing thread needs that lock.
 const EXECUTION_ENTRY_POINTS: &[&str] = &[
     "acquire",
+    "affordable_draws",
     "execute",
     "execute_block",
     "execute_blocks",
@@ -62,7 +63,6 @@ const EXECUTION_ENTRY_POINTS: &[&str] = &[
     "run_plan",
     "run_plan_with",
     "run_rows",
-    "run_row_plan",
     "run_row_plan_with",
     "scan_blocks",
     "scan_blocks_recovering",

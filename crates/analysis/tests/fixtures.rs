@@ -119,13 +119,14 @@ fn bad_spine_fixture_flags_guards_across_the_entry_points_the_executor_calls() {
     let run = run_on(fixture("bad/lock_spine.rs", "fx", false), &[]);
     assert_eq!(
         error_lines(&run),
-        [7, 12, 18, 23].map(|line| (line, "lock-discipline".to_string()))
+        [7, 12, 18, 23, 28].map(|line| (line, "lock-discipline".to_string()))
     );
     for (finding, entry) in run.findings.iter().zip([
         "run_plan_with",
         "run_row_plan_with",
         "scan_blocks_recovering",
         "run_calculation",
+        "affordable_draws",
     ]) {
         assert!(
             finding.message.contains(&format!("`{entry}`")),

@@ -1061,8 +1061,14 @@ fn sweep_zoned_rows(scale: &Scale, report: &mut Report) -> Vec<Json> {
             let data = [&sketchless, &native][side];
             let mut rng = StdRng::seed_from_u64(SEED + 80 + repeat as u64);
             let start = Instant::now();
-            let out = engine::run_row_plan(&plan, data, &SequentialScheduler, &mut rng)
-                .expect("row plan runs");
+            let out = engine::run_row_plan_with(
+                &plan,
+                data,
+                &SequentialScheduler,
+                &engine::RecoveryPolicy::strict(),
+                &mut rng,
+            )
+            .expect("row plan runs");
             times[side].push(start.elapsed().as_secs_f64());
             answers[side] = out.estimate.to_bits() ^ out.matched_rows.to_bits().rotate_left(1);
             reads[side] = out.total_samples;

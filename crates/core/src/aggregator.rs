@@ -2,44 +2,17 @@
 //! → Summarization (the full system of paper Fig. 2).
 //!
 //! This is a thin wrapper over [`crate::engine`]: it prepares a
-//! [`crate::engine::QueryPlan`] and executes it on the
-//! [`crate::engine::SequentialScheduler`].
+//! [`crate::engine::QueryPlan`], executes it on the
+//! [`crate::engine::SequentialScheduler`] and returns the engine's own
+//! [`EngineResult`].
 
 use rand::RngCore;
 
 use isla_storage::BlockSet;
 
-use crate::block_exec::BlockOutcome;
 use crate::config::IslaConfig;
-use crate::engine::{self, RateSpec, SequentialScheduler};
+use crate::engine::{self, EngineResult, RateSpec, SequentialScheduler};
 use crate::error::IslaError;
-use crate::pre_estimation::PreEstimate;
-
-/// The result of one ISLA aggregation.
-#[derive(Debug, Clone)]
-pub struct AggregateResult {
-    /// The approximate AVG — the headline answer.
-    pub estimate: f64,
-    /// The approximate SUM, `estimate × M` (the paper's SUM reduction).
-    pub sum_estimate: f64,
-    /// Total rows `M` across blocks.
-    pub data_size: u64,
-    /// Pre-estimation output (σ̂, `sketch0`, rate, pilot sizes).
-    pub pre: PreEstimate,
-    /// Negative-data translation applied (0 when none).
-    pub shift: f64,
-    /// Per-block outcomes, in block order.
-    pub blocks: Vec<BlockOutcome>,
-    /// Samples drawn in the calculation phase (excludes pilots).
-    pub total_samples: u64,
-}
-
-impl AggregateResult {
-    /// Samples drawn including the pre-estimation pilots.
-    pub fn total_samples_with_pilots(&self) -> u64 {
-        self.total_samples + self.pre.sigma_pilot_used + self.pre.sketch_pilot_used
-    }
-}
 
 /// Executes leverage-based approximate AVG aggregation with the iterative
 /// modulation scheme.
@@ -77,7 +50,7 @@ impl IslaAggregator {
         &self,
         data: &BlockSet,
         rng: &mut dyn RngCore,
-    ) -> Result<AggregateResult, IslaError> {
+    ) -> Result<EngineResult, IslaError> {
         self.aggregate_with_rate_factor(data, 1.0, rng)
     }
 
@@ -96,8 +69,14 @@ impl IslaAggregator {
         data: &BlockSet,
         factor: f64,
         rng: &mut dyn RngCore,
-    ) -> Result<AggregateResult, IslaError> {
-        self.run(data, RateSpec::Scaled(factor), rng)
+    ) -> Result<EngineResult, IslaError> {
+        engine::run(
+            data,
+            &self.config,
+            RateSpec::Scaled(factor),
+            &SequentialScheduler,
+            rng,
+        )
     }
 
     /// Runs the pipeline at an explicit calculation-phase sampling rate,
@@ -115,26 +94,14 @@ impl IslaAggregator {
         data: &BlockSet,
         rate: f64,
         rng: &mut dyn RngCore,
-    ) -> Result<AggregateResult, IslaError> {
-        self.run(data, RateSpec::Absolute(rate), rng)
-    }
-
-    fn run(
-        &self,
-        data: &BlockSet,
-        rate: RateSpec,
-        rng: &mut dyn RngCore,
-    ) -> Result<AggregateResult, IslaError> {
-        let out = engine::run(data, &self.config, rate, &SequentialScheduler, rng)?;
-        Ok(AggregateResult {
-            estimate: out.estimate,
-            sum_estimate: out.sum_estimate,
-            data_size: out.data_size,
-            pre: out.pre,
-            shift: out.shift,
-            blocks: out.blocks,
-            total_samples: out.total_samples,
-        })
+    ) -> Result<EngineResult, IslaError> {
+        engine::run(
+            data,
+            &self.config,
+            RateSpec::Absolute(rate),
+            &SequentialScheduler,
+            rng,
+        )
     }
 }
 

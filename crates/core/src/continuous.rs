@@ -21,9 +21,9 @@
 use isla_storage::BlockSet;
 
 use crate::config::IslaConfig;
-use crate::engine::rows::{execute_row_block, row_pre_estimate, RowPlan, RowSpec};
+use crate::engine::rows::{execute_row_block, row_pre_estimate_with, RowPlan, RowSpec};
 use crate::engine::seed;
-use crate::engine::{GroupedAggregate, GroupedPartial, RateSpec};
+use crate::engine::{GroupedAggregate, GroupedPartial, RateSpec, RecoveryPolicy};
 use crate::error::IslaError;
 
 /// The scalar answers of a standing query, derived from one finalized
@@ -66,7 +66,14 @@ impl ContinuousQuery {
     ) -> Result<Self, IslaError> {
         spec.validate(data)?;
         let mut rng = seed::seeded_rng(seed);
-        let pre = row_pre_estimate(data, config, &spec, &mut rng)?;
+        let pre = row_pre_estimate_with(
+            data,
+            config,
+            &spec,
+            u64::MAX,
+            &RecoveryPolicy::strict(),
+            &mut rng,
+        )?;
         let plan = RowPlan::from_pre_estimate(data, config, spec, pre, RateSpec::Derived)?;
         let mut query = Self {
             plan,

@@ -378,7 +378,7 @@ impl PreEstimateCache {
         rng: &mut dyn RngCore,
     ) -> Result<RowCacheLookup, IslaError> {
         self.rows.lookup_exact(&self.counters, key, || {
-            row_pre_estimate_with(data, config, spec, recovery, rng)
+            row_pre_estimate_with(data, config, spec, u64::MAX, recovery, rng)
         })
     }
 

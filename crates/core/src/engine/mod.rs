@@ -1,10 +1,12 @@
 //! The execution engine: the paper's Pre-estimation → per-block
 //! Calculation → Summarization pipeline, owned once.
 //!
-//! Four call sites used to re-implement this pipeline — the sequential
-//! [`crate::IslaAggregator`], the distributed coordinator, the
-//! time-constrained path, and the query executor. They are now thin
-//! wrappers over this module. Between "the pre-estimate is known" and
+//! Every caller — the sequential [`crate::IslaAggregator`], the query
+//! executor, and library code running the paper's §VII-E distributed and
+//! §VII-F time-constrained modes — enters through this module: an
+//! execution mode is a [`BlockScheduler`], and a failure policy is one
+//! [`RecoveryPolicy`] argument (the `_with` entry points). Between "the
+//! pre-estimate is known" and
 //! "the partials are merged" there is one code path — admit → per-block
 //! seeds → block fan-out → merge → degrade — and the plan type plugged
 //! into it ([`QueryPlan`] or the row model's [`RowPlan`]) is the only
@@ -92,14 +94,14 @@ pub use recovery::{
 };
 pub use rows::{
     execute_row_block, finish_row_pilot_fold, fold_row_pilot_segment, hit_rate_pilot,
-    probe_row_draws, row_pre_estimate, row_pre_estimate_capped_with, row_pre_estimate_with,
-    run_row_plan, run_row_plan_with, run_rows, GroupEstimate, GroupPlan, GroupPre,
-    GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan, RowPreEstimate,
-    RowSpec,
+    probe_row_draws, row_pre_estimate_with, run_row_plan_with, run_rows, GroupEstimate, GroupPlan,
+    GroupPre, GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan,
+    RowPreEstimate, RowSpec,
 };
 pub use scheduler::{
-    execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution, BlockScheduler,
-    DeadlineScheduler, EngineRun, PooledScheduler, SequentialScheduler, WorkerStats,
+    affordable_draws, execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution,
+    BlockScheduler, DeadlineScheduler, EngineRun, PooledScheduler, SequentialScheduler,
+    WorkerStats,
 };
 pub use seed::{derive_block_seeds, seeded_rng, stream_seed};
 
@@ -166,13 +168,22 @@ pub fn run(
     run_plan(plan, data, scheduler, rng)
 }
 
-/// Executes an already-prepared plan on `scheduler`.
+/// Executes an already-prepared plan on `scheduler`, strictly:
+/// [`run_plan_with`] under [`RecoveryPolicy::strict`].
 ///
 /// The scheduler's sample budget is applied first (deadline capping),
 /// then per-block seeds are derived from `rng` — one `next_u64` per
 /// block in block order — and the Calculation phase fans out.
 /// Degenerate plans (σ = 0) short-circuit to the pinned answer without
 /// touching blocks or `rng`.
+///
+/// Every other engine entry point takes its failure policy as one
+/// `&RecoveryPolicy` argument; this strict form survives beside
+/// [`run_plan_with`] only because the repo benchmark's adapter
+/// (`benchmark/src/sut.rs`, frozen) calls it by this name and
+/// signature — as it does [`PreEstimateCache::get_or_compute_with`] and
+/// the other items listed under "The adapter surface" in
+/// `benchmark/README.md`.
 ///
 /// # Errors
 ///
@@ -187,7 +198,7 @@ pub fn run_plan(
     run_plan_with(plan, data, scheduler, &RecoveryPolicy::strict(), rng)
 }
 
-/// [`run_plan`] under an explicit [`RecoveryPolicy`].
+/// Executes an already-prepared plan on `scheduler` under `recovery`.
 ///
 /// Under [`FailureMode::BestEffort`], blocks that exhaust their retry
 /// budget are dropped: the answer finalizes over the survivors (the

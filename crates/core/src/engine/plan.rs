@@ -12,8 +12,9 @@ use isla_storage::BlockSet;
 
 use crate::boundaries::DataBoundaries;
 use crate::config::IslaConfig;
+use crate::engine::RecoveryPolicy;
 use crate::error::IslaError;
-use crate::pre_estimation::{pre_estimate, PreEstimate};
+use crate::pre_estimation::{pre_estimate_with, PreEstimate};
 use crate::shift::compute_shift;
 
 /// How the calculation-phase sampling rate is chosen.
@@ -86,7 +87,7 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Prepares a plan by running pre-estimation on `data`.
+    /// Prepares a plan by running strict pre-estimation on `data`.
     ///
     /// # Errors
     ///
@@ -99,7 +100,7 @@ impl QueryPlan {
     ) -> Result<Self, IslaError> {
         config.validate()?;
         rate.validate()?;
-        let pre = pre_estimate(data, config, rng)?;
+        let pre = pre_estimate_with(data, config, &RecoveryPolicy::strict(), rng)?;
         Self::from_pre_estimate(data, config, pre, rate)
     }
 

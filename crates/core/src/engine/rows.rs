@@ -5,7 +5,7 @@
 //! workloads filter and group; this module generalizes every phase to
 //! row tuples:
 //!
-//! * **Pre-estimation** ([`row_pre_estimate`]) — pilot rows are drawn
+//! * **Pre-estimation** ([`row_pre_estimate_with`]) — pilot rows are drawn
 //!   proportionally across blocks, evaluated against the compiled
 //!   [`RowFilter`], and partitioned by group key. The pilots yield the
 //!   predicate's selectivity, each group's share of the raw rows, and a
@@ -281,8 +281,8 @@ pub struct RowPreEstimate {
 /// estimate (relative error ≈ √(1/n) ≈ 1% at moderate selectivity).
 pub const SELECTIVITY_PILOT_ROWS: u64 = 10_000;
 
-/// Runs row-model pre-estimation: two pilot passes of proportional row
-/// draws, filtered and partitioned by group.
+/// Runs row-model pre-estimation under `recovery`: two pilot passes of
+/// proportional row draws, filtered and partitioned by group.
 ///
 /// The first pass (sized like the scalar σ pilot) estimates the
 /// selectivity, the group shares, and a first per-group `σ̂`; the second
@@ -290,47 +290,21 @@ pub const SELECTIVITY_PILOT_ROWS: u64 = 10_000;
 /// supports its relaxed-precision sketch, exactly as the scalar sketch
 /// pilot does for the whole column.
 ///
-/// # Errors
-///
-/// [`IslaError::InsufficientData`] when the data is empty or no pilot
-/// row matches the predicate; storage errors from sampling.
-pub fn row_pre_estimate(
-    data: &BlockSet,
-    config: &IslaConfig,
-    spec: &RowSpec,
-    rng: &mut dyn RngCore,
-) -> Result<RowPreEstimate, IslaError> {
-    row_pre_estimate_capped_with(data, config, spec, u64::MAX, &RecoveryPolicy::strict(), rng)
-}
-
-/// [`row_pre_estimate`] under an explicit [`RecoveryPolicy`] — the
-/// row-model twin of [`crate::pre_estimation::pre_estimate_with`]:
-/// strict is byte-for-byte [`row_pre_estimate`]; best-effort draws the
-/// pilots through the surviving row sampler (transient retries in
-/// place, failed blocks skipped, corrupt rows dropped).
+/// `max_pilot_rows` caps the total pilot rows (`u64::MAX` for none) —
+/// the budget-driven path (`SAMPLES n` without a precision) uses it so
+/// the pilots can never silently dwarf the caller's explicit budget.
+/// The recovery policy works as in
+/// [`crate::pre_estimation::pre_estimate_with`]: strict fails on the
+/// first block failure; best-effort draws the pilots through the
+/// surviving row sampler (transient retries in place, failed blocks
+/// skipped, corrupt rows dropped).
 ///
 /// # Errors
 ///
-/// As [`row_pre_estimate`]; total pilot loss in best-effort mode
-/// surfaces as [`IslaError::InsufficientData`].
+/// [`IslaError::InsufficientData`] when the data is empty, no pilot
+/// row matches the predicate, or (best-effort) every pilot draw was
+/// lost; storage errors from sampling in strict mode.
 pub fn row_pre_estimate_with(
-    data: &BlockSet,
-    config: &IslaConfig,
-    spec: &RowSpec,
-    recovery: &RecoveryPolicy,
-    rng: &mut dyn RngCore,
-) -> Result<RowPreEstimate, IslaError> {
-    row_pre_estimate_capped_with(data, config, spec, u64::MAX, recovery, rng)
-}
-
-/// [`row_pre_estimate_with`] with a hard cap on the total pilot rows —
-/// the budget-driven path (`SAMPLES n` without a precision) uses this
-/// so the pilots can never silently dwarf the caller's explicit budget.
-///
-/// # Errors
-///
-/// As [`row_pre_estimate`].
-pub fn row_pre_estimate_capped_with(
     data: &BlockSet,
     config: &IslaConfig,
     spec: &RowSpec,
@@ -763,7 +737,14 @@ impl RowPlan {
     ) -> Result<Self, IslaError> {
         config.validate()?;
         rate.validate()?;
-        let pre = row_pre_estimate(data, config, &spec, rng)?;
+        let pre = row_pre_estimate_with(
+            data,
+            config,
+            &spec,
+            u64::MAX,
+            &RecoveryPolicy::strict(),
+            rng,
+        )?;
         Self::from_pre_estimate(data, config, spec, pre, rate)
     }
 
@@ -1171,41 +1152,27 @@ pub fn run_rows(
     rng: &mut dyn RngCore,
 ) -> Result<GroupedEngineResult, IslaError> {
     let plan = RowPlan::prepare(data, config, spec, rate, rng)?;
-    run_row_plan(&plan, data, scheduler, rng)
+    run_row_plan_with(&plan, data, scheduler, &RecoveryPolicy::strict(), rng)
 }
 
-/// Executes an already-prepared row plan on `scheduler`.
+/// Executes an already-prepared row plan on `scheduler` under
+/// `recovery`.
 ///
 /// Exactly the scalar engine's Calculation phase with a row plan
-/// plugged in: the scheduler's sample budget is applied first (deadline
-/// capping), then per-block seeds are derived from `rng` — one
-/// `next_u64` per block in block order — and the per-block work fans
-/// out at the scheduler's parallelism. Grouped partials merge
-/// order-invariantly, so every scheduler returns the bit-identical
-/// per-group answers for the same RNG stream.
+/// plugged in (the row-model analogue of
+/// [`crate::engine::run_plan_with`]): the scheduler's sample budget is
+/// applied first (deadline capping), then per-block seeds are derived
+/// from `rng` — one `next_u64` per block in block order — and the
+/// per-block work fans out at the scheduler's parallelism. Grouped
+/// partials merge order-invariantly, so every scheduler returns the
+/// bit-identical per-group answers for the same RNG stream. Best-effort
+/// runs drop failed blocks, finalize the per-group answers over the
+/// survivors, and report the failure accounting and widened half-width.
 ///
 /// # Errors
 ///
-/// The failure of the lowest-numbered failing block, or
+/// Strict mode: the failure of the lowest-numbered failing block, or
 /// [`IslaError::InsufficientData`] when no group holds any weight.
-pub fn run_row_plan(
-    plan: &RowPlan,
-    data: &BlockSet,
-    scheduler: &dyn BlockScheduler,
-    rng: &mut dyn RngCore,
-) -> Result<GroupedEngineResult, IslaError> {
-    run_row_plan_with(plan, data, scheduler, &RecoveryPolicy::strict(), rng)
-}
-
-/// [`run_row_plan`] under an explicit
-/// [`RecoveryPolicy`] — the row-model
-/// analogue of [`crate::engine::run_plan_with`]: best-effort runs drop
-/// failed blocks, finalize the per-group answers over the survivors,
-/// and report the failure accounting and widened half-width.
-///
-/// # Errors
-///
-/// Strict mode: the failure of the lowest-numbered failing block.
 /// Best-effort: [`IslaError::InsufficientData`] when every block failed
 /// or no group holds any weight over the survivors.
 pub fn run_row_plan_with(
@@ -1327,7 +1294,15 @@ mod tests {
         let data = grouped_set(120_000, 8, 1);
         let spec = filtered_grouped_spec();
         let mut rng = StdRng::seed_from_u64(2);
-        let pre = row_pre_estimate(&data, &config(1.0), &spec, &mut rng).unwrap();
+        let pre = row_pre_estimate_with(
+            &data,
+            &config(1.0),
+            &spec,
+            u64::MAX,
+            &RecoveryPolicy::strict(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(pre.groups.len(), 3);
         let exact = scan_exact_groups(&data, &spec).unwrap();
         let exact_sel = exact.iter().map(|g| g.count).sum::<u64>() as f64 / 120_000.0;
@@ -1493,7 +1468,8 @@ mod tests {
         let wanted = plan.planned_samples_with_pilots(&data);
 
         let tight = DeadlineScheduler::new(SequentialScheduler, wanted / 2);
-        let out = run_row_plan(&plan, &data, &tight, &mut rng).unwrap();
+        let out =
+            run_row_plan_with(&plan, &data, &tight, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert!(out.time_limited, "half the wanted budget must cap");
         assert!(
             out.total_samples + out.pilot_samples <= wanted / 2 + 10,
@@ -1504,7 +1480,8 @@ mod tests {
         assert!(out.total_samples > 0, "some calculation still ran");
 
         let generous = DeadlineScheduler::new(SequentialScheduler, wanted + 1);
-        let out = run_row_plan(&plan, &data, &generous, &mut rng).unwrap();
+        let out = run_row_plan_with(&plan, &data, &generous, &RecoveryPolicy::strict(), &mut rng)
+            .unwrap();
         assert!(!out.time_limited);
     }
 
@@ -1571,7 +1548,14 @@ mod tests {
         assert!(rare_plan.pre.pilot_matched < 2);
         assert!(rare_plan.boundaries.is_none());
         let mut rng = StdRng::seed_from_u64(22);
-        let out = run_row_plan(&plan, &data, &SequentialScheduler, &mut rng).unwrap();
+        let out = run_row_plan_with(
+            &plan,
+            &data,
+            &SequentialScheduler,
+            &RecoveryPolicy::strict(),
+            &mut rng,
+        )
+        .unwrap();
         let rare_est = out.groups.iter().find(|g| g.key == 1.0).unwrap();
         assert!(rare_est.matched_draws > 0, "rate sampled the rare group");
         assert!(
@@ -1619,7 +1603,14 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(11);
         assert!(matches!(
-            row_pre_estimate(&data, &config(0.5), &spec, &mut rng),
+            row_pre_estimate_with(
+                &data,
+                &config(0.5),
+                &spec,
+                u64::MAX,
+                &RecoveryPolicy::strict(),
+                &mut rng
+            ),
             Err(IslaError::InsufficientData(_))
         ));
     }

@@ -14,7 +14,8 @@
 //! * [`DeadlineScheduler`] — a sample budget stated around any inner
 //!   scheduler (the paper's §VII-F time constraint): when the plan
 //!   wants more samples than the budget affords, the engine caps the
-//!   rate and marks the run time-limited.
+//!   rate and marks the run time-limited; [`affordable_draws`] turns a
+//!   wall-clock deadline into that budget.
 //!
 //! [`scan_blocks`] is the same fan-out for *non-ISLA* per-block work:
 //! the baseline estimators run their block scans through it, so
@@ -29,7 +30,10 @@
 //! A strict run reports the failure with the lowest block id — the same
 //! error on every scheduler, whatever order the workers finished in.
 
+use std::time::{Duration, Instant};
+
 use crossbeam::channel;
+use rand::RngCore;
 
 use isla_storage::{BlockSet, DataBlock};
 
@@ -318,6 +322,54 @@ impl<S: BlockScheduler> BlockScheduler for DeadlineScheduler<S> {
     }
 }
 
+/// Draws the deadline calibration probe times (paper §VII-F: "according
+/// to the workload, the relationship of the sample size and the run time
+/// could be obtained").
+const CALIBRATION_DRAWS: u64 = 2_000;
+
+/// Fraction of the deadline the calibrated budget aims to use, leaving
+/// headroom for the iteration phase and summarization.
+const DEADLINE_SAFETY: f64 = 0.8;
+
+/// Sizes the sample a wall-clock `deadline` affords on `data` — the
+/// budget of a [`DeadlineScheduler`] (paper §VII-F), calibrated once
+/// for the query layer's `WITHIN` and for library callers alike.
+///
+/// The clock starts on entry: `probe(n, rng)` draws a few thousand rows
+/// the way the plan will (plain values for a scalar plan, the spec's
+/// projected, zoned read for a row plan or a count), the measured cost
+/// per draw prices what is left of the deadline, and a safety margin
+/// leaves headroom for everything that is not a draw. The result may be
+/// 0 (or too small for a caller's purpose); each caller decides how few
+/// draws are too few.
+///
+/// # Errors
+///
+/// [`IslaError::InsufficientData`] when `data` holds no rows (there is
+/// nothing to time a draw on); the probe's own errors.
+pub fn affordable_draws(
+    deadline: Duration,
+    data: &BlockSet,
+    rng: &mut dyn RngCore,
+    probe: impl FnOnce(u64, &mut dyn RngCore) -> Result<(), IslaError>,
+) -> Result<u64, IslaError> {
+    if data.total_len() == 0 {
+        return Err(IslaError::InsufficientData(
+            "block set holds no rows to time a deadline's draws on".to_string(),
+        ));
+    }
+    let start = Instant::now();
+    let draws = CALIBRATION_DRAWS.min(data.total_len());
+    probe(draws, rng)?;
+    let per_draw = start.elapsed().as_secs_f64() / draws as f64;
+    let remaining = deadline.saturating_sub(start.elapsed()).as_secs_f64() * DEADLINE_SAFETY;
+    Ok(if per_draw > 0.0 {
+        (remaining / per_draw) as u64
+    } else {
+        u64::MAX
+    })
+}
+
 /// Runs an arbitrary per-block job over every block, `parallelism` blocks
 /// at a time, collecting the results in block order.
 ///
@@ -544,6 +596,42 @@ mod tests {
         assert_eq!(tight.parallelism(), 1);
         assert_eq!(tight.budget(), 1_000);
         assert_eq!(tight.inner().name(), "sequential");
+    }
+
+    #[test]
+    fn affordable_draws_prices_the_deadline_by_the_probe() {
+        let ds = normal_dataset(100.0, 20.0, 50_000, 5, 98);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut probed = 0;
+        let generous = affordable_draws(Duration::from_secs(60), &ds.blocks, &mut rng, |n, _| {
+            probed = n;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(probed, CALIBRATION_DRAWS, "the probe times a fixed draw");
+        assert!(generous > 1_000_000, "a minute affords {generous} draws");
+        let none = affordable_draws(Duration::ZERO, &ds.blocks, &mut rng, |n, rng| {
+            isla_storage::sample_proportional(&ds.blocks, n, rng)?;
+            Ok(())
+        });
+        assert_eq!(none.unwrap(), 0, "a spent deadline affords nothing");
+    }
+
+    #[test]
+    fn affordable_draws_refuses_a_set_with_no_rows() {
+        // One block of zero rows: the typed error pre-estimation gives
+        // for the same set — the probe (whose proportional allocation
+        // panics on an empty set) never runs.
+        let empty = BlockSet::new(vec![
+            std::sync::Arc::new(isla_storage::MemBlock::new(vec![]))
+                as std::sync::Arc<dyn DataBlock>,
+        ]);
+        let mut rng = StdRng::seed_from_u64(13);
+        let r = affordable_draws(Duration::from_secs(60), &empty, &mut rng, |n, rng| {
+            isla_storage::sample_proportional(&empty, n, rng)?;
+            Ok(())
+        });
+        assert!(matches!(r, Err(IslaError::InsufficientData(_))), "{r:?}");
     }
 
     #[test]

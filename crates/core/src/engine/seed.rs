@@ -23,12 +23,12 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 }
 
 /// Derives a child stream seed from a parent `digest` and a `salt` via
-/// a splitmix64 finalizer — the same mixing the query layer uses for
-/// key-derived pilot streams. Used wherever a deterministic stream must
+/// a splitmix64 finalizer. Used wherever a deterministic stream must
 /// be a pure function of identity rather than of a caller RNG's
-/// position: epoch-segment pilot folds (`stream_seed(lineage, salt)`
-/// then once more with the segment index) and standing-query per-block
-/// streams. The finalizer's avalanche keeps sibling streams
+/// position: the query layer's key-derived pilot streams
+/// (`stream_seed(key digest, pilot salt)`), epoch-segment pilot folds
+/// (`stream_seed(lineage, salt)` then once more with the segment index)
+/// and standing-query per-block streams. The finalizer's avalanche keeps sibling streams
 /// uncorrelated even for adjacent salts.
 pub fn stream_seed(digest: u64, salt: u64) -> u64 {
     let mut z = digest ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -34,7 +34,8 @@
 //! pluggable [`engine::BlockScheduler`]s (sequential, pooled,
 //! deadline-capped) and a mergeable [`engine::PartialAggregate`] — and
 //! the top-level entry point [`IslaAggregator`] is a thin wrapper over
-//! it, as are the distributed coordinator and the query executor.
+//! it, as is the query executor; distributed (§VII-E) and deadline-bounded
+//! (§VII-F) runs are [`engine::run`] on a pooled or deadline scheduler.
 //! Extensions from the paper's Section VII are implemented in [`online`]
 //! (progressive refinement without re-sampling) and [`noniid`]
 //! (per-block sampling rates and boundaries for non-identically-
@@ -87,7 +88,7 @@ pub mod shift;
 pub mod summarize;
 
 pub use accumulate::SampleAccumulator;
-pub use aggregator::{AggregateResult, IslaAggregator};
+pub use aggregator::IslaAggregator;
 pub use block_exec::{execute_block, iteration_phase, BlockOutcome, Fallback, IterationPhase};
 pub use boundaries::{DataBoundaries, Region};
 pub use config::{IslaConfig, IslaConfigBuilder, ModulationStyle, ShiftPolicy};
@@ -99,6 +100,6 @@ pub use extremes::{ExtremeAggregator, ExtremeKind, ExtremeResult};
 pub use leverage::{determine_q, LeverageAllocation};
 pub use modulation::{iterate, IterationStep, ModulationOutcome};
 pub use pre_estimation::{
-    finish_pilot_fold, fold_pilot_segment, pre_estimate, pre_estimate_with, PilotFold, PreEstimate,
+    finish_pilot_fold, fold_pilot_segment, pre_estimate_with, PilotFold, PreEstimate,
 };
 pub use summarize::combine_partials;

@@ -51,25 +51,10 @@ pub struct PreEstimate {
     pub sketch_interval: ConfidenceInterval,
 }
 
-/// Runs pre-estimation over a block set.
+/// Runs pre-estimation over a block set under `recovery`.
 ///
-/// # Errors
-///
-/// * [`IslaError::InsufficientData`] when the data cannot support the
-///   pilots (empty data, or fewer than 2 σ-pilot samples);
-/// * [`IslaError::Storage`] on block access failures.
-pub fn pre_estimate(
-    data: &BlockSet,
-    config: &IslaConfig,
-    rng: &mut dyn RngCore,
-) -> Result<PreEstimate, IslaError> {
-    pre_estimate_with(data, config, &RecoveryPolicy::strict(), rng)
-}
-
-/// [`pre_estimate`] under an explicit [`RecoveryPolicy`].
-///
-/// Strict mode is byte-for-byte [`pre_estimate`]: the first block
-/// failure fails the pilots. Best-effort mode draws the pilots through
+/// Strict mode ([`RecoveryPolicy::strict`]) fails the pilots on the
+/// first block failure. Best-effort mode draws the pilots through
 /// the surviving samplers
 /// ([`isla_storage::sample_proportional_surviving`]): transient block
 /// errors retry in place up to the policy's attempt budget, permanently
@@ -86,8 +71,10 @@ pub fn pre_estimate(
 ///
 /// # Errors
 ///
-/// As [`pre_estimate`]; in best-effort mode total pilot loss surfaces
-/// as [`IslaError::InsufficientData`] rather than a storage error.
+/// * [`IslaError::InsufficientData`] when the data cannot support the
+///   pilots (empty data, or fewer than 2 σ-pilot samples) — and, in
+///   best-effort mode, on total pilot loss;
+/// * [`IslaError::Storage`] on block access failures in strict mode.
 pub fn pre_estimate_with(
     data: &BlockSet,
     config: &IslaConfig,
@@ -436,7 +423,8 @@ mod tests {
     fn estimates_sigma_and_sketch_on_normal_data() {
         let data = BlockSet::from_values(normal_values(100.0, 20.0, 400_000, 1), 10);
         let mut rng = StdRng::seed_from_u64(2);
-        let pre = pre_estimate(&data, &config(0.5), &mut rng).unwrap();
+        let pre =
+            pre_estimate_with(&data, &config(0.5), &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert!((pre.sigma - 20.0).abs() < 2.0, "σ̂ = {}", pre.sigma);
         // sketch0 within the relaxed interval of the truth (w.h.p.).
         assert!(
@@ -462,7 +450,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let pre = pre_estimate(&data, &cfg, &mut rng).unwrap();
+        let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.sigma, 20.0);
         assert_eq!(pre.sigma_pilot_used, 0);
     }
@@ -477,7 +465,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(12);
-        let pre = pre_estimate(&data, &cfg, &mut rng).unwrap();
+        let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.sigma_pilot_used, 0, "sketches replace the σ pilot");
         let moments: WelfordMoments = values.into_iter().collect();
         let exact = moments.std_dev_sample().unwrap();
@@ -501,7 +489,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let pre = pre_estimate(&data, &cfg, &mut rng).unwrap();
+        let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.sigma, 0.0, "min == max proves σ = 0 from metadata");
         assert_eq!(pre.sigma_pilot_used, 0);
         assert_eq!(pre.sketch0, 7.5);
@@ -520,7 +508,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(15);
-        let pre = pre_estimate(&data, &cfg, &mut rng).unwrap();
+        let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(
             pre.sigma_pilot_used, 1000,
             "sketch-less blocks fall back to the sampling pilot"
@@ -532,7 +520,8 @@ mod tests {
     fn rate_saturates_on_tiny_data() {
         let data = BlockSet::from_values(normal_values(100.0, 20.0, 50, 2), 2);
         let mut rng = StdRng::seed_from_u64(5);
-        let pre = pre_estimate(&data, &config(0.5), &mut rng).unwrap();
+        let pre =
+            pre_estimate_with(&data, &config(0.5), &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.rate, 1.0, "required m exceeds M → full scan rate");
         assert_eq!(pre.sigma_pilot_used, 50);
     }
@@ -541,7 +530,8 @@ mod tests {
     fn degenerate_constant_data_short_circuits() {
         let data = BlockSet::from_values(vec![7.5; 1000], 4);
         let mut rng = StdRng::seed_from_u64(6);
-        let pre = pre_estimate(&data, &config(0.1), &mut rng).unwrap();
+        let pre =
+            pre_estimate_with(&data, &config(0.1), &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.sigma, 0.0);
         assert_eq!(pre.sketch0, 7.5);
         assert_eq!(pre.required_samples, 1);
@@ -553,7 +543,7 @@ mod tests {
         let data = BlockSet::single(isla_storage::MemBlock::new(vec![]));
         let mut rng = StdRng::seed_from_u64(7);
         assert!(matches!(
-            pre_estimate(&data, &config(0.1), &mut rng),
+            pre_estimate_with(&data, &config(0.1), &RecoveryPolicy::strict(), &mut rng),
             Err(IslaError::InsufficientData(_))
         ));
     }
@@ -563,7 +553,7 @@ mod tests {
         let data = BlockSet::from_values(vec![3.0], 1);
         let mut rng = StdRng::seed_from_u64(8);
         assert!(matches!(
-            pre_estimate(&data, &config(0.1), &mut rng),
+            pre_estimate_with(&data, &config(0.1), &RecoveryPolicy::strict(), &mut rng),
             Err(IslaError::InsufficientData(_))
         ));
         // …unless σ is known.
@@ -572,7 +562,7 @@ mod tests {
             .known_sigma(Some(1.0))
             .build()
             .unwrap();
-        let pre = pre_estimate(&data, &cfg, &mut rng).unwrap();
+        let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.rate, 1.0);
     }
 
@@ -583,7 +573,8 @@ mod tests {
         let faulty = FaultPlan::new(31).transient(0.6, 2).arm(&data);
         let policy = RecoveryPolicy::best_effort(crate::engine::RetryPolicy::attempts(3));
         let mut rng = StdRng::seed_from_u64(18);
-        let clean = pre_estimate(&data, &config(0.5), &mut rng).unwrap();
+        let clean =
+            pre_estimate_with(&data, &config(0.5), &RecoveryPolicy::strict(), &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(18);
         let recovered = pre_estimate_with(&faulty, &config(0.5), &policy, &mut rng).unwrap();
         assert_eq!(clean, recovered, "in-place retries are stream-neutral");
@@ -607,7 +598,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(20);
         assert!(
             matches!(
-                pre_estimate(&faulty, &config(0.5), &mut rng),
+                pre_estimate_with(&faulty, &config(0.5), &RecoveryPolicy::strict(), &mut rng),
                 Err(IslaError::Storage(_))
             ),
             "strict pilots propagate the block loss"
@@ -627,9 +618,11 @@ mod tests {
     fn tighter_precision_needs_more_samples() {
         let data = BlockSet::from_values(normal_values(100.0, 20.0, 200_000, 9), 10);
         let mut rng = StdRng::seed_from_u64(10);
-        let loose = pre_estimate(&data, &config(0.5), &mut rng).unwrap();
+        let loose =
+            pre_estimate_with(&data, &config(0.5), &RecoveryPolicy::strict(), &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(10);
-        let tight = pre_estimate(&data, &config(0.1), &mut rng).unwrap();
+        let tight =
+            pre_estimate_with(&data, &config(0.1), &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert!(tight.required_samples > loose.required_samples * 20);
         assert!(tight.sketch_pilot_used > loose.sketch_pilot_used);
     }

@@ -54,13 +54,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`core`] | the paper's contribution: boundaries, leverages, Theorem-3 estimator, modulation Cases 1–5, Algorithms 1–2, online & non-i.i.d. extensions |
+//! | [`core`] | the paper's contribution: boundaries, leverages, Theorem-3 estimator, modulation Cases 1–5, Algorithms 1–2, online & non-i.i.d. extensions; the engine whose schedulers run it sequentially, on a worker pool (§VII-E) or under a deadline (§VII-F) |
 //! | [`stats`] | statistics substrate: erf/normal quantile, distributions, compensated moments, confidence intervals |
 //! | [`storage`] | block storage: memory / text / binary / virtual generator blocks, samplers |
 //! | [`datagen`] | evaluation workloads: synthetic, TPC-H-like lineitem, census/TLC stand-ins |
 //! | [`baselines`] | US, STS, MV, MVB, SLEV comparators behind one `Estimator` trait |
 //! | [`query`] | `SELECT AVG(col) FROM t WITH PRECISION e` parser + executor |
-//! | [`distributed`] | worker-pool scatter/gather and deadline-bounded aggregation |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +67,6 @@
 pub use isla_baselines as baselines;
 pub use isla_core as core;
 pub use isla_datagen as datagen;
-pub use isla_distributed as distributed;
 pub use isla_query as query;
 pub use isla_stats as stats;
 pub use isla_storage as storage;
@@ -80,12 +78,11 @@ pub mod prelude {
         StratifiedSampling, UniformSampling,
     };
     pub use isla_core::engine::{
-        BlockScheduler, DeadlineScheduler, PooledScheduler, SequentialScheduler,
+        BlockScheduler, DeadlineScheduler, EngineResult, PooledScheduler, SequentialScheduler,
     };
     pub use isla_core::noniid::NonIidAggregator;
     pub use isla_core::online::OnlineAggregator;
-    pub use isla_core::{AggregateResult, IslaAggregator, IslaConfig, IslaError, ModulationStyle};
-    pub use isla_distributed::{aggregate_within, DistributedAggregator};
+    pub use isla_core::{IslaAggregator, IslaConfig, IslaError, ModulationStyle};
     pub use isla_query::{execute, parse, Catalog, QueryResult, QuerySession, Table};
     pub use isla_stats::distributions::Distribution;
     pub use isla_storage::{

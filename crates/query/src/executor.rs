@@ -9,7 +9,7 @@
 //! [`isla_storage::Schema`] into an [`engine::RowSpec`] (a pushed-down
 //! [`isla_storage::RowFilter`] plus positional group/aggregate columns)
 //! and executed through the engine's row-model pipeline
-//! ([`engine::run_row_plan`]): pilot rows estimate the predicate's
+//! ([`engine::run_row_plan_with`]): pilot rows estimate the predicate's
 //! selectivity and per-group σ̂/sketch, the calculation rate is sized so
 //! *every group* meets the precision target, and `SUM`/`COUNT` under a
 //! filter are estimated from the hit rate ([`engine::hit_rate_pilot`]) —
@@ -47,15 +47,6 @@ use crate::error::QueryError;
 /// Default confidence when the query omits `CONFIDENCE` (the paper's
 /// experimental default).
 pub const DEFAULT_CONFIDENCE: f64 = 0.95;
-
-/// Samples drawn to calibrate throughput for `WITHIN … MS` execution
-/// (paper §VII-F: "according to the workload, the relationship of the
-/// sample size and the run time could be obtained").
-const TIME_CALIBRATION_SAMPLES: u64 = 2_000;
-
-/// Fraction of the time budget the calibrated plan aims to use, leaving
-/// headroom for the iteration phase and summarization.
-const TIME_SAFETY: f64 = 0.8;
 
 /// Pilot rows behind an estimated `COUNT(*) WHERE …` when the query
 /// gives no explicit `SAMPLES` budget.
@@ -513,7 +504,7 @@ impl QuerySession {
         Ok(result)
     }
 
-    /// ISLA row-model execution through [`engine::run_row_plan`], with
+    /// ISLA row-model execution through [`engine::run_row_plan_with`], with
     /// the session cache in front of the pilot phase.
     fn run_isla_rows(
         &self,
@@ -532,12 +523,9 @@ impl QuerySession {
         // the zone verdicts, the predicate — so the calibrated
         // per-sample cost is what the pilots and the calculation phase
         // will actually pay.
-        let affordable = match query.within_ms {
-            Some(ms) => Some(affordable_budget(ms, data, rng, |n, rng| {
-                engine::probe_row_draws(data, &spec, n, rng)
-            })?),
-            None => None,
-        };
+        let affordable = within_draws(query, data, rng, |n, rng| {
+            engine::probe_row_draws(data, &spec, n, rng)
+        })?;
 
         let (config, pre, pilot_cost, rate) = match (query.precision, query.samples) {
             (Some(_), _) => {
@@ -570,7 +558,7 @@ impl QuerySession {
                     .confidence(confidence)
                     .build()
                     .map_err(QueryError::from)?;
-                let pre = engine::row_pre_estimate_capped_with(
+                let pre = engine::row_pre_estimate_with(
                     data,
                     &config,
                     &spec,
@@ -672,14 +660,11 @@ impl QuerySession {
         // starts *before* any sampling — calibrate throughput first, so
         // pilots (when they run on a cache miss) are charged against the
         // same window the budget was computed from.
-        let affordable = match query.within_ms {
-            Some(ms) => Some(affordable_budget(ms, data, rng, |n, rng| {
-                sample_proportional(data, n, rng)
-                    .map(drop)
-                    .map_err(IslaError::from)
-            })?),
-            None => None,
-        };
+        let affordable = within_draws(query, data, rng, |n, rng| {
+            sample_proportional(data, n, rng)
+                .map(drop)
+                .map_err(IslaError::from)
+        })?;
 
         // NOTE: the key MUST be derived from the *final* config — the
         // sketch-σ toggle above is fingerprint-hashed, so a key built
@@ -737,7 +722,7 @@ impl QuerySession {
             let salt = self.policy.pilot_seed.unwrap_or(EPOCH_PILOT_SALT);
             lookup(key, Pilots::Epoch(salt))
         } else if let Some(salt) = self.policy.pilot_seed {
-            let mut pilot_rng = engine::seeded_rng(pilot_stream_seed(key.digest(), salt));
+            let mut pilot_rng = engine::seeded_rng(engine::stream_seed(key.digest(), salt));
             lookup(key, Pilots::Stream(&mut pilot_rng))
         } else {
             lookup(key, Pilots::Stream(rng))
@@ -793,18 +778,6 @@ enum Pilots<'a> {
     Epoch(u64),
     /// This RNG: the query's own, or one derived from `(key, salt)`.
     Stream(&'a mut dyn RngCore),
-}
-
-/// Mixes a cache-key digest with the policy's salt into one pilot
-/// stream seed (splitmix-style finalizer so nearby digests land far
-/// apart).
-fn pilot_stream_seed(digest: u64, salt: u64) -> u64 {
-    let mut x = digest ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Compiles a query's `WHERE` / `GROUP BY` against the table schema into
@@ -919,12 +892,9 @@ fn count_estimate(
     let mut time_limited = false;
     // The probe is the pilot's own read: the count's columns, the zone
     // verdicts, the predicate.
-    let affordable = match query.within_ms {
-        Some(ms) => Some(affordable_budget(ms, data, rng, |n, rng| {
-            engine::hit_rate_pilot(data, spec, n, rng).map(drop)
-        })?),
-        None => None,
-    };
+    let affordable = within_draws(query, data, rng, |n, rng| {
+        engine::hit_rate_pilot(data, spec, n, rng).map(drop)
+    })?;
     if let Some(affordable) = affordable {
         if affordable < pilot {
             pilot = affordable;
@@ -1091,49 +1061,28 @@ fn run_baseline(
     Ok(estimator.estimate_scheduled(data, budget, scheduler, rng)?)
 }
 
-/// Calibrates sampling throughput with a timed probe and sizes the
-/// affordable sample budget for a `WITHIN ms` deadline (paper §VII-F),
-/// safety margin applied.
-///
-/// `probe(n, rng)` draws `n` rows the way the plan will — plain values
-/// for a scalar plan, the spec's projected, zoned read for a row plan or
-/// a count — so the calibrated cost per draw is the one the plan pays.
+/// The draws a `WITHIN ms` clause affords ([`engine::affordable_draws`],
+/// probed by `probe`), `None` without the clause.
 ///
 /// # Errors
 ///
-/// [`IslaError::InsufficientData`] on an empty table (nothing to time a
-/// draw on); the probe's own errors; [`QueryError::Invalid`] when the
-/// deadline affords no draw at all.
-fn affordable_budget(
-    ms: u64,
+/// The calibration's errors; [`QueryError::Invalid`] when the deadline
+/// affords no draw at all.
+fn within_draws(
+    query: &Query,
     data: &BlockSet,
     rng: &mut dyn RngCore,
     probe: impl FnOnce(u64, &mut dyn RngCore) -> Result<(), IslaError>,
-) -> Result<u64, QueryError> {
-    if data.total_len() == 0 {
-        return Err(IslaError::InsufficientData(
-            "block set holds no rows to time a deadline's draws on".to_string(),
-        )
-        .into());
-    }
-    let deadline = Duration::from_millis(ms);
-    let calib_start = Instant::now();
-    let draws = TIME_CALIBRATION_SAMPLES.min(data.total_len());
-    probe(draws, rng)?;
-    let per_sample = calib_start.elapsed().as_secs_f64() / draws as f64;
-    let remaining = deadline.saturating_sub(calib_start.elapsed()).as_secs_f64() * TIME_SAFETY;
-    let affordable = if per_sample > 0.0 {
-        (remaining / per_sample) as u64
-    } else {
-        u64::MAX
+) -> Result<Option<u64>, QueryError> {
+    let Some(ms) = query.within_ms else {
+        return Ok(None);
     };
-    if affordable == 0 {
-        return Err(QueryError::Invalid(format!(
-            "time budget {ms} ms cannot cover any sampling (≈{:.1} µs/sample)",
-            per_sample * 1e6
-        )));
+    match engine::affordable_draws(Duration::from_millis(ms), data, rng, probe)? {
+        0 => Err(QueryError::Invalid(format!(
+            "time budget {ms} ms cannot cover any sampling"
+        ))),
+        draws => Ok(Some(draws)),
     }
-    Ok(affordable)
 }
 
 /// Executes a parsed query with a fresh, uncached [`QuerySession`].

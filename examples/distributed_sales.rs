@@ -14,10 +14,12 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use isla::core::engine::{self, RateSpec};
 use isla::prelude::*;
 use isla::stats::distributions::Normal;
+use isla::stats::ConfidenceInterval;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,13 +85,12 @@ fn main() {
     );
     println!();
 
-    // The same data through the scatter/gather coordinator.
+    // The same data scattered over a worker pool: the engine's pooled
+    // scheduler, bit-identical to a sequential run.
     let workers = 4;
-    let coordinator =
-        DistributedAggregator::new(config.clone(), workers).expect("valid configuration");
+    let pool = PooledScheduler::new(workers).expect("positive worker count");
     let mut rng = StdRng::seed_from_u64(6);
-    let scattered = coordinator
-        .aggregate(&data, &mut rng)
+    let scattered = engine::run(&data, &config, RateSpec::Derived, &pool, &mut rng)
         .expect("aggregation succeeds");
     println!("scatter/gather over {workers} workers (global boundaries):");
     for (i, stats) in scattered.worker_stats.iter().enumerate() {
@@ -106,26 +107,42 @@ fn main() {
     println!();
 
     // Deadline-bounded (paper §VII-F): answer in 250 ms, whatever that
-    // affords, and report the achieved interval.
+    // affords, and report the achieved interval. The engine times a
+    // probe draw to size the sample; the same pool runs under that
+    // budget.
+    let deadline = Duration::from_millis(250);
+    let start = Instant::now();
     let mut rng = StdRng::seed_from_u64(7);
-    let bounded = aggregate_within(
-        &coordinator,
+    let affordable = engine::affordable_draws(deadline, &data, &mut rng, |n, rng| {
+        isla::storage::sample_proportional(&data, n, rng)?;
+        Ok(())
+    })
+    .expect("calibration succeeds");
+    assert!(affordable >= 2, "250 ms affords a mean's two draws");
+    let bounded = engine::run(
         &data,
-        Duration::from_millis(250),
         &config,
+        RateSpec::Derived,
+        &DeadlineScheduler::new(pool, affordable),
         &mut rng,
     )
     .expect("deadline execution succeeds");
-    println!("deadline-bounded run (250 ms):");
+    let achieved = ConfidenceInterval::for_mean(
+        bounded.estimate,
+        bounded.pre.sigma,
+        bounded.total_samples.max(1),
+        config.confidence,
+    );
+    println!("deadline-bounded run ({} ms):", deadline.as_millis());
     println!(
         "  estimate {:.3} ± {:.3} ({}, {:.0} ms)",
-        bounded.result.estimate,
-        bounded.achieved_interval.half_width,
+        bounded.estimate,
+        achieved.half_width,
         if bounded.time_limited {
             "time-limited"
         } else {
             "full precision met"
         },
-        bounded.elapsed.as_secs_f64() * 1e3
+        start.elapsed().as_secs_f64() * 1e3
     );
 }

@@ -85,8 +85,8 @@ fn baselines_are_scheduler_invariant() {
 
 #[test]
 fn aggregator_wrappers_agree_with_the_engine() {
-    // The public wrappers are thin: IslaAggregator == engine sequential,
-    // DistributedAggregator == engine pooled, same RNG stream.
+    // The public wrapper is thin: IslaAggregator == engine sequential ==
+    // engine pooled, same RNG stream.
     let data = BlockSet::from_values(isla::datagen::normal_values(50.0, 10.0, 200_000, 504), 10);
     let cfg = config(0.25);
 
@@ -108,11 +108,9 @@ fn aggregator_wrappers_agree_with_the_engine() {
     assert_eq!(via_wrapper.total_samples, via_engine.total_samples);
 
     let mut rng = StdRng::seed_from_u64(505);
-    let via_distributed = DistributedAggregator::new(cfg, 3)
-        .unwrap()
-        .aggregate(&data, &mut rng)
-        .unwrap();
-    assert_eq!(via_distributed.estimate, via_engine.estimate);
+    let pool = PooledScheduler::new(3).unwrap();
+    let via_pool = engine::run(&data, &cfg, RateSpec::Derived, &pool, &mut rng).unwrap();
+    assert_eq!(via_pool.estimate, via_engine.estimate);
 }
 
 #[test]
@@ -141,7 +139,14 @@ fn one_capping_rule_serves_scalar_and_row_plans_on_both_fan_outs() {
     for fan_out in fan_outs {
         let tight = DeadlineScheduler::new(fan_out, budget);
         let s = engine::run_plan(scalar.clone(), &data, &tight, &mut rng.clone()).unwrap();
-        let r = engine::run_row_plan(&rows, &data, &tight, &mut rng.clone()).unwrap();
+        let r = engine::run_row_plan_with(
+            &rows,
+            &data,
+            &tight,
+            &engine::RecoveryPolicy::strict(),
+            &mut rng.clone(),
+        )
+        .unwrap();
         assert!(s.time_limited && r.time_limited, "{}", fan_out.name());
         assert!(
             on_budget(s.total_samples_with_pilots()),
@@ -158,8 +163,22 @@ fn one_capping_rule_serves_scalar_and_row_plans_on_both_fan_outs() {
         let generous = DeadlineScheduler::new(fan_out, u64::MAX);
         let s_free = engine::run_plan(scalar.clone(), &data, &fan_out, &mut rng.clone()).unwrap();
         let s_wide = engine::run_plan(scalar.clone(), &data, &generous, &mut rng.clone()).unwrap();
-        let r_free = engine::run_row_plan(&rows, &data, &fan_out, &mut rng.clone()).unwrap();
-        let r_wide = engine::run_row_plan(&rows, &data, &generous, &mut rng.clone()).unwrap();
+        let r_free = engine::run_row_plan_with(
+            &rows,
+            &data,
+            &fan_out,
+            &engine::RecoveryPolicy::strict(),
+            &mut rng.clone(),
+        )
+        .unwrap();
+        let r_wide = engine::run_row_plan_with(
+            &rows,
+            &data,
+            &generous,
+            &engine::RecoveryPolicy::strict(),
+            &mut rng.clone(),
+        )
+        .unwrap();
         assert!(!s_wide.time_limited && !r_wide.time_limited);
         assert_eq!(s_free.estimate.to_bits(), s_wide.estimate.to_bits());
         assert_eq!(r_free.estimate.to_bits(), r_wide.estimate.to_bits());

@@ -191,7 +191,14 @@ fn strict_failures_are_one_error_across_schedulers_and_plan_kinds() {
         for scheduler in &schedulers {
             let scalar_error =
                 engine::run_plan(scalar.clone(), &faulty, *scheduler, &mut rng).unwrap_err();
-            let row_error = engine::run_row_plan(&rows, &faulty, *scheduler, &mut rng).unwrap_err();
+            let row_error = engine::run_row_plan_with(
+                &rows,
+                &faulty,
+                *scheduler,
+                &engine::RecoveryPolicy::strict(),
+                &mut rng,
+            )
+            .unwrap_err();
             errors.insert(format!("{scalar_error:?}"));
             errors.insert(format!("{row_error:?}"));
         }

@@ -1133,7 +1133,7 @@ proptest! {
         for kind in KINDS {
             for recovery in [&strict, &best_effort] {
                 let mut got_rng = StdRng::seed_from_u64(seed ^ 0xA);
-                let got = engine::row_pre_estimate_capped_with(
+                let got = engine::row_pre_estimate_with(
                     &set_of_kind(kind, &cols, blocks),
                     &cfg,
                     &spec,
@@ -1181,7 +1181,7 @@ proptest! {
         // the native block folds, every whole-row wrapper folds too.
         let native = set_of_kind("RowsBlock", &cols, blocks);
         let mut native_rng = StdRng::seed_from_u64(seed ^ 0xB);
-        let native_pre = engine::row_pre_estimate_with(&native, &cfg, &spec, &strict, &mut native_rng);
+        let native_pre = engine::row_pre_estimate_with(&native, &cfg, &spec, u64::MAX, &strict, &mut native_rng);
         let native_after = native_rng.next_u64();
         let fold_of = |data: &BlockSet| {
             let mut fold = RowPilotFold::new();
@@ -1199,7 +1199,7 @@ proptest! {
         for kind in ["ZipBlock", "ScalarFallbackBlock"] {
             let data = set_of_kind(kind, &cols, blocks);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB);
-            let pre = engine::row_pre_estimate_with(&data, &cfg, &spec, &strict, &mut rng);
+            let pre = engine::row_pre_estimate_with(&data, &cfg, &spec, u64::MAX, &strict, &mut rng);
             prop_assert_eq!(pre.as_ref().ok(), native_pre.as_ref().ok(), "{}: pre-estimate", kind);
             prop_assert_eq!(pre.is_err(), native_pre.is_err(), "{}", kind);
             prop_assert_eq!(rng.next_u64(), native_after, "{}: pilot RNG position", kind);
@@ -2465,8 +2465,7 @@ fn zoned_row_draws_match_the_sketchless_reference_and_read_less() {
         let pilot = |data: &BlockSet, cap: u64, recovery: &RecoveryPolicy| {
             let mut rng = StdRng::seed_from_u64(0xA11);
             let pre =
-                engine::row_pre_estimate_capped_with(data, &cfg, spec, cap, recovery, &mut rng)
-                    .unwrap();
+                engine::row_pre_estimate_with(data, &cfg, spec, cap, recovery, &mut rng).unwrap();
             (pre, rng.next_u64())
         };
         for (cap, recovery) in [
@@ -2494,7 +2493,14 @@ fn zoned_row_draws_match_the_sketchless_reference_and_read_less() {
             )
             .unwrap();
             let mut rng = StdRng::seed_from_u64(0xCA1C);
-            let out = engine::run_row_plan(&plan, data, scheduler, &mut rng).unwrap();
+            let out = engine::run_row_plan_with(
+                &plan,
+                data,
+                scheduler,
+                &engine::RecoveryPolicy::strict(),
+                &mut rng,
+            )
+            .unwrap();
             let offered = plan.planned_calculation_samples(data);
             (
                 answer_bits(&out),
@@ -3500,7 +3506,7 @@ fn routed_pilots_hit_rates_and_exact_scans_match_the_per_row_reference() {
                 };
                 for recovery in policies {
                     let mut got_rng = StdRng::seed_from_u64(77);
-                    let got = engine::row_pre_estimate_capped_with(
+                    let got = engine::row_pre_estimate_with(
                         &data(),
                         &cfg,
                         &spec,
