@@ -8,10 +8,7 @@
 //! row of the table reports the *identical* estimate — the only thing
 //! that changes is wall-clock time.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-use isla_bench::{fmt, Report};
+use isla_bench::{fmt, median_ms, Report};
 use isla_core::engine::{self, BlockScheduler, PooledScheduler, RateSpec, SequentialScheduler};
 use isla_core::IslaConfig;
 use isla_datagen::normal_dataset;
@@ -22,65 +19,31 @@ const ROWS: usize = 4_000_000;
 const BLOCKS: usize = 32;
 const PRECISION: f64 = 0.05;
 const SEED: u64 = 2_000;
-const RUNS: usize = 7;
+const RUNS: u64 = 7;
 
-fn median_ms(data: &isla_datagen::Dataset, scheduler: &dyn BlockScheduler) -> (f64, f64, u64) {
+/// Median wall time of `RUNS` identical runs, with the run's estimate
+/// and sample count.
+fn median_run(data: &isla_datagen::Dataset, scheduler: &dyn BlockScheduler) -> (f64, f64, u64) {
     let config = IslaConfig::builder().precision(PRECISION).build().unwrap();
-    let mut times = Vec::with_capacity(RUNS);
-    let mut estimate = 0.0;
-    let mut samples = 0;
-    for _ in 0..RUNS {
+    let (ms, out) = median_ms(RUNS, |_| {
         let mut rng = StdRng::seed_from_u64(SEED);
-        let start = Instant::now();
-        let out = engine::run(
+        engine::run(
             &data.blocks,
             &config,
             RateSpec::Derived,
             scheduler,
             &mut rng,
         )
-        .expect("engine run succeeds");
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-        estimate = out.estimate;
-        samples = out.total_samples;
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], estimate, samples)
+        .expect("engine run succeeds")
+    });
+    (ms, out.estimate, out.total_samples)
 }
 
-fn bench_engine_scaling(c: &mut Criterion) {
+fn main() {
     println!(
         "M2 (engine): sequential vs pooled scheduling, {ROWS} rows, {BLOCKS} blocks, e = {PRECISION}"
     );
     let ds = normal_dataset(100.0, 20.0, ROWS, BLOCKS, SEED);
-    let config = IslaConfig::builder().precision(PRECISION).build().unwrap();
-
-    let mut group = c.benchmark_group("engine_scaling");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(SEED);
-            engine::run(
-                &ds.blocks,
-                &config,
-                RateSpec::Derived,
-                &SequentialScheduler,
-                &mut rng,
-            )
-            .expect("engine run succeeds")
-        })
-    });
-    for workers in [2usize, 8] {
-        let scheduler = PooledScheduler::new(workers).unwrap();
-        group.bench_function(&format!("pooled/{workers}"), |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(SEED);
-                engine::run(&ds.blocks, &config, RateSpec::Derived, &scheduler, &mut rng)
-                    .expect("engine run succeeds")
-            })
-        });
-    }
-    group.finish();
 
     let mut report = Report::new(
         "exp_engine_scaling",
@@ -93,7 +56,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
             "samples",
         ],
     );
-    let (base_ms, base_estimate, base_samples) = median_ms(&ds, &SequentialScheduler);
+    let (base_ms, base_estimate, base_samples) = median_run(&ds, &SequentialScheduler);
     report.row(vec![
         "sequential".to_string(),
         "1".to_string(),
@@ -104,7 +67,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
     ]);
     for workers in [1usize, 2, 4, 8] {
         let scheduler = PooledScheduler::new(workers).unwrap();
-        let (ms, estimate, samples) = median_ms(&ds, &scheduler);
+        let (ms, estimate, samples) = median_run(&ds, &scheduler);
         assert_eq!(
             estimate, base_estimate,
             "scheduling must never change the answer"
@@ -125,6 +88,3 @@ fn bench_engine_scaling(c: &mut Criterion) {
          changes wall-clock time only, never the answer."
     );
 }
-
-criterion_group!(benches, bench_engine_scaling);
-criterion_main!(benches);

@@ -9,10 +9,7 @@
 //! the selectivity estimate. Per-block seeds are fixed up front, so the
 //! two schedulers report the identical estimates — only time moves.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-use isla_bench::{fmt, Report};
+use isla_bench::{fmt, median_ms, Report};
 use isla_core::engine::{
     self, BlockScheduler, PooledScheduler, RateSpec, RowSpec, SequentialScheduler,
 };
@@ -26,7 +23,7 @@ const ROWS: usize = 600_000;
 const BLOCKS: usize = 16;
 const PRECISION: f64 = 0.5;
 const SEED: u64 = 3_000;
-const RUNS: usize = 5;
+const RUNS: u64 = 5;
 
 /// Predicate thresholds on y = 0.5·x + N(0, 5²): sweeping them moves
 /// the selectivity from most rows matching down to a thin slice (the
@@ -57,18 +54,16 @@ fn spec_for(threshold: f64, grouped: bool) -> RowSpec {
     }
 }
 
+/// Median wall time of `RUNS` identical runs, with the run's result.
 fn median_run(
     data: &BlockSet,
     spec: &RowSpec,
     scheduler: &dyn BlockScheduler,
 ) -> (f64, engine::GroupedEngineResult) {
     let config = IslaConfig::builder().precision(PRECISION).build().unwrap();
-    let mut times = Vec::with_capacity(RUNS);
-    let mut last = None;
-    for _ in 0..RUNS {
+    median_ms(RUNS, |_| {
         let mut rng = StdRng::seed_from_u64(SEED);
-        let start = Instant::now();
-        let out = engine::run_rows(
+        engine::run_rows(
             data,
             &config,
             spec.clone(),
@@ -76,44 +71,14 @@ fn median_run(
             scheduler,
             &mut rng,
         )
-        .expect("row engine run succeeds");
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], last.expect("at least one run"))
+        .expect("row engine run succeeds")
+    })
 }
 
-fn bench_predicate_groupby(c: &mut Criterion) {
+fn main() {
     println!(
         "M3 (rows): predicate + GROUP BY pushdown, {ROWS} rows, {BLOCKS} blocks, e = {PRECISION}"
     );
-
-    // Criterion timing on one representative cell per scheduler.
-    let ds = dataset(3);
-    let config = IslaConfig::builder().precision(PRECISION).build().unwrap();
-    let mut group = c.benchmark_group("predicate_groupby");
-    group.sample_size(10);
-    for (name, scheduler) in [
-        ("sequential", &SequentialScheduler as &dyn BlockScheduler),
-        ("pooled/4", &PooledScheduler::new(4).unwrap()),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(SEED);
-                engine::run_rows(
-                    &ds.blocks,
-                    &config,
-                    spec_for(50.0, true),
-                    RateSpec::Derived,
-                    scheduler,
-                    &mut rng,
-                )
-                .expect("row engine run succeeds")
-            })
-        });
-    }
-    group.finish();
 
     let pooled = PooledScheduler::new(4).unwrap();
     let mut report = Report::new(
@@ -160,6 +125,3 @@ fn bench_predicate_groupby(c: &mut Criterion) {
     }
     report.finish();
 }
-
-criterion_group!(benches, bench_predicate_groupby);
-criterion_main!(benches);

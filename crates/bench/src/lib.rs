@@ -1,11 +1,12 @@
 //! Support library for the ISLA experiment harness.
 //!
-//! Each bench target under `benches/` regenerates one table or figure of
-//! the paper's evaluation (Section VIII) — see the per-experiment index
-//! in `DESIGN.md`. This crate holds the shared plumbing: aligned console
-//! tables that double as CSV writers (under `target/experiments/`),
-//! error-statistics helpers, and the paper's published numbers for
-//! side-by-side comparison.
+//! `benches/exp_paper.rs` regenerates every table and figure of the
+//! paper's evaluation (Section VIII), one section each; the other bench
+//! targets measure the engine's layers. `DESIGN.md` indexes both. This
+//! crate holds the shared plumbing: aligned console tables that double
+//! as CSV writers (under `target/experiments/`), a median wall-time
+//! helper, error-statistics helpers, and the paper's published numbers
+//! for side-by-side comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +15,7 @@ use std::fmt::Display;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Directory experiment CSVs are written to: `<target dir>/experiments`.
 ///
@@ -425,6 +427,37 @@ pub fn within_fraction(estimates: &[f64], truth: f64, e: f64) -> f64 {
         / estimates.len() as f64
 }
 
+/// The median of `values`: the upper of the two middle values when their
+/// count is even.
+///
+/// # Panics
+///
+/// Panics on an empty slice or a NaN.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    assert!(!values.is_empty(), "median of no values");
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    values[values.len() / 2]
+}
+
+/// Calls `f` once per run index `0..runs` and returns the [`median`]
+/// wall time of a call, in milliseconds, with the last call's output.
+///
+/// # Panics
+///
+/// Panics if `runs` is 0.
+pub fn median_ms<T>(runs: u64, mut f: impl FnMut(u64) -> T) -> (f64, T) {
+    assert!(runs > 0, "median_ms needs at least one run");
+    let mut times = Vec::new();
+    let mut last = None;
+    for run in 0..runs {
+        let start = Instant::now();
+        let out = f(run);
+        times.push(start.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
+    }
+    (median(times), last.expect("runs > 0"))
+}
+
 /// Published numbers from the paper, for side-by-side reporting.
 pub mod paper {
     /// Table III averages over 10 datasets (e = 0.1, truth 100).
@@ -504,6 +537,27 @@ mod tests {
         assert!((mean_abs_error(&est, 100.0) - (1.0 + 1.0 + 0.2) / 3.0).abs() < 1e-12);
         assert!((within_fraction(&est, 100.0, 0.5) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(fmt(1.23456, 2), "1.23");
+    }
+
+    #[test]
+    fn median_takes_the_middle_or_the_upper_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(vec![7.5]), 7.5);
+    }
+
+    #[test]
+    fn median_ms_calls_every_run_in_order() {
+        for runs in [5, 6] {
+            let mut seen = Vec::new();
+            let (ms, last) = median_ms(runs, |run| {
+                seen.push(run);
+                run * 10
+            });
+            assert_eq!(seen, (0..runs).collect::<Vec<_>>());
+            assert_eq!(last, (runs - 1) * 10);
+            assert!(ms >= 0.0 && ms.is_finite());
+        }
     }
 
     #[test]

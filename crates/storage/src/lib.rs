@@ -40,9 +40,8 @@
 //!   and by rejection only over blocks that cannot scan.
 //!
 //! [`BlockSet`] groups blocks into a dataset, and [`sampler`] provides
-//! uniform with-replacement sampling (values and row tuples),
-//! proportional allocation across blocks, and reservoir sampling for
-//! streams.
+//! uniform with-replacement sampling (values and row tuples) and
+//! proportional allocation across blocks.
 //!
 //! For chaos testing, [`fault`] provides seeded deterministic fault
 //! injection: a [`FaultPlan`] assigns transient unavailability,
@@ -118,7 +117,7 @@ pub use rows::{
 pub use sampler::{
     proportional_allocation, sample_from_block, sample_proportional, sample_proportional_surviving,
     sample_row_columns_from_block, sample_row_columns_from_block_surviving, sample_rows_from_block,
-    sample_rows_proportional, sample_rows_proportional_surviving, skip_row_draws, Reservoir,
+    sample_rows_proportional, sample_rows_proportional_surviving, skip_row_draws,
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use selection::{

@@ -1,5 +1,5 @@
-//! Samplers: uniform with-replacement sampling, proportional allocation
-//! across blocks, and reservoir sampling for streams.
+//! Samplers: uniform with-replacement sampling and proportional
+//! allocation across blocks.
 //!
 //! The paper's pilot phases draw "uniform samples … from each block with a
 //! sample size proportional to the block size" (Section III-B);
@@ -329,62 +329,6 @@ pub fn sample_row_columns_from_block_surviving(
     });
 }
 
-/// Reservoir sampler: maintains a uniform without-replacement sample of
-/// size `k` over a stream of unknown length (Vitter's Algorithm R).
-///
-/// Used by streaming ingestion paths where the row count is not known in
-/// advance (e.g. the online-aggregation example).
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    capacity: usize,
-    seen: u64,
-    sample: Vec<f64>,
-}
-
-impl Reservoir {
-    /// Creates a reservoir holding at most `capacity` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        Self {
-            capacity,
-            seen: 0,
-            sample: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offers one stream element to the reservoir.
-    pub fn offer(&mut self, value: f64, rng: &mut dyn RngCore) {
-        self.seen += 1;
-        if self.sample.len() < self.capacity {
-            self.sample.push(value);
-            return;
-        }
-        let j = rng.random_range(0..self.seen);
-        if (j as usize) < self.capacity {
-            self.sample[j as usize] = value;
-        }
-    }
-
-    /// Number of stream elements offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current sample (length `min(capacity, seen)`).
-    pub fn sample(&self) -> &[f64] {
-        &self.sample
-    }
-
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_sample(self) -> Vec<f64> {
-        self.sample
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,48 +565,5 @@ mod tests {
             n += 1;
         });
         assert_eq!(n, 100, "exactly block 0's proportional share survives");
-    }
-
-    #[test]
-    fn reservoir_is_uniform_over_the_stream() {
-        // Offer 0..100 into a reservoir of 10, many times; each element
-        // should be retained ~10% of the time.
-        let mut counts = [0u32; 100];
-        for seed in 0..2000 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut res = Reservoir::new(10);
-            for i in 0..100 {
-                res.offer(i as f64, &mut rng);
-            }
-            assert_eq!(res.seen(), 100);
-            assert_eq!(res.sample().len(), 10);
-            for &v in res.sample() {
-                counts[v as usize] += 1;
-            }
-        }
-        // Expected retention per element: 2000 * 10/100 = 200 (sd ≈ 13).
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (130..=270).contains(&c),
-                "element {i} retained {c} times, expected ≈200"
-            );
-        }
-    }
-
-    #[test]
-    fn reservoir_short_stream_keeps_everything() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut res = Reservoir::new(10);
-        for i in 0..5 {
-            res.offer(i as f64, &mut rng);
-        }
-        assert_eq!(res.sample(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(res.into_sample().len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn reservoir_rejects_zero_capacity() {
-        let _ = Reservoir::new(0);
     }
 }

@@ -6,7 +6,7 @@
 //! sample budget and report the error of each.
 //!
 //! ```text
-//! cargo run --release -p isla --example compare_estimators
+//! cargo run --release --example compare_estimators
 //! ```
 
 use isla::prelude::*;

@@ -10,7 +10,7 @@
 //! deadline-bounded variant answers within a wall-clock budget.
 //!
 //! ```text
-//! cargo run --release -p isla --example distributed_sales
+//! cargo run --release --example distributed_sales
 //! ```
 
 use std::sync::Arc;

@@ -6,7 +6,7 @@
 //! instead, so the example is exercisable in CI.
 //!
 //! ```text
-//! cargo run --release -p isla --example query_shell
+//! cargo run --release --example query_shell
 //! isla> SELECT AVG(trip_distance) FROM trips WITH PRECISION 10
 //! isla> SELECT AVG(salary) FROM census METHOD US SAMPLES 20000
 //! isla> SELECT COUNT(*) FROM lineitem

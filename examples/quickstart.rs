@@ -5,7 +5,7 @@
 //! and the sampling cost.
 //!
 //! ```text
-//! cargo run --release -p isla --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use isla::prelude::*;

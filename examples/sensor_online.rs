@@ -8,7 +8,7 @@
 //! phase.
 //!
 //! ```text
-//! cargo run --release -p isla --example sensor_online
+//! cargo run --release --example sensor_online
 //! ```
 
 use isla::prelude::*;
