@@ -43,7 +43,8 @@ use rand::RngCore;
 use isla_core::engine::{scan_blocks, BlockScheduler};
 use isla_core::IslaError;
 use isla_storage::{
-    with_sample_buf, BlockReads, BlockSet, BlockSketch, StorageError, SAMPLE_BATCH_ROWS,
+    sample_from_block, with_row_sample_buf, BlockReads, BlockSet, BlockSketch, StorageError,
+    SAMPLE_BATCH_ROWS,
 };
 
 use crate::traits::{check_inputs, Estimator};
@@ -295,11 +296,12 @@ impl Estimator for Slev {
                 let chunk = (need - accepted)
                     .saturating_mul(3)
                     .clamp(64, SAMPLE_BATCH_ROWS);
-                with_sample_buf(|buf| -> Result<(), IslaError> {
+                with_row_sample_buf(|buf| -> Result<(), IslaError> {
+                    buf.project(Some(&[0]));
                     block
-                        .sample_batch(chunk, rng, buf)
+                        .sample_rows_batch(chunk, rng, buf)
                         .map_err(IslaError::from)?;
-                    for &v in buf.values() {
+                    for &v in buf.rows() {
                         if accepted == need {
                             break;
                         }
@@ -330,20 +332,9 @@ impl Estimator for Slev {
             }
 
             // Uniform draws: plain batched uniforms, always accepted.
-            let mut remaining = uni_count[b];
-            while remaining > 0 {
-                let chunk = remaining.min(SAMPLE_BATCH_ROWS);
-                with_sample_buf(|buf| -> Result<(), IslaError> {
-                    block
-                        .sample_batch(chunk, rng, buf)
-                        .map_err(IslaError::from)?;
-                    for &v in buf.values() {
-                        estimate.add(self.ht_term(v, s_total, nf));
-                    }
-                    Ok(())
-                })?;
-                remaining -= chunk;
-            }
+            sample_from_block(block.as_ref(), uni_count[b], rng, &mut |v| {
+                estimate.add(self.ht_term(v, s_total, nf));
+            })?;
         }
         Ok(estimate.value() / sample_budget as f64)
     }

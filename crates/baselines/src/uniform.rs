@@ -75,7 +75,7 @@ impl Estimator for UniformSampling {
 mod tests {
     use super::*;
     use isla_datagen::normal_dataset;
-    use isla_storage::MemBlock;
+    use isla_storage::RowsBlock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -114,8 +114,8 @@ mod tests {
         // 90% of rows are 1.0, 10% are 11.0: the sample mean converges to
         // the size-weighted mean 2.0, not the block-mean average 6.0.
         let data = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![1.0; 9_000])) as Arc<dyn isla_storage::DataBlock>,
-            Arc::new(MemBlock::new(vec![11.0; 1_000])),
+            Arc::new(RowsBlock::new(vec![vec![1.0; 9_000]])) as Arc<dyn isla_storage::DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![11.0; 1_000]])),
         ]);
         let mut rng = StdRng::seed_from_u64(4);
         let est = UniformSampling.estimate(&data, 50_000, &mut rng).unwrap();
@@ -130,7 +130,7 @@ mod tests {
             UniformSampling.estimate(&ds.blocks, 0, &mut rng),
             Err(IslaError::InsufficientData(_))
         ));
-        let empty = BlockSet::single(MemBlock::new(vec![]));
+        let empty = BlockSet::single(RowsBlock::new(vec![vec![]]));
         assert!(matches!(
             UniformSampling.estimate(&empty, 10, &mut rng),
             Err(IslaError::InsufficientData(_))

@@ -2,7 +2,7 @@
 //!
 //! Not a paper experiment: this bench tracks the storage kernel layer.
 //! Every hot path is measured twice over the *same data* — once through
-//! the batched kernels (`sample_batch` batch gather, `scan_chunks`
+//! the batched kernels (`sample_rows_batch` batch gather, `scan_chunks`
 //! contiguous slices, selection-vector filtered draws) and once through
 //! the scalar path they replaced (forced via `ScalarFallbackBlock`, which
 //! reads one row per call, / rejection-sampling views) — so each row
@@ -91,9 +91,8 @@ use isla_datagen::normal_values;
 use isla_storage::{
     pool_filtered_column, sample_from_block, sample_rows_from_block, sample_rows_proportional,
     scalar_fallback_set, with_row_sample_buf, BlockReads, BlockSet, CmpOp, ColumnPredicate,
-    DataBlock, ExactSum, MemBlock, PooledFilteredColumn, RowFilter, RowsBlock, SampleBuf,
-    ScalarFallbackBlock, SelectionVector, SetSelection, StorageError, ZipBlock, ZoneMatch,
-    SAMPLE_BATCH_ROWS,
+    DataBlock, ExactSum, PooledFilteredColumn, RowFilter, RowsBlock, ScalarFallbackBlock,
+    SelectionVector, SetSelection, StorageError, ZipBlock, ZoneMatch, SAMPLE_BATCH_ROWS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -164,8 +163,9 @@ fn median_secs(runs: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
 fn sweep_sample_kernel(scale: &Scale, report: &mut Report) -> Vec<Json> {
     let mut rows = Vec::new();
     for &block_rows in &scale.block_rows {
-        let native: Arc<dyn DataBlock> =
-            Arc::new(MemBlock::new(normal_values(100.0, 20.0, block_rows, SEED)));
+        let native: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![normal_values(
+            100.0, 20.0, block_rows, SEED,
+        )]));
         let scalar_block = ScalarFallbackBlock(Arc::clone(&native));
         let draws = scale.sample_draws;
         let time_draws = |block: &dyn DataBlock| {
@@ -209,12 +209,12 @@ fn sweep_sample_kernel(scale: &Scale, report: &mut Report) -> Vec<Json> {
 fn sweep_scan_kernel(scale: &Scale, report: &mut Report) -> Vec<Json> {
     let mut rows = Vec::new();
     for &block_rows in &scale.block_rows {
-        let native: Arc<dyn DataBlock> = Arc::new(MemBlock::new(normal_values(
+        let native: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![normal_values(
             50.0,
             10.0,
             block_rows,
             SEED ^ 1,
-        )));
+        )]));
         let (scalar_s, scalar_sum) = median_secs(scale.runs, || {
             let mut sum = 0.0;
             native.scan(&mut |v| sum += v).expect("scan succeeds");
@@ -751,7 +751,7 @@ fn sweep_sampled_path(scale: &Scale, report: &mut Report) -> Vec<Json> {
     };
 
     // Scalar path: one column, every draw folded.
-    let scalar = MemBlock::new(normal_values(100.0, 20.0, block_rows, SEED ^ 10));
+    let scalar = RowsBlock::new(vec![normal_values(100.0, 20.0, block_rows, SEED ^ 10)]);
     let m = block_rows as u64;
     let (before_s, before_u) = median_secs(scale.runs, || {
         let mut u = 0;
@@ -1313,15 +1313,8 @@ fn sweep_filtered_paths(
                     &|seed| {
                         let mut rng = seeded(seed);
                         let mut sum = 0.0;
-                        let mut buf = SampleBuf::new();
-                        let mut left = draws;
-                        while left > 0 {
-                            let take = left.min(SAMPLE_BATCH_ROWS);
-                            view.sample_batch(take, &mut rng, &mut buf)
-                                .expect("draws succeed");
-                            buf.values().iter().for_each(|v| sum += v);
-                            left -= take;
-                        }
+                        sample_from_block(&view, draws, &mut rng, &mut |v| sum += v)
+                            .expect("draws succeed");
                         (sum.to_bits(), rng.next_u64())
                     },
                     "pooled draw",

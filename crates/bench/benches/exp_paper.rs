@@ -28,7 +28,7 @@ use isla_datagen::tpch::{lineitem_column_dataset, LineitemColumn};
 use isla_datagen::{normal_values, salary, tlc, Dataset};
 use isla_stats::distributions::{Distribution, Exponential, Normal, UniformRange};
 use isla_stats::required_sample_size;
-use isla_storage::{BlockSet, DataBlock, GeneratorBlock, MemBlock};
+use isla_storage::{BlockSet, DataBlock, GeneratorBlock, RowsBlock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -697,7 +697,7 @@ fn ablation_q() {
     };
     let with_q = no_clamp().build().unwrap();
     let without_q = no_clamp().q_moderate(1.0).q_strong(1.0).build().unwrap();
-    let block = MemBlock::new(normal_values(MU, SIGMA, 400_000, 1900));
+    let block = RowsBlock::new(vec![normal_values(MU, SIGMA, 400_000, 1900)]);
     let arm_error = |config: &IslaConfig, delta: f64| {
         let sketch0 = MU + delta;
         let boundaries = DataBoundaries::new(sketch0, SIGMA, config.p1, config.p2);

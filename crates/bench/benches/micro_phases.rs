@@ -12,7 +12,7 @@ use isla_core::accumulate::SampleAccumulator;
 use isla_core::{iteration_phase, DataBoundaries, IslaConfig, LinearEstimator};
 use isla_datagen::normal_values;
 use isla_stats::normal_quantile;
-use isla_storage::{BlockReads, MemBlock};
+use isla_storage::{BlockReads, RowsBlock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,7 +72,7 @@ fn main() {
         black_box(LinearEstimator::from_moments(s, l, 1.0).unwrap().k);
     });
 
-    let block = MemBlock::new(normal_values(100.0, 20.0, 1_000_000, 4));
+    let block = RowsBlock::new(vec![normal_values(100.0, 20.0, 1_000_000, 4)]);
     let mut rng = StdRng::seed_from_u64(5);
     time(
         &mut report,

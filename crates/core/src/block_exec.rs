@@ -8,7 +8,7 @@
 
 use rand::RngCore;
 
-use isla_storage::{with_sample_buf, BlockReads, DataBlock, SAMPLE_BATCH_ROWS};
+use isla_storage::{sample_row_columns_from_block, DataBlock};
 
 use crate::accumulate::SampleAccumulator;
 use crate::boundaries::DataBoundaries;
@@ -173,26 +173,16 @@ pub fn execute_block(
     rng: &mut dyn RngCore,
 ) -> Result<BlockOutcome, IslaError> {
     let mut accumulator = SampleAccumulator::new(boundaries);
-    if sample_size > 0 {
-        // Batched sampling kernel: each chunk's indices are drawn up
-        // front and gathered on a reusable thread-local buffer (draw
-        // order for in-memory blocks, sorted for file readers — values
-        // land in draw order either way), then the chunk is folded as
-        // one slice: lanes partitioned into S and L without branching,
-        // power sums run per lane. Values, RNG stream and accumulator
-        // state are bit-identical to the per-sample
-        // draw-classify-update loop of Algorithm 1.
-        with_sample_buf(|buf| {
-            let mut left = sample_size;
-            while left > 0 {
-                let take = left.min(SAMPLE_BATCH_ROWS);
-                block.sample_batch(take, rng, buf)?;
-                accumulator.offer_slice(buf.values(), shift);
-                left -= take;
-            }
-            Ok::<(), IslaError>(())
-        })?;
-    }
+    // Batched sampling kernel: each batch's indices are drawn up front
+    // and gathered on a reusable thread-local buffer (draw order for
+    // in-memory blocks, sorted for file readers — values land in draw
+    // order either way), then the batch is folded as one slice: lanes
+    // partitioned into S and L without branching, power sums run per
+    // lane. Values, RNG stream and accumulator state are bit-identical
+    // to the per-sample draw-classify-update loop of Algorithm 1.
+    sample_row_columns_from_block(block, Some(&[0]), sample_size, rng, &mut |buf| {
+        accumulator.offer_slice(buf.rows(), shift);
+    })?;
     let phase = iteration_phase(&accumulator, sketch0_shifted, config);
     Ok(BlockOutcome {
         block_id,
@@ -217,7 +207,7 @@ pub fn execute_block(
 mod tests {
     use super::*;
     use isla_datagen::normal_values;
-    use isla_storage::MemBlock;
+    use isla_storage::RowsBlock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -225,8 +215,8 @@ mod tests {
         IslaConfig::builder().precision(0.5).build().unwrap()
     }
 
-    fn normal_block(n: usize, seed: u64) -> MemBlock {
-        MemBlock::new(normal_values(100.0, 20.0, n, seed))
+    fn normal_block(n: usize, seed: u64) -> RowsBlock {
+        RowsBlock::new(vec![normal_values(100.0, 20.0, n, seed)])
     }
 
     #[test]
@@ -260,7 +250,7 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(4);
         let plain = execute_block(
-            &MemBlock::new(values),
+            &RowsBlock::new(vec![values]),
             0,
             10_000,
             boundaries,
@@ -272,7 +262,7 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let moved = execute_block(
-            &MemBlock::new(shifted),
+            &RowsBlock::new(vec![shifted]),
             0,
             10_000,
             boundaries,
@@ -306,7 +296,7 @@ mod tests {
     #[test]
     fn empty_region_falls_back_to_sketch() {
         // All data sits in the N region ⇒ S and L stay empty.
-        let block = MemBlock::new(vec![100.0; 1000]);
+        let block = RowsBlock::new(vec![vec![100.0; 1000]]);
         let boundaries = DataBoundaries::new(100.0, 20.0, 0.5, 2.0);
         let mut rng = StdRng::seed_from_u64(7);
         let out = execute_block(&block, 0, 100, boundaries, 100.2, 0.0, &cfg(), &mut rng).unwrap();
@@ -318,7 +308,7 @@ mod tests {
     #[test]
     fn one_sided_region_falls_back() {
         // Data only below the center: L never fills.
-        let block = MemBlock::new(vec![75.0; 1000]); // S region for the boundaries
+        let block = RowsBlock::new(vec![vec![75.0; 1000]]); // S region for the boundaries
         let boundaries = DataBoundaries::new(100.0, 20.0, 0.5, 2.0);
         let mut rng = StdRng::seed_from_u64(8);
         let out = execute_block(&block, 0, 100, boundaries, 100.0, 0.0, &cfg(), &mut rng).unwrap();
@@ -331,11 +321,9 @@ mod tests {
         // Construct a skewed sample where the iteration would exceed the
         // relaxed interval: tiny sample, far-off sketch.
         let cfg = IslaConfig::builder().precision(0.05).build().unwrap();
-        let block = MemBlock::new(
-            (0..1000)
-                .map(|i| if i % 2 == 0 { 75.0 } else { 130.0 })
-                .collect(),
-        );
+        let block = RowsBlock::new(vec![(0..1000)
+            .map(|i| if i % 2 == 0 { 75.0 } else { 130.0 })
+            .collect()]);
         let boundaries = DataBoundaries::new(100.0, 20.0, 0.5, 2.0);
         let mut rng = StdRng::seed_from_u64(9);
         let out = execute_block(&block, 0, 400, boundaries, 100.0, 0.0, &cfg, &mut rng).unwrap();

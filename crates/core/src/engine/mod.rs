@@ -36,8 +36,9 @@
 //!
 //! Sampling runs through the storage layer's **batch kernels**
 //! ([`isla_storage::kernel`]): the per-block Calculation phase draws
-//! whole batches on reusable thread-local buffers
-//! (`BlockReads::sample_batch` / `sample_rows_batch`), bit-identical in
+//! whole batches on a reusable thread-local buffer
+//! (`BlockReads::sample_rows_batch`; a scalar draw projects it to column
+//! 0), bit-identical in
 //! values and RNG stream to the scalar loops they replaced — so the
 //! determinism guarantees above survive the batching unchanged (pinned
 //! by `tests/kernel_identity.rs`).

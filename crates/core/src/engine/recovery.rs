@@ -82,6 +82,12 @@ impl Backoff {
 /// How many attempts each block gets, and how long to wait between
 /// them. The default — one attempt, no backoff — is exactly the
 /// engine's historical fail-fast behavior.
+///
+/// Only per-block jobs on a scheduler — the calculation phase among
+/// them — sleep by [`RetryPolicy::backoff`] between attempts
+/// ([`run_block_recovering`]). Best-effort pilots (the scalar and row
+/// pilot draws) read only [`RetryPolicy::max_attempts`]: they retry a
+/// failed batch in place at once, with no delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per block (the first try included). Clamped to a

@@ -1568,10 +1568,9 @@ mod tests {
 
     #[test]
     fn heterogeneous_block_widths_are_rejected_not_panicked() {
-        use isla_storage::MemBlock;
         use std::sync::Arc;
         let data = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![1.0; 100])) as Arc<dyn isla_storage::DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![1.0; 100]])) as Arc<dyn isla_storage::DataBlock>,
             Arc::new(RowsBlock::new(vec![vec![1.0; 100], vec![2.0; 100]])),
         ]);
         let spec = RowSpec {

@@ -622,10 +622,9 @@ mod tests {
         // One block of zero rows: the typed error pre-estimation gives
         // for the same set — the probe (whose proportional allocation
         // panics on an empty set) never runs.
-        let empty = BlockSet::new(vec![
-            std::sync::Arc::new(isla_storage::MemBlock::new(vec![]))
-                as std::sync::Arc<dyn DataBlock>,
-        ]);
+        let empty = BlockSet::new(vec![std::sync::Arc::new(isla_storage::RowsBlock::new(vec![
+            vec![],
+        ])) as std::sync::Arc<dyn DataBlock>]);
         let mut rng = StdRng::seed_from_u64(13);
         let r = affordable_draws(Duration::from_secs(60), &empty, &mut rng, |n, rng| {
             isla_storage::sample_proportional(&empty, n, rng)?;

@@ -228,7 +228,7 @@ impl ExtremeAggregator {
 mod tests {
     use super::*;
     use isla_datagen::normal_values;
-    use isla_storage::{BlockSet, MemBlock};
+    use isla_storage::{BlockSet, RowsBlock};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -250,8 +250,8 @@ mod tests {
             .chain(&high)
             .fold(f64::INFINITY, |a, &b| a.min(b));
         let set = BlockSet::new(vec![
-            Arc::new(MemBlock::new(low)) as Arc<dyn isla_storage::DataBlock>,
-            Arc::new(MemBlock::new(high)),
+            Arc::new(RowsBlock::new(vec![low])) as Arc<dyn isla_storage::DataBlock>,
+            Arc::new(RowsBlock::new(vec![high])),
         ]);
         (set, true_max, true_min)
     }
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn empty_data_rejected() {
-        let data = BlockSet::single(MemBlock::new(vec![]));
+        let data = BlockSet::single(RowsBlock::new(vec![vec![]]));
         let mut rng = StdRng::seed_from_u64(7);
         assert!(matches!(
             aggregator(0.5).aggregate(&data, ExtremeKind::Max, &mut rng),

@@ -226,7 +226,7 @@ impl NonIidAggregator {
 mod tests {
     use super::*;
     use isla_datagen::synthetic::noniid_dataset;
-    use isla_storage::MemBlock;
+    use isla_storage::RowsBlock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -282,10 +282,10 @@ mod tests {
     #[test]
     fn handles_constant_blocks_exactly() {
         let blocks = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![50.0; 10_000])) as Arc<dyn isla_storage::DataBlock>,
-            Arc::new(MemBlock::new(isla_datagen::normal_values(
+            Arc::new(RowsBlock::new(vec![vec![50.0; 10_000]])) as Arc<dyn isla_storage::DataBlock>,
+            Arc::new(RowsBlock::new(vec![isla_datagen::normal_values(
                 150.0, 10.0, 10_000, 63,
-            ))),
+            )])),
         ]);
         let mut rng = StdRng::seed_from_u64(4);
         let result = aggregator(0.5).aggregate(&blocks, &mut rng).unwrap();
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn empty_data_is_rejected() {
-        let blocks = BlockSet::single(MemBlock::new(vec![]));
+        let blocks = BlockSet::single(RowsBlock::new(vec![vec![]]));
         let mut rng = StdRng::seed_from_u64(6);
         assert!(matches!(
             aggregator(0.5).aggregate(&blocks, &mut rng),

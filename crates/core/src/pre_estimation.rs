@@ -540,7 +540,7 @@ mod tests {
 
     #[test]
     fn empty_data_is_rejected() {
-        let data = BlockSet::single(isla_storage::MemBlock::new(vec![]));
+        let data = BlockSet::single(isla_storage::RowsBlock::new(vec![vec![]]));
         let mut rng = StdRng::seed_from_u64(7);
         assert!(matches!(
             pre_estimate_with(&data, &config(0.1), &RecoveryPolicy::strict(), &mut rng),

@@ -86,6 +86,6 @@ pub mod prelude {
     pub use isla_query::{execute, parse, Catalog, QueryResult, QuerySession, Table};
     pub use isla_stats::distributions::Distribution;
     pub use isla_storage::{
-        BlockSet, ColumnDef, DataBlock, GeneratorBlock, MemBlock, RowFilter, RowsBlock, Schema,
+        BlockSet, ColumnDef, DataBlock, GeneratorBlock, RowFilter, RowsBlock, Schema,
     };
 }

@@ -220,7 +220,11 @@ impl ExecPolicy {
     }
 
     /// Sets the per-block retry budget (attempts and deterministic
-    /// backoff) for transient storage failures on the ISLA paths.
+    /// backoff) for transient storage failures on the ISLA paths. The
+    /// backoff is slept between attempts of per-block jobs (the
+    /// calculation phase) only: best-effort pilots retry a failed batch
+    /// at once, up to the same number of attempts (see
+    /// [`RetryPolicy`]).
     #[must_use]
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.recovery.retry = retry;
@@ -1578,7 +1582,7 @@ mod tests {
 
     #[test]
     fn empty_tables_count_zero_and_refuse_the_rest_instead_of_panicking() {
-        use isla_storage::{DataBlock, MemBlock};
+        use isla_storage::DataBlock;
         let mut c = Catalog::new();
         c.register(
             "t",
@@ -1598,7 +1602,7 @@ mod tests {
             Table::new(vec![(
                 "x",
                 BlockSet::new(vec![
-                    Arc::new(MemBlock::new(Vec::new())) as Arc<dyn DataBlock>
+                    Arc::new(RowsBlock::new(vec![Vec::new()])) as Arc<dyn DataBlock>
                 ]),
             )]),
         );

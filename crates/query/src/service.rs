@@ -90,7 +90,10 @@ pub struct ServiceConfig {
     /// policy retries transient faults and degrades over survivors with
     /// a widened confidence interval
     /// (see [`isla_core::engine::Degradation`]); such completions are
-    /// counted in [`ServiceStats::degraded`] and per tenant.
+    /// counted in [`ServiceStats::degraded`] and per tenant. The retry
+    /// backoff is slept between attempts of per-block jobs (the
+    /// calculation phase) only; best-effort pilots retry a failed batch
+    /// at once (see [`isla_core::engine::RetryPolicy`]).
     pub recovery: RecoveryPolicy,
 }
 

@@ -8,7 +8,7 @@ use rand::{Rng, RngCore};
 
 use crate::error::StorageError;
 use crate::filter::RowFilter;
-use crate::kernel::{RowSampleBuf, SampleBuf};
+use crate::kernel::RowSampleBuf;
 use crate::selection::{sketch_zone, ZoneMatch};
 use crate::sketch::BlockSketch;
 
@@ -257,25 +257,11 @@ pub trait BlockReads: DataBlock {
         self.draw(rng, &all, &mut [0], out)
     }
 
-    /// Draws `n` values into `out` — the batched [`BlockReads::sample_one`]:
-    /// the same values from the same RNG stream as `n` single draws.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataBlock::draw`].
-    fn sample_batch(
-        &self,
-        n: u64,
-        rng: &mut dyn RngCore,
-        out: &mut SampleBuf,
-    ) -> Result<(), StorageError> {
-        let (indices, values) = out.slots(n);
-        self.draw(rng, &[0], indices, values)
-    }
-
     /// Draws `n` row tuples into `out`, restricted to its projection
     /// ([`RowSampleBuf::project`]; every column without one). The index
-    /// draws never depend on the projection.
+    /// draws never depend on the projection: projected to `[0]` this is
+    /// the batched [`BlockReads::sample_one`], the same values from the
+    /// same RNG stream as `n` single draws.
     ///
     /// # Errors
     ///

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::block::{BlockReads, DataBlock};
 use crate::error::StorageError;
 use crate::filter::RowFilter;
-use crate::memory::{block_ranges, ColumnWindow, MemBlock};
+use crate::rows::RowsBlock;
 use crate::selection::{self, SelectionCache, SelectionTail, SelectionVector, SetSelection};
 use crate::sketch::{self, BlockSketch, SetSketches, SketchCache};
 
@@ -140,7 +140,8 @@ impl BlockSet {
 
     /// Splits `values` evenly into `block_count` in-memory blocks, the way
     /// the paper prepares its experiments ("Data are evenly divided into b
-    /// parts to process the computations").
+    /// parts to process the computations"): [`RowsBlock::split`] of one
+    /// column, so every block is a width-1 [`RowsBlock`].
     ///
     /// The first `len % block_count` blocks receive one extra row when the
     /// division is not exact. `values` stays one buffer, which every
@@ -152,16 +153,7 @@ impl BlockSet {
     /// Panics if `block_count == 0`, `values` is empty, or any value is
     /// not finite.
     pub fn from_values(values: Vec<f64>, block_count: usize) -> Self {
-        assert!(block_count > 0, "block count must be positive");
-        assert!(!values.is_empty(), "cannot build a block set from no data");
-        let n = values.len();
-        let buffer = Arc::new(values);
-        let blocks = block_ranges(n, block_count)
-            .map(|rows| {
-                Arc::new(MemBlock::window(ColumnWindow::new(&buffer, rows))) as Arc<dyn DataBlock>
-            })
-            .collect();
-        Self::assemble(blocks, n as u64)
+        RowsBlock::split(vec![values], block_count)
     }
 
     /// A block set with a single block.
@@ -559,7 +551,7 @@ mod tests {
 
     #[test]
     fn single_block_set() {
-        let set = BlockSet::single(MemBlock::new(vec![7.0, 9.0]));
+        let set = BlockSet::single(RowsBlock::new(vec![vec![7.0, 9.0]]));
         assert_eq!(set.block_count(), 1);
         assert_eq!(set.block(0).len(), 2);
         assert_eq!(set.exact_mean().unwrap(), 8.0);
@@ -567,7 +559,7 @@ mod tests {
 
     #[test]
     fn empty_rows_error_on_exact_mean() {
-        let set = BlockSet::single(MemBlock::new(vec![]));
+        let set = BlockSet::single(RowsBlock::new(vec![vec![]]));
         assert!(matches!(set.exact_mean(), Err(StorageError::Empty)));
     }
 
@@ -636,7 +628,7 @@ mod tests {
         let builds = set.selection_stats().builds;
 
         let block: Arc<dyn DataBlock> =
-            Arc::new(MemBlock::new((100..120).map(f64::from).collect()));
+            Arc::new(RowsBlock::new(vec![(100..120).map(f64::from).collect()]));
         set.append_block(block).unwrap();
         assert_eq!(set.epoch(), 1);
         assert_eq!(set.block_count(), 5);
@@ -673,7 +665,7 @@ mod tests {
         let cold = snapshot.selection_for(&filter).unwrap();
         assert_eq!(cold.total_matches(), 10);
 
-        let block: Arc<dyn DataBlock> = Arc::new(MemBlock::new(vec![1000.0; 8]));
+        let block: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![vec![1000.0; 8]]));
         set.append_block(block).unwrap();
         // The shared cache now covers 5 blocks, but the snapshot must
         // keep answering for its 4: the prefix of the extended
@@ -704,7 +696,7 @@ mod tests {
         set.selection_for(&filter).unwrap();
         let builds = set.selection_stats().builds;
         let block: Arc<dyn DataBlock> =
-            Arc::new(MemBlock::new((100..110).map(f64::from).collect()));
+            Arc::new(RowsBlock::new(vec![(100..110).map(f64::from).collect()]));
         let derived = SealedDerived::hook_only(&block);
         set.append_epoch(vec![(block, derived)]);
         let healed = set.selection_for(&filter).unwrap();
@@ -742,7 +734,7 @@ mod tests {
             let appender = scope.spawn(move || {
                 for b in 0..batches {
                     let vals: Vec<f64> = (0..50u32).map(|i| f64::from(b as u32 * 50 + i)).collect();
-                    let block: Arc<dyn DataBlock> = Arc::new(MemBlock::new(vals));
+                    let block: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![vals]));
                     writer.append_block(block).unwrap();
                 }
                 writer
@@ -783,7 +775,7 @@ mod tests {
     fn subrange_views_the_delta_blocks() {
         let mut set = BlockSet::from_values((0..100).map(f64::from).collect(), 4);
         let block: Arc<dyn DataBlock> =
-            Arc::new(MemBlock::new((100..120).map(f64::from).collect()));
+            Arc::new(RowsBlock::new(vec![(100..120).map(f64::from).collect()]));
         set.append_block(block).unwrap();
         let marks = set.epoch_marks();
         let delta = set.subrange(marks[0].blocks..marks[1].blocks);
@@ -796,11 +788,11 @@ mod tests {
     fn total_len_is_cached_consistently_across_constructors() {
         let from_values = BlockSet::from_values(vec![1.0; 17], 4);
         assert_eq!(from_values.total_len(), 17);
-        let single = BlockSet::single(MemBlock::new(vec![2.0; 9]));
+        let single = BlockSet::single(RowsBlock::new(vec![vec![2.0; 9]]));
         assert_eq!(single.total_len(), 9);
         let built = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![1.0; 5])) as Arc<dyn DataBlock>,
-            Arc::new(MemBlock::new(vec![2.0; 7])),
+            Arc::new(RowsBlock::new(vec![vec![1.0; 5]])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![2.0; 7]])),
         ]);
         assert_eq!(built.total_len(), 12);
         assert_eq!(

@@ -349,10 +349,10 @@ impl DataBlock for FaultyBlock {
 mod tests {
     use super::*;
     use crate::block::BlockReads;
-    use crate::memory::MemBlock;
+    use crate::rows::RowsBlock;
 
     fn mem(n: u64) -> Arc<dyn DataBlock> {
-        Arc::new(MemBlock::new((0..n).map(|i| i as f64).collect()))
+        Arc::new(RowsBlock::new(vec![(0..n).map(|i| i as f64).collect()]))
     }
 
     fn rng() -> impl RngCore {
@@ -439,10 +439,11 @@ mod tests {
     fn batched_access_respects_the_fault_gate() {
         let corrupt = FaultyBlock::new(mem(50), BlockFault::Corrupt, None);
         let mut r = rng();
-        crate::kernel::with_sample_buf(|buf| {
-            corrupt.sample_batch(8, &mut r, buf).unwrap();
-            assert_eq!(buf.values().len(), 8);
-            assert!(buf.values().iter().all(|v| v.is_nan()));
+        crate::kernel::with_row_sample_buf(|buf| {
+            buf.project(Some(&[0]));
+            corrupt.sample_rows_batch(8, &mut r, buf).unwrap();
+            assert_eq!(buf.rows().len(), 8);
+            assert!(buf.rows().iter().all(|v| v.is_nan()));
         });
         let mut chunked = Vec::new();
         corrupt
@@ -451,9 +452,10 @@ mod tests {
         assert!(chunked.iter().all(|v| v.is_nan()));
 
         let transient = FaultyBlock::new(mem(50), BlockFault::Transient { failures: 1 }, None);
-        crate::kernel::with_sample_buf(|buf| {
-            assert!(transient.sample_batch(8, &mut r, buf).is_err());
-            transient.sample_batch(8, &mut r, buf).unwrap();
+        crate::kernel::with_row_sample_buf(|buf| {
+            buf.project(Some(&[0]));
+            assert!(transient.sample_rows_batch(8, &mut r, buf).is_err());
+            transient.sample_rows_batch(8, &mut r, buf).unwrap();
         });
     }
 

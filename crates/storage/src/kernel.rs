@@ -1,7 +1,7 @@
-//! Batched sampling and scan kernels: the reusable buffers behind
-//! [`crate::BlockReads::sample_batch`] / [`crate::BlockReads::sample_rows_batch`], and
-//! the one gather loop and one scan loop per storage shape that the
-//! block kinds implement [`DataBlock`] with.
+//! Batched sampling and scan kernels: the reusable buffer behind
+//! [`crate::BlockReads::sample_rows_batch`], and the one gather loop and
+//! one scan loop per storage shape that the block kinds implement
+//! [`DataBlock`] with.
 //!
 //! A batch draws all of its indices first, then gathers the values —
 //! directly (memory-level parallelism) for in-memory storage, in
@@ -10,19 +10,19 @@
 //! order**, so a batched draw produces the bit-identical value sequence,
 //! and consumes the bit-identical RNG stream, as single draws.
 //!
-//! Row batches carry a **projection**: a consumer that reads only some
+//! Batches carry a **projection**: a consumer that reads only some
 //! columns names them on the buffer ([`RowSampleBuf::project`]) and
 //! gets compact tuples of exactly those — the gather then reads only
 //! the named columns. Full width is the identity projection of the same
 //! loop, and the index draws never see the column list, so projecting
-//! changes what a draw costs and nothing else.
+//! changes what a draw costs and nothing else. A scalar draw is the
+//! projection to `[0]`: one value per row, contiguous in the buffer.
 //!
-//! The buffers ([`SampleBuf`], [`RowSampleBuf`]) are designed to be
-//! reused: the engine keeps one per thread (see [`with_sample_buf`] /
-//! [`with_row_sample_buf`]) so steady-state sampling performs no
-//! allocation at all — and a consumer's selection of a batch and its
-//! per-destination staging lanes ([`RowSampleBuf::select`]) live in
-//! the buffer too.
+//! The buffer ([`RowSampleBuf`]) is designed to be reused: the engine
+//! keeps one per thread (see [`with_row_sample_buf`]) so steady-state
+//! sampling performs no allocation at all — and a consumer's selection
+//! of a batch and its per-destination staging lanes
+//! ([`RowSampleBuf::select`]) live in the buffer too.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -34,10 +34,10 @@ use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::memory::ColumnWindow;
 
-/// Preferred number of value draws per [`crate::BlockReads::sample_batch`] call
-/// on the engine's hot path. Large enough to amortize dispatch and make
-/// the sorted gather worthwhile, small enough that a batch's buffers
-/// stay L2-resident.
+/// Preferred number of row draws per
+/// [`crate::BlockReads::sample_rows_batch`] call on the engine's hot
+/// path. Large enough to amortize dispatch and make the sorted gather
+/// worthwhile, small enough that a batch's buffers stay L2-resident.
 pub const SAMPLE_BATCH_ROWS: u64 = 8_192;
 
 /// The upper bound on a [`DataBlock::scan_column_chunks`] chunk from any
@@ -45,44 +45,10 @@ pub const SAMPLE_BATCH_ROWS: u64 = 8_192;
 /// cache-resident.
 pub const SCAN_CHUNK_ROWS: usize = 16_384;
 
-/// Reusable state for one batched value draw: the drawn indices and the
-/// gathered values, both in draw order.
-#[derive(Debug, Default)]
-pub struct SampleBuf {
-    indices: Vec<u64>,
-    values: Vec<f64>,
-}
-
-impl SampleBuf {
-    /// An empty buffer; it grows to the first batch's size and is
-    /// reused thereafter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The gathered values of the last batch, in **draw order** — the
-    /// exact sequence single draws would have produced.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The drawn indices of the last batch, in draw order (unspecified
-    /// for kinds whose draw is not an index draw).
-    pub fn indices(&self) -> &[u64] {
-        &self.indices
-    }
-
-    /// The index and value slots of an `n`-draw batch.
-    pub(crate) fn slots(&mut self, n: u64) -> (&mut [u64], &mut [f64]) {
-        self.indices.resize(n as usize, 0);
-        self.values.resize(n as usize, 0.0);
-        (&mut self.indices, &mut self.values)
-    }
-}
-
-/// Reusable state for one batched *row tuple* draw: as [`SampleBuf`],
-/// with the gathered rows stored row-major (`width` values per row, in
-/// draw order).
+/// Reusable state for one batched row tuple draw: the drawn indices and
+/// the gathered rows, stored row-major (`width` values per row), both
+/// in **draw order** — the exact sequence single draws would have
+/// produced.
 ///
 /// **Projection.** A consumer that reads only some columns of each row
 /// names them once with [`RowSampleBuf::project`]; every batch then
@@ -209,28 +175,14 @@ impl RowSampleBuf {
 }
 
 thread_local! {
-    static SAMPLE_BUF: RefCell<SampleBuf> = RefCell::new(SampleBuf::new());
     static ROW_SAMPLE_BUF: RefCell<RowSampleBuf> = RefCell::new(RowSampleBuf::new());
 }
 
-/// Runs `f` with this thread's reusable [`SampleBuf`]. The buffer is
+/// Runs `f` with this thread's reusable [`RowSampleBuf`]. The buffer is
 /// *taken* out of its slot for the duration, so re-entrant use (a view
 /// sampling through another view) falls back to a fresh buffer instead
-/// of panicking.
-pub fn with_sample_buf<R>(f: impl FnOnce(&mut SampleBuf) -> R) -> R {
-    let mut buf = SAMPLE_BUF.with_borrow_mut(std::mem::take);
-    let out = f(&mut buf);
-    SAMPLE_BUF.with_borrow_mut(|slot| {
-        if buf.values.capacity() > slot.values.capacity() {
-            *slot = buf;
-        }
-    });
-    out
-}
-
-/// Runs `f` with this thread's reusable [`RowSampleBuf`] (take-based,
-/// as [`with_sample_buf`]). The buffer arrives with no projection set:
-/// a previous user's column list never leaks into the next draw.
+/// of panicking. The buffer arrives with no projection set: a previous
+/// user's column list never leaks into the next draw.
 pub fn with_row_sample_buf<R>(f: impl FnOnce(&mut RowSampleBuf) -> R) -> R {
     let mut buf = ROW_SAMPLE_BUF.with_borrow_mut(std::mem::take);
     buf.project(None);
@@ -460,33 +412,52 @@ pub fn scalar_fallback_set(set: &crate::blockset::BlockSet) -> crate::blockset::
 mod tests {
     use super::*;
     use crate::block::BlockReads;
-    use crate::memory::MemBlock;
     use crate::rows::RowsBlock;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A width-1 block whose row `i` holds `i`: its values are the drawn
+    /// indices.
+    fn positions(n: u32) -> RowsBlock {
+        RowsBlock::new(vec![(0..n).map(f64::from).collect()])
+    }
+
+    /// A buffer projected to column 0 — the scalar draw.
+    fn scalar_buf() -> RowSampleBuf {
+        let mut buf = RowSampleBuf::new();
+        buf.project(Some(&[0]));
+        buf
+    }
+
     #[test]
     fn draw_indices_consumes_the_scalar_stream() {
-        let block = MemBlock::new(vec![0.0; 1_000]);
+        let block = positions(1_000);
         let mut a = StdRng::seed_from_u64(1);
         let mut b = StdRng::seed_from_u64(1);
-        let mut buf = SampleBuf::new();
-        block.sample_batch(100, &mut a, &mut buf).unwrap();
-        let scalar: Vec<u64> = (0..100).map(|_| b.random_range(0..1_000u64)).collect();
-        assert_eq!(buf.indices(), &scalar[..]);
+        let mut buf = scalar_buf();
+        block.sample_rows_batch(100, &mut a, &mut buf).unwrap();
+        let scalar: Vec<f64> = (0..100)
+            .map(|_| b.random_range(0..1_000u64) as f64)
+            .collect();
+        assert_eq!(buf.rows(), &scalar[..]);
         // Streams stay aligned after the batch.
         assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
     fn gather_preserves_draw_order() {
-        let data: Vec<f64> = (0..1000).map(f64::from).collect();
-        let block = MemBlock::new(data.clone());
+        // Column 1 is a function of the row index in column 0: every
+        // gathered value sits in its own draw's slot.
+        let data: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.5 + 3.0).collect();
+        let block = RowsBlock::new(vec![(0..1000).map(f64::from).collect(), data.clone()]);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut buf = SampleBuf::new();
-        block.sample_batch(64, &mut rng, &mut buf).unwrap();
-        let expected: Vec<f64> = buf.indices().iter().map(|&i| data[i as usize]).collect();
-        assert_eq!(buf.values(), &expected[..]);
+        let mut buf = RowSampleBuf::new();
+        buf.project(Some(&[1, 0]));
+        block.sample_rows_batch(64, &mut rng, &mut buf).unwrap();
+        assert_eq!(buf.iter_rows().count(), 64);
+        for row in buf.iter_rows() {
+            assert_eq!(row[0], data[row[1] as usize]);
+        }
     }
 
     #[test]
@@ -501,7 +472,9 @@ mod tests {
             (0..200).map(|_| rng.random_range(0..500)).collect()
         };
         let (mut a, mut b) = (vec![0.0; 200], vec![0.0; 200]);
-        MemBlock::new(data).gather(&[0], &indices, &mut a).unwrap();
+        RowsBlock::new(vec![data])
+            .gather(&[0], &indices, &mut a)
+            .unwrap();
         file.gather(&[0], &indices, &mut b).unwrap();
         assert_eq!(a, b);
         std::fs::remove_file(&path).unwrap();
@@ -526,7 +499,7 @@ mod tests {
 
     #[test]
     fn scalar_fallback_forwards_scalar_methods_only() {
-        let inner: Arc<dyn DataBlock> = Arc::new(MemBlock::new(vec![1.0, 2.0, 3.0]));
+        let inner: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![vec![1.0, 2.0, 3.0]]));
         let wrapped = ScalarFallbackBlock(Arc::clone(&inner));
         assert_eq!(wrapped.len(), 3);
         assert!(
@@ -535,30 +508,34 @@ mod tests {
         );
         // Batched draws agree with the native block under the same seed
         // (the defaults fall back to the same scalar stream).
-        let mut buf = SampleBuf::new();
+        let mut buf = scalar_buf();
         let mut rng = StdRng::seed_from_u64(5);
-        wrapped.sample_batch(10, &mut rng, &mut buf).unwrap();
-        let scalar = buf.values().to_vec();
+        wrapped.sample_rows_batch(10, &mut rng, &mut buf).unwrap();
+        let scalar = buf.rows().to_vec();
         let mut rng = StdRng::seed_from_u64(5);
-        inner.sample_batch(10, &mut rng, &mut buf).unwrap();
-        assert_eq!(scalar, buf.values());
+        inner.sample_rows_batch(10, &mut rng, &mut buf).unwrap();
+        assert_eq!(scalar, buf.rows());
     }
 
     #[test]
     fn thread_local_buffers_survive_reentrancy() {
         let mut rng = StdRng::seed_from_u64(6);
-        let v = with_sample_buf(|outer| {
-            MemBlock::new(vec![7.0])
-                .sample_batch(1, &mut rng, outer)
+        let v = with_row_sample_buf(|outer| {
+            outer.project(Some(&[0]));
+            RowsBlock::new(vec![vec![7.0]])
+                .sample_rows_batch(1, &mut rng, outer)
                 .unwrap();
-            with_sample_buf(|inner| {
-                MemBlock::new(vec![8.0])
-                    .sample_batch(1, &mut rng, inner)
+            with_row_sample_buf(|inner| {
+                assert_eq!(inner.width(), 0, "a fresh buffer, no projection");
+                RowsBlock::new(vec![vec![8.0]])
+                    .sample_rows_batch(1, &mut rng, inner)
                     .unwrap();
-                inner.values()[0]
-            }) + outer.values()[0]
+                inner.rows()[0]
+            }) + outer.rows()[0]
         });
         assert_eq!(v, 15.0);
+        // The slot keeps a buffer, and hands it out with no projection.
+        with_row_sample_buf(|buf| assert_eq!(buf.width(), 0));
     }
 
     #[test]
@@ -566,7 +543,7 @@ mod tests {
         use crate::fault::{BlockFault, FaultyBlock};
         use crate::rows::{pool_filtered_column, ColumnView, ZipBlock};
         use crate::{BlockSet, GeneratorBlock, RowFilter};
-        let empty_mem = || Arc::new(MemBlock::new(vec![])) as Arc<dyn DataBlock>;
+        let empty_column = || Arc::new(RowsBlock::new(vec![vec![]])) as Arc<dyn DataBlock>;
         let empty_rows = Arc::new(RowsBlock::new(vec![vec![], vec![]])) as Arc<dyn DataBlock>;
         let dist = Arc::new(isla_stats::distributions::Normal::new(0.0, 1.0));
         let pooled = pool_filtered_column(
@@ -575,11 +552,11 @@ mod tests {
             RowFilter::all(),
         );
         let kinds: Vec<(&str, Arc<dyn DataBlock>)> = vec![
-            ("MemBlock", empty_mem()),
+            ("RowsBlock (width 1)", empty_column()),
             ("RowsBlock", Arc::clone(&empty_rows)),
             (
                 "ZipBlock",
-                Arc::new(ZipBlock::new(vec![empty_mem(), empty_mem()])),
+                Arc::new(ZipBlock::new(vec![empty_column(), empty_column()])),
             ),
             (
                 "ColumnView",
@@ -589,31 +566,24 @@ mod tests {
             ("PooledFilteredColumn", Arc::clone(pooled.block(0))),
             (
                 "FaultyBlock",
-                Arc::new(FaultyBlock::new(empty_mem(), BlockFault::None, None)),
+                Arc::new(FaultyBlock::new(empty_column(), BlockFault::None, None)),
             ),
             (
                 "ScalarFallbackBlock",
-                Arc::new(ScalarFallbackBlock(empty_mem())),
+                Arc::new(ScalarFallbackBlock(empty_column())),
             ),
         ];
         for (kind, block) in kinds {
             let mut rng = StdRng::seed_from_u64(7);
-            let mut buf = SampleBuf::new();
-            assert!(
-                matches!(
-                    block.sample_batch(0, &mut rng, &mut buf),
-                    Err(StorageError::Empty)
-                ),
-                "{kind}"
-            );
-            let mut rows = RowSampleBuf::new();
-            assert!(
-                matches!(
-                    block.sample_rows_batch(0, &mut rng, &mut rows),
-                    Err(StorageError::Empty)
-                ),
-                "{kind}"
-            );
+            for mut buf in [scalar_buf(), RowSampleBuf::new()] {
+                assert!(
+                    matches!(
+                        block.sample_rows_batch(0, &mut rng, &mut buf),
+                        Err(StorageError::Empty)
+                    ),
+                    "{kind}"
+                );
+            }
         }
     }
 }

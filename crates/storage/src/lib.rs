@@ -5,10 +5,11 @@
 //! answers are combined by size-weighted averaging. This crate provides the
 //! block abstraction and every concrete block kind the evaluation needs:
 //!
-//! * [`MemBlock`] — one column of values in memory, a window onto a
-//!   shared buffer ([`BlockSet::from_values`] windows one buffer per
-//!   column into every block; a [`RowsBlock`] hands one of its column
-//!   windows out as a zero-copy projection);
+//! * [`RowsBlock`] — columns of values in memory, each a window onto a
+//!   shared buffer. A scalar column is the width-1 case:
+//!   [`BlockSet::from_values`] and [`RowsBlock::split`] window one buffer
+//!   per column into every block, and a projection of one column is a
+//!   width-1 [`RowsBlock`] sharing its parent's window and sketch;
 //! * [`TextBlock`] — one value per line in a text file, the exact storage
 //!   format of the paper's experiments ("data … are pre-processed and
 //!   saved in b .txt documents to simulate b blocks");
@@ -26,8 +27,7 @@
 //! schema-aware layer on top:
 //!
 //! * [`Schema`] — named, typed columns describing the tuple shape;
-//! * [`RowsBlock`] — a columnar in-memory multi-column block, and
-//!   [`ZipBlock`] — equally-sized scalar blocks zipped into one logical
+//! * [`ZipBlock`] — equally-sized scalar blocks zipped into one logical
 //!   multi-column block;
 //! * [`RowFilter`] — a compiled `WHERE` conjunction evaluated against
 //!   each row where the rows are produced (predicate pushdown);
@@ -61,20 +61,21 @@
 //! whose draw is not that override it (a generator's distribution, a
 //! filtered pool's match space, a fault gate, a column view's inner
 //! draw, the one-row-per-call reference). Every other read —
-//! [`BlockReads::sample_one`], [`BlockReads::sample_batch`],
-//! [`BlockReads::sample_rows_batch`], [`BlockReads::row_at`],
-//! [`BlockReads::scan_chunks`], [`BlockReads::scan_rows_projected`], … —
-//! is written once in [`BlockReads`], whose blanket impl no kind can
-//! override. Any pointer to a block (`&T`, `Box<T>`, `Arc<T>`, sized or
-//! `dyn`) is itself a [`DataBlock`] through one forwarding impl.
+//! [`BlockReads::sample_one`], [`BlockReads::sample_rows_batch`],
+//! [`BlockReads::row_at`], [`BlockReads::scan_chunks`],
+//! [`BlockReads::scan_rows_projected`], … — is written once in
+//! [`BlockReads`], whose blanket impl no kind can override. Any pointer
+//! to a block (`&T`, `Box<T>`, `Arc<T>`, sized or `dyn`) is itself a
+//! [`DataBlock`] through one forwarding impl.
 //!
-//! The hot paths run through the **batch buffers** of [`kernel`]: a
+//! The hot paths run through the **batch buffer** of [`kernel`]: a
 //! batch draws all its indices, then gathers — in draw order from
 //! memory, ascending from files, bit-identical to single draws either
 //! way, and restricted to the columns the consumer reads when it names
-//! them ([`RowSampleBuf::project`]). Scans hand out column chunks, over
-//! which [`RowFilter::select`] evaluates a predicate at column speed;
-//! and [`SelectionVector`]s compile a [`RowFilter`] into per-block
+//! them ([`RowSampleBuf::project`]; a scalar draw is the projection to
+//! column 0). Scans hand out column chunks, over which
+//! [`RowFilter::select`] evaluates a predicate at column speed; and
+//! [`SelectionVector`]s compile a [`RowFilter`] into per-block
 //! match bitmaps with a rank directory, so filtered draws are direct
 //! lookups instead of rejection loops.
 
@@ -90,7 +91,7 @@ pub mod filter;
 pub mod generator;
 pub mod ingest;
 pub mod kernel;
-pub mod memory;
+mod memory;
 pub mod rows;
 pub mod sampler;
 pub mod schema;
@@ -107,10 +108,9 @@ pub use filter::{CmpOp, ColumnPredicate, RowFilter};
 pub use generator::GeneratorBlock;
 pub use ingest::{IngestBuffer, SealedRows, DEFAULT_ROWS_PER_BLOCK};
 pub use kernel::{
-    scalar_fallback_set, with_row_sample_buf, with_sample_buf, RowSampleBuf, SampleBuf,
-    ScalarFallbackBlock, SAMPLE_BATCH_ROWS, SCAN_CHUNK_ROWS,
+    scalar_fallback_set, with_row_sample_buf, RowSampleBuf, ScalarFallbackBlock, SAMPLE_BATCH_ROWS,
+    SCAN_CHUNK_ROWS,
 };
-pub use memory::MemBlock;
 pub use rows::{
     pool_filtered_column, project_column, ColumnView, PooledFilteredColumn, RowsBlock, ZipBlock,
 };

@@ -1,14 +1,7 @@
-//! In-memory blocks, and the column windows they hold.
+//! The column windows every in-memory block holds.
 
 use std::ops::Range;
 use std::sync::Arc;
-
-use crate::block::DataBlock;
-use crate::error::StorageError;
-use crate::filter::RowFilter;
-use crate::kernel::{gather_slices, scan_slices};
-use crate::selection::{sketch_zone, ZoneMatch};
-use crate::sketch::BlockSketch;
 
 /// Rows `rows` of one shared column buffer: how every in-memory block
 /// holds a column. Splitting a loaded column into blocks, or projecting
@@ -80,119 +73,18 @@ pub(crate) fn block_ranges(n: usize, block_count: usize) -> impl Iterator<Item =
     })
 }
 
-/// A block whose rows live in memory: one window onto a shared column
-/// buffer.
-///
-/// The workhorse for tests, examples, and the small and medium evaluation
-/// workloads — and what [`crate::RowsBlock`] hands out as the zero-copy
-/// projection of one of its columns (a window onto the same buffer).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemBlock {
-    values: ColumnWindow,
-    // Eager moment sketch, computed by the same pass that validates
-    // finiteness — so the `sketch()` hook is an O(1) Arc clone.
-    sketch: Arc<BlockSketch>,
-}
-
-impl MemBlock {
-    /// Wraps a vector of values as a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any value is not finite: blocks model stored columns of
-    /// real measurements, and a NaN would silently poison every downstream
-    /// moment.
-    pub fn new(values: Vec<f64>) -> Self {
-        Self::window(ColumnWindow::whole(values))
-    }
-
-    /// A block over `values`, validated and sketched — how
-    /// [`crate::BlockSet::from_values`] builds its blocks.
-    ///
-    /// # Panics
-    ///
-    /// As [`MemBlock::new`].
-    pub(crate) fn window(values: ColumnWindow) -> Self {
-        // One pass both validates and sketches: the fold counts
-        // non-finite values, which is exactly the finiteness check.
-        let sketch = BlockSketch::from_values(values.as_slice());
-        assert!(sketch.all_finite(), "block values must be finite");
-        Self {
-            values,
-            sketch: Arc::new(sketch),
-        }
-    }
-
-    /// Wraps an already-validated column window and its already-folded
-    /// sketch, checking neither — how [`crate::RowsBlock`] projects a
-    /// column without copying or re-folding it. `sketch` must be the
-    /// [`BlockSketch::from_values`] of `column`.
-    pub(crate) fn shared(column: ColumnWindow, sketch: Arc<BlockSketch>) -> Self {
-        Self {
-            values: column,
-            sketch,
-        }
-    }
-
-    /// Read-only view of the values.
-    pub fn values(&self) -> &[f64] {
-        self.values.as_slice()
-    }
-}
-
-impl From<Vec<f64>> for MemBlock {
-    fn from(values: Vec<f64>) -> Self {
-        Self::new(values)
-    }
-}
-
-impl DataBlock for MemBlock {
-    fn len(&self) -> u64 {
-        self.values.len() as u64
-    }
-
-    fn gather(
-        &self,
-        columns: &[usize],
-        indices: &[u64],
-        out: &mut [f64],
-    ) -> Result<(), StorageError> {
-        gather_slices(std::slice::from_ref(&self.values), columns, indices, out)
-    }
-
-    fn scan_column_chunks(
-        &self,
-        columns: &[usize],
-        visit: &mut dyn FnMut(&[&[f64]]),
-    ) -> Result<(), StorageError> {
-        scan_slices(
-            std::slice::from_ref(&self.values),
-            self.values.len(),
-            columns,
-            visit,
-        )
-    }
-
-    fn sketch(&self) -> Option<Arc<BlockSketch>> {
-        Some(Arc::clone(&self.sketch))
-    }
-
-    fn zone(&self, filter: &RowFilter) -> ZoneMatch {
-        sketch_zone(Some(&self.sketch), filter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockReads;
-    use crate::BlockSet;
+    use crate::block::{BlockReads, DataBlock};
+    use crate::error::StorageError;
+    use crate::{BlockSet, RowsBlock};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn sampling_covers_all_values() {
-        let block = MemBlock::new(vec![1.0, 2.0, 3.0]);
+        let block = RowsBlock::new(vec![vec![1.0, 2.0, 3.0]]);
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = [false; 3];
         for _ in 0..200 {
@@ -204,7 +96,7 @@ mod tests {
 
     #[test]
     fn scan_visits_in_order() {
-        let block = MemBlock::from(vec![5.0, 4.0, 3.0]);
+        let block = RowsBlock::new(vec![vec![5.0, 4.0, 3.0]]);
         let mut got = Vec::new();
         block.scan(&mut |v| got.push(v)).unwrap();
         assert_eq!(got, vec![5.0, 4.0, 3.0]);
@@ -213,7 +105,7 @@ mod tests {
 
     #[test]
     fn empty_block_refuses_sampling() {
-        let block = MemBlock::new(vec![]);
+        let block = RowsBlock::new(vec![vec![]]);
         assert!(block.is_empty());
         let mut rng = StdRng::seed_from_u64(2);
         assert!(matches!(
@@ -225,15 +117,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_nan_values() {
-        let _ = MemBlock::new(vec![1.0, f64::NAN]);
+        let _ = RowsBlock::new(vec![vec![1.0, f64::NAN]]);
     }
 
     #[test]
     fn every_public_in_memory_constructor_rejects_non_finite_values() {
-        // `MemBlock::shared` checks nothing, and is crate-private: its
-        // one caller, `RowsBlock::project`, passes a column that
-        // `RowsBlock::new` validated. Every public way in panics.
-        use crate::{BlockSet, RowsBlock};
+        // `RowsBlock::shared` checks nothing, and is private to its
+        // module: its one caller, `RowsBlock::project`, passes a column
+        // that `RowsBlock::new` validated. Every public way in panics,
+        // at width 1 as at width 2.
         fn assert_rejects(name: &str, build: impl FnOnce() + std::panic::UnwindSafe) {
             let panic = std::panic::catch_unwind(build).expect_err(name);
             let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -242,8 +134,9 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let col = || vec![1.0, bad, 3.0];
             let table = || vec![vec![0.0; 3], col()];
-            assert_rejects("MemBlock::new", || drop(MemBlock::new(col())));
-            assert_rejects("MemBlock::from", || drop(MemBlock::from(col())));
+            assert_rejects("RowsBlock::new, width 1", || {
+                drop(RowsBlock::new(vec![col()]))
+            });
             assert_rejects("RowsBlock::new", || drop(RowsBlock::new(table())));
             assert_rejects("RowsBlock::split", || drop(RowsBlock::split(table(), 2)));
             assert_rejects("BlockSet::from_values", || {
@@ -284,7 +177,7 @@ mod tests {
 
     #[test]
     fn loaders_and_projections_window_the_input_buffers_without_copying() {
-        use crate::{project_column, RowsBlock};
+        use crate::project_column;
         let (n, blocks) = (1_003, 7);
         // Block k starts at the buffer's address plus its first row's
         // offset under the old chunking rule.
@@ -318,7 +211,6 @@ mod tests {
     fn windowed_loaders_match_the_old_chunking_rule_bit_for_bit() {
         use crate::filter::{CmpOp, ColumnPredicate, RowFilter};
         use crate::selection::ZoneMatch;
-        use crate::RowsBlock;
         let sketch_bits = |block: &dyn DataBlock| {
             let sketch = block.sketch().expect("in-memory blocks sketch");
             let columns: Vec<_> = sketch
@@ -379,12 +271,12 @@ mod tests {
             let (old_x, old_y) = (old_chunks(&x, blocks), old_chunks(&y, blocks));
             for k in 0..blocks {
                 let what = format!("n = {n}, b = {blocks}, block {k}");
-                let old = MemBlock::new(old_x[k].clone());
+                let old = RowsBlock::new(vec![old_x[k].clone()]);
                 assert_same(&old, set.block(k).as_ref(), &format!("{what}, scalar"));
                 let old = RowsBlock::new(vec![old_x[k].clone(), old_y[k].clone()]);
                 assert_same(&old, rows.block(k).as_ref(), &format!("{what}, rows"));
                 let projected = rows.block(k).project(1).unwrap();
-                let old = MemBlock::new(old_y[k].clone());
+                let old = RowsBlock::new(vec![old_y[k].clone()]);
                 assert_same(&old, projected.as_ref(), &format!("{what}, project"));
             }
         }
@@ -393,17 +285,20 @@ mod tests {
     #[test]
     fn windows_compare_by_value_not_by_buffer_or_range() {
         let buffer = Arc::new(vec![9.0, 1.0, 2.0, 3.0, 9.0]);
-        let window = MemBlock::window(ColumnWindow::new(&buffer, 1..4));
-        assert_eq!(window, MemBlock::new(vec![1.0, 2.0, 3.0]));
-        assert_eq!(window.values(), &[1.0, 2.0, 3.0]);
-        assert_ne!(window, MemBlock::window(ColumnWindow::new(&buffer, 0..3)));
+        let block = |buffer: &Arc<Vec<f64>>, rows: Range<usize>| {
+            RowsBlock::windows(vec![ColumnWindow::new(buffer, rows)])
+        };
+        let window = block(&buffer, 1..4);
+        assert_eq!(window, RowsBlock::new(vec![vec![1.0, 2.0, 3.0]]));
+        assert_eq!(window.column(0), &[1.0, 2.0, 3.0]);
+        assert_ne!(window, block(&buffer, 0..3));
         let other = Arc::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(window, MemBlock::window(ColumnWindow::new(&other, 0..3)));
+        assert_eq!(window, block(&other, 0..3));
     }
 
     #[test]
     fn row_at_is_positional() {
-        let block = MemBlock::new(vec![10.0, 20.0, 30.0]);
+        let block = RowsBlock::new(vec![vec![10.0, 20.0, 30.0]]);
         assert_eq!(block.row_at(0).unwrap(), 10.0);
         assert_eq!(block.row_at(2).unwrap(), 30.0);
         assert!(matches!(block.row_at(3), Err(StorageError::Empty)));
@@ -411,7 +306,7 @@ mod tests {
 
     #[test]
     fn trait_object_forwarding() {
-        let block: std::sync::Arc<dyn DataBlock> = std::sync::Arc::new(MemBlock::new(vec![7.0]));
+        let block: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![vec![7.0]]));
         assert_eq!(block.len(), 1);
         let by_ref: &dyn DataBlock = &block;
         assert_eq!(by_ref.len(), 1);

@@ -3,8 +3,9 @@
 //! Four block kinds make [`crate::DataBlock`]'s row model concrete:
 //!
 //! * [`RowsBlock`] — a columnar in-memory table block: `width` columns of
-//!   equal length, one uniform index draw per sampled row; one column of
-//!   it projects to a [`crate::MemBlock`] sharing its storage;
+//!   equal length, one uniform index draw per sampled row. A scalar
+//!   column in memory is the width-1 case, and one column of a wider
+//!   block projects to a width-1 [`RowsBlock`] sharing its storage;
 //! * [`ZipBlock`] — zips equally-sized scalar blocks into one logical
 //!   multi-column block (how legacy per-column tables join the row
 //!   model without rewriting their storage);
@@ -31,7 +32,7 @@ use crate::blockset::BlockSet;
 use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::kernel::{assert_width_one, gather_slices, scan_slices, ChunkedLane, SCAN_CHUNK_ROWS};
-use crate::memory::{block_ranges, ColumnWindow, MemBlock};
+use crate::memory::{block_ranges, ColumnWindow};
 use crate::selection::{sketch_zone, SelectionVector, SetSelection, ZoneMatch};
 use crate::sketch::BlockSketch;
 
@@ -44,11 +45,12 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A columnar in-memory multi-column block: the workhorse of
-/// schema-aware tables. Each column is a window onto a shared buffer,
-/// so a split ([`RowsBlock::split`]) or a projection
-/// ([`DataBlock::project`], a [`MemBlock`]) shares the storage instead
-/// of copying it.
+/// A columnar in-memory block: the workhorse of schema-aware tables, and
+/// at width 1 of every in-memory scalar column (tests, examples,
+/// [`BlockSet::from_values`]). Each column is a window onto a shared
+/// buffer, so a split ([`RowsBlock::split`]) or a projection
+/// ([`DataBlock::project`], a width-1 [`RowsBlock`]) shares the storage
+/// instead of copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowsBlock {
     columns: Vec<ColumnWindow>,
@@ -77,7 +79,9 @@ impl RowsBlock {
     /// # Panics
     ///
     /// Panics if no columns are given, the columns disagree on length,
-    /// or any value is not finite (as [`crate::MemBlock`]).
+    /// or any value is not finite: blocks model stored columns of real
+    /// measurements, and a NaN would silently poison every downstream
+    /// moment.
     pub fn new(columns: Vec<Vec<f64>>) -> Self {
         assert_table_shape(&columns);
         Self::windows(columns.into_iter().map(ColumnWindow::whole).collect())
@@ -85,7 +89,7 @@ impl RowsBlock {
 
     /// A block over equally long column windows, validated and
     /// sketched.
-    fn windows(columns: Vec<ColumnWindow>) -> Self {
+    pub(crate) fn windows(columns: Vec<ColumnWindow>) -> Self {
         let slices: Vec<&[f64]> = columns.iter().map(ColumnWindow::as_slice).collect();
         // One pass both validates and sketches: the fold counts
         // non-finite values, which is exactly the finiteness check.
@@ -95,6 +99,19 @@ impl RowsBlock {
             rows: columns[0].len(),
             columns,
             sketch: Arc::new(sketch),
+        }
+    }
+
+    /// Wraps an already-validated column window and its already-folded
+    /// sketch as a width-1 block, checking neither — how
+    /// [`DataBlock::project`] hands out a column without copying or
+    /// re-folding it. `sketch` must be the [`BlockSketch::from_columns`]
+    /// of `column`.
+    fn shared(column: ColumnWindow, sketch: Arc<BlockSketch>) -> Self {
+        Self {
+            rows: column.len(),
+            columns: vec![column],
+            sketch,
         }
     }
 
@@ -179,7 +196,7 @@ impl DataBlock for RowsBlock {
         // re-folding the column (the projected entry was folded in the
         // same storage order, so it is bit-identical to a re-fold).
         let sketch = self.sketch.project(col)?;
-        Some(Arc::new(MemBlock::shared(c.clone(), Arc::new(sketch))) as Arc<dyn DataBlock>)
+        Some(Arc::new(Self::shared(c.clone(), Arc::new(sketch))) as Arc<dyn DataBlock>)
     }
 }
 
@@ -869,7 +886,7 @@ mod tests {
 
     #[test]
     fn scalar_blocks_get_width_one_rows_for_free() {
-        let b = MemBlock::new(vec![5.0, 6.0]);
+        let b = RowsBlock::new(vec![vec![5.0, 6.0]]);
         assert_eq!(DataBlock::width(&b), 1);
         let mut row = Vec::new();
         b.row_tuple(1, &mut row).unwrap();
@@ -921,8 +938,8 @@ mod tests {
     #[test]
     fn zip_block_reads_all_columns_positionally() {
         let z = ZipBlock::new(vec![
-            Arc::new(MemBlock::new(vec![1.0, 2.0, 3.0])) as Arc<dyn DataBlock>,
-            Arc::new(MemBlock::new(vec![10.0, 20.0, 30.0])),
+            Arc::new(RowsBlock::new(vec![vec![1.0, 2.0, 3.0]])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![10.0, 20.0, 30.0]])),
         ]);
         assert_eq!(z.len(), 3);
         assert_eq!(z.width(), 2);
@@ -944,8 +961,8 @@ mod tests {
     #[should_panic(expected = "disagrees on rows")]
     fn zip_rejects_mismatched_columns() {
         let _ = ZipBlock::new(vec![
-            Arc::new(MemBlock::new(vec![1.0])) as Arc<dyn DataBlock>,
-            Arc::new(MemBlock::new(vec![1.0, 2.0])),
+            Arc::new(RowsBlock::new(vec![vec![1.0]])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![1.0, 2.0]])),
         ]);
     }
 
@@ -982,7 +999,7 @@ mod tests {
                 GeneratorBlock::new(Arc::new(Normal::new(0.0, 1.0)), rows, 7).with_scan_cap(0);
             let mut cols: Vec<Arc<dyn DataBlock>> = columns
                 .into_iter()
-                .map(|c| Arc::new(MemBlock::new(c)) as Arc<dyn DataBlock>)
+                .map(|c| Arc::new(RowsBlock::new(vec![c])) as Arc<dyn DataBlock>)
                 .collect();
             cols.push(Arc::new(unscannable));
             Arc::new(ZipBlock::new(cols))
@@ -1139,8 +1156,8 @@ mod tests {
 
         // ZipBlock composes its columns' hooks side by side.
         let z = ZipBlock::new(vec![
-            Arc::new(MemBlock::new(vec![1.0, 2.0, 3.0])) as Arc<dyn DataBlock>,
-            Arc::new(MemBlock::new(vec![10.0, 20.0, 30.0])),
+            Arc::new(RowsBlock::new(vec![vec![1.0, 2.0, 3.0]])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![10.0, 20.0, 30.0]])),
         ]);
         let zs = DataBlock::sketch(&z).unwrap();
         assert_eq!(zs.width(), 2);

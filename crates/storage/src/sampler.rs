@@ -15,7 +15,7 @@ use rand::RngCore;
 use crate::block::{BlockReads, DataBlock};
 use crate::blockset::BlockSet;
 use crate::error::StorageError;
-use crate::kernel::{with_row_sample_buf, with_sample_buf, RowSampleBuf, SAMPLE_BATCH_ROWS};
+use crate::kernel::{with_row_sample_buf, RowSampleBuf, SAMPLE_BATCH_ROWS};
 
 /// Draws `m` uniform samples (with replacement) from one block, passing
 /// each to `visit`.
@@ -25,10 +25,9 @@ use crate::kernel::{with_row_sample_buf, with_sample_buf, RowSampleBuf, SAMPLE_B
 /// estimators (every sample is an independent draw from the block's
 /// empirical distribution).
 ///
-/// Internally batched through [`BlockReads::sample_batch`] in
-/// [`SAMPLE_BATCH_ROWS`]-sized chunks on a reusable thread-local buffer
-/// — values reach `visit` in the identical order, from the identical
-/// RNG stream, as the scalar loop this replaces.
+/// The width-1 case of [`sample_row_columns_from_block`]: its batches,
+/// projected to column 0 — values reach `visit` in the identical order,
+/// from the identical RNG stream, as single draws.
 ///
 /// # Errors
 ///
@@ -39,17 +38,8 @@ pub fn sample_from_block(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(f64),
 ) -> Result<(), StorageError> {
-    with_sample_buf(|buf| {
-        let mut left = m;
-        while left > 0 {
-            let take = left.min(SAMPLE_BATCH_ROWS);
-            block.sample_batch(take, rng, buf)?;
-            for &v in buf.values() {
-                visit(v);
-            }
-            left -= take;
-        }
-        Ok(())
+    sample_row_columns_from_block(block, Some(&[0]), m, rng, &mut |buf| {
+        buf.rows().iter().for_each(|&v| visit(v));
     })
 }
 
@@ -129,14 +119,15 @@ pub fn skip_row_draws(block_len: u64, m: u64, rng: &mut dyn RngCore) {
 ///
 /// # Errors
 ///
-/// Propagates block errors.
+/// [`StorageError::Empty`] when `m > 0` and the set holds no rows;
+/// otherwise propagates block errors.
 pub fn sample_rows_proportional(
     set: &BlockSet,
     m: u64,
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) -> Result<(), StorageError> {
-    let allocation = proportional_allocation(set, m);
+    let allocation = allocate(set, m)?;
     for (block, &take) in set.iter().zip(&allocation) {
         sample_rows_from_block(block.as_ref(), take, rng, visit)?;
     }
@@ -190,6 +181,15 @@ pub fn proportional_allocation(set: &BlockSet, m: u64) -> Vec<u64> {
     result
 }
 
+/// [`proportional_allocation`] of `m` draws, or [`StorageError::Empty`]
+/// when `m > 0` and the set holds no row to draw them from.
+fn allocate(set: &BlockSet, m: u64) -> Result<Vec<u64>, StorageError> {
+    if m > 0 && set.total_len() == 0 {
+        return Err(StorageError::Empty);
+    }
+    Ok(proportional_allocation(set, m))
+}
+
 /// Draws `m` uniform samples across a block set, with per-block sizes
 /// proportional to block sizes, collecting the values.
 ///
@@ -198,13 +198,14 @@ pub fn proportional_allocation(set: &BlockSet, m: u64) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// Propagates block errors.
+/// [`StorageError::Empty`] when `m > 0` and the set holds no rows;
+/// otherwise propagates block errors.
 pub fn sample_proportional(
     set: &BlockSet,
     m: u64,
     rng: &mut dyn RngCore,
 ) -> Result<Vec<f64>, StorageError> {
-    let allocation = proportional_allocation(set, m);
+    let allocation = allocate(set, m)?;
     let mut out = Vec::with_capacity(m as usize);
     for (block, &take) in set.iter().zip(&allocation) {
         sample_from_block(block.as_ref(), take, rng, &mut |v| out.push(v))?;
@@ -214,12 +215,14 @@ pub fn sample_proportional(
 
 /// Best-effort variant of [`sample_proportional`]: draws the same
 /// proportional allocation, but survives failing blocks instead of
-/// propagating their errors.
+/// propagating their errors — each block's share through
+/// [`sample_row_columns_from_block_surviving`] projected to column 0.
 ///
 /// Per batch, transient errors ([`StorageError::is_transient`]) are
-/// retried in place up to `max_attempts` total tries; permanent errors,
-/// exhausted budgets, and worker panics skip the *rest of that block*
-/// and move on. Non-finite values (corruption) are filtered out.
+/// retried in place, with no delay between tries, up to `max_attempts`
+/// total tries; permanent errors, exhausted budgets, and worker panics
+/// skip the *rest of that block* and move on. Non-finite values
+/// (corruption) are filtered out.
 ///
 /// **Determinism.** Fault decorators fail *before* touching the RNG, so
 /// a failed access consumes zero draws: an in-place retry reproduces the
@@ -229,42 +232,24 @@ pub fn sample_proportional(
 /// function of `(set, m, rng seed)` — racing cold-cache pilot
 /// computations stay idempotent.
 ///
-/// Total loss returns an empty vector; callers keep their existing
-/// too-few-samples error paths.
+/// Total loss — a set with no rows included — returns an empty vector;
+/// callers keep their existing too-few-samples error paths.
 pub fn sample_proportional_surviving(
     set: &BlockSet,
     m: u64,
     max_attempts: u32,
     rng: &mut dyn RngCore,
 ) -> Vec<f64> {
-    let allocation = proportional_allocation(set, m);
     let mut out = Vec::with_capacity(m as usize);
-    for (block, &take) in set.iter().zip(&allocation) {
-        with_sample_buf(|buf| {
-            let mut left = take;
-            'block: while left > 0 {
-                let chunk = left.min(SAMPLE_BATCH_ROWS);
-                let mut attempt = 0u32;
-                loop {
-                    attempt += 1;
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        block.sample_batch(chunk, &mut *rng, buf)
-                    })) {
-                        Ok(Ok(())) => break,
-                        Ok(Err(e)) if e.is_transient() && attempt < max_attempts.max(1) => continue,
-                        // Permanent loss, exhausted retries, or a panic:
-                        // skip the rest of this block.
-                        Ok(Err(_)) | Err(_) => break 'block,
-                    }
-                }
-                for &v in buf.values() {
-                    if v.is_finite() {
-                        out.push(v);
-                    }
-                }
-                left -= chunk;
-            }
-        });
+    for (block, &take) in set.iter().zip(&allocate(set, m).unwrap_or_default()) {
+        sample_row_columns_from_block_surviving(
+            block.as_ref(),
+            Some(&[0]),
+            take,
+            max_attempts,
+            rng,
+            &mut |buf| out.extend_from_slice(buf.rows()),
+        );
     }
     out
 }
@@ -272,7 +257,8 @@ pub fn sample_proportional_surviving(
 /// Row-model twin of [`sample_proportional_surviving`]: best-effort
 /// proportional row sampling that retries transient failures in place,
 /// skips permanently failing blocks, converts panics into skips, and
-/// drops rows containing non-finite values. Same determinism argument.
+/// drops rows containing non-finite values. Same determinism argument;
+/// a set with no rows visits nothing.
 pub fn sample_rows_proportional_surviving(
     set: &BlockSet,
     m: u64,
@@ -280,8 +266,7 @@ pub fn sample_rows_proportional_surviving(
     rng: &mut dyn RngCore,
     visit: &mut dyn FnMut(&[f64]),
 ) {
-    let allocation = proportional_allocation(set, m);
-    for (block, &take) in set.iter().zip(&allocation) {
+    for (block, &take) in set.iter().zip(&allocate(set, m).unwrap_or_default()) {
         sample_row_columns_from_block_surviving(
             block.as_ref(),
             None,
@@ -332,16 +317,16 @@ pub fn sample_row_columns_from_block_surviving(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemBlock;
+    use crate::rows::RowsBlock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
 
     fn three_block_set() -> BlockSet {
         BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![1.0; 600])) as Arc<dyn DataBlock>,
-            Arc::new(MemBlock::new(vec![2.0; 300])),
-            Arc::new(MemBlock::new(vec![3.0; 100])),
+            Arc::new(RowsBlock::new(vec![vec![1.0; 600]])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![2.0; 300]])),
+            Arc::new(RowsBlock::new(vec![vec![3.0; 100]])),
         ])
     }
 
@@ -372,8 +357,8 @@ mod tests {
     #[test]
     fn allocation_skips_empty_blocks() {
         let set = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![])) as Arc<dyn DataBlock>,
-            Arc::new(MemBlock::new(vec![1.0; 10])),
+            Arc::new(RowsBlock::new(vec![vec![]])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![1.0; 10]])),
         ]);
         let alloc = proportional_allocation(&set, 5);
         assert_eq!(alloc, vec![0, 5]);
@@ -393,7 +378,6 @@ mod tests {
 
     #[test]
     fn row_sampling_keeps_tuples_and_proportions() {
-        use crate::rows::RowsBlock;
         let set = RowsBlock::split(
             vec![
                 (0..1000).map(f64::from).collect(),
@@ -414,14 +398,14 @@ mod tests {
 
     #[test]
     fn skipped_row_draws_leave_the_rng_where_real_draws_do() {
-        use crate::rows::{RowsBlock, ZipBlock};
+        use crate::rows::ZipBlock;
         let col: Vec<f64> = (0..777).map(f64::from).collect();
         let blocks: Vec<Arc<dyn DataBlock>> = vec![
-            Arc::new(MemBlock::new(col.clone())),
+            Arc::new(RowsBlock::new(vec![col.clone()])),
             Arc::new(RowsBlock::new(vec![col.clone(), col.clone()])),
             Arc::new(ZipBlock::new(vec![
-                Arc::new(MemBlock::new(col.clone())),
-                Arc::new(MemBlock::new(col)),
+                Arc::new(RowsBlock::new(vec![col.clone()])),
+                Arc::new(RowsBlock::new(vec![col])),
             ])),
         ];
         for block in &blocks {
@@ -443,10 +427,52 @@ mod tests {
 
     #[test]
     fn sample_from_block_propagates_errors() {
-        let empty = MemBlock::new(vec![]);
+        let empty = RowsBlock::new(vec![vec![]]);
         let mut rng = StdRng::seed_from_u64(8);
         let r = sample_from_block(&empty, 3, &mut rng, &mut |_| {});
         assert!(matches!(r, Err(StorageError::Empty)));
+    }
+
+    /// A set of one block with no rows, and a seeded RNG whose next draw
+    /// shows whether a sampler touched it.
+    fn no_rows() -> (BlockSet, StdRng) {
+        let set = BlockSet::single(RowsBlock::new(vec![vec![], vec![]]));
+        (set, StdRng::seed_from_u64(31))
+    }
+
+    fn untouched(mut rng: StdRng) {
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(31).next_u64());
+    }
+
+    #[test]
+    fn sample_proportional_refuses_a_set_with_no_rows() {
+        let (set, mut rng) = no_rows();
+        let r = sample_proportional(&set, 5, &mut rng);
+        assert!(matches!(r, Err(StorageError::Empty)), "{r:?}");
+        assert_eq!(sample_proportional(&set, 0, &mut rng).unwrap(), vec![]);
+        untouched(rng);
+    }
+
+    #[test]
+    fn sample_rows_proportional_refuses_a_set_with_no_rows() {
+        let (set, mut rng) = no_rows();
+        let r = sample_rows_proportional(&set, 5, &mut rng, &mut |_| panic!("no row"));
+        assert!(matches!(r, Err(StorageError::Empty)), "{r:?}");
+        untouched(rng);
+    }
+
+    #[test]
+    fn surviving_sampler_draws_nothing_from_a_set_with_no_rows() {
+        let (set, mut rng) = no_rows();
+        assert!(sample_proportional_surviving(&set, 5, 3, &mut rng).is_empty());
+        untouched(rng);
+    }
+
+    #[test]
+    fn surviving_row_sampler_visits_nothing_from_a_set_with_no_rows() {
+        let (set, mut rng) = no_rows();
+        sample_rows_proportional_surviving(&set, 5, 3, &mut rng, &mut |_| panic!("no row"));
+        untouched(rng);
     }
 
     #[test]
@@ -492,14 +518,14 @@ mod tests {
             }
         }
         let set = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![1.0; 600])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![1.0; 600]])) as Arc<dyn DataBlock>,
             Arc::new(FaultyBlock::new(
-                Arc::new(MemBlock::new(vec![2.0; 300])),
+                Arc::new(RowsBlock::new(vec![vec![2.0; 300]])),
                 BlockFault::Lost,
                 None,
             )),
             Arc::new(PanicBlock),
-            Arc::new(MemBlock::new(vec![3.0; 100])),
+            Arc::new(RowsBlock::new(vec![vec![3.0; 100]])),
         ]);
         let mut rng = StdRng::seed_from_u64(22);
         let sample = sample_proportional_surviving(&set, 1300, 2, &mut rng);
@@ -519,9 +545,9 @@ mod tests {
     fn surviving_sampler_filters_corrupt_values() {
         use crate::fault::{BlockFault, FaultyBlock};
         let set = BlockSet::new(vec![
-            Arc::new(MemBlock::new(vec![1.0; 500])) as Arc<dyn DataBlock>,
+            Arc::new(RowsBlock::new(vec![vec![1.0; 500]])) as Arc<dyn DataBlock>,
             Arc::new(FaultyBlock::new(
-                Arc::new(MemBlock::new(vec![2.0; 500])),
+                Arc::new(RowsBlock::new(vec![vec![2.0; 500]])),
                 BlockFault::Corrupt,
                 None,
             )),
@@ -535,7 +561,6 @@ mod tests {
     #[test]
     fn surviving_row_sampler_drops_corrupt_rows_and_lost_blocks() {
         use crate::fault::{BlockFault, FaultyBlock};
-        use crate::rows::RowsBlock;
         let rows = RowsBlock::split(
             vec![
                 (0..1200).map(f64::from).collect(),

@@ -120,16 +120,10 @@ impl BlockSketch {
         }
     }
 
-    /// The sketch of a width-1 value slice (fold in storage order).
+    /// The sketch of a width-1 value slice: [`BlockSketch::from_columns`]
+    /// of the one column.
     pub fn from_values(values: &[f64]) -> Self {
-        let mut moments = ColumnMoments::new();
-        for &v in values {
-            moments.update(v);
-        }
-        Self {
-            rows: values.len() as u64,
-            columns: vec![moments],
-        }
+        Self::from_columns(&[values])
     }
 
     /// The sketch of a columnar table: every column folded top to
@@ -420,7 +414,7 @@ impl SetSketches {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemBlock;
+    use crate::rows::RowsBlock;
 
     #[test]
     fn fold_tracks_all_moments() {
@@ -485,9 +479,9 @@ mod tests {
     #[test]
     fn scan_sketch_matches_eager_hook_bit_for_bit() {
         let values: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-        let block = MemBlock::new(values);
-        let eager = crate::block::DataBlock::sketch(&block).expect("MemBlock sketches eagerly");
-        let scanned = scan_sketch(&block).unwrap().expect("MemBlock scans");
+        let block = RowsBlock::new(vec![values]);
+        let eager = crate::block::DataBlock::sketch(&block).expect("RowsBlock sketches eagerly");
+        let scanned = scan_sketch(&block).unwrap().expect("RowsBlock scans");
         assert_eq!(*eager, scanned);
         let (a, b) = (eager.column(0).unwrap(), scanned.column(0).unwrap());
         assert_eq!(a.sum.to_bits(), b.sum.to_bits());

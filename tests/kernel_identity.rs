@@ -27,9 +27,9 @@ use isla::storage::{
     pool_filtered_column, sample_rows_from_block, sample_rows_proportional,
     sample_rows_proportional_surviving, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault,
     BlockReads, BlockSet, BlockSketch, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum,
-    FaultPlan, FaultyBlock, GeneratorBlock, MemBlock, PooledFilteredColumn, RowFilter,
-    RowSampleBuf, RowsBlock, SampleBuf, ScalarFallbackBlock, SelectionVector, SetSelection,
-    StorageError, TextBlock, ZipBlock, ZoneMatch, SCAN_CHUNK_ROWS,
+    FaultPlan, FaultyBlock, GeneratorBlock, PooledFilteredColumn, RowFilter, RowSampleBuf,
+    RowsBlock, ScalarFallbackBlock, SelectionVector, SetSelection, StorageError, TextBlock,
+    ZipBlock, ZoneMatch, SCAN_CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,6 +50,13 @@ fn columns(n: usize, width: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// A draw buffer projected to column 0: the scalar batch draw.
+fn scalar_buf() -> RowSampleBuf {
+    let mut buf = RowSampleBuf::new();
+    buf.project(Some(&[0]));
+    buf
+}
+
 fn native_set(n: usize, width: usize, blocks: usize, seed: u64) -> BlockSet {
     RowsBlock::split(columns(n, width, seed), blocks)
 }
@@ -61,17 +68,17 @@ fn sample_batch_is_bit_identical_to_scalar_for_widths_1_2_4() {
         let fallback = scalar_fallback_set(&native);
         for (b, (nb, fb)) in native.iter().zip(fallback.iter()).enumerate() {
             for n in [1u64, 7, 100, 5_000] {
-                let mut buf = SampleBuf::new();
+                let mut buf = scalar_buf();
                 let mut rng = StdRng::seed_from_u64(n ^ (width as u64) << 8);
-                nb.sample_batch(n, &mut rng, &mut buf).unwrap();
-                let batched = buf.values().to_vec();
+                nb.sample_rows_batch(n, &mut rng, &mut buf).unwrap();
+                let batched = buf.rows().to_vec();
                 let stream_after_batched = rng.next_u64();
 
                 let mut rng = StdRng::seed_from_u64(n ^ (width as u64) << 8);
-                fb.sample_batch(n, &mut rng, &mut buf).unwrap();
+                fb.sample_rows_batch(n, &mut rng, &mut buf).unwrap();
                 assert_eq!(
                     batched,
-                    buf.values(),
+                    buf.rows(),
                     "width {width} block {b} n {n}: batched != scalar"
                 );
                 assert_eq!(
@@ -229,15 +236,15 @@ fn row_pipeline_is_bit_identical_on_batched_and_scalar_kernels() {
 fn assert_kernel_identity(block: Arc<dyn DataBlock>, label: &str) {
     let scalar = ScalarFallbackBlock(Arc::clone(&block));
     for n in [1u64, 7, 100, 1_000] {
-        let mut buf = SampleBuf::new();
+        let mut buf = scalar_buf();
         let mut rng = StdRng::seed_from_u64(n ^ 0x5EED);
-        block.sample_batch(n, &mut rng, &mut buf).unwrap();
-        let batched = buf.values().to_vec();
+        block.sample_rows_batch(n, &mut rng, &mut buf).unwrap();
+        let batched = buf.rows().to_vec();
         let stream_after = rng.next_u64();
 
         let mut rng = StdRng::seed_from_u64(n ^ 0x5EED);
-        scalar.sample_batch(n, &mut rng, &mut buf).unwrap();
-        assert_eq!(batched, buf.values(), "{label} n {n}: batched != scalar");
+        scalar.sample_rows_batch(n, &mut rng, &mut buf).unwrap();
+        assert_eq!(batched, buf.rows(), "{label} n {n}: batched != scalar");
         assert_eq!(
             stream_after,
             rng.next_u64(),
@@ -304,7 +311,10 @@ fn sketched_slev_is_bit_identical_on_every_block_impl() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let values: Vec<f64> = columns(6_000, 1, 41)[0].clone();
-    assert_sketched_slev_identity(&BlockSet::from_values(values.clone(), 4), "MemBlock");
+    assert_sketched_slev_identity(
+        &BlockSet::from_values(values.clone(), 4),
+        "RowsBlock (width 1)",
+    );
 
     let text_path = dir.join("col.txt");
     let text: String = values.iter().map(|v| format!("{v}\n")).collect();
@@ -326,7 +336,7 @@ fn sketched_slev_is_bit_identical_on_every_block_impl() {
     let cols = columns(6_000, 3, 47);
     let zipped: Vec<Arc<dyn DataBlock>> = cols
         .iter()
-        .map(|c| Arc::new(MemBlock::new(c.clone())) as Arc<dyn DataBlock>)
+        .map(|c| Arc::new(RowsBlock::new(vec![c.clone()])) as Arc<dyn DataBlock>)
         .collect();
     assert_sketched_slev_identity(&BlockSet::single(ZipBlock::new(zipped)), "ZipBlock");
 
@@ -376,10 +386,11 @@ fn binary_block_kernels_match_scalar() {
 #[test]
 fn projected_column_kernels_match_scalar() {
     // One column of a RowsBlock, as `DataBlock::project` hands it out: a
-    // MemBlock over the table's own storage carrying the sliced sketch.
+    // width-1 RowsBlock over the table's own storage carrying the sliced
+    // sketch.
     let native = native_set(8_000, 3, 1, 9);
     let column = native.block(0).project(1).expect("RowsBlock projects");
-    assert_kernel_identity(column, "MemBlock (projected)");
+    assert_kernel_identity(column, "RowsBlock (projected)");
 }
 
 #[test]
@@ -387,7 +398,7 @@ fn zip_block_kernels_match_scalar() {
     let cols = columns(6_000, 3, 13);
     let zipped: Vec<Arc<dyn DataBlock>> = cols
         .iter()
-        .map(|c| Arc::new(MemBlock::new(c.clone())) as Arc<dyn DataBlock>)
+        .map(|c| Arc::new(RowsBlock::new(vec![c.clone()])) as Arc<dyn DataBlock>)
         .collect();
     let block = Arc::new(ZipBlock::new(zipped));
     assert_kernel_identity(Arc::clone(&block) as Arc<dyn DataBlock>, "ZipBlock");
@@ -419,7 +430,7 @@ fn faulty_block_disarmed_kernels_match_scalar() {
     // its sketch hook intact. This is what makes disarmed fault hooks
     // free of answer drift in production paths.
     let values = columns(8_000, 1, 67)[0].clone();
-    let inner: Arc<dyn DataBlock> = Arc::new(MemBlock::new(values));
+    let inner: Arc<dyn DataBlock> = Arc::new(RowsBlock::new(vec![values]));
     let block = FaultyBlock::new(inner, BlockFault::None, None);
     assert_kernel_identity(Arc::new(block), "FaultyBlock");
 
@@ -455,7 +466,7 @@ fn pooled_filtered_column_rejection_kernels_match_scalar() {
                 GeneratorBlock::new(Arc::new(Normal::new(0.0, 1.0)), rows, 31).with_scan_cap(0);
             let mut zipped: Vec<Arc<dyn DataBlock>> = cols
                 .into_iter()
-                .map(|c| Arc::new(MemBlock::new(c)) as Arc<dyn DataBlock>)
+                .map(|c| Arc::new(RowsBlock::new(vec![c])) as Arc<dyn DataBlock>)
                 .collect();
             zipped.push(Arc::new(unscannable));
             Arc::new(ZipBlock::new(zipped)) as Arc<dyn DataBlock>
@@ -537,10 +548,10 @@ proptest! {
                 let v = block.sample_one(&mut rng).unwrap();
                 prop_assert!(expected.contains(&v), "sampled non-matching value {}", v);
             }
-            let mut buf = SampleBuf::new();
+            let mut buf = scalar_buf();
             let mut rng_a = StdRng::seed_from_u64(seed ^ 0x1234);
-            block.sample_batch(64, &mut rng_a, &mut buf).unwrap();
-            let batched = buf.values().to_vec();
+            block.sample_rows_batch(64, &mut rng_a, &mut buf).unwrap();
+            let batched = buf.rows().to_vec();
             // Batched filtered draws are bit-identical to scalar
             // selection draws under the same seed.
             let mut rng_b = StdRng::seed_from_u64(seed ^ 0x1234);
@@ -590,16 +601,16 @@ proptest! {
         n in 1u64..256,
         seed in 0u64..u64::MAX,
     ) {
-        let native = MemBlock::new(values);
+        let native = RowsBlock::new(vec![values]);
         let wrapped =
             isla::storage::ScalarFallbackBlock(Arc::new(native.clone()) as Arc<dyn DataBlock>);
-        let mut buf = SampleBuf::new();
+        let mut buf = scalar_buf();
         let mut rng = StdRng::seed_from_u64(seed);
-        native.sample_batch(n, &mut rng, &mut buf).unwrap();
-        let batched = buf.values().to_vec();
+        native.sample_rows_batch(n, &mut rng, &mut buf).unwrap();
+        let batched = buf.rows().to_vec();
         let mut rng = StdRng::seed_from_u64(seed);
-        wrapped.sample_batch(n, &mut rng, &mut buf).unwrap();
-        prop_assert_eq!(batched, buf.values());
+        wrapped.sample_rows_batch(n, &mut rng, &mut buf).unwrap();
+        prop_assert_eq!(batched, buf.rows());
     }
 }
 
@@ -642,7 +653,7 @@ fn block_of_kind(kind: &str, cols: &[Vec<f64>]) -> Arc<dyn DataBlock> {
         "RowsBlock" => rows(),
         "ZipBlock" => Arc::new(ZipBlock::new(
             cols.iter()
-                .map(|c| Arc::new(MemBlock::new(c.clone())) as Arc<dyn DataBlock>)
+                .map(|c| Arc::new(RowsBlock::new(vec![c.clone()])) as Arc<dyn DataBlock>)
                 .collect(),
         )),
         "ScalarFallbackBlock" => Arc::new(ScalarFallbackBlock(rows())),
@@ -2281,20 +2292,20 @@ fn default_zone(block: &dyn DataBlock, filter: &RowFilter) -> ZoneMatch {
 
 #[test]
 fn borrowed_zone_verdicts_equal_the_default_on_every_overriding_kind() {
-    // `MemBlock`, `RowsBlock` and `ZipBlock` answer `zone` from the
+    // `RowsBlock` (width 1 and wider) and `ZipBlock` answer `zone` from the
     // sketch they hold, without an `Arc` round trip; the answer must be
     // the default's, whatever the block and the filter.
     let ts: Vec<f64> = (1..=10).map(f64::from).collect();
     let price: Vec<f64> = (0..10).map(|i| 100.0 + f64::from(i) * 10.0).collect();
     let mut dirty = price.clone();
     dirty[3] = f64::NAN;
-    let mem = |v: &[f64]| Arc::new(MemBlock::new(v.to_vec())) as Arc<dyn DataBlock>;
+    let mem = |v: &[f64]| Arc::new(RowsBlock::new(vec![v.to_vec()])) as Arc<dyn DataBlock>;
     let loose = |v: &[f64], sketched| Arc::new(LooseColumn::new(v.to_vec(), sketched));
     let rows = |cols: Vec<Vec<f64>>| Arc::new(RowsBlock::new(cols)) as Arc<dyn DataBlock>;
     let zip = |cols: Vec<Arc<dyn DataBlock>>| Arc::new(ZipBlock::new(cols)) as Arc<dyn DataBlock>;
     let blocks: Vec<(&str, Arc<dyn DataBlock>)> = vec![
-        ("MemBlock", mem(&ts)),
-        ("MemBlock(empty)", mem(&[])),
+        ("RowsBlock(width 1)", mem(&ts)),
+        ("RowsBlock(width 1, empty)", mem(&[])),
         ("RowsBlock", rows(vec![ts.clone(), price.clone()])),
         ("RowsBlock(empty)", rows(vec![vec![], vec![]])),
         ("ZipBlock", zip(vec![mem(&ts), mem(&price)])),
@@ -3007,7 +3018,7 @@ impl DataBlock for ScanOnlyBlock {
     }
 }
 
-/// The pooled filtered draw as it was (`sample_batch` on the compiled
+/// The pooled filtered draw as it was (a batch draw on the compiled
 /// selection): `n` uniform indices over the set's matches drawn up
 /// front, then each resolved and read as a whole row, one column kept.
 fn reference_pooled_draws(
@@ -3046,10 +3057,10 @@ fn pooled_draws(data: &BlockSet, col: usize, filter: &RowFilter, n: u64, seed: u
     let view = PooledFilteredColumn::build(data, col, filter.clone());
     assert!(view.match_count().is_some(), "the selection compiles");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut buf = SampleBuf::new();
+    let mut buf = scalar_buf();
     let batch = view
-        .sample_batch(n, &mut rng, &mut buf)
-        .map(|()| buf.values().iter().map(|v| v.to_bits()).collect())
+        .sample_rows_batch(n, &mut rng, &mut buf)
+        .map(|()| buf.rows().iter().map(|v| v.to_bits()).collect())
         .map_err(|e| e.to_string());
     let after_batch = rng.next_u64();
     let scalar = (0..n)
