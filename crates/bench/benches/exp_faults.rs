@@ -37,7 +37,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 const SEED: u64 = 7_000;
-const SQL: &str = "SELECT AVG(x) FROM t WITH PRECISION 0.2";
+/// A named `METHOD ISLA`: a default query over fault-free blocks would
+/// read its mean off the sketches and never reach the fault machinery.
+const SQL: &str = "SELECT AVG(x) FROM t WITH PRECISION 0.2 METHOD ISLA";
 
 /// One run's scale knobs (full vs `--smoke`).
 struct Scale {

@@ -41,10 +41,12 @@ const SEED: u64 = 6_000;
 
 /// The post-ingest query mix: scalar pre-estimates over two columns
 /// plus a filtered row-model shape, so both the scalar and the row
-/// epoch-fold paths are on the measured path.
+/// epoch-fold paths are on the measured path. The scalar shapes name
+/// `METHOD ISLA`: a default one reads its mean off the sketches and
+/// folds no pilot.
 const SHAPES: [&str; 3] = [
-    "SELECT AVG(distance) FROM trips WITH PRECISION 1.0",
-    "SELECT SUM(fare) FROM trips WITH PRECISION 2.5",
+    "SELECT AVG(distance) FROM trips WITH PRECISION 1.0 METHOD ISLA",
+    "SELECT SUM(fare) FROM trips WITH PRECISION 2.5 METHOD ISLA",
     "SELECT AVG(fare) FROM trips WHERE distance > 100 WITH PRECISION 2.5",
 ];
 

@@ -93,11 +93,14 @@ pub struct IslaConfig {
     /// Known standard deviation: when set, the σ-estimation pilot is
     /// skipped. Default `None`.
     pub known_sigma: Option<f64>,
-    /// Derive σ from cached per-block moment sketches when the data
-    /// exposes them (single-column, all-finite, no filtering applied):
-    /// the exact population variance replaces the σ pilot sample
-    /// entirely. Falls back to the pilot whenever the sketches are
-    /// incomplete or inapplicable. Default false.
+    /// Answer from the blocks' moment sketches when they already know
+    /// the answer: when every block carries a width-1, all-finite hook
+    /// sketch with a decided zone verdict (no armed fault), the
+    /// pre-estimate is pinned to the exact mean `Σa/n` with σ = 0 and
+    /// zero pilot draws, and no block executes. Otherwise the pilots
+    /// run unchanged. The query executor sets it for a default scalar
+    /// ISLA query and leaves it off for a named `METHOD ISLA`. Default
+    /// false.
     pub sketch_sigma: bool,
     /// Record per-iteration traces in block outcomes (diagnostics).
     /// Default false.
@@ -371,8 +374,8 @@ impl IslaConfigBuilder {
         known_sigma: Option<f64>
     );
     setter!(
-        /// Enables sketch-derived σ (skips the pilot when per-block
-        /// moment sketches cover the data).
+        /// Lets the block sketches pin the answer when they know it
+        /// exactly (see [`IslaConfig::sketch_sigma`]).
         sketch_sigma: bool
     );
     setter!(

@@ -7,6 +7,7 @@
 //! `(table, column, config, data shape)` lets every repeat skip the
 //! pilot phase entirely and go straight to planning.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,8 @@ use isla_storage::{BlockSet, EpochMark};
 use crate::config::IslaConfig;
 use crate::error::IslaError;
 use crate::pre_estimation::{
-    finish_pilot_fold, fold_pilot_segment, pre_estimate_with, PilotFold, PreEstimate,
+    finish_pilot_fold, fold_pilot_segment, pinned_pre_estimate, pre_estimate_with, PilotFold,
+    PreEstimate,
 };
 
 use super::recovery::RecoveryPolicy;
@@ -394,6 +396,11 @@ impl PreEstimateCache {
     /// is bit-identical to a cold fold of the same history — callers
     /// never pass an RNG, and a hit and a miss leave no stream anywhere.
     ///
+    /// A set whose answer the block sketches pin (see
+    /// [`IslaConfig::sketch_sigma`]) folds no segment: its entry holds
+    /// the pinned estimate and an empty fold, which the next epoch
+    /// cannot resume, so a later unpinned set cold-folds every segment.
+    ///
     /// # Errors
     ///
     /// Pre-estimation failures (the cache is left untouched).
@@ -404,13 +411,21 @@ impl PreEstimateCache {
         config: &IslaConfig,
         salt: u64,
     ) -> Result<CacheLookup, IslaError> {
+        let pinned = OnceCell::new();
+        let pinned = || pinned.get_or_init(|| pinned_pre_estimate(data, config));
         self.scalar.lookup_epoch(
             &self.counters,
             &key,
             data,
             PilotFold::segments,
-            |fold, blocks, _, digest| fold_pilot_segment(fold, data, blocks, config, digest, salt),
-            |fold| finish_pilot_fold(fold, data, config),
+            |fold, blocks, _, digest| match pinned() {
+                Some(_) => Ok(()),
+                None => fold_pilot_segment(fold, data, blocks, config, digest, salt),
+            },
+            |fold| match pinned() {
+                Some(pre) => Ok(pre.clone()),
+                None => finish_pilot_fold(fold, data, config),
+            },
         )
     }
 
@@ -454,7 +469,8 @@ impl PreEstimateCache {
     /// population, decided by the key's query shape). A pure probe: no
     /// counters move, nothing is computed — the tool for pinning *which*
     /// key a caller populated (e.g. that an executor cached under its
-    /// final config, sketch-σ flag included, not a pre-toggle one).
+    /// final config, `sketch_sigma` flag included, not a pre-toggle
+    /// one).
     pub fn contains(&self, key: &CacheKey) -> bool {
         self.scalar.exact.lock().contains_key(key) || self.rows.exact.lock().contains_key(key)
     }
@@ -734,11 +750,11 @@ mod tests {
 
     #[test]
     fn sketch_sigma_and_pilot_sigma_never_share_a_slot() {
-        // The σ-source flag is fingerprint-hashed: a query whose σ came
-        // from block sketches and one whose σ came from the sampling
-        // pilot describe different plans and must key separately — an
-        // executor that derived its key before toggling the flag would
-        // silently alias them.
+        // The `sketch_sigma` flag is fingerprint-hashed: a query whose
+        // answer the block sketches pinned and one whose σ came from the
+        // sampling pilot describe different plans and must key
+        // separately — an executor that derived its key before toggling
+        // the flag would silently alias them.
         let ds = normal_dataset(100.0, 20.0, 50_000, 5, 63);
         let cache = PreEstimateCache::new();
         let pilot_cfg = config(0.5);
@@ -761,7 +777,7 @@ mod tests {
         assert!(cache.contains(&sketch_key));
         assert!(
             !cache.contains(&pilot_key),
-            "sketch-σ entry must not answer pilot-σ probes"
+            "a pinned entry must not answer pilot-σ probes"
         );
         let pilot = cache
             .get_or_compute_with(

@@ -398,7 +398,8 @@ impl CalcPlan for QueryPlan {
         self.pre().sigma_pilot_used + self.pre().sketch_pilot_used
     }
 
-    /// Degenerate data (σ = 0): the pilot pinned the constant answer.
+    /// A pinned pre-estimate (σ = 0): constant data, or the exact mean
+    /// from the block sketches.
     fn pinned(&self) -> Option<FinalAggregate> {
         self.is_degenerate().then(|| FinalAggregate {
             estimate: self.pre().sketch0,

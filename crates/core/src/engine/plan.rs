@@ -120,8 +120,8 @@ impl QueryPlan {
         rate.validate()?;
         let data_size = data.total_len();
         if pre.sigma == 0.0 {
-            // Degenerate data: the pilot pinned the (constant) answer;
-            // no boundaries exist and no blocks will run.
+            // A pinned answer (constant data, or the exact mean from the
+            // block sketches): no boundaries exist and no blocks will run.
             return Ok(Self {
                 config: config.clone(),
                 sketch0_shifted: pre.sketch0,
@@ -160,8 +160,9 @@ impl QueryPlan {
         self
     }
 
-    /// Whether pre-estimation found constant data (σ = 0): the answer is
-    /// pinned and no block execution happens.
+    /// Whether the pre-estimate pinned the answer (σ = 0): the pilot
+    /// found constant data, or the block sketches gave the exact mean
+    /// (see [`IslaConfig::sketch_sigma`]). No block execution happens.
     pub fn is_degenerate(&self) -> bool {
         self.pre.sigma == 0.0
     }

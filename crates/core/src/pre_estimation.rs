@@ -13,17 +13,20 @@
 //!    `(sketch0 − tₑ·e, sketch0 + tₑ·e)` — the precision assurance that
 //!    later bounds the modulation (Section VII-B).
 //!
-//! When [`IslaConfig::sketch_sigma`] is set and every block exposes a
-//! width-1, all-finite moment sketch, pilot 1 is replaced outright: the
-//! exact variance follows from the cached `Σa`/`Σa²` metadata without
-//! drawing a single sample. The paper observes that σ error "hardly has
-//! any effect on the answers"; here σ becomes exact *and* free.
+//! When [`IslaConfig::sketch_sigma`] is set and metadata already knows
+//! the answer — every block carries a width-1, all-finite moment sketch
+//! whose zone verdict for the trivial filter is decided — both pilots
+//! are skipped: the pre-estimate is *pinned* to the exact mean `Σa/n`
+//! with σ = 0, a zero-width interval and zero pilot draws, so the
+//! plan's degenerate short-circuit answers without executing a block.
+//! Anything short of that (a sketch-less or non-finite block, an armed
+//! fault) runs both pilots unchanged.
 
 use rand::RngCore;
 
 use isla_stats::{required_sample_size, sampling_rate, ConfidenceInterval, WelfordMoments};
 use isla_storage::{
-    sample_proportional, sample_proportional_surviving, BlockSet, BlockSketch, DataBlock,
+    sample_proportional, sample_proportional_surviving, BlockSet, DataBlock, RowFilter, ZoneMatch,
 };
 
 use crate::config::IslaConfig;
@@ -34,11 +37,14 @@ use crate::error::IslaError;
 /// Output of the Pre-estimation module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreEstimate {
-    /// Estimated (or configured) standard deviation `σ`.
+    /// Estimated (or configured) standard deviation `σ`; 0 when the
+    /// answer is pinned — constant data, or an exact mean read from the
+    /// block sketches — and no block needs to execute.
     pub sigma: f64,
     /// The sketch estimator's initial value `sketch0`.
     pub sketch0: f64,
-    /// Main sampling rate `r = m/M`, clamped to `(0, 1]`.
+    /// Main sampling rate `r = m/M`, clamped to `(0, 1]` (0 when pinned
+    /// from metadata).
     pub rate: f64,
     /// Required total sample size `m = ⌈z²σ²/e²⌉`.
     pub required_samples: u64,
@@ -88,32 +94,27 @@ pub fn pre_estimate_with(
         ));
     }
 
-    // Pilot 1: estimate σ. Skipped when configured; replaced by the
-    // exact sketch-derived value when enabled and the metadata covers
-    // the whole set.
+    if let Some(pinned) = pinned_pre_estimate(data, config) {
+        return Ok(pinned);
+    }
+
+    // Pilot 1: estimate σ, unless configured.
     let (sigma, sigma_pilot_used) = match config.known_sigma {
         Some(s) => (s, 0),
-        None => match config
-            .sketch_sigma
-            .then(|| sketch_sigma(data.ready_sketches().iter()))
-            .flatten()
-        {
-            Some(s) => (s, 0),
-            None => {
-                let pilot_size = config.sigma_pilot_size.min(data_size);
-                if pilot_size < 2 {
-                    return Err(IslaError::InsufficientData(format!(
-                        "σ pilot needs at least 2 samples, data has {data_size} rows"
-                    )));
-                }
-                let pilot = draw_pilot(data, pilot_size, recovery, rng)?;
-                let moments: WelfordMoments = pilot.into_iter().collect();
-                let sigma = moments.std_dev_sample().ok_or_else(|| {
-                    IslaError::InsufficientData("σ pilot produced fewer than 2 samples".to_string())
-                })?;
-                (sigma, pilot_size)
+        None => {
+            let pilot_size = config.sigma_pilot_size.min(data_size);
+            if pilot_size < 2 {
+                return Err(IslaError::InsufficientData(format!(
+                    "σ pilot needs at least 2 samples, data has {data_size} rows"
+                )));
             }
-        },
+            let pilot = draw_pilot(data, pilot_size, recovery, rng)?;
+            let moments: WelfordMoments = pilot.into_iter().collect();
+            let sigma = moments.std_dev_sample().ok_or_else(|| {
+                IslaError::InsufficientData("σ pilot produced fewer than 2 samples".to_string())
+            })?;
+            (sigma, pilot_size)
+        }
     };
 
     // Degenerate data (σ = 0): one sample pins the answer exactly; the
@@ -281,10 +282,9 @@ pub fn fold_pilot_segment(
 /// Finishes the fold into a [`PreEstimate`] for the *whole* of `data`.
 /// Pure function of the fold state, the set's current shape, and the
 /// config: `rate` and `required_samples` are recomputed from the final
-/// σ̂ and row count, and — when [`IslaConfig::sketch_sigma`] is set — σ
-/// comes exactly from the blocks' **hook** sketches (hooks are a pure
-/// function of the blocks, unlike the scan-backed sketch cache, whose
-/// warmth may differ between a cold and a delta run).
+/// σ̂ and row count. A set whose answer metadata pins
+/// ([`IslaConfig::sketch_sigma`]) is not folded at all: the epoch
+/// lookup returns the pinned estimate instead of calling this.
 ///
 /// # Errors
 ///
@@ -303,16 +303,9 @@ pub fn finish_pilot_fold(
     }
     let sigma = match config.known_sigma {
         Some(s) => s,
-        None => match config
-            .sketch_sigma
-            .then(|| sketch_sigma(data.iter().map(|block| block.sketch())))
-            .flatten()
-        {
-            Some(s) => s,
-            None => fold.sigma_pilot.std_dev_sample().ok_or_else(|| {
-                IslaError::InsufficientData("σ pilot fold holds fewer than 2 samples".to_string())
-            })?,
-        },
+        None => fold.sigma_pilot.std_dev_sample().ok_or_else(|| {
+            IslaError::InsufficientData("σ pilot fold holds fewer than 2 samples".to_string())
+        })?,
     };
     if sigma == 0.0 {
         // Degenerate data: any pilot sample pins the answer (every
@@ -355,57 +348,58 @@ pub fn finish_pilot_fold(
     })
 }
 
-/// The exact σ from per-block moment sketches, one entry per block:
-/// every block must expose a width-1, all-finite sketch and the blocks
-/// must hold at least 2 rows. Uses the sample variance
-/// `(Σa² − (Σa)²/n)/(n−1)` so the value is on the same scale as the
-/// pilot's `std_dev_sample`. Returns `None` — fall back to the pilot —
-/// when any sketch is missing or inapplicable, or when cancellation
-/// drives the variance negative (the `min == max` constant-data case is
-/// detected exactly first).
+/// The pre-estimate block metadata pins, when
+/// [`IslaConfig::sketch_sigma`] is set and every block's hook sketch
+/// ([`DataBlock::sketch`]) is width-1 and all-finite with a decided
+/// zone verdict for the trivial filter ([`DataBlock::zone`], which an
+/// armed fault answers `Mixed`): σ = 0, `sketch0` = the exact mean
+/// `Σa/n` (the common value itself when `min == max`), a zero-width
+/// interval and no pilot draws. `None` — run the pilots — otherwise, or
+/// when the set holds no rows.
 ///
-/// The one-shot pre-estimate folds [`BlockSet::ready_sketches`]; the
-/// epoch fold folds the blocks' **hook** sketches
-/// ([`isla_storage::DataBlock::sketch`]), a pure function of the block
-/// list, so a cold run and a delta run agree on σ's source bit for bit
-/// however warm the scan-backed sketch cache happens to be.
-fn sketch_sigma<S: AsRef<BlockSketch>>(
-    sketches: impl IntoIterator<Item = Option<S>>,
-) -> Option<f64> {
-    let mut n = 0u64;
+/// Hooks are a pure function of the blocks, unlike the scan-backed
+/// sketch cache, so the one-shot and the epoch lookups decide alike
+/// however warm that cache is.
+pub(crate) fn pinned_pre_estimate(data: &BlockSet, config: &IslaConfig) -> Option<PreEstimate> {
+    if !config.sketch_sigma {
+        return None;
+    }
+    let everything = RowFilter::all();
+    let mut rows = 0u64;
     let mut sum = 0.0;
-    let mut sum_sq = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
-    for sketch in sketches {
-        let sketch = sketch?;
-        let sketch = sketch.as_ref();
-        if sketch.width() != 1 {
+    for block in data.iter() {
+        if block.zone(&everything) == ZoneMatch::Mixed {
             return None;
         }
-        let m = sketch.column(0)?;
+        let sketch = block.sketch()?;
+        let m = sketch.column(0).filter(|_| sketch.width() == 1)?;
         if m.non_finite > 0 {
             return None;
         }
-        n += sketch.rows;
+        rows += sketch.rows;
         sum += m.sum;
-        sum_sq += m.sum_sq;
         min = min.min(m.min);
         max = max.max(m.max);
     }
-    if n < 2 {
+    if rows == 0 {
         return None;
     }
-    if min == max {
-        return Some(0.0);
-    }
-    let nf = n as f64;
-    let var = (sum_sq - sum * sum / nf) / (nf - 1.0);
-    if var > 0.0 {
-        Some(var.sqrt())
-    } else {
-        None
-    }
+    let value = if min == max { min } else { sum / rows as f64 };
+    Some(PreEstimate {
+        sigma: 0.0,
+        sketch0: value,
+        rate: 0.0,
+        required_samples: 0,
+        sigma_pilot_used: 0,
+        sketch_pilot_used: 0,
+        sketch_interval: ConfidenceInterval {
+            center: value,
+            half_width: 0.0,
+            confidence: config.confidence,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -466,18 +460,24 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
-        assert_eq!(pre.sigma_pilot_used, 0, "sketches replace the σ pilot");
-        let moments: WelfordMoments = values.into_iter().collect();
-        let exact = moments.std_dev_sample().unwrap();
-        assert!(
-            (pre.sigma - exact).abs() <= 1e-9 * exact,
-            "sketch σ {} vs exact {exact}",
-            pre.sigma
-        );
         assert_eq!(
-            pre.required_samples,
-            isla_stats::required_sample_size(pre.sigma, 0.5, 0.95)
+            (pre.sigma_pilot_used, pre.sketch_pilot_used),
+            (0, 0),
+            "the sketches replace both pilots"
         );
+        assert_eq!(pre.sigma, 0.0, "σ = 0 pins the plan");
+        assert_eq!(pre.required_samples, 0);
+        let exact = values.iter().sum::<f64>() / values.len() as f64;
+        assert!(
+            (pre.sketch0 - exact).abs() <= 1e-12 * exact,
+            "sketch0 {} vs exact mean {exact}",
+            pre.sketch0
+        );
+        assert_eq!(pre.sketch_interval.center, pre.sketch0);
+        assert_eq!(pre.sketch_interval.half_width, 0.0);
+        // The pinned estimate does not touch the caller's stream.
+        let mut fresh = StdRng::seed_from_u64(12);
+        assert_eq!(rng.next_u64(), fresh.next_u64());
     }
 
     #[test]
@@ -491,9 +491,40 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let pre = pre_estimate_with(&data, &cfg, &RecoveryPolicy::strict(), &mut rng).unwrap();
         assert_eq!(pre.sigma, 0.0, "min == max proves σ = 0 from metadata");
-        assert_eq!(pre.sigma_pilot_used, 0);
-        assert_eq!(pre.sketch0, 7.5);
-        assert_eq!(pre.required_samples, 1);
+        assert_eq!(pre.sigma_pilot_used + pre.sketch_pilot_used, 0);
+        assert_eq!(pre.sketch0, 7.5, "the common value, not a rounded Σa/n");
+        assert_eq!(pre.required_samples, 0);
+    }
+
+    #[test]
+    fn sketch_sigma_runs_the_pilots_over_an_armed_fault_plan() {
+        use isla_storage::FaultPlan;
+        let cfg = IslaConfig::builder()
+            .precision(0.5)
+            .sketch_sigma(true)
+            .build()
+            .unwrap();
+        let mut plain = cfg.clone();
+        plain.sketch_sigma = false;
+        let policy = RecoveryPolicy::best_effort(crate::engine::RetryPolicy::attempts(3));
+        let pilots = |data: &BlockSet, cfg: &IslaConfig| {
+            let mut rng = StdRng::seed_from_u64(16);
+            pre_estimate_with(data, cfg, &policy, &mut rng).unwrap()
+        };
+        let clean = BlockSet::from_values(normal_values(100.0, 20.0, 40_000, 18), 8);
+        assert_eq!(
+            pilots(&clean, &cfg).sigma_pilot_used,
+            0,
+            "the clean set pins"
+        );
+
+        // An armed block answers `Mixed`: its reads may fail or differ
+        // from what its forwarded sketch describes.
+        let armed = FaultPlan::new(31).transient(0.6, 2).arm(&clean);
+        assert!(pinned_pre_estimate(&armed, &cfg).is_none());
+        let recovered = pilots(&armed, &cfg);
+        assert_eq!(recovered, pilots(&armed, &plain));
+        assert_eq!(recovered.sigma_pilot_used, 1000, "the pilots ran");
     }
 
     #[test]
@@ -514,6 +545,11 @@ mod tests {
             "sketch-less blocks fall back to the sampling pilot"
         );
         assert!((pre.sigma - 20.0).abs() < 2.0, "σ̂ = {}", pre.sigma);
+        let mut plain = cfg.clone();
+        plain.sketch_sigma = false;
+        let mut rng = StdRng::seed_from_u64(15);
+        let want = pre_estimate_with(&data, &plain, &RecoveryPolicy::strict(), &mut rng).unwrap();
+        assert_eq!(pre, want, "the fallback is today's pilot, bit for bit");
     }
 
     #[test]

@@ -87,6 +87,11 @@ pub struct Query {
     pub confidence: Option<f64>,
     /// Estimation method, defaulting to ISLA.
     pub method: Method,
+    /// Whether the statement named its method (`METHOD …`). A default
+    /// query may be answered from block metadata where that is exact; a
+    /// named `METHOD ISLA` always runs the paper's pilots and
+    /// Algorithms 1–2.
+    pub method_named: bool,
     /// Explicit sample budget (`SAMPLES n`), required by baselines when
     /// no precision is given.
     pub samples: Option<u64>,

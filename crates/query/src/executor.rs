@@ -11,13 +11,17 @@
 //! and executed through the engine's row-model pipeline
 //! ([`engine::run_row_plan_with`]): pilot rows estimate the predicate's
 //! selectivity and per-group σ̂/sketch, the calculation rate is sized so
-//! *every group* meets the precision target, and `SUM`/`COUNT` under a
-//! filter are estimated from the hit rate ([`engine::hit_rate_pilot`]) —
-//! never read from block metadata. Baselines and sampled `MAX`/`MIN`
-//! draw from one pooled filtered column ([`PooledFilteredColumn`]), and
-//! `METHOD EXACT` folds the matching rows block by block on the
-//! session's scheduler ([`engine::exact`]), reading only the columns
-//! the query names. Every filtered path reads a block only where its
+//! *every group* meets the precision target, and `SUM` under a filter
+//! is scaled by a count estimated from the hit rate
+//! ([`engine::hit_rate_pilot`]). Where metadata already knows the
+//! answer, a default query (no `METHOD` named) reads it instead of
+//! sampling: an unfiltered `AVG`/`SUM` is pinned from the block
+//! sketches, and an ungrouped `COUNT(*) WHERE …` with no precision,
+//! budget or deadline counts the compiled selection. Baselines and
+//! sampled `MAX`/`MIN` draw from one pooled filtered column
+//! ([`PooledFilteredColumn`]), and `METHOD EXACT` folds the matching
+//! rows block by block on the session's scheduler ([`engine::exact`]),
+//! reading only the columns the query names. Every filtered path reads a block only where its
 //! zone map leaves the predicate undecided.
 
 use std::sync::Arc;
@@ -448,12 +452,27 @@ impl QuerySession {
             return exact_rows(query, &exact, rows, confidence, start);
         }
 
-        // COUNT(*) under a predicate: estimated from pilot row draws —
-        // the hit rate is the answer, there is no metadata to read. The
-        // pilot *is* uniform row sampling, so only ISLA (the default)
-        // and US name this estimator truthfully; other methods have no
-        // counting analogue here.
+        // COUNT(*) under a predicate. The default ungrouped form, with
+        // no precision, budget or deadline to honour, counts the
+        // compiled selection: exact, and cached across queries. Every
+        // other form is estimated from pilot row draws. The pilot *is*
+        // uniform row sampling, so only ISLA and US name this estimator
+        // truthfully; other methods have no counting analogue here.
         if query.agg == AggFunc::Count {
+            let plain =
+                query.precision.is_none() && query.samples.is_none() && query.within_ms.is_none();
+            if !query.method_named && !grouped && plain {
+                let selection = data.selection_for(&spec.filter)?;
+                // A block that cannot be scanned compiles no vector; its
+                // matches are then unknown, and the estimate stands.
+                if selection.is_complete() {
+                    let matched = selection.total_matches() as f64;
+                    let mut result = QueryResult::of(query, rows, confidence, start, matched);
+                    result.method = Method::Exact;
+                    result.matched_rows = Some(matched);
+                    return Ok(result);
+                }
+            }
             if !matches!(query.method, Method::Isla | Method::Us) {
                 return Err(QueryError::Invalid(format!(
                     "COUNT(*) with a predicate supports METHOD ISLA, US, or EXACT, not {:?}",
@@ -652,13 +671,13 @@ impl QuerySession {
         }
 
         let mut config = isla_config(query, confidence)?;
-        // Let pre-estimation take σ from per-block moment sketches when
-        // the block set carries them: exact σ, zero pilot draws. Filtered
-        // views expose no sketches (their population is the matching
-        // subset), so predicated queries fall back to the pilot on their
-        // own. The flag is part of the config fingerprint, so cache
-        // entries never cross between the two σ sources.
-        config.sketch_sigma = true;
+        // A default query lets pre-estimation pin the answer from the
+        // block sketches when they know it exactly (the unfiltered mean
+        // of finite, sketched, fault-free blocks): zero draws. A named
+        // `METHOD ISLA` keeps the paper's pilots and Algorithms 1–2. The
+        // flag is part of the config fingerprint, so cache entries never
+        // cross between the two.
+        config.sketch_sigma = !query.method_named;
 
         // Time-constrained execution (paper §VII-F): the deadline clock
         // starts *before* any sampling — calibrate throughput first, so
@@ -671,9 +690,9 @@ impl QuerySession {
         })?;
 
         // NOTE: the key MUST be derived from the *final* config — the
-        // sketch-σ toggle above is fingerprint-hashed, so a key built
-        // before it would alias sketch-σ and pilot-σ entries (pinned by
-        // the `sketch_sigma_key_derives_from_the_final_config` test).
+        // `sketch_sigma` toggle above is fingerprint-hashed, so a key
+        // built before it would alias metadata and pilot entries (pinned
+        // by the `sketch_sigma_key_derives_from_the_final_config` test).
         let key = CacheKey::new(&query.table, &query.column, &config, data);
         let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
             Pilots::Epoch(salt) => self
@@ -1203,7 +1222,11 @@ mod tests {
 
     #[test]
     fn avg_with_precision_via_isla() {
-        let r = run("SELECT AVG(distance) FROM trips WITH PRECISION 0.5", 2).unwrap();
+        let r = run(
+            "SELECT AVG(distance) FROM trips WITH PRECISION 0.5 METHOD ISLA",
+            2,
+        )
+        .unwrap();
         assert!((r.value - 100.0).abs() < 1.0, "value {}", r.value);
         assert_eq!(r.method, Method::Isla);
         assert_eq!(r.rows, 300_000);
@@ -1438,7 +1461,18 @@ mod tests {
             24,
         )
         .unwrap();
-        let approx = run("SELECT COUNT(*) FROM sales WHERE amount > 50", 25).unwrap();
+        // The default ungrouped count is the compiled selection's.
+        let default = run("SELECT COUNT(*) FROM sales WHERE amount > 50", 25).unwrap();
+        assert_eq!(default.value, exact.value, "exact, not sampled");
+        assert_eq!(default.method, Method::Exact);
+        assert_eq!(default.matched_rows, Some(exact.value));
+        assert!(default.samples_used.is_none());
+        // A budget keeps the estimate.
+        let approx = run(
+            "SELECT COUNT(*) FROM sales WHERE amount > 50 SAMPLES 10000",
+            25,
+        )
+        .unwrap();
         assert!(approx.samples_used.is_some(), "estimated COUNT samples");
         assert!(exact.samples_used.is_none());
         assert!(
@@ -1763,5 +1797,185 @@ mod tests {
                 other => panic!("{sql}: {other:?}"),
             }
         }
+    }
+
+    /// A catalog with one width-1 column `t.x` over `blocks`.
+    fn one_column(blocks: BlockSet) -> Catalog {
+        let mut c = Catalog::new();
+        c.register("t", Table::new(vec![("x", blocks)]));
+        c
+    }
+
+    fn run_on(c: &Catalog, session: &QuerySession, sql: &str, seed: u64) -> QueryResult {
+        let mut rng = StdRng::seed_from_u64(seed);
+        session.execute(&parse(sql).unwrap(), c, &mut rng).unwrap()
+    }
+
+    /// 1e7 + N(0, 1): large enough an offset that `Σa² − (Σa)²/n`
+    /// cancels to a σ̂ of 0.74.
+    fn offset_column() -> Catalog {
+        let values = normal_values(1e7, 1.0, 200_000, 61);
+        one_column(BlockSet::from_values(values, 8))
+    }
+
+    #[test]
+    fn default_avg_on_a_large_offset_is_the_exact_mean() {
+        let c = offset_column();
+        let session = QuerySession::new();
+        let exact = run_on(&c, &session, "SELECT AVG(x) FROM t METHOD EXACT", 1);
+        let r = run_on(&c, &session, "SELECT AVG(x) FROM t WITH PRECISION 0.01", 2);
+        assert!(
+            (r.value - exact.value).abs() <= 1e-9 * exact.value.abs(),
+            "{} vs exact {}",
+            r.value,
+            exact.value
+        );
+        assert_eq!(r.samples_used, Some(0));
+        assert_eq!(r.method, Method::Isla);
+    }
+
+    #[test]
+    fn named_isla_on_a_large_offset_sizes_from_the_pilot_sigma() {
+        let c = offset_column();
+        let session = QuerySession::new();
+        let sql = "SELECT AVG(x) FROM t WITH PRECISION 0.05 METHOD ISLA";
+        let r = run_on(&c, &session, sql, 3);
+        assert!(
+            r.samples_used.unwrap() > 1_000,
+            "the pilots and Algorithm 1 ran"
+        );
+        // The cached pre-estimate sized Eq. 1: m = z²σ²/e² with σ = 1.
+        let config = isla_config(&parse(sql).unwrap(), DEFAULT_CONFIDENCE).unwrap();
+        let data = c.table("t").unwrap().column("x").unwrap();
+        let lookup = session
+            .pre_cache()
+            .get_or_compute_with(
+                CacheKey::new("t", "x", &config, &data),
+                &data,
+                &config,
+                &RecoveryPolicy::strict(),
+                &mut StdRng::seed_from_u64(0),
+            )
+            .unwrap();
+        assert!(lookup.hit, "the query filed its pre-estimate");
+        let want = 1.959_963_984_540_054_f64.powi(2) / (0.05 * 0.05);
+        let got = lookup.pre.required_samples as f64;
+        assert!(
+            (got - want).abs() <= 0.1 * want,
+            "required {got} vs z²/e² = {want}"
+        );
+    }
+
+    #[test]
+    fn default_sum_is_the_sketch_total_and_constants_pin_to_their_value() {
+        let values = normal_values(40.0, 9.0, 120_000, 62);
+        let c = one_column(BlockSet::from_values(values.clone(), 6));
+        let session = QuerySession::new();
+        let r = run_on(&c, &session, "SELECT SUM(x) FROM t WITH PRECISION 0.5", 4);
+        let total: f64 = values.iter().sum();
+        assert!(
+            (r.value - total).abs() <= 1e-12 * total.abs(),
+            "SUM {} vs Σa {total}",
+            r.value
+        );
+        assert_eq!(r.samples_used, Some(0));
+
+        let c = one_column(BlockSet::from_values(vec![7.25; 9_000], 3));
+        let r = run_on(&c, &session, "SELECT AVG(x) FROM t WITH PRECISION 0.1", 5);
+        assert_eq!(r.value, 7.25);
+        assert_eq!(r.samples_used, Some(0));
+    }
+
+    /// A block over one in-memory column that may hold non-finite values
+    /// (which `RowsBlock` refuses), with a sketch hook that reports them.
+    struct RawColumn(Vec<f64>);
+
+    impl isla_storage::DataBlock for RawColumn {
+        fn len(&self) -> u64 {
+            self.0.len() as u64
+        }
+
+        fn gather(
+            &self,
+            _: &[usize],
+            indices: &[u64],
+            out: &mut [f64],
+        ) -> Result<(), isla_storage::StorageError> {
+            for (slot, &i) in out.iter_mut().zip(indices) {
+                *slot = *self
+                    .0
+                    .get(i as usize)
+                    .ok_or(isla_storage::StorageError::Empty)?;
+            }
+            Ok(())
+        }
+
+        fn scan_column_chunks(
+            &self,
+            _: &[usize],
+            visit: &mut dyn FnMut(&[&[f64]]),
+        ) -> Result<(), isla_storage::StorageError> {
+            for chunk in self.0.chunks(isla_storage::SCAN_CHUNK_ROWS) {
+                visit(&[chunk]);
+            }
+            Ok(())
+        }
+
+        fn sketch(&self) -> Option<Arc<isla_storage::BlockSketch>> {
+            Some(Arc::new(isla_storage::BlockSketch::from_values(&self.0)))
+        }
+    }
+
+    /// Where the sketches cannot pin the answer, the default query runs
+    /// exactly what a named `METHOD ISLA` runs: the same pilots and
+    /// Algorithms 1–2, bit for bit.
+    fn assert_default_samples_like_named_isla(c: &Catalog, session: &QuerySession, what: &str) {
+        let default = run_on(c, session, "SELECT AVG(x) FROM t WITH PRECISION 0.5", 6);
+        let named = run_on(
+            c,
+            session,
+            "SELECT AVG(x) FROM t WITH PRECISION 0.5 METHOD ISLA",
+            6,
+        );
+        assert_eq!(default.value.to_bits(), named.value.to_bits(), "{what}");
+        assert_eq!(default.samples_used, named.samples_used, "{what}");
+        assert!(default.samples_used.unwrap() > 1_000, "{what}: sampled");
+    }
+
+    #[test]
+    fn unsketched_non_finite_or_faulty_blocks_keep_sampling() {
+        use isla_storage::{BinaryBlock, DataBlock, FaultPlan};
+        let values = normal_values(100.0, 20.0, 40_000, 63);
+        let native = BlockSet::from_values(values.clone(), 4);
+
+        let dir = std::env::temp_dir().join(format!("isla-exec-bin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let files: Vec<Arc<dyn DataBlock>> = values
+            .chunks(10_000)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let block = BinaryBlock::create(dir.join(format!("b{i}.blk")), chunk).unwrap();
+                Arc::new(block) as Arc<dyn DataBlock>
+            })
+            .collect();
+        let binary = one_column(BlockSet::new(files));
+        assert_default_samples_like_named_isla(&binary, &QuerySession::new(), "BinaryBlock");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut poisoned: Vec<Arc<dyn DataBlock>> = native.iter().skip(1).cloned().collect();
+        let mut first = values[..10_000].to_vec();
+        first[17] = f64::INFINITY;
+        poisoned.insert(0, Arc::new(RawColumn(first)));
+        let poisoned = one_column(BlockSet::new(poisoned));
+        let session = QuerySession::with_policy(ExecPolicy::new().best_effort());
+        assert_default_samples_like_named_isla(&poisoned, &session, "non-finite block");
+
+        let armed = one_column(FaultPlan::new(31).transient(0.6, 2).arm(&native));
+        let session = QuerySession::with_policy(
+            ExecPolicy::new()
+                .best_effort()
+                .retry(RetryPolicy::attempts(3)),
+        );
+        assert_default_samples_like_named_isla(&armed, &session, "armed FaultyBlock");
     }
 }

@@ -170,6 +170,7 @@ pub fn parse(input: &str) -> Result<Query, QueryError> {
         precision: None,
         confidence: None,
         method: Method::default(),
+        method_named: false,
         samples: None,
         within_ms: None,
     };
@@ -235,6 +236,7 @@ pub fn parse(input: &str) -> Result<Query, QueryError> {
                     expected: "one of ISLA, US, STS, MV, MVB, SLEV, EXACT".to_string(),
                     found: format!("identifier {name:?}"),
                 })?;
+                query.method_named = true;
             }
             Token::Samples => {
                 p.advance();
@@ -284,6 +286,15 @@ mod tests {
         assert_eq!(q.precision, Some(0.1));
         assert_eq!(q.method, Method::Isla);
         assert_eq!(q.confidence, None);
+    }
+
+    #[test]
+    fn records_whether_the_method_was_named() {
+        let default = parse("SELECT AVG(x) FROM t WITH PRECISION 0.1").unwrap();
+        let named = parse("SELECT AVG(x) FROM t WITH PRECISION 0.1 METHOD ISLA").unwrap();
+        assert_eq!((default.method, named.method), (Method::Isla, Method::Isla));
+        assert!(!default.method_named);
+        assert!(named.method_named);
     }
 
     #[test]

@@ -1026,10 +1026,48 @@ mod tests {
     }
 
     #[test]
+    fn a_grown_table_answers_its_exact_mean_through_the_epoch_layer() {
+        let service = QueryService::new(ServiceConfig {
+            ingest_rows_per_block: 500,
+            pilot_seed: 5,
+            ..ServiceConfig::default()
+        });
+        let mut values = normal_values(100.0, 20.0, 20_000, 71);
+        service.register_table(
+            "trips",
+            Table::new(vec![("distance", BlockSet::from_values(values.clone(), 4))]),
+        );
+        let appended = normal_values(130.0, 5.0, 1_500, 72);
+        let rows: Vec<Vec<f64>> = appended.iter().map(|&v| vec![v]).collect();
+        service.ingest("feeder", "trips", &rows).unwrap();
+        values.extend(appended);
+        assert!(service.table("trips").unwrap().data().epoch() > 0);
+        let exact = values.iter().sum::<f64>() / values.len() as f64;
+        for seed in [1, 2] {
+            let r = service
+                .query(
+                    "t",
+                    "SELECT AVG(distance) FROM trips WITH PRECISION 0.5",
+                    seed,
+                )
+                .unwrap();
+            assert!(
+                (r.value - exact).abs() <= 1e-12 * exact,
+                "{} vs exact {exact}",
+                r.value
+            );
+            assert_eq!(r.samples_used, Some(0));
+        }
+        let epoch = service.epoch_cache_stats();
+        assert_eq!((epoch.cold_folds, epoch.exact_hits), (1, 1));
+    }
+
+    #[test]
     fn post_ingest_queries_are_bit_identical_to_invalidate_and_recompute() {
         // The tentpole invariant: folding only the delta epochs on top
         // of cached pilot state answers exactly what a cold recompute
-        // over the whole grown set answers.
+        // over the whole grown set answers. METHOD ISLA folds pilots
+        // where a default query would read the mean off the sketches.
         let build = || {
             let service = QueryService::new(ServiceConfig {
                 ingest_rows_per_block: 500,
@@ -1045,7 +1083,7 @@ mod tests {
         };
         let incremental = build();
         let recompute = build();
-        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5";
+        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5 METHOD ISLA";
         for round in 0..3u64 {
             let rows: Vec<Vec<f64>> = normal_values(95.0, 18.0, 1_000, 60 + round)
                 .into_iter()

@@ -262,7 +262,8 @@ fn saturated_service_rejects_with_overloaded() {
     // bites, so admitted queries report time_limited. Warm the
     // pre-estimate cache first: the waiters below then skip the pilot
     // phase, and their sample count is exactly what the budget admits.
-    let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.05";
+    // METHOD ISLA samples where the sketches would pin the mean.
+    let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.05 METHOD ISLA";
     service.query("warmup", sql, 0).unwrap();
 
     // Occupy both execution slots directly, so queue/reject behavior
@@ -461,8 +462,9 @@ fn invalidation_reaches_selections_and_sketches() {
 /// Regression (pre-PR bug): scalar ISLA queries flip `sketch_sigma` on
 /// *after* parsing, and the flag is part of the config fingerprint. The
 /// cache key must be derived from the final config — a key built before
-/// the toggle would file sketch-σ pre-estimates under the pilot-σ slot
-/// and serve them to queries that expect pilot-σ sizing.
+/// the toggle would file pre-estimates the sketches pinned under the
+/// pilot slot and serve them to a named `METHOD ISLA`, which expects
+/// the pilots to run.
 #[test]
 fn sketch_sigma_key_derives_from_the_final_config() {
     let session = QuerySession::new();
@@ -499,7 +501,7 @@ fn sketch_sigma_key_derives_from_the_final_config() {
     );
     assert!(
         session.pre_cache().contains(&sketch_key),
-        "the executor must file the entry under the final (sketch-σ) config"
+        "the executor must file the entry under the final (sketch_sigma) config"
     );
     assert!(
         !session.pre_cache().contains(&pilot_key),
@@ -570,7 +572,9 @@ fn worker_panic_is_a_typed_error_and_the_gate_survives() {
     register_tables(&service);
     service.register_table("mined", mined_table());
 
-    let sql = "SELECT AVG(x) FROM mined WITH PRECISION 0.5";
+    // METHOD ISLA reads the blocks; the sketch the mined block forwards
+    // would otherwise pin the mean without touching them.
+    let sql = "SELECT AVG(x) FROM mined WITH PRECISION 0.5 METHOD ISLA";
     for round in 0..2u64 {
         let err = service.query("victim", sql, round).unwrap_err();
         match &err {
@@ -615,7 +619,11 @@ fn best_effort_drops_a_panicking_block_and_degrades() {
     service.register_table("mined", mined_table());
 
     let r = service
-        .query("optimist", "SELECT AVG(x) FROM mined WITH PRECISION 0.5", 5)
+        .query(
+            "optimist",
+            "SELECT AVG(x) FROM mined WITH PRECISION 0.5 METHOD ISLA",
+            5,
+        )
         .unwrap();
     let degradation = r.degradation.expect("a lost block must be reported");
     assert_eq!(degradation.failures.len(), 1);

@@ -102,7 +102,10 @@ fn main() {
     if scripted {
         let demo = [
             "SELECT COUNT(*) FROM trips",
+            // Exact from the block sketches: no sample drawn.
             "SELECT AVG(trip_distance) FROM trips WITH PRECISION 25",
+            // The paper's pilots and Algorithms 1–2.
+            "SELECT AVG(trip_distance) FROM trips WITH PRECISION 25 METHOD ISLA",
             "SELECT AVG(trip_distance) FROM trips METHOD EXACT",
             "SELECT AVG(salary) FROM census METHOD US SAMPLES 20000",
             "SELECT AVG(salary) FROM census METHOD MV SAMPLES 20000",
@@ -115,6 +118,7 @@ fn main() {
             "SELECT AVG(x) FROM sales WHERE y > 50 GROUP BY region WITH PRECISION 0.5",
             "SELECT AVG(x) FROM sales WHERE y > 50 GROUP BY region METHOD EXACT",
             "SELECT SUM(x) FROM sales WHERE y > 50 AND region != 2 WITH PRECISION 0.5",
+            "SELECT COUNT(*) FROM sales WHERE y > 50",
             "SELECT COUNT(*) FROM sales WHERE y > 50 GROUP BY region",
         ];
         for line in demo {

@@ -276,15 +276,28 @@ fn filtered_sum_and_count_are_hit_rate_estimates() {
         32,
     )
     .unwrap();
-    let approx_count = run_session(
+    // The default ungrouped count is exact: it counts the compiled
+    // selection. A budget (or a precision) keeps the hit-rate estimate.
+    let default_count = run_session(
         &session,
         &catalog,
         "SELECT COUNT(*) FROM t WHERE y > 50",
         33,
     )
     .unwrap();
-    assert!(
-        approx_count.samples_used.is_some(),
+    assert_eq!(default_count.value, exact_count.value, "exact, not sampled");
+    assert_eq!(default_count.method, isla::query::Method::Exact);
+    assert!(default_count.samples_used.is_none());
+    let approx_count = run_session(
+        &session,
+        &catalog,
+        "SELECT COUNT(*) FROM t WHERE y > 50 SAMPLES 10000",
+        33,
+    )
+    .unwrap();
+    assert_eq!(
+        approx_count.samples_used,
+        Some(10_000),
         "estimated, not metadata"
     );
     assert!(

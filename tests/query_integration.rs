@@ -83,14 +83,15 @@ fn sum_and_count_compose_with_avg() {
 
 #[test]
 fn confidence_clause_reaches_the_engine() {
-    // Higher confidence ⇒ larger z ⇒ more samples for the same e.
+    // Higher confidence ⇒ larger z ⇒ more samples for the same e. A
+    // named METHOD ISLA samples even where the sketches know the mean.
     let low = run(
-        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 CONFIDENCE 0.8",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 CONFIDENCE 0.8 METHOD ISLA",
         10,
     )
     .unwrap();
     let high = run(
-        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 CONFIDENCE 0.99",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 CONFIDENCE 0.99 METHOD ISLA",
         10,
     )
     .unwrap();
@@ -107,10 +108,13 @@ fn repeated_queries_hit_the_pre_estimation_cache() {
     // The heavy-traffic scenario: the same query shape over and over.
     // A session's first execution runs the pilots (miss); every repeat
     // skips them (hit), observable in the cache stats and in the sample
-    // counts.
+    // counts. METHOD ISLA runs the pilots the sketches would otherwise
+    // make unnecessary.
     let catalog = demo_catalog();
     let session = QuerySession::new();
-    let query = isla::query::parse("SELECT AVG(reading) FROM sensors WITH PRECISION 0.5").unwrap();
+    let query =
+        isla::query::parse("SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA")
+            .unwrap();
 
     let mut rng = StdRng::seed_from_u64(20);
     let first = session.execute(&query, &catalog, &mut rng).unwrap();
@@ -140,13 +144,17 @@ fn repeated_queries_hit_the_pre_estimation_cache() {
 
     // A different column (or config) is a different cache entry.
     let other =
-        isla::query::parse("SELECT AVG(l_quantity) FROM lineitem WITH PRECISION 0.5").unwrap();
+        isla::query::parse("SELECT AVG(l_quantity) FROM lineitem WITH PRECISION 0.5 METHOD ISLA")
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(26);
     session.execute(&other, &catalog, &mut rng).unwrap();
     assert_eq!(session.cache_stats().misses, 2);
 
     // The free-function path stays uncached: a fresh session each call.
-    let uncached = run("SELECT AVG(reading) FROM sensors WITH PRECISION 0.5", 27);
+    let uncached = run(
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA",
+        27,
+    );
     assert!(uncached.is_ok());
 }
 
@@ -727,12 +735,58 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
         "SELECT SUM(amount) FROM timeline WHERE ts >= 30000 AND ts < 97500 WITH PRECISION 0.5",
         73,
     ),
+    // A named METHOD ISLA samples where a default query reads the mean
+    // off the block sketches: pilots, a cache hit, admission caps, the
+    // epoch fold and pilot-detected constant data.
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA",
+        74,
+    ),
+    (
+        "capped",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.1 METHOD ISLA",
+        75,
+    ),
+    (
+        "capped_pooled",
+        "SELECT SUM(reading) FROM sensors WITH PRECISION 0.1 METHOD ISLA",
+        76,
+    ),
+    (
+        "seeded",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA",
+        77,
+    ),
+    (
+        "seeded",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA",
+        77,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM grown WITH PRECISION 0.5 METHOD ISLA",
+        78,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM grown WITH PRECISION 0.5 METHOD ISLA",
+        79,
+    ),
+    (
+        "pooled",
+        "SELECT AVG(c) FROM consts WITH PRECISION 0.1 METHOD ISLA",
+        80,
+    ),
 ];
 
 /// Recorded at the commit before the Calculation-phase spine landed
 /// (PR 12): one line per [`GOLDEN_CORPUS`] entry, in order. The
 /// `timeline` lines were recorded when zone verdicts landed (PR 21);
-/// at its parent they differ in `samples=` alone.
+/// at its parent they differ in `samples=` alone. The default unfiltered
+/// scalar lines (constant data included), the default ungrouped
+/// `COUNT(*) WHERE` line and the trailing `METHOD ISLA` lines were
+/// re-recorded when metadata began answering what it knows exactly.
 const GOLDEN_EXPECTED: &str = include_str!("golden/query_corpus.txt");
 
 #[test]
