@@ -78,31 +78,6 @@ impl IslaAggregator {
             rng,
         )
     }
-
-    /// Runs the pipeline at an explicit calculation-phase sampling rate,
-    /// ignoring the precision-derived rate (the pilots still size
-    /// themselves from the configuration).
-    ///
-    /// Used by fixed-budget comparisons against the baselines.
-    ///
-    /// # Errors
-    ///
-    /// [`IslaError::InvalidConfig`] if `rate` is not in `(0, 1]`;
-    /// otherwise as [`IslaAggregator::aggregate`].
-    pub fn aggregate_with_absolute_rate(
-        &self,
-        data: &BlockSet,
-        rate: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<EngineResult, IslaError> {
-        engine::run(
-            data,
-            &self.config,
-            RateSpec::Absolute(rate),
-            &SequentialScheduler,
-            rng,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -166,10 +141,18 @@ mod tests {
     #[test]
     fn absolute_rate_controls_sample_count() {
         let ds = normal_dataset(100.0, 20.0, 100_000, 10, 49);
+        let config = aggregator(0.5).config().clone();
+        let run = |rate: f64, rng: &mut StdRng| {
+            engine::run(
+                &ds.blocks,
+                &config,
+                RateSpec::Absolute(rate),
+                &SequentialScheduler,
+                rng,
+            )
+        };
         let mut rng = StdRng::seed_from_u64(9);
-        let result = aggregator(0.5)
-            .aggregate_with_absolute_rate(&ds.blocks, 0.05, &mut rng)
-            .unwrap();
+        let result = run(0.05, &mut rng).unwrap();
         // 5% of 100k rows = 5000 samples (± per-block rounding).
         assert!(
             (result.total_samples as i64 - 5_000).abs() <= 10,
@@ -180,7 +163,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for rate in [0.0, -1.0, 1.5] {
             assert!(matches!(
-                aggregator(0.5).aggregate_with_absolute_rate(&ds.blocks, rate, &mut rng),
+                run(rate, &mut rng),
                 Err(IslaError::InvalidConfig(_))
             ));
         }

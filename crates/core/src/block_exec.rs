@@ -121,7 +121,7 @@ pub fn iteration_phase(
     else {
         return fallback(Fallback::DegenerateEstimator);
     };
-    let assessment = assess(u, v, estimator.c - sketch0, config);
+    let assessment = assess(u, v, estimator.c - sketch0);
     let outcome = iterate(&estimator, sketch0, assessment.case, config);
 
     // Modulation boundary (paper §VII-B): the sketch estimator's relaxed

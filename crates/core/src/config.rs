@@ -1,4 +1,9 @@
-//! ISLA configuration: every tunable of the paper with its §VIII default.
+//! ISLA configuration: the paper's tunables with their §VIII defaults.
+//!
+//! The parameters the paper fixes rather than tunes — the Case-5 balance
+//! band, the two `q` band edges and the iteration cap — are constants,
+//! and negative data is always shifted when needed (footnote 1; see
+//! [`crate::shift`]).
 
 use crate::error::IslaError;
 
@@ -22,23 +27,20 @@ pub enum ModulationStyle {
     PaperLiteral,
 }
 
-/// How negative data is handled.
-///
-/// The leverage scores `hᵢ = aᵢ²/Σa²` are only monotone in the value for
-/// positive data; the paper's footnote 1 translates the data "along the x
-/// axis by the distance of d to make all the data positive" and shifts the
-/// answer back. Only S/L-region values enter the computation, so a shift
-/// is required exactly when the lower S boundary is non-positive.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ShiftPolicy {
-    /// Shift automatically when the S region reaches non-positive values.
-    #[default]
-    Auto,
-    /// Never shift (caller guarantees positive S/L regions).
-    None,
-    /// Always shift by the given amount.
-    Fixed(f64),
-}
+/// `dev = |S|/|L|` band treated as balanced (Case 5), open at both ends.
+pub const BALANCE_BAND: (f64, f64) = (0.99, 1.01);
+
+/// `dev` band (symmetric, expressed by its upper bound) within which
+/// `q = 1`: dev ∈ (1/1.03, 1.03).
+pub const Q_NEUTRAL_HI: f64 = 1.03;
+
+/// `dev` band upper bound within which the moderate `q′` applies:
+/// dev ∈ (1/1.06, 1.06) outside the neutral band.
+pub const Q_MODERATE_HI: f64 = 1.06;
+
+/// Hard cap on modulation iterations (safety net over the closed-form
+/// bound `⌈log(|D₀|/thr)/log(1/η)⌉`).
+pub const MAX_ITERATIONS: u32 = 64;
 
 /// Full ISLA configuration. Build with [`IslaConfig::builder`]; defaults
 /// are the paper's Section VIII experiment parameters.
@@ -65,31 +67,17 @@ pub struct IslaConfig {
     pub relaxation: f64,
     /// Size of the pilot sample used to estimate `σ`. Default 1000.
     pub sigma_pilot_size: u64,
-    /// `dev = |S|/|L|` band treated as balanced (Case 5): `(lo, hi)`
-    /// around 1. Default (0.99, 1.01).
-    pub balance_band: (f64, f64),
-    /// `dev` band (symmetric, expressed by its upper bound `hi > 1`)
-    /// within which `q = 1`. Default 1.03 (i.e. dev ∈ (1/1.03, 1.03)).
-    pub q_neutral_hi: f64,
-    /// `dev` band upper bound within which the moderate `q′` applies.
-    /// Default 1.06 (dev ∈ (1/1.06, 1.06) \ neutral band).
-    pub q_moderate_hi: f64,
     /// Moderate leverage-allocation parameter `q′`. Default 5.
     pub q_moderate: f64,
     /// Strong leverage-allocation parameter `q′` for `dev` beyond the
     /// moderate band. Default 10.
     pub q_strong: f64,
-    /// Hard cap on modulation iterations (safety net over the closed-form
-    /// bound `⌈log(|D₀|/thr)/log(1/η)⌉`). Default 64.
-    pub max_iterations: u32,
     /// Case 2/3 interpretation. Default [`ModulationStyle::FigureConsistent`].
     pub modulation_style: ModulationStyle,
     /// Clamp per-block answers to the sketch estimator's relaxed
     /// confidence interval (`sketch0 ± tₑ·e`), the modulation boundary the
     /// paper proposes in Section VII-B. Default true.
     pub clamp_to_sketch_interval: bool,
-    /// Negative-data handling. Default [`ShiftPolicy::Auto`].
-    pub shift_policy: ShiftPolicy,
     /// Known standard deviation: when set, the σ-estimation pilot is
     /// skipped. Default `None`.
     pub known_sigma: Option<f64>,
@@ -119,15 +107,10 @@ impl Default for IslaConfig {
             threshold: 0.1 / 1000.0,
             relaxation: 2.0,
             sigma_pilot_size: 1000,
-            balance_band: (0.99, 1.01),
-            q_neutral_hi: 1.03,
-            q_moderate_hi: 1.06,
             q_moderate: 5.0,
             q_strong: 10.0,
-            max_iterations: 64,
             modulation_style: ModulationStyle::FigureConsistent,
             clamp_to_sketch_interval: true,
-            shift_policy: ShiftPolicy::Auto,
             known_sigma: None,
             sketch_sigma: false,
             record_trace: false,
@@ -144,6 +127,11 @@ impl IslaConfig {
     /// A stable digest of every parameter, used to key caches (e.g. the
     /// engine's pre-estimation cache): two configurations fingerprint
     /// equal exactly when every field is bit-identical.
+    ///
+    /// The fixed parameters ([`BALANCE_BAND`], the `q` band edges,
+    /// [`MAX_ITERATIONS`] and tag `0` for the automatic shift) are hashed
+    /// too, each in a fixed position: the digest seeds cached pilots, so
+    /// its value must not move.
     pub fn fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -157,30 +145,23 @@ impl IslaConfig {
             self.eta,
             self.threshold,
             self.relaxation,
-            self.balance_band.0,
-            self.balance_band.1,
-            self.q_neutral_hi,
-            self.q_moderate_hi,
+            BALANCE_BAND.0,
+            BALANCE_BAND.1,
+            Q_NEUTRAL_HI,
+            Q_MODERATE_HI,
             self.q_moderate,
             self.q_strong,
         ] {
             v.to_bits().hash(&mut h);
         }
         self.sigma_pilot_size.hash(&mut h);
-        self.max_iterations.hash(&mut h);
+        MAX_ITERATIONS.hash(&mut h);
         match self.modulation_style {
             ModulationStyle::FigureConsistent => 0u8.hash(&mut h),
             ModulationStyle::PaperLiteral => 1u8.hash(&mut h),
         }
         self.clamp_to_sketch_interval.hash(&mut h);
-        match self.shift_policy {
-            ShiftPolicy::Auto => 0u8.hash(&mut h),
-            ShiftPolicy::None => 1u8.hash(&mut h),
-            ShiftPolicy::Fixed(d) => {
-                2u8.hash(&mut h);
-                d.to_bits().hash(&mut h);
-            }
-        }
+        0u8.hash(&mut h);
         self.known_sigma.map(f64::to_bits).hash(&mut h);
         self.sketch_sigma.hash(&mut h);
         self.record_trace.hash(&mut h);
@@ -236,29 +217,11 @@ impl IslaConfig {
                 self.sigma_pilot_size
             ));
         }
-        let (lo, hi) = self.balance_band;
-        if !(lo > 0.0 && lo < 1.0 && hi > 1.0 && hi.is_finite()) {
-            return fail(format!("balance band must straddle 1, got ({lo}, {hi})"));
-        }
-        if !(self.q_neutral_hi > hi && self.q_moderate_hi > self.q_neutral_hi) {
-            return fail(format!(
-                "q bands must satisfy balance_hi < q_neutral_hi < q_moderate_hi, got {} < {} < {}",
-                hi, self.q_neutral_hi, self.q_moderate_hi
-            ));
-        }
         if !(self.q_moderate >= 1.0 && self.q_strong >= self.q_moderate) {
             return fail(format!(
                 "q' tiers must satisfy 1 <= moderate <= strong, got {} and {}",
                 self.q_moderate, self.q_strong
             ));
-        }
-        if self.max_iterations == 0 {
-            return fail("max_iterations must be positive".to_string());
-        }
-        if let ShiftPolicy::Fixed(d) = self.shift_policy {
-            if !d.is_finite() {
-                return fail(format!("fixed shift must be finite, got {d}"));
-            }
         }
         if let Some(s) = self.known_sigma {
             if !(s >= 0.0 && s.is_finite()) {
@@ -333,28 +296,12 @@ impl IslaConfigBuilder {
         sigma_pilot_size: u64
     );
     setter!(
-        /// Sets the balanced `dev` band (Case 5).
-        balance_band: (f64, f64)
-    );
-    setter!(
-        /// Sets the `q = 1` band upper bound.
-        q_neutral_hi: f64
-    );
-    setter!(
-        /// Sets the moderate-`q′` band upper bound.
-        q_moderate_hi: f64
-    );
-    setter!(
         /// Sets the moderate `q′`.
         q_moderate: f64
     );
     setter!(
         /// Sets the strong `q′`.
         q_strong: f64
-    );
-    setter!(
-        /// Sets the iteration safety cap.
-        max_iterations: u32
     );
     setter!(
         /// Sets the Case 2/3 interpretation.
@@ -364,10 +311,6 @@ impl IslaConfigBuilder {
         /// Enables or disables clamping block answers to the sketch
         /// estimator's relaxed confidence interval (paper §VII-B).
         clamp_to_sketch_interval: bool
-    );
-    setter!(
-        /// Sets the negative-data shift policy.
-        shift_policy: ShiftPolicy
     );
     setter!(
         /// Supplies a known σ, skipping the σ-estimation pilot.
@@ -409,7 +352,6 @@ mod tests {
         assert_eq!(c.eta, 0.5);
         assert_eq!(c.q_moderate, 5.0);
         assert_eq!(c.q_strong, 10.0);
-        assert_eq!(c.balance_band, (0.99, 1.01));
         assert!(c.validate().is_ok());
     }
 
@@ -435,17 +377,7 @@ mod tests {
             (IslaConfig::builder().eta(0.0), "eta"),
             (IslaConfig::builder().relaxation(0.5), "relaxation"),
             (IslaConfig::builder().sigma_pilot_size(1), "pilot"),
-            (
-                IslaConfig::builder().balance_band((1.01, 0.99)),
-                "balance band",
-            ),
-            (IslaConfig::builder().q_neutral_hi(1.0), "q bands"),
             (IslaConfig::builder().q_moderate(0.5), "q' tiers"),
-            (IslaConfig::builder().max_iterations(0), "max_iterations"),
-            (
-                IslaConfig::builder().shift_policy(ShiftPolicy::Fixed(f64::NAN)),
-                "fixed shift",
-            ),
             (IslaConfig::builder().known_sigma(Some(-1.0)), "known sigma"),
         ];
         for (builder, what) in cases {
@@ -465,10 +397,6 @@ mod tests {
             IslaConfig::builder().confidence(0.9).build().unwrap(),
             IslaConfig::builder()
                 .known_sigma(Some(1.0))
-                .build()
-                .unwrap(),
-            IslaConfig::builder()
-                .shift_policy(ShiftPolicy::Fixed(1.0))
                 .build()
                 .unwrap(),
             IslaConfig::builder()

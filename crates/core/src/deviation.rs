@@ -13,7 +13,7 @@
 //! backwards; the mapping used here is the one its own Cases 1–4 and
 //! Fig. 5 require (see `DESIGN.md`, "paper errata").
 
-use crate::config::IslaConfig;
+use crate::config::BALANCE_BAND;
 
 /// The five modulation cases of paper Section V-C.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,10 +69,10 @@ pub struct DeviationAssessment {
 ///
 /// `u`/`v` are the S/L sample counts; callers guarantee both are positive
 /// (empty regions are handled by the fallback path before assessment).
-pub fn assess(u: u64, v: u64, d0: f64, config: &IslaConfig) -> DeviationAssessment {
+pub fn assess(u: u64, v: u64, d0: f64) -> DeviationAssessment {
     debug_assert!(u > 0 && v > 0, "assessment requires non-empty regions");
     let dev = u as f64 / v as f64;
-    let (lo, hi) = config.balance_band;
+    let (lo, hi) = BALANCE_BAND;
     let case = if dev > lo && dev < hi {
         ModulationCase::Balanced
     } else if d0 == 0.0 {
@@ -93,10 +93,6 @@ pub fn assess(u: u64, v: u64, d0: f64, config: &IslaConfig) -> DeviationAssessme
 mod tests {
     use super::*;
 
-    fn cfg() -> IslaConfig {
-        IslaConfig::default()
-    }
-
     #[test]
     fn case_table_matches_paper() {
         // (u, v, d0) → expected case, straight from §V-C.
@@ -108,7 +104,7 @@ mod tests {
             (100, 100, 1.0, ModulationCase::Balanced),      // 5
         ];
         for (u, v, d0, want) in cases {
-            let got = assess(u, v, d0, &cfg());
+            let got = assess(u, v, d0);
             assert_eq!(got.case, want, "u={u} v={v} d0={d0}");
         }
     }
@@ -129,15 +125,15 @@ mod tests {
     #[test]
     fn balance_band_is_open() {
         // dev exactly on the band edge is NOT balanced.
-        let a = assess(99, 100, 1.0, &cfg());
+        let a = assess(99, 100, 1.0);
         assert_eq!(a.case, ModulationCase::ConvergeUp, "dev=0.99 on edge");
-        let b = assess(995, 1000, 1.0, &cfg());
+        let b = assess(995, 1000, 1.0);
         assert_eq!(b.case, ModulationCase::Balanced, "dev=0.995 inside");
     }
 
     #[test]
     fn zero_d0_short_circuits_to_balanced() {
-        let a = assess(50, 100, 0.0, &cfg());
+        let a = assess(50, 100, 0.0);
         assert_eq!(a.case, ModulationCase::Balanced);
         assert_eq!(a.d0, 0.0);
         assert_eq!(a.dev, 0.5);
@@ -145,7 +141,7 @@ mod tests {
 
     #[test]
     fn dev_is_reported() {
-        let a = assess(120, 100, -0.5, &cfg());
+        let a = assess(120, 100, -0.5);
         assert!((a.dev - 1.2).abs() < 1e-12);
         assert_eq!(a.d0, -0.5);
     }

@@ -7,7 +7,6 @@
 //! `(table, column, config, data shape)` lets every repeat skip the
 //! pilot phase entirely and go straight to planning.
 
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -397,9 +396,9 @@ impl PreEstimateCache {
     /// never pass an RNG, and a hit and a miss leave no stream anywhere.
     ///
     /// A set whose answer the block sketches pin (see
-    /// [`IslaConfig::sketch_sigma`]) folds no segment: its entry holds
-    /// the pinned estimate and an empty fold, which the next epoch
-    /// cannot resume, so a later unpinned set cold-folds every segment.
+    /// [`IslaConfig::sketch_sigma`]) gets the pinned estimate before the
+    /// epoch layer is touched: no entry is filed, no segment folds, no
+    /// counter moves, and the lookup reports a hit (no pilot ran).
     ///
     /// # Errors
     ///
@@ -411,21 +410,16 @@ impl PreEstimateCache {
         config: &IslaConfig,
         salt: u64,
     ) -> Result<CacheLookup, IslaError> {
-        let pinned = OnceCell::new();
-        let pinned = || pinned.get_or_init(|| pinned_pre_estimate(data, config));
+        if let Some(pre) = pinned_pre_estimate(data, config) {
+            return Ok(CacheLookup { pre, hit: true });
+        }
         self.scalar.lookup_epoch(
             &self.counters,
             &key,
             data,
             PilotFold::segments,
-            |fold, blocks, _, digest| match pinned() {
-                Some(_) => Ok(()),
-                None => fold_pilot_segment(fold, data, blocks, config, digest, salt),
-            },
-            |fold| match pinned() {
-                Some(pre) => Ok(pre.clone()),
-                None => finish_pilot_fold(fold, data, config),
-            },
+            |fold, blocks, _, digest| fold_pilot_segment(fold, data, blocks, config, digest, salt),
+            |fold| finish_pilot_fold(fold, data, config),
         )
     }
 

@@ -101,8 +101,7 @@ pub use rows::{
 };
 pub use scheduler::{
     affordable_draws, execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution,
-    BlockScheduler, DeadlineScheduler, EngineRun, PooledScheduler, SequentialScheduler,
-    WorkerStats,
+    BlockScheduler, DeadlineScheduler, PooledScheduler, SequentialScheduler, WorkerStats,
 };
 pub use seed::{derive_block_seeds, seeded_rng, stream_seed};
 

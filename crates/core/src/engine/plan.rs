@@ -132,7 +132,7 @@ impl QueryPlan {
                 data_size,
             });
         }
-        let shift = compute_shift(config.shift_policy, pre.sketch0, pre.sigma, config.p2);
+        let shift = compute_shift(pre.sketch0, pre.sigma, config.p2);
         let sketch0_shifted = pre.sketch0 + shift;
         let boundaries = Some(DataBoundaries::new(
             sketch0_shifted,

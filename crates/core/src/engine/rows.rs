@@ -90,11 +90,6 @@ impl RowSpec {
         }
     }
 
-    /// Whether the spec is the scalar shape (trivial filter, ungrouped).
-    pub fn is_scalar(&self) -> bool {
-        self.filter.is_trivial() && self.group_by.is_none()
-    }
-
     /// The widest column index the spec touches.
     fn max_column(&self) -> usize {
         self.agg_column
@@ -776,7 +771,7 @@ impl RowPlan {
                         boundaries: None,
                     };
                 }
-                let shift = compute_shift(config.shift_policy, g.sketch0, g.sigma, config.p2);
+                let shift = compute_shift(g.sketch0, g.sigma, config.p2);
                 let sketch0_shifted = g.sketch0 + shift;
                 GroupPlan {
                     pre: g.clone(),
@@ -1407,7 +1402,6 @@ mod tests {
     fn scalar_spec_reduces_to_one_group() {
         let data = grouped_set(50_000, 5, 7);
         let spec = RowSpec::column(0);
-        assert!(spec.is_scalar());
         let mut rng = StdRng::seed_from_u64(8);
         let out = run_rows(
             &data,

@@ -40,7 +40,6 @@ use isla_storage::{BlockSet, DataBlock};
 use crate::block_exec::BlockOutcome;
 use crate::error::IslaError;
 
-use super::partial::PartialAggregate;
 use super::plan::{sample_size, QueryPlan};
 use super::recovery::{run_block_recovering, BlockFailure, RecoveryPolicy};
 use super::CalcPlan;
@@ -68,19 +67,6 @@ pub struct BlockExecution<'a> {
     pub recovery: &'a RecoveryPolicy,
 }
 
-/// The product of one scheduler run.
-#[derive(Debug)]
-pub struct EngineRun {
-    /// Mergeable per-block state.
-    pub partial: PartialAggregate,
-    /// Per-worker statistics (one entry for sequential runs).
-    pub worker_stats: Vec<WorkerStats>,
-    /// Blocks dropped under a best-effort policy, sorted by block id.
-    /// Always empty under [`super::recovery::FailureMode::Strict`] — a
-    /// strict failure returns an error instead.
-    pub failures: Vec<BlockFailure>,
-}
-
 /// Where a plan's per-block Calculation phase runs: how many blocks at
 /// a time, and under what sample budget. What runs per block is the
 /// plan's business; each block's RNG derives exclusively from its
@@ -98,37 +84,6 @@ pub trait BlockScheduler {
     /// drawn.
     fn sample_budget(&self) -> Option<u64> {
         None
-    }
-
-    /// Executes every block of `exec.data` under `exec.plan`, at the
-    /// plan's own rate — a convenience for driving a scalar plan's
-    /// blocks by hand (tests, probes).
-    ///
-    /// The engine never dispatches through this method: `run_plan_with`
-    /// and `run_row_plan_with` place blocks by [`Self::parallelism`] and
-    /// cap by [`Self::sample_budget`] alone, for both plan kinds, so
-    /// overriding `execute` changes nothing about an engine run. A
-    /// scheduler that places blocks differently states it through those
-    /// two methods.
-    ///
-    /// # Errors
-    ///
-    /// Under a strict policy, the failure of the lowest-numbered failing
-    /// block.
-    fn execute(&self, exec: &BlockExecution<'_>) -> Result<EngineRun, IslaError> {
-        let run = execute_blocks(
-            exec.plan,
-            exec.plan.rate(),
-            exec.data,
-            exec.seeds,
-            exec.recovery,
-            self.parallelism(),
-        )?;
-        Ok(EngineRun {
-            partial: run.outcomes.into(),
-            worker_stats: run.worker_stats,
-            failures: run.failures,
-        })
     }
 }
 
@@ -249,14 +204,6 @@ impl PooledScheduler {
             ));
         }
         Ok(Self { workers })
-    }
-
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_default_workers() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self { workers }
     }
 
     /// Number of worker threads.
@@ -509,6 +456,7 @@ mod tests {
     use crate::config::IslaConfig;
     use crate::engine::plan::RateSpec;
     use crate::engine::seed::derive_block_seeds;
+    use crate::engine::{run_plan_with, EngineResult};
     use isla_datagen::normal_dataset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -524,25 +472,34 @@ mod tests {
         (plan, seeds)
     }
 
+    /// Runs a prepared plan through the engine on `scheduler`, deriving
+    /// the block seeds from `seed`.
+    fn run_on(
+        plan: &QueryPlan,
+        data: &BlockSet,
+        scheduler: &dyn BlockScheduler,
+        recovery: &RecoveryPolicy,
+        seed: u64,
+    ) -> Result<EngineResult, IslaError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        run_plan_with(plan.clone(), data, scheduler, recovery, &mut rng)
+    }
+
+    /// The blocks a best-effort run dropped, in the order it reports them.
+    fn failures(run: &EngineResult) -> &[BlockFailure] {
+        run.degradation.as_ref().map_or(&[], |d| &d.failures)
+    }
+
     #[test]
     fn pooled_matches_sequential_bit_for_bit() {
         let ds = normal_dataset(100.0, 20.0, 300_000, 12, 95);
         let cfg = config(0.5);
-        let (plan, seeds) = plan_and_seeds(&ds.blocks, &cfg, 7);
-        let exec = BlockExecution {
-            plan: &plan,
-            data: &ds.blocks,
-            seeds: &seeds,
-            recovery: &RecoveryPolicy::strict(),
-        };
-        let sequential = SequentialScheduler.execute(&exec).unwrap();
-        let seq = sequential.partial.finalize().unwrap();
+        let (plan, _) = plan_and_seeds(&ds.blocks, &cfg, 7);
+        let strict = RecoveryPolicy::strict();
+        let seq = run_on(&plan, &ds.blocks, &SequentialScheduler, &strict, 7).unwrap();
         for workers in [1, 3, 6] {
-            let pooled = PooledScheduler::new(workers)
-                .unwrap()
-                .execute(&exec)
-                .unwrap();
-            let pool = pooled.partial.finalize().unwrap();
+            let pooled = PooledScheduler::new(workers).unwrap();
+            let pool = run_on(&plan, &ds.blocks, &pooled, &strict, 7).unwrap();
             assert_eq!(seq.estimate, pool.estimate, "{workers} workers");
             assert_eq!(seq.total_samples, pool.total_samples);
         }
@@ -694,50 +651,32 @@ mod tests {
 
         let ds = normal_dataset(100.0, 20.0, 240_000, 8, 95);
         let cfg = config(0.5);
-        let (plan, seeds) = plan_and_seeds(&ds.blocks, &cfg, 21);
+        let (plan, _) = plan_and_seeds(&ds.blocks, &cfg, 21);
         let faulty = FaultPlan::new(404).lose(0.3).arm(&ds.blocks);
         let recovery =
             RecoveryPolicy::best_effort(super::super::recovery::RetryPolicy::attempts(2));
-        let exec = BlockExecution {
-            plan: &plan,
-            data: &faulty,
-            seeds: &seeds,
-            recovery: &recovery,
-        };
 
-        let seq = SequentialScheduler.execute(&exec).unwrap();
+        let seq = run_on(&plan, &faulty, &SequentialScheduler, &recovery, 21).unwrap();
         assert!(
-            !seq.failures.is_empty(),
+            !failures(&seq).is_empty(),
             "the fault plan must actually lose blocks at 30%"
         );
-        assert!(seq
-            .failures
+        assert!(failures(&seq)
             .windows(2)
             .all(|w| w[0].block_id < w[1].block_id));
-        let seq_answer = seq.partial.finalize().unwrap();
 
         for workers in [1, 2, 4, 7] {
-            let pooled = PooledScheduler::new(workers)
-                .unwrap()
-                .execute(&exec)
-                .unwrap();
-            assert_eq!(pooled.failures, seq.failures, "{workers} workers");
-            let pool_answer = pooled.partial.finalize().unwrap();
-            assert_eq!(
-                seq_answer.estimate, pool_answer.estimate,
-                "{workers} workers"
-            );
+            let pooled = PooledScheduler::new(workers).unwrap();
+            let pool = run_on(&plan, &faulty, &pooled, &recovery, 21).unwrap();
+            assert_eq!(failures(&pool), failures(&seq), "{workers} workers");
+            assert_eq!(seq.estimate, pool.estimate, "{workers} workers");
         }
 
         // The same faults under strict mode fail the run instead.
-        let strict = BlockExecution {
-            plan: &plan,
-            data: &faulty,
-            seeds: &seeds,
-            recovery: &RecoveryPolicy::strict(),
-        };
-        assert!(SequentialScheduler.execute(&strict).is_err());
-        assert!(PooledScheduler::new(3).unwrap().execute(&strict).is_err());
+        let strict = RecoveryPolicy::strict();
+        assert!(run_on(&plan, &faulty, &SequentialScheduler, &strict, 21).is_err());
+        let pooled = PooledScheduler::new(3).unwrap();
+        assert!(run_on(&plan, &faulty, &pooled, &strict, 21).is_err());
     }
 
     #[test]
@@ -747,18 +686,8 @@ mod tests {
         let ds = normal_dataset(100.0, 20.0, 120_000, 6, 95);
         let cfg = config(0.5);
         let (plan, seeds) = plan_and_seeds(&ds.blocks, &cfg, 22);
-        let clean_exec = BlockExecution {
-            plan: &plan,
-            data: &ds.blocks,
-            seeds: &seeds,
-            recovery: &RecoveryPolicy::strict(),
-        };
-        let clean = SequentialScheduler
-            .execute(&clean_exec)
-            .unwrap()
-            .partial
-            .finalize()
-            .unwrap();
+        let strict = RecoveryPolicy::strict();
+        let clean = run_on(&plan, &ds.blocks, &SequentialScheduler, &strict, 22).unwrap();
 
         // Every block fails twice then recovers: three attempts suffice,
         // and the recovered answer is bit-identical to the clean run
@@ -766,18 +695,9 @@ mod tests {
         let faulty = FaultPlan::new(77).transient(1.0, 2).arm(&ds.blocks);
         let recovery =
             RecoveryPolicy::best_effort(super::super::recovery::RetryPolicy::attempts(3));
-        let exec = BlockExecution {
-            plan: &plan,
-            data: &faulty,
-            seeds: &seeds,
-            recovery: &recovery,
-        };
-        let recovered = SequentialScheduler.execute(&exec).unwrap();
-        assert!(recovered.failures.is_empty(), "all blocks recovered");
-        assert_eq!(
-            recovered.partial.finalize().unwrap().estimate,
-            clean.estimate
-        );
+        let recovered = run_on(&plan, &faulty, &SequentialScheduler, &recovery, 22).unwrap();
+        assert!(failures(&recovered).is_empty(), "all blocks recovered");
+        assert_eq!(recovered.estimate, clean.estimate);
 
         // Two attempts are not enough: every block degrades away.
         // Re-arm for fresh counters so the earlier attempts don't count.
@@ -789,9 +709,12 @@ mod tests {
             seeds: &seeds,
             recovery: &starved,
         };
-        let run = SequentialScheduler.execute(&exec).unwrap();
-        assert_eq!(run.failures.len(), 6, "every block exhausted its budget");
-        assert!(run.failures.iter().all(|f| f.attempts == 2));
+        let (_, dropped) = scan_blocks_recovering(1, &faulty, &starved, |_, block_id, _| {
+            execute_planned_block(&exec, block_id)
+        })
+        .unwrap();
+        assert_eq!(dropped.len(), 6, "every block exhausted its budget");
+        assert!(dropped.iter().all(|f| f.attempts == 2));
     }
 
     #[test]
@@ -822,7 +745,6 @@ mod tests {
             PooledScheduler::new(0),
             Err(IslaError::InvalidConfig(_))
         ));
-        assert!(PooledScheduler::with_default_workers().workers() > 0);
     }
 
     #[test]
@@ -832,40 +754,27 @@ mod tests {
         let ds = normal_dataset(100.0, 20.0, 100_000, 5, 99);
         let cfg = config(0.5);
         let (plan, mut seeds) = plan_and_seeds(&ds.blocks, &cfg, 11);
-        let exec = BlockExecution {
-            plan: &plan,
-            data: &ds.blocks,
-            seeds: &seeds,
-            recovery: &RecoveryPolicy::strict(),
+        let strict = RecoveryPolicy::strict();
+        let outcomes = |seeds: &[u64]| -> Vec<BlockOutcome> {
+            let exec = BlockExecution {
+                plan: &plan,
+                data: &ds.blocks,
+                seeds,
+                recovery: &strict,
+            };
+            (0..2)
+                .map(|b| execute_planned_block(&exec, b).unwrap())
+                .collect()
         };
-        let baseline = SequentialScheduler
-            .execute(&exec)
-            .unwrap()
-            .partial
-            .finalize()
-            .unwrap();
+        let baseline = outcomes(&seeds);
         seeds[0] = seeds[0].wrapping_add(1);
-        let exec = BlockExecution {
-            plan: &plan,
-            data: &ds.blocks,
-            seeds: &seeds,
-            recovery: &RecoveryPolicy::strict(),
-        };
-        let perturbed = SequentialScheduler
-            .execute(&exec)
-            .unwrap()
-            .partial
-            .finalize()
-            .unwrap();
+        let perturbed = outcomes(&seeds);
         // The answer can coincide (clamping), but block 0's sampled
         // regions cannot: a different seed draws different samples.
         assert_ne!(
-            (baseline.blocks[0].u, baseline.blocks[0].v),
-            (perturbed.blocks[0].u, perturbed.blocks[0].v)
+            (baseline[0].u, baseline[0].v),
+            (perturbed[0].u, perturbed[0].v)
         );
-        assert_eq!(
-            baseline.blocks[1].u, perturbed.blocks[1].u,
-            "other seeds untouched"
-        );
+        assert_eq!(baseline[1].u, perturbed[1].u, "other seeds untouched");
     }
 }

@@ -20,7 +20,7 @@
 use isla_stats::PowerSums;
 
 use crate::boundaries::Region;
-use crate::config::IslaConfig;
+use crate::config::{IslaConfig, Q_MODERATE_HI, Q_NEUTRAL_HI};
 
 /// Picks the leverage-allocation parameter `q` from the deviation degree
 /// `dev = |S|/|L|` (paper Section IV-A.4).
@@ -34,9 +34,9 @@ pub fn determine_q(dev: f64, config: &IslaConfig) -> f64 {
     debug_assert!(dev > 0.0, "dev must be positive, got {dev}");
     // Express the deviation symmetrically: max(dev, 1/dev) > 1.
     let magnitude = if dev >= 1.0 { dev } else { 1.0 / dev };
-    let q_prime = if magnitude <= config.q_neutral_hi {
+    let q_prime = if magnitude <= Q_NEUTRAL_HI {
         return 1.0;
-    } else if magnitude <= config.q_moderate_hi {
+    } else if magnitude <= Q_MODERATE_HI {
         config.q_moderate
     } else {
         config.q_strong

@@ -91,7 +91,7 @@ pub use accumulate::SampleAccumulator;
 pub use aggregator::IslaAggregator;
 pub use block_exec::{execute_block, iteration_phase, BlockOutcome, Fallback, IterationPhase};
 pub use boundaries::{DataBoundaries, Region};
-pub use config::{IslaConfig, IslaConfigBuilder, ModulationStyle, ShiftPolicy};
+pub use config::{IslaConfig, IslaConfigBuilder, ModulationStyle};
 pub use continuous::{ContinuousAnswer, ContinuousQuery};
 pub use deviation::{assess, DeviationAssessment, ModulationCase};
 pub use error::IslaError;
@@ -100,6 +100,7 @@ pub use extremes::{ExtremeAggregator, ExtremeKind, ExtremeResult};
 pub use leverage::{determine_q, LeverageAllocation};
 pub use modulation::{iterate, IterationStep, ModulationOutcome};
 pub use pre_estimation::{
-    finish_pilot_fold, fold_pilot_segment, pre_estimate_with, PilotFold, PreEstimate,
+    finish_pilot_fold, fold_pilot_segment, pinned_pre_estimate, pre_estimate_with, PilotFold,
+    PreEstimate,
 };
 pub use summarize::combine_partials;

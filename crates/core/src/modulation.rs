@@ -18,10 +18,10 @@
 //!   toward each other, the l-estimator slower (`|kδα| = λ·|δsketch|`).
 //!
 //! Because `D` shrinks geometrically, the loop terminates after
-//! `⌈log(|D₀|/thr) / log(1/η)⌉` iterations (paper's upper bound), with a
-//! configurable hard cap as a safety net.
+//! `⌈log(|D₀|/thr) / log(1/η)⌉` iterations (paper's upper bound), with
+//! [`MAX_ITERATIONS`] as a safety net.
 
-use crate::config::{IslaConfig, ModulationStyle};
+use crate::config::{IslaConfig, ModulationStyle, MAX_ITERATIONS};
 use crate::deviation::ModulationCase;
 use crate::estimator::LinearEstimator;
 
@@ -138,7 +138,7 @@ pub fn iterate(
     let mut sketch = sketch0;
     let mut d = estimator.c - sketch0; // D₀ (α starts at 0 so μ̂ = c)
     let mut iterations = 0;
-    while d.abs() > config.threshold && iterations < config.max_iterations {
+    while d.abs() > config.threshold && iterations < MAX_ITERATIONS {
         let (k_da, ds) = step_lengths(d, case, degenerate, config);
         if !degenerate {
             alpha += k_da / estimator.k;
@@ -304,18 +304,16 @@ mod tests {
 
     #[test]
     fn safety_cap_fires_and_is_reported() {
-        let config = IslaConfig::builder()
-            .threshold(1e-300)
-            .max_iterations(8)
-            .build()
-            .unwrap();
+        // |D| halves per iteration: from 1 to 1e-300 takes ~1000, so the
+        // cap fires first.
+        let config = IslaConfig::builder().threshold(1e-300).build().unwrap();
         let out = iterate(
             &estimator(1.0, 101.0),
             100.0,
             ModulationCase::ConvergeUp,
             &config,
         );
-        assert_eq!(out.iterations, 8);
+        assert_eq!(out.iterations, MAX_ITERATIONS);
         assert!(!out.converged);
     }
 

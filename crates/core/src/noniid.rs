@@ -193,7 +193,7 @@ impl NonIidAggregator {
             });
 
             let sample_size = (rate * rows as f64).round() as u64;
-            let shift = compute_shift(cfg.shift_policy, sketch0, sigma_i, cfg.p2);
+            let shift = compute_shift(sketch0, sigma_i, cfg.p2);
             let boundaries = DataBoundaries::new(sketch0 + shift, sigma_i, cfg.p1, cfg.p2);
             let mut block_rng = crate::engine::seed::seeded_rng(rng.next_u64());
             let outcome = execute_block(

@@ -21,7 +21,6 @@ use crate::block_exec::iteration_phase;
 use crate::config::IslaConfig;
 use crate::engine::{QueryPlan, RateSpec};
 use crate::error::IslaError;
-use crate::pre_estimation::PreEstimate;
 use crate::summarize::combine_partials;
 
 /// The estimate after an online round.
@@ -150,11 +149,6 @@ impl OnlineAggregator {
             total_samples: self.total_samples,
             block_answers,
         })
-    }
-
-    /// The pre-estimation output of the initial round.
-    pub fn pre_estimate(&self) -> &PreEstimate {
-        self.plan.pre()
     }
 
     /// Rounds executed so far.

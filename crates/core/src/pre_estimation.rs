@@ -360,7 +360,7 @@ pub fn finish_pilot_fold(
 /// Hooks are a pure function of the blocks, unlike the scan-backed
 /// sketch cache, so the one-shot and the epoch lookups decide alike
 /// however warm that cache is.
-pub(crate) fn pinned_pre_estimate(data: &BlockSet, config: &IslaConfig) -> Option<PreEstimate> {
+pub fn pinned_pre_estimate(data: &BlockSet, config: &IslaConfig) -> Option<PreEstimate> {
     if !config.sketch_sigma {
         return None;
     }

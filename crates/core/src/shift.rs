@@ -10,28 +10,19 @@
 //! is therefore needed exactly when that boundary is too close to zero;
 //! data further left (TooSmall region) is discarded regardless of sign.
 
-use crate::config::ShiftPolicy;
-
 /// Safety margin, in units of σ, kept between zero and the lower S
 /// boundary after shifting. One full σ comfortably covers the sketch
 /// estimator's relaxed error (`tₑ·e ≪ σ` in any sane configuration).
 const MARGIN_SIGMAS: f64 = 1.0;
 
-/// Computes the translation distance `d ≥ 0` for the given policy.
-///
-/// With [`ShiftPolicy::Auto`], the shift is the smallest `d` that places
-/// the lower S boundary at least `MARGIN_SIGMAS`·σ above zero:
-/// `d = max(0, (p2 + 1)·σ − sketch0)`.
-pub fn compute_shift(policy: ShiftPolicy, sketch0: f64, sigma: f64, p2: f64) -> f64 {
-    match policy {
-        ShiftPolicy::None => 0.0,
-        ShiftPolicy::Fixed(d) => d,
-        ShiftPolicy::Auto => {
-            let s_lower = sketch0 - p2 * sigma;
-            let required = MARGIN_SIGMAS * sigma;
-            (required - s_lower).max(0.0)
-        }
-    }
+/// Computes the translation distance `d ≥ 0`: the smallest `d` that
+/// places the lower S boundary at least `MARGIN_SIGMAS`·σ above zero,
+/// `d = max(0, (p2 + 1)·σ − sketch0)` — the shift is applied exactly
+/// when it is needed.
+pub fn compute_shift(sketch0: f64, sigma: f64, p2: f64) -> f64 {
+    let s_lower = sketch0 - p2 * sigma;
+    let required = MARGIN_SIGMAS * sigma;
+    (required - s_lower).max(0.0)
 }
 
 #[cfg(test)]
@@ -41,14 +32,14 @@ mod tests {
     #[test]
     fn positive_data_needs_no_shift() {
         // Paper defaults: sketch0 ≈ 100, σ = 20, p2 = 2 ⇒ S lower = 60.
-        assert_eq!(compute_shift(ShiftPolicy::Auto, 100.0, 20.0, 2.0), 0.0);
+        assert_eq!(compute_shift(100.0, 20.0, 2.0), 0.0);
     }
 
     #[test]
     fn near_zero_data_is_shifted_clear_of_zero() {
         // Exponential(γ=0.05): mean 20, σ 20, sketch0 ≈ 20:
         // S lower = 20 − 40 = −20 ⇒ shift = 20 − (−20) = 40.
-        let d = compute_shift(ShiftPolicy::Auto, 20.0, 20.0, 2.0);
+        let d = compute_shift(20.0, 20.0, 2.0);
         assert_eq!(d, 40.0);
         // After shifting, the lower S boundary sits at exactly +σ.
         assert_eq!((20.0 + d) - 2.0 * 20.0, 20.0);
@@ -56,17 +47,8 @@ mod tests {
 
     #[test]
     fn negative_centered_data_is_shifted() {
-        let d = compute_shift(ShiftPolicy::Auto, -100.0, 10.0, 2.0);
+        let d = compute_shift(-100.0, 10.0, 2.0);
         assert_eq!(d, 130.0);
         assert!((-100.0 + d) - 2.0 * 10.0 >= 10.0);
-    }
-
-    #[test]
-    fn fixed_and_none_policies() {
-        assert_eq!(
-            compute_shift(ShiftPolicy::Fixed(55.0), -100.0, 10.0, 2.0),
-            55.0
-        );
-        assert_eq!(compute_shift(ShiftPolicy::None, -100.0, 10.0, 2.0), 0.0);
     }
 }

@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use isla_storage::{
-    project_column, BlockSet, ColumnDef, ColumnView, DataBlock, Schema, SealedDerived, SealedRows,
-    ZipBlock,
+    project_column, BlockSet, ColumnView, DataBlock, Schema, SealedDerived, SealedRows, ZipBlock,
 };
 
 use crate::error::QueryError;
@@ -55,8 +54,8 @@ impl SealedIngest {
 /// A `Table` is a handle: the schema, the row set, the column sets and
 /// the row count sit behind one `Arc`, so a clone costs one refcount
 /// and shares every block and derived cache with the original. The
-/// mutators ([`Table::append_sealed`], [`Table::add_column`]) copy on
-/// write: a clone taken before an append keeps the rows it saw.
+/// mutator [`Table::append_sealed`] copies on write: a clone taken
+/// before an append keeps the rows it saw.
 #[derive(Debug, Clone)]
 pub struct Table {
     state: Arc<TableState>,
@@ -71,8 +70,9 @@ struct TableState {
     /// projected once at construction. Appends extend them alongside
     /// `data`, so a column read is a handle, never a fresh projection.
     columns: Vec<BlockSet>,
-    /// Assembled from scalar columns ([`Table::new`]) — the only kind
-    /// [`Table::add_column`] can re-zip.
+    /// Assembled from scalar columns ([`Table::new`]): a width-1 such
+    /// table's row set is its only column set, which
+    /// [`Table::seal_block`] reuses instead of projecting.
     zipped: bool,
     rows: u64,
 }
@@ -287,67 +287,6 @@ impl Table {
         }
     }
 
-    /// Adds a new float column without disturbing anything derived for
-    /// the existing columns: the scalar column sets (and their sketch/
-    /// selection caches) are kept as-is, and the re-zipped row model
-    /// inherits the table's epoch history so epoch-cached pilot folds
-    /// over the old columns stay resumable. Nothing is invalidated —
-    /// pre-estimates for untouched column sets remain exactly as
-    /// reusable as before the addition. Copy on write, as
-    /// [`Table::append_sealed`].
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::Invalid`] when the column name is taken, the table
-    /// was not assembled from scalar columns, or `set` disagrees with
-    /// the table's row count or block layout.
-    pub fn add_column(&mut self, name: impl Into<String>, set: BlockSet) -> Result<(), QueryError> {
-        let name = name.into();
-        if self.state.schema.index_of(&name).is_some() {
-            return Err(QueryError::Invalid(format!("column {name} already exists")));
-        }
-        if !self.state.zipped {
-            return Err(QueryError::Invalid(
-                "add_column needs a table assembled from scalar columns".to_string(),
-            ));
-        }
-        let data = &self.state.data;
-        if set.total_len() != self.state.rows || set.block_count() != data.block_count() {
-            return Err(QueryError::Invalid(format!(
-                "new column has {} rows in {} blocks; the table has {} rows in {} blocks",
-                set.total_len(),
-                set.block_count(),
-                self.state.rows,
-                data.block_count()
-            )));
-        }
-        for b in 0..set.block_count() {
-            if set.block(b).len() != data.block(b).len() {
-                return Err(QueryError::Invalid(format!(
-                    "new column disagrees with the table's block layout at block {b}"
-                )));
-            }
-        }
-        let state = Arc::make_mut(&mut self.state);
-        let new_blocks: Vec<Arc<dyn DataBlock>> = (0..state.data.block_count())
-            .map(|b| {
-                let mut cols: Vec<Arc<dyn DataBlock>> = state
-                    .columns
-                    .iter()
-                    .map(|s| Arc::clone(s.block(b)))
-                    .collect();
-                cols.push(Arc::clone(set.block(b)));
-                Arc::new(ZipBlock::new(cols)) as Arc<dyn DataBlock>
-            })
-            .collect();
-        state.data = BlockSet::with_marks(new_blocks, state.data.epoch_marks().to_vec());
-        state.columns.push(set);
-        let mut columns = state.schema.columns().to_vec();
-        columns.push(ColumnDef::float(name));
-        state.schema = Schema::new(columns);
-        Ok(())
-    }
-
     /// The column names, sorted (for stable display).
     pub fn column_names(&self) -> Vec<&str> {
         let mut names = self.state.schema.column_names();
@@ -385,7 +324,7 @@ impl Catalog {
     }
 
     /// Mutable table lookup — the ingest path's handle for
-    /// [`Table::append_sealed`] / [`Table::add_column`].
+    /// [`Table::append_sealed`].
     ///
     /// # Errors
     ///
@@ -510,31 +449,6 @@ mod tests {
     #[should_panic(expected = "at least one column")]
     fn empty_table_panics() {
         let _ = Table::new(Vec::<(String, BlockSet)>::new());
-    }
-
-    #[test]
-    fn add_column_rejects_a_row_table() {
-        let schema = Schema::of_floats(vec!["x", "y"]);
-        let data = RowsBlock::split(vec![vec![1.0, 2.0, 3.0, 4.0], vec![5.0; 4]], 2);
-        let mut table = Table::from_rows(schema, data);
-        let err = table
-            .add_column("z", block_set(vec![0.0, 0.0, 0.0, 0.0]))
-            .unwrap_err();
-        assert!(matches!(err, QueryError::Invalid(_)), "got {err}");
-        assert_eq!(table.schema().width(), 2);
-        assert!(table.column("z").is_none());
-    }
-
-    #[test]
-    fn a_clone_keeps_its_columns_when_the_original_gains_one() {
-        let mut table = Table::new(vec![("a", block_set(vec![1.0, 2.0, 3.0, 4.0]))]);
-        let before = table.clone();
-        table
-            .add_column("b", block_set(vec![5.0, 6.0, 7.0, 8.0]))
-            .unwrap();
-        assert_eq!(table.column_names(), vec!["a", "b"]);
-        assert_eq!(before.column_names(), vec!["a"]);
-        assert_eq!(before.data().width(), 1);
     }
 
     #[test]

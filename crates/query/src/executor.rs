@@ -38,7 +38,7 @@ use isla_core::engine::{
     Lookup, PooledScheduler, PreEstimateCache, QueryPlan, RateSpec, RecoveryPolicy, RetryPolicy,
     RowPlan, RowSpec, SequentialScheduler,
 };
-use isla_core::{IslaConfig, IslaError};
+use isla_core::{pinned_pre_estimate, IslaConfig, IslaError};
 use isla_stats::{required_sample_size, WelfordMoments};
 use isla_storage::{
     sample_proportional, BlockSet, ColumnPredicate, PooledFilteredColumn, RowFilter,
@@ -293,11 +293,6 @@ impl QuerySession {
     /// Hit/miss counters of the pre-estimation cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.pre_cache.stats()
-    }
-
-    /// Drops every cached pre-estimate (e.g. after data changed).
-    pub fn clear_cache(&self) {
-        self.pre_cache.clear();
     }
 
     /// Invalidates **everything** cached for one table after its data
@@ -650,19 +645,29 @@ impl QuerySession {
         confidence: f64,
         rng: &mut dyn RngCore,
     ) -> Result<(f64, Option<u64>, bool, Option<Degradation>), QueryError> {
+        // Time-constrained execution (paper §VII-F): the deadline clock
+        // starts *before* any sampling — calibrate throughput first, so
+        // pilots (when they run on a cache miss) are charged against the
+        // same window the budget was computed from.
+        let probe = |n, rng: &mut dyn RngCore| {
+            sample_proportional(data, n, rng)
+                .map(drop)
+                .map_err(IslaError::from)
+        };
+
         // Budget-driven (SAMPLES n, no precision): adapter path. The
-        // policy's admission budget caps the explicit one (admission
-        // protects the pool even from generous clients).
+        // deadline's and the policy's admission budgets cap the explicit
+        // one (admission protects the pool even from generous clients).
         if query.precision.is_none() {
             let requested = query.samples.ok_or_else(|| {
                 QueryError::Invalid(
                     "ISLA needs WITH PRECISION e, or SAMPLES n as an explicit budget".to_string(),
                 )
             })?;
-            let budget = match self.policy.sample_budget {
-                Some(cap) => requested.min(cap),
-                None => requested,
-            };
+            let affordable = within_draws(query, data, rng, probe)?;
+            let budget = self
+                .effective_budget(affordable, 0)
+                .map_or(requested, |cap| requested.min(cap));
             let config = IslaConfig::default();
             let estimator = IslaEstimator::new(config)?;
             let value =
@@ -679,15 +684,14 @@ impl QuerySession {
         // cross between the two.
         config.sketch_sigma = !query.method_named;
 
-        // Time-constrained execution (paper §VII-F): the deadline clock
-        // starts *before* any sampling — calibrate throughput first, so
-        // pilots (when they run on a cache miss) are charged against the
-        // same window the budget was computed from.
-        let affordable = within_draws(query, data, rng, |n, rng| {
-            sample_proportional(data, n, rng)
-                .map(drop)
-                .map_err(IslaError::from)
-        })?;
+        // A query the sketches pin draws nothing, so its deadline has no
+        // draw to price: skip the probe (which would read the blocks).
+        let pinned = query.within_ms.is_some() && pinned_pre_estimate(data, &config).is_some();
+        let affordable = if pinned {
+            None
+        } else {
+            within_draws(query, data, rng, probe)?
+        };
 
         // NOTE: the key MUST be derived from the *final* config — the
         // `sketch_sigma` toggle above is fingerprint-hashed, so a key
@@ -1392,6 +1396,25 @@ mod tests {
         .unwrap();
         assert!(!r.time_limited);
         assert!((r.value - 100.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn an_explicit_budget_still_honours_its_deadline() {
+        // Regression: `SAMPLES n WITHIN t` on the scalar path returned
+        // before the deadline was priced, so it drew all n and never
+        // reported the limit. The probe now runs first and the draws are
+        // capped at what the deadline affords (far under 50 M in 20 ms).
+        let requested = 50_000_000;
+        let r = run(
+            &format!(
+                "SELECT AVG(distance) FROM trips METHOD ISLA SAMPLES {requested} WITHIN 20 MS"
+            ),
+            17,
+        )
+        .unwrap();
+        assert!(r.time_limited, "the deadline must cap the budget");
+        assert!(r.samples_used.unwrap() < requested, "{:?}", r.samples_used);
+        assert!((r.value - 100.0).abs() < 2.0, "value {}", r.value);
     }
 
     #[test]

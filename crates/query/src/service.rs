@@ -48,8 +48,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use isla_core::engine::{self, CacheStats, EpochCacheStats, PreEstimateCache, RecoveryPolicy};
 use isla_storage::{
-    BlockSet, IngestBuffer, SealedRows, SelectionCacheStats, SketchCacheStats,
-    DEFAULT_ROWS_PER_BLOCK,
+    IngestBuffer, SealedRows, SelectionCacheStats, SketchCacheStats, DEFAULT_ROWS_PER_BLOCK,
 };
 use rand::RngCore;
 
@@ -602,47 +601,6 @@ impl QueryService {
             .map_or(0, IngestBuffer::pending_rows)
     }
 
-    /// Adds a new float column to a registered table **without
-    /// invalidating anything derived for the existing columns**: their
-    /// scalar sets keep their sketch/selection caches, their
-    /// pre-estimates stay served, and epoch-cached pilot folds remain
-    /// resumable (see [`Table::add_column`]).
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::UnknownTable`]; [`QueryError::Invalid`] when rows
-    /// are pending in the table's ingest buffer (their width predates
-    /// the new column — flush first), or as [`Table::add_column`].
-    pub fn add_column(
-        &self,
-        table: &str,
-        column: impl Into<String>,
-        set: BlockSet,
-    ) -> Result<(), QueryError> {
-        let pending = self.pending_rows(table);
-        if pending > 0 {
-            return Err(QueryError::Invalid(format!(
-                "table {table} has {pending} pending ingest rows of the old width; \
-                 flush before adding a column"
-            )));
-        }
-        let mut tables = self
-            .inner
-            .tables
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        tables.table_mut(table)?.add_column(column, set)?;
-        // The buffer (if any) was sized for the old width; it is empty,
-        // so just drop it and let the next ingest rebuild it.
-        drop(tables);
-        self.inner
-            .buffers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(table);
-        Ok(())
-    }
-
     /// Seal-compute outside every lock, merge under the write guard.
     fn append_sealed_rows(
         &self,
@@ -1058,8 +1016,10 @@ mod tests {
             );
             assert_eq!(r.samples_used, Some(0));
         }
+        // The pinned answer never reaches the epoch layer: nothing folds
+        // and nothing is filed to hit.
         let epoch = service.epoch_cache_stats();
-        assert_eq!((epoch.cold_folds, epoch.exact_hits), (1, 1));
+        assert_eq!((epoch.cold_folds, epoch.exact_hits), (0, 0));
     }
 
     #[test]
@@ -1159,64 +1119,6 @@ mod tests {
             hits_before + 1,
             "the untouched table's estimate still serves from cache"
         );
-    }
-
-    #[test]
-    fn adding_a_column_keeps_derived_state_for_untouched_columns() {
-        // Regression (over-invalidation): adding a NEW column used to be
-        // served by invalidate_table, which dropped pre-estimates and
-        // derived caches for every existing column set too. The
-        // add_column path must leave untouched column state reusable.
-        let service = QueryService::new(ServiceConfig {
-            pilot_seed: 23,
-            ..ServiceConfig::default()
-        });
-        let dist = normal_values(100.0, 20.0, 40_000, 91);
-        let fare: Vec<f64> = dist.iter().map(|v| v * 2.5).collect();
-        service.register_table(
-            "trips",
-            Table::new(vec![
-                ("distance", BlockSet::from_values(dist.clone(), 8)),
-                ("fare", BlockSet::from_values(fare, 8)),
-            ]),
-        );
-        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5";
-        let first = service.query("t", sql, 7).unwrap();
-        assert_eq!(service.cache_stats().misses, 1);
-        let tip: Vec<f64> = dist.iter().map(|v| v * 0.15).collect();
-        service
-            .add_column("trips", "tip", BlockSet::from_values(tip, 8))
-            .unwrap();
-        // The untouched column's pre-estimate still serves — and the
-        // answer is the bit-identical one from before the addition.
-        let second = service.query("t", sql, 7).unwrap();
-        assert_eq!(service.cache_stats().hits, 1, "no over-invalidation");
-        assert_eq!(first.value.to_bits(), second.value.to_bits());
-        // The new column is immediately queryable...
-        let tip_avg = service
-            .query("t", "SELECT AVG(tip) FROM trips WITH PRECISION 0.5", 9)
-            .unwrap();
-        assert!(
-            (tip_avg.value - 15.0).abs() < 1.0,
-            "value {}",
-            tip_avg.value
-        );
-        // ...including through the row model over the re-zipped tuples.
-        let filtered = service
-            .query(
-                "t",
-                "SELECT AVG(fare) FROM trips WHERE tip > 15 WITH PRECISION 0.5",
-                10,
-            )
-            .unwrap();
-        assert!(filtered.value > 250.0, "value {}", filtered.value);
-        // Duplicate names and layout mismatches are typed errors.
-        assert!(service
-            .add_column("trips", "tip", BlockSet::from_values(vec![0.0; 40_000], 8))
-            .is_err());
-        assert!(service
-            .add_column("trips", "oops", BlockSet::from_values(vec![0.0; 7], 7))
-            .is_err());
     }
 
     /// A row-model `sales` table (amount, margin) in 4 blocks, sealing

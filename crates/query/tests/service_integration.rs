@@ -555,6 +555,24 @@ fn mined_table() -> Table {
     Table::new(vec![("x", BlockSet::new(blocks))])
 }
 
+/// Regression: a default scalar query the block sketches pin reads no
+/// block, `WITHIN` deadline or not — the deadline's calibration probe
+/// used to draw from the mined block before the pin was consulted.
+#[test]
+fn a_pinned_default_query_skips_the_deadline_probe() {
+    let service = QueryService::new(ServiceConfig::default());
+    service.register_table("mined", mined_table());
+    let sql = "SELECT AVG(x) FROM mined WITH PRECISION 0.5";
+    let pinned = service.query("t", sql, 1).unwrap();
+    assert_eq!(pinned.samples_used, Some(0));
+    let timed = service
+        .query("t", &format!("{sql} WITHIN 1000 MS"), 1)
+        .unwrap();
+    assert_eq!(timed.value.to_bits(), pinned.value.to_bits());
+    assert_eq!(timed.samples_used, Some(0));
+    assert!(!timed.time_limited);
+}
+
 /// Regression: a panicking `DataBlock` inside the worker pool must
 /// surface on the submitting thread as a *typed*
 /// `IslaError::Internal` — not unwind through `execute`, not wedge the

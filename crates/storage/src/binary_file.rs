@@ -11,8 +11,7 @@
 //! ```
 //!
 //! Fixed-width rows make uniform random sampling a single positioned read
-//! with no index, unlike [`crate::TextBlock`] which must index line
-//! offsets. Encoding/decoding goes through the `bytes` crate.
+//! with no index. Encoding/decoding goes through the `bytes` crate.
 
 use std::fs::File;
 use std::io::Write;

@@ -44,20 +44,6 @@ impl std::fmt::Debug for SealedDerived {
     }
 }
 
-impl SealedDerived {
-    /// Derived state carrying only what the block declares for free:
-    /// its [`DataBlock::sketch`] hook, no compiled selections. The
-    /// right choice for projected column views, whose sketches project
-    /// from the parent block in O(1) and whose selections are rebuilt
-    /// on demand.
-    pub fn hook_only(block: &Arc<dyn DataBlock>) -> Self {
-        Self {
-            sketch: block.sketch(),
-            selections: Vec::new(),
-        }
-    }
-}
-
 /// An ordered collection of blocks forming one dataset (the paper's block
 /// set `B = {B₁, …, B_b}`).
 #[derive(Clone)]
@@ -697,7 +683,10 @@ mod tests {
         let builds = set.selection_stats().builds;
         let block: Arc<dyn DataBlock> =
             Arc::new(RowsBlock::new(vec![(100..110).map(f64::from).collect()]));
-        let derived = SealedDerived::hook_only(&block);
+        let derived = SealedDerived {
+            sketch: block.sketch(),
+            selections: Vec::new(),
+        };
         set.append_epoch(vec![(block, derived)]);
         let healed = set.selection_for(&filter).unwrap();
         assert_eq!(healed.block_count(), 5);

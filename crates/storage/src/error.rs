@@ -13,15 +13,6 @@ pub enum StorageError {
         /// The OS-level error.
         source: std::io::Error,
     },
-    /// A text block contained a line that does not parse as a finite `f64`.
-    Parse {
-        /// The file containing the bad line.
-        path: PathBuf,
-        /// 1-based line number.
-        line: u64,
-        /// The offending content (truncated).
-        content: String,
-    },
     /// A binary block file is malformed (bad magic, truncated payload, …).
     Corrupt {
         /// The file involved.
@@ -112,15 +103,6 @@ impl fmt::Display for StorageError {
                 Some(p) => write!(f, "i/o error on {}: {source}", p.display()),
                 None => write!(f, "i/o error: {source}"),
             },
-            StorageError::Parse {
-                path,
-                line,
-                content,
-            } => write!(
-                f,
-                "{}:{line}: cannot parse {content:?} as a finite number",
-                path.display()
-            ),
             StorageError::Corrupt { path, detail } => {
                 write!(f, "corrupt block file {}: {detail}", path.display())
             }
@@ -187,12 +169,6 @@ mod tests {
             source: std::io::Error::new(std::io::ErrorKind::NotFound, "missing"),
         };
         assert!(io.to_string().contains("/tmp/x"));
-        let parse = StorageError::Parse {
-            path: PathBuf::from("b.txt"),
-            line: 7,
-            content: "abc".into(),
-        };
-        assert!(parse.to_string().contains("b.txt:7"));
         let scan = StorageError::ScanUnsupported {
             len: 10,
             detail: "virtual".into(),

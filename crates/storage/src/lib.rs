@@ -10,11 +10,9 @@
 //!   [`BlockSet::from_values`] and [`RowsBlock::split`] window one buffer
 //!   per column into every block, and a projection of one column is a
 //!   width-1 [`RowsBlock`] sharing its parent's window and sketch;
-//! * [`TextBlock`] — one value per line in a text file, the exact storage
-//!   format of the paper's experiments ("data … are pre-processed and
-//!   saved in b .txt documents to simulate b blocks");
-//! * [`BinaryBlock`] — a compact fixed-width binary format with a header,
-//!   for the large laptop-scale experiments;
+//! * [`BinaryBlock`] — a compact fixed-width binary format with a header:
+//!   the file-backed kind. The paper's experiments keep each block in a
+//!   `.txt` file, one value per line; that text layout is not reproduced;
 //! * [`GeneratorBlock`] — a *virtual* block of declared length whose
 //!   sampler draws i.i.d. values from a distribution. This is the
 //!   documented substitution for the paper's 10⁸–10¹² row datasets: since
@@ -97,7 +95,6 @@ pub mod sampler;
 pub mod schema;
 pub mod selection;
 pub mod sketch;
-pub mod text_file;
 
 pub use binary_file::BinaryBlock;
 pub use block::{BlockReads, DataBlock};
@@ -127,4 +124,3 @@ pub use selection::{
 pub use sketch::{
     scan_sketch, BlockSketch, ColumnMoments, SetSketches, SketchCache, SketchCacheStats,
 };
-pub use text_file::TextBlock;

@@ -225,7 +225,6 @@ fn zero_workers_rejected() {
         PooledScheduler::new(0),
         Err(IslaError::InvalidConfig(_))
     ));
-    assert!(PooledScheduler::with_default_workers().workers() > 0);
 }
 
 #[test]

@@ -31,10 +31,10 @@ fn isla_meets_precision_across_seeds_on_normal_data() {
 
 #[test]
 fn file_backed_blocks_round_trip_through_the_full_pipeline() {
-    // Write the paper's block layout (one .txt per block) to disk, open
-    // them as TextBlocks, and aggregate — the exact experimental setup
-    // of Section VIII.
-    use isla::storage::TextBlock;
+    // Write one file per block to disk (the paper's Section VIII keeps
+    // one .txt per block; here each is a BinaryBlock), open them, and
+    // aggregate.
+    use isla::storage::BinaryBlock;
     use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!("isla-e2e-{}", std::process::id()));
@@ -44,8 +44,8 @@ fn file_backed_blocks_round_trip_through_the_full_pipeline() {
 
     let mut blocks: Vec<Arc<dyn DataBlock>> = Vec::new();
     for (i, chunk) in values.chunks(10_000).enumerate() {
-        let path = dir.join(format!("block_{i}.txt"));
-        blocks.push(Arc::new(TextBlock::create(&path, chunk).unwrap()));
+        let path = dir.join(format!("block_{i}.blk"));
+        blocks.push(Arc::new(BinaryBlock::create(&path, chunk).unwrap()));
     }
     let data = BlockSet::new(blocks);
     assert_eq!(data.total_len(), 100_000);

@@ -28,8 +28,8 @@ use isla::storage::{
     sample_rows_proportional_surviving, scalar_fallback_set, scan_sketch, BinaryBlock, BlockFault,
     BlockReads, BlockSet, BlockSketch, CmpOp, ColumnPredicate, ColumnView, DataBlock, ExactSum,
     FaultPlan, FaultyBlock, GeneratorBlock, PooledFilteredColumn, RowFilter, RowSampleBuf,
-    RowsBlock, ScalarFallbackBlock, SelectionVector, SetSelection, StorageError, TextBlock,
-    ZipBlock, ZoneMatch, SCAN_CHUNK_ROWS,
+    RowsBlock, ScalarFallbackBlock, SelectionVector, SetSelection, StorageError, ZipBlock,
+    ZoneMatch, SCAN_CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -316,14 +316,6 @@ fn sketched_slev_is_bit_identical_on_every_block_impl() {
         "RowsBlock (width 1)",
     );
 
-    let text_path = dir.join("col.txt");
-    let text: String = values.iter().map(|v| format!("{v}\n")).collect();
-    std::fs::write(&text_path, text).unwrap();
-    assert_sketched_slev_identity(
-        &BlockSet::single(TextBlock::open(&text_path).unwrap()),
-        "TextBlock",
-    );
-
     let bin_path = dir.join("col.blk");
     BinaryBlock::create(&bin_path, &values).unwrap();
     assert_sketched_slev_identity(
@@ -355,19 +347,6 @@ fn sketched_slev_is_bit_identical_on_every_block_impl() {
         "PooledFilteredColumn",
     );
 
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn text_block_kernels_match_scalar() {
-    let dir = std::env::temp_dir().join(format!("isla-kid-text-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("col.txt");
-    let values: Vec<f64> = columns(4_000, 1, 3)[0].clone();
-    let text: String = values.iter().map(|v| format!("{v}\n")).collect();
-    std::fs::write(&path, text).unwrap();
-    let block = TextBlock::open(&path).unwrap();
-    assert_kernel_identity(Arc::new(block), "TextBlock");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

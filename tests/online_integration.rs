@@ -40,7 +40,7 @@ fn online_rounds_converge_toward_batch_quality() {
 
 #[test]
 fn online_over_file_blocks() {
-    use isla::storage::TextBlock;
+    use isla::storage::BinaryBlock;
     use std::sync::Arc;
 
     let dir = std::env::temp_dir().join(format!("isla-online-{}", std::process::id()));
@@ -49,8 +49,8 @@ fn online_over_file_blocks() {
     let truth: f64 = values.iter().sum::<f64>() / values.len() as f64;
     let mut blocks: Vec<Arc<dyn DataBlock>> = Vec::new();
     for (i, chunk) in values.chunks(10_000).enumerate() {
-        let path = dir.join(format!("online_{i}.txt"));
-        blocks.push(Arc::new(TextBlock::create(&path, chunk).unwrap()));
+        let path = dir.join(format!("online_{i}.blk"));
+        blocks.push(Arc::new(BinaryBlock::create(&path, chunk).unwrap()));
     }
 
     let mut rng = StdRng::seed_from_u64(204);

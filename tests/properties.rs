@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests on ISLA's core invariants.
 
 use isla::core::accumulate::SampleAccumulator;
+use isla::core::config::MAX_ITERATIONS;
 use isla::core::engine::{
     self, GroupedPartial, PartialAggregate, RateSpec, RowPlan, RowSpec, SequentialScheduler,
 };
@@ -141,9 +142,9 @@ proptest! {
     ) {
         let config = IslaConfig::builder().precision(0.1).build().unwrap();
         let est = LinearEstimator { k, c };
-        let case = assess(u, v, c - sketch0, &config).case;
+        let case = assess(u, v, c - sketch0).case;
         let out = iterate(&est, sketch0, case, &config);
-        prop_assert!(out.iterations <= config.max_iterations);
+        prop_assert!(out.iterations <= MAX_ITERATIONS);
         if out.converged && case != ModulationCase::Balanced {
             prop_assert!(
                 (out.answer - out.sketch).abs() <= 2.0 * config.threshold + 1e-9,
@@ -320,7 +321,7 @@ proptest! {
         scale in 0.1f64..100.0,
     ) {
         let config = IslaConfig::builder().precision(0.1).build().unwrap();
-        let case = assess(90, 110, c - sketch0, &config).case;
+        let case = assess(90, 110, c - sketch0).case;
         let a = iterate(&LinearEstimator { k, c }, sketch0, case, &config);
         let b = iterate(&LinearEstimator { k: k * scale, c }, sketch0, case, &config);
         prop_assert!((a.answer - b.answer).abs() < 1e-6);
