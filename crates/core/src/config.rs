@@ -90,6 +90,16 @@ pub struct IslaConfig {
     /// ISLA query and leaves it off for a named `METHOD ISLA`. Default
     /// false.
     pub sketch_sigma: bool,
+    /// Sample a `GROUP BY` even where the blocks' per-key sketches know
+    /// its answer. Off (the default), a grouped row query whose every
+    /// block the zone map decides — matching everywhere or nowhere — over
+    /// finite, scannable, fault-free blocks with at most
+    /// [`isla_storage::MAX_SKETCH_KEYS`] keys each is pinned to the exact
+    /// per-group counts and means with no pilot and no draw. The query
+    /// executor sets it for a named `METHOD ISLA`. It changes no cached
+    /// object — a pinned lookup files no entry — so it stays out of
+    /// [`IslaConfig::fingerprint`].
+    pub sample_groups: bool,
     /// Record per-iteration traces in block outcomes (diagnostics).
     /// Default false.
     pub record_trace: bool,
@@ -113,6 +123,7 @@ impl Default for IslaConfig {
             clamp_to_sketch_interval: true,
             known_sigma: None,
             sketch_sigma: false,
+            sample_groups: false,
             record_trace: false,
         }
     }
@@ -322,6 +333,11 @@ impl IslaConfigBuilder {
         sketch_sigma: bool
     );
     setter!(
+        /// Samples a `GROUP BY` the per-key sketches could pin (see
+        /// [`IslaConfig::sample_groups`]).
+        sample_groups: bool
+    );
+    setter!(
         /// Enables per-iteration trace recording.
         record_trace: bool
     );
@@ -408,6 +424,10 @@ mod tests {
         for v in &variants {
             assert_ne!(base.fingerprint(), v.fingerprint(), "{v:?}");
         }
+        // The grouped pin's opt-out caches nothing of its own, so every
+        // digest (and the pilot streams seeded from it) keeps its bits.
+        let sampled = IslaConfig::builder().sample_groups(true).build().unwrap();
+        assert_eq!(base.fingerprint(), sampled.fingerprint());
     }
 
     #[test]

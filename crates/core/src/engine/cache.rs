@@ -25,8 +25,8 @@ use crate::pre_estimation::{
 
 use super::recovery::RecoveryPolicy;
 use super::rows::{
-    finish_row_pilot_fold, fold_row_pilot_segment, row_pre_estimate_with, RowPilotFold,
-    RowPreEstimate, RowSpec,
+    finish_row_pilot_fold, fold_row_pilot_segment, pinned_row_pre_estimate, row_pre_estimate_with,
+    RowPilotFold, RowPreEstimate, RowSpec,
 };
 
 /// A cache key: the catalog coordinates of a column, the configuration
@@ -366,6 +366,11 @@ impl PreEstimateCache {
     /// [`CacheKey::with_row_shape`]) so distinct predicates/groupings
     /// key separately.
     ///
+    /// A grouped query the per-key block sketches pin (see
+    /// [`IslaConfig::sample_groups`]) gets the pinned estimate instead:
+    /// no entry is filed, no pilot drawn, no counter moves, and the
+    /// lookup reports a hit.
+    ///
     /// # Errors
     ///
     /// Row pre-estimation failures (the cache is left untouched).
@@ -378,6 +383,9 @@ impl PreEstimateCache {
         recovery: &RecoveryPolicy,
         rng: &mut dyn RngCore,
     ) -> Result<RowCacheLookup, IslaError> {
+        if let Some(pre) = pinned_row_pre_estimate(data, config, spec) {
+            return Ok(RowCacheLookup { pre, hit: true });
+        }
         self.rows.lookup_exact(&self.counters, key, || {
             row_pre_estimate_with(data, config, spec, u64::MAX, recovery, rng)
         })
@@ -426,7 +434,10 @@ impl PreEstimateCache {
     /// Row-model analog of [`PreEstimateCache::get_or_compute_epoch`]:
     /// epoch-aware lookup for filtered/grouped queries over appendable
     /// sets, keyed by the lineage of a shape-bound key (carry the spec's
-    /// fingerprint via [`CacheKey::with_row_shape`]).
+    /// fingerprint via [`CacheKey::with_row_shape`]). A grouped query
+    /// the per-key block sketches pin gets the pinned estimate before
+    /// the epoch layer is touched, as in
+    /// [`PreEstimateCache::get_or_compute_epoch`].
     ///
     /// # Errors
     ///
@@ -439,6 +450,9 @@ impl PreEstimateCache {
         spec: &RowSpec,
         salt: u64,
     ) -> Result<RowCacheLookup, IslaError> {
+        if let Some(pre) = pinned_row_pre_estimate(data, config, spec) {
+            return Ok(RowCacheLookup { pre, hit: true });
+        }
         self.rows.lookup_epoch(
             &self.counters,
             &key,

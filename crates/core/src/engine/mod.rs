@@ -95,9 +95,9 @@ pub use recovery::{
 };
 pub use rows::{
     execute_row_block, finish_row_pilot_fold, fold_row_pilot_segment, hit_rate_pilot,
-    probe_row_draws, row_pre_estimate_with, run_row_plan_with, run_rows, GroupEstimate, GroupPlan,
-    GroupPre, GroupedEngineResult, RowBlockOutcome, RowGroupOutcome, RowPilotFold, RowPlan,
-    RowPreEstimate, RowSpec,
+    pinned_row_pre_estimate, probe_row_draws, row_pre_estimate_with, run_row_plan_with, run_rows,
+    GroupEstimate, GroupPlan, GroupPre, GroupedEngineResult, RowBlockOutcome, RowGroupOutcome,
+    RowPilotFold, RowPlan, RowPreEstimate, RowSpec,
 };
 pub use scheduler::{
     affordable_draws, execute_planned_block, scan_blocks, scan_blocks_recovering, BlockExecution,

@@ -205,12 +205,19 @@ impl GroupedPartial {
     /// *offered* ([`RowBlockOutcome::offered`]): a draw a zone map
     /// decided without reading the row is still a draw that missed.
     /// Plan groups that caught no calculation draw anywhere keep their
-    /// pilot estimate (`sketch0`).
+    /// pilot estimate (`sketch0`). A plan the per-key block sketches
+    /// pinned finalizes to their exact answer, whatever its blocks drew.
     ///
     /// # Errors
     ///
     /// [`IslaError::InsufficientData`] when no group carries any weight.
     pub fn finalize(mut self, plan: &RowPlan) -> Result<GroupedAggregate, IslaError> {
+        if let Some(answer) = plan.pinned_answer() {
+            return Ok(GroupedAggregate {
+                total_samples: self.total_samples,
+                ..answer
+            });
+        }
         self.outcomes.sort_by_key(|o| o.block_id);
         debug_assert!(
             self.outcomes

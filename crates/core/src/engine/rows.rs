@@ -268,7 +268,10 @@ pub struct RowPreEstimate {
     /// Raw pilot rows drawn (both pilot passes) — every index draw the
     /// pilots spent, including the draws on blocks whose zone map
     /// already decided the predicate and that were therefore not read:
-    /// the denominator of `selectivity` and of every group share.
+    /// the denominator of `selectivity` and of every group share. 0 when
+    /// the per-key block sketches pinned the estimate
+    /// ([`pinned_row_pre_estimate`]): then every group's `pilot_matched`
+    /// is its exact row count and its `sketch0` its exact mean.
     pub pilot_rows: u64,
 }
 
@@ -347,6 +350,83 @@ pub fn row_pre_estimate_with(
     }
 
     finish_row_pilot_state(&st, data_size, config)
+}
+
+/// The row pre-estimate the per-key block sketches pin, when
+/// [`IslaConfig::sample_groups`] is off and the spec groups: every
+/// block's zone verdict for the filter is decided ([`DataBlock::zone`];
+/// an armed fault or a non-finite value answers `Mixed`), and every
+/// block that matches everywhere gives a [`isla_storage::KeyedSketch`]
+/// of the aggregated column by the group column with finite moments
+/// under every key ([`BlockSet::keyed_sketch`]). Each group is then
+/// exact: σ = 0, `sketch0` its mean (the common value when constant),
+/// `pilot_matched` its row count, share and selectivity over the set's
+/// rows, rate 0 and no pilot row. `None` — run the pilots — otherwise,
+/// or when no row matches.
+///
+/// Zone verdicts are asked first, so a query that cannot pin builds no
+/// keyed sketch; the ones it builds are cached on the set.
+pub fn pinned_row_pre_estimate(
+    data: &BlockSet,
+    config: &IslaConfig,
+    spec: &RowSpec,
+) -> Option<RowPreEstimate> {
+    let group_by = spec.group_by.filter(|_| !config.sample_groups)?;
+    spec.validate(data).ok()?;
+    let verdicts: Vec<ZoneMatch> = data.iter().map(|b| b.zone(&spec.filter)).collect();
+    if verdicts.contains(&ZoneMatch::Mixed) {
+        return None;
+    }
+    // key bits → (rows, Σa, min, max)
+    let mut groups: BTreeMap<u64, (u64, NeumaierSum, f64, f64)> = BTreeMap::new();
+    for (b, verdict) in verdicts.into_iter().enumerate() {
+        if verdict == ZoneMatch::Matchless {
+            continue;
+        }
+        let sketch = data.keyed_sketch(b, group_by, spec.agg_column)?;
+        for k in sketch.keys() {
+            if k.moments.non_finite > 0 {
+                return None;
+            }
+            let group = groups.entry(k.key_bits).or_insert((
+                0,
+                NeumaierSum::new(),
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ));
+            group.0 += k.rows;
+            group.1.add(k.moments.sum);
+            group.2 = group.2.min(k.moments.min);
+            group.3 = group.3.max(k.moments.max);
+        }
+    }
+    let matched: u64 = groups.values().map(|g| g.0).sum();
+    if matched == 0 {
+        return None;
+    }
+    let data_size = data.total_len() as f64;
+    let groups = groups
+        .into_iter()
+        .map(|(key_bits, (rows, sum, min, max))| GroupPre {
+            key_bits,
+            key: f64::from_bits(key_bits),
+            sigma: 0.0,
+            sketch0: if min == max {
+                min
+            } else {
+                sum.value() / rows as f64
+            },
+            share: rows as f64 / data_size,
+            pilot_matched: rows,
+            required_samples: 0,
+        })
+        .collect();
+    Some(RowPreEstimate {
+        groups,
+        selectivity: matched as f64 / data_size,
+        rate: 0.0,
+        pilot_rows: 0,
+    })
 }
 
 /// Draws `n` proportional pilot rows into the accumulated pilot state:
@@ -861,6 +941,40 @@ impl RowPlan {
         self.planned_calculation_samples(data) + self.pilot_rows
     }
 
+    /// The exact answer of a plan built from a pinned pre-estimate
+    /// ([`pinned_row_pre_estimate`]): each group's mean and exact row
+    /// count, no draw. `None` for a sampled plan.
+    pub(crate) fn pinned_answer(&self) -> Option<GroupedAggregate> {
+        // Only a pinned pre-estimate spends no pilot row.
+        if self.pilot_rows != 0 {
+            return None;
+        }
+        let mut groups: Vec<GroupEstimate> = self
+            .groups
+            .iter()
+            .map(|g| GroupEstimate {
+                key: g.pre.key,
+                estimate: g.pre.sketch0,
+                rows_estimate: g.pre.pilot_matched as f64,
+                matched_draws: 0,
+                planned: true,
+            })
+            .collect();
+        groups.sort_by(|a, b| a.key.total_cmp(&b.key));
+        let matched_rows: f64 = groups.iter().map(|g| g.rows_estimate).sum();
+        let estimate = groups
+            .iter()
+            .map(|g| g.estimate * g.rows_estimate)
+            .sum::<f64>()
+            / matched_rows;
+        Some(GroupedAggregate {
+            groups,
+            estimate,
+            matched_rows,
+            total_samples: 0,
+        })
+    }
+
     /// Index of the planned group with the given key bits (the groups
     /// are sorted by key bits).
     pub(crate) fn group_index(&self, key_bits: u64) -> Option<usize> {
@@ -1201,6 +1315,11 @@ impl CalcPlan for RowPlan {
 
     fn pilot_samples(&self) -> u64 {
         self.pilot_rows()
+    }
+
+    /// The per-key sketches' exact answer, when they pinned the plan.
+    fn pinned(&self) -> Option<GroupedAggregate> {
+        self.pinned_answer()
     }
 
     fn execute_block(

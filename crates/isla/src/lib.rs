@@ -56,7 +56,7 @@
 //! |---|---|
 //! | [`core`] | the paper's contribution: boundaries, leverages, Theorem-3 estimator, modulation Cases 1–5, Algorithms 1–2, online & non-i.i.d. extensions; the engine whose schedulers run it sequentially, on a worker pool (§VII-E) or under a deadline (§VII-F) |
 //! | [`stats`] | statistics substrate: erf/normal quantile, distributions, compensated moments, confidence intervals |
-//! | [`storage`] | block storage: memory / text / binary / virtual generator blocks, samplers |
+//! | [`storage`] | block storage: in-memory row / zip, binary-file and virtual generator blocks; samplers, moment and per-key sketches, compiled selections |
 //! | [`datagen`] | evaluation workloads: synthetic, TPC-H-like lineitem, census/TLC stand-ins |
 //! | [`baselines`] | US, STS, MV, MVB, SLEV comparators behind one `Estimator` trait |
 //! | [`query`] | `SELECT AVG(col) FROM t WITH PRECISION e` parser + executor |

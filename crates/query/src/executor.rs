@@ -16,9 +16,12 @@
 //! ([`engine::hit_rate_pilot`]). Where metadata already knows the
 //! answer, a default query (no `METHOD` named) reads it instead of
 //! sampling: an unfiltered `AVG`/`SUM` is pinned from the block
-//! sketches, and an ungrouped `COUNT(*) WHERE …` with no precision,
-//! budget or deadline counts the compiled selection. Baselines and
-//! sampled `MAX`/`MIN` draw from one pooled filtered column
+//! sketches, a `GROUP BY` whose every block the zone maps decide is
+//! read off the per-key block sketches (`AVG`/`SUM`, and `COUNT(*)`
+//! with no precision, budget or deadline), and an ungrouped
+//! `COUNT(*) WHERE …` with no precision, budget or deadline counts the
+//! compiled selection. Baselines and sampled `MAX`/`MIN` draw from one
+//! pooled filtered column
 //! ([`PooledFilteredColumn`]), and `METHOD EXACT` folds the matching
 //! rows block by block on the session's scheduler ([`engine::exact`]),
 //! reading only the columns the query names. Every filtered path reads a block only where its
@@ -447,16 +450,33 @@ impl QuerySession {
             return exact_rows(query, &exact, rows, confidence, start);
         }
 
-        // COUNT(*) under a predicate. The default ungrouped form, with
-        // no precision, budget or deadline to honour, counts the
-        // compiled selection: exact, and cached across queries. Every
-        // other form is estimated from pilot row draws. The pilot *is*
-        // uniform row sampling, so only ISLA and US name this estimator
-        // truthfully; other methods have no counting analogue here.
+        // COUNT(*) under a predicate or a GROUP BY. The default form,
+        // with no precision, budget or deadline to honour, is exact
+        // where metadata knows it: grouped, from the per-key block
+        // sketches; ungrouped, by counting the compiled selection. Both
+        // are cached across queries. Every other form is estimated from
+        // pilot row draws. The pilot *is* uniform row sampling, so only
+        // ISLA and US name this estimator truthfully; other methods have
+        // no counting analogue here.
         if query.agg == AggFunc::Count {
             let plain =
                 query.precision.is_none() && query.samples.is_none() && query.within_ms.is_none();
-            if !query.method_named && !grouped && plain {
+            if !query.method_named && plain && grouped {
+                let pinned = engine::pinned_row_pre_estimate(data, &IslaConfig::default(), &spec);
+                if let Some(pre) = pinned {
+                    let mut exact: Vec<engine::GroupExact> = pre
+                        .groups
+                        .iter()
+                        .map(|g| engine::GroupExact {
+                            key: g.key,
+                            mean: g.sketch0,
+                            count: g.pilot_matched,
+                        })
+                        .collect();
+                    exact.sort_by(|a, b| a.key.total_cmp(&b.key));
+                    return exact_rows(query, &exact, rows, confidence, start);
+                }
+            } else if !query.method_named && plain {
                 let selection = data.selection_for(&spec.filter)?;
                 // A block that cannot be scanned compiles no vector; its
                 // matches are then unknown, and the estimate stands.
@@ -536,18 +556,37 @@ impl QuerySession {
         let data = table.data();
         let rows = table.rows();
 
+        // A default query lets the per-key block sketches pin a GROUP BY
+        // they know exactly: zero draws. A named `METHOD ISLA` keeps the
+        // paper's pilots and Algorithms 1–2.
+        let config = match query.precision {
+            Some(_) => Some(IslaConfig {
+                sample_groups: query.method_named,
+                ..isla_config(query, confidence)?
+            }),
+            None => None,
+        };
+
         // The deadline clock starts before any sampling (paper §VII-F);
         // the probe draws rows as the plan will — the columns it reads,
         // the zone verdicts, the predicate — so the calibrated
         // per-sample cost is what the pilots and the calculation phase
-        // will actually pay.
-        let affordable = within_draws(query, data, rng, |n, rng| {
-            engine::probe_row_draws(data, &spec, n, rng)
-        })?;
+        // will actually pay. A query the sketches pin draws nothing, so
+        // its deadline has no draw to price: the probe is skipped.
+        let pinned = query.within_ms.is_some()
+            && config
+                .as_ref()
+                .is_some_and(|c| engine::pinned_row_pre_estimate(data, c, &spec).is_some());
+        let affordable = if pinned {
+            None
+        } else {
+            within_draws(query, data, rng, |n, rng| {
+                engine::probe_row_draws(data, &spec, n, rng)
+            })?
+        };
 
-        let (config, pre, pilot_cost, rate) = match (query.precision, query.samples) {
-            (Some(_), _) => {
-                let config = isla_config(query, confidence)?;
+        let (config, pre, pilot_cost, rate) = match (config, query.samples) {
+            (Some(config), _) => {
                 let key = CacheKey::new(&query.table, &query.column, &config, data)
                     .with_row_shape(spec.fingerprint());
                 let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
@@ -670,9 +709,9 @@ impl QuerySession {
                 .map_or(requested, |cap| requested.min(cap));
             let config = IslaConfig::default();
             let estimator = IslaEstimator::new(config)?;
-            let value =
-                self.on_scheduler(None, |s| estimator.estimate_scheduled(data, budget, s, rng))?;
-            return Ok((value, Some(budget), budget < requested, None));
+            let (value, drawn) =
+                self.on_scheduler(None, |s| estimator.estimate_counted(data, budget, s, rng))?;
+            return Ok((value, Some(drawn), budget < requested, None));
         }
 
         let mut config = isla_config(query, confidence)?;

@@ -157,7 +157,9 @@ fn concurrent_service_is_bit_identical_to_sequential() {
         }
     }
 
-    // The warm cache absorbed the storm: not one duplicated pilot.
+    // The warm cache absorbed the storm: not one duplicated pilot. The
+    // `GROUP BY` shape is pinned from the per-key block sketches, which
+    // file no entry and move no counter.
     let stats = service.cache_stats();
     assert_eq!(
         stats.misses, warm.misses,
@@ -165,8 +167,8 @@ fn concurrent_service_is_bit_identical_to_sequential() {
     );
     assert_eq!(
         stats.hits - warm.hits,
-        (THREADS * SHAPES.len()) as u64,
-        "every stormed query must be a cache hit"
+        (THREADS * (SHAPES.len() - 1)) as u64,
+        "every stormed query the sketches do not pin must be a cache hit"
     );
 }
 

@@ -7,7 +7,7 @@ use crate::error::StorageError;
 use crate::filter::RowFilter;
 use crate::rows::RowsBlock;
 use crate::selection::{self, SelectionCache, SelectionTail, SelectionVector, SetSelection};
-use crate::sketch::{self, BlockSketch, SetSketches, SketchCache};
+use crate::sketch::{self, BlockSketch, KeyedSketch, SetSketches, SketchCache};
 
 /// The shape of a block set at one epoch: how many blocks and rows it
 /// held after that epoch's seal. `epoch_marks()[e]` is the shape after
@@ -394,6 +394,31 @@ impl BlockSet {
             entries.push(entry);
         }
         Ok(SetSketches::new(entries))
+    }
+
+    /// Block `idx`'s [`KeyedSketch`] of column `agg_col` keyed by
+    /// column `key_col`, built by one scan of the two columns
+    /// ([`sketch::scan_keyed_sketch`]) and cached on first use, "too
+    /// many keys" included. `None` when the block holds more than
+    /// [`sketch::MAX_SKETCH_KEYS`] keys, cannot scan, or failed its scan
+    /// (a failure is not cached).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `idx` is out of range or a column is out of the
+    /// block's width.
+    pub fn keyed_sketch(
+        &self,
+        idx: usize,
+        key_col: usize,
+        agg_col: usize,
+    ) -> Option<Arc<KeyedSketch>> {
+        let slot = (idx, key_col, agg_col);
+        if let Some(entry) = self.sketches.keyed(slot) {
+            return entry;
+        }
+        let built = sketch::scan_keyed_sketch(self.blocks[idx].as_ref(), key_col, agg_col).ok()?;
+        self.sketches.insert_keyed(slot, built.map(Arc::new))
     }
 
     /// Drops every derived structure cached on this set — compiled

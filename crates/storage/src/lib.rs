@@ -122,5 +122,6 @@ pub use selection::{
     ZoneMatch,
 };
 pub use sketch::{
-    scan_sketch, BlockSketch, ColumnMoments, SetSketches, SketchCache, SketchCacheStats,
+    scan_keyed_sketch, scan_sketch, BlockSketch, ColumnMoments, KeyMoments, KeyedSketch,
+    SetSketches, SketchCache, SketchCacheStats, MAX_SKETCH_KEYS,
 };

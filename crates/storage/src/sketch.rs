@@ -228,15 +228,183 @@ pub fn scan_sketch(block: &dyn DataBlock) -> Result<Option<BlockSketch>, Storage
     Ok(Some(sketch))
 }
 
+/// Most distinct keys a [`KeyedSketch`] tracks in one block; a block
+/// with more records "too many".
+pub const MAX_SKETCH_KEYS: usize = 64;
+
+/// One key's rows of a block: how many, and the moments of the
+/// aggregated column over them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeyMoments {
+    /// The key value's bit pattern (keys group by bits, so `-0.0` and
+    /// `0.0` are two keys, as in every `GROUP BY` route).
+    pub key_bits: u64,
+    /// Rows holding this key.
+    pub rows: u64,
+    /// The aggregated column over those rows.
+    pub moments: ColumnMoments,
+}
+
+/// The per-key moments of one column of a block, grouped by another
+/// column: for each distinct key (at most [`MAX_SKETCH_KEYS`]) a row
+/// count and [`ColumnMoments`] folded through [`ColumnMoments::update`]
+/// in storage order — the one fold law, so each key's moments are the
+/// bits a per-row update loop over that key's rows gives.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KeyedSketch {
+    keys: Vec<KeyMoments>,
+}
+
+impl KeyedSketch {
+    /// The sketch of aligned key and value columns; `None` when they
+    /// hold more than [`MAX_SKETCH_KEYS`] distinct keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the columns have unequal lengths.
+    pub fn from_columns(keys: &[f64], values: &[f64]) -> Option<Self> {
+        let mut fold = KeyedFold::default();
+        fold.fold(keys, values);
+        fold.finish()
+    }
+
+    /// The keys, ascending by bit pattern.
+    pub fn keys(&self) -> &[KeyMoments] {
+        &self.keys
+    }
+}
+
+/// A keyed fold in progress: keys in first-seen order, found through a
+/// small open-addressed table of their bit patterns (at most
+/// [`MAX_SKETCH_KEYS`] of 128 slots used, so a probe always ends).
+struct KeyedFold {
+    /// Hash slot → 1 + index into `keys`; 0 marks a free slot.
+    slots: [u8; 128],
+    keys: Vec<KeyMoments>,
+    too_many: bool,
+}
+
+impl Default for KeyedFold {
+    fn default() -> Self {
+        Self {
+            slots: [0; 128],
+            keys: Vec::new(),
+            too_many: false,
+        }
+    }
+}
+
+impl KeyedFold {
+    /// Folds aligned key/value chunks in row order; a no-op once the
+    /// fold has seen too many keys.
+    fn fold(&mut self, keys: &[f64], values: &[f64]) {
+        assert_eq!(keys.len(), values.len(), "columns must have equal lengths");
+        if !self.too_many {
+            self.too_many = !fold_keyed(&mut self.slots, &mut self.keys, keys, values);
+        }
+    }
+
+    fn finish(mut self) -> Option<KeyedSketch> {
+        if self.too_many {
+            return None;
+        }
+        self.keys.sort_unstable_by_key(|k| k.key_bits);
+        Some(KeyedSketch { keys: self.keys })
+    }
+}
+
+/// Routes each row to its key's entry and folds its value there, in row
+/// order; `false` as soon as a new key would exceed [`MAX_SKETCH_KEYS`].
+/// The table and the entries are separate arguments so the compiler
+/// knows that folding into an entry leaves both in place (through
+/// `&mut self` it reloads them every row, at 1.4× the cost).
+fn fold_keyed(
+    slots: &mut [u8; 128],
+    entries: &mut Vec<KeyMoments>,
+    keys: &[f64],
+    values: &[f64],
+) -> bool {
+    for (&key, &v) in keys.iter().zip(values) {
+        let Some(at) = key_index(slots, entries, key.to_bits()) else {
+            return false;
+        };
+        let entry = &mut entries[at];
+        entry.rows += 1;
+        entry.moments.update(v);
+    }
+    true
+}
+
+/// The index of `bits` in `entries`, added when new; `None` when a new
+/// key would exceed [`MAX_SKETCH_KEYS`].
+#[inline]
+fn key_index(slots: &mut [u8; 128], entries: &mut Vec<KeyMoments>, bits: u64) -> Option<usize> {
+    let mut slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
+    loop {
+        match slots[slot] {
+            0 => break,
+            s if entries[usize::from(s) - 1].key_bits == bits => return Some(usize::from(s) - 1),
+            _ => slot = (slot + 1) % slots.len(),
+        }
+    }
+    if entries.len() == MAX_SKETCH_KEYS {
+        return None;
+    }
+    entries.push(KeyMoments {
+        key_bits: bits,
+        rows: 0,
+        moments: ColumnMoments::new(),
+    });
+    // At most 64 keys, so the index fits a `u8` with room for +1.
+    slots[slot] = entries.len() as u8;
+    Some(entries.len() - 1)
+}
+
+/// Computes a block's [`KeyedSketch`] of column `agg_col` keyed by
+/// column `key_col` by scanning the two columns
+/// ([`DataBlock::scan_column_chunks`]) in storage order.
+///
+/// Returns `Ok(None)` when the block does not support scans or holds
+/// more than [`MAX_SKETCH_KEYS`] distinct keys.
+///
+/// # Errors
+///
+/// Propagates the block's scan error.
+///
+/// # Panics
+///
+/// Panics when either column is out of the block's width.
+pub fn scan_keyed_sketch(
+    block: &dyn DataBlock,
+    key_col: usize,
+    agg_col: usize,
+) -> Result<Option<KeyedSketch>, StorageError> {
+    if !block.supports_scan() {
+        return Ok(None);
+    }
+    let mut fold = KeyedFold::default();
+    block.scan_column_chunks(&[key_col, agg_col], &mut |chunk| {
+        fold.fold(chunk[0], chunk[1])
+    })?;
+    Ok(fold.finish())
+}
+
+/// The [`SketchCache`] key of a keyed entry: (block, key column,
+/// aggregated column).
+type KeyedSlot = (usize, usize, usize);
+
 /// Per-set sketch cache: block index → sketch, shared across
 /// [`crate::BlockSet`] clones through an `Arc` (the `SelectionCache`
-/// design). Blocks are index-stable, so entries only invalidate when a
-/// caller mutates block contents in place and says so
-/// ([`SketchCache::clear`]); the map is bounded by the block count, so
-/// there is no eviction.
+/// design), beside the keyed sketches built so far, by (block, key
+/// column, aggregated column) — `None` recording a block with too many
+/// keys or one that cannot scan. Blocks are index-stable, so entries only
+/// invalidate when a caller mutates block contents in place and says so
+/// ([`SketchCache::clear`]); both maps are bounded by the block count
+/// (times the column pairs queried), so there is no eviction.
 #[derive(Debug, Default)]
 pub struct SketchCache {
     entries: Mutex<HashMap<usize, Arc<BlockSketch>>>,
+    keyed: Mutex<HashMap<KeyedSlot, Option<Arc<KeyedSketch>>>>,
     hits: std::sync::atomic::AtomicU64,
     inserted: std::sync::atomic::AtomicU64,
     raced: std::sync::atomic::AtomicU64,
@@ -294,6 +462,32 @@ impl SketchCache {
         Arc::clone(entries.entry(idx).or_insert(sketch))
     }
 
+    /// The cached keyed entry of `(block, key column, aggregated
+    /// column)`: `None` when none was built yet, `Some(None)` when the
+    /// block had too many keys or could not scan.
+    pub(crate) fn keyed(&self, slot: KeyedSlot) -> Option<Option<Arc<KeyedSketch>>> {
+        self.keyed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&slot)
+            .cloned()
+    }
+
+    /// Inserts a keyed entry, returning the winning one — first writer
+    /// wins, as in [`SketchCache::insert`].
+    pub(crate) fn insert_keyed(
+        &self,
+        slot: KeyedSlot,
+        entry: Option<Arc<KeyedSketch>>,
+    ) -> Option<Arc<KeyedSketch>> {
+        self.keyed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(slot)
+            .or_insert(entry)
+            .clone()
+    }
+
     /// Merges a sealed batch's sketches — one lock acquisition for the
     /// whole batch, so a concurrent reader sees either none or all of
     /// the batch and never a partially applied seal. Seal-time sketches
@@ -333,9 +527,14 @@ impl SketchCache {
 
     /// Drops every cached sketch (e.g. after the underlying blocks
     /// changed in place — stale min/max would let the zone-map prune
-    /// wrongly discard matching blocks). Counters are preserved.
+    /// wrongly discard matching blocks), keyed entries included.
+    /// Counters are preserved.
     pub fn clear(&self) {
         self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.keyed
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();

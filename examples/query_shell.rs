@@ -120,6 +120,9 @@ fn main() {
             "SELECT SUM(x) FROM sales WHERE y > 50 AND region != 2 WITH PRECISION 0.5",
             "SELECT COUNT(*) FROM sales WHERE y > 50",
             "SELECT COUNT(*) FROM sales WHERE y > 50 GROUP BY region",
+            // Exact from the per-key block sketches: no sample drawn.
+            "SELECT AVG(x) FROM sales GROUP BY region WITH PRECISION 0.5",
+            "SELECT COUNT(*) FROM sales GROUP BY region",
         ];
         for line in demo {
             println!("isla> {line}");

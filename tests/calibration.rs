@@ -227,3 +227,66 @@ fn count_with_precision_covers_its_half_width() {
     }
     cell.judge();
 }
+
+/// `amount` ~ N(50, 10²) keyed by a `store` in {0, 1}, skewed 2:1.
+fn stores() -> Table {
+    let n = 120_000;
+    let amount = isla::datagen::normal_values(50.0, 10.0, n, 6);
+    let store: Vec<f64> = (0..n).map(|i| f64::from(u8::from(i % 3 == 0))).collect();
+    Table::from_rows(
+        Schema::new(vec![
+            ColumnDef::float("amount"),
+            ColumnDef::categorical("store"),
+        ]),
+        RowsBlock::split(vec![amount, store], 8),
+    )
+}
+
+/// The grouped cells: each group's answer is one trial of the cell. The
+/// default query is read off the per-key block sketches (exact, no
+/// draw); a named `METHOD ISLA` samples every group to `e`.
+#[test]
+fn grouped_cells() {
+    let e = 0.5;
+    let table = stores();
+    let truth: Vec<(f64, f64)> = service(0, "sales", table.clone())
+        .query(
+            "calibration",
+            "SELECT AVG(amount) FROM sales GROUP BY store METHOD EXACT",
+            0,
+        )
+        .unwrap()
+        .groups
+        .unwrap()
+        .iter()
+        .map(|g| (g.key, g.value))
+        .collect();
+    assert_eq!(truth.len(), 2);
+    let mut default = Cell::new("default/grouped".to_string(), e);
+    let mut isla = Cell::new("isla/grouped".to_string(), e);
+    for trial in 0..TRIALS {
+        let service = service(trial, "sales", table.clone());
+        for (cell, tail) in [(&mut default, ""), (&mut isla, " METHOD ISLA")] {
+            let answer = service
+                .query(
+                    "calibration",
+                    &format!(
+                        "SELECT AVG(amount) FROM sales GROUP BY store WITH PRECISION {e}{tail}"
+                    ),
+                    trial,
+                )
+                .unwrap();
+            let groups = answer.groups.unwrap();
+            assert_eq!(groups.len(), truth.len());
+            for (g, &(key, exact)) in groups.iter().zip(&truth) {
+                assert_eq!(g.key, key);
+                cell.push(g.value - exact, answer.samples_used);
+            }
+        }
+    }
+    assert_eq!(default.coverage(), 1.0);
+    assert!(default.samples.iter().all(|&n| n == 0), "no draw");
+    for cell in [&default, &isla] {
+        cell.judge();
+    }
+}

@@ -2564,7 +2564,13 @@ fn zoned_epoch_pilots_match_the_sketchless_reference_after_an_append() {
     const BLOCKS: usize = 6;
     let cols = clustered_columns(36_000, 0xE90C);
     let per_block = 36_000.0 / BLOCKS as f64;
-    let cfg = IslaConfig::builder().precision(0.5).build().unwrap();
+    // The pilots under test: a grouped spec every zone decides would
+    // otherwise be pinned from the per-key sketches, with no fold.
+    let cfg = IslaConfig::builder()
+        .precision(0.5)
+        .sample_groups(true)
+        .build()
+        .unwrap();
     // Two more `ts` ranges arrive as appended epochs.
     let tail = |lo: usize| -> Vec<Vec<f64>> {
         let mut cols = clustered_columns(6_000, 0xE90C + lo as u64);

@@ -207,6 +207,37 @@ fn predicates_work_over_zipped_legacy_tables() {
     assert_eq!(grouped.groups.as_ref().unwrap().len(), 2);
 }
 
+/// A scalar `METHOD ISLA SAMPLES n` reports the samples it drew, not
+/// the budget: past one draw per row the engine's rate is capped at 1,
+/// so a huge budget draws the σ pilot, the sketch pilot (at most the
+/// rows) and one calculation draw per row.
+#[test]
+fn an_oversized_samples_budget_reports_the_draws_made() {
+    let rows = 300_000u64;
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "t",
+        Table::new(vec![(
+            "x",
+            BlockSet::from_values(
+                isla::datagen::normal_values(100.0, 20.0, rows as usize, 5),
+                10,
+            ),
+        )]),
+    );
+    let query = isla::query::parse("SELECT AVG(x) FROM t METHOD ISLA SAMPLES 50000000").unwrap();
+    let mut rng = StdRng::seed_from_u64(6);
+    let answer = isla::query::execute(&query, &catalog, &mut rng).unwrap();
+    let used = answer.samples_used.unwrap();
+    let sigma_pilot = 1_000;
+    assert!(
+        used <= sigma_pilot + 2 * rows,
+        "reported {used} samples for a {rows}-row table"
+    );
+    assert!(used > rows, "every row is drawn at rate 1: {used}");
+    assert!(!answer.time_limited);
+}
+
 #[test]
 fn query_errors_surface_cleanly() {
     assert!(run("SELECT AVG(reading) FROM nope WITH PRECISION 0.5", 11).is_err());
@@ -778,6 +809,35 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
         "SELECT AVG(c) FROM consts WITH PRECISION 0.1 METHOD ISLA",
         80,
     ),
+    // A default GROUP BY whose every block the zone maps decide is read
+    // off the per-key block sketches — unfiltered, under a deadline (no
+    // probe), filtered on a block boundary, and counted — where a named
+    // METHOD ISLA samples; an oversized scalar budget reports its draws.
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales GROUP BY store",
+        81,
+    ),
+    (
+        "plain",
+        "SELECT SUM(amount) FROM sales GROUP BY store WITH PRECISION 0.5 WITHIN 2000 MS",
+        82,
+    ),
+    (
+        "pooled",
+        "SELECT AVG(amount) FROM timeline WHERE ts < 45000 GROUP BY store WITH PRECISION 0.5",
+        83,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales GROUP BY store WITH PRECISION 0.5 METHOD ISLA",
+        84,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors METHOD ISLA SAMPLES 50000000",
+        85,
+    ),
 ];
 
 /// Recorded at the commit before the Calculation-phase spine landed
@@ -786,7 +846,10 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
 /// at its parent they differ in `samples=` alone. The default unfiltered
 /// scalar lines (constant data included), the default ungrouped
 /// `COUNT(*) WHERE` line and the trailing `METHOD ISLA` lines were
-/// re-recorded when metadata began answering what it knows exactly.
+/// re-recorded when metadata began answering what it knows exactly; the
+/// two default unfiltered `GROUP BY store` lines, and the five appended
+/// after them, when the per-key block sketches began answering grouped
+/// queries.
 const GOLDEN_EXPECTED: &str = include_str!("golden/query_corpus.txt");
 
 #[test]
