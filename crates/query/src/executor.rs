@@ -1,32 +1,45 @@
 //! Query execution: dispatches a parsed [`Query`] to ISLA or a baseline.
 //!
-//! The ISLA paths delegate to [`isla_core::engine`]; a [`QuerySession`]
-//! additionally keeps a pre-estimation cache keyed by
-//! `(table, column, config, query shape)`, so repeated identical queries
-//! — the heavy-traffic serving scenario — skip the pilot phase entirely.
-//!
-//! Predicates and `GROUP BY` are compiled once against the table's
+//! [`QuerySession::execute_table`] binds a query to its table once —
+//! `WHERE` and `GROUP BY` compiled against the table's
 //! [`isla_storage::Schema`] into an [`engine::RowSpec`] (a pushed-down
-//! [`isla_storage::RowFilter`] plus positional group/aggregate columns)
-//! and executed through the engine's row-model pipeline
-//! ([`engine::run_row_plan_with`]): pilot rows estimate the predicate's
-//! selectivity and per-group σ̂/sketch, the calculation rate is sized so
-//! *every group* meets the precision target, and `SUM` under a filter
-//! is scaled by a count estimated from the hit rate
-//! ([`engine::hit_rate_pilot`]). Where metadata already knows the
-//! answer, a default query (no `METHOD` named) reads it instead of
-//! sampling: an unfiltered `AVG`/`SUM` is pinned from the block
-//! sketches, a `GROUP BY` whose every block the zone maps decide is
-//! read off the per-key block sketches (`AVG`/`SUM`, and `COUNT(*)`
-//! with no precision, budget or deadline), and an ungrouped
-//! `COUNT(*) WHERE …` with no precision, budget or deadline counts the
-//! compiled selection. Baselines and sampled `MAX`/`MIN` draw from one
-//! pooled filtered column
-//! ([`PooledFilteredColumn`]), and `METHOD EXACT` folds the matching
-//! rows block by block on the session's scheduler ([`engine::exact`]),
-//! reading only the columns the query names. Every filtered path reads a block only where its
-//! zone map leaves the predicate undecided.
+//! [`isla_storage::RowFilter`] plus positional group/aggregate columns),
+//! the data it reads (the table's rows under a spec, else the aggregated
+//! column) — and then makes the one decision of what answers: one arm
+//! each for `MAX`/`MIN`, `COUNT(*)`, `METHOD EXACT`, ISLA and the
+//! baselines. Each arm branches only where the engine call for a plain
+//! column differs from the one for a row spec.
+//!
+//! - **ISLA** runs the paper's pipeline through [`isla_core::engine`],
+//!   with a session cache of pre-estimates keyed by
+//!   `(table, column, config, query shape)` in front of the pilots, so
+//!   repeated queries — the heavy-traffic serving scenario — skip them.
+//!   A plain column runs a [`QueryPlan`]; a row spec runs a [`RowPlan`]
+//!   ([`engine::run_row_plan_with`]), whose pilot rows estimate the
+//!   predicate's selectivity and per-group σ̂/sketch, whose rate is
+//!   sized so *every group* meets the precision, and whose `SUM` is
+//!   scaled by the matched rows the pilots and the calculation draws
+//!   estimate together ([`engine::GroupedPartial::finalize`]). A query gives
+//!   `WITH PRECISION e` or `SAMPLES n`, never both.
+//! - **Metadata** answers a default query (no `METHOD` named) where it
+//!   knows the answer exactly: an unfiltered `AVG`/`SUM` from the block
+//!   sketches, a `GROUP BY` whose every block the zone maps decide from
+//!   the per-key block sketches (`AVG`/`SUM`, and `COUNT(*)` with no
+//!   precision, budget or deadline), and an ungrouped `COUNT(*) WHERE …`
+//!   with none of them by counting the compiled selection.
+//! - **Every other filtered `COUNT(*)`** is estimated from the hit rate
+//!   of uniform row draws ([`engine::hit_rate_pilot`]), which also
+//!   scales a baseline's filtered `SUM`.
+//! - **Baselines and sampled `MAX`/`MIN`** draw from the column, or from
+//!   one pooled filtered column ([`PooledFilteredColumn`]) under a
+//!   predicate; `METHOD EXACT` folds the matching rows block by block on
+//!   the session's scheduler ([`engine::exact`]), reading only the
+//!   columns the query names.
+//!
+//! Every filtered path reads a block only where its zone map leaves the
+//! predicate undecided.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,8 +51,8 @@ use isla_baselines::{
 };
 use isla_core::engine::{
     self, BlockScheduler, CacheKey, CacheStats, DeadlineScheduler, Degradation, FailureMode,
-    Lookup, PooledScheduler, PreEstimateCache, QueryPlan, RateSpec, RecoveryPolicy, RetryPolicy,
-    RowPlan, RowSpec, SequentialScheduler,
+    GroupExact, Lookup, PooledScheduler, PreEstimateCache, QueryPlan, RateSpec, RecoveryPolicy,
+    RetryPolicy, RowPlan, RowSpec, SequentialScheduler,
 };
 use isla_core::{pinned_pre_estimate, IslaConfig, IslaError};
 use isla_stats::{required_sample_size, WelfordMoments};
@@ -115,29 +128,6 @@ pub struct QueryResult {
     /// failure accounting, surviving coverage, and widened half-width.
     /// `None` means the answer carries full coverage.
     pub degradation: Option<Degradation>,
-}
-
-impl QueryResult {
-    /// An answer of `value` to `query` with nothing optional set: the
-    /// query's own aggregate, method and precision, no samples, no
-    /// groups, full coverage. Paths fill in what they have; `elapsed`
-    /// is read here, so build the result last.
-    fn of(query: &Query, rows: u64, confidence: f64, start: Instant, value: f64) -> Self {
-        Self {
-            value,
-            agg: query.agg,
-            method: query.method,
-            rows,
-            samples_used: None,
-            elapsed: start.elapsed(),
-            precision: query.precision,
-            confidence,
-            time_limited: false,
-            groups: None,
-            matched_rows: None,
-            degradation: None,
-        }
-    }
 }
 
 /// Which block scheduler a session places per-block work on: the ISLA
@@ -342,427 +332,360 @@ impl QuerySession {
         rng: &mut dyn RngCore,
     ) -> Result<QueryResult, QueryError> {
         let start = Instant::now();
-        let confidence = query.confidence.unwrap_or(DEFAULT_CONFIDENCE);
-
-        // Filtered or grouped queries run the row-model pipeline.
-        if let Some(spec) = compile_row_spec(query, table)? {
-            return self.execute_rows(query, table, spec, confidence, start, rng);
-        }
-
-        // COUNT(*) without a predicate is exact from metadata
-        // regardless of method.
-        if query.agg == AggFunc::Count {
-            let count = table.rows();
-            let mut result = QueryResult::of(query, count, confidence, start, count as f64);
-            result.method = Method::Exact;
-            result.precision = None;
-            return Ok(result);
-        }
-
-        let data = table
-            .column_set(&query.column)
-            .ok_or_else(|| QueryError::UnknownColumn {
-                table: query.table.clone(),
-                column: query.column.clone(),
-            })?;
-        let rows = data.total_len();
-
-        // MAX/MIN go through the extreme-value extension (paper §VII-D):
-        // a leverage-guided sampled bound, or an exact scan under
-        // `METHOD EXACT`.
-        if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
-            let (value, samples_used) = self.on_scheduler(None, |s| {
-                extreme_value(query, data, None, confidence, s, rng)
-            })?;
-            let mut result = QueryResult::of(query, rows, confidence, start, value);
-            result.samples_used = samples_used;
-            return Ok(result);
-        }
-
-        let (avg, samples_used, time_limited, degradation) = match query.method {
-            Method::Exact => {
-                let mean = self.on_scheduler(None, |s| engine::scan_exact_mean(data, s))?;
-                (mean, None, false, None)
-            }
-            Method::Isla => self.run_isla(query, data, confidence, rng)?,
-            _ => {
-                let budget = baseline_budget(query, data, confidence, rng)?;
-                let value = self.on_scheduler(None, |s| {
-                    run_baseline(query, data, confidence, budget, s, rng)
-                })?;
-                (value, Some(budget), false, None)
+        let spec = compile_row_spec(query, table)?;
+        // A filtered or grouped query reads the table's rows; a plain one
+        // its aggregated column alone (a plain COUNT(*) reads neither).
+        let data = match (&spec, query.agg) {
+            (Some(_), _) | (None, AggFunc::Count) => table.data(),
+            (None, _) => {
+                table
+                    .column_set(&query.column)
+                    .ok_or_else(|| QueryError::UnknownColumn {
+                        table: query.table.clone(),
+                        column: query.column.clone(),
+                    })?
             }
         };
-
-        let value = match query.agg {
-            AggFunc::Avg => avg,
-            AggFunc::Sum => avg * rows as f64,
-            AggFunc::Count | AggFunc::Max | AggFunc::Min => {
-                return Err(QueryError::Internal(
-                    "COUNT/MAX/MIN reached the AVG/SUM dispatch arm".to_string(),
-                ))
-            }
+        let q = Bound {
+            query,
+            spec,
+            data,
+            rows: table.rows(),
+            confidence: query.confidence.unwrap_or(DEFAULT_CONFIDENCE),
+            start,
+            pin: !query.method_named,
         };
 
-        let mut result = QueryResult::of(query, rows, confidence, start, value);
-        result.samples_used = samples_used;
-        result.time_limited = time_limited;
-        result.degradation = degradation;
-        Ok(result)
+        // The one decision of what answers: an arm per aggregate or
+        // method, each branching only where the engine call for a plain
+        // column differs from the one for a row spec.
+        match (query.agg, query.method) {
+            // MAX/MIN go through the extreme-value extension (paper
+            // §VII-D): a leverage-guided sampled bound, or an exact scan
+            // under `METHOD EXACT`.
+            (AggFunc::Max | AggFunc::Min, _) => {
+                let (value, samples_used) =
+                    self.on_scheduler(None, |s| extreme_value(&q, s, rng))?;
+                Ok(QueryResult {
+                    samples_used,
+                    ..q.answer(value)
+                })
+            }
+            (AggFunc::Count, method) if q.spec.is_none() || method != Method::Exact => {
+                self.count(&q, rng)
+            }
+            (_, Method::Exact) => match &q.spec {
+                Some(spec) => {
+                    let exact =
+                        self.on_scheduler(None, |s| engine::scan_exact_groups_on(data, spec, s))?;
+                    if exact.is_empty() {
+                        return Err(no_matching_row());
+                    }
+                    Ok(q.exact(&exact))
+                }
+                None => {
+                    let mean = self.on_scheduler(None, |s| engine::scan_exact_mean(data, s))?;
+                    Ok(q.answer(scaled(query.agg, mean, q.rows as f64)))
+                }
+            },
+            (_, Method::Isla) => self.run_isla(q, rng),
+            (_, _) => self.run_baseline(&q, rng),
+        }
     }
 
-    /// Row-model execution: `WHERE` and/or `GROUP BY`, pushed through
-    /// the engine's grouped pipeline (or scanned exactly / rejected-
-    /// sampled for the non-ISLA methods).
-    fn execute_rows(
-        &self,
-        query: &Query,
-        table: &Table,
-        spec: RowSpec,
-        confidence: f64,
-        start: Instant,
-        rng: &mut dyn RngCore,
-    ) -> Result<QueryResult, QueryError> {
-        let data = table.data();
-        let rows = table.rows();
-        let grouped = query.group_by.is_some();
-
-        if matches!(query.agg, AggFunc::Max | AggFunc::Min) {
-            if grouped {
-                return Err(QueryError::Invalid(
-                    "GROUP BY is not supported for MAX/MIN".to_string(),
-                ));
-            }
-            let (value, samples_used) = self.on_scheduler(None, |s| {
-                extreme_value(query, data, Some(&spec), confidence, s, rng)
-            })?;
-            let mut result = QueryResult::of(query, rows, confidence, start, value);
-            result.samples_used = samples_used;
-            return Ok(result);
-        }
-
-        if query.method == Method::Exact {
-            let exact =
-                self.on_scheduler(None, |s| engine::scan_exact_groups_on(data, &spec, s))?;
-            if exact.is_empty() {
-                return Err(no_matching_row());
-            }
-            return exact_rows(query, &exact, rows, confidence, start);
-        }
-
-        // COUNT(*) under a predicate or a GROUP BY. The default form,
-        // with no precision, budget or deadline to honour, is exact
-        // where metadata knows it: grouped, from the per-key block
-        // sketches; ungrouped, by counting the compiled selection. Both
-        // are cached across queries. Every other form is estimated from
-        // pilot row draws. The pilot *is* uniform row sampling, so only
-        // ISLA and US name this estimator truthfully; other methods have
-        // no counting analogue here.
-        if query.agg == AggFunc::Count {
-            let plain =
-                query.precision.is_none() && query.samples.is_none() && query.within_ms.is_none();
-            if !query.method_named && plain && grouped {
-                let pinned = engine::pinned_row_pre_estimate(data, &IslaConfig::default(), &spec);
+    /// `COUNT(*)` — every form but a filtered or grouped `METHOD EXACT`,
+    /// which the exact arm scans. Unfiltered and ungrouped, it is the
+    /// table's row count whatever the method. The default form, with no
+    /// precision, budget or deadline to honour, is exact where metadata
+    /// knows it: grouped, from the per-key block sketches; ungrouped, by
+    /// counting the compiled selection. Both are cached across queries.
+    /// Every other form is estimated from pilot row draws. The pilot
+    /// *is* uniform row sampling, so only ISLA and US name this
+    /// estimator truthfully; other methods have no counting analogue.
+    fn count(&self, q: &Bound, rng: &mut dyn RngCore) -> Result<QueryResult, QueryError> {
+        let (query, data) = (q.query, q.data);
+        let Some(spec) = &q.spec else {
+            return Ok(QueryResult {
+                method: Method::Exact,
+                precision: None,
+                ..q.answer(q.rows as f64)
+            });
+        };
+        if q.pin
+            && query.precision.is_none()
+            && query.samples.is_none()
+            && query.within_ms.is_none()
+        {
+            if spec.group_by.is_some() {
+                let pinned = engine::pinned_row_pre_estimate(data, &IslaConfig::default(), spec);
                 if let Some(pre) = pinned {
-                    let mut exact: Vec<engine::GroupExact> = pre
+                    let mut exact: Vec<GroupExact> = pre
                         .groups
                         .iter()
-                        .map(|g| engine::GroupExact {
+                        .map(|g| GroupExact {
                             key: g.key,
                             mean: g.sketch0,
                             count: g.pilot_matched,
                         })
                         .collect();
                     exact.sort_by(|a, b| a.key.total_cmp(&b.key));
-                    return exact_rows(query, &exact, rows, confidence, start);
+                    return Ok(q.exact(&exact));
                 }
-            } else if !query.method_named && plain {
+            } else {
                 let selection = data.selection_for(&spec.filter)?;
                 // A block that cannot be scanned compiles no vector; its
                 // matches are then unknown, and the estimate stands.
                 if selection.is_complete() {
                     let matched = selection.total_matches() as f64;
-                    let mut result = QueryResult::of(query, rows, confidence, start, matched);
-                    result.method = Method::Exact;
-                    result.matched_rows = Some(matched);
-                    return Ok(result);
+                    return Ok(QueryResult {
+                        method: Method::Exact,
+                        matched_rows: Some(matched),
+                        ..q.answer(matched)
+                    });
                 }
             }
-            if !matches!(query.method, Method::Isla | Method::Us) {
-                return Err(QueryError::Invalid(format!(
-                    "COUNT(*) with a predicate supports METHOD ISLA, US, or EXACT, not {:?}",
-                    query.method
-                )));
-            }
-            return self.on_scheduler(None, |s| {
-                count_estimate(query, &spec, data, confidence, start, s, rng)
-            });
         }
-
-        if query.method == Method::Isla {
-            return self.run_isla_rows(query, table, spec, confidence, start, rng);
-        }
-
-        // Baselines: width-1 filtered projection (rejection sampling).
-        if grouped {
+        if !matches!(query.method, Method::Isla | Method::Us) {
             return Err(QueryError::Invalid(format!(
-                "GROUP BY needs METHOD ISLA or EXACT, not {:?}",
+                "COUNT(*) with a predicate supports METHOD ISLA, US, or EXACT, not {:?}",
                 query.method
             )));
         }
-        // One pooled filtered population: rejection runs across the whole
-        // set (a matchless block cannot fail the draw on
-        // range-partitioned data), and pooling removes the block-size
-        // weights that would bias stratified combination when per-block
-        // selectivity varies.
-        let filtered_set = pooled_matches(data, &spec)?;
-        let budget = baseline_budget(query, &filtered_set, confidence, rng)?;
-        let avg = self.on_scheduler(None, |s| {
-            run_baseline(query, &filtered_set, confidence, budget, s, rng)
-        })?;
-        let (value, matched_rows, samples_used) = match query.agg {
-            AggFunc::Avg => (avg, None, budget),
-            AggFunc::Sum => {
-                // SUM needs the matched population size — estimated from
-                // a row pilot, as the ISLA path does in pre-estimation.
-                let pilot = COUNT_PILOT_ROWS.min(rows).max(1);
-                let (drawn, counts) = engine::hit_rate_pilot(data, &spec, pilot, rng)?;
-                let matched = rows as f64 * counts.values().sum::<u64>() as f64 / drawn as f64;
-                (avg * matched, Some(matched), budget + drawn)
-            }
-            _ => {
-                return Err(QueryError::Internal(
-                    "COUNT/MAX/MIN reached the scalar AVG/SUM arm".to_string(),
-                ))
-            }
-        };
-        let mut result = QueryResult::of(query, rows, confidence, start, value);
-        result.samples_used = Some(samples_used);
-        result.matched_rows = matched_rows;
-        Ok(result)
+        self.on_scheduler(None, |s| count_estimate(q, spec, s, rng))
     }
 
-    /// ISLA row-model execution through [`engine::run_row_plan_with`], with
-    /// the session cache in front of the pilot phase.
-    fn run_isla_rows(
-        &self,
-        query: &Query,
-        table: &Table,
-        spec: RowSpec,
-        confidence: f64,
-        start: Instant,
-        rng: &mut dyn RngCore,
-    ) -> Result<QueryResult, QueryError> {
-        let data = table.data();
-        let rows = table.rows();
-
-        // A default query lets the per-key block sketches pin a GROUP BY
-        // they know exactly: zero draws. A named `METHOD ISLA` keeps the
-        // paper's pilots and Algorithms 1–2.
-        let config = match query.precision {
-            Some(_) => Some(IslaConfig {
-                sample_groups: query.method_named,
-                ..isla_config(query, confidence)?
-            }),
-            None => None,
+    /// ISLA, the paper's pipeline (Fig. 2): Pre-estimation, then
+    /// Calculation, then Summarization. One prelude decides what sizes
+    /// the draw and prices a `WITHIN` deadline, and one epilogue
+    /// ([`QuerySession::calculate`]) runs the plan; between them only the
+    /// engine calls differ — a plain column's [`QueryPlan`] behind the
+    /// scalar cache, a row spec's [`RowPlan`] behind the row cache —
+    /// and a plain column's `SAMPLES n` runs the budget adapter.
+    fn run_isla(&self, mut q: Bound, rng: &mut dyn RngCore) -> Result<QueryResult, QueryError> {
+        let (query, data, spec) = (q.query, q.data, q.spec.take());
+        let samples = match (query.precision, query.samples) {
+            (Some(_), Some(_)) => {
+                return Err(QueryError::Invalid(
+                    "ISLA sizes its draw from WITH PRECISION e or from SAMPLES n, not both"
+                        .to_string(),
+                ))
+            }
+            (None, None) => {
+                return Err(QueryError::Invalid(
+                    "ISLA needs WITH PRECISION e, or SAMPLES n as an explicit budget".to_string(),
+                ))
+            }
+            (_, samples) => samples,
         };
+        // A default query lets metadata pin what it knows exactly — a
+        // plain column's mean from the block sketches, a decided GROUP BY
+        // from the per-key sketches — with zero draws. A named `METHOD
+        // ISLA` keeps the paper's pilots and Algorithms 1–2. The
+        // `sketch_sigma` flag is part of the config fingerprint, so only a
+        // plain column's config sets it, and every cache key below is
+        // derived from the final config (pinned by the
+        // `sketch_sigma_key_derives_from_the_final_config` test).
+        let mut config = isla_config(query, q.confidence)?;
+        config.sketch_sigma = q.pin && spec.is_none();
+        // A row spec's pin is decided here, once, for the probe and the
+        // pre-estimate alike. A query it does not pin samples, so the
+        // lookup below is told not to ask again (`sample_groups` caches
+        // nothing and stays out of the key).
+        let row_pin = match &spec {
+            Some(spec) if q.pin && samples.is_none() => {
+                engine::pinned_row_pre_estimate(data, &config, spec)
+            }
+            _ => None,
+        };
+        config.sample_groups = true;
 
         // The deadline clock starts before any sampling (paper §VII-F);
-        // the probe draws rows as the plan will — the columns it reads,
-        // the zone verdicts, the predicate — so the calibrated
-        // per-sample cost is what the pilots and the calculation phase
-        // will actually pay. A query the sketches pin draws nothing, so
-        // its deadline has no draw to price: the probe is skipped.
-        let pinned = query.within_ms.is_some()
-            && config
-                .as_ref()
-                .is_some_and(|c| engine::pinned_row_pre_estimate(data, c, &spec).is_some());
+        // the probe draws as the plan will — a plain column's values, or
+        // the spec's columns, zone verdicts and predicate — so the
+        // calibrated per-sample cost is what the pilots and the
+        // Calculation phase will pay. A query metadata pins draws
+        // nothing, so its deadline has no draw to price: the probe is
+        // skipped. A plain column's lookup computes its pin again, to file
+        // the pinned entry.
+        let pinned = row_pin.is_some()
+            || (query.within_ms.is_some()
+                && samples.is_none()
+                && pinned_pre_estimate(data, &config).is_some());
         let affordable = if pinned {
             None
         } else {
-            within_draws(query, data, rng, |n, rng| {
-                engine::probe_row_draws(data, &spec, n, rng)
+            within_draws(query, data, rng, |n, rng| match &spec {
+                Some(spec) => engine::probe_row_draws(data, spec, n, rng),
+                None => sample_proportional(data, n, rng)
+                    .map(drop)
+                    .map_err(IslaError::from),
             })?
         };
 
-        let (config, pre, pilot_cost, rate) = match (config, query.samples) {
-            (Some(config), _) => {
+        let recovery = &self.policy.recovery;
+        let Some(spec) = spec else {
+            if let Some(requested) = samples {
+                // The budget adapter. The deadline's and the policy's
+                // admission budgets cap the explicit one (admission
+                // protects the pool even from generous clients).
+                let budget = self
+                    .effective_budget(affordable, 0)
+                    .map_or(requested, |cap| requested.min(cap));
+                let estimator = IslaEstimator::new(IslaConfig::default())?;
+                let (avg, drawn) =
+                    self.on_scheduler(None, |s| estimator.estimate_counted(data, budget, s, rng))?;
+                return Ok(QueryResult {
+                    samples_used: Some(drawn),
+                    time_limited: budget < requested,
+                    ..q.answer(scaled(query.agg, avg, q.rows as f64))
+                });
+            }
+            let key = CacheKey::new(&query.table, &query.column, &config, data);
+            let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
+                Pilots::Epoch(salt) => self
+                    .pre_cache
+                    .get_or_compute_epoch(key, data, &config, salt),
+                Pilots::Stream(rng) => self
+                    .pre_cache
+                    .get_or_compute_with(key, data, &config, recovery, rng),
+            })?;
+            let pilots = lookup.pre.sigma_pilot_used + lookup.pre.sketch_pilot_used;
+            let plan = QueryPlan::from_pre_estimate(data, &config, lookup.pre, RateSpec::Derived)?;
+            let (out, paid) = self.calculate(affordable, pilots, lookup.hit, |s| {
+                engine::run_plan_with(plan, data, s, recovery, rng)
+            })?;
+            return Ok(QueryResult {
+                samples_used: Some(out.total_samples + paid),
+                time_limited: out.time_limited,
+                degradation: out.degradation,
+                ..q.answer(scaled(query.agg, out.estimate, q.rows as f64))
+            });
+        };
+
+        let (pre, hit, rate) = match (samples, row_pin) {
+            (Some(n), _) => {
+                // Budget-driven: the pilots may spend at most half the
+                // explicit budget (uncached — the budget, not the
+                // config, sizes them) and the calculation phase spreads
+                // whatever the pilots left, so the total draw honours
+                // `SAMPLES n` instead of silently dwarfing it.
+                let pre = engine::row_pre_estimate_with(
+                    data,
+                    &config,
+                    &spec,
+                    (n / 2).max(2),
+                    recovery,
+                    rng,
+                )?;
+                let rate = (n.saturating_sub(pre.pilot_rows) as f64 / q.rows as f64)
+                    .clamp(f64::MIN_POSITIVE, 1.0);
+                (pre, false, RateSpec::Absolute(rate))
+            }
+            (None, Some(pre)) => (pre, true, RateSpec::Derived),
+            (None, None) => {
                 let key = CacheKey::new(&query.table, &query.column, &config, data)
                     .with_row_shape(spec.fingerprint());
                 let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
                     Pilots::Epoch(salt) => self
                         .pre_cache
                         .get_or_compute_rows_epoch(key, data, &config, &spec, salt),
-                    Pilots::Stream(rng) => self.pre_cache.get_or_compute_rows_with(
-                        key,
-                        data,
-                        &config,
-                        &spec,
-                        &self.policy.recovery,
-                        rng,
-                    ),
+                    Pilots::Stream(rng) => self
+                        .pre_cache
+                        .get_or_compute_rows_with(key, data, &config, &spec, recovery, rng),
                 })?;
-                let pilot_cost = if lookup.hit { 0 } else { lookup.pre.pilot_rows };
-                (config, lookup.pre, pilot_cost, RateSpec::Derived)
-            }
-            (None, Some(n)) => {
-                // Budget-driven: the pilots may spend at most half the
-                // explicit budget (uncached — the budget, not the
-                // config, sizes them) and the calculation phase spreads
-                // whatever the pilots left, so the total draw honours
-                // `SAMPLES n` instead of silently dwarfing it.
-                let config = IslaConfig::builder()
-                    .confidence(confidence)
-                    .build()
-                    .map_err(QueryError::from)?;
-                let pre = engine::row_pre_estimate_with(
-                    data,
-                    &config,
-                    &spec,
-                    (n / 2).max(2),
-                    &self.policy.recovery,
-                    rng,
-                )
-                .map_err(QueryError::from)?;
-                let pilot_cost = pre.pilot_rows;
-                let rate = (n.saturating_sub(pilot_cost) as f64 / rows as f64)
-                    .clamp(f64::MIN_POSITIVE, 1.0);
-                (config, pre, pilot_cost, RateSpec::Absolute(rate))
-            }
-            (None, None) => {
-                return Err(QueryError::Invalid(
-                    "ISLA needs WITH PRECISION e, or SAMPLES n as an explicit budget".to_string(),
-                ));
+                (lookup.pre, lookup.hit, RateSpec::Derived)
             }
         };
-
-        let plan =
-            RowPlan::from_pre_estimate(data, &config, spec, pre, rate).map_err(QueryError::from)?;
-
-        let budget = self.effective_budget(affordable, plan.pilot_rows() - pilot_cost);
-        let out = self.on_scheduler(budget, |scheduler| {
-            engine::run_row_plan_with(&plan, data, scheduler, &self.policy.recovery, rng)
+        let plan = RowPlan::from_pre_estimate(data, &config, spec, pre, rate)?;
+        let (out, paid) = self.calculate(affordable, plan.pilot_rows(), hit, |s| {
+            engine::run_row_plan_with(&plan, data, s, recovery, rng)
         })?;
-        let per_group: Vec<GroupRow> = out
+        let groups = out
             .groups
             .iter()
             .map(|g| GroupRow {
                 key: g.key,
-                value: match query.agg {
-                    AggFunc::Sum => g.estimate * g.rows_estimate,
-                    _ => g.estimate,
-                },
+                value: scaled(query.agg, g.estimate, g.rows_estimate),
                 rows: g.rows_estimate,
             })
             .collect();
-        let value = match query.agg {
-            AggFunc::Avg => out.estimate,
-            AggFunc::Sum => out.estimate * out.matched_rows,
-            _ => {
+        let value = scaled(query.agg, out.estimate, out.matched_rows);
+        Ok(QueryResult {
+            samples_used: Some(out.total_samples + paid),
+            time_limited: out.time_limited,
+            degradation: out.degradation,
+            ..q.grouped(value, out.matched_rows, groups)
+        })
+    }
+
+    /// The baselines: the estimator `METHOD` names over the column, or —
+    /// under a predicate — over one pooled filtered population, where
+    /// rejection runs across the whole set (a matchless block cannot
+    /// fail the draw on range-partitioned data) and pooling removes the
+    /// block-size weights that would bias stratified combination when
+    /// per-block selectivity varies.
+    fn run_baseline(&self, q: &Bound, rng: &mut dyn RngCore) -> Result<QueryResult, QueryError> {
+        let query = q.query;
+        if query.group_by.is_some() {
+            return Err(QueryError::Invalid(format!(
+                "GROUP BY needs METHOD ISLA or EXACT, not {:?}",
+                query.method
+            )));
+        }
+        let population = population(q.data, q.spec.as_ref())?;
+        let budget = baseline_budget(q, &population, rng)?;
+        let estimator: Box<dyn Estimator> = match query.method {
+            Method::Us => Box::new(UniformSampling),
+            Method::Sts => Box::new(StratifiedSampling::proportional()),
+            Method::Mv => Box::new(MeasureBiasedValues),
+            // MVB only uses the boundary parameters (p1, p2) and
+            // budget-driven pilots; precision is not required.
+            Method::Mvb => {
+                let config = isla_config(query, q.confidence)?;
+                Box::new(MeasureBiasedBoundaries::new(config)?)
+            }
+            Method::Slev => Box::new(Slev::default()),
+            Method::Isla | Method::Exact => {
                 return Err(QueryError::Internal(
-                    "only AVG/SUM may reach the ISLA row path".to_string(),
+                    "ISLA and EXACT have their own dispatch arms".to_string(),
                 ))
             }
         };
-        let mut result = QueryResult::of(query, rows, confidence, start, value);
-        result.samples_used = Some(out.total_samples + pilot_cost);
-        result.time_limited = out.time_limited;
-        result.groups = query.group_by.is_some().then_some(per_group);
-        result.matched_rows = (!query.predicates.is_empty()).then_some(out.matched_rows);
-        result.degradation = out.degradation;
-        Ok(result)
+        let avg = self.on_scheduler(None, |s| {
+            estimator.estimate_scheduled(&population, budget, s, rng)
+        })?;
+        // SUM needs the population size; under a predicate it is
+        // estimated from the hit rate of a row pilot.
+        let (rows, matched_rows, samples) = match (&q.spec, query.agg) {
+            (Some(spec), AggFunc::Sum) => {
+                let pilot = COUNT_PILOT_ROWS.min(q.rows).max(1);
+                let (drawn, counts) = engine::hit_rate_pilot(q.data, spec, pilot, rng)?;
+                let matched = q.rows as f64 * counts.values().sum::<u64>() as f64 / drawn as f64;
+                (matched, Some(matched), budget + drawn)
+            }
+            _ => (q.rows as f64, None, budget),
+        };
+        Ok(QueryResult {
+            samples_used: Some(samples),
+            matched_rows,
+            ..q.answer(scaled(query.agg, avg, rows))
+        })
     }
 
-    /// Scalar ISLA execution: precision-driven, budget-driven, or
-    /// time-constrained — all through the core engine, with the
-    /// pre-estimation cache in front of the pilot phase.
-    #[allow(clippy::type_complexity)]
-    fn run_isla(
+    /// The epilogue every ISLA plan shares: runs `calc` on the policy's
+    /// scheduler under the admission cap, crediting back the `pilots` a
+    /// cache `hit` skipped (never drawn this query), and returns its
+    /// answer with the pilot draws this query paid for.
+    fn calculate<T>(
         &self,
-        query: &Query,
-        data: &BlockSet,
-        confidence: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<(f64, Option<u64>, bool, Option<Degradation>), QueryError> {
-        // Time-constrained execution (paper §VII-F): the deadline clock
-        // starts *before* any sampling — calibrate throughput first, so
-        // pilots (when they run on a cache miss) are charged against the
-        // same window the budget was computed from.
-        let probe = |n, rng: &mut dyn RngCore| {
-            sample_proportional(data, n, rng)
-                .map(drop)
-                .map_err(IslaError::from)
-        };
-
-        // Budget-driven (SAMPLES n, no precision): adapter path. The
-        // deadline's and the policy's admission budgets cap the explicit
-        // one (admission protects the pool even from generous clients).
-        if query.precision.is_none() {
-            let requested = query.samples.ok_or_else(|| {
-                QueryError::Invalid(
-                    "ISLA needs WITH PRECISION e, or SAMPLES n as an explicit budget".to_string(),
-                )
-            })?;
-            let affordable = within_draws(query, data, rng, probe)?;
-            let budget = self
-                .effective_budget(affordable, 0)
-                .map_or(requested, |cap| requested.min(cap));
-            let config = IslaConfig::default();
-            let estimator = IslaEstimator::new(config)?;
-            let (value, drawn) =
-                self.on_scheduler(None, |s| estimator.estimate_counted(data, budget, s, rng))?;
-            return Ok((value, Some(drawn), budget < requested, None));
-        }
-
-        let mut config = isla_config(query, confidence)?;
-        // A default query lets pre-estimation pin the answer from the
-        // block sketches when they know it exactly (the unfiltered mean
-        // of finite, sketched, fault-free blocks): zero draws. A named
-        // `METHOD ISLA` keeps the paper's pilots and Algorithms 1–2. The
-        // flag is part of the config fingerprint, so cache entries never
-        // cross between the two.
-        config.sketch_sigma = !query.method_named;
-
-        // A query the sketches pin draws nothing, so its deadline has no
-        // draw to price: skip the probe (which would read the blocks).
-        let pinned = query.within_ms.is_some() && pinned_pre_estimate(data, &config).is_some();
-        let affordable = if pinned {
-            None
-        } else {
-            within_draws(query, data, rng, probe)?
-        };
-
-        // NOTE: the key MUST be derived from the *final* config — the
-        // `sketch_sigma` toggle above is fingerprint-hashed, so a key
-        // built before it would alias metadata and pilot entries (pinned
-        // by the `sketch_sigma_key_derives_from_the_final_config` test).
-        let key = CacheKey::new(&query.table, &query.column, &config, data);
-        let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
-            Pilots::Epoch(salt) => self
-                .pre_cache
-                .get_or_compute_epoch(key, data, &config, salt),
-            Pilots::Stream(rng) => {
-                self.pre_cache
-                    .get_or_compute_with(key, data, &config, &self.policy.recovery, rng)
-            }
-        })?;
-        // On a cache hit the pilots were not drawn this query — only
-        // charge them when they actually ran.
-        let pilot_samples = lookup.pre.sigma_pilot_used + lookup.pre.sketch_pilot_used;
-        let pilot_cost = if lookup.hit { 0 } else { pilot_samples };
-        let plan = QueryPlan::from_pre_estimate(data, &config, lookup.pre, RateSpec::Derived)
-            .map_err(QueryError::from)?;
-
-        let budget = self.effective_budget(affordable, pilot_samples - pilot_cost);
-        let out = self.on_scheduler(budget, |scheduler| {
-            engine::run_plan_with(plan, data, scheduler, &self.policy.recovery, rng)
-        })?;
-        Ok((
-            out.estimate,
-            Some(out.total_samples + pilot_cost),
-            out.time_limited,
-            out.degradation,
-        ))
+        affordable: Option<u64>,
+        pilots: u64,
+        hit: bool,
+        calc: impl FnOnce(&dyn BlockScheduler) -> Result<T, IslaError>,
+    ) -> Result<(T, u64), QueryError> {
+        let (undrawn, paid) = if hit { (pilots, 0) } else { (0, pilots) };
+        let out = self.on_scheduler(self.effective_budget(affordable, undrawn), calc)?;
+        Ok((out, paid))
     }
 
     /// Pre-estimate lookup honouring the pilot-seeding policy: decides
@@ -838,12 +761,102 @@ impl QuerySession {
     }
 }
 
+/// A query bound to the table it reads: what every dispatch arm shares.
+struct Bound<'a> {
+    query: &'a Query,
+    /// The compiled `WHERE` / `GROUP BY`; `None` for a plain query.
+    spec: Option<RowSpec>,
+    /// The table's rows under a spec, else the aggregated column.
+    data: &'a BlockSet,
+    /// Row count of the table.
+    rows: u64,
+    confidence: f64,
+    start: Instant,
+    /// No `METHOD` named: metadata may answer where it knows the answer
+    /// exactly. A named method always runs its estimator.
+    pin: bool,
+}
+
+impl Bound<'_> {
+    /// An answer of `value` with nothing optional set: the query's own
+    /// aggregate, method and precision, no samples, no groups, full
+    /// coverage. Arms fill in what they have; `elapsed` is read here, so
+    /// build the result last.
+    fn answer(&self, value: f64) -> QueryResult {
+        QueryResult {
+            value,
+            agg: self.query.agg,
+            method: self.query.method,
+            rows: self.rows,
+            samples_used: None,
+            elapsed: self.start.elapsed(),
+            precision: self.query.precision,
+            confidence: self.confidence,
+            time_limited: false,
+            groups: None,
+            matched_rows: None,
+            degradation: None,
+        }
+    }
+
+    /// A row-model answer: the per-group rows when the query groups, the
+    /// rows matching its `WHERE` when it filters.
+    fn grouped(&self, value: f64, matched: f64, groups: Vec<GroupRow>) -> QueryResult {
+        QueryResult {
+            groups: self.query.group_by.is_some().then_some(groups),
+            matched_rows: (!self.query.predicates.is_empty()).then_some(matched),
+            ..self.answer(value)
+        }
+    }
+
+    /// Exact ground truth for a row-model query, shaped from one full
+    /// row scan's per-group results (or the per-key sketches' exact
+    /// counts). Also where an estimated `COUNT(*)` lands when its
+    /// precision asks for more draws than a scan costs — there an empty
+    /// scan is the answer 0, so rejecting one (an `AVG` of nothing) is
+    /// `METHOD EXACT`'s own check, made before the call.
+    fn exact(&self, exact: &[GroupExact]) -> QueryResult {
+        let agg = self.query.agg;
+        let matched: u64 = exact.iter().map(|g| g.count).sum();
+        let groups: Vec<GroupRow> = exact
+            .iter()
+            .map(|g| GroupRow {
+                key: g.key,
+                value: scaled(agg, g.mean, g.count as f64),
+                rows: g.count as f64,
+            })
+            .collect();
+        let value = match agg {
+            AggFunc::Avg => {
+                exact.iter().map(|g| g.mean * g.count as f64).sum::<f64>() / matched as f64
+            }
+            AggFunc::Count => matched as f64,
+            // SUM; MAX/MIN never reach a grouped scan.
+            _ => groups.iter().map(|g| g.value).sum(),
+        };
+        QueryResult {
+            method: Method::Exact,
+            ..self.grouped(value, matched as f64, groups)
+        }
+    }
+}
+
 /// Where a pre-estimate lookup's pilots draw from on a miss.
 enum Pilots<'a> {
     /// The epoch fold's identity-seeded streams, under this salt.
     Epoch(u64),
     /// This RNG: the query's own, or one derived from `(key, salt)`.
     Stream(&'a mut dyn RngCore),
+}
+
+/// `avg`, a mean over `rows` rows, as the answer `agg` asks for: a `SUM`
+/// is `avg × rows`, a `COUNT` the rows themselves.
+fn scaled(agg: AggFunc, avg: f64, rows: f64) -> f64 {
+    match agg {
+        AggFunc::Sum => avg * rows,
+        AggFunc::Count => rows,
+        _ => avg,
+    }
 }
 
 /// Compiles a query's `WHERE` / `GROUP BY` against the table schema into
@@ -888,53 +901,6 @@ fn compile_row_spec(query: &Query, table: &Table) -> Result<Option<RowSpec>, Que
     }))
 }
 
-/// Exact ground truth for a row-model query, shaped from one full row
-/// scan's per-group results. Also where an estimated `COUNT(*)` lands
-/// when its precision asks for more draws than a scan costs — there an
-/// empty scan is the answer 0, so rejecting one (an `AVG` of nothing)
-/// is `METHOD EXACT`'s own check, made before the call.
-fn exact_rows(
-    query: &Query,
-    exact: &[engine::GroupExact],
-    rows: u64,
-    confidence: f64,
-    start: Instant,
-) -> Result<QueryResult, QueryError> {
-    let matched: u64 = exact.iter().map(|g| g.count).sum();
-    let per_group: Vec<GroupRow> = exact
-        .iter()
-        .map(|g| GroupRow {
-            key: g.key,
-            value: match query.agg {
-                AggFunc::Avg => g.mean,
-                AggFunc::Sum => g.mean * g.count as f64,
-                AggFunc::Count => g.count as f64,
-                // MAX/MIN never reach the grouped-exact path;
-                // an impossible arm yields NaN rather than a
-                // process abort, and the outer dispatch below
-                // rejects it.
-                _ => f64::NAN,
-            },
-            rows: g.count as f64,
-        })
-        .collect();
-    let value = match query.agg {
-        AggFunc::Avg => exact.iter().map(|g| g.mean * g.count as f64).sum::<f64>() / matched as f64,
-        AggFunc::Sum => per_group.iter().map(|g| g.value).sum(),
-        AggFunc::Count => matched as f64,
-        _ => {
-            return Err(QueryError::Internal(
-                "MAX/MIN reached the grouped-exact path".to_string(),
-            ))
-        }
-    };
-    let mut result = QueryResult::of(query, rows, confidence, start, value);
-    result.method = Method::Exact;
-    result.groups = query.group_by.is_some().then_some(per_group);
-    result.matched_rows = (!query.predicates.is_empty()).then_some(matched as f64);
-    Ok(result)
-}
-
 /// `COUNT(*) WHERE …` (optionally grouped): estimated from pilot row
 /// draws. An explicit `WITH PRECISION e` sizes the draw so the count's
 /// confidence interval half-width is ≤ e (two-stage: a first pilot
@@ -942,17 +908,14 @@ fn exact_rows(
 /// still needs); a `WITHIN` deadline caps the total. An empty table
 /// counts exactly 0, as a zero-match escalation to a scan would.
 fn count_estimate(
-    query: &Query,
+    q: &Bound,
     spec: &RowSpec,
-    data: &BlockSet,
-    confidence: f64,
-    start: Instant,
     scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
 ) -> Result<QueryResult, QueryError> {
-    let rows = data.total_len();
+    let (query, data, rows) = (q.query, q.data, q.rows);
     if rows == 0 {
-        return exact_rows(query, &[], rows, confidence, start);
+        return Ok(q.exact(&[]));
     }
     let mut pilot = query.samples.unwrap_or(COUNT_PILOT_ROWS).min(rows).max(1);
     let mut time_limited = false;
@@ -974,7 +937,7 @@ fn count_estimate(
         let s = counts.values().sum::<u64>() as f64 / drawn as f64;
         let sigma = rows as f64 * (s * (1.0 - s)).sqrt();
         let mut want = if sigma > 0.0 {
-            required_sample_size(sigma, e, confidence)
+            required_sample_size(sigma, e, q.confidence)
         } else {
             drawn
         };
@@ -982,8 +945,7 @@ fn count_estimate(
         // precision asks for at least M reads, an exact scan answers
         // with zero error at the same (or lower) cost.
         if want >= rows && !time_limited && data.iter().all(|b| b.supports_scan()) {
-            let exact = engine::scan_exact_groups_on(data, spec, scheduler)?;
-            return exact_rows(query, &exact, rows, confidence, start);
+            return Ok(q.exact(&engine::scan_exact_groups_on(data, spec, scheduler)?));
         }
         want = want.min(rows);
         if let Some(affordable) = affordable {
@@ -1002,7 +964,7 @@ fn count_estimate(
     }
     let matched: u64 = counts.values().sum();
     let scale = rows as f64 / drawn as f64;
-    let mut per_group: Vec<GroupRow> = counts
+    let mut groups: Vec<GroupRow> = counts
         .into_iter()
         .map(|(bits, n)| GroupRow {
             key: f64::from_bits(bits),
@@ -1010,39 +972,37 @@ fn count_estimate(
             rows: n as f64 * scale,
         })
         .collect();
-    per_group.sort_by(|a, b| a.key.total_cmp(&b.key));
+    groups.sort_by(|a, b| a.key.total_cmp(&b.key));
     let value = matched as f64 * scale;
-    let mut result = QueryResult::of(query, rows, confidence, start, value);
-    result.samples_used = Some(drawn);
-    result.time_limited = time_limited;
-    result.groups = query.group_by.is_some().then_some(per_group);
-    result.matched_rows = (!query.predicates.is_empty()).then_some(value);
-    Ok(result)
+    Ok(QueryResult {
+        samples_used: Some(drawn),
+        time_limited,
+        ..q.grouped(value, value, groups)
+    })
 }
 
-/// MAX/MIN over a width-1 column set, or — under `spec` — over `spec`'s
-/// aggregate column of the table rows matching its filter. `METHOD
-/// EXACT` folds the matching rows block by block on `scheduler`; the
-/// sampled extreme draws from one pooled filtered column.
+/// MAX/MIN over the aggregated column, or — under a spec — over the
+/// rows matching its filter. `METHOD EXACT` folds the matching rows
+/// block by block on `scheduler`; the sampled extreme draws from one
+/// pooled filtered column.
 fn extreme_value(
-    query: &Query,
-    data: &BlockSet,
-    spec: Option<&RowSpec>,
-    confidence: f64,
+    q: &Bound,
     scheduler: &dyn BlockScheduler,
     rng: &mut dyn RngCore,
 ) -> Result<(f64, Option<u64>), QueryError> {
-    // The extreme path sizes its own draws and has no deadline: a
-    // budget or a time limit would be silently ignored.
-    if query.samples.is_some() {
-        return Err(QueryError::Invalid(
-            "SAMPLES is not supported for MAX/MIN".to_string(),
-        ));
-    }
-    if query.within_ms.is_some() {
-        return Err(QueryError::Invalid(
-            "WITHIN is not supported for MAX/MIN".to_string(),
-        ));
+    let query = q.query;
+    // The extreme path answers one value and sizes its own draws with
+    // no deadline: a grouping, a budget or a time limit would be
+    // silently ignored.
+    let ignored = [
+        (query.group_by.is_some(), "GROUP BY"),
+        (query.samples.is_some(), "SAMPLES"),
+        (query.within_ms.is_some(), "WITHIN"),
+    ];
+    if let Some((_, clause)) = ignored.iter().find(|(given, _)| *given) {
+        return Err(QueryError::Invalid(format!(
+            "{clause} is not supported for MAX/MIN"
+        )));
     }
     let kind = if query.agg == AggFunc::Max {
         isla_core::ExtremeKind::Max
@@ -1050,28 +1010,15 @@ fn extreme_value(
         isla_core::ExtremeKind::Min
     };
     if query.method == Method::Exact {
-        let extreme = match spec {
-            Some(spec) => engine::scan_exact_filtered_extreme(data, spec, kind, scheduler)?,
-            None => engine::scan_exact_extreme(data, kind, scheduler)?,
+        let extreme = match &q.spec {
+            Some(spec) => engine::scan_exact_filtered_extreme(q.data, spec, kind, scheduler)?,
+            None => engine::scan_exact_extreme(q.data, kind, scheduler)?,
         };
         return Ok((extreme.ok_or_else(no_matching_row)?, None));
     }
-    let pooled;
-    let data = match spec {
-        Some(spec) => {
-            pooled = pooled_matches(data, spec)?;
-            &pooled
-        }
-        None => data,
-    };
-    let config = match query.precision {
-        Some(_) => isla_config(query, confidence)?,
-        None => IslaConfig::builder()
-            .confidence(confidence)
-            .build()
-            .map_err(QueryError::from)?,
-    };
-    let result = isla_core::ExtremeAggregator::new(config)?.aggregate(data, kind, rng)?;
+    let population = population(q.data, q.spec.as_ref())?;
+    let config = isla_config(query, q.confidence)?;
+    let result = isla_core::ExtremeAggregator::new(config)?.aggregate(&population, kind, rng)?;
     Ok((result.estimate, Some(result.total_samples)))
 }
 
@@ -1080,51 +1027,22 @@ fn no_matching_row() -> QueryError {
     QueryError::Invalid("no row matches the WHERE predicate".to_string())
 }
 
-/// Column `spec.agg_column` of `data`'s rows matching `spec.filter`, as
-/// one pooled block — or [`no_matching_row`] when the compiled
-/// selection proves there is none, before any draw.
-fn pooled_matches(data: &BlockSet, spec: &RowSpec) -> Result<BlockSet, QueryError> {
+/// What a baseline or a sampled extreme draws from: `data` itself, or —
+/// under `spec` — column `spec.agg_column` of the rows matching
+/// `spec.filter`, as one pooled block ([`no_matching_row`] when the
+/// compiled selection proves there is none, before any draw).
+fn population<'a>(
+    data: &'a BlockSet,
+    spec: Option<&RowSpec>,
+) -> Result<Cow<'a, BlockSet>, QueryError> {
+    let Some(spec) = spec else {
+        return Ok(Cow::Borrowed(data));
+    };
     let pooled = PooledFilteredColumn::build(data, spec.agg_column, spec.filter.clone());
     if pooled.match_count() == Some(0) {
         return Err(no_matching_row());
     }
-    Ok(BlockSet::single(pooled))
-}
-
-/// Runs the baseline estimator `query.method` names, its block reads
-/// placed by `scheduler`.
-fn run_baseline(
-    query: &Query,
-    data: &BlockSet,
-    confidence: f64,
-    budget: u64,
-    scheduler: &dyn BlockScheduler,
-    rng: &mut dyn RngCore,
-) -> Result<f64, QueryError> {
-    let estimator: Box<dyn Estimator> = match query.method {
-        Method::Us => Box::new(UniformSampling),
-        Method::Sts => Box::new(StratifiedSampling::proportional()),
-        Method::Mv => Box::new(MeasureBiasedValues),
-        Method::Mvb => {
-            // MVB only uses the boundary parameters (p1, p2) and
-            // budget-driven pilots; precision is not required.
-            let config = match query.precision {
-                Some(_) => isla_config(query, confidence)?,
-                None => IslaConfig::builder()
-                    .confidence(confidence)
-                    .build()
-                    .map_err(QueryError::from)?,
-            };
-            Box::new(MeasureBiasedBoundaries::new(config)?)
-        }
-        Method::Slev => Box::new(Slev::default()),
-        Method::Isla | Method::Exact => {
-            return Err(QueryError::Internal(
-                "ISLA/EXACT are dispatched before the baseline runner".to_string(),
-            ))
-        }
-    };
-    Ok(estimator.estimate_scheduled(data, budget, scheduler, rng)?)
+    Ok(Cow::Owned(BlockSet::single(pooled)))
 }
 
 /// The draws a `WITHIN ms` clause affords ([`engine::affordable_draws`],
@@ -1168,36 +1086,28 @@ pub fn execute(
     QuerySession::new().execute(query, catalog, rng)
 }
 
-/// Builds the ISLA configuration a query implies.
+/// The ISLA configuration a query implies: its confidence, and its
+/// precision when it gives one.
 fn isla_config(query: &Query, confidence: f64) -> Result<IslaConfig, QueryError> {
-    let precision = query.precision.ok_or_else(|| {
-        QueryError::Invalid(format!(
-            "{:?} with METHOD {:?} needs WITH PRECISION (or SAMPLES for baselines)",
-            query.agg, query.method
-        ))
-    })?;
-    IslaConfig::builder()
-        .precision(precision)
-        .confidence(confidence)
-        .build()
-        .map_err(QueryError::from)
+    let builder = IslaConfig::builder().confidence(confidence);
+    match query.precision {
+        Some(e) => builder.precision(e),
+        None => builder,
+    }
+    .build()
+    .map_err(QueryError::from)
 }
 
 /// Sample budget for a baseline: explicit `SAMPLES n`, or derived from
-/// the precision via Eq. 1 with a pilot σ estimate.
-fn baseline_budget(
-    query: &Query,
-    data: &BlockSet,
-    confidence: f64,
-    rng: &mut dyn RngCore,
-) -> Result<u64, QueryError> {
-    if let Some(n) = query.samples {
+/// the precision via Eq. 1 with a pilot σ estimate over `data`.
+fn baseline_budget(q: &Bound, data: &BlockSet, rng: &mut dyn RngCore) -> Result<u64, QueryError> {
+    if let Some(n) = q.query.samples {
         return Ok(n);
     }
-    let precision = query.precision.ok_or_else(|| {
+    let precision = q.query.precision.ok_or_else(|| {
         QueryError::Invalid(format!(
             "METHOD {:?} needs SAMPLES n or WITH PRECISION e",
-            query.method
+            q.query.method
         ))
     })?;
     if data.total_len() == 0 {
@@ -1210,7 +1120,7 @@ fn baseline_budget(
     if sigma == 0.0 {
         return Ok(1);
     }
-    Ok(required_sample_size(sigma, precision, confidence).min(data.total_len()))
+    Ok(required_sample_size(sigma, precision, q.confidence).min(data.total_len()))
 }
 
 #[cfg(test)]
@@ -1718,7 +1628,7 @@ mod tests {
         }
         // A deadline has no draw to time: a typed refusal.
         for sql in [
-            "SELECT AVG(y) FROM t WHERE x > 0 WITHIN 50 MS",
+            "SELECT AVG(y) FROM t WHERE x > 0 WITH PRECISION 0.5 WITHIN 50 MS",
             "SELECT AVG(x) FROM s WITH PRECISION 0.5 WITHIN 50 MS",
         ] {
             assert!(
@@ -1731,6 +1641,7 @@ mod tests {
         }
         // Every other form errors with a type, none panics.
         for sql in [
+            "SELECT AVG(y) FROM t WHERE x > 0 WITHIN 50 MS",
             "SELECT AVG(y) FROM t WHERE x > 0 WITH PRECISION 0.5",
             "SELECT SUM(y) FROM t WHERE x > 0 METHOD US SAMPLES 100",
             "SELECT AVG(y) FROM t WHERE x > 0 METHOD US WITH PRECISION 0.5",
@@ -2039,5 +1950,81 @@ mod tests {
                 .retry(RetryPolicy::attempts(3)),
         );
         assert_default_samples_like_named_isla(&armed, &session, "armed FaultyBlock");
+    }
+
+    /// A row block that counts the zone verdicts asked of it: one per
+    /// block each time a query decides its metadata pin.
+    struct ZoneCounting(
+        Arc<dyn isla_storage::DataBlock>,
+        Arc<std::sync::atomic::AtomicUsize>,
+    );
+
+    impl isla_storage::DataBlock for ZoneCounting {
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+
+        fn width(&self) -> usize {
+            self.0.width()
+        }
+
+        fn gather(
+            &self,
+            columns: &[usize],
+            indices: &[u64],
+            out: &mut [f64],
+        ) -> Result<(), isla_storage::StorageError> {
+            self.0.gather(columns, indices, out)
+        }
+
+        fn scan_column_chunks(
+            &self,
+            columns: &[usize],
+            visit: &mut dyn FnMut(&[&[f64]]),
+        ) -> Result<(), isla_storage::StorageError> {
+            self.0.scan_column_chunks(columns, visit)
+        }
+
+        fn sketch(&self) -> Option<Arc<isla_storage::BlockSketch>> {
+            self.0.sketch()
+        }
+
+        fn zone(&self, filter: &RowFilter) -> isla_storage::ZoneMatch {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.zone(filter)
+        }
+    }
+
+    #[test]
+    fn a_pinned_group_by_decides_its_pin_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let x = normal_values(50.0, 10.0, 40_000, 63);
+        let g: Vec<f64> = (0..40_000).map(|i| (i % 4) as f64).collect();
+        let rows = RowsBlock::split(vec![x, g], 5);
+        let zones = Arc::new(AtomicUsize::new(0));
+        let counted = (0..rows.block_count())
+            .map(|b| {
+                Arc::new(ZoneCounting(Arc::clone(rows.block(b)), Arc::clone(&zones)))
+                    as Arc<dyn isla_storage::DataBlock>
+            })
+            .collect();
+        let schema = Schema::new(vec![ColumnDef::float("x"), ColumnDef::categorical("g")]);
+        let mut c = Catalog::new();
+        c.register("t", Table::from_rows(schema, BlockSet::new(counted)));
+        let session = QuerySession::new();
+        for sql in [
+            "SELECT AVG(x) FROM t GROUP BY g WITH PRECISION 0.5",
+            "SELECT AVG(x) FROM t GROUP BY g WITH PRECISION 0.5 WITHIN 60000 MS",
+        ] {
+            zones.store(0, Ordering::Relaxed);
+            let r = run_on(&c, &session, sql, 1);
+            assert_eq!(r.samples_used, Some(0), "{sql}: pinned");
+            assert_eq!(
+                zones.load(Ordering::Relaxed),
+                5,
+                "{sql}: one verdict a block"
+            );
+        }
+        assert_eq!(session.cache_stats().lookups(), 0);
     }
 }

@@ -120,9 +120,18 @@ fn main() {
             "SELECT SUM(x) FROM sales WHERE y > 50 AND region != 2 WITH PRECISION 0.5",
             "SELECT COUNT(*) FROM sales WHERE y > 50",
             "SELECT COUNT(*) FROM sales WHERE y > 50 GROUP BY region",
+            // Estimated from the hit rate of 10 000 row draws.
+            "SELECT COUNT(*) FROM sales WHERE y > 50 SAMPLES 10000",
+            // A baseline and a sampled extreme over the matching rows.
+            "SELECT AVG(x) FROM sales WHERE y > 50 METHOD US SAMPLES 20000",
+            "SELECT MAX(x) FROM sales WHERE y > 50",
             // Exact from the per-key block sketches: no sample drawn.
             "SELECT AVG(x) FROM sales GROUP BY region WITH PRECISION 0.5",
             "SELECT COUNT(*) FROM sales GROUP BY region",
+            // Refused with a typed error: two clauses that size one draw,
+            // and a grouping the extremes cannot answer.
+            "SELECT AVG(x) FROM sales WHERE y > 50 WITH PRECISION 0.5 SAMPLES 1000",
+            "SELECT MAX(x) FROM sales GROUP BY region",
         ];
         for line in demo {
             println!("isla> {line}");

@@ -838,6 +838,34 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
         "SELECT AVG(reading) FROM sensors METHOD ISLA SAMPLES 50000000",
         85,
     ),
+    // One cell for each dispatch arm the lines above leave out: an
+    // unfiltered count under a named method, the typed errors, and the
+    // deadline probe of each unpinned kind (a deadline that cannot bind,
+    // so the answer does not depend on the clock).
+    ("plain", "SELECT COUNT(*) FROM sensors METHOD US", 86),
+    ("plain", "SELECT MAX(amount) FROM sales GROUP BY store", 87),
+    ("plain", "SELECT MIN(reading) FROM sensors SAMPLES 100", 88),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 METHOD MV",
+        89,
+    ),
+    ("plain", "SELECT AVG(reading) FROM sensors METHOD ISLA", 90),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA WITHIN 60000 MS",
+        91,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5 WITHIN 60000 MS",
+        92,
+    ),
+    (
+        "plain",
+        "SELECT COUNT(*) FROM sales WHERE amount > 50 WITH PRECISION 10 WITHIN 60000 MS",
+        93,
+    ),
 ];
 
 /// Recorded at the commit before the Calculation-phase spine landed
@@ -849,7 +877,8 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
 /// re-recorded when metadata began answering what it knows exactly; the
 /// two default unfiltered `GROUP BY store` lines, and the five appended
 /// after them, when the per-key block sketches began answering grouped
-/// queries.
+/// queries. The eight lines after those were recorded before the
+/// executor's scalar and row-model dispatch trees became one.
 const GOLDEN_EXPECTED: &str = include_str!("golden/query_corpus.txt");
 
 #[test]
@@ -918,4 +947,135 @@ fn golden_corpus_matches_the_recorded_results() {
         mismatches.join("\n"),
         actual.join("\n"),
     );
+}
+
+#[test]
+fn isla_rejects_a_precision_and_a_sample_budget_together() {
+    let catalog = golden_catalog();
+    for sql in [
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 SAMPLES 1000",
+        "SELECT SUM(reading) FROM sensors WITH PRECISION 0.5 METHOD ISLA SAMPLES 1000",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5 SAMPLES 1000",
+        "SELECT SUM(amount) FROM sales GROUP BY store WITH PRECISION 0.5 SAMPLES 1000",
+        "SELECT AVG(amount) FROM sales WHERE margin > 25 GROUP BY store \
+         WITH PRECISION 0.5 METHOD ISLA SAMPLES 1000",
+    ] {
+        let query = isla::query::parse(sql).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        match QuerySession::new().execute(&query, &catalog, &mut rng) {
+            Err(isla::query::QueryError::Invalid(msg)) => assert!(
+                msg.contains("PRECISION") && msg.contains("SAMPLES"),
+                "{sql}: the error names neither clause: {msg}"
+            ),
+            other => panic!("{sql}: expected an invalid-query error, got {other:?}"),
+        }
+    }
+}
+
+/// A seeded statement generator over the golden catalog's vocabulary:
+/// every aggregate, each method or none, 0–2 predicates, a `GROUP BY`
+/// on a categorical, a float or an unknown column, and each budget
+/// clause at its edges (`SAMPLES 1`, `WITHIN 0`, which the parser
+/// refuses and only an API caller can set).
+fn mutated_statement(rng: &mut StdRng) -> isla::query::Query {
+    use rand::Rng;
+
+    const TABLES: &[(&str, &[&str])] = &[
+        ("sensors", &["reading"]),
+        ("consts", &["c"]),
+        ("sales", &["amount", "margin", "store"]),
+        ("small_sales", &["amount", "margin", "store"]),
+        ("grown", &["reading", "load"]),
+        ("flaky", &["reading"]),
+        ("flaky_sales", &["amount", "margin", "store"]),
+        ("timeline", &["ts", "amount", "store"]),
+    ];
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.random_range(0..items.len())]
+    }
+
+    let (table, columns) = TABLES[rng.random_range(0..TABLES.len())];
+    let mut sql = match pick(rng, &["AVG", "SUM", "COUNT", "MAX", "MIN"]) {
+        "COUNT" => format!("SELECT COUNT(*) FROM {table}"),
+        agg => format!("SELECT {agg}({}) FROM {table}", pick(rng, columns)),
+    };
+    let predicates: Vec<String> = (0..rng.random_range(0..3))
+        .map(|_| {
+            let column = pick(rng, columns);
+            let op = pick(rng, &[">", "<", ">=", "<=", "=", "!="]);
+            let literal = pick(rng, &["-1", "0", "1", "25", "50", "45000", "1000000"]);
+            format!("{column} {op} {literal}")
+        })
+        .collect();
+    if !predicates.is_empty() {
+        sql += &format!(" WHERE {}", predicates.join(" AND "));
+    }
+    match pick(rng, &["", "categorical", "float", "unknown"]) {
+        "categorical" if columns.contains(&"store") => sql += " GROUP BY store",
+        "float" => sql += &format!(" GROUP BY {}", columns[0]),
+        "unknown" => sql += " GROUP BY nope",
+        _ => {}
+    }
+    match pick(rng, &["", "0.5", "2"]) {
+        "" => {}
+        e => sql += &format!(" WITH PRECISION {e}"),
+    }
+    match pick(
+        rng,
+        &["", "ISLA", "US", "STS", "MV", "MVB", "SLEV", "EXACT"],
+    ) {
+        "" => {}
+        m => sql += &format!(" METHOD {m}"),
+    }
+    match pick(rng, &["", "1", "2", "1000"]) {
+        "" => {}
+        n => sql += &format!(" SAMPLES {n}"),
+    }
+    let within = pick(rng, &["", "0", "60000"]);
+    if within == "60000" {
+        sql += " WITHIN 60000 MS";
+    }
+    let mut query = isla::query::parse(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    if within == "0" {
+        query.within_ms = Some(0);
+    }
+    query
+}
+
+#[test]
+fn mutated_statements_answer_or_fail_typed() {
+    use isla::core::engine::RetryPolicy;
+    use isla::query::{ExecPolicy, QueryError};
+    use rand::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let catalog = golden_catalog();
+    let sessions = [
+        QuerySession::new(),
+        QuerySession::with_policy(
+            ExecPolicy::new()
+                .pooled(2)
+                .best_effort()
+                .retry(RetryPolicy::attempts(2)),
+        ),
+    ];
+    let mut statements = StdRng::seed_from_u64(0x5EED_D15C);
+    for _ in 0..400 {
+        let query = mutated_statement(&mut statements);
+        let seed = statements.random::<u64>();
+        for session in &sessions {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                session.execute(&query, &catalog, &mut rng)
+            }));
+            match outcome {
+                Ok(Ok(_))
+                | Ok(Err(QueryError::Invalid(_)))
+                | Ok(Err(QueryError::UnknownColumn { .. }))
+                | Ok(Err(QueryError::Engine(_))) => {}
+                Ok(Err(e)) => panic!("{query:?}: unexpected error kind {e:?}"),
+                Err(_) => panic!("{query:?} panicked"),
+            }
+        }
+    }
 }
