@@ -90,15 +90,18 @@ pub struct IslaConfig {
     /// ISLA query and leaves it off for a named `METHOD ISLA`. Default
     /// false.
     pub sketch_sigma: bool,
-    /// Sample a `GROUP BY` even where the blocks' per-key sketches know
-    /// its answer. Off (the default), a grouped row query whose every
-    /// block the zone map decides — matching everywhere or nowhere — over
-    /// finite, scannable, fault-free blocks with at most
-    /// [`isla_storage::MAX_SKETCH_KEYS`] keys each is pinned to the exact
-    /// per-group counts and means with no pilot and no draw. The query
-    /// executor sets it for a named `METHOD ISLA`. It changes no cached
-    /// object — a pinned lookup files no entry — so it stays out of
-    /// [`IslaConfig::fingerprint`].
+    /// Sample every block of a filtered or grouped row query, even where
+    /// block metadata knows its part of the answer. Off (the default), a
+    /// block the zone map decides — matching nowhere, or matching
+    /// everywhere over finite, fault-free rows whose sketch (per-key
+    /// sketch, with at most [`isla_storage::MAX_SKETCH_KEYS`] keys, when
+    /// grouped) knows its exact partial — is answered from metadata and
+    /// only the rest is sampled by a precision-sized plan; a query whose
+    /// every block is decided is pinned to the exact per-group counts
+    /// and means with no pilot and no draw. The query executor sets it
+    /// for a named `METHOD ISLA`. It changes no cached object — a pinned
+    /// lookup files no entry, and the split is made per plan — so it
+    /// stays out of [`IslaConfig::fingerprint`].
     pub sample_groups: bool,
     /// Record per-iteration traces in block outcomes (diagnostics).
     /// Default false.

@@ -366,7 +366,7 @@ impl PreEstimateCache {
     /// [`CacheKey::with_row_shape`]) so distinct predicates/groupings
     /// key separately.
     ///
-    /// A grouped query the per-key block sketches pin (see
+    /// A filtered or grouped query block metadata pins (see
     /// [`IslaConfig::sample_groups`]) gets the pinned estimate instead:
     /// no entry is filed, no pilot drawn, no counter moves, and the
     /// lookup reports a hit.
@@ -434,8 +434,8 @@ impl PreEstimateCache {
     /// Row-model analog of [`PreEstimateCache::get_or_compute_epoch`]:
     /// epoch-aware lookup for filtered/grouped queries over appendable
     /// sets, keyed by the lineage of a shape-bound key (carry the spec's
-    /// fingerprint via [`CacheKey::with_row_shape`]). A grouped query
-    /// the per-key block sketches pin gets the pinned estimate before
+    /// fingerprint via [`CacheKey::with_row_shape`]). A filtered or
+    /// grouped query block metadata pins gets the pinned estimate before
     /// the epoch layer is touched, as in
     /// [`PreEstimateCache::get_or_compute_epoch`].
     ///

@@ -253,6 +253,15 @@ pub(crate) trait CalcPlan: Sync {
     fn rate(&self) -> f64;
     /// Pilot draws the pre-estimate behind this plan spent.
     fn pilot_samples(&self) -> u64;
+    /// Whether the Calculation phase draws from block `block_id` at the
+    /// plan's rate; a block it does not is offered no draw.
+    fn samples(&self, _block_id: usize) -> bool {
+        true
+    }
+    /// The draws a sampled block of `block_len` rows receives at `rate`.
+    fn sample_size(&self, rate: f64, block_len: u64) -> u64 {
+        plan::sample_size(rate, block_len)
+    }
     /// The answer pinned without executing any block, if there is one.
     fn pinned(&self) -> Option<Self::Answer> {
         None
@@ -290,12 +299,13 @@ pub(crate) struct CalcRun<A> {
 
 /// The one admission rule: a plan that wants more samples (pilots
 /// included) than `budget` has its calculation rate capped to what the
-/// budget leaves after the — already spent — pilots, `(budget −
-/// pilots) / M`, never above the plan's own rate. Returns the rate to
-/// run at and whether it was capped.
+/// budget leaves after the — already spent — pilots, spread over the
+/// rows of the blocks the plan samples ([`CalcPlan::samples`]; `M` for
+/// every plan but a split row plan), never above the plan's own rate.
+/// Returns the rate to run at and whether it was capped.
 ///
-/// `planned` counts the draws the rate *offers* every block. A row plan
-/// reads fewer where a zone map decides the filter (see
+/// `planned` counts the draws the rate *offers* every sampled block. A
+/// row plan reads fewer where a zone map rules a block out (see
 /// [`RowBlockOutcome::offered`]), so the rule is conservative there: it
 /// may cap a plan whose reads alone would have fit. Tightening it would
 /// move the answer bits of `WITHIN` / `SAMPLES` queries and is a
@@ -310,12 +320,16 @@ pub(crate) fn admitted_rate<P: CalcPlan>(
         return (rate, false);
     };
     let pilots = plan.pilot_samples();
-    let planned: u64 = data.iter().map(|b| plan::sample_size(rate, b.len())).sum();
+    let (mut planned, mut rows) = (0, 0);
+    for (_, block) in data.iter().enumerate().filter(|&(b, _)| plan.samples(b)) {
+        planned += plan.sample_size(rate, block.len());
+        rows += block.len();
+    }
     if planned + pilots <= budget {
         return (rate, false);
     }
     let calc_budget = budget.saturating_sub(pilots);
-    let capped = (calc_budget as f64 / data.total_len() as f64)
+    let capped = (calc_budget as f64 / rows as f64)
         .clamp(f64::MIN_POSITIVE, 1.0)
         .min(rate);
     (capped, true)

@@ -198,15 +198,24 @@ impl GroupedPartial {
     /// Canonicalizes (blocks by id, groups by key) and combines each
     /// group's per-block answers, weighted by the block's estimated
     /// matched row count `|Bⱼ| · matchedⱼ/offeredⱼ` — the row-model
-    /// generalization of size-weighted Summarization. Each group's
-    /// population size (`rows_estimate`, the `SUM`/`COUNT` scale) pools
-    /// the pilot and calculation draws, the lowest-variance estimate
-    /// both phases can support. Both denominators count the draws
-    /// *offered* ([`RowBlockOutcome::offered`]): a draw a zone map
-    /// decided without reading the row is still a draw that missed.
-    /// Plan groups that caught no calculation draw anywhere keep their
-    /// pilot estimate (`sketch0`). A plan the per-key block sketches
-    /// pinned finalizes to their exact answer, whatever its blocks drew.
+    /// generalization of size-weighted Summarization. Both denominators
+    /// count the draws *offered* ([`RowBlockOutcome::offered`]): a draw
+    /// a zone map decided without reading the row is still a draw that
+    /// missed.
+    ///
+    /// Unsplit, each group's population size (`rows_estimate`, the
+    /// `SUM`/`COUNT` scale) pools the pilot and calculation draws, the
+    /// lowest-variance estimate both phases can support, and plan
+    /// groups that caught no calculation draw anywhere keep their pilot
+    /// estimate (`sketch0`). A split plan adds each group's exact rows
+    /// and `Σa` over its decided blocks to the residue's weighted
+    /// partials, whose row weights are scaled from the residue blocks
+    /// that drew to the residue's rows. A group the residue's draws
+    /// caught none of is its decided part alone; one with no decided row
+    /// either, or any group when no residue block drew at all, keeps its
+    /// pilot estimate, unless its decided rows alone outnumber it. A plan
+    /// metadata pinned finalizes to its exact answer, whatever its
+    /// blocks drew.
     ///
     /// # Errors
     ///
@@ -227,12 +236,15 @@ impl GroupedPartial {
         );
         let total_offered: u64 = self.outcomes.iter().map(|o| o.offered).sum();
         let pooled_draws = plan.pilot_rows() + total_offered;
+        // Rows of the blocks that were offered draws.
+        let mut drawn_rows = 0u64;
         // key bits → (key, Σw, Σw·answer, Σmatched, planned)
         let mut acc: BTreeMap<u64, (f64, f64, f64, u64, bool)> = BTreeMap::new();
         for outcome in &self.outcomes {
             if outcome.offered == 0 {
                 continue;
             }
+            drawn_rows += outcome.rows;
             let offered = outcome.offered as f64;
             for g in &outcome.groups {
                 let w = outcome.rows as f64 * g.matched as f64 / offered;
@@ -246,25 +258,61 @@ impl GroupedPartial {
             }
         }
         // Plan groups the calculation phase missed entirely keep their
-        // pilot estimate.
+        // pilot estimate; keys only decided blocks hold are exact.
         for g in plan.groups() {
             acc.entry(g.pre.key_bits)
                 .or_insert((g.pre.key, 0.0, 0.0, 0, true));
         }
+        let decided = plan.decided();
+        for g in decided.map_or(&[][..], |d| d.groups()) {
+            acc.entry(g.key_bits)
+                .or_insert((f64::from_bits(g.key_bits), 0.0, 0.0, 0, false));
+        }
+        let data_size = plan.data_size() as f64;
         let mut groups: Vec<GroupEstimate> = acc
             .into_iter()
             .map(|(key_bits, (key, w, wa, matched, planned))| {
                 let plan_group = plan.group_index(key_bits).map(|i| &plan.groups()[i]);
                 let pilot_matched = plan_group.map_or(0, |g| g.pre.pilot_matched);
-                let rows_estimate = plan.data_size() as f64 * (pilot_matched + matched) as f64
-                    / pooled_draws as f64;
-                let estimate = if w > 0.0 {
-                    wa / w
-                } else {
-                    // No calculation draw matched: the pilot's sketch is
-                    // all there is (planned groups only — unplanned
-                    // groups exist exactly because a draw matched them).
-                    plan_group.map(|g| g.pre.sketch0).unwrap_or(0.0)
+                let (estimate, rows_estimate) = match decided {
+                    None => {
+                        let rows =
+                            data_size * (pilot_matched + matched) as f64 / pooled_draws as f64;
+                        // No calculation draw matched: the pilot's sketch
+                        // is all there is (planned groups only — unplanned
+                        // groups exist exactly because a draw matched
+                        // them).
+                        let pilot = plan_group.map_or(0.0, |g| g.pre.sketch0);
+                        (if w > 0.0 { wa / w } else { pilot }, rows)
+                    }
+                    Some(decided) => {
+                        let exact = decided.group(key_bits);
+                        let exact_rows = exact.map_or(0, |g| g.rows) as f64;
+                        let pilot = plan_group.map(|g| (g.pre.sketch0, g.pre.share * data_size));
+                        if w > 0.0 {
+                            // The residue's weighted draws, scaled from the
+                            // residue blocks that drew to all of them.
+                            let rows = w * decided.residue_rows() as f64 / drawn_rows as f64;
+                            match exact {
+                                Some(x) => (
+                                    (x.sum() + rows * (wa / w)) / (exact_rows + rows),
+                                    exact_rows + rows,
+                                ),
+                                None => (wa / w, rows),
+                            }
+                        } else {
+                            match (exact, pilot) {
+                                // No residue block drew: the pilot's whole
+                                // group, unless the decided rows alone
+                                // outnumber it.
+                                (Some(_), Some(p)) if drawn_rows == 0 && p.1 > exact_rows => p,
+                                // The residue drew none of the key.
+                                (Some(x), _) => (x.mean(), exact_rows),
+                                (None, Some(p)) => p,
+                                (None, None) => (0.0, 0.0),
+                            }
+                        }
+                    }
                 };
                 GroupEstimate {
                     key,

@@ -9,12 +9,20 @@
 //!   proportionally across blocks, evaluated against the compiled
 //!   [`RowFilter`], and partitioned by group key. The pilots yield the
 //!   predicate's selectivity, each group's share of the raw rows, and a
-//!   per-group `σ̂`/`sketch0` — so `SUM`/`COUNT` under a filter are
-//!   *estimated* from the hit rate, never read from block metadata;
+//!   per-group `σ̂`/`sketch0`;
 //! * **Planning** ([`RowPlan`]) — per-group shift, boundaries, and the
 //!   calculation rate, sized as the *maximum* over groups of
 //!   `m_g / (share_g · M)` so that every group's expected matched sample
 //!   meets the precision target, not just the population average;
+//! * **Metadata** — unless [`IslaConfig::sample_groups`] is set, a
+//!   precision-sized plan answers every block whose zone map decides the
+//!   filter from block metadata: a block that matches everywhere gives
+//!   its exact row count and `Σa` (per key when grouped) from its
+//!   sketch, one that matches nowhere gives nothing, and only the rest —
+//!   the residue — is sampled, at a rate scaled to the residue's share
+//!   of each group. Under a filter, `SUM`'s row count is then exact over
+//!   the decided blocks and *estimated* over the residue; a plan whose
+//!   every block is decided is exact ([`pinned_row_pre_estimate`]);
 //! * **Calculation** ([`execute_row_block`]) — one uniform row draw per
 //!   sample, the filter selecting a batch of tuples at a time, each
 //!   match's aggregated value folded into *that group's* accumulator
@@ -35,7 +43,8 @@
 //!   rows actually read — falls;
 //! * **Summarization** ([`super::GroupedPartial`]) — a per-group
 //!   mergeable map that combines in any completion order and weights
-//!   each block's per-group answer by its estimated matched row count.
+//!   each block's per-group answer by its estimated matched row count,
+//!   plus the decided blocks' exact partials.
 //!
 //! [`run_rows`] ties the phases together on any [`BlockScheduler`]; as
 //! in the scalar engine, per-block seeds are derived up front so every
@@ -48,8 +57,8 @@ use rand::RngCore;
 use isla_stats::{required_sample_size, NeumaierSum, WelfordMoments};
 use isla_storage::{
     proportional_allocation, sample_row_columns_from_block,
-    sample_row_columns_from_block_surviving, skip_row_draws, BlockSet, DataBlock, RowFilter,
-    RowSampleBuf, ZoneMatch,
+    sample_row_columns_from_block_surviving, skip_row_draws, BlockSet, ColumnMoments, DataBlock,
+    RowFilter, RowSampleBuf, ZoneMatch,
 };
 
 use super::fold::{stage, tuple_fields, GroupKeys, Groups, UNGROUPED_KEY};
@@ -269,7 +278,7 @@ pub struct RowPreEstimate {
     /// pilots spent, including the draws on blocks whose zone map
     /// already decided the predicate and that were therefore not read:
     /// the denominator of `selectivity` and of every group share. 0 when
-    /// the per-key block sketches pinned the estimate
+    /// block metadata pinned the estimate
     /// ([`pinned_row_pre_estimate`]): then every group's `pilot_matched`
     /// is its exact row count and its `sketch0` its exact mean.
     pub pilot_rows: u64,
@@ -352,72 +361,55 @@ pub fn row_pre_estimate_with(
     finish_row_pilot_state(&st, data_size, config)
 }
 
-/// The row pre-estimate the per-key block sketches pin, when
-/// [`IslaConfig::sample_groups`] is off and the spec groups: every
+/// The row pre-estimate block metadata pins, when
+/// [`IslaConfig::sample_groups`] is off and the spec filters or groups
+/// (a plain column's pin is [`IslaConfig::sketch_sigma`]'s): every
 /// block's zone verdict for the filter is decided ([`DataBlock::zone`];
 /// an armed fault or a non-finite value answers `Mixed`), and every
-/// block that matches everywhere gives a [`isla_storage::KeyedSketch`]
-/// of the aggregated column by the group column with finite moments
-/// under every key ([`BlockSet::keyed_sketch`]). Each group is then
-/// exact: σ = 0, `sketch0` its mean (the common value when constant),
-/// `pilot_matched` its row count, share and selectivity over the set's
-/// rows, rate 0 and no pilot row. `None` — run the pilots — otherwise,
-/// or when no row matches.
+/// block that matches everywhere knows its exact partial — ungrouped,
+/// from the finite aggregated column of its [`DataBlock::sketch`] hook;
+/// grouped, from a [`isla_storage::KeyedSketch`] of the aggregated
+/// column by the group column with finite moments under every key
+/// ([`BlockSet::keyed_sketches`]). Each group is then exact: σ = 0,
+/// `sketch0` its mean (the common value when constant), `pilot_matched`
+/// its row count, share and selectivity over the set's rows, rate 0 and
+/// no pilot row. `None` — run the pilots — otherwise, or when no row
+/// matches.
 ///
-/// Zone verdicts are asked first, so a query that cannot pin builds no
-/// keyed sketch; the ones it builds are cached on the set.
+/// Zone verdicts are asked first, so a query that cannot pin reads no
+/// sketch; the keyed sketches it builds are cached on the set.
 pub fn pinned_row_pre_estimate(
     data: &BlockSet,
     config: &IslaConfig,
     spec: &RowSpec,
 ) -> Option<RowPreEstimate> {
-    let group_by = spec.group_by.filter(|_| !config.sample_groups)?;
-    spec.validate(data).ok()?;
-    let verdicts: Vec<ZoneMatch> = data.iter().map(|b| b.zone(&spec.filter)).collect();
-    if verdicts.contains(&ZoneMatch::Mixed) {
+    if !Decided::applies(config, spec) {
         return None;
     }
-    // key bits → (rows, Σa, min, max)
-    let mut groups: BTreeMap<u64, (u64, NeumaierSum, f64, f64)> = BTreeMap::new();
-    for (b, verdict) in verdicts.into_iter().enumerate() {
-        if verdict == ZoneMatch::Matchless {
-            continue;
-        }
-        let sketch = data.keyed_sketch(b, group_by, spec.agg_column)?;
-        for k in sketch.keys() {
-            if k.moments.non_finite > 0 {
-                return None;
-            }
-            let group = groups.entry(k.key_bits).or_insert((
-                0,
-                NeumaierSum::new(),
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-            ));
-            group.0 += k.rows;
-            group.1.add(k.moments.sum);
-            group.2 = group.2.min(k.moments.min);
-            group.3 = group.3.max(k.moments.max);
-        }
+    spec.validate(data).ok()?;
+    // Any undecided block with rows rules the pin out before a sketch
+    // is read.
+    let verdicts = zone_verdicts(data, spec);
+    let mut blocks = data.iter().zip(&verdicts);
+    if blocks.any(|(b, &v)| v == ZoneMatch::Mixed && !b.is_empty()) {
+        return None;
     }
-    let matched: u64 = groups.values().map(|g| g.0).sum();
-    if matched == 0 {
+    let decided = Decided::of(data, spec, verdicts);
+    let matched: u64 = decided.groups.iter().map(|g| g.rows).sum();
+    if decided.residue_rows > 0 || matched == 0 {
         return None;
     }
     let data_size = data.total_len() as f64;
-    let groups = groups
-        .into_iter()
-        .map(|(key_bits, (rows, sum, min, max))| GroupPre {
-            key_bits,
-            key: f64::from_bits(key_bits),
+    let groups = decided
+        .groups
+        .iter()
+        .map(|g| GroupPre {
+            key_bits: g.key_bits,
+            key: f64::from_bits(g.key_bits),
             sigma: 0.0,
-            sketch0: if min == max {
-                min
-            } else {
-                sum.value() / rows as f64
-            },
-            share: rows as f64 / data_size,
-            pilot_matched: rows,
+            sketch0: g.mean(),
+            share: g.rows as f64 / data_size,
+            pilot_matched: g.rows,
             required_samples: 0,
         })
         .collect();
@@ -427,6 +419,182 @@ pub fn pinned_row_pre_estimate(
         rate: 0.0,
         pilot_rows: 0,
     })
+}
+
+/// Each block's zone verdict for `spec`'s filter.
+fn zone_verdicts(data: &BlockSet, spec: &RowSpec) -> Vec<ZoneMatch> {
+    data.iter().map(|b| b.zone(&spec.filter)).collect()
+}
+
+/// One key's exact rows over the blocks whose partial metadata knows:
+/// how many, and their Σa, min and max.
+#[derive(Debug, Clone)]
+pub(super) struct DecidedGroup {
+    pub(super) key_bits: u64,
+    pub(super) rows: u64,
+    sum: NeumaierSum,
+    min: f64,
+    max: f64,
+}
+
+impl DecidedGroup {
+    /// The exact mean: the common value when constant, else `Σa / rows`.
+    pub(super) fn mean(&self) -> f64 {
+        if self.min == self.max {
+            self.min
+        } else {
+            self.sum.value() / self.rows as f64
+        }
+    }
+
+    /// The exact `Σa`.
+    pub(super) fn sum(&self) -> f64 {
+        self.sum.value()
+    }
+}
+
+/// What block metadata decides of a spec over a set: which blocks must
+/// be sampled — the residue — and the exact per-key partials of the
+/// rest. A block that provably matches nothing contributes nothing. A
+/// block that provably matches everywhere contributes its sketch's row
+/// count and `Σa` (per key when grouped), unless that sketch is missing
+/// or holds a non-finite value, or the block matches only in part: those
+/// are the residue.
+#[derive(Debug, Clone)]
+pub(super) struct Decided {
+    /// Per block: whether it is sampled.
+    sampled: Vec<bool>,
+    /// Rows of the sampled blocks.
+    residue_rows: u64,
+    /// The decided blocks' partials per key, ascending by key bits.
+    groups: Vec<DecidedGroup>,
+}
+
+impl Decided {
+    /// Whether metadata may answer part of `spec` under `config`: with
+    /// [`IslaConfig::sample_groups`] off, for a spec that filters or
+    /// groups.
+    fn applies(config: &IslaConfig, spec: &RowSpec) -> bool {
+        !config.sample_groups && (spec.group_by.is_some() || !spec.filter.is_trivial())
+    }
+
+    /// The split of `data` under `spec`, given each block's zone verdict
+    /// for its filter.
+    fn of(data: &BlockSet, spec: &RowSpec, verdicts: Vec<ZoneMatch>) -> Self {
+        let mut sampled: Vec<bool> = verdicts.iter().map(|&v| v == ZoneMatch::Mixed).collect();
+        // Folds a matching block's part of one key in. Blocks arrive in
+        // order, so each key's sum adds its parts in block order.
+        let mut groups: Vec<DecidedGroup> = Vec::new();
+        let mut add = |key_bits: u64, rows: u64, m: &ColumnMoments| {
+            if rows == 0 {
+                return;
+            }
+            let at = groups
+                .binary_search_by_key(&key_bits, |g| g.key_bits)
+                .unwrap_or_else(|at| {
+                    let group = DecidedGroup {
+                        key_bits,
+                        rows: 0,
+                        sum: NeumaierSum::new(),
+                        min: f64::INFINITY,
+                        max: f64::NEG_INFINITY,
+                    };
+                    groups.insert(at, group);
+                    at
+                });
+            let group = &mut groups[at];
+            group.rows += rows;
+            group.sum.add(m.sum);
+            group.min = group.min.min(m.min);
+            group.max = group.max.max(m.max);
+        };
+        let matching: Vec<usize> = (0..verdicts.len())
+            .filter(|&b| verdicts[b] == ZoneMatch::AllMatch)
+            .collect();
+        match spec.group_by {
+            Some(group_by) => {
+                let sketches = data.keyed_sketches(&matching, group_by, spec.agg_column);
+                for (&b, sketch) in matching.iter().zip(sketches) {
+                    match sketch.filter(|s| s.keys().iter().all(|k| k.moments.non_finite == 0)) {
+                        Some(sketch) => {
+                            for k in sketch.keys() {
+                                add(k.key_bits, k.rows, &k.moments);
+                            }
+                        }
+                        None => sampled[b] = true,
+                    }
+                }
+            }
+            None => {
+                for &b in &matching {
+                    let sketch = data.block(b).sketch();
+                    let column = sketch.as_deref().and_then(|s| {
+                        let m = s.column(spec.agg_column)?;
+                        (m.non_finite == 0).then_some((s.rows, m))
+                    });
+                    match column {
+                        Some((rows, m)) => add(UNGROUPED_KEY, rows, m),
+                        None => sampled[b] = true,
+                    }
+                }
+            }
+        }
+        let residue_rows = data
+            .iter()
+            .zip(&sampled)
+            .filter(|(_, &s)| s)
+            .map(|(b, _)| b.len())
+            .sum();
+        Self {
+            sampled,
+            residue_rows,
+            groups,
+        }
+    }
+
+    /// Whether block `block_id` is sampled (a block the split never saw
+    /// is).
+    pub(super) fn samples(&self, block_id: usize) -> bool {
+        self.sampled.get(block_id).copied().unwrap_or(true)
+    }
+
+    /// Rows of the sampled blocks.
+    pub(super) fn residue_rows(&self) -> u64 {
+        self.residue_rows
+    }
+
+    /// The decided partial of the key `key_bits`, if any decided row
+    /// holds it.
+    pub(super) fn group(&self, key_bits: u64) -> Option<&DecidedGroup> {
+        self.groups
+            .binary_search_by_key(&key_bits, |g| g.key_bits)
+            .ok()
+            .map(|i| &self.groups[i])
+    }
+
+    /// The decided keys, ascending by key bits.
+    pub(super) fn groups(&self) -> &[DecidedGroup] {
+        &self.groups
+    }
+
+    /// The residue's calculation rate: each group's pilot rate
+    /// `m_g / N̂_g` scaled by `min(1, R / N̂_g)`, the most of the group's
+    /// matched rows the residue's `R` rows can hold, and the largest over
+    /// groups. Only the residue's share of a group's mean is uncertain,
+    /// and its weight is at most `R / N̂_g`, so the group's residue draw
+    /// still meets its precision target.
+    fn residue_rate(&self, pre: &RowPreEstimate, data_size: u64) -> f64 {
+        let residue = self.residue_rows as f64;
+        pre.groups
+            .iter()
+            .filter(|g| g.sigma > 0.0)
+            .map(|g| {
+                let matched = g.share * data_size as f64;
+                g.required_samples as f64 / matched * (residue / matched).min(1.0)
+            })
+            .fold(0.0, f64::max)
+            .min(1.0)
+    }
 }
 
 /// Draws `n` proportional pilot rows into the accumulated pilot state:
@@ -775,7 +943,8 @@ pub struct GroupPlan {
     /// The group's `sketch0` in its shifted domain.
     pub sketch0_shifted: f64,
     /// The group's data boundaries (shifted domain); `None` for
-    /// constant groups, whose answer is pinned to `sketch0`.
+    /// constant groups, whose answer is pinned to `sketch0`, and in a
+    /// plan split by block metadata, whose residue answers by raw means.
     pub boundaries: Option<DataBoundaries>,
 }
 
@@ -795,6 +964,10 @@ pub struct RowPlan {
     pilot_rows: u64,
     rate: f64,
     data_size: u64,
+    // The metadata split of a precision-sized default plan: the blocks
+    // whose partial is known exactly, and the residue sampled at `rate`.
+    // `None`: every block is sampled.
+    decided: Option<Decided>,
 }
 
 impl RowPlan {
@@ -826,6 +999,18 @@ impl RowPlan {
     /// Builds a plan from an already-computed row pre-estimate (e.g.
     /// from a [`super::PreEstimateCache`]), spending no pilot rows.
     ///
+    /// With [`IslaConfig::sample_groups`] off, a precision-sized plan
+    /// (any rate but [`RateSpec::Absolute`]) for a spec that filters or
+    /// groups, over a sampled pre-estimate, splits the blocks by what
+    /// their metadata decides: a block that provably matches everywhere
+    /// and whose sketch knows its partial is answered exactly from it
+    /// and never drawn, a block that provably matches nothing
+    /// contributes nothing, and only the rest — the residue — is
+    /// sampled, at the pilot rate scaled down to the residue's share of
+    /// each group, and answered by its raw matched means. A plan whose
+    /// every block is decided pins. Where no block's partial is known
+    /// exactly, the plan is the unsplit one.
+    ///
     /// # Errors
     ///
     /// Invalid configuration or rate spec.
@@ -839,11 +1024,24 @@ impl RowPlan {
         config.validate()?;
         rate.validate()?;
         spec.validate(data)?;
+        let data_size = data.total_len();
+        let split = pre.pilot_rows > 0
+            && Decided::applies(config, &spec)
+            && !matches!(rate, RateSpec::Absolute(_));
+        let decided = split
+            .then(|| zone_verdicts(data, &spec))
+            .filter(|verdicts| verdicts.contains(&ZoneMatch::AllMatch))
+            .map(|verdicts| Decided::of(data, &spec, verdicts))
+            .filter(|d| !d.groups().is_empty());
         let groups = pre
             .groups
             .iter()
             .map(|g| {
-                if g.sigma == 0.0 {
+                // A split plan's residue blocks answer by their raw
+                // matched means: their rows need not follow the
+                // population the pilot sketched, so Algorithm 2 around
+                // that sketch would pull them toward it.
+                if g.sigma == 0.0 || decided.is_some() {
                     return GroupPlan {
                         pre: g.clone(),
                         shift: 0.0,
@@ -867,6 +1065,9 @@ impl RowPlan {
             })
             .collect();
         let keys = GroupKeys::new(pre.groups.iter().map(|g| g.key_bits).collect());
+        let derived = decided
+            .as_ref()
+            .map_or(pre.rate, |d| d.residue_rate(&pre, data_size));
         Ok(Self {
             config: config.clone(),
             read: ZonedRead::of(&spec),
@@ -875,8 +1076,9 @@ impl RowPlan {
             keys,
             selectivity: pre.selectivity,
             pilot_rows: pre.pilot_rows,
-            rate: rate.resolve(pre.rate),
-            data_size: data.total_len(),
+            rate: rate.resolve(derived),
+            data_size,
+            decided,
         })
     }
 
@@ -912,7 +1114,8 @@ impl RowPlan {
         self.pilot_rows
     }
 
-    /// The resolved calculation-phase sampling rate over *raw* rows.
+    /// The resolved calculation-phase sampling rate over *raw* rows —
+    /// of the residue's blocks alone when the plan is split.
     pub fn rate(&self) -> f64 {
         self.rate
     }
@@ -922,18 +1125,47 @@ impl RowPlan {
         self.data_size
     }
 
-    /// The raw-row sample size a block of `block_len` rows receives.
+    /// The raw-row sample size a sampled block of `block_len` rows
+    /// receives.
     pub fn sample_size_for(&self, block_len: u64) -> u64 {
-        sample_size(self.rate, block_len)
+        self.sample_size_at(self.rate, block_len)
+    }
+
+    /// The raw-row sample size a sampled block of `block_len` rows
+    /// receives at `rate`. A split plan's residue rate is the least its
+    /// precision target needs, so its draw rounds up; a rate admission
+    /// capped below it rounds as every plan's does.
+    fn sample_size_at(&self, rate: f64, block_len: u64) -> u64 {
+        if self.decided.is_some() && rate >= self.rate {
+            (rate * block_len as f64).ceil() as u64
+        } else {
+            sample_size(rate, block_len)
+        }
     }
 
     /// Total calculation-phase row draws the plan offers the blocks of
-    /// `data` — an upper bound on the rows it reads. Blocks whose zone
-    /// map decides the filter are counted in full, like admission does
-    /// (see `admitted_rate`): the bound is what budgets are checked
-    /// against, and it does not depend on where the matching rows sit.
+    /// `data` it samples — an upper bound on the rows it reads. A block
+    /// whose zone map rules every row out is counted in full, like
+    /// admission does (see `admitted_rate`): the bound is what budgets
+    /// are checked against, and it does not depend on where the
+    /// matching rows sit. A split plan offers its decided blocks nothing.
     pub fn planned_calculation_samples(&self, data: &BlockSet) -> u64 {
-        data.iter().map(|b| self.sample_size_for(b.len())).sum()
+        data.iter()
+            .enumerate()
+            .filter(|&(b, _)| self.samples(b))
+            .map(|(_, block)| self.sample_size_for(block.len()))
+            .sum()
+    }
+
+    /// Whether the calculation phase draws from block `block_id`: every
+    /// block, but a split plan's decided ones.
+    pub fn samples(&self, block_id: usize) -> bool {
+        self.decided.as_ref().is_none_or(|d| d.samples(block_id))
+    }
+
+    /// The metadata split, when the plan has one.
+    pub(super) fn decided(&self) -> Option<&Decided> {
+        self.decided.as_ref()
     }
 
     /// Planned draws including the pre-estimation pilot rows.
@@ -941,25 +1173,32 @@ impl RowPlan {
         self.planned_calculation_samples(data) + self.pilot_rows
     }
 
-    /// The exact answer of a plan built from a pinned pre-estimate
-    /// ([`pinned_row_pre_estimate`]): each group's mean and exact row
-    /// count, no draw. `None` for a sampled plan.
+    /// The exact answer of a plan metadata pins — built from a pinned
+    /// pre-estimate ([`pinned_row_pre_estimate`]), or split with an
+    /// empty residue: each group's mean and exact row count, no draw.
+    /// `None` for a sampled plan.
     pub(crate) fn pinned_answer(&self) -> Option<GroupedAggregate> {
+        let exact = |key: f64, estimate: f64, rows: u64| GroupEstimate {
+            key,
+            estimate,
+            rows_estimate: rows as f64,
+            matched_draws: 0,
+            planned: true,
+        };
         // Only a pinned pre-estimate spends no pilot row.
-        if self.pilot_rows != 0 {
-            return None;
-        }
-        let mut groups: Vec<GroupEstimate> = self
-            .groups
-            .iter()
-            .map(|g| GroupEstimate {
-                key: g.pre.key,
-                estimate: g.pre.sketch0,
-                rows_estimate: g.pre.pilot_matched as f64,
-                matched_draws: 0,
-                planned: true,
-            })
-            .collect();
+        let mut groups: Vec<GroupEstimate> = if self.pilot_rows == 0 {
+            self.groups
+                .iter()
+                .map(|g| exact(g.pre.key, g.pre.sketch0, g.pre.pilot_matched))
+                .collect()
+        } else {
+            let decided = self.decided.as_ref().filter(|d| d.residue_rows() == 0)?;
+            decided
+                .groups()
+                .iter()
+                .map(|g| exact(f64::from_bits(g.key_bits), g.mean(), g.rows))
+                .collect()
+        };
         groups.sort_by(|a, b| a.key.total_cmp(&b.key));
         let matched_rows: f64 = groups.iter().map(|g| g.rows_estimate).sum();
         let estimate = groups
@@ -1055,6 +1294,16 @@ fn execute_row_block_drawing(
     seed: u64,
     offered: u64,
 ) -> Result<RowBlockOutcome, IslaError> {
+    if !plan.samples(block_id) {
+        // A split plan's decided block: its partial is the plan's.
+        return Ok(RowBlockOutcome {
+            block_id,
+            rows: block.len(),
+            draws: 0,
+            offered: 0,
+            groups: Vec::new(),
+        });
+    }
     let mut rng = super::seed::seeded_rng(seed);
     // What the zone map decides is not sampled: a block that cannot
     // match is read zero times (every offered draw is a known miss, and
@@ -1317,7 +1566,15 @@ impl CalcPlan for RowPlan {
         self.pilot_rows()
     }
 
-    /// The per-key sketches' exact answer, when they pinned the plan.
+    fn samples(&self, block_id: usize) -> bool {
+        self.samples(block_id)
+    }
+
+    fn sample_size(&self, rate: f64, block_len: u64) -> u64 {
+        self.sample_size_at(rate, block_len)
+    }
+
+    /// The block sketches' exact answer, when they pinned the plan.
     fn pinned(&self) -> Option<GroupedAggregate> {
         self.pinned_answer()
     }
@@ -1655,8 +1912,15 @@ mod tests {
             rate: 0.05,
             pilot_rows: 1_000,
         };
+        // Every block sampled: unfiltered, the per-key sketches would
+        // answer them all.
+        let sampled = IslaConfig::builder()
+            .precision(0.5)
+            .sample_groups(true)
+            .build()
+            .unwrap();
         let plan =
-            RowPlan::from_pre_estimate(&data, &config(0.5), spec, pre, RateSpec::Derived).unwrap();
+            RowPlan::from_pre_estimate(&data, &sampled, spec, pre, RateSpec::Derived).unwrap();
         let rare_plan = &plan.groups()[1];
         assert!(rare_plan.pre.pilot_matched < 2);
         assert!(rare_plan.boundaries.is_none());

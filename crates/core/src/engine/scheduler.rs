@@ -40,7 +40,7 @@ use isla_storage::{BlockSet, DataBlock};
 use crate::block_exec::BlockOutcome;
 use crate::error::IslaError;
 
-use super::plan::{sample_size, QueryPlan};
+use super::plan::QueryPlan;
 use super::recovery::{run_block_recovering, BlockFailure, RecoveryPolicy};
 use super::CalcPlan;
 
@@ -145,7 +145,11 @@ pub(crate) fn execute_blocks<P: CalcPlan>(
     parallelism: usize,
 ) -> Result<BlockRun<P::Outcome>, IslaError> {
     let job = |worker: usize, block_id: usize, block: &dyn DataBlock| {
-        let draws = sample_size(rate, block.len());
+        let draws = if plan.samples(block_id) {
+            plan.sample_size(rate, block.len())
+        } else {
+            0
+        };
         let outcome = plan.execute_block(block, block_id, seeds[block_id], draws)?;
         if !P::is_finite(&outcome) {
             return Err(IslaError::InsufficientData(format!(

@@ -20,13 +20,18 @@
 //!   sized so *every group* meets the precision, and whose `SUM` is
 //!   scaled by the matched rows the pilots and the calculation draws
 //!   estimate together ([`engine::GroupedPartial::finalize`]). A query gives
-//!   `WITH PRECISION e` or `SAMPLES n`, never both.
+//!   `WITH PRECISION e` or `SAMPLES n`, never both; so does a baseline.
 //! - **Metadata** answers a default query (no `METHOD` named) where it
 //!   knows the answer exactly: an unfiltered `AVG`/`SUM` from the block
-//!   sketches, a `GROUP BY` whose every block the zone maps decide from
-//!   the per-key block sketches (`AVG`/`SUM`, and `COUNT(*)` with no
-//!   precision, budget or deadline), and an ungrouped `COUNT(*) WHERE …`
-//!   with none of them by counting the compiled selection.
+//!   sketches; under a filter or a `GROUP BY`, every block the zone map
+//!   decides — from its sketch, or its per-key sketches when grouped —
+//!   while a precision-sized `AVG`/`SUM` samples only the undecided rest
+//!   (the residue) and scales its `SUM` by the decided blocks' exact row
+//!   counts plus the residue's estimated ones; a query whose every
+//!   block is decided draws nothing (`AVG`/`SUM`, and a grouped
+//!   `COUNT(*)` with no precision, budget or deadline); and an
+//!   ungrouped `COUNT(*) WHERE …` with none of them by counting the
+//!   compiled selection.
 //! - **Every other filtered `COUNT(*)`** is estimated from the hit rate
 //!   of uniform row draws ([`engine::hit_rate_pilot`]), which also
 //!   scales a baseline's filtered `SUM`.
@@ -477,27 +482,25 @@ impl QuerySession {
             }
             (_, samples) => samples,
         };
-        // A default query lets metadata pin what it knows exactly — a
-        // plain column's mean from the block sketches, a decided GROUP BY
-        // from the per-key sketches — with zero draws. A named `METHOD
-        // ISLA` keeps the paper's pilots and Algorithms 1–2. The
-        // `sketch_sigma` flag is part of the config fingerprint, so only a
-        // plain column's config sets it, and every cache key below is
-        // derived from the final config (pinned by the
-        // `sketch_sigma_key_derives_from_the_final_config` test).
+        // A default query lets metadata answer what it knows exactly — a
+        // plain column's mean from the block sketches; under a row spec,
+        // every block whose zone map decides the filter, from its sketch
+        // or its per-key sketches — and samples only the rest. A named
+        // `METHOD ISLA` keeps the paper's pilots and Algorithms 1–2 on
+        // every block. The `sketch_sigma` flag is part of the config
+        // fingerprint, so only a plain column's config sets it, and every
+        // cache key below is derived from the final config (pinned by the
+        // `sketch_sigma_key_derives_from_the_final_config` test);
+        // `sample_groups` caches nothing and stays out of the key.
         let mut config = isla_config(query, q.confidence)?;
         config.sketch_sigma = q.pin && spec.is_none();
-        // A row spec's pin is decided here, once, for the probe and the
-        // pre-estimate alike. A query it does not pin samples, so the
-        // lookup below is told not to ask again (`sample_groups` caches
-        // nothing and stays out of the key).
+        config.sample_groups = !q.pin;
+        // A row spec whose every block is decided pins: it is decided
+        // here, for the probe and the pre-estimate alike.
         let row_pin = match &spec {
-            Some(spec) if q.pin && samples.is_none() => {
-                engine::pinned_row_pre_estimate(data, &config, spec)
-            }
+            Some(spec) if samples.is_none() => engine::pinned_row_pre_estimate(data, &config, spec),
             _ => None,
         };
-        config.sample_groups = true;
 
         // The deadline clock starts before any sampling (paper §VII-F);
         // the probe draws as the plan will — a plain column's values, or
@@ -531,7 +534,7 @@ impl QuerySession {
                 let budget = self
                     .effective_budget(affordable, 0)
                     .map_or(requested, |cap| requested.min(cap));
-                let estimator = IslaEstimator::new(IslaConfig::default())?;
+                let estimator = IslaEstimator::new(isla_config(query, q.confidence)?)?;
                 let (avg, drawn) =
                     self.on_scheduler(None, |s| estimator.estimate_counted(data, budget, s, rng))?;
                 return Ok(QueryResult {
@@ -583,15 +586,21 @@ impl QuerySession {
             }
             (None, Some(pre)) => (pre, true, RateSpec::Derived),
             (None, None) => {
-                let key = CacheKey::new(&query.table, &query.column, &config, data)
+                // The pin was decided above, so the lookup is told not to
+                // ask again; the plan's config still splits the blocks.
+                let unpinned = IslaConfig {
+                    sample_groups: true,
+                    ..config.clone()
+                };
+                let key = CacheKey::new(&query.table, &query.column, &unpinned, data)
                     .with_row_shape(spec.fingerprint());
                 let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
                     Pilots::Epoch(salt) => self
                         .pre_cache
-                        .get_or_compute_rows_epoch(key, data, &config, &spec, salt),
+                        .get_or_compute_rows_epoch(key, data, &unpinned, &spec, salt),
                     Pilots::Stream(rng) => self
                         .pre_cache
-                        .get_or_compute_rows_with(key, data, &config, &spec, recovery, rng),
+                        .get_or_compute_rows_with(key, data, &unpinned, &spec, recovery, rng),
                 })?;
                 (lookup.pre, lookup.hit, RateSpec::Derived)
             }
@@ -629,6 +638,12 @@ impl QuerySession {
         if query.group_by.is_some() {
             return Err(QueryError::Invalid(format!(
                 "GROUP BY needs METHOD ISLA or EXACT, not {:?}",
+                query.method
+            )));
+        }
+        if query.precision.is_some() && query.samples.is_some() {
+            return Err(QueryError::Invalid(format!(
+                "METHOD {:?} sizes its draw from WITH PRECISION e or from SAMPLES n, not both",
                 query.method
             )));
         }

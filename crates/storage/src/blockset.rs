@@ -396,29 +396,37 @@ impl BlockSet {
         Ok(SetSketches::new(entries))
     }
 
-    /// Block `idx`'s [`KeyedSketch`] of column `agg_col` keyed by
-    /// column `key_col`, built by one scan of the two columns
-    /// ([`sketch::scan_keyed_sketch`]) and cached on first use, "too
-    /// many keys" included. `None` when the block holds more than
+    /// The [`KeyedSketch`]es of column `agg_col` keyed by column
+    /// `key_col` of the blocks `blocks`, in that order: the cached
+    /// entries read under one lock, each missing one built by one scan of
+    /// the two columns ([`sketch::scan_keyed_sketch`]) and cached, "too
+    /// many keys" included. `None` where a block holds more than
     /// [`sketch::MAX_SKETCH_KEYS`] keys, cannot scan, or failed its scan
     /// (a failure is not cached).
     ///
     /// # Panics
     ///
-    /// Panics when `idx` is out of range or a column is out of the
-    /// block's width.
-    pub fn keyed_sketch(
+    /// Panics when a block index is out of range or a column is out of
+    /// the block's width.
+    pub fn keyed_sketches(
         &self,
-        idx: usize,
+        blocks: &[usize],
         key_col: usize,
         agg_col: usize,
-    ) -> Option<Arc<KeyedSketch>> {
-        let slot = (idx, key_col, agg_col);
-        if let Some(entry) = self.sketches.keyed(slot) {
-            return entry;
-        }
-        let built = sketch::scan_keyed_sketch(self.blocks[idx].as_ref(), key_col, agg_col).ok()?;
-        self.sketches.insert_keyed(slot, built.map(Arc::new))
+    ) -> Vec<Option<Arc<KeyedSketch>>> {
+        let cached = self.sketches.keyed(blocks, key_col, agg_col);
+        blocks
+            .iter()
+            .zip(cached)
+            .map(|(&idx, entry)| {
+                entry.unwrap_or_else(|| {
+                    let block = self.blocks[idx].as_ref();
+                    let built = sketch::scan_keyed_sketch(block, key_col, agg_col).ok()?;
+                    self.sketches
+                        .insert_keyed((idx, key_col, agg_col), built.map(Arc::new))
+                })
+            })
+            .collect()
     }
 
     /// Drops every derived structure cached on this set — compiled

@@ -389,22 +389,23 @@ pub fn scan_keyed_sketch(
     Ok(fold.finish())
 }
 
-/// The [`SketchCache`] key of a keyed entry: (block, key column,
-/// aggregated column).
-type KeyedSlot = (usize, usize, usize);
+/// A column pair's keyed entries, by block index: `None` where none was
+/// built yet, `Some(None)` where the block had too many keys or could not
+/// scan.
+type KeyedEntries = Vec<Option<Option<Arc<KeyedSketch>>>>;
 
 /// Per-set sketch cache: block index → sketch, shared across
 /// [`crate::BlockSet`] clones through an `Arc` (the `SelectionCache`
-/// design), beside the keyed sketches built so far, by (block, key
-/// column, aggregated column) — `None` recording a block with too many
-/// keys or one that cannot scan. Blocks are index-stable, so entries only
-/// invalidate when a caller mutates block contents in place and says so
-/// ([`SketchCache::clear`]); both maps are bounded by the block count
+/// design), beside the keyed sketches built so far, by (key column,
+/// aggregated column) and then block — `None` recording a block with too
+/// many keys or one that cannot scan. Blocks are index-stable, so entries
+/// only invalidate when a caller mutates block contents in place and says
+/// so ([`SketchCache::clear`]); both maps are bounded by the block count
 /// (times the column pairs queried), so there is no eviction.
 #[derive(Debug, Default)]
 pub struct SketchCache {
     entries: Mutex<HashMap<usize, Arc<BlockSketch>>>,
-    keyed: Mutex<HashMap<KeyedSlot, Option<Arc<KeyedSketch>>>>,
+    keyed: Mutex<HashMap<(usize, usize), KeyedEntries>>,
     hits: std::sync::atomic::AtomicU64,
     inserted: std::sync::atomic::AtomicU64,
     raced: std::sync::atomic::AtomicU64,
@@ -462,30 +463,33 @@ impl SketchCache {
         Arc::clone(entries.entry(idx).or_insert(sketch))
     }
 
-    /// The cached keyed entry of `(block, key column, aggregated
-    /// column)`: `None` when none was built yet, `Some(None)` when the
-    /// block had too many keys or could not scan.
-    pub(crate) fn keyed(&self, slot: KeyedSlot) -> Option<Option<Arc<KeyedSketch>>> {
-        self.keyed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&slot)
-            .cloned()
+    /// The cached keyed entries of `blocks` for (key column, aggregated
+    /// column), read under one lock, in the order of `blocks`: `None`
+    /// where none was built yet, `Some(None)` where the block had too
+    /// many keys or could not scan.
+    pub(crate) fn keyed(&self, blocks: &[usize], key_col: usize, agg_col: usize) -> KeyedEntries {
+        let keyed = self.keyed.lock().unwrap_or_else(PoisonError::into_inner);
+        let entries = keyed.get(&(key_col, agg_col));
+        blocks
+            .iter()
+            .map(|&b| entries.and_then(|e| e.get(b)).cloned().flatten())
+            .collect()
     }
 
-    /// Inserts a keyed entry, returning the winning one — first writer
-    /// wins, as in [`SketchCache::insert`].
+    /// Inserts block `idx`'s keyed entry for (key column, aggregated
+    /// column), returning the winning one — first writer wins, as in
+    /// [`SketchCache::insert`].
     pub(crate) fn insert_keyed(
         &self,
-        slot: KeyedSlot,
+        (idx, key_col, agg_col): (usize, usize, usize),
         entry: Option<Arc<KeyedSketch>>,
     ) -> Option<Arc<KeyedSketch>> {
-        self.keyed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(slot)
-            .or_insert(entry)
-            .clone()
+        let mut keyed = self.keyed.lock().unwrap_or_else(PoisonError::into_inner);
+        let entries = keyed.entry((key_col, agg_col)).or_default();
+        if entries.len() <= idx {
+            entries.resize(idx + 1, None);
+        }
+        entries[idx].get_or_insert(entry).clone()
     }
 
     /// Merges a sealed batch's sketches — one lock acquisition for the

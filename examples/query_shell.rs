@@ -1,7 +1,7 @@
 //! A tiny interactive shell over the query layer (paper Section II-C's
 //! query interface).
 //!
-//! Registers three demo tables and reads queries from stdin. When stdin
+//! Registers five demo tables and reads queries from stdin. When stdin
 //! is not a terminal (or `--script` is passed), it runs a scripted demo
 //! instead, so the example is exercisable in CI.
 //!
@@ -45,6 +45,19 @@ fn build_catalog() -> Catalog {
     // correlated margin — the predicate / GROUP BY demo.
     let sales = isla::datagen::three_region_dataset(300_000, 10, 4);
     catalog.register("sales", Table::from_rows(sales.schema, sales.blocks));
+    // A meter log range-partitioned on `ts` (the row id): ten blocks of
+    // 30 000 rows, so a `ts` range filter leaves only the block its cut
+    // falls in undecided.
+    let rows = 300_000;
+    let ts: Vec<f64> = (0..rows).map(|i| i as f64).collect();
+    let load = isla::datagen::normal_values(60.0, 15.0, rows, 5);
+    catalog.register(
+        "meter",
+        Table::from_rows(
+            Schema::new(vec![ColumnDef::float("ts"), ColumnDef::float("load")]),
+            RowsBlock::split(vec![ts, load], 10),
+        ),
+    );
     catalog
 }
 
@@ -128,6 +141,13 @@ fn main() {
             // Exact from the per-key block sketches: no sample drawn.
             "SELECT AVG(x) FROM sales GROUP BY region WITH PRECISION 0.5",
             "SELECT COUNT(*) FROM sales GROUP BY region",
+            // A cut inside block 5: the default answers blocks 6–9 from
+            // their sketches and samples block 5 alone; the named method
+            // samples every block.
+            "SELECT AVG(load) FROM meter WHERE ts > 175000 WITH PRECISION 0.1",
+            "SELECT AVG(load) FROM meter WHERE ts > 175000 WITH PRECISION 0.1 METHOD ISLA",
+            "SELECT SUM(load) FROM meter WHERE ts > 175000 WITH PRECISION 0.1",
+            "SELECT SUM(load) FROM meter WHERE ts > 175000 WITH PRECISION 0.1 METHOD ISLA",
             // Refused with a typed error: two clauses that size one draw,
             // and a grouping the extremes cannot answer.
             "SELECT AVG(x) FROM sales WHERE y > 50 WITH PRECISION 0.5 SAMPLES 1000",

@@ -290,3 +290,84 @@ fn grouped_cells() {
         cell.judge();
     }
 }
+
+/// A table range-partitioned on `ts` (the row id): eight blocks of
+/// 15 000 rows, `amount` ~ 40 + 20·ts/n + N(0, 10²) drifting with `ts`,
+/// `store` in {0, 1, 2}. A `ts` range filter leaves the block its cut
+/// falls in undecided and decides every other block.
+fn timeline() -> Table {
+    let n = 120_000;
+    let noise = isla::datagen::normal_values(0.0, 10.0, n, 7);
+    let ts: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let amount = ts
+        .iter()
+        .zip(&noise)
+        .map(|(t, e)| 40.0 + 20.0 * t / n as f64 + e)
+        .collect();
+    let store = (0..n).map(|i| (i % 3) as f64).collect();
+    Table::from_rows(
+        Schema::new(vec![
+            ColumnDef::float("ts"),
+            ColumnDef::float("amount"),
+            ColumnDef::categorical("store"),
+        ]),
+        RowsBlock::split(vec![ts, amount, store], 8),
+    )
+}
+
+/// The range-filtered cells: `ts > t` with the cut `t` inside a block
+/// (a different one each trial), ungrouped and by `store`. The default
+/// query answers the blocks the zone map decides exactly and samples
+/// only the cut block; its named `METHOD ISLA` twin samples every block.
+#[test]
+fn range_filtered_cells() {
+    let e = 0.5;
+    let table = timeline();
+    let mut cells = [
+        Cell::new("default/range-filtered".to_string(), e),
+        Cell::new("isla/range-filtered".to_string(), e),
+        Cell::new("default/range-grouped".to_string(), e),
+        Cell::new("isla/range-grouped".to_string(), e),
+    ];
+    for trial in 0..TRIALS {
+        // A cut between 10% and 90% of the rows, off every block edge.
+        let t = (12_000.0 + threshold(trial) * 960.0).floor() + 0.5;
+        // Each form on a service of its own, so each pays its pilots.
+        let ask = |sql: String| {
+            service(trial, "timeline", table.clone())
+                .query("calibration", &sql, trial)
+                .unwrap()
+        };
+        for (at, by) in [(0, ""), (2, " GROUP BY store")] {
+            let base = format!("SELECT AVG(amount) FROM timeline WHERE ts > {t}{by}");
+            let exact = ask(format!("{base} METHOD EXACT"));
+            for (cell, tail) in [(at, ""), (at + 1, " METHOD ISLA")] {
+                let answer = ask(format!("{base} WITH PRECISION {e}{tail}"));
+                let cell = &mut cells[cell];
+                match (&answer.groups, &exact.groups) {
+                    (Some(groups), Some(truth)) => {
+                        assert_eq!(groups.len(), truth.len());
+                        for (g, want) in groups.iter().zip(truth) {
+                            assert_eq!(g.key, want.key);
+                            cell.push(g.value - want.value, answer.samples_used);
+                        }
+                    }
+                    _ => cell.push(answer.value - exact.value, answer.samples_used),
+                }
+            }
+        }
+    }
+    let mean = |cell: &Cell| cell.samples.iter().sum::<u64>() as f64 / cell.samples.len() as f64;
+    for pair in cells.chunks(2) {
+        assert!(
+            mean(&pair[0]) < mean(&pair[1]),
+            "{} draws {} a query, its named twin {}",
+            pair[0].name,
+            mean(&pair[0]),
+            mean(&pair[1])
+        );
+    }
+    for cell in &cells {
+        cell.judge();
+    }
+}

@@ -302,8 +302,14 @@ fn clustered_filters_fail_and_degrade_exactly_as_without_a_sketch() {
     };
 
     // --- The Calculation phase alone: one plan from the clean table,
-    // run over each armed copy.
-    let cfg = IslaConfig::builder().precision(0.5).build().unwrap();
+    // run over each armed copy. Every block is sampled (`sample_groups`):
+    // the reads under test are the zoned draws, which the metadata split
+    // of a default plan would replace by the decided blocks' sketches.
+    let cfg = IslaConfig::builder()
+        .precision(0.5)
+        .sample_groups(true)
+        .build()
+        .unwrap();
     let strict = RecoveryPolicy::strict();
     let best_effort = RecoveryPolicy::best_effort(RetryPolicy::attempts(3));
     let pool = PooledScheduler::new(3).unwrap();
@@ -360,11 +366,12 @@ fn clustered_filters_fail_and_degrade_exactly_as_without_a_sketch() {
     }
 
     // --- Whole queries, pilots included (strict pilots fail on the
-    // first faulty block they touch; best-effort pilots survive it).
+    // first faulty block they touch; best-effort pilots survive it). A
+    // named method samples every block, as above.
     let statements = [
-        "SELECT AVG(amount) FROM sales WHERE ts > 29999.5 WITH PRECISION 0.5",
+        "SELECT AVG(amount) FROM sales WHERE ts > 29999.5 WITH PRECISION 0.5 METHOD ISLA",
         "SELECT SUM(amount) FROM sales WHERE ts >= 12500 AND ts < 45000 \
-         GROUP BY store WITH PRECISION 0.5",
+         GROUP BY store WITH PRECISION 0.5 METHOD ISLA",
     ];
     for sql in statements {
         let query = parse(sql).unwrap();

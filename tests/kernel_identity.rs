@@ -1097,7 +1097,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cols = spec_columns(3_000, width, &mut rng);
         let spec = random_spec(width, &mut rng);
-        let cfg = IslaConfig::builder().precision(1.5).build().unwrap();
+        // Every block sampled: a block the zone map decides would
+        // otherwise be answered from its sketch and never drawn.
+        let cfg = IslaConfig::builder().precision(1.5).sample_groups(true).build().unwrap();
         let blocks = 3;
         let strict = RecoveryPolicy::strict();
         let best_effort = RecoveryPolicy::best_effort(RetryPolicy::attempts(3));
@@ -2392,7 +2394,13 @@ fn zoned_row_draws_match_the_sketchless_reference_and_read_less() {
     let cols = clustered_columns(ROWS, 0x20E);
     let native = RowsBlock::split(cols, BLOCKS);
     let reference = scalar_fallback_set(&native);
-    let cfg = IslaConfig::builder().precision(0.4).build().unwrap();
+    // The zoned reads under test: with the split on, a block the zone
+    // map decides everywhere would be answered from its sketch instead.
+    let cfg = IslaConfig::builder()
+        .precision(0.4)
+        .sample_groups(true)
+        .build()
+        .unwrap();
     let strict = RecoveryPolicy::strict();
     let best_effort = RecoveryPolicy::best_effort(RetryPolicy::attempts(2));
 

@@ -866,6 +866,37 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
         "SELECT COUNT(*) FROM sales WHERE amount > 50 WITH PRECISION 10 WITHIN 60000 MS",
         93,
     ),
+    // A default range filter answers its decided blocks exactly and
+    // samples the cut block alone — pinned when the cuts fall on block
+    // edges; capped below its pilots, the cut block draws nothing and
+    // keeps the pilot's estimate — where the named METHOD ISLA samples
+    // every block; the scalar budget adapter honours CONFIDENCE; a
+    // baseline refuses a precision beside its budget.
+    (
+        "plain",
+        "SELECT SUM(amount) FROM timeline WHERE ts >= 30000 AND ts < 90000 WITH PRECISION 0.5",
+        94,
+    ),
+    (
+        "capped",
+        "SELECT AVG(amount) FROM timeline WHERE ts > 52500 WITH PRECISION 0.1",
+        95,
+    ),
+    (
+        "plain",
+        "SELECT AVG(amount) FROM timeline WHERE ts > 60000 WITH PRECISION 0.5 METHOD ISLA",
+        96,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors CONFIDENCE 0.5 METHOD ISLA SAMPLES 40000",
+        97,
+    ),
+    (
+        "plain",
+        "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD US SAMPLES 100",
+        98,
+    ),
 ];
 
 /// Recorded at the commit before the Calculation-phase spine landed
@@ -878,7 +909,11 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
 /// two default unfiltered `GROUP BY store` lines, and the five appended
 /// after them, when the per-key block sketches began answering grouped
 /// queries. The eight lines after those were recorded before the
-/// executor's scalar and row-model dispatch trees became one.
+/// executor's scalar and row-model dispatch trees became one. The four
+/// default `timeline` range lines were re-recorded, and the last five
+/// appended, when a default filter began answering the blocks its zone
+/// map decides from their sketches; of those five, the `METHOD ISLA`
+/// line and the capped line read the same at the commit before.
 const GOLDEN_EXPECTED: &str = include_str!("golden/query_corpus.txt");
 
 #[test]
@@ -970,6 +1005,70 @@ fn isla_rejects_a_precision_and_a_sample_budget_together() {
             other => panic!("{sql}: expected an invalid-query error, got {other:?}"),
         }
     }
+}
+
+/// A baseline sizes its draw from one clause too: given both, it names
+/// them instead of answering from the budget alone.
+#[test]
+fn baselines_reject_a_precision_and_a_sample_budget_together() {
+    let catalog = golden_catalog();
+    for method in ["US", "STS", "MV", "MVB", "SLEV"] {
+        for sql in [
+            format!(
+                "SELECT AVG(reading) FROM sensors WITH PRECISION 0.5 METHOD {method} SAMPLES 100"
+            ),
+            format!(
+                "SELECT SUM(amount) FROM sales WHERE margin > 25 WITH PRECISION 0.5 \
+                 METHOD {method} SAMPLES 100"
+            ),
+        ] {
+            let query = isla::query::parse(&sql).unwrap();
+            let mut rng = StdRng::seed_from_u64(1);
+            match QuerySession::new().execute(&query, &catalog, &mut rng) {
+                Err(isla::query::QueryError::Invalid(msg)) => assert!(
+                    msg.contains("PRECISION") && msg.contains("SAMPLES"),
+                    "{sql}: the error names neither clause: {msg}"
+                ),
+                other => panic!("{sql}: expected an invalid-query error, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// The scalar `METHOD ISLA SAMPLES n` budget adapter runs at the
+/// query's confidence: its answer is the adapter's own at that
+/// confidence, and differs from the one at the default.
+#[test]
+fn a_scalar_sample_budget_honours_the_confidence() {
+    use isla::baselines::IslaEstimator;
+    use isla::core::engine::SequentialScheduler;
+
+    let catalog = golden_catalog();
+    let run = |sql: &str| {
+        let query = isla::query::parse(sql).unwrap();
+        QuerySession::new()
+            .execute(&query, &catalog, &mut StdRng::seed_from_u64(3))
+            .unwrap()
+    };
+    let at_half = run("SELECT AVG(reading) FROM sensors CONFIDENCE 0.5 METHOD ISLA SAMPLES 40000");
+    let at_default = run("SELECT AVG(reading) FROM sensors METHOD ISLA SAMPLES 40000");
+    assert_eq!(at_half.confidence, 0.5);
+    assert_ne!(at_half.value.to_bits(), at_default.value.to_bits());
+
+    let config = IslaConfig::builder().confidence(0.5).build().unwrap();
+    // The golden catalog's `sensors` column.
+    let readings = BlockSet::from_values(isla::datagen::normal_values(100.0, 20.0, 120_000, 11), 8);
+    let (want, drawn) = IslaEstimator::new(config)
+        .unwrap()
+        .estimate_counted(
+            &readings,
+            40_000,
+            &SequentialScheduler,
+            &mut StdRng::seed_from_u64(3),
+        )
+        .unwrap();
+    assert_eq!(at_half.value.to_bits(), want.to_bits());
+    assert_eq!(at_half.samples_used, Some(drawn));
 }
 
 /// A seeded statement generator over the golden catalog's vocabulary:
