@@ -59,27 +59,6 @@ impl Estimator for IslaEstimator {
         scheduler: &dyn BlockScheduler,
         rng: &mut dyn RngCore,
     ) -> Result<f64, IslaError> {
-        self.estimate_counted(data, sample_budget, scheduler, rng)
-            .map(|(estimate, _)| estimate)
-    }
-}
-
-impl IslaEstimator {
-    /// [`Estimator::estimate_scheduled`] with the samples it drew: the
-    /// σ pilot, the sketch pilot and the calculation phase. That is the
-    /// budget up to rounding, and less where the budget affords more
-    /// than one draw per row (the engine's rate is capped at 1).
-    ///
-    /// # Errors
-    ///
-    /// As [`Estimator::estimate_scheduled`].
-    pub fn estimate_counted(
-        &self,
-        data: &BlockSet,
-        sample_budget: u64,
-        scheduler: &dyn BlockScheduler,
-        rng: &mut dyn RngCore,
-    ) -> Result<(f64, u64), IslaError> {
         check_inputs(data, sample_budget)?;
         // σ pilot, charged against the budget.
         let sigma_pilot = self
@@ -101,7 +80,6 @@ impl IslaEstimator {
         if sigma == 0.0 {
             return moments
                 .mean()
-                .map(|mean| (mean, sigma_pilot))
                 .ok_or_else(|| IslaError::InsufficientData("σ pilot drew no samples".to_string()));
         }
 
@@ -117,11 +95,7 @@ impl IslaEstimator {
         config.precision = precision;
         config.threshold = precision / 1000.0;
         config.known_sigma = Some(sigma);
-        let result = engine::run(data, &config, RateSpec::Derived, scheduler, rng)?;
-        Ok((
-            result.estimate,
-            sigma_pilot + result.total_samples_with_pilots(),
-        ))
+        Ok(engine::run(data, &config, RateSpec::Derived, scheduler, rng)?.estimate)
     }
 }
 

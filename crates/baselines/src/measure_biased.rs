@@ -126,6 +126,12 @@ impl Estimator for MeasureBiasedBoundaries {
         }
         let sketch_samples = sample_proportional(data, sketch_pilot, rng)?;
         let sketch0 = sketch_samples.iter().sum::<f64>() / sketch_samples.len() as f64;
+        if !(sigma.is_finite() && sketch0.is_finite()) {
+            return Err(IslaError::InsufficientData(format!(
+                "the pilots' σ̂ ({sigma}) and sketch0 ({sketch0}) must be finite: \
+                 the data overflows f64"
+            )));
+        }
         let boundaries = DataBoundaries::new(sketch0, sigma, self.config.p1, self.config.p2);
 
         // Per-region streaming sums: count, Σa, Σa² — accumulated per

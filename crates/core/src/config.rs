@@ -82,13 +82,17 @@ pub struct IslaConfig {
     /// skipped. Default `None`.
     pub known_sigma: Option<f64>,
     /// Answer from the blocks' moment sketches when they already know
-    /// the answer: when every block carries a width-1, all-finite hook
-    /// sketch with a decided zone verdict (no armed fault), the
-    /// pre-estimate is pinned to the exact mean `Σa/n` with σ = 0 and
-    /// zero pilot draws, and no block executes. Otherwise the pilots
-    /// run unchanged. The query executor sets it for a default scalar
-    /// ISLA query and leaves it off for a named `METHOD ISLA`. Default
-    /// false.
+    /// the answer: when [`crate::sketched_mean`] reads the exact mean
+    /// (every block a width-1, all-finite hook sketch with a decided
+    /// zone verdict, no armed fault, a finite `Σa`), the scalar
+    /// pre-estimate is pinned to it with σ = 0 and zero pilot draws, and
+    /// no block executes. Otherwise the pilots run unchanged. Only the
+    /// scalar pipeline ([`crate::engine::QueryPlan`] and the scalar cache
+    /// layers) reads it. The query executor does not set it: it answers
+    /// a default plain query from [`crate::sketched_mean`] directly and
+    /// runs everything else through the row plan. It is kept for the
+    /// repo benchmark's replay of the scalar pipeline until that replay
+    /// is re-pinned. Default false.
     pub sketch_sigma: bool,
     /// Sample every block of a filtered or grouped row query, even where
     /// block metadata knows its part of the answer. Off (the default), a

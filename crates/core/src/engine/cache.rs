@@ -476,9 +476,8 @@ impl PreEstimateCache {
     /// Whether an entry exists for exactly this key (scalar or row
     /// population, decided by the key's query shape). A pure probe: no
     /// counters move, nothing is computed — the tool for pinning *which*
-    /// key a caller populated (e.g. that an executor cached under its
-    /// final config, `sketch_sigma` flag included, not a pre-toggle
-    /// one).
+    /// key a caller populated (e.g. that a named plain `METHOD ISLA`
+    /// filed its entry under its row-shape key).
     pub fn contains(&self, key: &CacheKey) -> bool {
         self.scalar.exact.lock().contains_key(key) || self.rows.exact.lock().contains_key(key)
     }

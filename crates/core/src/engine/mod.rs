@@ -50,6 +50,13 @@
 //! the per-group [`GroupedPartial`] — so `WHERE` and `GROUP BY` run
 //! with the same determinism guarantees as the scalar path.
 //!
+//! The query executor runs every ISLA query through the row plan: a
+//! plain column is the width-1 spec [`RowSpec::column`] over its column
+//! set, cached in the row layers of the [`PreEstimateCache`]. The scalar
+//! [`QueryPlan`], its cache layers and [`run_plan`] serve the library
+//! callers — [`crate::IslaAggregator`], [`crate::online::OnlineAggregator`], the
+//! paper experiments — and the repo benchmark's replay.
+//!
 //! ```
 //! use isla_core::engine::{self, RateSpec, SequentialScheduler, PooledScheduler};
 //! use isla_core::IslaConfig;

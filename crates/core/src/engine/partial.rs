@@ -18,10 +18,9 @@ use super::rows::{GroupEstimate, RowBlockOutcome, RowPlan};
 
 /// Mergeable per-block aggregation state.
 ///
-/// `merge` is associative and commutative up to the canonical re-ordering
-/// performed by [`PartialAggregate::finalize`], so partials may be
-/// combined in any completion order (pooled workers, shards, machines)
-/// without changing the answer.
+/// Outcomes may be absorbed in any completion order (pooled workers,
+/// shards, machines): [`PartialAggregate::finalize`] re-orders them
+/// canonically, so the answer does not change.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAggregate {
     outcomes: Vec<BlockOutcome>,
@@ -51,49 +50,15 @@ impl From<Vec<BlockOutcome>> for PartialAggregate {
 }
 
 impl PartialAggregate {
-    /// An empty partial (the merge identity).
+    /// An empty partial.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A partial holding a single block's outcome.
-    pub fn from_outcome(outcome: BlockOutcome) -> Self {
-        let mut partial = Self::new();
-        partial.absorb(outcome);
-        partial
     }
 
     /// Adds one block outcome to this partial.
     pub fn absorb(&mut self, outcome: BlockOutcome) {
         self.total_samples += outcome.samples_drawn;
         self.outcomes.push(outcome);
-    }
-
-    /// Merges another partial into this one. Associative: any merge tree
-    /// over the same set of outcomes finalizes to the same answer.
-    pub fn merge(&mut self, other: PartialAggregate) {
-        self.total_samples += other.total_samples;
-        self.outcomes.extend(other.outcomes);
-    }
-
-    /// Number of block outcomes held.
-    pub fn block_count(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether any outcomes have been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Calculation-phase samples across the held outcomes.
-    pub fn total_samples(&self) -> u64 {
-        self.total_samples
-    }
-
-    /// The held outcomes, in absorption order.
-    pub fn outcomes(&self) -> &[BlockOutcome] {
-        &self.outcomes
     }
 
     /// Canonicalizes (sorts by block id) and combines the partial answers
@@ -123,11 +88,10 @@ impl PartialAggregate {
 /// The per-group generalization of [`PartialAggregate`]: a mergeable
 /// map from group key to per-block partial answers.
 ///
-/// Like the scalar partial, `merge` is associative and commutative up to
-/// the canonical re-ordering performed by [`GroupedPartial::finalize`]
-/// (blocks by id, groups by key), so grouped partials built on different
-/// workers combine in any completion order and finalize to bit-identical
-/// per-group estimates.
+/// Like the scalar partial, outcomes absorb in any completion order:
+/// [`GroupedPartial::finalize`] re-orders them canonically (blocks by
+/// id, groups by key), so they finalize to bit-identical per-group
+/// estimates.
 #[derive(Debug, Clone, Default)]
 pub struct GroupedPartial {
     outcomes: Vec<RowBlockOutcome>,
@@ -160,39 +124,15 @@ impl From<Vec<RowBlockOutcome>> for GroupedPartial {
 }
 
 impl GroupedPartial {
-    /// An empty grouped partial (the merge identity).
+    /// An empty grouped partial.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A partial holding a single block's outcome.
-    pub fn from_outcome(outcome: RowBlockOutcome) -> Self {
-        let mut partial = Self::new();
-        partial.absorb(outcome);
-        partial
     }
 
     /// Adds one block outcome to this partial.
     pub fn absorb(&mut self, outcome: RowBlockOutcome) {
         self.total_samples += outcome.draws;
         self.outcomes.push(outcome);
-    }
-
-    /// Merges another grouped partial into this one. Associative: any
-    /// merge tree over the same outcomes finalizes to the same answer.
-    pub fn merge(&mut self, other: GroupedPartial) {
-        self.total_samples += other.total_samples;
-        self.outcomes.extend(other.outcomes);
-    }
-
-    /// Number of block outcomes held.
-    pub fn block_count(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether any outcomes have been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
     }
 
     /// Canonicalizes (blocks by id, groups by key) and combines each
@@ -219,10 +159,11 @@ impl GroupedPartial {
     ///
     /// # Errors
     ///
-    /// [`IslaError::InsufficientData`] when no group carries any weight.
+    /// [`IslaError::InsufficientData`] when no group carries any weight,
+    /// or when the combined estimate is not finite.
     pub fn finalize(mut self, plan: &RowPlan) -> Result<GroupedAggregate, IslaError> {
         if let Some(answer) = plan.pinned_answer() {
-            return Ok(GroupedAggregate {
+            return finite(GroupedAggregate {
                 total_samples: self.total_samples,
                 ..answer
             });
@@ -336,12 +277,23 @@ impl GroupedPartial {
             .map(|g| g.estimate * g.rows_estimate)
             .sum::<f64>()
             / matched_rows;
-        Ok(GroupedAggregate {
+        finite(GroupedAggregate {
             groups,
             estimate,
             matched_rows,
             total_samples: self.total_samples,
         })
+    }
+}
+
+/// `answer`, unless its combined estimate overflowed `f64`.
+fn finite(answer: GroupedAggregate) -> Result<GroupedAggregate, IslaError> {
+    if answer.estimate.is_finite() {
+        Ok(answer)
+    } else {
+        Err(IslaError::InsufficientData(
+            "the combined estimate is not finite: the data overflows f64".to_string(),
+        ))
     }
 }
 
@@ -384,7 +336,7 @@ mod tests {
         }
         let mut reversed = PartialAggregate::new();
         for o in outcomes.iter().rev() {
-            reversed.merge(PartialAggregate::from_outcome(o.clone()));
+            reversed.absorb(o.clone());
         }
         let a = forward.finalize().unwrap();
         let b = reversed.finalize().unwrap();
@@ -396,10 +348,10 @@ mod tests {
 
     #[test]
     fn finalize_matches_direct_summarization() {
-        let partial = PartialAggregate::from_outcome(outcome(1, 110.0, 100, 3));
-        let mut merged = PartialAggregate::from_outcome(outcome(0, 10.0, 900, 2));
-        merged.merge(partial);
-        let out = merged.finalize().unwrap();
+        let mut partial = PartialAggregate::new();
+        partial.absorb(outcome(1, 110.0, 100, 3));
+        partial.absorb(outcome(0, 10.0, 900, 2));
+        let out = partial.finalize().unwrap();
         let direct = combine_partials(&[(10.0, 900), (110.0, 100)]).unwrap();
         assert_eq!(out.estimate, direct);
         assert_eq!(out.total_samples, 5);

@@ -67,6 +67,32 @@ pub(crate) fn sample_size(rate: f64, block_len: u64) -> u64 {
     (rate * block_len as f64).round() as u64
 }
 
+/// A sampled plan's negative-data shift, shifted `sketch0` and data
+/// boundaries, built around a pilot's `sketch0` and σ̂ > 0 — the one
+/// construction both plan types make (per group in a row plan).
+///
+/// # Errors
+///
+/// [`IslaError::InsufficientData`] when σ̂ or the shifted `sketch0` is
+/// not finite: the data's spread or magnitude overflows `f64`, so no
+/// boundary can be drawn around it.
+pub(crate) fn shifted_boundaries(
+    sketch0: f64,
+    sigma: f64,
+    config: &IslaConfig,
+) -> Result<(f64, f64, DataBoundaries), IslaError> {
+    let shift = compute_shift(sketch0, sigma, config.p2);
+    let center = sketch0 + shift;
+    if !(sigma.is_finite() && center.is_finite()) {
+        return Err(IslaError::InsufficientData(format!(
+            "the pilot's σ̂ ({sigma}) and shifted sketch0 ({center}) must be finite: \
+             the data overflows f64"
+        )));
+    }
+    let boundaries = DataBoundaries::new(center, sigma, config.p1, config.p2);
+    Ok((shift, center, boundaries))
+}
+
 /// A fully resolved execution plan: validated config, pre-estimate,
 /// shift, boundaries, and the calculation-phase sampling rate.
 ///
@@ -109,7 +135,8 @@ impl QueryPlan {
     ///
     /// # Errors
     ///
-    /// Invalid configuration or rate spec.
+    /// Invalid configuration or rate spec; a non-finite σ̂ or shifted
+    /// `sketch0`: data whose spread or magnitude overflows `f64`.
     pub fn from_pre_estimate(
         data: &BlockSet,
         config: &IslaConfig,
@@ -132,21 +159,15 @@ impl QueryPlan {
                 data_size,
             });
         }
-        let shift = compute_shift(pre.sketch0, pre.sigma, config.p2);
-        let sketch0_shifted = pre.sketch0 + shift;
-        let boundaries = Some(DataBoundaries::new(
-            sketch0_shifted,
-            pre.sigma,
-            config.p1,
-            config.p2,
-        ));
+        let (shift, sketch0_shifted, boundaries) =
+            shifted_boundaries(pre.sketch0, pre.sigma, config)?;
         let resolved = rate.resolve(pre.rate);
         Ok(Self {
             config: config.clone(),
             pre,
             shift,
             sketch0_shifted,
-            boundaries,
+            boundaries: Some(boundaries),
             rate: resolved,
             data_size,
         })
@@ -219,13 +240,6 @@ impl QueryPlan {
     pub fn planned_calculation_samples(&self, data: &BlockSet) -> u64 {
         data.iter().map(|b| self.sample_size_for(b.len())).sum()
     }
-
-    /// Planned samples including the pre-estimation pilots.
-    pub fn planned_samples_with_pilots(&self, data: &BlockSet) -> u64 {
-        self.planned_calculation_samples(data)
-            + self.pre.sigma_pilot_used
-            + self.pre.sketch_pilot_used
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +300,7 @@ mod tests {
         let planned = absolute.planned_calculation_samples(&ds.blocks);
         assert!((planned as i64 - 10_000).abs() <= 10, "planned {planned}");
         assert!(
-            absolute.planned_samples_with_pilots(&ds.blocks) > planned,
+            absolute.pre().sigma_pilot_used + absolute.pre().sketch_pilot_used > 0,
             "pilots must be charged"
         );
     }

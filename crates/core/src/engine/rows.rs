@@ -68,10 +68,9 @@ use crate::block_exec::{iteration_phase, Fallback};
 use crate::boundaries::DataBoundaries;
 use crate::config::IslaConfig;
 use crate::error::IslaError;
-use crate::shift::compute_shift;
 
 use super::partial::{GroupedAggregate, GroupedPartial};
-use super::plan::{sample_size, RateSpec};
+use super::plan::{sample_size, shifted_boundaries, RateSpec};
 use super::recovery::RecoveryPolicy;
 use super::scheduler::BlockScheduler;
 use super::{run_calculation, CalcPlan};
@@ -363,7 +362,7 @@ pub fn row_pre_estimate_with(
 
 /// The row pre-estimate block metadata pins, when
 /// [`IslaConfig::sample_groups`] is off and the spec filters or groups
-/// (a plain column's pin is [`IslaConfig::sketch_sigma`]'s): every
+/// (a plain column's pin is [`crate::sketched_mean`]): every
 /// block's zone verdict for the filter is decided ([`DataBlock::zone`];
 /// an armed fault or a non-finite value answers `Mixed`), and every
 /// block that matches everywhere knows its exact partial — ungrouped,
@@ -459,7 +458,8 @@ impl DecidedGroup {
 /// block that provably matches everywhere contributes its sketch's row
 /// count and `Σa` (per key when grouped), unless that sketch is missing
 /// or holds a non-finite value, or the block matches only in part: those
-/// are the residue.
+/// are the residue. When any key's `Σa` overflows, every block that
+/// matches is residue.
 #[derive(Debug, Clone)]
 pub(super) struct Decided {
     /// Per block: whether it is sampled.
@@ -538,6 +538,14 @@ impl Decided {
                     }
                 }
             }
+        }
+        // A key whose Σa overflows has no exact partial: metadata then
+        // decides nothing, and every matching block is sampled.
+        if groups.iter().any(|g| !g.sum().is_finite()) {
+            for &b in &matching {
+                sampled[b] = true;
+            }
+            groups.clear();
         }
         let residue_rows = data
             .iter()
@@ -1013,7 +1021,8 @@ impl RowPlan {
     ///
     /// # Errors
     ///
-    /// Invalid configuration or rate spec.
+    /// Invalid configuration or rate spec; a sampled group whose σ̂ or
+    /// shifted `sketch0` is not finite.
     pub fn from_pre_estimate(
         data: &BlockSet,
         config: &IslaConfig,
@@ -1042,28 +1051,23 @@ impl RowPlan {
                 // population the pilot sketched, so Algorithm 2 around
                 // that sketch would pull them toward it.
                 if g.sigma == 0.0 || decided.is_some() {
-                    return GroupPlan {
+                    return Ok(GroupPlan {
                         pre: g.clone(),
                         shift: 0.0,
                         sketch0_shifted: g.sketch0,
                         boundaries: None,
-                    };
+                    });
                 }
-                let shift = compute_shift(g.sketch0, g.sigma, config.p2);
-                let sketch0_shifted = g.sketch0 + shift;
-                GroupPlan {
+                let (shift, sketch0_shifted, boundaries) =
+                    shifted_boundaries(g.sketch0, g.sigma, config)?;
+                Ok(GroupPlan {
                     pre: g.clone(),
                     shift,
                     sketch0_shifted,
-                    boundaries: Some(DataBoundaries::new(
-                        sketch0_shifted,
-                        g.sigma,
-                        config.p1,
-                        config.p2,
-                    )),
-                }
+                    boundaries: Some(boundaries),
+                })
             })
-            .collect();
+            .collect::<Result<_, IslaError>>()?;
         let keys = GroupKeys::new(pre.groups.iter().map(|g| g.key_bits).collect());
         let derived = decided
             .as_ref()
@@ -1166,11 +1170,6 @@ impl RowPlan {
     /// The metadata split, when the plan has one.
     pub(super) fn decided(&self) -> Option<&Decided> {
         self.decided.as_ref()
-    }
-
-    /// Planned draws including the pre-estimation pilot rows.
-    pub fn planned_samples_with_pilots(&self, data: &BlockSet) -> u64 {
-        self.planned_calculation_samples(data) + self.pilot_rows
     }
 
     /// The exact answer of a plan metadata pins — built from a pinned
@@ -1835,7 +1834,7 @@ mod tests {
         let cfg = config(0.5);
         let mut rng = StdRng::seed_from_u64(14);
         let plan = RowPlan::prepare(&data, &cfg, spec, RateSpec::Derived, &mut rng).unwrap();
-        let wanted = plan.planned_samples_with_pilots(&data);
+        let wanted = plan.planned_calculation_samples(&data) + plan.pilot_rows();
 
         let tight = DeadlineScheduler::new(SequentialScheduler, wanted / 2);
         let out =

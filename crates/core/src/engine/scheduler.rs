@@ -514,7 +514,9 @@ mod tests {
         let ds = normal_dataset(100.0, 20.0, 200_000, 10, 96);
         let cfg = config(0.5);
         let (plan, _) = plan_and_seeds(&ds.blocks, &cfg, 8);
-        let wanted = plan.planned_samples_with_pilots(&ds.blocks);
+        let wanted = plan.planned_calculation_samples(&ds.blocks)
+            + plan.pre().sigma_pilot_used
+            + plan.pre().sketch_pilot_used;
 
         // Admission as the engine applies it: the scheduler states its
         // budget, the one capping rule resolves the rate.

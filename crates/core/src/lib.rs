@@ -100,7 +100,7 @@ pub use extremes::{ExtremeAggregator, ExtremeKind, ExtremeResult};
 pub use leverage::{determine_q, LeverageAllocation};
 pub use modulation::{iterate, IterationStep, ModulationOutcome};
 pub use pre_estimation::{
-    finish_pilot_fold, fold_pilot_segment, pinned_pre_estimate, pre_estimate_with, PilotFold,
-    PreEstimate,
+    finish_pilot_fold, fold_pilot_segment, pinned_pre_estimate, pre_estimate_with, sketched_mean,
+    PilotFold, PreEstimate,
 };
 pub use summarize::combine_partials;

@@ -14,9 +14,9 @@
 //!    later bounds the modulation (Section VII-B).
 //!
 //! When [`IslaConfig::sketch_sigma`] is set and metadata already knows
-//! the answer — every block carries a width-1, all-finite moment sketch
-//! whose zone verdict for the trivial filter is decided — both pilots
-//! are skipped: the pre-estimate is *pinned* to the exact mean `Σa/n`
+//! the answer ([`sketched_mean`]: every block carries a width-1,
+//! all-finite moment sketch whose zone verdict for the trivial filter is
+//! decided, and `Σa` stays finite) — both pilots are skipped: the pre-estimate is *pinned* to the exact mean `Σa/n`
 //! with σ = 0, a zero-width interval and zero pilot draws, so the
 //! plan's degenerate short-circuit answers without executing a block.
 //! Anything short of that (a sketch-less or non-finite block, an armed
@@ -349,21 +349,41 @@ pub fn finish_pilot_fold(
 }
 
 /// The pre-estimate block metadata pins, when
-/// [`IslaConfig::sketch_sigma`] is set and every block's hook sketch
-/// ([`DataBlock::sketch`]) is width-1 and all-finite with a decided
-/// zone verdict for the trivial filter ([`DataBlock::zone`], which an
-/// armed fault answers `Mixed`): σ = 0, `sketch0` = the exact mean
-/// `Σa/n` (the common value itself when `min == max`), a zero-width
-/// interval and no pilot draws. `None` — run the pilots — otherwise, or
-/// when the set holds no rows.
-///
-/// Hooks are a pure function of the blocks, unlike the scan-backed
-/// sketch cache, so the one-shot and the epoch lookups decide alike
-/// however warm that cache is.
+/// [`IslaConfig::sketch_sigma`] is set and [`sketched_mean`] knows the
+/// mean: σ = 0, `sketch0` = that mean, a zero-width interval and no
+/// pilot draws. `None` — run the pilots — otherwise.
 pub fn pinned_pre_estimate(data: &BlockSet, config: &IslaConfig) -> Option<PreEstimate> {
     if !config.sketch_sigma {
         return None;
     }
+    let value = sketched_mean(data)?;
+    Some(PreEstimate {
+        sigma: 0.0,
+        sketch0: value,
+        rate: 0.0,
+        required_samples: 0,
+        sigma_pilot_used: 0,
+        sketch_pilot_used: 0,
+        sketch_interval: ConfidenceInterval {
+            center: value,
+            half_width: 0.0,
+            confidence: config.confidence,
+        },
+    })
+}
+
+/// The exact mean of a width-1 set read from block metadata alone, when
+/// every block's hook sketch ([`DataBlock::sketch`]) is width-1 and
+/// all-finite with a decided zone verdict for the trivial filter
+/// ([`DataBlock::zone`], which an armed fault answers `Mixed`): `Σa/n`,
+/// or the common value itself when `min == max`. `None` when a block
+/// falls short of that, when the set holds no rows, or when `Σa`
+/// overflows to a non-finite value.
+///
+/// Hooks are a pure function of the blocks, unlike the scan-backed
+/// sketch cache, so every caller decides alike however warm that cache
+/// is.
+pub fn sketched_mean(data: &BlockSet) -> Option<f64> {
     let everything = RowFilter::all();
     let mut rows = 0u64;
     let mut sum = 0.0;
@@ -383,23 +403,10 @@ pub fn pinned_pre_estimate(data: &BlockSet, config: &IslaConfig) -> Option<PreEs
         min = min.min(m.min);
         max = max.max(m.max);
     }
-    if rows == 0 {
+    if rows == 0 || !sum.is_finite() {
         return None;
     }
-    let value = if min == max { min } else { sum / rows as f64 };
-    Some(PreEstimate {
-        sigma: 0.0,
-        sketch0: value,
-        rate: 0.0,
-        required_samples: 0,
-        sigma_pilot_used: 0,
-        sketch_pilot_used: 0,
-        sketch_interval: ConfidenceInterval {
-            center: value,
-            half_width: 0.0,
-            confidence: config.confidence,
-        },
-    })
+    Some(if min == max { min } else { sum / rows as f64 })
 }
 
 #[cfg(test)]

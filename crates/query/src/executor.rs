@@ -10,20 +10,22 @@
 //! baselines. Each arm branches only where the engine call for a plain
 //! column differs from the one for a row spec.
 //!
-//! - **ISLA** runs the paper's pipeline through [`isla_core::engine`],
-//!   with a session cache of pre-estimates keyed by
-//!   `(table, column, config, query shape)` in front of the pilots, so
-//!   repeated queries — the heavy-traffic serving scenario — skip them.
-//!   A plain column runs a [`QueryPlan`]; a row spec runs a [`RowPlan`]
-//!   ([`engine::run_row_plan_with`]), whose pilot rows estimate the
-//!   predicate's selectivity and per-group σ̂/sketch, whose rate is
-//!   sized so *every group* meets the precision, and whose `SUM` is
-//!   scaled by the matched rows the pilots and the calculation draws
-//!   estimate together ([`engine::GroupedPartial::finalize`]). A query gives
-//!   `WITH PRECISION e` or `SAMPLES n`, never both; so does a baseline.
+//! - **ISLA** runs the paper's pipeline through [`isla_core::engine`]
+//!   as one plan: a plain column is a width-1 row spec
+//!   ([`engine::RowSpec::column`]), so every ISLA query runs a
+//!   [`RowPlan`] ([`engine::run_row_plan_with`]) behind a session cache
+//!   of row pre-estimates keyed by `(table, column, config, query
+//!   shape)`, and repeated queries — the heavy-traffic serving scenario
+//!   — skip the pilots. The pilot rows estimate the predicate's
+//!   selectivity and per-group σ̂/sketch, the rate is sized so *every
+//!   group* meets the precision, and `SUM` is scaled by the matched rows
+//!   the pilots and the calculation draws estimate together
+//!   ([`engine::GroupedPartial::finalize`]). A query gives `WITH
+//!   PRECISION e` or `SAMPLES n`, never both; so does a baseline.
 //! - **Metadata** answers a default query (no `METHOD` named) where it
 //!   knows the answer exactly: an unfiltered `AVG`/`SUM` from the block
-//!   sketches; under a filter or a `GROUP BY`, every block the zone map
+//!   sketches ([`isla_core::sketched_mean`], before any plan or cache
+//!   entry); under a filter or a `GROUP BY`, every block the zone map
 //!   decides — from its sketch, or its per-key sketches when grouped —
 //!   while a precision-sized `AVG`/`SUM` samples only the undecided rest
 //!   (the residue) and scales its `SUM` by the decided blocks' exact row
@@ -42,7 +44,9 @@
 //!   columns the query names.
 //!
 //! Every filtered path reads a block only where its zone map leaves the
-//! predicate undecided.
+//! predicate undecided. A sum that overflows `f64` — in the sketches, a
+//! pilot's σ̂ or an exact scan — is a typed error, never a non-finite
+//! answer.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -51,15 +55,15 @@ use std::time::{Duration, Instant};
 use rand::RngCore;
 
 use isla_baselines::{
-    Estimator, IslaEstimator, MeasureBiasedBoundaries, MeasureBiasedValues, Slev,
-    StratifiedSampling, UniformSampling,
+    Estimator, MeasureBiasedBoundaries, MeasureBiasedValues, Slev, StratifiedSampling,
+    UniformSampling,
 };
 use isla_core::engine::{
     self, BlockScheduler, CacheKey, CacheStats, DeadlineScheduler, Degradation, FailureMode,
-    GroupExact, Lookup, PooledScheduler, PreEstimateCache, QueryPlan, RateSpec, RecoveryPolicy,
-    RetryPolicy, RowPlan, RowSpec, SequentialScheduler,
+    GroupExact, PooledScheduler, PreEstimateCache, RateSpec, RecoveryPolicy, RetryPolicy,
+    RowCacheLookup, RowPlan, RowSpec, SequentialScheduler,
 };
-use isla_core::{pinned_pre_estimate, IslaConfig, IslaError};
+use isla_core::{sketched_mean, IslaConfig, IslaError};
 use isla_stats::{required_sample_size, WelfordMoments};
 use isla_storage::{
     sample_proportional, BlockSet, ColumnPredicate, PooledFilteredColumn, RowFilter,
@@ -379,20 +383,20 @@ impl QuerySession {
             (AggFunc::Count, method) if q.spec.is_none() || method != Method::Exact => {
                 self.count(&q, rng)
             }
-            (_, Method::Exact) => match &q.spec {
+            (_, Method::Exact) => finite_sums(match &q.spec {
                 Some(spec) => {
                     let exact =
                         self.on_scheduler(None, |s| engine::scan_exact_groups_on(data, spec, s))?;
                     if exact.is_empty() {
                         return Err(no_matching_row());
                     }
-                    Ok(q.exact(&exact))
+                    q.exact(&exact)
                 }
                 None => {
                     let mean = self.on_scheduler(None, |s| engine::scan_exact_mean(data, s))?;
-                    Ok(q.answer(scaled(query.agg, mean, q.rows as f64)))
+                    q.answer(scaled(query.agg, mean, q.rows as f64))
                 }
-            },
+            }),
             (_, Method::Isla) => self.run_isla(q, rng),
             (_, _) => self.run_baseline(&q, rng),
         }
@@ -460,14 +464,16 @@ impl QuerySession {
     }
 
     /// ISLA, the paper's pipeline (Fig. 2): Pre-estimation, then
-    /// Calculation, then Summarization. One prelude decides what sizes
-    /// the draw and prices a `WITHIN` deadline, and one epilogue
-    /// ([`QuerySession::calculate`]) runs the plan; between them only the
-    /// engine calls differ — a plain column's [`QueryPlan`] behind the
-    /// scalar cache, a row spec's [`RowPlan`] behind the row cache —
-    /// and a plain column's `SAMPLES n` runs the budget adapter.
+    /// Calculation, then Summarization, through one plan. A plain column
+    /// is a width-1 row spec ([`RowSpec::column`]), so every query runs a
+    /// [`RowPlan`] behind the row cache ([`engine::run_row_plan_with`]);
+    /// one prelude decides what sizes the draw and prices a `WITHIN`
+    /// deadline, and one epilogue ([`QuerySession::calculate`]) runs the
+    /// plan. A default plain query the block sketches pin
+    /// ([`sketched_mean`]) is answered before any of that: no plan, no
+    /// cache entry, no draw.
     fn run_isla(&self, mut q: Bound, rng: &mut dyn RngCore) -> Result<QueryResult, QueryError> {
-        let (query, data, spec) = (q.query, q.data, q.spec.take());
+        let (query, data) = (q.query, q.data);
         let samples = match (query.precision, query.samples) {
             (Some(_), Some(_)) => {
                 return Err(QueryError::Invalid(
@@ -487,85 +493,53 @@ impl QuerySession {
         // every block whose zone map decides the filter, from its sketch
         // or its per-key sketches — and samples only the rest. A named
         // `METHOD ISLA` keeps the paper's pilots and Algorithms 1–2 on
-        // every block. The `sketch_sigma` flag is part of the config
-        // fingerprint, so only a plain column's config sets it, and every
-        // cache key below is derived from the final config (pinned by the
-        // `sketch_sigma_key_derives_from_the_final_config` test);
-        // `sample_groups` caches nothing and stays out of the key.
+        // every block. `sample_groups` caches nothing and stays out of
+        // the cache key.
+        let spec = match q.spec.take() {
+            Some(spec) => spec,
+            None => {
+                if q.pin && samples.is_none() {
+                    if let Some(mean) = sketched_mean(data) {
+                        return Ok(QueryResult {
+                            samples_used: Some(0),
+                            ..q.answer(scaled(query.agg, mean, q.rows as f64))
+                        });
+                    }
+                }
+                RowSpec::column(0)
+            }
+        };
         let mut config = isla_config(query, q.confidence)?;
-        config.sketch_sigma = q.pin && spec.is_none();
         config.sample_groups = !q.pin;
         // A row spec whose every block is decided pins: it is decided
         // here, for the probe and the pre-estimate alike.
-        let row_pin = match &spec {
-            Some(spec) if samples.is_none() => engine::pinned_row_pre_estimate(data, &config, spec),
-            _ => None,
+        let pin = match samples {
+            None => engine::pinned_row_pre_estimate(data, &config, &spec),
+            Some(_) => None,
         };
 
         // The deadline clock starts before any sampling (paper §VII-F);
-        // the probe draws as the plan will — a plain column's values, or
-        // the spec's columns, zone verdicts and predicate — so the
-        // calibrated per-sample cost is what the pilots and the
-        // Calculation phase will pay. A query metadata pins draws
-        // nothing, so its deadline has no draw to price: the probe is
-        // skipped. A plain column's lookup computes its pin again, to file
-        // the pinned entry.
-        let pinned = row_pin.is_some()
-            || (query.within_ms.is_some()
-                && samples.is_none()
-                && pinned_pre_estimate(data, &config).is_some());
-        let affordable = if pinned {
-            None
-        } else {
-            within_draws(query, data, rng, |n, rng| match &spec {
-                Some(spec) => engine::probe_row_draws(data, spec, n, rng),
-                None => sample_proportional(data, n, rng)
-                    .map(drop)
-                    .map_err(IslaError::from),
-            })?
+        // the probe draws as the plan will — the spec's columns, zone
+        // verdicts and predicate — so the calibrated per-sample cost is
+        // what the pilots and the Calculation phase will pay. A query
+        // metadata pins draws nothing, so its deadline has no draw to
+        // price: the probe is skipped.
+        let affordable = match pin {
+            Some(_) => None,
+            None => within_draws(query, data, rng, |n, rng| {
+                engine::probe_row_draws(data, &spec, n, rng)
+            })?,
         };
 
+        // The deadline's and the policy's admission budgets cap an
+        // explicit one before its pilots spend it (admission protects the
+        // pool even from generous clients).
+        let budget = samples.map(|n| {
+            self.effective_budget(affordable, 0)
+                .map_or(n, |cap| n.min(cap))
+        });
         let recovery = &self.policy.recovery;
-        let Some(spec) = spec else {
-            if let Some(requested) = samples {
-                // The budget adapter. The deadline's and the policy's
-                // admission budgets cap the explicit one (admission
-                // protects the pool even from generous clients).
-                let budget = self
-                    .effective_budget(affordable, 0)
-                    .map_or(requested, |cap| requested.min(cap));
-                let estimator = IslaEstimator::new(isla_config(query, q.confidence)?)?;
-                let (avg, drawn) =
-                    self.on_scheduler(None, |s| estimator.estimate_counted(data, budget, s, rng))?;
-                return Ok(QueryResult {
-                    samples_used: Some(drawn),
-                    time_limited: budget < requested,
-                    ..q.answer(scaled(query.agg, avg, q.rows as f64))
-                });
-            }
-            let key = CacheKey::new(&query.table, &query.column, &config, data);
-            let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
-                Pilots::Epoch(salt) => self
-                    .pre_cache
-                    .get_or_compute_epoch(key, data, &config, salt),
-                Pilots::Stream(rng) => self
-                    .pre_cache
-                    .get_or_compute_with(key, data, &config, recovery, rng),
-            })?;
-            let pilots = lookup.pre.sigma_pilot_used + lookup.pre.sketch_pilot_used;
-            let plan = QueryPlan::from_pre_estimate(data, &config, lookup.pre, RateSpec::Derived)?;
-            let (out, paid) = self.calculate(affordable, pilots, lookup.hit, |s| {
-                engine::run_plan_with(plan, data, s, recovery, rng)
-            })?;
-            return Ok(QueryResult {
-                samples_used: Some(out.total_samples + paid),
-                time_limited: out.time_limited,
-                degradation: out.degradation,
-                ..q.answer(scaled(query.agg, out.estimate, q.rows as f64))
-            });
-        };
-
-        let (pre, hit, rate) = match (samples, row_pin) {
+        let (pre, hit, rate) = match (budget, pin) {
             (Some(n), _) => {
                 // Budget-driven: the pilots may spend at most half the
                 // explicit budget (uncached — the budget, not the
@@ -594,14 +568,7 @@ impl QuerySession {
                 };
                 let key = CacheKey::new(&query.table, &query.column, &unpinned, data)
                     .with_row_shape(spec.fingerprint());
-                let lookup = self.pilot_lookup(key, data, rng, |key, pilots| match pilots {
-                    Pilots::Epoch(salt) => self
-                        .pre_cache
-                        .get_or_compute_rows_epoch(key, data, &unpinned, &spec, salt),
-                    Pilots::Stream(rng) => self
-                        .pre_cache
-                        .get_or_compute_rows_with(key, data, &unpinned, &spec, recovery, rng),
-                })?;
+                let lookup = self.row_lookup(key, data, &unpinned, &spec, rng)?;
                 (lookup.pre, lookup.hit, RateSpec::Derived)
             }
         };
@@ -621,7 +588,7 @@ impl QuerySession {
         let value = scaled(query.agg, out.estimate, out.matched_rows);
         Ok(QueryResult {
             samples_used: Some(out.total_samples + paid),
-            time_limited: out.time_limited,
+            time_limited: out.time_limited || budget != samples,
             degradation: out.degradation,
             ..q.grouped(value, out.matched_rows, groups)
         })
@@ -703,9 +670,7 @@ impl QuerySession {
         Ok((out, paid))
     }
 
-    /// Pre-estimate lookup honouring the pilot-seeding policy: decides
-    /// where this query's pilots draw from and hands that to `lookup`,
-    /// which names the cache layer for its plan type.
+    /// Row pre-estimate lookup honouring the pilot-seeding policy.
     ///
     /// Grown sets route through the epoch layer: the pilots fold per
     /// sealed segment (seeded purely from the key's lineage), so a
@@ -715,21 +680,24 @@ impl QuerySession {
     /// stream derived from `(key, salt)` — never from the query's RNG —
     /// so a hit and a miss leave the query stream in the identical
     /// state.
-    fn pilot_lookup<P>(
+    fn row_lookup(
         &self,
         key: CacheKey,
         data: &BlockSet,
+        config: &IslaConfig,
+        spec: &RowSpec,
         rng: &mut dyn RngCore,
-        lookup: impl FnOnce(CacheKey, Pilots<'_>) -> Result<Lookup<P>, IslaError>,
-    ) -> Result<Lookup<P>, QueryError> {
+    ) -> Result<RowCacheLookup, QueryError> {
+        let cache = &self.pre_cache;
+        let recovery = &self.policy.recovery;
         let found = if data.epoch() > 0 {
             let salt = self.policy.pilot_seed.unwrap_or(EPOCH_PILOT_SALT);
-            lookup(key, Pilots::Epoch(salt))
+            cache.get_or_compute_rows_epoch(key, data, config, spec, salt)
         } else if let Some(salt) = self.policy.pilot_seed {
             let mut pilot_rng = engine::seeded_rng(engine::stream_seed(key.digest(), salt));
-            lookup(key, Pilots::Stream(&mut pilot_rng))
+            cache.get_or_compute_rows_with(key, data, config, spec, recovery, &mut pilot_rng)
         } else {
-            lookup(key, Pilots::Stream(rng))
+            cache.get_or_compute_rows_with(key, data, config, spec, recovery, rng)
         };
         found.map_err(QueryError::from)
     }
@@ -854,14 +822,6 @@ impl Bound<'_> {
             ..self.grouped(value, matched as f64, groups)
         }
     }
-}
-
-/// Where a pre-estimate lookup's pilots draw from on a miss.
-enum Pilots<'a> {
-    /// The epoch fold's identity-seeded streams, under this salt.
-    Epoch(u64),
-    /// This RNG: the query's own, or one derived from `(key, salt)`.
-    Stream(&'a mut dyn RngCore),
 }
 
 /// `avg`, a mean over `rows` rows, as the answer `agg` asks for: a `SUM`
@@ -1035,6 +995,19 @@ fn extreme_value(
     let config = isla_config(query, q.confidence)?;
     let result = isla_core::ExtremeAggregator::new(config)?.aggregate(&population, kind, rng)?;
     Ok((result.estimate, Some(result.total_samples)))
+}
+
+/// An exact answer, unless a sum behind it — the answer's or a group's
+/// — overflowed `f64`: then there is no exact value to report.
+fn finite_sums(result: QueryResult) -> Result<QueryResult, QueryError> {
+    let groups = result.groups.iter().flatten();
+    if result.value.is_finite() && groups.map(|g| g.value).all(f64::is_finite) {
+        return Ok(result);
+    }
+    Err(IslaError::InsufficientData(
+        "the exact sum is not finite: the data overflows f64".to_string(),
+    )
+    .into())
 }
 
 /// The error every filtered path returns when no row matches.
@@ -1321,7 +1294,10 @@ mod tests {
         )
         .unwrap();
         assert!((r.value - 100.0).abs() < 1.0, "value {}", r.value);
-        assert_eq!(r.samples_used, Some(80_000));
+        // Each block's draw is rounded from one rate: the budget, up to
+        // half a draw a block.
+        let used = r.samples_used.unwrap();
+        assert!(used.abs_diff(80_000) <= 5, "drew {used} of 80000");
     }
 
     #[test]
@@ -1835,19 +1811,21 @@ mod tests {
         // The cached pre-estimate sized Eq. 1: m = z²σ²/e² with σ = 1.
         let config = isla_config(&parse(sql).unwrap(), DEFAULT_CONFIDENCE).unwrap();
         let data = c.table("t").unwrap().column("x").unwrap();
+        let spec = RowSpec::column(0);
         let lookup = session
             .pre_cache()
-            .get_or_compute_with(
-                CacheKey::new("t", "x", &config, &data),
+            .get_or_compute_rows_with(
+                CacheKey::new("t", "x", &config, &data).with_row_shape(spec.fingerprint()),
                 &data,
                 &config,
+                &spec,
                 &RecoveryPolicy::strict(),
                 &mut StdRng::seed_from_u64(0),
             )
             .unwrap();
         assert!(lookup.hit, "the query filed its pre-estimate");
         let want = 1.959_963_984_540_054_f64.powi(2) / (0.05 * 0.05);
-        let got = lookup.pre.required_samples as f64;
+        let got = lookup.pre.groups[0].required_samples as f64;
         assert!(
             (got - want).abs() <= 0.1 * want,
             "required {got} vs z²/e² = {want}"
@@ -1916,15 +1894,13 @@ mod tests {
 
     /// Where the sketches cannot pin the answer, the default query runs
     /// exactly what a named `METHOD ISLA` runs: the same pilots and
-    /// Algorithms 1–2, bit for bit.
-    fn assert_default_samples_like_named_isla(c: &Catalog, session: &QuerySession, what: &str) {
-        let default = run_on(c, session, "SELECT AVG(x) FROM t WITH PRECISION 0.5", 6);
-        let named = run_on(
-            c,
-            session,
-            "SELECT AVG(x) FROM t WITH PRECISION 0.5 METHOD ISLA",
-            6,
-        );
+    /// Algorithms 1–2, bit for bit. Each runs on a fresh session: the
+    /// two share one cache key, so a shared session would serve the
+    /// second from the first's pilots.
+    fn assert_default_samples_like_named_isla(c: &Catalog, policy: ExecPolicy, what: &str) {
+        let run = |sql: &str| run_on(c, &QuerySession::with_policy(policy), sql, 6);
+        let default = run("SELECT AVG(x) FROM t WITH PRECISION 0.5");
+        let named = run("SELECT AVG(x) FROM t WITH PRECISION 0.5 METHOD ISLA");
         assert_eq!(default.value.to_bits(), named.value.to_bits(), "{what}");
         assert_eq!(default.samples_used, named.samples_used, "{what}");
         assert!(default.samples_used.unwrap() > 1_000, "{what}: sampled");
@@ -1947,7 +1923,7 @@ mod tests {
             })
             .collect();
         let binary = one_column(BlockSet::new(files));
-        assert_default_samples_like_named_isla(&binary, &QuerySession::new(), "BinaryBlock");
+        assert_default_samples_like_named_isla(&binary, ExecPolicy::new(), "BinaryBlock");
         std::fs::remove_dir_all(&dir).unwrap();
 
         let mut poisoned: Vec<Arc<dyn DataBlock>> = native.iter().skip(1).cloned().collect();
@@ -1955,16 +1931,14 @@ mod tests {
         first[17] = f64::INFINITY;
         poisoned.insert(0, Arc::new(RawColumn(first)));
         let poisoned = one_column(BlockSet::new(poisoned));
-        let session = QuerySession::with_policy(ExecPolicy::new().best_effort());
-        assert_default_samples_like_named_isla(&poisoned, &session, "non-finite block");
+        let policy = ExecPolicy::new().best_effort();
+        assert_default_samples_like_named_isla(&poisoned, policy, "non-finite block");
 
         let armed = one_column(FaultPlan::new(31).transient(0.6, 2).arm(&native));
-        let session = QuerySession::with_policy(
-            ExecPolicy::new()
-                .best_effort()
-                .retry(RetryPolicy::attempts(3)),
-        );
-        assert_default_samples_like_named_isla(&armed, &session, "armed FaultyBlock");
+        let policy = ExecPolicy::new()
+            .best_effort()
+            .retry(RetryPolicy::attempts(3));
+        assert_default_samples_like_named_isla(&armed, policy, "armed FaultyBlock");
     }
 
     /// A row block that counts the zone verdicts asked of it: one per

@@ -911,7 +911,8 @@ mod tests {
             pilot_seed: 9,
             ..ServiceConfig::default()
         });
-        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5";
+        // The named method runs the pilots the sketches would pin.
+        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5 METHOD ISLA";
         let a = service.client("tenant-a").query(sql, 100).unwrap();
         let warm = service.cache_stats();
         assert_eq!(warm.misses, 1);
@@ -1097,9 +1098,8 @@ mod tests {
             "other",
             Table::new(vec![("x", BlockSet::from_values(other, 4))]),
         );
-        service
-            .query("t", "SELECT AVG(x) FROM other WITH PRECISION 0.5", 1)
-            .unwrap();
+        let sql = "SELECT AVG(x) FROM other WITH PRECISION 0.5 METHOD ISLA";
+        service.query("t", sql, 1).unwrap();
         let len_before = service.inner.session.pre_cache().len();
         let rows: Vec<Vec<f64>> = (0..250)
             .map(|i| vec![100.0 + f64::from(i % 10), 50.0])
@@ -1111,9 +1111,7 @@ mod tests {
             "ingest must not invalidate anything for any table"
         );
         let hits_before = service.cache_stats().hits;
-        service
-            .query("t", "SELECT AVG(x) FROM other WITH PRECISION 0.5", 2)
-            .unwrap();
+        service.query("t", sql, 2).unwrap();
         assert_eq!(
             service.cache_stats().hits,
             hits_before + 1,
@@ -1204,7 +1202,7 @@ mod tests {
     #[test]
     fn register_table_again_drops_its_pre_estimates() {
         let service = service_with_table(ServiceConfig::default());
-        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5";
+        let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5 METHOD ISLA";
         service.query("t", sql, 5).unwrap();
         assert_eq!(service.inner.session.pre_cache().len(), 1);
         let fresh = normal_values(50.0, 5.0, 50_000, 8);

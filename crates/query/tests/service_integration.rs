@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, Barrier, RwLock};
 
-use isla_core::engine::{CacheKey, RecoveryPolicy, RetryPolicy};
+use isla_core::engine::{CacheKey, RecoveryPolicy, RetryPolicy, RowSpec};
 use isla_core::{IslaConfig, IslaError};
 use isla_datagen::normal_values;
 use isla_query::{
@@ -158,8 +158,9 @@ fn concurrent_service_is_bit_identical_to_sequential() {
     }
 
     // The warm cache absorbed the storm: not one duplicated pilot. The
-    // `GROUP BY` shape is pinned from the per-key block sketches, which
-    // file no entry and move no counter.
+    // plain shapes are pinned from the block sketches and the `GROUP BY`
+    // shape from the per-key block sketches, which file no entry and
+    // move no counter: only the filtered shape looks its entry up.
     let stats = service.cache_stats();
     assert_eq!(
         stats.misses, warm.misses,
@@ -167,7 +168,7 @@ fn concurrent_service_is_bit_identical_to_sequential() {
     );
     assert_eq!(
         stats.hits - warm.hits,
-        (THREADS * (SHAPES.len() - 1)) as u64,
+        THREADS as u64,
         "every stormed query the sketches do not pin must be a cache hit"
     );
 }
@@ -220,7 +221,9 @@ fn cold_cache_race_is_benign() {
     const THREADS: usize = 8;
     let service = QueryService::new(config(THREADS, 64));
     register_tables(&service);
-    let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5";
+    // Named: the default form is pinned from the sketches, and a pin
+    // looks nothing up.
+    let sql = "SELECT AVG(distance) FROM trips WITH PRECISION 0.5 METHOD ISLA";
 
     let barrier = Barrier::new(THREADS);
     let results: Vec<QueryResult> = std::thread::scope(|scope| {
@@ -461,14 +464,12 @@ fn invalidation_reaches_selections_and_sketches() {
     );
 }
 
-/// Regression (pre-PR bug): scalar ISLA queries flip `sketch_sigma` on
-/// *after* parsing, and the flag is part of the config fingerprint. The
-/// cache key must be derived from the final config — a key built before
-/// the toggle would file pre-estimates the sketches pinned under the
-/// pilot slot and serve them to a named `METHOD ISLA`, which expects
-/// the pilots to run.
+/// A default plain query the block sketches pin is answered from them
+/// directly: it files no cache entry and moves no cache counter. A named
+/// `METHOD ISLA` over the same column runs the row plan at width 1 and
+/// files exactly one entry, under its row-shape key.
 #[test]
-fn sketch_sigma_key_derives_from_the_final_config() {
+fn a_pinned_plain_query_files_nothing_and_a_named_one_files_its_row_key() {
     let session = QuerySession::new();
     let mut catalog = isla_query::Catalog::new();
     let values = normal_values(100.0, 20.0, 100_000, 4);
@@ -476,39 +477,38 @@ fn sketch_sigma_key_derives_from_the_final_config() {
         "trips",
         Table::new(vec![("distance", BlockSet::from_values(values, 8))]),
     );
+    let run = |sql: &str| {
+        let query = parse(sql).unwrap();
+        let mut rng = isla_core::engine::seeded_rng(11);
+        session.execute(&query, &catalog, &mut rng).unwrap()
+    };
 
-    let query =
-        parse("SELECT AVG(distance) FROM trips WITH PRECISION 0.5 CONFIDENCE 0.95").unwrap();
-    let mut rng = isla_core::engine::seeded_rng(11);
-    session.execute(&query, &catalog, &mut rng).unwrap();
+    let pinned = run("SELECT AVG(distance) FROM trips WITH PRECISION 0.5 CONFIDENCE 0.95");
+    assert_eq!(pinned.samples_used, Some(0));
+    assert!(session.pre_cache().is_empty(), "a pin files no entry");
+    assert_eq!(session.cache_stats().lookups(), 0, "a pin moves no counter");
+
+    let named =
+        run("SELECT AVG(distance) FROM trips WITH PRECISION 0.5 CONFIDENCE 0.95 METHOD ISLA");
+    assert!(named.samples_used.unwrap() > 0, "the named method samples");
+    assert_eq!(session.pre_cache().len(), 1, "exactly one entry");
+    assert_eq!(session.cache_stats().misses, 1);
 
     let column = catalog.table("trips").unwrap().column("distance").unwrap();
-    let sketch_config = IslaConfig::builder()
-        .precision(0.5)
-        .confidence(0.95)
-        .sketch_sigma(true)
-        .build()
-        .unwrap();
-    let pilot_config = IslaConfig::builder()
+    let config = IslaConfig::builder()
         .precision(0.5)
         .confidence(0.95)
         .build()
         .unwrap();
-    let sketch_key = CacheKey::new("trips", "distance", &sketch_config, &column);
-    let pilot_key = CacheKey::new("trips", "distance", &pilot_config, &column);
-
-    assert_ne!(
-        sketch_key, pilot_key,
-        "the sketch_sigma flag must be part of the key"
-    );
+    let scalar_key = CacheKey::new("trips", "distance", &config, &column);
+    let row_key = scalar_key
+        .clone()
+        .with_row_shape(RowSpec::column(0).fingerprint());
     assert!(
-        session.pre_cache().contains(&sketch_key),
-        "the executor must file the entry under the final (sketch_sigma) config"
+        session.pre_cache().contains(&row_key),
+        "the entry is filed under the width-1 row shape"
     );
-    assert!(
-        !session.pre_cache().contains(&pilot_key),
-        "nothing may be filed under the pre-toggle (pilot-σ) config"
-    );
+    assert!(!session.pre_cache().contains(&scalar_key));
 }
 
 /// A block whose every data-plane access panics, while metadata (length,

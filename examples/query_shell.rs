@@ -1,7 +1,7 @@
 //! A tiny interactive shell over the query layer (paper Section II-C's
 //! query interface).
 //!
-//! Registers five demo tables and reads queries from stdin. When stdin
+//! Registers six demo tables and reads queries from stdin. When stdin
 //! is not a terminal (or `--script` is passed), it runs a scripted demo
 //! instead, so the example is exercisable in CI.
 //!
@@ -57,6 +57,15 @@ fn build_catalog() -> Catalog {
             Schema::new(vec![ColumnDef::float("ts"), ColumnDef::float("load")]),
             RowsBlock::split(vec![ts, load], 10),
         ),
+    );
+    // Finite values whose sum overflows f64: every answer over it is a
+    // finite value or a typed error.
+    let huge: Vec<f64> = (0..40_000u32)
+        .map(|i| 1e308 + f64::from(i % 7) * 1e292)
+        .collect();
+    catalog.register(
+        "huge",
+        Table::new(vec![("x", BlockSet::from_values(huge, 4))]),
     );
     catalog
 }
@@ -117,9 +126,13 @@ fn main() {
             "SELECT COUNT(*) FROM trips",
             // Exact from the block sketches: no sample drawn.
             "SELECT AVG(trip_distance) FROM trips WITH PRECISION 25",
-            // The paper's pilots and Algorithms 1–2.
+            // The paper's pilots and Algorithms 1–2, on the row plan at
+            // width 1.
             "SELECT AVG(trip_distance) FROM trips WITH PRECISION 25 METHOD ISLA",
             "SELECT AVG(trip_distance) FROM trips METHOD EXACT",
+            "SELECT SUM(l_extendedprice) FROM lineitem WITH PRECISION 200 METHOD ISLA",
+            // An explicit budget: half of it at most for the pilots.
+            "SELECT AVG(salary) FROM census SAMPLES 20000",
             "SELECT AVG(salary) FROM census METHOD US SAMPLES 20000",
             "SELECT AVG(salary) FROM census METHOD MV SAMPLES 20000",
             "SELECT SUM(l_extendedprice) FROM lineitem WITH PRECISION 200",
@@ -152,6 +165,10 @@ fn main() {
             // and a grouping the extremes cannot answer.
             "SELECT AVG(x) FROM sales WHERE y > 50 WITH PRECISION 0.5 SAMPLES 1000",
             "SELECT MAX(x) FROM sales GROUP BY region",
+            // Sums that overflow f64: typed errors, not infinities.
+            "SELECT AVG(x) FROM huge WITH PRECISION 0.5",
+            "SELECT AVG(x) FROM huge WITH PRECISION 0.5 METHOD ISLA",
+            "SELECT AVG(x) FROM huge METHOD EXACT",
         ];
         for line in demo {
             println!("isla> {line}");

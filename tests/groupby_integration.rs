@@ -185,10 +185,12 @@ fn pooled_grouped_filtered_is_bit_identical_for_required_worker_counts() {
 fn query_shapes_key_the_cache_separately() {
     let catalog = catalog();
     let session = QuerySession::new();
+    // Named: the default form is pinned from the sketches, and a pin
+    // files no entry.
     run_session(
         &session,
         &catalog,
-        "SELECT AVG(x) FROM t WITH PRECISION 0.5",
+        "SELECT AVG(x) FROM t WITH PRECISION 0.5 METHOD ISLA",
         20,
     )
     .unwrap();

@@ -155,10 +155,11 @@ proptest! {
         }
     }
 
-    /// The engine's partial aggregates are merge-order invariant: any
-    /// rotation and any chunking of the block outcomes finalizes to the
-    /// bit-identical estimate of the in-order sequential merge, which in
-    /// turn equals `combine_partials` directly.
+    /// The engine's partial aggregates are absorb-order invariant: any
+    /// rotation of the block outcomes, absorbed chunk by chunk back to
+    /// front, finalizes to the bit-identical estimate of the in-order
+    /// sequential absorb, which in turn equals `combine_partials`
+    /// directly.
     #[test]
     fn partial_aggregate_merge_is_order_invariant(
         specs in proptest::collection::vec(
@@ -186,22 +187,21 @@ proptest! {
         .unwrap();
         prop_assert_eq!(reference.estimate, direct);
 
-        // Adversarial completion order: rotate, then merge in chunks.
+        // Adversarial completion order: rotate, then absorb each chunk
+        // back to front.
         let k = rotation % outcomes.len();
         let rotated: Vec<BlockOutcome> = outcomes[k..]
             .iter()
             .chain(&outcomes[..k])
             .cloned()
             .collect();
-        let mut merged = PartialAggregate::new();
+        let mut shuffled = PartialAggregate::new();
         for group in rotated.chunks(chunk) {
-            let mut partial = PartialAggregate::new();
-            for o in group {
-                partial.absorb(o.clone());
+            for o in group.iter().rev() {
+                shuffled.absorb(o.clone());
             }
-            merged.merge(partial);
         }
-        let shuffled = merged.finalize().unwrap();
+        let shuffled = shuffled.finalize().unwrap();
         prop_assert_eq!(shuffled.estimate, reference.estimate, "bit-for-bit");
         prop_assert_eq!(shuffled.total_samples, reference.total_samples);
         let ids: Vec<usize> = shuffled.blocks.iter().map(|o| o.block_id).collect();
@@ -238,11 +238,11 @@ proptest! {
         }
     }
 
-    /// Grouped partials are merge-order invariant on *real* executions:
-    /// for random multi-column datasets and random predicates, any
-    /// rotation and chunking of the per-block grouped outcomes
-    /// finalizes to the bit-identical per-group estimates of the
-    /// in-order merge.
+    /// Grouped partials are absorb-order invariant on *real*
+    /// executions: for random multi-column datasets and random
+    /// predicates, any rotation of the per-block grouped outcomes,
+    /// absorbed chunk by chunk back to front, finalizes to the
+    /// bit-identical per-group estimates of the in-order absorb.
     #[test]
     fn grouped_partial_merge_is_order_invariant(
         xs in proptest::collection::vec(0.0f64..100.0, 60..400),
@@ -289,15 +289,13 @@ proptest! {
 
         let k = rotation % outcomes.len();
         let rotated: Vec<_> = outcomes[k..].iter().chain(&outcomes[..k]).cloned().collect();
-        let mut merged = GroupedPartial::new();
+        let mut shuffled = GroupedPartial::new();
         for group in rotated.chunks(chunk) {
-            let mut partial = GroupedPartial::new();
-            for o in group {
-                partial.absorb(o.clone());
+            for o in group.iter().rev() {
+                shuffled.absorb(o.clone());
             }
-            merged.merge(partial);
         }
-        let shuffled = merged.finalize(&plan).unwrap();
+        let shuffled = shuffled.finalize(&plan).unwrap();
 
         prop_assert_eq!(shuffled.groups.len(), reference.groups.len());
         for (s, r) in shuffled.groups.iter().zip(&reference.groups) {

@@ -1035,13 +1035,12 @@ fn baselines_reject_a_precision_and_a_sample_budget_together() {
     }
 }
 
-/// The scalar `METHOD ISLA SAMPLES n` budget adapter runs at the
-/// query's confidence: its answer is the adapter's own at that
+/// A plain `METHOD ISLA SAMPLES n` runs the row plan's budget path at
+/// the query's confidence: its answer is the engine's own at that
 /// confidence, and differs from the one at the default.
 #[test]
 fn a_scalar_sample_budget_honours_the_confidence() {
-    use isla::baselines::IslaEstimator;
-    use isla::core::engine::SequentialScheduler;
+    use isla::core::engine::{self, RateSpec, RecoveryPolicy, RowPlan, RowSpec};
 
     let catalog = golden_catalog();
     let run = |sql: &str| {
@@ -1056,19 +1055,74 @@ fn a_scalar_sample_budget_honours_the_confidence() {
     assert_ne!(at_half.value.to_bits(), at_default.value.to_bits());
 
     let config = IslaConfig::builder().confidence(0.5).build().unwrap();
-    // The golden catalog's `sensors` column.
+    // The golden catalog's `sensors` column, as a width-1 row spec.
     let readings = BlockSet::from_values(isla::datagen::normal_values(100.0, 20.0, 120_000, 11), 8);
-    let (want, drawn) = IslaEstimator::new(config)
-        .unwrap()
-        .estimate_counted(
-            &readings,
-            40_000,
-            &SequentialScheduler,
-            &mut StdRng::seed_from_u64(3),
-        )
+    let spec = RowSpec::column(0);
+    let strict = RecoveryPolicy::strict();
+    let mut rng = StdRng::seed_from_u64(3);
+    let pre = engine::row_pre_estimate_with(&readings, &config, &spec, 20_000, &strict, &mut rng)
         .unwrap();
-    assert_eq!(at_half.value.to_bits(), want.to_bits());
-    assert_eq!(at_half.samples_used, Some(drawn));
+    let rate = (40_000 - pre.pilot_rows) as f64 / 120_000.0;
+    let plan = RowPlan::from_pre_estimate(&readings, &config, spec, pre, RateSpec::Absolute(rate))
+        .unwrap();
+    let want = engine::run_row_plan_with(
+        &plan,
+        &readings,
+        &engine::SequentialScheduler,
+        &strict,
+        &mut rng,
+    )
+    .unwrap();
+    assert_eq!(at_half.value.to_bits(), want.estimate.to_bits());
+    assert_eq!(
+        at_half.samples_used,
+        Some(want.total_samples + plan.pilot_rows())
+    );
+}
+
+/// A column whose values are finite but whose sum is not: 40 000 rows
+/// of `1e308 + (i mod 7)·1e292` in 4 blocks. Its mean is finite; its
+/// `Σa`, a pilot's σ̂ and the `SUM` overflow `f64`.
+fn overflowing_catalog() -> Catalog {
+    let values: Vec<f64> = (0..40_000u32)
+        .map(|i| 1e308 + f64::from(i % 7) * 1e292)
+        .collect();
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "huge",
+        Table::new(vec![("x", BlockSet::from_values(values, 4))]),
+    );
+    catalog
+}
+
+/// Every path over a column whose sums overflow answers a finite value
+/// or fails with a typed error — no panic, and no non-finite "exact"
+/// answer. Runs through `isla::query::execute`, with no `catch_unwind`.
+#[test]
+fn overflowing_sums_answer_finite_or_fail_typed() {
+    use isla::query::QueryError;
+
+    let catalog = overflowing_catalog();
+    for sql in [
+        "SELECT AVG(x) FROM huge WITH PRECISION 0.5",
+        "SELECT SUM(x) FROM huge WITH PRECISION 0.5",
+        "SELECT AVG(x) FROM huge GROUP BY x WITH PRECISION 0.5",
+        "SELECT AVG(x) FROM huge WHERE x > 0 WITH PRECISION 0.5",
+        "SELECT AVG(x) FROM huge WITH PRECISION 0.5 METHOD ISLA",
+        "SELECT AVG(x) FROM huge WHERE x > 0 WITH PRECISION 0.5 METHOD ISLA",
+        "SELECT AVG(x) FROM huge METHOD ISLA SAMPLES 5000",
+        "SELECT AVG(x) FROM huge METHOD MVB SAMPLES 5000",
+        "SELECT AVG(x) FROM huge METHOD EXACT",
+        "SELECT SUM(x) FROM huge WHERE x > 0 METHOD EXACT",
+    ] {
+        let query = isla::query::parse(sql).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        match isla::query::execute(&query, &catalog, &mut rng) {
+            Ok(r) => assert!(r.value.is_finite(), "{sql}: non-finite answer {}", r.value),
+            Err(QueryError::Engine(_) | QueryError::Invalid(_)) => {}
+            Err(e) => panic!("{sql}: untyped error {e:?}"),
+        }
+    }
 }
 
 /// A seeded statement generator over the golden catalog's vocabulary:
@@ -1177,4 +1231,175 @@ fn mutated_statements_answer_or_fail_typed() {
             }
         }
     }
+}
+
+/// A statement's lexer-sized pieces: whitespace-separated words, with
+/// each parenthesis split off its word.
+fn pieces(sql: &str) -> Vec<String> {
+    sql.replace('(', " ( ")
+        .replace(')', " ) ")
+        .split_whitespace()
+        .map(str::to_string)
+        .collect()
+}
+
+/// One ungrammatical (or oddly literal) variant of `sql`: a piece
+/// dropped, duplicated or swapped; a literal the parser must judge
+/// (`1e400`, `-0`, a `SAMPLES 1e19` clause); non-ASCII text spliced in;
+/// or the statement truncated mid-word.
+fn mangled(sql: &str, rng: &mut StdRng) -> String {
+    use rand::Rng;
+
+    const LITERALS: &[&str] = &[
+        "1e400",
+        "-1e400",
+        "-0",
+        "1e19",
+        "1e-400",
+        "18446744073709551616",
+        "0.",
+        ".5",
+        "1e",
+        "--1",
+        "1e+",
+        "+",
+        "NaN",
+    ];
+    const NON_ASCII: &[&str] = &["é", "∞", "\u{0}", "\u{feff}", "🦀", "İ", "\u{301}", "０"];
+
+    let mut words = pieces(sql);
+    for _ in 0..rng.random_range(1..=2) {
+        let at = rng.random_range(0..words.len().max(1));
+        match rng.random_range(0..7) {
+            0 if !words.is_empty() => {
+                words.remove(at);
+            }
+            1 if !words.is_empty() => {
+                let word = words[at].clone();
+                words.insert(at, word);
+            }
+            2 if !words.is_empty() => {
+                let other = rng.random_range(0..words.len());
+                words.swap(at, other);
+            }
+            3 if !words.is_empty() => {
+                // A number where the statement has one, else anywhere.
+                let numbers: Vec<usize> = (0..words.len())
+                    .filter(|&i| words[i].parse::<f64>().is_ok())
+                    .collect();
+                let at = numbers.get(at % numbers.len().max(1)).map_or(at, |&i| i);
+                words[at] = LITERALS[rng.random_range(0..LITERALS.len())].to_string();
+            }
+            4 => {
+                // At the end, where the grammar allows it, or anywhere.
+                let at = if rng.random_bool(0.5) {
+                    words.len()
+                } else {
+                    at
+                };
+                let clause = ["SAMPLES", "1e19"].map(str::to_string);
+                words.splice(at..at, clause);
+            }
+            5 => {
+                let text = NON_ASCII[rng.random_range(0..NON_ASCII.len())];
+                match words.get_mut(at) {
+                    Some(word) => {
+                        let cut = word
+                            .char_indices()
+                            .map(|(i, _)| i)
+                            .nth(rng.random_range(0..=word.chars().count().saturating_sub(1)))
+                            .unwrap_or(0);
+                        word.insert_str(cut, text);
+                    }
+                    None => words.push(text.to_string()),
+                }
+            }
+            _ => {
+                let joined = words.join(" ");
+                let cuts: Vec<usize> = joined.char_indices().map(|(i, _)| i).collect();
+                let cut = cuts.get(rng.random_range(0..=cuts.len())).copied();
+                words = pieces(&joined[..cut.unwrap_or(joined.len())]);
+            }
+        }
+    }
+    words.join(" ")
+}
+
+/// The lexer/parser half of the mutation fuzz: golden-corpus statements
+/// mangled into ungrammatical input parse to a typed error or a `Query`
+/// in bounded time, and every `Query` executes to an answer or a typed
+/// error on a plain and on a pooled best-effort session.
+///
+/// A baseline `AVG`/`SUM` whose explicit budget exceeds 10⁷ draws is
+/// parsed but not executed: the baselines draw exactly the budget they
+/// are given, with no ceiling, so `METHOD US SAMPLES 1e19` runs for as
+/// long as 10¹⁹ draws take.
+#[test]
+fn mangled_statements_parse_or_fail_typed() {
+    use isla::core::engine::RetryPolicy;
+    use isla::query::{AggFunc, ExecPolicy, Method, QueryError};
+    use rand::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::{Duration, Instant};
+
+    let catalog = golden_catalog();
+    let sessions = [
+        QuerySession::new(),
+        QuerySession::with_policy(
+            ExecPolicy::new()
+                .pooled(2)
+                .best_effort()
+                .retry(RetryPolicy::attempts(2)),
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xF022_1E55);
+    let (mut parsed, mut refused) = (0, 0);
+    for _ in 0..1_500 {
+        let (_, sql, _) = GOLDEN_CORPUS[rng.random_range(0..GOLDEN_CORPUS.len())];
+        let text = mangled(sql, &mut rng);
+        let start = Instant::now();
+        let outcome = catch_unwind(|| isla::query::parse(&text));
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{text:?} took {took:?} to parse"
+        );
+        let query = match outcome {
+            Ok(Ok(query)) => query,
+            Ok(Err(QueryError::Lex { .. } | QueryError::Parse { .. })) => {
+                refused += 1;
+                continue;
+            }
+            Ok(Err(e)) => panic!("{text:?}: unexpected parse error kind {e:?}"),
+            Err(_) => panic!("{text:?}: the parser panicked"),
+        };
+        parsed += 1;
+        let unbounded_baseline = !matches!(query.method, Method::Isla | Method::Exact)
+            && matches!(query.agg, AggFunc::Avg | AggFunc::Sum)
+            && query.samples.is_some_and(|n| n > 10_000_000);
+        if unbounded_baseline {
+            continue;
+        }
+        let seed = rng.random::<u64>();
+        for session in &sessions {
+            let mut query_rng = StdRng::seed_from_u64(seed);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                session.execute(&query, &catalog, &mut query_rng)
+            }));
+            match outcome {
+                Ok(Ok(_))
+                | Ok(Err(QueryError::Invalid(_)))
+                | Ok(Err(QueryError::UnknownTable(_)))
+                | Ok(Err(QueryError::UnknownColumn { .. }))
+                | Ok(Err(QueryError::Engine(_))) => {}
+                Ok(Err(e)) => panic!("{text:?}: unexpected error kind {e:?}"),
+                Err(_) => panic!("{text:?} panicked"),
+            }
+        }
+    }
+    // The mutations reach both sides of the parser.
+    assert!(
+        parsed > 100 && refused > 100,
+        "{parsed} parsed, {refused} refused"
+    );
 }
